@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick fuzz stress clean
+.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor bench-selftest load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick fuzz stress clean
 
 all: build vet lint test
 
@@ -101,6 +101,14 @@ bench-json:
 bench-floor:
 	$(GO) test -run '^$$' -bench '^BenchmarkReplayThroughput$$' -benchmem . \
 		| $(GO) run ./cmd/gcbenchjson -out BENCH_baseline.json -write=false -floor 'BenchmarkReplayThroughput:0.8'
+
+# Benchmark self-test: perfbench/ is its own Go module, so go build,
+# vet, lint and test over ./... never compile it. This builds it against
+# the working tree and runs every BENCHMARK.json workload once, checking
+# each emits its metrics — the gate that the API it links against still
+# fits.
+bench-selftest:
+	python3 perfbench/run.py --selftest
 
 # Regenerate every table/figure of the paper plus the validation
 # experiments into results/ (exits non-zero if any claim fails).

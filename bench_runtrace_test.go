@@ -1,6 +1,7 @@
 package gccache_test
 
 import (
+	"context"
 	"testing"
 
 	"gccache"
@@ -33,10 +34,17 @@ func BenchmarkRunTrace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := gccache.RunColdBounded(c, tr, u)
-		if st.Misses == 0 {
-			b.Fatal("implausible: zero misses")
-		}
+		replayCold(b, c, tr, u)
+	}
+}
+
+// replayCold resets c and replays tr through it, failing the benchmark
+// on an error or an implausible miss-free run.
+func replayCold(b *testing.B, c gccache.Cache, tr gccache.Trace, universe int) {
+	c.Reset()
+	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{Universe: universe})
+	if err != nil || st.Misses == 0 {
+		b.Fatalf("implausible replay: %+v, err = %v", st, err)
 	}
 }
 
@@ -49,28 +57,23 @@ func BenchmarkRunTraceGeneric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := gccache.RunCold(c, tr)
-		if st.Misses == 0 {
-			b.Fatal("implausible: zero misses")
-		}
+		replayCold(b, c, tr, 0)
 	}
 }
 
 // BenchmarkSweep measures the chunked work-stealing sweep engine on a
-// 64-point grid, one pooled dense IBLP per worker reused (via the
-// RunColdBounded reset) across every point the worker claims.
+// 64-point grid, one pooled dense IBLP per worker reused (Reset before
+// each replay) across every point the worker claims.
 func BenchmarkSweep(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	u := model.ItemUniverse(g, tr.Universe())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gccache.Sweep(64, 0, func() gccache.Cache {
+		gccache.Sweep(context.Background(), 64, gccache.SweepOptions{}, func() gccache.Cache {
 			return gccache.NewIBLPEvenSplitBounded(4096, g, u)
 		}, func(pt int, c gccache.Cache) {
-			if st := gccache.RunColdBounded(c, tr, u); st.Misses == 0 {
-				b.Fatal("implausible: zero misses")
-			}
+			replayCold(b, c, tr, u)
 		})
 	}
 }

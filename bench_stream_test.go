@@ -33,7 +33,8 @@ func BenchmarkRunStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := gccache.RunColdStreamBounded(c, sc, u)
+		c.Reset()
+		st, err := gccache.Replay(context.Background(), c, sc, gccache.ReplayOptions{Universe: u})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,7 @@
 //     cache falls behind is charged to the cache, not silently absorbed
 //     (no coordinated omission). With -rate 0 the streams run closed-loop
 //     flat out and latency is pure service time.
-//   - batch: drives the batched engine (concurrent.ReplayCtx) for a
+//   - batch: drives the batched engine (concurrent.Engine.Replay) for a
 //     max-throughput measurement with one lock acquisition per batch.
 //
 // Usage:

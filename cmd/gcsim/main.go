@@ -182,7 +182,11 @@ func main() {
 			if serr != nil {
 				fatal(serr)
 			}
-			st = gccache.RunColdProbed(mk(), tr, suite)
+			var rerr error
+			st, rerr = cachesim.Replay(ctx, mk(), trace.NewSliceSource(tr), cachesim.ReplayOptions{Probe: suite})
+			if rerr != nil {
+				fatal(rerr)
+			}
 			dumps = append(dumps, probedRun{policy: st.Policy, suite: suite})
 		default:
 			if prev, ok := done[name]; ok {
@@ -190,7 +194,7 @@ func main() {
 				break
 			}
 			var rerr error
-			st, rerr = cachesim.RunColdCtx(ctx, mk(), tr)
+			st, rerr = cachesim.Replay(ctx, mk(), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
 			if rerr != nil {
 				saveCkpt()
 				hint := ""
@@ -296,7 +300,7 @@ func runScenario(path string, k, B int, policies string, flagSeed int64, optWant
 		if !ok {
 			fatal(fmt.Errorf("unknown policy %q", name))
 		}
-		st, rerr := cachesim.RunColdStream(mk(), s)
+		st, rerr := cachesim.Replay(context.Background(), mk(), s, cachesim.ReplayOptions{})
 		if rerr != nil {
 			fatal(rerr)
 		}

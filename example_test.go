@@ -1,18 +1,22 @@
 package gccache_test
 
 import (
+	"context"
 	"fmt"
 
 	"gccache"
 )
 
-// ExampleRunCold demonstrates the basic simulation loop: an IBLP cache
+// ExampleReplay demonstrates the basic simulation loop: an IBLP cache
 // over 4-item blocks serving a trace with perfect spatial locality.
-func ExampleRunCold() {
+func ExampleReplay() {
 	geo := gccache.NewFixedGeometry(4)
 	c := gccache.NewIBLP(8, 8, geo)
 	tr := gccache.Trace{0, 1, 2, 3, 4, 5, 6, 7}
-	st := gccache.RunCold(c, tr)
+	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("misses=%d spatial-hits=%d\n", st.Misses, st.SpatialHits)
 	// Output: misses=2 spatial-hits=6
 }
@@ -25,8 +29,10 @@ func ExampleNewBlockLRU() {
 	itemCache := gccache.NewItemLRU(8)
 	tr := gccache.Trace{0, 4, 8}               // three blocks, one item each
 	tr = append(tr, gccache.Trace{0, 4, 8}...) // repeat
-	fmt.Println("block-lru misses:", gccache.RunCold(blockCache, tr).Misses)
-	fmt.Println("item-lru misses:", gccache.RunCold(itemCache, tr).Misses)
+	for _, c := range []gccache.Cache{blockCache, itemCache} {
+		st, _ := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+		fmt.Printf("%s misses: %d\n", c.Name(), st.Misses)
+	}
 	// Output:
 	// block-lru misses: 6
 	// item-lru misses: 3
@@ -66,7 +72,7 @@ func ExampleNewValidator() {
 	geo := gccache.NewFixedGeometry(4)
 	v := gccache.NewValidator(gccache.NewGCM(16, geo, 1), geo)
 	tr, _ := gccache.GenerateWorkload("cyclic:n=32,len=5000", 1)
-	gccache.Run(v, tr)
+	gccache.Replay(context.Background(), v, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
 	fmt.Println("violations:", v.Err())
 	// Output: violations: <nil>
 }

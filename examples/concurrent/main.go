@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -36,8 +37,18 @@ func main() {
 	}
 	streams := gccache.SplitStreams(tr, clients)
 
+	// The engine runs one producer goroutine per client stream and one
+	// worker per shard; each worker serves a whole batch under one lock.
+	e, err := gccache.NewReplayEngine(s, len(streams), gccache.BatchReplayConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer e.Close()
 	start := time.Now()
-	st := gccache.ReplayConcurrent(s, streams)
+	st, err := e.Replay(context.Background(), streams)
+	if err != nil {
+		log.Fatal(err)
+	}
 	elapsed := time.Since(start)
 
 	fmt.Printf("served %d requests from %d client streams on %d CPUs in %v\n",

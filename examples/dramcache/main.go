@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,12 +60,12 @@ func main() {
 	}
 	perPhase := [][3]float64{}
 	for _, c := range designs {
-		st := gccache.RunCold(c, app)
+		st := replay(c, app)
 		fmt.Printf("%-24s %10d %12.4f %13d\n", st.Policy, st.Misses, st.MissRatio(), st.SpatialHits)
 		// Per-phase breakdown for the summary below.
 		var ratios [3]float64
 		for pi, ph := range []trace.Trace{matrix, chase, hot} {
-			ratios[pi] = gccache.RunCold(c, ph).MissRatio()
+			ratios[pi] = replay(c, ph).MissRatio()
 		}
 		perPhase = append(perPhase, ratios)
 	}
@@ -80,4 +81,14 @@ func main() {
 	fmt.Println("a full training pass before its predictions kick in; row-fetch with")
 	fmt.Println("line-grain eviction and IBLP are robust in all three phases — the")
 	fmt.Println("design space Theorems 2–4 delimit.")
+}
+
+// replay resets c and replays tr through it.
+func replay(c gccache.Cache, tr gccache.Trace) gccache.Stats {
+	c.Reset()
+	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st
 }

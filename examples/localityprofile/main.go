@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,9 +41,9 @@ func main() {
 		lb := gccache.FaultRateLowerBound(k, f, g)
 		ub := gccache.IBLPFaultRateUpperBound(k/2, k/2, B, f, g)
 
-		iblp := gccache.RunCold(gccache.NewIBLPEvenSplit(k, geo), tr)
-		lru := gccache.RunCold(gccache.NewItemLRU(k), tr)
-		blk := gccache.RunCold(gccache.NewBlockLRU(k, geo), tr)
+		iblp := replay(gccache.NewIBLPEvenSplit(k, geo), tr)
+		lru := replay(gccache.NewItemLRU(k), tr)
+		blk := replay(gccache.NewBlockLRU(k, geo), tr)
 
 		fmt.Printf("== %s ==\n", wl.name)
 		fmt.Printf("  measured spatial-locality ratio f/g: %.2f (1 = none, B = %d = max)\n", ratio, B)
@@ -55,4 +56,14 @@ func main() {
 	fmt.Println("the measured f/g, so simulated rates sit at or below them; the")
 	fmt.Println("Theorem 8 bound is a floor for worst-case members of the family,")
 	fmt.Println("not for every individual trace.")
+}
+
+// replay resets c and replays tr through it.
+func replay(c gccache.Cache, tr gccache.Trace) gccache.Stats {
+	c.Reset()
+	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st
 }

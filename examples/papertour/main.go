@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 
 	section("§2 The model: subset loads at unit cost")
 	c := gccache.NewBlockLoadItemEvict(k, geo)
-	st := gccache.RunCold(c, gccache.Trace{0, 1, 2, 3})
+	st := replay(c, gccache.Trace{0, 1, 2, 3})
 	fmt.Printf("accessing 4 siblings of one block: %d miss, %d spatial hits — items after the first are free\n",
 		st.Misses, st.SpatialHits)
 
@@ -93,8 +94,18 @@ func main() {
 	fmt.Printf("Theorem 8 fault-rate floor at k=%d:  %.5f\n", k, gccache.FaultRateLowerBound(k, f, g))
 	fmt.Printf("Theorem 11 IBLP fault-rate ceiling:  %.5f\n",
 		gccache.IBLPFaultRateUpperBound(float64(k/2), float64(k/2), B, f, g))
-	sim := gccache.RunCold(gccache.NewIBLPEvenSplit(k, geo), wl)
+	sim := replay(gccache.NewIBLPEvenSplit(k, geo), wl)
 	fmt.Printf("simulated IBLP fault rate:           %.5f\n", sim.MissRatio())
 
 	fmt.Println("\n(regenerate every table and figure with: go run ./cmd/gcrepro -out results)")
+}
+
+// replay resets c and replays tr through it.
+func replay(c gccache.Cache, tr gccache.Trace) gccache.Stats {
+	c.Reset()
+	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st
 }

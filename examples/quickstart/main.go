@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,12 @@ func main() {
 	fmt.Printf("%-22s %10s %12s %14s %13s\n",
 		"policy", "misses", "miss ratio", "temporal hits", "spatial hits")
 	for _, c := range caches {
-		st := gccache.RunCold(c, tr)
+		// A fresh cache starts cold; Replay accepts any TraceSource, so an
+		// in-memory trace goes through NewSliceSource.
+		st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s %10d %12.4f %14d %13d\n",
 			st.Policy, st.Misses, st.MissRatio(), st.TemporalHits, st.SpatialHits)
 	}

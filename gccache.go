@@ -63,7 +63,7 @@ func NewTableGeometry(blocks [][]Item) (*model.Table, error) { return model.NewT
 // ItemUniverse expands an upper bound on *requested* item IDs to cover
 // every item a block-loading policy may bring in (the whole block of
 // each requested item). Pass the result — not the raw Trace.Universe —
-// to the *Bounded constructors and RunBounded/RunColdBounded. A zero
+// to the *Bounded constructors and ReplayOptions.Universe. A zero
 // return means no finite bound is derivable; use the generic path.
 func ItemUniverse(g Geometry, universe int) int { return model.ItemUniverse(g, universe) }
 
@@ -78,35 +78,24 @@ type (
 	Stats = cachesim.Stats
 )
 
-// Run replays tr through c and returns statistics; RunCold resets first.
-func Run(c Cache, tr Trace) Stats     { return cachesim.Run(c, tr) }
-func RunCold(c Cache, tr Trace) Stats { return cachesim.RunCold(c, tr) }
+// ReplayOptions selects Replay's recorder path (Universe) and attaches
+// an observability probe (Probe); the zero value replays with neither.
+type ReplayOptions = cachesim.ReplayOptions
 
-// RunBounded and RunColdBounded are Run and RunCold with the recorder on
-// its allocation-free dense path for item IDs in [0, universe). The bound
-// must cover every item the policy may LOAD, not just those requested:
-// block-loading policies pull in whole blocks, so expand Trace.Universe
-// with model.ItemUniverse(g, tr.Universe()) before passing it here.
-func RunBounded(c Cache, tr Trace, universe int) Stats {
-	return cachesim.RunBounded(c, tr, universe)
-}
-func RunColdBounded(c Cache, tr Trace, universe int) Stats {
-	return cachesim.RunColdBounded(c, tr, universe)
-}
-
-// RunBoundedCtx and RunColdBoundedCtx are the bounded replays with
-// cooperative cancellation (see RunCtx for the error contract).
-func RunBoundedCtx(ctx context.Context, c Cache, tr Trace, universe int) (Stats, error) {
-	return cachesim.RunBoundedCtx(ctx, c, tr, universe)
-}
-func RunColdBoundedCtx(ctx context.Context, c Cache, tr Trace, universe int) (Stats, error) {
-	return cachesim.RunColdBoundedCtx(ctx, c, tr, universe)
+// Replay drives every request of src through c from its current state
+// and returns the statistics — call c.Reset() first for a cold start; a
+// fresh cache needs none. Wrap an in-memory Trace with NewSliceSource.
+// A nil error means every request was replayed; otherwise the partial
+// statistics come back with ctx's error, the source's error, or the
+// first request outside opt.Universe.
+func Replay(ctx context.Context, c Cache, src TraceSource, opt ReplayOptions) (Stats, error) {
+	return cachesim.Replay(ctx, c, src, opt)
 }
 
 // Streaming replay (see DESIGN.md, "Serving & streaming"): replaying a
-// trace file through TraceScanner and RunStream needs O(1) memory
+// trace file through TraceScanner and Replay needs O(1) memory
 // regardless of trace length, with statistics byte-identical to the
-// in-memory Run path.
+// in-memory replay.
 type (
 	// TraceSource is an incremental stream of item requests — the
 	// streaming counterpart of Trace. Next/Item/Err follow the
@@ -128,35 +117,6 @@ func NewTraceTextScanner(r io.Reader) *TraceTextScanner { return trace.NewTextSc
 
 // NewSliceSource adapts an in-memory Trace to the TraceSource shape.
 func NewSliceSource(tr Trace) TraceSource { return trace.NewSliceSource(tr) }
-
-// RunStream replays src through c and returns the statistics together
-// with the source's terminal error; RunColdStream resets c first. The
-// bounded variants put the recorder on its dense allocation-free path
-// (see RunBounded for the universe contract).
-func RunStream(c Cache, src TraceSource) (Stats, error)     { return cachesim.RunStream(c, src) }
-func RunColdStream(c Cache, src TraceSource) (Stats, error) { return cachesim.RunColdStream(c, src) }
-func RunStreamBounded(c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunStreamBounded(c, src, universe)
-}
-func RunColdStreamBounded(c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunColdStreamBounded(c, src, universe)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation (see RunCtx
-// for the err == nil contract); the Cold and Bounded variants follow
-// the same naming scheme as the in-memory family.
-func RunStreamCtx(ctx context.Context, c Cache, src TraceSource) (Stats, error) {
-	return cachesim.RunStreamCtx(ctx, c, src)
-}
-func RunColdStreamCtx(ctx context.Context, c Cache, src TraceSource) (Stats, error) {
-	return cachesim.RunColdStreamCtx(ctx, c, src)
-}
-func RunStreamBoundedCtx(ctx context.Context, c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunStreamBoundedCtx(ctx, c, src, universe)
-}
-func RunColdStreamBoundedCtx(ctx context.Context, c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunColdStreamBoundedCtx(ctx, c, src, universe)
-}
 
 // RunFile opens path, streams the gctrace binary format through c, and
 // closes the file — the one-call entry point for replaying traces
@@ -184,78 +144,33 @@ func NewProbeSuite(spec string, universe int) (*ProbeSuite, error) {
 	return obs.NewSuite(spec, universe)
 }
 
-// RunProbed and RunColdProbed are Run and RunCold with p attached to
-// both the policy (when it implements cachesim.Instrumented — all
-// paper policies do) and the recorder, yielding the complete two-view
-// event stream. The probe is detached from the cache afterwards.
-func RunProbed(c Cache, tr Trace, p Probe) Stats {
-	return cachesim.RunProbed(c, tr, p)
-}
-func RunColdProbed(c Cache, tr Trace, p Probe) Stats {
-	return cachesim.RunColdProbed(c, tr, p)
-}
+// SweepOptions sets Sweep's worker count and an optional SweepStats
+// target; the zero value runs on GOMAXPROCS workers and measures
+// nothing.
+type SweepOptions = cachesim.SweepOptions
 
-// RunProbedCtx and RunColdProbedCtx are the probed replays with
-// cooperative cancellation; the probe is detached even when the replay
-// is cut short.
-func RunProbedCtx(ctx context.Context, c Cache, tr Trace, p Probe) (Stats, error) {
-	return cachesim.RunProbedCtx(ctx, c, tr, p)
-}
-func RunColdProbedCtx(ctx context.Context, c Cache, tr Trace, p Probe) (Stats, error) {
-	return cachesim.RunColdProbedCtx(ctx, c, tr, p)
-}
-
-// SweepStats collects per-worker chunk/index/timing statistics from
-// SweepObserved.
+// SweepStats collects per-worker chunk/index/timing statistics from an
+// observed sweep (SweepOptions.Stats).
 type SweepStats = cachesim.SweepStats
 
-// Sweep runs fn(i) for i in [0, n) on a pool of workers with per-worker
-// reusable state (chunked work-stealing; workers ≤ 0 means GOMAXPROCS).
-func Sweep[W any](n, workers int, newWorker func() W, fn func(i int, w W)) {
-	cachesim.Sweep(n, workers, newWorker, fn)
-}
-
-// SweepObserved is Sweep with per-worker engine statistics recorded
-// into st (pass nil to observe nothing — then it is exactly Sweep).
-func SweepObserved[W any](n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) {
-	cachesim.SweepObserved(n, workers, st, newWorker, fn)
-}
-
-// SweepObservedCtx is SweepObserved under a context (see SweepCtx for
-// the chunk-boundary cancellation contract).
-func SweepObservedCtx[W any](ctx context.Context, n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) error {
-	return cachesim.SweepObservedCtx(ctx, n, workers, st, newWorker, fn)
-}
-
-// SweepCaches is Sweep with one pooled Cache per worker, Reset before
-// every grid point.
-func SweepCaches(n, workers int, build func() Cache, fn func(i int, c Cache)) {
-	cachesim.SweepCaches(n, workers, build, fn)
-}
-
-// SweepCachesCtx is SweepCaches under a context.
-func SweepCachesCtx(ctx context.Context, n, workers int, build func() Cache, fn func(i int, c Cache)) error {
-	return cachesim.SweepCachesCtx(ctx, n, workers, build, fn)
+// Sweep runs fn(i, w) for i in [0, n) on a pool of workers with
+// per-worker reusable state (chunked work-stealing). Cancellation stops
+// workers at the next chunk boundary and returns ctx's error; a claimed
+// index always runs to completion. Pooled caches must be Reset by fn.
+func Sweep[W any](ctx context.Context, n int, opt SweepOptions, newWorker func() W, fn func(i int, w W)) error {
+	return cachesim.Sweep(ctx, n, opt, newWorker, fn)
 }
 
 // RunSeeds replays tr under one cache per seed in parallel and returns
 // the per-seed miss ratios; caches implementing cachesim.Reseeder are
-// pooled per worker instead of rebuilt per seed.
-func RunSeeds(build func(seed int64) Cache, tr Trace, seeds []int64) []float64 {
-	return cachesim.RunSeeds(build, tr, seeds)
+// pooled per worker instead of rebuilt per seed. Cancellation abandons
+// the remaining seeds and returns ctx's error with the ratios computed
+// so far (entries for seeds that never ran are zero).
+func RunSeeds(ctx context.Context, build func(seed int64) Cache, tr Trace, seeds []int64) ([]float64, error) {
+	return cachesim.RunSeeds(ctx, build, tr, seeds)
 }
 
-// RunSeedsCtx is RunSeeds under a context: cancellation abandons the
-// remaining seeds and returns ctx's error with the ratios computed so
-// far (entries for seeds that never ran are zero).
-func RunSeedsCtx(ctx context.Context, build func(seed int64) Cache, tr Trace, seeds []int64) ([]float64, error) {
-	return cachesim.RunSeedsCtx(ctx, build, tr, seeds)
-}
-
-// Fault-tolerant execution (see DESIGN.md, "Fault tolerance"). The
-// context-aware variants poll ctx on a stride that keeps the
-// per-access path allocation-free; sweeps check the context before
-// claiming a chunk, so a claimed index is always fully processed.
+// Fault-tolerant execution (see DESIGN.md, "Fault tolerance").
 type (
 	// Quarantine records one grid point abandoned after exhausting its
 	// retries, with the recovered panic value.
@@ -267,39 +182,22 @@ type (
 	SweepCheckpointConfig = cachesim.SweepCheckpointConfig
 )
 
-// RunCtx and RunColdCtx are Run and RunCold with cooperative
-// cancellation: they return the partial statistics and ctx's error if
-// the context ends mid-replay.
-func RunCtx(ctx context.Context, c Cache, tr Trace) (Stats, error) {
-	return cachesim.RunCtx(ctx, c, tr)
-}
-func RunColdCtx(ctx context.Context, c Cache, tr Trace) (Stats, error) {
-	return cachesim.RunColdCtx(ctx, c, tr)
-}
-
-// SweepCtx is Sweep under a context: cancellation stops workers at the
-// next chunk boundary and returns ctx's error; a sweep whose every
-// chunk was already claimed completes and returns nil.
-func SweepCtx[W any](ctx context.Context, n, workers int, newWorker func() W, fn func(i int, w W)) error {
-	return cachesim.SweepCtx(ctx, n, workers, newWorker, fn)
-}
-
-// SweepHardened is SweepObserved with per-point panic recovery:
-// panicking points are retried under retry's backoff and, when retries
-// are exhausted, quarantined (recorded in st and returned, sorted by
+// SweepHardened is Sweep with per-point panic recovery: panicking
+// points are retried under retry's backoff and, when retries are
+// exhausted, quarantined (recorded in opt.Stats and returned, sorted by
 // index) while the rest of the grid completes.
-func SweepHardened[W any](ctx context.Context, n, workers int, retry RetryPolicy, st *SweepStats,
+func SweepHardened[W any](ctx context.Context, n int, opt SweepOptions, retry RetryPolicy,
 	newWorker func() W, fn func(i int, w W)) ([]Quarantine, error) {
-	return cachesim.SweepHardened(ctx, n, workers, retry, st, newWorker, fn)
+	return cachesim.SweepHardened(ctx, n, opt, retry, newWorker, fn)
 }
 
 // SweepCheckpointed runs a sweep whose per-index results are
 // periodically persisted as atomic snapshots; an interrupted run
 // resumes from the file and returns bytes identical to an
 // uninterrupted run when fn is deterministic.
-func SweepCheckpointed[W any](ctx context.Context, n, workers int, cfg SweepCheckpointConfig,
+func SweepCheckpointed[W any](ctx context.Context, n int, opt SweepOptions, cfg SweepCheckpointConfig,
 	newWorker func() W, fn func(i int, w W) []byte) ([][]byte, error) {
-	return cachesim.SweepCheckpointed(ctx, n, workers, cfg, newWorker, fn)
+	return cachesim.SweepCheckpointed(ctx, n, opt, cfg, newWorker, fn)
 }
 
 // The paper's policies (§5, §6).
@@ -529,35 +427,12 @@ func NewShardedCache(nShards, totalCapacity int, g Geometry,
 	return concurrent.NewSharded(nShards, totalCapacity, g, build)
 }
 
-// ReplayConcurrent drives a sharded cache with one goroutine per stream.
-//
-//gclint:ctxok unbatched differential baseline; ReplayBatched is the cancellable serving path
-func ReplayConcurrent(s *ShardedCache, streams []Trace) Stats {
-	return concurrent.Replay(s, streams)
-}
-
 // SplitStreams deals a trace round-robin into n concurrent streams.
 func SplitStreams(tr Trace, n int) []Trace { return concurrent.SplitStreams(tr, n) }
 
 // BatchReplayConfig tunes the batched replay engine (batch size, queue
 // depth, deterministic merge mode); the zero value selects defaults.
 type BatchReplayConfig = concurrent.BatchConfig
-
-// ReplayBatched drives a sharded cache through the batched engine:
-// bounded per-shard queues give backpressure, each batch is served
-// under one lock acquisition, and cancellation follows the
-// claimed-chunk invariant (a claimed batch completes; queued work is
-// abandoned and ctx's error returned).
-func ReplayBatched(ctx context.Context, s *ShardedCache, streams []Trace, cfg BatchReplayConfig) (Stats, error) {
-	return concurrent.ReplayCtx(ctx, s, streams, cfg)
-}
-
-// ReplayStream drives a sharded cache from one incremental TraceSource
-// on the batched engine — the O(1)-memory serving path, and
-// deterministic for a fixed source (per-shard order is preserved).
-func ReplayStream(ctx context.Context, s *ShardedCache, src TraceSource, cfg BatchReplayConfig) (Stats, error) {
-	return concurrent.ReplayStreamCtx(ctx, s, src, cfg)
-}
 
 // NewShardedCacheBounded is NewShardedCache with every shard's recorder
 // on the flat-bitset allocation-free path for item IDs in [0, universe)
@@ -568,12 +443,14 @@ func NewShardedCacheBounded(nShards, totalCapacity int, g Geometry, universe int
 	return concurrent.NewShardedBounded(nShards, totalCapacity, g, universe, build)
 }
 
-// ReplayEngine is the persistent batched serving engine: SPSC rings,
-// producer and worker goroutines, and batch buffers are built once and
-// reused across replays, so a warm engine serves every subsequent
-// Replay without touching the allocator. ReplayBatched/ReplayStream
-// remain the one-shot conveniences (they build and tear down a
-// throwaway engine per call).
+// ReplayEngine is the batched serving engine, the one concurrent replay
+// path: SPSC rings, producer and worker goroutines, and batch buffers
+// are built once and reused across replays, so a warm engine serves
+// every subsequent Replay without touching the allocator. Bounded
+// per-shard queues give backpressure, each batch is served under one
+// lock acquisition, and cancellation follows the claimed-chunk
+// invariant (a claimed batch completes; queued work is abandoned and
+// ctx's error returned).
 type ReplayEngine = concurrent.Engine
 
 // NewReplayEngine builds a persistent engine over s with the given

@@ -1,6 +1,7 @@
 package gccache_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := gccache.RunCold(c, tr)
+	st := replay(t, c, tr)
 	if st.Accesses != 20000 {
 		t.Fatalf("accesses = %d", st.Accesses)
 	}
@@ -48,7 +49,7 @@ func TestFacadePoliciesShareInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range caches {
-		st := gccache.RunCold(c, tr)
+		st := replay(t, c, tr)
 		if st.Accesses != 5000 {
 			t.Errorf("%s: accesses %d", c.Name(), st.Accesses)
 		}
@@ -155,4 +156,14 @@ func TestIBLPTunedClampsDegenerate(t *testing.T) {
 	if c.ItemLayerSize()+c.BlockLayerSize() != 100 {
 		t.Errorf("layers %d+%d != 100", c.ItemLayerSize(), c.BlockLayerSize())
 	}
+}
+
+// replay runs tr through c from its current state.
+func replay(t *testing.T, c gccache.Cache, tr gccache.Trace) gccache.Stats {
+	t.Helper()
+	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

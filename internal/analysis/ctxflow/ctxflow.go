@@ -1,9 +1,11 @@
 // Package ctxflow implements the gclint analyzer for context plumbing
-// on blocking entry points. The repo's convention is twin APIs: Run and
-// RunCtx, Sweep and SweepCtx — the bare form for scripts, the Ctx form
-// for anything long-running that must be cancellable (the fault-tolerant
-// execution layer depends on it). This analyzer keeps the convention
-// from eroding as entry points are added:
+// on blocking entry points. The repo's convention is that a blocking
+// entry point takes a context.Context parameter — cachesim.Replay and
+// cachesim.Sweep do — so anything long-running stays cancellable (the
+// fault-tolerant execution layer depends on it). Bare/Ctx twin pairs
+// remain only in opt, vsc and hierarchy, whose two forms return
+// different types; the analyzer still accepts a twin. It keeps the
+// convention from eroding as entry points are added:
 //
 //   - an exported function or method whose name starts with a blocking
 //     prefix (Run, Sweep, Replay, Exact) must either take a
@@ -13,7 +15,7 @@
 //     that silently detaches the callee from the caller's cancellation;
 //   - context.Context must not be stored in a struct field: a stored
 //     context outlives the call it scoped and hides the data flow the
-//     twin convention exists to make explicit.
+//     parameter convention exists to make explicit.
 //
 // A `//gclint:ctxok` comment suppresses a report: on the `func` line for
 // entry points that provably return quickly (accessors that merely
@@ -66,7 +68,7 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// checkEntryPoint enforces the Ctx-twin convention on exported blocking
+// checkEntryPoint enforces the context convention on exported blocking
 // entry points.
 func checkEntryPoint(pass *framework.Pass, dirs *lintutil.Directives, fd *ast.FuncDecl) {
 	name := fd.Name.Name

@@ -2,9 +2,9 @@ package hotfixture
 
 import "context"
 
-// replayCtx stands in for the cancellation-aware replay entry points
-// (cachesim.RunCtx and friends): a hot loop that takes its context as
-// an interface parameter.
+// replayCtx stands in for the cancellation-aware replay loops behind
+// cachesim.Replay: a hot loop that takes its context as an interface
+// parameter.
 func replayCtx(ctx context.Context) error { return ctx.Err() }
 
 // stampedCtx is a concrete context wrapper, the shape that tempts

@@ -7,10 +7,10 @@
 //
 //   - goroutine bodies (`go func() {...}`) that capture an enclosing
 //     loop variable instead of receiving it as an argument;
-//   - worker-callback bodies passed to Sweep / SweepCaches / ParallelFor
-//     / RunSeeds that write state captured from outside the callback,
-//     unless the write lands in a per-index slot (an element indexed by
-//     the callback's point-index parameter).
+//   - worker-callback bodies passed to Sweep / SweepHardened /
+//     SweepCheckpointed that write state captured from outside the
+//     callback, unless the write lands in a per-index slot (an element
+//     indexed by the callback's point-index parameter).
 //
 // A `//gclint:sharedok` comment on the offending line vouches for writes
 // that are externally synchronized (e.g. under a sync.Once or mutex).
@@ -42,15 +42,10 @@ var sweepPackages = []string{
 
 // sweepEntryPoints are the engine functions whose final func argument is
 // a worker callback with signature fn(i int, ...) — index first.
+// TestEntryPointsMatchEngine fails when this set and the exported
+// functions of internal/cachesim drift apart.
 var sweepEntryPoints = map[string]bool{
 	"Sweep":             true,
-	"SweepCaches":       true,
-	"ParallelFor":       true,
-	"RunSeeds":          true,
-	"SweepCtx":          true,
-	"SweepObservedCtx":  true,
-	"SweepCachesCtx":    true,
-	"RunSeedsCtx":       true,
 	"SweepHardened":     true,
 	"SweepCheckpointed": true,
 }

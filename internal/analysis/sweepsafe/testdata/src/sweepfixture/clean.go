@@ -50,7 +50,7 @@ func perWorkerState(n int) {
 
 // localOnly writes callback-local variables freely.
 func localOnly(n int) {
-	ParallelFor(n, 0, func(i int) {
+	Sweep(n, 0, noWorker, func(i int, _ struct{}) {
 		sum := 0
 		for j := 0; j < i; j++ {
 			sum += j
@@ -65,7 +65,7 @@ func localOnly(n int) {
 func suppressed(n int) int {
 	var mu sync.Mutex
 	worst := 0
-	ParallelFor(n, 0, func(i int) {
+	Sweep(n, 0, noWorker, func(i int, _ struct{}) {
 		mu.Lock()
 		if i > worst {
 			worst = i //gclint:sharedok mutex-guarded running maximum
@@ -79,7 +79,7 @@ func suppressed(n int) int {
 // — nothing to flag.
 func atomicCounter(n int) int64 {
 	var count atomic.Int64
-	ParallelFor(n, 0, func(i int) {
+	Sweep(n, 0, noWorker, func(i int, _ struct{}) {
 		count.Add(1)
 	})
 	return count.Load()

@@ -1,7 +1,8 @@
 // Package sweepfixture exercises the sweepsafe analyzer. The directive
-// below opts the package into sweep scope; Sweep and ParallelFor are
-// local stand-ins for the cachesim engine (the analyzer matches worker
-// entry points by name within the package under analysis).
+// below opts the package into sweep scope; Sweep, SweepHardened and
+// SweepCheckpointed are local stand-ins for the cachesim engine (the
+// analyzer matches worker entry points by name within the package under
+// analysis).
 //
 //gclint:sweep
 package sweepfixture
@@ -11,13 +12,6 @@ func Sweep[W any](n, workers int, newWorker func() W, fn func(i int, w W)) {
 	w := newWorker()
 	for i := 0; i < n; i++ {
 		fn(i, w)
-	}
-}
-
-// ParallelFor mimics cachesim.ParallelFor.
-func ParallelFor(n, workers int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
 	}
 }
 
@@ -40,3 +34,6 @@ func SweepCheckpointed[W any](n, workers int, newWorker func() W, fn func(i int,
 	}
 	return out
 }
+
+// noWorker is the stateless worker for sweeps that pool nothing.
+func noWorker() struct{} { return struct{}{} }

@@ -35,8 +35,8 @@ func goroutineRangeValue(jobs []int) {
 // run.
 func sharedScalar(n int) int {
 	total := 0
-	ParallelFor(n, 0, func(i int) {
-		total += i // want `ParallelFor worker writes captured variable total`
+	Sweep(n, 0, noWorker, func(i int, _ struct{}) {
+		total += i // want `Sweep worker writes captured variable total`
 	})
 	return total
 }

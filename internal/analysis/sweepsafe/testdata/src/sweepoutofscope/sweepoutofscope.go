@@ -19,15 +19,16 @@ func goroutineLoopVar(jobs []int) {
 
 func sharedScalar(n int) int {
 	total := 0
-	ParallelFor(n, 0, func(i int) {
+	Sweep(n, 0, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
 		total += i
 	})
 	return total
 }
 
-func ParallelFor(n, workers int, fn func(i int)) {
+func Sweep[W any](n, workers int, newWorker func() W, fn func(i int, w W)) {
+	w := newWorker()
 	for i := 0; i < n; i++ {
-		fn(i)
+		fn(i, w)
 	}
 }
 

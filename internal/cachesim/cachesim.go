@@ -519,239 +519,47 @@ func (r *Reconciler) netBounded(loaded, evicted []model.Item) (netLoaded, netEvi
 	return netLoaded, netEvicted
 }
 
-// Run replays tr through c (without resetting it first) and returns the
-// statistics. Use c.Reset() beforehand for a cold-start run.
-func Run(c Cache, tr trace.Trace) Stats {
-	rec := NewRecorder(c.Name())
-	for _, it := range tr {
-		rec.Observe(it, c.Access(it))
-	}
-	return rec.Stats()
+// SweepOptions configures Sweep. The zero value runs on GOMAXPROCS
+// workers and measures nothing.
+type SweepOptions struct {
+	// Workers caps the worker goroutines; ≤ 0 means GOMAXPROCS.
+	Workers int
+	// Stats, when non-nil, is reset on entry and then filled with one
+	// slot per launched worker: that worker's chunk ("steal") count,
+	// index count and busy time, so grid imbalance and stealing can be
+	// read off a run instead of guessed. Nil measures and times
+	// nothing. The numbers are wall-clock measurements that vary run to
+	// run; they must not feed any repro artifact (see the determinism
+	// analyzer's rules).
+	Stats *SweepStats
 }
 
-// RunCold resets c and then replays tr.
-func RunCold(c Cache, tr trace.Trace) Stats {
-	c.Reset()
-	return Run(c, tr)
-}
-
-// cancelStride is how many accesses the context-aware runners replay
-// between context polls. Polling ctx.Err() neither allocates nor locks,
-// but once per access would still put an interface call on the
-// replay hot path; once per stride keeps cancellation latency bounded
-// (a few microseconds of work) at zero per-access cost. The AllocsPerRun
-// regression tests pin the cancellable runners to the same allocation
-// budget as the plain ones.
-const cancelStride = 4096
-
-// RunCtx is Run with cooperative cancellation: the replay polls ctx
-// every cancelStride accesses and, when the context ends, returns the
-// statistics accumulated so far together with ctx's error. A completed
-// replay returns a nil error; err == nil is the "stats are for the full
-// trace" contract.
-func RunCtx(ctx context.Context, c Cache, tr trace.Trace) (Stats, error) {
-	return runCtx(ctx, c, tr, NewRecorder(c.Name()))
-}
-
-// RunColdCtx resets c and then replays tr under ctx.
-func RunColdCtx(ctx context.Context, c Cache, tr trace.Trace) (Stats, error) {
-	c.Reset()
-	return RunCtx(ctx, c, tr)
-}
-
-// RunBoundedCtx is RunBounded with cooperative cancellation (see
-// RunBounded for the universe contract, RunCtx for the error contract).
-func RunBoundedCtx(ctx context.Context, c Cache, tr trace.Trace, universe int) (Stats, error) {
-	return runCtx(ctx, c, tr, NewRecorderBounded(c.Name(), universe))
-}
-
-// RunColdBoundedCtx resets c and then replays tr under ctx with a
-// bounded Recorder.
-func RunColdBoundedCtx(ctx context.Context, c Cache, tr trace.Trace, universe int) (Stats, error) {
-	c.Reset()
-	return RunBoundedCtx(ctx, c, tr, universe)
-}
-
-func runCtx(ctx context.Context, c Cache, tr trace.Trace, rec *Recorder) (Stats, error) {
-	for i, it := range tr {
-		if i&(cancelStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return rec.Stats(), err
-			}
-		}
-		rec.Observe(it, c.Access(it))
-	}
-	return rec.Stats(), nil
-}
-
-// RunBounded is Run with a bounded-universe Recorder: item IDs in tr —
-// and every item c may load, including block siblings of requested items
-// (expand with model.ItemUniverse) — must lie in [0, universe).
-// Statistics are identical to Run's; only the tracking machinery differs.
-func RunBounded(c Cache, tr trace.Trace, universe int) Stats {
-	rec := NewRecorderBounded(c.Name(), universe)
-	for _, it := range tr {
-		rec.Observe(it, c.Access(it))
-	}
-	return rec.Stats()
-}
-
-// RunColdBounded resets c and then replays tr with a bounded Recorder.
-func RunColdBounded(c Cache, tr trace.Trace, universe int) Stats {
-	c.Reset()
-	return RunBounded(c, tr, universe)
-}
-
-// RunProbed replays tr through c with the probe p attached to both the
-// policy (when it implements Instrumented) and the Recorder, so p sees
-// the complete event stream: policy-view layer hits, block loads, item
-// loads/evictions, marks and rebalances, plus the recorder-view
-// temporal/spatial/miss classification. The probe is detached from the
-// cache before returning. Statistics are identical to Run's — probes
-// observe, they never steer (the differential tests assert this).
-func RunProbed(c Cache, tr trace.Trace, p obs.Probe) Stats {
-	return runProbed(c, tr, p, NewRecorder(c.Name()))
-}
-
-// RunColdProbed resets c and then replays tr with p attached.
-func RunColdProbed(c Cache, tr trace.Trace, p obs.Probe) Stats {
-	c.Reset()
-	return RunProbed(c, tr, p)
-}
-
-// RunProbedBounded is RunProbed with a bounded-universe Recorder (see
-// RunBounded for the universe contract).
-func RunProbedBounded(c Cache, tr trace.Trace, universe int, p obs.Probe) Stats {
-	return runProbed(c, tr, p, NewRecorderBounded(c.Name(), universe))
-}
-
-// RunColdProbedBounded resets c and then replays tr with p attached and
-// a bounded Recorder.
-func RunColdProbedBounded(c Cache, tr trace.Trace, universe int, p obs.Probe) Stats {
-	c.Reset()
-	return RunProbedBounded(c, tr, universe, p)
-}
-
-// RunProbedCtx is RunProbed with cooperative cancellation (see RunCtx
-// for the error contract). The probe is detached before returning even
-// when the replay is cut short.
-func RunProbedCtx(ctx context.Context, c Cache, tr trace.Trace, p obs.Probe) (Stats, error) {
-	return runProbedCtx(ctx, c, tr, p, NewRecorder(c.Name()))
-}
-
-// RunColdProbedCtx resets c and then replays tr with p attached under ctx.
-func RunColdProbedCtx(ctx context.Context, c Cache, tr trace.Trace, p obs.Probe) (Stats, error) {
-	c.Reset()
-	return RunProbedCtx(ctx, c, tr, p)
-}
-
-// RunProbedBoundedCtx is RunProbedBounded with cooperative cancellation.
-func RunProbedBoundedCtx(ctx context.Context, c Cache, tr trace.Trace, universe int, p obs.Probe) (Stats, error) {
-	return runProbedCtx(ctx, c, tr, p, NewRecorderBounded(c.Name(), universe))
-}
-
-// RunColdProbedBoundedCtx resets c and then replays tr with p attached
-// and a bounded Recorder under ctx.
-func RunColdProbedBoundedCtx(ctx context.Context, c Cache, tr trace.Trace, universe int, p obs.Probe) (Stats, error) {
-	c.Reset()
-	return RunProbedBoundedCtx(ctx, c, tr, universe, p)
-}
-
-func runProbed(c Cache, tr trace.Trace, p obs.Probe, rec *Recorder) Stats {
-	if in, ok := c.(Instrumented); ok && p != nil {
-		in.SetProbe(p)
-		defer in.SetProbe(nil)
-	}
-	rec.SetProbe(p)
-	for _, it := range tr {
-		rec.Observe(it, c.Access(it))
-	}
-	return rec.Stats()
-}
-
-func runProbedCtx(ctx context.Context, c Cache, tr trace.Trace, p obs.Probe, rec *Recorder) (Stats, error) {
-	if in, ok := c.(Instrumented); ok && p != nil {
-		in.SetProbe(p)
-		defer in.SetProbe(nil)
-	}
-	rec.SetProbe(p)
-	for i, it := range tr {
-		if i&(cancelStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return rec.Stats(), err
-			}
-		}
-		rec.Observe(it, c.Access(it))
-	}
-	return rec.Stats(), nil
-}
-
-// ParallelFor runs fn(i) for i in [0, n) on up to workers goroutines
-// (GOMAXPROCS if workers <= 0). It is the sweep engine used by the
-// experiment harness; fn must be safe to call concurrently for distinct
-// i. Indices are handed out in chunks through a shared atomic counter, so
-// there is no per-index channel operation and idle workers steal the
-// remaining range. If fn panics, the panic is re-raised on the caller's
-// goroutine after all workers have stopped.
-func ParallelFor(n, workers int, fn func(i int)) {
-	Sweep(n, workers, func() struct{} { return struct{}{} },
-		func(i int, _ struct{}) { fn(i) })
-}
-
-// Sweep runs fn(i, w) for i in [0, n) on up to workers goroutines
-// (GOMAXPROCS if workers <= 0), where each worker goroutine owns one
-// state value built by newWorker. It is the pooled-state generalization
-// of ParallelFor: a worker's state (typically a policy cache reset
-// between grid points, or reusable scratch) is reused across every index
-// that worker processes, so a sweep over a large grid constructs only
-// O(workers) states instead of O(n).
+// Sweep runs fn(i, w) for i in [0, n) on up to opt.Workers goroutines,
+// where each worker goroutine owns one state value built by newWorker.
+// A worker's state (typically a policy cache, or reusable scratch) is
+// reused across every index that worker processes, so a sweep over a
+// large grid constructs only O(workers) states instead of O(n). A
+// pooled cache must be Reset (and, when randomized, re-seeded — see
+// Reseeder) by fn before each point.
 //
 // Work is distributed in chunks via an atomic counter (work-stealing by
-// range). A panic in fn or newWorker stops the sweep — remaining chunks
-// are abandoned — and is re-raised on the caller's goroutine once every
-// worker has stopped.
-func Sweep[W any](n, workers int, newWorker func() W, fn func(i int, w W)) {
-	// Background contexts never cancel, so the error is always nil.
-	_ = SweepObservedCtx(context.Background(), n, workers, nil, newWorker, fn)
-}
-
-// SweepCtx is Sweep with cooperative cancellation: workers poll ctx
-// between chunks and stop claiming new work once it ends, so a
-// cancelled sweep returns within one chunk's worth of grid points. It
-// returns ctx's error when the sweep was cut short and nil when every
-// index ran. Indices that did run always ran to completion — there are
-// no partially executed grid points to reason about.
-func SweepCtx[W any](ctx context.Context, n, workers int, newWorker func() W, fn func(i int, w W)) error {
-	return SweepObservedCtx(ctx, n, workers, nil, newWorker, fn)
-}
-
-// SweepObserved is Sweep with engine observability: when st is non-nil
-// it is resized to one slot per launched worker and filled with that
-// worker's chunk ("steal") count, index count, and busy time, so grid
-// imbalance and stealing behaviour can be read off a run instead of
-// guessed. A nil st measures nothing and times nothing — Sweep calls
-// this with nil, so uninstrumented sweeps stay exactly as cheap as
-// before. The observed numbers are wall-clock measurements and vary run
-// to run; they must not feed any repro artifact (see the determinism
-// analyzer's rules).
-func SweepObserved[W any](n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) {
-	_ = SweepObservedCtx(context.Background(), n, workers, st, newWorker, fn)
-}
-
-// SweepObservedCtx is the engine core behind every sweep variant:
-// SweepObserved with cooperative cancellation. Workers poll ctx before
-// claiming each chunk — never mid-chunk, so a claimed grid point always
-// runs to completion and cancellation latency is bounded by one chunk.
-// The return is nil when every index ran and ctx's error when the sweep
-// stopped early; either way st (when non-nil) reflects the work that
-// actually happened.
-func SweepObservedCtx[W any](ctx context.Context, n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) error {
+// range). Workers poll ctx before claiming each chunk — never
+// mid-chunk, so a claimed grid point always runs to completion and
+// cancellation latency is bounded by one chunk. The return is nil when
+// every index ran and ctx's error when the sweep stopped early; either
+// way opt.Stats reflects the work that actually happened. A panic in
+// fn or newWorker stops the sweep — remaining chunks are abandoned —
+// and is re-raised on the caller's goroutine once every worker has
+// stopped.
+func Sweep[W any](ctx context.Context, n int, opt SweepOptions, newWorker func() W, fn func(i int, w W)) error {
+	st := opt.Stats
+	if st != nil {
+		*st = SweepStats{}
+	}
 	if n <= 0 {
-		if st != nil {
-			st.Workers = st.Workers[:0]
-		}
 		return nil
 	}
+	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -868,28 +676,6 @@ func sweepWorker[W any](ctx context.Context, n, chunk int, next *atomic.Int64, p
 	}
 }
 
-// SweepCaches runs fn(i, c) for every grid point i in [0, n) with
-// per-worker pooled caches: each worker builds one cache with build and
-// the engine calls c.Reset() before every point, so a sweep constructs
-// O(workers) caches instead of n. Policies whose behaviour depends on a
-// seed should be re-seeded inside fn (see Reseeder) to keep results
-// independent of which worker serves which point.
-func SweepCaches(n, workers int, build func() Cache, fn func(i int, c Cache)) {
-	Sweep(n, workers, build, func(i int, c Cache) {
-		c.Reset()
-		fn(i, c)
-	})
-}
-
-// SweepCachesCtx is SweepCaches with cooperative cancellation; see
-// SweepObservedCtx for the cancellation contract.
-func SweepCachesCtx(ctx context.Context, n, workers int, build func() Cache, fn func(i int, c Cache)) error {
-	return SweepCtx(ctx, n, workers, build, func(i int, c Cache) {
-		c.Reset()
-		fn(i, c)
-	})
-}
-
 // Reseeder is implemented by randomized policies whose coin flips can be
 // restarted. Reseed(seed) followed by Reset must leave the policy
 // indistinguishable from a freshly constructed instance with that seed —
@@ -903,19 +689,13 @@ type Reseeder interface {
 // randomized policy and returns the per-seed miss ratios — the input for
 // variance reporting on GCM/Marking-style policies whose behaviour
 // depends on coin flips. Policies implementing Reseeder are built once
-// per worker and re-seeded per point; others are rebuilt per point.
-func RunSeeds(build func(seed int64) Cache, tr trace.Trace, seeds []int64) []float64 {
-	out, _ := RunSeedsCtx(context.Background(), build, tr, seeds)
-	return out
-}
-
-// RunSeedsCtx is RunSeeds with cooperative cancellation. On early stop
-// it returns ctx's error alongside the partially filled slice; entries
-// for grid points that never ran are zero.
-func RunSeedsCtx(ctx context.Context, build func(seed int64) Cache, tr trace.Trace, seeds []int64) ([]float64, error) {
+// per worker and re-seeded and Reset per point; others are rebuilt per
+// point. On early stop it returns ctx's error alongside the partially
+// filled slice; entries for seeds that never ran are zero.
+func RunSeeds(ctx context.Context, build func(seed int64) Cache, tr trace.Trace, seeds []int64) ([]float64, error) {
 	out := make([]float64, len(seeds))
 	type worker struct{ cache Cache }
-	err := SweepCtx(ctx, len(seeds), 0, func() *worker { return &worker{} }, func(i int, w *worker) {
+	err := Sweep(ctx, len(seeds), SweepOptions{}, func() *worker { return &worker{} }, func(i int, w *worker) {
 		c := w.cache
 		if c == nil {
 			c = build(seeds[i])
@@ -924,8 +704,13 @@ func RunSeedsCtx(ctx context.Context, build func(seed int64) Cache, tr trace.Tra
 			}
 		} else {
 			c.(Reseeder).Reseed(seeds[i])
+			c.Reset()
 		}
-		out[i] = RunCold(c, tr).MissRatio()
+		// A claimed point runs to completion (Sweep's contract), so the
+		// replay itself is not cancellable and, over a slice with no
+		// universe bound, cannot fail.
+		st, _ := Replay(context.WithoutCancel(ctx), c, trace.NewSliceSource(tr), ReplayOptions{})
+		out[i] = st.MissRatio()
 	})
 	return out, err
 }

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -94,19 +95,20 @@ func TestStatsRatiosAndAdd(t *testing.T) {
 	}
 }
 
+// TestRunAndRunCold pins Replay's warm-start contract: it replays from
+// the cache's current state and never resets it, so a cold run is the
+// caller's c.Reset().
 func TestRunAndRunCold(t *testing.T) {
 	f := &fakeCache{script: []Access{
 		{Loaded: []model.Item{1}},
 		{Hit: true},
 	}}
-	s := Run(f, trace.Trace{1, 1})
-	if s.Policy != "fake" || s.Accesses != 2 || s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
+	s, err := Replay(context.Background(), f, trace.NewSliceSource(trace.Trace{1, 1}), ReplayOptions{})
+	if err != nil || s.Policy != "fake" || s.Accesses != 2 || s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, err = %v", s, err)
 	}
-	f2 := &fakeCache{script: []Access{{Hit: true}}}
-	RunCold(f2, trace.Trace{9})
-	if f2.resets != 1 {
-		t.Errorf("RunCold resets = %d, want 1", f2.resets)
+	if f.resets != 0 {
+		t.Errorf("Replay reset the cache %d times, want 0", f.resets)
 	}
 }
 
@@ -114,21 +116,26 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var sum atomic.Int64
 		n := 100
-		ParallelFor(n, workers, func(i int) { sum.Add(int64(i)) })
+		err := Sweep(context.Background(), n, SweepOptions{Workers: workers}, noWorker, func(i int, _ struct{}) {
+			sum.Add(int64(i))
+		})
 		want := int64(n * (n - 1) / 2)
-		if sum.Load() != want {
-			t.Errorf("workers=%d: sum = %d, want %d", workers, sum.Load(), want)
+		if err != nil || sum.Load() != want {
+			t.Errorf("workers=%d: sum = %d, want %d (err %v)", workers, sum.Load(), want, err)
 		}
 	}
 }
 
 func TestParallelForZeroN(t *testing.T) {
 	called := false
-	ParallelFor(0, 4, func(int) { called = true })
+	Sweep(context.Background(), 0, SweepOptions{Workers: 4}, noWorker, func(int, struct{}) { called = true })
 	if called {
 		t.Error("fn called for n=0")
 	}
 }
+
+// noWorker is the stateless worker for sweeps that need no pooled state.
+func noWorker() struct{} { return struct{}{} }
 
 func TestStatsString(t *testing.T) {
 	s := Stats{Policy: "x", Accesses: 2, Hits: 1, Misses: 1, TemporalHits: 1}
@@ -144,9 +151,9 @@ func TestRunSeeds(t *testing.T) {
 	build := func(seed int64) Cache {
 		return &fakeDeterministic{}
 	}
-	ratios := RunSeeds(build, tr, []int64{1, 2, 3})
-	if len(ratios) != 3 {
-		t.Fatalf("ratios = %v", ratios)
+	ratios, err := RunSeeds(context.Background(), build, tr, []int64{1, 2, 3})
+	if err != nil || len(ratios) != 3 {
+		t.Fatalf("ratios = %v, err = %v", ratios, err)
 	}
 	for _, r := range ratios {
 		if r != 1 {

@@ -5,11 +5,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
+	"gccache/internal/obs"
 	"gccache/internal/policy"
 	"gccache/internal/trace"
 	"gccache/internal/workload"
@@ -32,11 +34,105 @@ func streamFixture(t *testing.T, tr trace.Trace) string {
 	return path
 }
 
-// TestRunStreamMatchesRunAllPolicies is the stream-vs-slice equivalence
-// gate: replaying a trace from disk through RunStream must produce
-// Stats byte-identical to Run over the loaded trace, for every dense
-// policy. Randomized GCM is covered too — both replays see the same
-// seed, so the coin flips line up.
+// TestReplayOptionsDifferential is Replay's equivalence gate. Every
+// source shape (the concrete slice loop, the same slice forced through
+// the generic loop, a binary trace.Scanner), recorder path (generic and
+// bounded) and probe setting (none, obs.Counters) must produce Stats
+// identical to a fresh cache's plain replay, for every dense policy.
+// One cache per policy serves every combination, Reset (and re-seeded)
+// in between, so the table also pins that reuse matches a fresh build.
+func TestReplayOptionsDifferential(t *testing.T) {
+	geo := model.NewFixed(8)
+	tr, err := workload.FromSpec("blockruns:blocks=128,B=8,run=4,len=40000", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := model.ItemUniverse(geo, tr.Universe())
+	var enc bytes.Buffer
+	if err := tr.Write(&enc); err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		open func() trace.Source
+	}{
+		{"slice", func() trace.Source { return trace.NewSliceSource(tr) }},
+		{"generic", func() trace.Source { return struct{ trace.Source }{trace.NewSliceSource(tr)} }},
+		{"scanner", func() trace.Source {
+			sc, err := trace.NewScanner(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sc
+		}},
+	}
+	const seed = 42
+	builders := []struct {
+		name  string
+		build func() cachesim.Cache
+	}{
+		{"item-lru", func() cachesim.Cache { return policy.NewItemLRUBounded(256, u) }},
+		{"block-lru", func() cachesim.Cache { return policy.NewBlockLRUBounded(256, geo, u) }},
+		{"iblp", func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(256, geo, u) }},
+		{"gcm", func() cachesim.Cache { return core.NewGCMBounded(256, geo, seed, u) }},
+	}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			want, err := cachesim.Replay(ctx, b.build(), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := b.build()
+			cold := func() {
+				if rs, ok := c.(cachesim.Reseeder); ok {
+					rs.Reseed(seed)
+				}
+				c.Reset()
+			}
+			var probes []*obs.Counters
+			for _, src := range sources {
+				for _, universe := range []int{0, u} {
+					for _, probed := range []bool{false, true} {
+						opt := cachesim.ReplayOptions{Universe: universe}
+						if probed {
+							ctr := &obs.Counters{}
+							probes = append(probes, ctr)
+							opt.Probe = ctr
+						}
+						cold()
+						got, err := cachesim.Replay(ctx, c, src.open(), opt)
+						if err != nil {
+							t.Fatalf("%s universe=%d probed=%v: %v", src.name, universe, probed, err)
+						}
+						if got != want {
+							t.Errorf("%s universe=%d probed=%v:\n  got  %+v\n  want %+v", src.name, universe, probed, got, want)
+						}
+					}
+				}
+				cold()
+				st, err := cachesim.Replay(cancelled, c, src.open(), cachesim.ReplayOptions{Universe: u})
+				if err != context.Canceled || st.Accesses != 0 {
+					t.Errorf("%s: pre-cancelled replay: %d accesses, err = %v; want 0, context.Canceled", src.name, st.Accesses, err)
+				}
+			}
+			// Each probe saw exactly its own replay, in both views: it was
+			// attached to the policy and the recorder, and detached after.
+			for _, ctr := range probes {
+				if ctr.RecorderAccesses() != want.Accesses || ctr.PolicyMisses() != want.Misses {
+					t.Errorf("probe saw %d accesses and %d policy misses, want %d and %d",
+						ctr.RecorderAccesses(), ctr.PolicyMisses(), want.Accesses, want.Misses)
+				}
+			}
+		})
+	}
+}
+
+// TestRunStreamMatchesRunAllPolicies is RunFile's equivalence gate:
+// replaying a trace from disk must produce Stats byte-identical to the
+// in-memory replay, on both recorder paths, for every dense policy.
 func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
 	geo := model.NewFixed(8)
 	tr, err := workload.FromSpec("blockruns:blocks=128,B=8,run=4,len=40000", 11)
@@ -54,35 +150,46 @@ func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
-			want := cachesim.RunColdBounded(build(), tr, u)
-
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			sc, err := trace.NewScanner(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cachesim.RunColdStreamBounded(build(), sc, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("streamed stats differ from in-memory replay:\n  stream: %+v\n  slice:  %+v", got, want)
-			}
-
-			// The generic (map-recorder) stream agrees too.
-			gotGeneric, err := cachesim.RunFile(context.Background(), build(), path, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotGeneric != want {
-				t.Errorf("RunFile stats differ: %+v != %+v", gotGeneric, want)
+			want := replay(t, build(), tr)
+			for _, universe := range []int{0, u} {
+				got, err := cachesim.RunFile(context.Background(), build(), path, universe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("RunFile(universe=%d) stats differ from in-memory replay:\n  file:  %+v\n  slice: %+v", universe, got, want)
+				}
 			}
 		})
 	}
+}
+
+// TestRunFileRejectsItemsOutsideUniverse checks a trace file is treated
+// as outside input: an item beyond the declared universe ends the replay
+// with an error naming the item and the bound, and the statistics so
+// far — for a generic policy and for a dense one, which would otherwise
+// index past its arrays.
+func TestRunFileRejectsItemsOutsideUniverse(t *testing.T) {
+	path := streamFixture(t, trace.Trace{0, 1, 5000})
+	for _, c := range []cachesim.Cache{policy.NewItemLRU(4), policy.NewItemLRUBounded(4, 100)} {
+		st, err := cachesim.RunFile(context.Background(), c, path, 100)
+		if err == nil || !strings.Contains(err.Error(), "5000") || !strings.Contains(err.Error(), "100") {
+			t.Errorf("%s: err = %v, want one naming item 5000 and universe 100", c.Name(), err)
+		}
+		if st.Accesses != 2 {
+			t.Errorf("%s: %d accesses replayed before the bad item, want 2", c.Name(), st.Accesses)
+		}
+	}
+}
+
+// replay runs tr through c and fails the test on error.
+func replay(t *testing.T, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
+	t.Helper()
+	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestRunStreamTextSource checks the text scanner drives the engine the
@@ -97,8 +204,8 @@ func TestRunStreamTextSource(t *testing.T) {
 	if err := tr.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	want := cachesim.RunCold(core.NewIBLPEvenSplit(64, geo), tr)
-	got, err := cachesim.RunColdStream(core.NewIBLPEvenSplit(64, geo), trace.NewTextScanner(&text))
+	want := replay(t, core.NewIBLPEvenSplit(64, geo), tr)
+	got, err := cachesim.Replay(context.Background(), core.NewIBLPEvenSplit(64, geo), trace.NewTextScanner(&text), cachesim.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,81 +230,11 @@ func TestRunStreamSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cachesim.RunColdStream(policy.NewItemLRU(32), sc)
+	st, err := cachesim.Replay(context.Background(), policy.NewItemLRU(32), sc, cachesim.ReplayOptions{})
 	if err == nil {
 		t.Fatal("truncated stream replayed cleanly")
 	}
 	if st.Accesses == 0 || st.Accesses >= int64(len(tr)) {
 		t.Errorf("partial stats cover %d accesses, want in (0, %d)", st.Accesses, len(tr))
-	}
-}
-
-// TestRunStreamCtxCancel checks streaming replay honours cancellation:
-// a pre-cancelled context stops within one stride and reports ctx's
-// error with partial statistics.
-func TestRunStreamCtxCancel(t *testing.T) {
-	tr := make(trace.Trace, 100_000)
-	for i := range tr {
-		tr[i] = model.Item(i % 256)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := trace.NewScanner(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err := cachesim.RunStreamCtx(ctx, policy.NewItemLRU(32), sc)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Accesses >= int64(len(tr)) {
-		t.Errorf("cancelled replay still consumed the whole stream (%d accesses)", st.Accesses)
-	}
-}
-
-// TestRunStreamZeroAllocSteadyState pins the tentpole's memory budget:
-// the streaming per-access path — scanner decode, policy access,
-// bounded recorder classification, context poll — must not allocate.
-// The fixed overhead (scanner + bufio buffer per replay) is tolerated;
-// anything proportional to the trace would blow the bound.
-func TestRunStreamZeroAllocSteadyState(t *testing.T) {
-	const universe = 512
-	geo := model.NewFixed(8)
-	tr, err := workload.FromSpec("blockruns:blocks=64,B=8,run=4,len=60000", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := model.ItemUniverse(geo, tr.Universe())
-	if u > universe {
-		t.Fatalf("fixture universe %d grew past %d", u, universe)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	c := core.NewIBLPEvenSplitBounded(128, geo, universe)
-	ctx := context.Background()
-	rd := bytes.NewReader(raw)
-
-	avg := testing.AllocsPerRun(10, func() {
-		rd.Reset(raw)
-		sc, err := trace.NewScanner(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Reset()
-		st, err := cachesim.RunStreamBoundedCtx(ctx, c, sc, universe)
-		if err != nil || st.Accesses != int64(len(tr)) {
-			t.Fatalf("accesses=%d err=%v", st.Accesses, err)
-		}
-	})
-	// Per-replay constant: scanner, bufio reader+buffer, recorder bitset.
-	if avg > 12 {
-		t.Errorf("streaming replay of %d accesses costs %.1f allocs, want a small constant (≤12): per-access path is allocating", len(tr), avg)
 	}
 }

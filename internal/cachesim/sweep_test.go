@@ -1,9 +1,9 @@
 package cachesim
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,12 +20,12 @@ func TestParallelForPanicPropagates(t *testing.T) {
 					t.Errorf("workers=%d: recovered %v, want boom-37", workers, p)
 				}
 			}()
-			ParallelFor(100, workers, func(i int) {
+			Sweep(context.Background(), 100, SweepOptions{Workers: workers}, noWorker, func(i int, _ struct{}) {
 				if i == 37 {
 					panic("boom-37")
 				}
 			})
-			t.Errorf("workers=%d: ParallelFor returned instead of panicking", workers)
+			t.Errorf("workers=%d: Sweep returned instead of panicking", workers)
 		}()
 	}
 }
@@ -36,7 +36,7 @@ func TestSweepNewWorkerPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want bad worker", p)
 		}
 	}()
-	Sweep(10, 4, func() int { panic("bad worker") }, func(int, int) {})
+	Sweep(context.Background(), 10, SweepOptions{Workers: 4}, func() int { panic("bad worker") }, func(int, int) {})
 }
 
 func TestSweepPoolsWorkerState(t *testing.T) {
@@ -44,7 +44,7 @@ func TestSweepPoolsWorkerState(t *testing.T) {
 	var built atomic.Int64
 	visited := make([]atomic.Int32, n)
 	workers := 4
-	Sweep(n, workers, func() *int {
+	Sweep(context.Background(), n, SweepOptions{Workers: workers}, func() *int {
 		built.Add(1)
 		v := 0
 		return &v
@@ -64,7 +64,7 @@ func TestSweepPoolsWorkerState(t *testing.T) {
 
 func TestSweepSingleWorkerRunsInOrder(t *testing.T) {
 	var got []int
-	Sweep(5, 1, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
+	Sweep(context.Background(), 5, SweepOptions{Workers: 1}, noWorker, func(i int, _ struct{}) {
 		got = append(got, i)
 	})
 	for i, v := range got {
@@ -74,37 +74,34 @@ func TestSweepSingleWorkerRunsInOrder(t *testing.T) {
 	}
 }
 
-// resetCounter counts Reset calls; used to prove SweepCaches resets the
-// pooled cache before every grid point.
+// resetCounter counts Reset calls across every instance; it implements
+// Reseeder so RunSeeds pools it.
 type resetCounter struct {
 	fakeDeterministic
-	resets atomic.Int64
+	resets *atomic.Int64
 }
 
-func (r *resetCounter) Reset() { r.resets.Add(1) }
+func (r *resetCounter) Reset()       { r.resets.Add(1) }
+func (r *resetCounter) Reseed(int64) {}
 
+// TestSweepCachesResetsEveryPoint pins the pooled-cache contract: Sweep
+// never resets worker state, so RunSeeds must Reset every cache it
+// reuses — each point after a worker's first starts cold.
 func TestSweepCachesResetsEveryPoint(t *testing.T) {
 	const n = 120
-	var (
-		mu     sync.Mutex
-		caches []*resetCounter
-	)
-	SweepCaches(n, 3, func() Cache {
-		c := &resetCounter{}
-		mu.Lock()
-		caches = append(caches, c)
-		mu.Unlock()
-		return c
-	}, func(i int, c Cache) {})
-	total := int64(0)
-	for _, c := range caches {
-		total += c.resets.Load()
+	var builds, resets atomic.Int64
+	_, err := RunSeeds(context.Background(), func(int64) Cache {
+		builds.Add(1)
+		return &resetCounter{resets: &resets}
+	}, trace.Trace{1, 2, 3}, make([]int64, n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != n {
-		t.Errorf("total resets = %d, want %d", total, n)
+	if got := builds.Load() + resets.Load(); got != n {
+		t.Errorf("builds + resets = %d, want one per point (%d)", got, n)
 	}
-	if len(caches) > 3 {
-		t.Errorf("built %d caches, want ≤ 3", len(caches))
+	if max := int64(runtime.GOMAXPROCS(0)); builds.Load() > max {
+		t.Errorf("built %d caches, want ≤ %d", builds.Load(), max)
 	}
 }
 
@@ -295,10 +292,14 @@ func TestRunSeedsReseedsPooledCaches(t *testing.T) {
 		builds.Add(1)
 		return &seededFake{seed: seed}
 	}
-	got := RunSeeds(build, tr, seeds)
+	got, err := RunSeeds(context.Background(), build, tr, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Oracle: a fresh instance per seed, run serially.
 	for i, seed := range seeds {
-		want := RunCold(&seededFake{seed: seed}, tr).MissRatio()
+		st, _ := Replay(context.Background(), &seededFake{seed: seed}, trace.NewSliceSource(tr), ReplayOptions{})
+		want := st.MissRatio()
 		if got[i] != want {
 			t.Errorf("seed %d: ratio %v, want %v (pooled reuse changed behaviour)", seed, got[i], want)
 		}
@@ -325,7 +326,7 @@ func TestSweepPooledRace(t *testing.T) {
 		cache *fakeDeterministic
 		buf   []model.Item
 	}
-	Sweep(n, 0, func() *worker {
+	Sweep(context.Background(), n, SweepOptions{}, func() *worker {
 		return &worker{cache: &fakeDeterministic{}}
 	}, func(i int, w *worker) {
 		w.cache.Reset()

@@ -36,7 +36,7 @@ const sweepSnapshotKind = "cachesim.sweep"
 //
 // On cancellation the partial state is saved before the ctx error is
 // returned; a killed process resumes from the last periodic save.
-func SweepCheckpointed[W any](ctx context.Context, n, workers int, cfg SweepCheckpointConfig,
+func SweepCheckpointed[W any](ctx context.Context, n int, opt SweepOptions, cfg SweepCheckpointConfig,
 	newWorker func() W, fn func(i int, w W) []byte) ([][]byte, error) {
 	results := make([][]byte, n)
 	if cfg.Every <= 0 {
@@ -61,7 +61,7 @@ func SweepCheckpointed[W any](ctx context.Context, n, workers int, cfg SweepChec
 		}
 		return checkpoint.Save(cfg.Path, sweepSnapshot(n, cfg.Hash, results))
 	}
-	err := SweepCtx(ctx, n, workers, newWorker, func(i int, w W) {
+	err := Sweep(ctx, n, opt, newWorker, func(i int, w W) {
 		if results[i] != nil {
 			return // restored from the snapshot
 		}

@@ -19,8 +19,8 @@ func ckptResult(i int) []byte {
 }
 
 func TestSweepCheckpointedNoPathRuns(t *testing.T) {
-	got, err := SweepCheckpointed(context.Background(), 100, 4, SweepCheckpointConfig{},
-		func() struct{} { return struct{}{} },
+	got, err := SweepCheckpointed(context.Background(), 100, SweepOptions{Workers: 4}, SweepCheckpointConfig{},
+		noWorker,
 		func(i int, _ struct{}) []byte { return ckptResult(i) })
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +39,8 @@ func TestSweepCheckpointedResumeIsByteIdentical(t *testing.T) {
 	cfg := SweepCheckpointConfig{Path: path, Every: 16, Hash: 0xfeed}
 
 	// Uninterrupted reference run (no checkpointing involved).
-	want, err := SweepCheckpointed(context.Background(), n, 4, SweepCheckpointConfig{},
-		func() struct{} { return struct{}{} },
+	want, err := SweepCheckpointed(context.Background(), n, SweepOptions{Workers: 4}, SweepCheckpointConfig{},
+		noWorker,
 		func(i int, _ struct{}) []byte { return ckptResult(i) })
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestSweepCheckpointedResumeIsByteIdentical(t *testing.T) {
 	// Interrupted run: cancel partway through.
 	ctx, cancel := context.WithCancel(context.Background())
 	done := 0
-	_, err = SweepCheckpointed(ctx, n, 1, cfg,
-		func() struct{} { return struct{}{} },
+	_, err = SweepCheckpointed(ctx, n, SweepOptions{Workers: 1}, cfg,
+		noWorker,
 		func(i int, _ struct{}) []byte {
 			done++
 			if done == n/3 {
@@ -68,8 +68,8 @@ func TestSweepCheckpointedResumeIsByteIdentical(t *testing.T) {
 	// Resume: the restored indices must be skipped, the rest computed,
 	// and the assembled results byte-identical to the reference.
 	var recomputed atomic.Int64
-	got, err := SweepCheckpointed(context.Background(), n, 4, cfg,
-		func() struct{} { return struct{}{} },
+	got, err := SweepCheckpointed(context.Background(), n, SweepOptions{Workers: 4}, cfg,
+		noWorker,
 		func(i int, _ struct{}) []byte {
 			recomputed.Add(1)
 			return ckptResult(i)
@@ -100,9 +100,9 @@ func TestSweepCheckpointedRejectsMismatchedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 	run := func(n int, hash int64) error {
-		_, err := SweepCheckpointed(context.Background(), n, 1,
+		_, err := SweepCheckpointed(context.Background(), n, SweepOptions{Workers: 1},
 			SweepCheckpointConfig{Path: path, Hash: hash},
-			func() struct{} { return struct{}{} },
+			noWorker,
 			func(i int, _ struct{}) []byte { return ckptResult(i) })
 		return err
 	}
@@ -123,9 +123,9 @@ func TestSweepCheckpointedRejectsMismatchedSnapshot(t *testing.T) {
 func TestSweepCheckpointedRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
-	if _, err := SweepCheckpointed(context.Background(), 20, 1,
+	if _, err := SweepCheckpointed(context.Background(), 20, SweepOptions{Workers: 1},
 		SweepCheckpointConfig{Path: path},
-		func() struct{} { return struct{}{} },
+		noWorker,
 		func(i int, _ struct{}) []byte { return ckptResult(i) }); err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +137,9 @@ func TestSweepCheckpointedRejectsCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepCheckpointed(context.Background(), 20, 1,
+	if _, err := SweepCheckpointed(context.Background(), 20, SweepOptions{Workers: 1},
 		SweepCheckpointConfig{Path: path},
-		func() struct{} { return struct{}{} },
+		noWorker,
 		func(i int, _ struct{}) []byte { return ckptResult(i) }); err == nil {
 		t.Fatal("corrupt snapshot silently accepted")
 	}
@@ -151,14 +151,14 @@ func TestSweepCheckpointedEmptyResultIsRestored(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 	cfg := SweepCheckpointConfig{Path: path, Every: 1}
-	if _, err := SweepCheckpointed(context.Background(), 5, 1, cfg,
-		func() struct{} { return struct{}{} },
+	if _, err := SweepCheckpointed(context.Background(), 5, SweepOptions{Workers: 1}, cfg,
+		noWorker,
 		func(i int, _ struct{}) []byte { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := 0
-	got, err := SweepCheckpointed(context.Background(), 5, 1, cfg,
-		func() struct{} { return struct{}{} },
+	got, err := SweepCheckpointed(context.Background(), 5, SweepOptions{Workers: 1}, cfg,
+		noWorker,
 		func(i int, _ struct{}) []byte { ran++; return nil })
 	if err != nil {
 		t.Fatal(err)

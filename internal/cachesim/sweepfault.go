@@ -67,18 +67,18 @@ func (r RetryPolicy) backoffFor(retry int) time.Duration {
 // one poisoned input costs one grid point, not the whole sweep.
 //
 // The returned quarantine list is sorted by index and also stored in
-// st.Quarantined when st is non-nil. The error is non-nil only when ctx
-// ended before every point completed or was quarantined. When fn is
-// deterministic per index and faults are transient (retries succeed),
-// the sweep's results are byte-identical to a fault-free run.
-func SweepHardened[W any](ctx context.Context, n, workers int, retry RetryPolicy, st *SweepStats,
+// opt.Stats.Quarantined when opt.Stats is non-nil. The error is non-nil
+// only when ctx ended before every point completed or was quarantined.
+// When fn is deterministic per index and faults are transient (retries
+// succeed), the sweep's results are byte-identical to a fault-free run.
+func SweepHardened[W any](ctx context.Context, n int, opt SweepOptions, retry RetryPolicy,
 	newWorker func() W, fn func(i int, w W)) ([]Quarantine, error) {
 	var (
 		mu          sync.Mutex
 		quarantined []Quarantine
 	)
 	type hardWorker struct{ w W }
-	err := SweepObservedCtx(ctx, n, workers, st, func() *hardWorker {
+	err := Sweep(ctx, n, opt, func() *hardWorker {
 		return &hardWorker{w: newWorker()}
 	}, func(i int, hw *hardWorker) {
 		for attempt := 0; ; attempt++ {
@@ -101,8 +101,8 @@ func SweepHardened[W any](ctx context.Context, n, workers int, retry RetryPolicy
 		}
 	})
 	sort.Slice(quarantined, func(a, b int) bool { return quarantined[a].Index < quarantined[b].Index })
-	if st != nil {
-		st.Quarantined = quarantined
+	if opt.Stats != nil {
+		opt.Stats.Quarantined = quarantined
 	}
 	return quarantined, err
 }

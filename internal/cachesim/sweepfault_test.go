@@ -17,7 +17,7 @@ func TestSweepCtxCancelledBeforeStart(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := SweepCtx(ctx, 1000, workers, func() struct{} { return struct{}{} },
+		err := Sweep(ctx, 1000, SweepOptions{Workers: workers}, noWorker,
 			func(int, struct{}) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -31,7 +31,7 @@ func TestSweepCtxCancelledBeforeStart(t *testing.T) {
 func TestSweepCtxStopsEarlyButCompletesClaimedChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := SweepCtx(ctx, 100000, 4, func() struct{} { return struct{}{} },
+	err := Sweep(ctx, 100000, SweepOptions{Workers: 4}, noWorker,
 		func(i int, _ struct{}) {
 			if i == 0 {
 				cancel()
@@ -51,7 +51,7 @@ func TestSweepCtxCompleteRunReturnsNilEvenIfCtxDiesAfter(t *testing.T) {
 	// complete sweep into a spurious error.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := SweepCtx(ctx, 64, 4, func() struct{} { return struct{}{} },
+	if err := Sweep(ctx, 64, SweepOptions{Workers: 4}, noWorker,
 		func(int, struct{}) {}); err != nil {
 		t.Fatalf("complete sweep returned %v", err)
 	}
@@ -68,8 +68,8 @@ func TestSweepHardenedQuarantinesExactlyScheduledIndices(t *testing.T) {
 		inj := faults.New(faults.Plan{Seed: 42, PanicFrac: 0.05, PanicAttempts: faults.Forever})
 		results := make([]int64, n)
 		var st SweepStats
-		q, err := SweepHardened(context.Background(), n, workers, RetryPolicy{}, &st,
-			func() struct{} { return struct{}{} },
+		q, err := SweepHardened(context.Background(), n, SweepOptions{Workers: workers, Stats: &st}, RetryPolicy{},
+			noWorker,
 			func(i int, _ struct{}) {
 				inj.Step(i)
 				results[i] = int64(i) * 3
@@ -115,15 +115,15 @@ func TestSweepHardenedQuarantinesExactlyScheduledIndices(t *testing.T) {
 func TestSweepHardenedRetriesMatchFaultFree(t *testing.T) {
 	const n = 2000
 	baseline := make([]int64, n)
-	Sweep(n, 4, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
+	Sweep(context.Background(), n, SweepOptions{Workers: 4}, noWorker, func(i int, _ struct{}) {
 		baseline[i] = int64(i)*7 + 1
 	})
 	for _, workers := range []int{1, 4} {
 		inj := faults.New(faults.Plan{Seed: 9, PanicFrac: 0.05, PanicAttempts: 2})
 		got := make([]int64, n)
-		q, err := SweepHardened(context.Background(), n, workers,
-			RetryPolicy{MaxRetries: 3, Backoff: time.Microsecond}, nil,
-			func() struct{} { return struct{}{} },
+		q, err := SweepHardened(context.Background(), n, SweepOptions{Workers: workers},
+			RetryPolicy{MaxRetries: 3, Backoff: time.Microsecond},
+			noWorker,
 			func(i int, _ struct{}) {
 				inj.Step(i)
 				got[i] = int64(i)*7 + 1
@@ -147,8 +147,8 @@ func TestSweepHardenedRebuildDiscardsPoisonedWorker(t *testing.T) {
 	const n = 64
 	var built atomic.Int64
 	inj := faults.New(faults.Plan{Seed: 1, PanicFrac: 1, PanicAttempts: 1})
-	q, err := SweepHardened(context.Background(), n, 1,
-		RetryPolicy{MaxRetries: 1, Rebuild: true}, nil,
+	q, err := SweepHardened(context.Background(), n, SweepOptions{Workers: 1},
+		RetryPolicy{MaxRetries: 1, Rebuild: true},
 		func() *int { built.Add(1); v := 0; return &v },
 		func(i int, w *int) {
 			*w++
@@ -181,27 +181,41 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 }
 
+// cancelAt cancels a context when it serves its n-th access.
+type cancelAt struct {
+	fakeDeterministic
+	n, seen int
+	cancel  context.CancelFunc
+}
+
+func (c *cancelAt) Access(it model.Item) Access {
+	if c.seen++; c.seen == c.n {
+		c.cancel()
+	}
+	return c.fakeDeterministic.Access(it)
+}
+
+// TestRunCtxCancelsMidTrace checks a context that ends mid-replay stops
+// Replay at the next poll, within one stride, with the partial
+// statistics and ctx's error — on both replay loops.
 func TestRunCtxCancelsMidTrace(t *testing.T) {
 	tr := make(trace.Trace, 3*cancelStride)
 	for i := range tr {
 		tr[i] = model.Item(i % 64)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err := RunCtx(ctx, &fakeDeterministic{}, tr)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	sources := map[string]func() trace.Source{
+		"slice":  func() trace.Source { return trace.NewSliceSource(tr) },
+		"source": func() trace.Source { return struct{ trace.Source }{trace.NewSliceSource(tr)} },
 	}
-	if st.Accesses != 0 {
-		t.Errorf("dead-context run observed %d accesses", st.Accesses)
-	}
-	// An un-cancelled run matches Run exactly.
-	got, err := RunColdCtx(context.Background(), &fakeDeterministic{}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RunCold(&fakeDeterministic{}, tr)
-	if got != want {
-		t.Errorf("RunColdCtx = %+v, want %+v", got, want)
+	for name, src := range sources {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancelAt{n: cancelStride / 2, cancel: cancel}
+		st, err := Replay(ctx, c, src(), ReplayOptions{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if st.Accesses != cancelStride {
+			t.Errorf("%s: cancelled replay stopped after %d accesses, want %d (the next poll)", name, st.Accesses, cancelStride)
+		}
 	}
 }

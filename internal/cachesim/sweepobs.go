@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// SweepWorkerStats is one worker's share of a SweepObserved run.
+// SweepWorkerStats is one worker's share of an observed Sweep.
 type SweepWorkerStats struct {
 	// Chunks is how many chunks this worker claimed from the shared
 	// counter — the "steal" count; a worker stuck on slow grid points
@@ -21,8 +21,9 @@ type SweepWorkerStats struct {
 // Busy returns the worker's busy time as a duration.
 func (w SweepWorkerStats) Busy() time.Duration { return time.Duration(w.BusyNanos) }
 
-// SweepStats collects per-worker engine statistics from SweepObserved.
-// The zero value is ready to pass; the sweep resizes Workers itself.
+// SweepStats collects per-worker engine statistics from a Sweep run
+// with SweepOptions.Stats set. The zero value is ready to pass; Sweep
+// resets it on entry.
 type SweepStats struct {
 	// Workers has one slot per launched worker; each worker writes only
 	// its own slot, so the slice is safe to read once the sweep returns.
@@ -83,6 +84,6 @@ func (s *SweepStats) String() string {
 }
 
 // nowNano is the sweep engine's clock. Split out so the hot replay
-// paths never touch it: timing happens only inside SweepObserved with a
-// non-nil stats target.
+// paths never touch it: timing happens only inside Sweep with a non-nil
+// stats target.
 func nowNano() int64 { return time.Now().UnixNano() }

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ func TestSweepObservedCoversAllIndices(t *testing.T) {
 		var st SweepStats
 		var hits atomic.Int64
 		seen := make([]atomic.Bool, 1000)
-		SweepObserved(len(seen), workers, &st, func() int { return 0 }, func(i int, _ int) {
+		Sweep(context.Background(), len(seen), SweepOptions{Workers: workers, Stats: &st}, noWorker, func(i int, _ struct{}) {
 			if seen[i].Swap(true) {
 				t.Errorf("index %d visited twice", i)
 			}
@@ -38,9 +39,9 @@ func TestSweepObservedCoversAllIndices(t *testing.T) {
 
 func TestSweepObservedNilStatsAndEmpty(t *testing.T) {
 	n := 0
-	SweepObserved(100, 2, nil, func() *int { return &n }, func(i int, _ *int) {})
+	Sweep(context.Background(), 100, SweepOptions{Workers: 2}, func() *int { return &n }, func(i int, _ *int) {})
 	st := SweepStats{Workers: make([]SweepWorkerStats, 3)}
-	SweepObserved(0, 2, &st, func() int { return 0 }, func(i int, _ int) {
+	Sweep(context.Background(), 0, SweepOptions{Workers: 2, Stats: &st}, noWorker, func(i int, _ struct{}) {
 		t.Error("fn called for empty range")
 	})
 	if len(st.Workers) != 0 {
@@ -50,7 +51,7 @@ func TestSweepObservedNilStatsAndEmpty(t *testing.T) {
 
 func TestSweepStatsString(t *testing.T) {
 	var st SweepStats
-	SweepObserved(256, 2, &st, func() int { return 0 }, func(i int, _ int) {})
+	Sweep(context.Background(), 256, SweepOptions{Workers: 2, Stats: &st}, noWorker, func(i int, _ struct{}) {})
 	s := st.String()
 	for _, want := range []string{"sweep: 2 workers", "worker 0:", "worker 1:", "total:", "imbalance="} {
 		if !strings.Contains(s, want) {
@@ -59,5 +60,32 @@ func TestSweepStatsString(t *testing.T) {
 	}
 	if im := st.Imbalance(); im != 0 && im < 1 {
 		t.Errorf("imbalance %v below 1 with nonzero busy time", im)
+	}
+}
+
+// TestSweepResetsReusedStats pins that Sweep starts a reused SweepStats
+// from zero: no field of an earlier run — a hardened sweep's quarantine
+// list, a previous chunk size — may leak into the next report.
+func TestSweepResetsReusedStats(t *testing.T) {
+	var st SweepStats
+	q, err := SweepHardened(context.Background(), 8, SweepOptions{Workers: 1, Stats: &st}, RetryPolicy{}, noWorker,
+		func(i int, _ struct{}) {
+			if i == 3 {
+				panic("poisoned point")
+			}
+		})
+	if err != nil || len(q) != 1 || len(st.Quarantined) != 1 {
+		t.Fatalf("hardened sweep: q=%v st.Quarantined=%v err=%v", q, st.Quarantined, err)
+	}
+	Sweep(context.Background(), 8, SweepOptions{Workers: 1, Stats: &st}, noWorker, func(int, struct{}) {})
+	if len(st.Quarantined) != 0 {
+		t.Errorf("fault-free sweep still reports %d quarantined points", len(st.Quarantined))
+	}
+	if st.Chunk < 1 {
+		t.Fatalf("chunk %d after a non-empty sweep", st.Chunk)
+	}
+	Sweep(context.Background(), 0, SweepOptions{Stats: &st}, noWorker, func(int, struct{}) {})
+	if st.Chunk != 0 || len(st.Workers) != 0 || len(st.Quarantined) != 0 {
+		t.Errorf("empty sweep left stale stats: %+v", st)
 	}
 }

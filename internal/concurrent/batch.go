@@ -12,11 +12,10 @@ import (
 	"gccache/internal/trace"
 )
 
-// This file is the batched serving engine. Where Replay drives shards
-// with one unbounded goroutine per stream and one lock acquisition per
-// access, the Engine routes requests through lock-free per-(producer,
-// shard) SPSC rings consumed by one persistent worker goroutine per
-// shard:
+// This file is the batched serving engine. Where concurrent callers of
+// Sharded.Access pay one lock acquisition per access, the Engine routes
+// requests through lock-free per-(producer, shard) SPSC rings consumed
+// by one persistent worker goroutine per shard:
 //
 //	producer p              lanes[p][s]                worker s
 //	┌───────────────┐   data ────────────▶   ┌──────────────────────┐
@@ -120,8 +119,7 @@ type workerState struct {
 // goroutines once, after which any number of Replay / ReplayStream
 // calls run allocation-free in the steady state. An Engine serves one
 // replay at a time; Close stops the goroutines (safe to call once the
-// last replay has returned). For one-shot replays the ReplayCtx /
-// ReplayStreamCtx wrappers construct and close a throwaway Engine.
+// last replay has returned).
 type Engine struct {
 	s   *Sharded
 	cfg BatchConfig
@@ -251,7 +249,7 @@ func (e *Engine) fail(err error) {
 }
 
 // Replay replays streams through the engine and returns the merged
-// statistics (cumulative for the underlying Sharded, like Replay).
+// statistics (cumulative for the underlying Sharded).
 // Streams are dealt round-robin across the producer slots; in
 // deterministic mode the calling goroutine merges them round-robin one
 // request at a time instead. The error is nil when every request was
@@ -589,41 +587,4 @@ func (s *Sharded) accessBatch(idx int, b []model.Item) {
 		sh.rec.Observe(it, a)
 	}
 	sh.mu.Unlock()
-}
-
-// ReplayCtx replays streams through s on the batched engine and returns
-// the merged statistics (cumulative for s, like Replay). It builds a
-// throwaway Engine with one producer slot per non-empty stream; hold a
-// persistent Engine instead when replaying repeatedly. The error is nil
-// when every request was replayed and ctx's error when cancellation cut
-// the replay short; the statistics then cover exactly the batches
-// workers had claimed.
-func ReplayCtx(ctx context.Context, s *Sharded, streams []trace.Trace, cfg BatchConfig) (cachesim.Stats, error) {
-	n := 0
-	for _, st := range streams {
-		if len(st) > 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		n = 1
-	}
-	e, err := NewEngine(s, n, cfg)
-	if err != nil {
-		return cachesim.Stats{}, err
-	}
-	defer e.Close()
-	return e.Replay(ctx, streams)
-}
-
-// ReplayStreamCtx replays a single incremental trace.Source through s
-// on the batched engine — see Engine.ReplayStream. It builds a
-// throwaway Engine; hold a persistent one when replaying repeatedly.
-func ReplayStreamCtx(ctx context.Context, s *Sharded, src trace.Source, cfg BatchConfig) (cachesim.Stats, error) {
-	e, err := NewEngine(s, 1, cfg)
-	if err != nil {
-		return cachesim.Stats{}, err
-	}
-	defer e.Close()
-	return e.ReplayStream(ctx, src)
 }

@@ -22,12 +22,39 @@ func batchFixture(t testing.TB, spec string, seed int64) trace.Trace {
 	return tr
 }
 
+// replayOnce replays streams through s on a throwaway Engine with one
+// producer slot per non-empty stream.
+func replayOnce(ctx context.Context, s *Sharded, streams []trace.Trace, cfg BatchConfig) (cachesim.Stats, error) {
+	n := 0
+	for _, st := range streams {
+		if len(st) > 0 {
+			n++
+		}
+	}
+	e, err := NewEngine(s, max(n, 1), cfg)
+	if err != nil {
+		return cachesim.Stats{}, err
+	}
+	defer e.Close()
+	return e.Replay(ctx, streams)
+}
+
+// replayStreamOnce replays src through s on a throwaway Engine.
+func replayStreamOnce(ctx context.Context, s *Sharded, src trace.Source, cfg BatchConfig) (cachesim.Stats, error) {
+	e, err := NewEngine(s, 1, cfg)
+	if err != nil {
+		return cachesim.Stats{}, err
+	}
+	defer e.Close()
+	return e.ReplayStream(ctx, src)
+}
+
 // TestReplayCtxAccounting drives the batched engine with concurrent
 // producers and checks the merged statistics add up.
 func TestReplayCtxAccounting(t *testing.T) {
 	s := newIBLPSharded(t, 8, 1024, 16)
 	tr := batchFixture(t, "blockruns:blocks=256,B=16,run=8,len=80000", 5)
-	st, err := ReplayCtx(context.Background(), s, SplitStreams(tr, 8), BatchConfig{})
+	st, err := replayOnce(context.Background(), s, SplitStreams(tr, 8), BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +97,7 @@ func TestReplayCtxDeterministicDifferential(t *testing.T) {
 
 	for _, nStreams := range []int{1, 3, 8} {
 		batched := newIBLPSharded(t, 4, 512, 8)
-		got, err := ReplayCtx(context.Background(), batched, SplitStreams(tr, nStreams),
+		got, err := replayOnce(context.Background(), batched, SplitStreams(tr, nStreams),
 			BatchConfig{Deterministic: true, BatchSize: 64, QueueDepth: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +132,7 @@ func TestReplayStreamCtxOrderPreservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	batched := newIBLPSharded(t, 8, 1024, 16)
-	got, err := ReplayStreamCtx(context.Background(), batched, sc, BatchConfig{BatchSize: 128})
+	got, err := replayStreamOnce(context.Background(), batched, sc, BatchConfig{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +155,7 @@ func TestReplayCtxCancel(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		st, err = ReplayCtx(ctx, s, SplitStreams(tr, 4), BatchConfig{BatchSize: 64, QueueDepth: 1})
+		st, err = replayOnce(ctx, s, SplitStreams(tr, 4), BatchConfig{BatchSize: 64, QueueDepth: 1})
 	}()
 	time.Sleep(2 * time.Millisecond)
 	cancel()
@@ -163,11 +190,11 @@ func TestReplayCtxPreCancelled(t *testing.T) {
 	tr := batchFixture(t, "blockruns:blocks=64,B=8,run=4,len=20000", 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReplayCtx(ctx, s, SplitStreams(tr, 4), BatchConfig{}); err != context.Canceled {
+	if _, err := replayOnce(ctx, s, SplitStreams(tr, 4), BatchConfig{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	sc := trace.NewSliceSource(tr)
-	if _, err := ReplayStreamCtx(ctx, s, sc, BatchConfig{}); err != context.Canceled {
+	if _, err := replayStreamOnce(ctx, s, sc, BatchConfig{}); err != context.Canceled {
 		t.Fatalf("stream err = %v, want context.Canceled", err)
 	}
 }
@@ -178,7 +205,7 @@ func TestReplayCtxPreCancelled(t *testing.T) {
 func TestReplayCtxBackpressureTinyQueues(t *testing.T) {
 	s := newIBLPSharded(t, 2, 256, 8)
 	tr := batchFixture(t, "blockruns:blocks=64,B=8,run=4,len=30000", 7)
-	st, err := ReplayCtx(context.Background(), s, SplitStreams(tr, 16),
+	st, err := replayOnce(context.Background(), s, SplitStreams(tr, 16),
 		BatchConfig{BatchSize: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +228,7 @@ func TestReplayStreamCtxSourceError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newIBLPSharded(t, 4, 512, 8)
-	st, err := ReplayStreamCtx(context.Background(), s, sc, BatchConfig{})
+	st, err := replayStreamOnce(context.Background(), s, sc, BatchConfig{})
 	if err == nil {
 		t.Fatal("truncated source replayed cleanly")
 	}
@@ -231,11 +258,11 @@ func TestReplayEmptyStreams(t *testing.T) {
 	// Replay with explicitly empty streams (bypassing the SplitStreams
 	// guard) skips them instead of spawning no-op goroutines.
 	s := newIBLPSharded(t, 2, 256, 8)
-	st := Replay(s, []trace.Trace{{}, tr, {}, {}})
+	st := replayUnbatched(s, []trace.Trace{{}, tr, {}, {}})
 	if st.Accesses != int64(len(tr)) {
 		t.Fatalf("accesses %d != %d", st.Accesses, len(tr))
 	}
-	if _, err := ReplayCtx(context.Background(), s, []trace.Trace{{}, {}}, BatchConfig{}); err != nil {
+	if _, err := replayOnce(context.Background(), s, []trace.Trace{{}, {}}, BatchConfig{}); err != nil {
 		t.Fatalf("all-empty batched replay errored: %v", err)
 	}
 }
@@ -255,7 +282,7 @@ func BenchmarkReplayBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplayCtx(context.Background(), s, streams, BatchConfig{}); err != nil {
+		if _, err := replayOnce(context.Background(), s, streams, BatchConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +304,7 @@ func BenchmarkReplayUnbatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Replay(s, streams)
+		replayUnbatched(s, streams)
 	}
 	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
 }

@@ -239,7 +239,7 @@ func TestEngineCancelThenReuse(t *testing.T) {
 func TestEnginePinWorkers(t *testing.T) {
 	s := newIBLPSharded(t, 4, 512, 8)
 	tr := batchFixture(t, "blockruns:blocks=128,B=8,run=4,len=30000", 29)
-	st, err := ReplayCtx(context.Background(), s, SplitStreams(tr, 4),
+	st, err := replayOnce(context.Background(), s, SplitStreams(tr, 4),
 		BatchConfig{PinWorkers: true})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func FuzzReplayInterleaved(f *testing.F) {
 		if cancelAt > 0 && int(cancelAt) <= int(n) {
 			src.cancel = cancel
 		}
-		st, err := ReplayStreamCtx(ctx, s, src,
+		st, err := replayStreamOnce(ctx, s, src,
 			BatchConfig{BatchSize: int(batch), QueueDepth: int(depth)})
 		if st.Hits+st.Misses != st.Accesses {
 			t.Fatalf("inconsistent stats: %+v", st)

@@ -242,28 +242,6 @@ func (s *Sharded) Stats() cachesim.Stats {
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Replay drives the sharded cache with one goroutine per non-empty
-// stream and returns the merged statistics. Streams interleave
-// nondeterministically, as real concurrent clients would. For batched
-// queues, backpressure, and cancellation, see ReplayCtx.
-func Replay(s *Sharded, streams []trace.Trace) cachesim.Stats {
-	var wg sync.WaitGroup
-	for _, st := range streams {
-		if len(st) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(tr trace.Trace) {
-			defer wg.Done()
-			for _, it := range tr {
-				s.Access(it)
-			}
-		}(st)
-	}
-	wg.Wait()
-	return s.Stats()
-}
-
 // SplitStreams deals a trace round-robin into n request streams —
 // a simple way to turn a single-client trace into a concurrent workload
 // while preserving each item's overall frequency. n is clamped to the

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -12,6 +13,29 @@ import (
 	"gccache/internal/trace"
 	"gccache/internal/workload"
 )
+
+// replayUnbatched drives the sharded cache with one goroutine per
+// non-empty stream and one lock acquisition per access, and returns the
+// merged statistics. Streams interleave nondeterministically, as real
+// concurrent clients would. It is the reference the Engine's
+// differential tests and benchmarks compare against.
+func replayUnbatched(s *Sharded, streams []trace.Trace) cachesim.Stats {
+	var wg sync.WaitGroup
+	for _, st := range streams {
+		if len(st) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(tr trace.Trace) {
+			defer wg.Done()
+			for _, it := range tr {
+				s.Access(it)
+			}
+		}(st)
+	}
+	wg.Wait()
+	return s.Stats()
+}
 
 func newIBLPSharded(t *testing.T, shards, total, B int) *Sharded {
 	t.Helper()
@@ -71,8 +95,8 @@ func TestSingleShardMatchesFlatPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cachesim.RunCold(s, tr)
-	want := cachesim.RunCold(flat, tr)
+	got := replay(t, s, tr)
+	want := replay(t, flat, tr)
 	if got.Misses != want.Misses || got.SpatialHits != want.SpatialHits {
 		t.Errorf("sharded(1) %+v != flat %+v", got, want)
 	}
@@ -89,7 +113,7 @@ func TestConcurrentReplayAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := SplitStreams(tr, 8)
-	st := Replay(s, streams)
+	st := replayUnbatched(s, streams)
 	if st.Accesses != int64(len(tr)) {
 		t.Fatalf("accesses %d != %d", st.Accesses, len(tr))
 	}
@@ -146,7 +170,7 @@ func TestShardedConformsToModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachesim.Run(v, tr)
+	replay(t, v, tr)
 	if err := v.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +266,7 @@ func TestProbeShardedContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := Replay(s, SplitStreams(tr, 4))
+	stats := replayUnbatched(s, SplitStreams(tr, 4))
 
 	loads := s.ShardLoads()
 	if len(loads) != 4 {
@@ -278,4 +302,14 @@ func TestProbeShardedContention(t *testing.T) {
 	if got := suite.Counters.PolicyAccesses(); got != before+1 {
 		t.Error("probe detached by Reset")
 	}
+}
+
+// replay runs tr through c from its current state.
+func replay(t testing.TB, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
+	t.Helper()
+	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+	if err != nil {
+		t.Error(err)
+	}
+	return st
 }

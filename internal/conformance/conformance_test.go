@@ -6,6 +6,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -111,7 +112,7 @@ func TestAllPoliciesConformToModel(t *testing.T) {
 			for pname, mk := range mks {
 				t.Run(fmt.Sprintf("k%d-B%d/%s/%s", cfg.k, cfg.B, wname, pname), func(t *testing.T) {
 					v := cachesim.NewValidator(mk(), geo)
-					cachesim.Run(v, tr)
+					replay(t, v, tr)
 					if err := v.Err(); err != nil {
 						t.Fatal(err)
 					}
@@ -129,9 +130,9 @@ func TestConformanceSurvivesReset(t *testing.T) {
 	}
 	for pname, mk := range mks {
 		v := cachesim.NewValidator(mk(), geo)
-		cachesim.Run(v, workload.Sequential(0, 500))
+		replay(t, v, workload.Sequential(0, 500))
 		v.Reset()
-		cachesim.Run(v, workload.CyclicScan(32, 500))
+		replay(t, v, workload.CyclicScan(32, 500))
 		if err := v.Err(); err != nil {
 			t.Errorf("%s: %v", pname, err)
 		}
@@ -175,7 +176,7 @@ func TestConformancePooledSweep(t *testing.T) {
 		}
 	}
 	errs := make([]error, len(cells))
-	cachesim.Sweep(len(cells), 0, func() []cachesim.Cache {
+	cachesim.Sweep(context.Background(), len(cells), cachesim.SweepOptions{}, func() []cachesim.Cache {
 		return make([]cachesim.Cache, len(pnames))
 	}, func(ci int, pool []cachesim.Cache) {
 		c := cells[ci]
@@ -190,7 +191,7 @@ func TestConformancePooledSweep(t *testing.T) {
 			}
 		}
 		v := cachesim.NewValidator(cache, geo)
-		cachesim.Run(v, wls[wnames[c.wi]])
+		replay(t, v, wls[wnames[c.wi]])
 		errs[ci] = v.Err() // distinct slot per cell: no lock needed
 	})
 	for ci, err := range errs {
@@ -224,11 +225,21 @@ func TestRandomConfigFuzz(t *testing.T) {
 		}
 		for pname, mk := range mks {
 			v := cachesim.NewValidator(mk(), geo)
-			cachesim.Run(v, tr)
+			replay(t, v, tr)
 			if err := v.Err(); err != nil {
 				t.Fatalf("round %d (k=%d B=%d U=%d) %s: %v",
 					round, k, B, universe, pname, err)
 			}
 		}
 	}
+}
+
+// replay runs tr through c from its current state.
+func replay(t testing.TB, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
+	t.Helper()
+	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+	if err != nil {
+		t.Error(err)
+	}
+	return st
 }

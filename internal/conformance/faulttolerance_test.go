@@ -72,7 +72,7 @@ func TestConformanceResetSurvivesInjectedPanic(t *testing.T) {
 	// Fault-free baseline: a fresh cache per cell.
 	want := make([][]byte, len(cells))
 	for ci, c := range cells {
-		st := cachesim.Run(mks[pnames[c.pi]](), wls[wnames[c.wi]])
+		st := replay(t, mks[pnames[c.pi]](), wls[wnames[c.wi]])
 		want[ci] = cachesim.AppendStats(nil, st)
 	}
 
@@ -84,9 +84,8 @@ func TestConformanceResetSurvivesInjectedPanic(t *testing.T) {
 
 	got := make([][]byte, len(cells))
 	var st cachesim.SweepStats
-	quar, err := cachesim.SweepHardened(context.Background(), len(cells), 4,
+	quar, err := cachesim.SweepHardened(context.Background(), len(cells), cachesim.SweepOptions{Workers: 4, Stats: &st},
 		cachesim.RetryPolicy{MaxRetries: 1},
-		&st,
 		func() []cachesim.Cache { return make([]cachesim.Cache, len(pnames)) },
 		func(ci int, pool []cachesim.Cache) {
 			c := cells[ci]
@@ -102,7 +101,7 @@ func TestConformanceResetSurvivesInjectedPanic(t *testing.T) {
 			}
 			tr := wls[wnames[c.wi]]
 			wrapped := &panicAt{Cache: cache, inj: inj, idx: ci, at: len(tr) / 2}
-			got[ci] = cachesim.AppendStats(nil, cachesim.Run(wrapped, tr))
+			got[ci] = cachesim.AppendStats(nil, replay(t, wrapped, tr))
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +151,14 @@ func TestConformanceValidatorAfterInjectedPanic(t *testing.T) {
 				}
 			}()
 			wrapped := &panicAt{Cache: cache, inj: inj, idx: pi, at: len(tr) / 2}
-			cachesim.Run(wrapped, tr)
+			replay(t, wrapped, tr)
 		}()
 		cache.Reset()
 		if rs, ok := cache.(cachesim.Reseeder); ok {
 			rs.Reseed(seed)
 		}
 		v := cachesim.NewValidator(cache, geo)
-		cachesim.Run(v, tr)
+		replay(t, v, tr)
 		if err := v.Err(); err != nil {
 			t.Errorf("%s: validator rejects retry after mid-trace panic: %v", pname, err)
 		}

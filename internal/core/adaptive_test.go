@@ -19,7 +19,7 @@ func TestAdaptiveGrowsItemLayerOnTemporalWorkload(t *testing.T) {
 	k := 128
 	c := NewAdaptiveIBLP(k, geo)
 	tr := workload.Stride(100, B, 60000) // 100 single-block items
-	st := cachesim.RunCold(c, tr)
+	st := replay(t, c, tr)
 	if c.ItemLayerTarget() <= k/2 {
 		t.Errorf("target %d did not grow above even split %d", c.ItemLayerTarget(), k/2)
 	}
@@ -29,7 +29,7 @@ func TestAdaptiveGrowsItemLayerOnTemporalWorkload(t *testing.T) {
 	}
 	// An even-split fixed IBLP cannot hold the 100-item working set in a
 	// 64-item item layer, and its 8-frame block layer is polluted.
-	fixed := cachesim.RunCold(NewIBLPEvenSplit(k, geo), tr)
+	fixed := replay(t, NewIBLPEvenSplit(k, geo), tr)
 	if st.Misses*2 > fixed.Misses {
 		t.Errorf("adaptive %d misses vs fixed even split %d — expected a clear win",
 			st.Misses, fixed.Misses)
@@ -63,14 +63,14 @@ func TestAdaptiveHandlesMixedHotSetPlusScans(t *testing.T) {
 		coldPos++
 	}
 	c := NewAdaptiveIBLP(k, geo)
-	st := cachesim.RunCold(c, tr)
+	st := replay(t, c, tr)
 	if c.ItemLayerTarget() <= k/2 {
 		t.Errorf("target %d did not grow to fit the hot set", c.ItemLayerTarget())
 	}
 	if c.ItemLayerTarget() > k-B {
 		t.Errorf("target %d ate the last block frame", c.ItemLayerTarget())
 	}
-	fixed := cachesim.RunCold(NewIBLPEvenSplit(k, geo), tr)
+	fixed := replay(t, NewIBLPEvenSplit(k, geo), tr)
 	if st.Misses >= fixed.Misses {
 		t.Errorf("adaptive %d misses vs fixed even split %d", st.Misses, fixed.Misses)
 	}
@@ -100,7 +100,7 @@ func TestAdaptiveConformsToModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachesim.Run(v, tr)
+	replay(t, v, tr)
 	if err := v.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,9 @@ func TestAdaptiveCompetitiveAcrossSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive := cachesim.RunCold(NewAdaptiveIBLP(k, geo), runs)
-	item := cachesim.RunCold(policy.NewItemLRU(k), runs)
-	block := cachesim.RunCold(policy.NewBlockLRU(k, geo), runs)
+	adaptive := replay(t, NewAdaptiveIBLP(k, geo), runs)
+	item := replay(t, policy.NewItemLRU(k), runs)
+	block := replay(t, policy.NewBlockLRU(k, geo), runs)
 	best := item.Misses
 	if block.Misses < best {
 		best = block.Misses
@@ -134,7 +134,7 @@ func TestAdaptiveCompetitiveAcrossSpectrum(t *testing.T) {
 func TestAdaptiveResetRestoresEvenSplit(t *testing.T) {
 	geo := model.NewFixed(8)
 	c := NewAdaptiveIBLP(64, geo)
-	cachesim.Run(c, workload.Stride(60, 8, 20000))
+	replay(t, c, workload.Stride(60, 8, 20000))
 	if c.ItemLayerTarget() == 32 {
 		t.Skip("target did not move; nothing to verify")
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gccache/internal/cachesim"
 	"gccache/internal/model"
 	"gccache/internal/policy"
 	"gccache/internal/trace"
@@ -102,8 +101,8 @@ func TestGCMDeterministicWithSeed(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(64))
 	}
-	a := cachesim.RunCold(NewGCM(16, g, 99), tr)
-	b := cachesim.RunCold(NewGCM(16, g, 99), tr)
+	a := replay(t, NewGCM(16, g, 99), tr)
+	b := replay(t, NewGCM(16, g, 99), tr)
 	if a.Misses != b.Misses {
 		t.Errorf("same seed, different misses: %d vs %d", a.Misses, b.Misses)
 	}
@@ -117,8 +116,8 @@ func TestGCMBeatsPlainMarkingOnSpatialScan(t *testing.T) {
 	for it := model.Item(0); it < 2048; it++ {
 		tr = append(tr, it)
 	}
-	gcm := cachesim.RunCold(NewGCM(64, g, 5), tr)
-	mark := cachesim.RunCold(policy.NewMarking(64, 5), tr)
+	gcm := replay(t, NewGCM(64, g, 5), tr)
+	mark := replay(t, policy.NewMarking(64, 5), tr)
 	if gcm.Misses*4 > mark.Misses {
 		t.Errorf("GCM %d misses vs marking %d: expected ≈B× gap", gcm.Misses, mark.Misses)
 	}

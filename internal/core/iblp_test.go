@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -142,8 +143,8 @@ func TestIBLPZeroBlockLayerIsItemCache(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(64))
 	}
-	a := cachesim.RunCold(NewIBLP(10, 0, g), tr)
-	b := cachesim.RunCold(policy.NewItemLRU(10), tr)
+	a := replay(t, NewIBLP(10, 0, g), tr)
+	b := replay(t, policy.NewItemLRU(10), tr)
 	if a.Misses != b.Misses {
 		t.Errorf("IBLP(i=k,b=0) misses %d != ItemLRU %d", a.Misses, b.Misses)
 	}
@@ -156,8 +157,8 @@ func TestIBLPZeroItemLayerIsBlockCache(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(64))
 	}
-	a := cachesim.RunCold(NewIBLP(0, 12, g), tr)
-	b := cachesim.RunCold(policy.NewBlockLRU(12, g), tr)
+	a := replay(t, NewIBLP(0, 12, g), tr)
+	b := replay(t, policy.NewBlockLRU(12, g), tr)
 	if a.Misses != b.Misses {
 		t.Errorf("IBLP(i=0) misses %d != BlockLRU %d", a.Misses, b.Misses)
 	}
@@ -229,8 +230,8 @@ func TestIBLPSpatialWorkloadBeatsItemLRU(t *testing.T) {
 			tr = append(tr, it)
 		}
 	}
-	iblp := cachesim.RunCold(NewIBLP(32, 32, g), tr)
-	lru := cachesim.RunCold(policy.NewItemLRU(64), tr)
+	iblp := replay(t, NewIBLP(32, 32, g), tr)
+	lru := replay(t, policy.NewItemLRU(64), tr)
 	if iblp.Misses >= lru.Misses {
 		t.Errorf("IBLP %d misses, ItemLRU %d: expected IBLP to win on scans",
 			iblp.Misses, lru.Misses)
@@ -249,8 +250,8 @@ func TestIBLPTemporalWorkloadBeatsBlockLRU(t *testing.T) {
 	for rep := 0; rep < 200; rep++ {
 		tr = append(tr, hot...)
 	}
-	iblp := cachesim.RunCold(NewIBLP(16, 16, g), tr)
-	blk := cachesim.RunCold(policy.NewBlockLRU(32, g), tr)
+	iblp := replay(t, NewIBLP(16, 16, g), tr)
+	blk := replay(t, policy.NewBlockLRU(32, g), tr)
 	if iblp.Misses >= blk.Misses {
 		t.Errorf("IBLP %d misses, BlockLRU %d: expected IBLP to win on hot items",
 			iblp.Misses, blk.Misses)
@@ -267,4 +268,14 @@ func TestIBLPCapacityInvariant(t *testing.T) {
 			t.Fatalf("Len %d > Capacity %d", c.Len(), c.Capacity())
 		}
 	}
+}
+
+// replay runs tr through c from its current state.
+func replay(t testing.TB, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
+	t.Helper()
+	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+	if err != nil {
+		t.Error(err)
+	}
+	return st
 }

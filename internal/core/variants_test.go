@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gccache/internal/cachesim"
 	"gccache/internal/model"
 	"gccache/internal/policy"
 	"gccache/internal/trace"
@@ -18,14 +17,14 @@ func TestInclusiveBehavesLikeSmallerBlockCache(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(100))
 	}
-	incl := cachesim.RunCold(NewIBLPInclusive(16, 16, g), tr)
-	blk := cachesim.RunCold(policy.NewBlockLRU(16, g), tr)
+	incl := replay(t, NewIBLPInclusive(16, 16, g), tr)
+	blk := replay(t, policy.NewBlockLRU(16, g), tr)
 	if incl.Misses != blk.Misses {
 		t.Errorf("inclusive(16,16) %d misses != BlockLRU(16) %d — the item layer should contribute nothing",
 			incl.Misses, blk.Misses)
 	}
 	// The real IBLP with the same budget does strictly better here.
-	real := cachesim.RunCold(NewIBLP(16, 16, g), tr)
+	real := replay(t, NewIBLP(16, 16, g), tr)
 	if real.Misses >= incl.Misses {
 		t.Errorf("iblp %d misses should beat inclusive %d", real.Misses, incl.Misses)
 	}
@@ -87,7 +86,7 @@ func TestExclusiveMigratesOnBlockHit(t *testing.T) {
 func TestExclusiveSpatialHitsStillWork(t *testing.T) {
 	g := model.NewFixed(8)
 	c := NewIBLPExclusive(16, 32, g)
-	st := cachesim.RunCold(c, workload.Sequential(0, 512))
+	st := replay(t, c, workload.Sequential(0, 512))
 	if st.SpatialHits == 0 {
 		t.Error("exclusive variant should still serve spatial hits")
 	}
@@ -130,8 +129,8 @@ func TestGCMMarkAllPollutes(t *testing.T) {
 	// siblings for whole phases, cutting the effective size by ≈B (§6.1).
 	g := model.NewFixed(8)
 	tr := workload.Stride(12, 8, 8000) // 12 live items, fits k=16 easily
-	gcm := cachesim.RunCold(NewGCM(16, g, 4), tr)
-	markAll := cachesim.RunCold(NewGCMMarkAll(16, g, 4), tr)
+	gcm := replay(t, NewGCM(16, g, 4), tr)
+	markAll := replay(t, NewGCMMarkAll(16, g, 4), tr)
 	if gcm.MissRatio() > 0.2 {
 		t.Errorf("gcm miss ratio %.3f, want small (live set fits)", gcm.MissRatio())
 	}
@@ -145,8 +144,8 @@ func TestGCMMarkAllMatchesGCMOnSpatialScan(t *testing.T) {
 	// On a pure one-pass scan both variants pay ≈1 miss per block.
 	g := model.NewFixed(8)
 	tr := workload.Sequential(0, 4096)
-	gcm := cachesim.RunCold(NewGCM(64, g, 4), tr)
-	markAll := cachesim.RunCold(NewGCMMarkAll(64, g, 4), tr)
+	gcm := replay(t, NewGCM(64, g, 4), tr)
+	markAll := replay(t, NewGCMMarkAll(64, g, 4), tr)
 	if markAll.Misses > 2*gcm.Misses {
 		t.Errorf("scan: mark-all %d vs gcm %d — should be comparable", markAll.Misses, gcm.Misses)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/cachesim"
@@ -72,9 +73,9 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 	// results[j], which is the sweep engine's sanctioned sharing shape.
 	results := make([]float64, len(jobs))
 	cell := func(wi, si int) float64 { return results[wi*len(splits)+si] }
-	// Per-worker pooled caches, one per split, built lazily and reused
-	// (RunColdBounded resets before replay) across the worker's cells.
-	cachesim.Sweep(len(jobs), 0, func() []cachesim.Cache {
+	// Per-worker pooled caches, one per split, built lazily and reset
+	// before every replay across the worker's cells.
+	cachesim.Sweep(context.Background(), len(jobs), cachesim.SweepOptions{}, func() []cachesim.Cache {
 		return make([]cachesim.Cache, len(splits))
 	}, func(j int, pool []cachesim.Cache) {
 		key := jobs[j]
@@ -83,7 +84,8 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 			cache = splits[key.si].build()
 			pool[key.si] = cache
 		}
-		results[j] = cachesim.RunColdBounded(cache, wls[key.wi].tr, universe).MissRatio()
+		cache.Reset()
+		results[j] = replay(cache, wls[key.wi].tr, universe).MissRatio()
 	})
 	for wi, wl := range wls {
 		bestFixed := 1.0

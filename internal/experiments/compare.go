@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/cachesim"
@@ -117,7 +118,7 @@ func PolicyShootout(k, B int, seed int64) *Report {
 	// Per-worker pooled caches, lazily built per policy and reset (and
 	// reseeded, for randomized policies) before each reuse, so a worker
 	// replays all its cells without reconstructing a single policy.
-	cachesim.Sweep(len(cells), 0, func() []cachesim.Cache {
+	cachesim.Sweep(context.Background(), len(cells), cachesim.SweepOptions{}, func() []cachesim.Cache {
 		return make([]cachesim.Cache, len(builders))
 	}, func(ci int, pool []cachesim.Cache) {
 		c := cells[ci]
@@ -128,8 +129,8 @@ func PolicyShootout(k, B int, seed int64) *Report {
 		} else if rs, ok := cache.(cachesim.Reseeder); ok {
 			rs.Reseed(seed)
 		}
-		st := cachesim.RunColdBounded(cache, wls[c.wi].tr, universe)
-		cells[ci].stats = st // distinct slot per cell: no lock needed
+		cache.Reset()
+		cells[ci].stats = replay(cache, wls[c.wi].tr, universe) // distinct slot per cell: no lock needed
 	})
 	missRatio := make([][]float64, len(wls))
 	for i := range missRatio {
@@ -139,7 +140,7 @@ func PolicyShootout(k, B int, seed int64) *Report {
 		missRatio[c.wi][c.pi] = c.stats.MissRatio()
 	}
 	lowerPerAccess := make([]float64, len(wls))
-	cachesim.ParallelFor(len(wls), 0, func(wi int) {
+	cachesim.Sweep(context.Background(), len(wls), cachesim.SweepOptions{}, noWorker, func(wi int, _ struct{}) {
 		lb := opt.BlockLowerBound(wls[wi].tr, geo, k)
 		lowerPerAccess[wi] = float64(lb) / float64(len(wls[wi].tr))
 	})
@@ -245,8 +246,8 @@ func Ablations(k, B int, seed int64) *Report {
 		Headers: []string{"variant", "miss-ratio", "spatial-hits", "temporal-hits"},
 	}
 	orderingU := model.ItemUniverse(geo, orderingTr.Universe())
-	real := cachesim.RunColdBounded(core.NewIBLPBounded(i, b, geo, orderingU), orderingTr, orderingU)
-	abl := cachesim.RunCold(core.NewIBLPPromoteAll(i, b, geo), orderingTr)
+	real := replay(core.NewIBLPBounded(i, b, geo, orderingU), orderingTr, orderingU)
+	abl := replay(core.NewIBLPPromoteAll(i, b, geo), orderingTr, 0)
 	ordering.AddRow("iblp (item hits do not touch block layer)", real.MissRatio(),
 		real.SpatialHits, real.TemporalHits)
 	ordering.AddRow("promote-all (violates §5.1)", abl.MissRatio(),
@@ -265,8 +266,8 @@ func Ablations(k, B int, seed int64) *Report {
 		Title:   "Ablation 1b — §5.1 inclusion policy (same workload)",
 		Headers: []string{"variant", "miss-ratio"},
 	}
-	inclStats := cachesim.RunCold(core.NewIBLPInclusive(i, b, geo), orderingTr)
-	exclStats := cachesim.RunCold(core.NewIBLPExclusive(i, b, geo), orderingTr)
+	inclStats := replay(core.NewIBLPInclusive(i, b, geo), orderingTr, 0)
+	exclStats := replay(core.NewIBLPExclusive(i, b, geo), orderingTr, 0)
 	inclusion.AddRow("iblp (neither inclusive nor exclusive)", real.MissRatio())
 	inclusion.AddRow("inclusive (item layer wasted)", inclStats.MissRatio())
 	inclusion.AddRow("exclusive (lifetime holes)", exclStats.MissRatio())
@@ -297,9 +298,9 @@ func Ablations(k, B int, seed int64) *Report {
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1}
 	mixU := model.ItemUniverse(geo, mixTr.Universe())
 	resCh := make([]splitRes, len(fracs))
-	cachesim.ParallelFor(len(fracs), 0, func(fi int) {
+	cachesim.Sweep(context.Background(), len(fracs), cachesim.SweepOptions{}, noWorker, func(fi int, _ struct{}) {
 		ii := int(float64(k) * fracs[fi])
-		st := cachesim.RunColdBounded(core.NewIBLPBounded(ii, k-ii, geo, mixU), mixTr, mixU)
+		st := replay(core.NewIBLPBounded(ii, k-ii, geo, mixU), mixTr, mixU)
 		resCh[fi] = splitRes{i: ii, b: k - ii, mr: st.MissRatio()}
 	})
 	results = resCh
@@ -325,8 +326,8 @@ func Ablations(k, B int, seed int64) *Report {
 	// (its marked dead siblings shrink the effective cache).
 	scan := workload.Sequential(0, 100000)
 	scanU := model.ItemUniverse(geo, scan.Universe())
-	gcm := cachesim.RunColdBounded(core.NewGCMBounded(k, geo, seed, scanU), scan, scanU)
-	mark := cachesim.RunCold(policy.NewMarking(k, seed), scan)
+	gcm := replay(core.NewGCMBounded(k, geo, seed, scanU), scan, scanU)
+	mark := replay(policy.NewMarking(k, seed), scan, 0)
 	marking := &render.Table{
 		Title:   "Ablation 3 — GCM's unmarked sibling loads vs classic marking (fresh-block scan)",
 		Headers: []string{"policy", "misses", "miss-ratio"},
@@ -342,8 +343,8 @@ func Ablations(k, B int, seed int64) *Report {
 
 	stride := workload.Stride(k*3/4, B, 100000)
 	strideU := model.ItemUniverse(geo, stride.Universe())
-	gcmStride := cachesim.RunColdBounded(core.NewGCMBounded(k, geo, seed, strideU), stride, strideU)
-	markAllStride := cachesim.RunCold(core.NewGCMMarkAll(k, geo, seed), stride)
+	gcmStride := replay(core.NewGCMBounded(k, geo, seed, strideU), stride, strideU)
+	markAllStride := replay(core.NewGCMMarkAll(k, geo, seed), stride, 0)
 	markAll := &render.Table{
 		Title:   "Ablation 3b — marking loaded siblings (§6.1) on a stride with no spatial locality",
 		Headers: []string{"policy", "misses", "miss-ratio"},

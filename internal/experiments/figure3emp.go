@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -39,7 +40,7 @@ func Figure3Empirical(k, B, phases int) *Report {
 	}
 	rows := make([]rowData, len(hs))
 	var mu sync.Mutex
-	cachesim.ParallelFor(len(hs), 0, func(i int) {
+	cachesim.Sweep(context.Background(), len(hs), cachesim.SweepOptions{}, noWorker, func(i int, _ struct{}) {
 		h := hs[i]
 		rd := rowData{h: h}
 		cfg := adversary.Config{OptSize: h, Phases: phases}

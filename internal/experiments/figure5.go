@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gccache/internal/bounds"
-	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/opt"
@@ -38,7 +37,7 @@ func Figure5Stress(i, b, B, h, length int) *Report {
 			r.Failf("generate share=%v: %v", share, err)
 			continue
 		}
-		st := cachesim.RunCold(core.NewIBLP(i, b, geo), tr)
+		st := replay(core.NewIBLP(i, b, geo), tr, 0)
 		est := opt.EstimateOPT(tr, geo, h)
 		ratioLow := float64(st.Misses) / float64(est.Upper)
 		t.AddRow(share, st.Misses, est.Upper, est.Lower, ratioLow, ub)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -36,7 +37,7 @@ func Figure6Empirical(k, B, h, length int) *Report {
 	fracs := []float64{0.125, 0.25, 0.5, 0.75, 1}
 	rows := make([]row, len(fracs))
 	var mu sync.Mutex
-	cachesim.ParallelFor(len(fracs), 0, func(fi int) {
+	cachesim.Sweep(context.Background(), len(fracs), cachesim.SweepOptions{}, noWorker, func(fi int, _ struct{}) {
 		i := int(float64(k) * fracs[fi])
 		b := k - i
 		worst := 0.0
@@ -52,7 +53,7 @@ func Figure6Empirical(k, B, h, length int) *Report {
 				return
 			}
 			u := model.ItemUniverse(geo, tr.Universe())
-			st := cachesim.RunColdBounded(core.NewIBLPBounded(i, b, geo, u), tr, u)
+			st := replay(core.NewIBLPBounded(i, b, geo, u), tr, u)
 			est := opt.EstimateOPT(tr, geo, h)
 			if est.Upper == 0 {
 				continue

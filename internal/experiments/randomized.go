@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/adversary"
@@ -77,9 +78,9 @@ func RandomizedComparison(k, B, phases int, seed int64) *Report {
 		Headers: []string{"policy", "miss-ratio"},
 	}
 	stride := workload.Stride(k*9/10, B, 200000)
-	markSt := cachesim.RunCold(policy.NewMarking(k, seed), stride)
-	gcmSt := cachesim.RunCold(core.NewGCM(k, geo, seed), stride)
-	allSt := cachesim.RunCold(core.NewGCMMarkAll(k, geo, seed), stride)
+	markSt := replay(policy.NewMarking(k, seed), stride, 0)
+	gcmSt := replay(core.NewGCM(k, geo, seed), stride, 0)
+	allSt := replay(core.NewGCMMarkAll(k, geo, seed), stride, 0)
 	pollution.AddRow("item-marking", markSt.MissRatio())
 	pollution.AddRow("gcm", gcmSt.MissRatio())
 	pollution.AddRow("gcm-mark-all", allSt.MissRatio())
@@ -121,7 +122,7 @@ func RandomizedComparison(k, B, phases int, seed int64) *Report {
 		{"gcm", func(s int64) cachesim.Cache { return core.NewGCM(k, geo, s) }},
 		{"item-random", func(s int64) cachesim.Cache { return policy.NewRandomEvict(k, s) }},
 	} {
-		ratios := cachesim.RunSeeds(rp.build, mixed, seeds)
+		ratios, _ := cachesim.RunSeeds(context.Background(), rp.build, mixed, seeds)
 		sum := stats.Summarize(ratios)
 		variance.AddRow(rp.name, sum.Mean, sum.StdDev, sum.Min, sum.Max)
 		if sum.Mean > 0 && sum.StdDev > 0.25*sum.Mean {

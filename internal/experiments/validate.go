@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -178,7 +179,7 @@ func AdversarySweep(B int, phases int) *Report {
 	results := make([]adversary.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var mu sync.Mutex
-	cachesim.ParallelFor(len(jobs), 0, func(i int) {
+	cachesim.Sweep(context.Background(), len(jobs), cachesim.SweepOptions{}, noWorker, func(i int, _ struct{}) {
 		res, err := jobs[i].run()
 		mu.Lock()
 		results[i], errs[i] = res, err

@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,9 +34,12 @@ func TestMissRatioCurveMatchesSimulation(t *testing.T) {
 	sizes := []int{1, 2, 5, 16, 64, 119, 120, 200}
 	curve := MissRatioCurve(tr, sizes)
 	for si, k := range sizes {
-		sim := cachesim.RunCold(policy.NewItemLRU(k), tr).Misses
-		if curve[si] != sim {
-			t.Errorf("k=%d: curve %d != simulated LRU %d", k, curve[si], sim)
+		sim, err := cachesim.Replay(context.Background(), policy.NewItemLRU(k), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if curve[si] != sim.Misses {
+			t.Errorf("k=%d: curve %d != simulated LRU %d", k, curve[si], sim.Misses)
 		}
 	}
 }
@@ -71,9 +75,12 @@ func TestBlockMissRatioCurveMatchesBlockSimulation(t *testing.T) {
 	}
 	for _, frames := range []int{2, 5, 10, 39} {
 		curve := BlockMissRatioCurve(tr, g, []int{frames})
-		sim := cachesim.RunCold(policy.NewBlockLRU(frames*B, g), tr).Misses
-		if curve[0] != sim {
-			t.Errorf("frames=%d: curve %d != simulated BlockLRU %d", frames, curve[0], sim)
+		sim, err := cachesim.Replay(context.Background(), policy.NewBlockLRU(frames*B, g), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if curve[0] != sim.Misses {
+			t.Errorf("frames=%d: curve %d != simulated BlockLRU %d", frames, curve[0], sim.Misses)
 		}
 	}
 }

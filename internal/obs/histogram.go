@@ -160,7 +160,7 @@ func (h *Histogram) WriteCSV(w io.Writer) error { return h.Table().WriteCSV(w) }
 // requests between successive references to the same item (an upper
 // bound on stack distance; cold first references are tracked separately
 // as ColdCount). It listens to the recorder view — attach a probed
-// cachesim.Recorder (cachesim.RunColdProbed does).
+// cachesim.Recorder (cachesim.Replay with ReplayOptions.Probe does).
 //
 // With a positive universe the last-seen table is a flat array and
 // Observe never allocates; otherwise a map is used and accepts any item.

@@ -29,8 +29,9 @@ type Kind uint8
 // layers, marks, and what a block load brought in), while *recorder
 // view* events are emitted by cachesim.Recorder, which classifies hits
 // into temporal vs spatial exactly as §2 of the paper defines them.
-// Attaching a probe to both (cachesim.RunColdProbed does) yields the
-// complete stream; the views never double-count the same kind.
+// Attaching a probe to both (cachesim.Replay with ReplayOptions.Probe
+// does) yields the complete stream; the views never double-count the
+// same kind.
 const (
 	// EvHit is a policy-view hit in a policy without internal layers
 	// (ItemLRU, BlockLRU, GCM, ...).

@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -756,7 +755,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
 // handleSweep runs a small observed parameter sweep on demand — a live
 // demonstration of the chunked sweep engine's per-worker steal counts
 // and timing, on real per-policy miss-ratio work.
-func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	tr := s.tr
 	if len(tr) > 1<<14 {
@@ -768,15 +767,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
 	}
 	results := make([]float64, len(sizes))
 	var st cachesim.SweepStats
-	cachesim.SweepObserved(len(sizes), runtime.GOMAXPROCS(0), &st,
+	err := cachesim.Sweep(r.Context(), len(sizes), cachesim.SweepOptions{Stats: &st},
 		func() struct{} { return struct{}{} },
 		func(i int, _ struct{}) {
 			c, err := buildPolicy(s.cfg.Policy, sizes[i], s.geo, s.cfg.Seed)
 			if err != nil {
 				return
 			}
-			results[i] = cachesim.RunCold(c, tr).MissRatio()
+			if rs, err := cachesim.Replay(r.Context(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{}); err == nil {
+				results[i] = rs.MissRatio()
+			}
 		})
+	if err != nil {
+		return // the client went away
+	}
 	fmt.Fprintf(w, "on-demand sweep: %s miss ratio over %d cache sizes, %d requests each\n\n",
 		s.cfg.Policy, len(sizes), len(tr))
 	for i, k := range sizes {

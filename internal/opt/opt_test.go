@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,11 @@ func TestBeladyNeverWorseThanLRU(t *testing.T) {
 		for i := range tr {
 			tr[i] = model.Item(rng.Intn(u))
 		}
-		lru := cachesim.RunCold(policy.NewItemLRU(k), tr).Misses
+		st, err := cachesim.Replay(context.Background(), policy.NewItemLRU(k), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lru := st.Misses
 		opt := Belady(tr, k)
 		if opt > lru {
 			t.Fatalf("round %d: Belady %d > LRU %d", round, opt, lru)
@@ -358,9 +363,13 @@ func TestPolicyCostCertifiesRealPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: illegal execution: %v", c.Name(), err)
 		}
-		simCost := cachesim.RunCold(c, tr).Misses
-		if cost != simCost {
-			t.Errorf("%s: verified cost %d != simulated %d", c.Name(), cost, simCost)
+		c.Reset()
+		sim, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost != sim.Misses {
+			t.Errorf("%s: verified cost %d != simulated %d", c.Name(), cost, sim.Misses)
 		}
 		if cost < lower {
 			t.Errorf("%s: cost %d below the certified OPT lower bound %d", c.Name(), cost, lower)

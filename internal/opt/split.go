@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+
 	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
@@ -38,7 +40,9 @@ func BestIBLPSplit(tr trace.Trace, geo model.Geometry, k int, candidates []int) 
 			continue
 		}
 		seen[i] = true
-		st := cachesim.RunCold(core.NewIBLPBounded(i, k-i, geo, universe), tr)
+		// A slice source with no universe bound never fails.
+		st, _ := cachesim.Replay(context.Background(), core.NewIBLPBounded(i, k-i, geo, universe),
+			trace.NewSliceSource(tr), cachesim.ReplayOptions{})
 		ev := SplitEval{ItemLayer: i, Misses: st.Misses, MissRatio: st.MissRatio()}
 		all = append(all, ev)
 		if best.ItemLayer < 0 || ev.Misses < best.Misses ||

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gccache/internal/cachesim"
 	"gccache/internal/model"
 	"gccache/internal/trace"
 )
@@ -86,8 +85,8 @@ func TestAThresholdLargeABehavesLikeItemLRU(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(40))
 	}
-	at := cachesim.RunCold(NewAThreshold(10, 64, g), tr)
-	lru := cachesim.RunCold(NewItemLRU(10), tr)
+	at := replay(t, NewAThreshold(10, 64, g), tr)
+	lru := replay(t, NewItemLRU(10), tr)
 	if at.Misses != lru.Misses {
 		t.Errorf("a≥B misses %d != ItemLRU %d", at.Misses, lru.Misses)
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gccache/internal/cachesim"
 	"gccache/internal/model"
 	"gccache/internal/trace"
 )
@@ -54,7 +53,7 @@ func TestBlockLRUSpatialHits(t *testing.T) {
 	// Touch each item of two blocks in sequence: 1 miss + 3 spatial hits
 	// per block.
 	tr := trace.Trace{0, 1, 2, 3, 4, 5, 6, 7}
-	s := cachesim.Run(c, tr)
+	s := replay(t, c, tr)
 	if s.Misses != 2 {
 		t.Errorf("Misses = %d, want 2", s.Misses)
 	}
@@ -70,12 +69,12 @@ func TestBlockLRUPollution(t *testing.T) {
 	c := NewBlockLRU(8, g) // effectively 2 item slots
 	// Cycle through 3 single items of distinct blocks: always misses.
 	tr := trace.Trace{0, 4, 8}.Repeat(10)
-	s := cachesim.Run(c, tr)
+	s := replay(t, c, tr)
 	if s.Hits != 0 {
 		t.Errorf("Hits = %d, want 0 (pollution)", s.Hits)
 	}
 	// ItemLRU with the same capacity holds all three.
-	s2 := cachesim.Run(NewItemLRU(8), tr)
+	s2 := replay(t, NewItemLRU(8), tr)
 	if s2.Misses != 3 {
 		t.Errorf("ItemLRU misses = %d, want 3", s2.Misses)
 	}

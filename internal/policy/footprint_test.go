@@ -59,9 +59,9 @@ func TestFootprintBeatsExtremesOnPartialBlockReuse(t *testing.T) {
 		}
 	}
 	tr := cycle.Repeat(200)
-	fp := cachesim.RunCold(NewFootprint(k, g), tr)
-	item := cachesim.RunCold(NewItemLRU(k), tr)
-	blkc := cachesim.RunCold(NewBlockLRU(k, g), tr)
+	fp := replay(t, NewFootprint(k, g), tr)
+	item := replay(t, NewItemLRU(k), tr)
+	blkc := replay(t, NewBlockLRU(k, g), tr)
 	// Everything fits for footprint and item-lru (48 live ≤ 64): both
 	// converge to cold misses only; block-lru (96 > 64) thrashes.
 	if fp.MissRatio() > 0.02 {
@@ -76,8 +76,8 @@ func TestFootprintBeatsExtremesOnPartialBlockReuse(t *testing.T) {
 	// And under capacity pressure (k half the live set), footprint's
 	// prefetch of live halves beats the item cache's one-at-a-time loads.
 	k2 := 24
-	fp2 := cachesim.RunCold(NewFootprint(k2, g), tr)
-	item2 := cachesim.RunCold(NewItemLRU(k2), tr)
+	fp2 := replay(t, NewFootprint(k2, g), tr)
+	item2 := replay(t, NewItemLRU(k2), tr)
 	if fp2.Misses*2 > item2.Misses {
 		t.Errorf("under pressure: footprint %d vs item-lru %d — expected ≈¼ the misses",
 			fp2.Misses, item2.Misses)
@@ -93,7 +93,7 @@ func TestFootprintCapacityAndConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachesim.Run(v, tr)
+	replay(t, v, tr)
 	if err := v.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestItemLRUSequentialScanMissesAll(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr = append(tr, model.Item(i))
 	}
-	s := cachesim.Run(c, tr)
+	s := replay(t, c, tr)
 	if s.Misses != 100 || s.Hits != 0 {
 		t.Errorf("scan: %+v", s)
 	}
@@ -43,7 +43,7 @@ func TestItemLRUSequentialScanMissesAll(t *testing.T) {
 func TestItemLRUWorkingSetFits(t *testing.T) {
 	c := NewItemLRU(4)
 	tr := trace.Trace{0, 1, 2, 3}.Repeat(25)
-	s := cachesim.Run(c, tr)
+	s := replay(t, c, tr)
 	if s.Misses != 4 {
 		t.Errorf("misses = %d, want 4 (cold only)", s.Misses)
 	}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestRandomEvictDeterministicWithSeed(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(30))
 	}
-	a := cachesim.RunCold(NewRandomEvict(8, 7), tr)
-	b := cachesim.RunCold(NewRandomEvict(8, 7), tr)
+	a := replay(t, NewRandomEvict(8, 7), tr)
+	b := replay(t, NewRandomEvict(8, 7), tr)
 	if a.Misses != b.Misses {
 		t.Errorf("same seed, different misses: %d vs %d", a.Misses, b.Misses)
 	}
@@ -171,8 +172,8 @@ func TestClockApproximatesLRU(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(200))
 	}
-	clock := cachesim.RunCold(NewClock(64), tr)
-	lru := cachesim.RunCold(NewItemLRU(64), tr)
+	clock := replay(t, NewClock(64), tr)
+	lru := replay(t, NewItemLRU(64), tr)
 	if float64(clock.Misses) > 1.3*float64(lru.Misses) {
 		t.Errorf("CLOCK misses %d vs LRU %d", clock.Misses, lru.Misses)
 	}
@@ -207,4 +208,14 @@ func TestClockAllReferencedSweepsFullCircle(t *testing.T) {
 	if len(a.Evicted) != 1 || a.Evicted[0] != 1 {
 		t.Fatalf("Evicted = %v, want [1]", a.Evicted)
 	}
+}
+
+// replay runs tr through c from its current state.
+func replay(t testing.TB, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
+	t.Helper()
+	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+	if err != nil {
+		t.Error(err)
+	}
+	return st
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gccache/internal/cachesim"
@@ -194,14 +195,17 @@ func TestDifferentialSliceVsStream(t *testing.T) {
 		"blocklru": func() cachesim.Cache { return policy.NewBlockLRU(8, g) },
 	}
 	for name, mk := range caches {
-		sliceStats := cachesim.RunCold(mk(), tr)
+		sliceStats, err := cachesim.Replay(context.Background(), mk(), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		s, err := Compile(p, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamStats, err := cachesim.RunColdStream(mk(), s)
+		streamStats, err := cachesim.Replay(context.Background(), mk(), s, cachesim.ReplayOptions{})
 		if err != nil {
-			t.Fatalf("%s: RunColdStream: %v", name, err)
+			t.Fatalf("%s: stream replay: %v", name, err)
 		}
 		if sliceStats != streamStats {
 			t.Errorf("%s: slice stats %+v != stream stats %+v", name, sliceStats, streamStats)
