@@ -182,6 +182,50 @@ func TestRunFileRejectsItemsOutsideUniverse(t *testing.T) {
 	}
 }
 
+// TestRunStreamZeroAllocSteadyState pins the streaming memory budget:
+// Replay over a binary trace.Scanner — scanner decode, policy access,
+// bounded recorder classification, context poll — must not allocate per
+// request. The fixed overhead (scanner + bufio buffer per replay,
+// recorder and bitset per Replay call) is tolerated; anything
+// proportional to the trace would blow the bound.
+func TestRunStreamZeroAllocSteadyState(t *testing.T) {
+	const universe = 512
+	geo := model.NewFixed(8)
+	tr, err := workload.FromSpec("blockruns:blocks=64,B=8,run=4,len=60000", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := model.ItemUniverse(geo, tr.Universe())
+	if u > universe {
+		t.Fatalf("fixture universe %d grew past %d", u, universe)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	c := core.NewIBLPEvenSplitBounded(128, geo, universe)
+	ctx := context.Background()
+	rd := bytes.NewReader(raw)
+
+	avg := testing.AllocsPerRun(10, func() {
+		rd.Reset(raw)
+		sc, err := trace.NewScanner(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Reset()
+		st, err := cachesim.Replay(ctx, c, sc, cachesim.ReplayOptions{Universe: universe})
+		if err != nil || st.Accesses != int64(len(tr)) {
+			t.Fatalf("accesses=%d err=%v", st.Accesses, err)
+		}
+	})
+	// Per-replay constant: scanner, bufio reader+buffer, recorder bitset.
+	if avg > 12 {
+		t.Errorf("streaming replay of %d accesses costs %.1f allocs, want a small constant (≤12): per-access path is allocating", len(tr), avg)
+	}
+}
+
 // replay runs tr through c and fails the test on error.
 func replay(t *testing.T, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
 	t.Helper()
