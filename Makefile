@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor bench-selftest load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick fuzz stress clean
+.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor bench-selftest load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick repro-check fuzz stress clean
 
 all: build vet lint test
 
@@ -117,6 +117,15 @@ repro:
 
 repro-quick:
 	$(GO) run ./cmd/gcrepro -out results -quick
+
+# Byte-identity gate: run the full reproduction into a temp dir and fail
+# on any difference from the committed results/, so "byte-identical
+# replay" is checked rather than assumed. Run it before anything writes
+# into results/ (repro-quick does).
+repro-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/gcrepro -out "$$tmp" && diff -r results "$$tmp" && \
+		echo "repro-check: $$(ls results | wc -l) files identical to results/"
 
 # Fault-tolerance stress gate: the fault-injection and cancellation
 # sweep tests under the race detector (injected panics + retries on

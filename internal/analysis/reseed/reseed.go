@@ -1,20 +1,26 @@
 // Package reseed implements the gclint analyzer that keeps randomized
 // policies safe to pool. The Sweep engine reuses one cache instance per
-// worker across many grid points; a policy holding a *rand.Rand that
+// worker across many grid points; a policy holding a generator that
 // cannot be re-seeded silently makes results depend on which worker
 // served which point. The runtime half of this contract is the
 // conformance sweep (Reseed+Reset must equal fresh construction); this
 // analyzer enforces the static half:
 //
-//   - every cache-shaped struct (one with an Access method) holding a
-//     *math/rand.Rand field must declare a Reseed(int64) method, and
+//   - every cache-shaped struct (one with an Access method) holding an
+//     rng field must declare a Reseed(int64) method. An rng field is a
+//     *math/rand/v2.Rand, or any field whose type, through a pointer,
+//     has math/rand.Source's methods Int63() int64 and Seed(int64): a
+//     *math/rand.Rand, a rand.Source, or a policy's own generator such
+//     as core.GCM's copy of math/rand's stream.
 //   - the Reseed body must actually reconstruct the generator: assign
-//     the rng field from rand.New(...)/rand.NewSource(...), or call its
-//     Seed method.
+//     the rng field from a math/rand constructor (rand.New(...),
+//     rand.NewSource(...)) or from any call passed the seed parameter,
+//     or call the field's Seed method.
 package reseed
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -25,7 +31,7 @@ import (
 // Analyzer is the reseed analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "reseed",
-	Doc:  "requires Reseed(int64) reconstructing the rng on cache structs holding *rand.Rand",
+	Doc:  "requires Reseed(int64) reconstructing the rng on cache structs holding a *rand.Rand or other seedable source",
 	Run:  run,
 }
 
@@ -47,7 +53,7 @@ func run(pass *framework.Pass) error {
 		if strings.HasSuffix(pass.Fset.Position(tn.Pos()).Filename, "_test.go") {
 			continue // test helpers are not pooled by sweep engines
 		}
-		randFields := randRandFields(st)
+		randFields := rngFields(st)
 		if len(randFields) == 0 || !hasMethod(named, "Access") {
 			continue
 		}
@@ -56,27 +62,52 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// randRandFields returns the names of direct struct fields typed
-// *math/rand.Rand or *math/rand/v2.Rand.
-func randRandFields(st *types.Struct) []string {
-	var out []string
+// rngFields returns the direct struct fields that hold a generator.
+func rngFields(st *types.Struct) []*types.Var {
+	var out []*types.Var
 	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		ptr, ok := f.Type().(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named, ok := ptr.Elem().(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Name() == "Rand" && obj.Pkg() != nil &&
-			(obj.Pkg().Path() == "math/rand" || obj.Pkg().Path() == "math/rand/v2") {
-			out = append(out, f.Name())
+		if f := st.Field(i); isV2Rand(f.Type()) || isSeedableSource(f.Type()) {
+			out = append(out, f)
 		}
 	}
 	return out
+}
+
+// isV2Rand reports whether t is *math/rand/v2.Rand, which has no Seed
+// method: its source is rebuilt instead.
+func isV2Rand(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Rand" && obj.Pkg() != nil && obj.Pkg().Path() == "math/rand/v2"
+}
+
+// Signatures of math/rand.Source's methods.
+var (
+	int64Param = types.NewParam(token.NoPos, nil, "", types.Typ[types.Int64])
+	int63Sig   = types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(int64Param), false)
+	seedSig    = types.NewSignatureType(nil, nil, nil, types.NewTuple(int64Param), nil, false)
+)
+
+// isSeedableSource reports whether t's method set — through a pointer,
+// for a non-pointer, non-interface t — has math/rand.Source's
+// Int63() int64 and Seed(int64).
+func isSeedableSource(t types.Type) bool {
+	if _, ok := t.Underlying().(*types.Pointer); !ok && !types.IsInterface(t) {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	has := func(name string, sig *types.Signature) bool {
+		sel := ms.Lookup(nil, name)
+		return sel != nil && types.Identical(sel.Type(), sig)
+	}
+	return has("Int63", int63Sig) && has("Seed", seedSig)
 }
 
 // hasMethod reports whether *T (hence also T) has a method of that name,
@@ -91,12 +122,22 @@ func hasMethod(named *types.Named, name string) bool {
 	return false
 }
 
-func checkType(pass *framework.Pass, tn *types.TypeName, named *types.Named, randFields []string) {
+func checkType(pass *framework.Pass, tn *types.TypeName, named *types.Named, fields []*types.Var) {
+	randFields := make([]string, len(fields))
+	for i, f := range fields {
+		randFields[i] = f.Name()
+	}
 	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, pass.Pkg, "Reseed")
 	fn, ok := obj.(*types.Func)
 	if !ok {
-		pass.Reportf(tn.Pos(), "%s holds *rand.Rand field %s but has no Reseed(int64) method; pooled sweep workers cannot restart its coin flips",
-			tn.Name(), strings.Join(randFields, ", "))
+		typ := types.TypeString(fields[0].Type(), func(p *types.Package) string {
+			if p == pass.Pkg {
+				return ""
+			}
+			return p.Name()
+		})
+		pass.Reportf(tn.Pos(), "%s holds %s field %s but has no Reseed(int64) method; pooled sweep workers cannot restart its coin flips",
+			tn.Name(), typ, strings.Join(randFields, ", "))
 		return
 	}
 	sig := fn.Type().(*types.Signature)
@@ -114,7 +155,7 @@ func checkType(pass *framework.Pass, tn *types.TypeName, named *types.Named, ran
 		return
 	}
 	if !reconstructsRNG(pass.TypesInfo, decl, randFields) {
-		pass.Reportf(decl.Pos(), "%s.Reseed does not reconstruct the rng: assign %s from rand.New(rand.NewSource(seed)) (or call its Seed method)",
+		pass.Reportf(decl.Pos(), "%s.Reseed does not reconstruct the rng: assign %s from rand.New(rand.NewSource(seed)) or another call given the seed (or call its Seed method)",
 			tn.Name(), strings.Join(randFields, ", "))
 	}
 }
@@ -153,9 +194,13 @@ func recvTypeName(e ast.Expr) string {
 }
 
 // reconstructsRNG reports whether the Reseed body either assigns one of
-// the rand fields from a math/rand constructor call, or calls Seed on
-// one of them.
+// the rand fields from a math/rand constructor call or from a call
+// passed the seed parameter, or calls Seed on one of them.
 func reconstructsRNG(info *types.Info, decl *ast.FuncDecl, randFields []string) bool {
+	var seed types.Object
+	if names := decl.Type.Params.List[0].Names; len(names) == 1 {
+		seed = info.Defs[names[0]]
+	}
 	isRandField := func(e ast.Expr) bool {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
@@ -180,10 +225,11 @@ func reconstructsRNG(info *types.Info, decl *ast.FuncDecl, randFields []string) 
 					continue
 				}
 				// RHS must involve a math/rand constructor somewhere
-				// (rand.New(rand.NewSource(seed)), rand.New(src), ...).
+				// (rand.New(rand.NewSource(seed)), rand.New(src), ...)
+				// or a call given the seed (newStream(seed), ...).
 				ast.Inspect(n.Rhs[i], func(m ast.Node) bool {
 					if call, ok := m.(*ast.CallExpr); ok {
-						if isRandConstructor(info, call) {
+						if isRandConstructor(info, call) || passesSeed(info, call, seed) {
 							found = true
 						}
 					}
@@ -198,6 +244,23 @@ func reconstructsRNG(info *types.Info, decl *ast.FuncDecl, randFields []string) 
 		}
 		return !found
 	})
+	return found
+}
+
+// passesSeed reports whether one of call's arguments mentions seed.
+func passesSeed(info *types.Info, call *ast.CallExpr, seed types.Object) bool {
+	if seed == nil {
+		return false
+	}
+	found := false
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == seed {
+				found = true
+			}
+			return !found
+		})
+	}
 	return found
 }
 

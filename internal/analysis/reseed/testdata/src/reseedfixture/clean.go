@@ -41,3 +41,30 @@ type Deterministic struct {
 }
 
 func (c *Deterministic) Access(it uint64) bool { return len(c.items) > 0 }
+
+// StreamSeeded re-seeds its own generator in place, as core.GCM does.
+type StreamSeeded struct {
+	gen stream
+}
+
+func (c *StreamSeeded) Access(it uint64) bool { return c.gen.Int63()&1 == 0 }
+
+func (c *StreamSeeded) Reseed(seed int64) { c.gen.Seed(seed) }
+
+// StreamRebuilt rebuilds its generator from the seed.
+type StreamRebuilt struct {
+	gen stream
+}
+
+func (c *StreamRebuilt) Access(it uint64) bool { return c.gen.Int63()&1 == 0 }
+
+func (c *StreamRebuilt) Reseed(seed int64) { c.gen = newStream(seed) }
+
+// SourceRebuilt holds a bare rand.Source and rebuilds it.
+type SourceRebuilt struct {
+	src rand.Source
+}
+
+func (c *SourceRebuilt) Access(it uint64) bool { return c.src.Int63()&1 == 0 }
+
+func (c *SourceRebuilt) Reseed(seed int64) { c.src = rand.NewSource(seed) }

@@ -192,3 +192,32 @@ func TestIBLPDenseZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("IBLP dense path allocates %.2f allocs/access, want 0", avg)
 	}
 }
+
+// TestGCMDenseZeroAllocSteadyState covers both victim draws: Intn's
+// rejection loop (k=500) and the inline power-of-two loop (k=512). The
+// stride keeps the window miss-heavy, so it shuffles siblings, evicts
+// and crosses phase boundaries.
+func TestGCMDenseZeroAllocSteadyState(t *testing.T) {
+	const universe = 1 << 12
+	g := model.NewFixed(16)
+	for _, k := range []int{500, 512} {
+		c := NewGCMBounded(k, g, 3, universe)
+		for i := 0; i < universe*2; i++ {
+			c.Access(model.Item(i % universe))
+		}
+		i, misses, evicted := 0, 0, 0
+		if avg := testing.AllocsPerRun(2000, func() {
+			a := c.Access(model.Item(i % universe))
+			if !a.Hit {
+				misses++
+			}
+			evicted += len(a.Evicted)
+			i += 37
+		}); avg != 0 {
+			t.Errorf("k=%d: GCM dense path allocates %.2f allocs/access, want 0", k, avg)
+		}
+		if misses == 0 || evicted == 0 {
+			t.Errorf("k=%d: window had %d misses and %d evictions, want both > 0", k, misses, evicted)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gccache/internal/cachesim"
 	"gccache/internal/model"
@@ -21,34 +20,41 @@ import (
 // replaces exactly the unmarked items with (randomly selected) items of
 // the accessed block, as the paper describes.
 //
-// Two interchangeable representations back the policy: the generic path
-// (position and mark maps, any item IDs) and the bounded dense path
-// (NewGCMBounded — flat position/mark arrays over a declared universe;
-// steady-state accesses neither hash nor allocate). Both paths make
-// identical random decisions and consume the seeded rng identically, so
-// simulation results are bit-for-bit equal.
+// Marks are kept by position: bit p of one k-bit set marks items[p], so
+// a mark test reads k/8 bytes at most and a phase reset clears k/64
+// words. The one mark set serves both item-to-position indexes: the
+// generic path (a map, any item IDs) and the bounded dense path
+// (NewGCMBounded — a flat array over a declared universe; steady-state
+// accesses neither hash nor allocate).
+//
+// The victim draw is rejection sampling — Intn(len(items)) until an
+// unmarked position comes up — from a generator that reproduces
+// math/rand's seeded stream exactly. A sampler over the unmarked items
+// alone would need far fewer draws, but it would consume the stream
+// differently and so change every seeded result; rejection keeps runs
+// bit-for-bit equal to those of the earlier map-and-*rand.Rand
+// implementation (TestGCMDecisionStreamGolden), and both paths equal to
+// each other.
 type GCM struct {
 	capacity int
 	geo      model.Geometry
-	rng      *rand.Rand
 
-	items []model.Item // indexable resident set
-
-	// Generic path (nil on the dense path):
-	index  map[model.Item]int // item -> position in items
-	marked map[model.Item]struct{}
-
-	// Dense path (nil on the generic path): pos[it] is position+1 in
-	// items (0 = absent); markedCount tracks set bits of markedBits.
-	pos         []int32
-	markedBits  []bool
+	items       []model.Item // indexable resident set
+	markAt      bitset       // bit p set: items[p] is marked
 	markedCount int
+
+	// Generic path (nil on the dense path): item -> position in items.
+	index map[model.Item]int
+	// Dense path (nil on the generic path): pos[it] is position+1 in
+	// items (0 = absent).
+	pos []int32
 
 	rec     cachesim.Reconciler
 	loaded  []model.Item
 	evicted []model.Item
 	sibs    []model.Item // scratch: shuffled sibling order
 	probe   obs.Probe
+	rng     randStream
 }
 
 var _ cachesim.Cache = (*GCM)(nil)
@@ -64,17 +70,18 @@ func NewGCM(k int, g model.Geometry, seed int64) *GCM {
 	if g == nil {
 		panic("core: GCM nil geometry")
 	}
-	return &GCM{
+	c := &GCM{
 		capacity: k,
 		geo:      g,
-		rng:      rand.New(rand.NewSource(seed)),
+		markAt:   newBitset(k),
 		index:    make(map[model.Item]int, k),
-		marked:   make(map[model.Item]struct{}, k),
 	}
+	c.rng.Seed(seed)
+	return c
 }
 
 // NewGCMBounded returns a GCM cache on the dense path for item IDs
-// [0, universe): flat position and mark arrays and an array-backed
+// [0, universe): a flat position array and an array-backed
 // net-change reconciler — no map operations and no steady-state
 // allocation. The bound is expanded to cover whole blocks (see
 // model.ItemUniverse, since sibling loads index the arrays too);
@@ -87,9 +94,7 @@ func NewGCMBounded(k int, g model.Geometry, seed int64, universe int) *GCM {
 		return c
 	}
 	c.index = nil
-	c.marked = nil
 	c.pos = make([]int32, universe)
-	c.markedBits = make([]bool, universe)
 	c.rec = *cachesim.NewReconciler(universe)
 	return c
 }
@@ -101,8 +106,8 @@ func (c *GCM) Name() string { return "gcm" }
 //
 //gclint:hotpath
 func (c *GCM) Access(it model.Item) cachesim.Access {
-	if c.contains(it) {
-		c.mark(it)
+	if p, ok := c.find(it); ok {
+		c.markPos(p, it)
 		if c.probe != nil {
 			c.probe.Observe(obs.Event{Kind: obs.EvHit, Item: it})
 		}
@@ -115,8 +120,7 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 	if len(c.items) >= c.capacity {
 		c.evictOne()
 	}
-	c.insert(it)
-	c.mark(it)
+	c.markPos(c.insert(it), it)
 	c.loaded = append(c.loaded, it)
 
 	// Load the rest of the block, unmarked, into whatever free space and
@@ -128,7 +132,7 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 			continue
 		}
 		if len(c.items) >= c.capacity {
-			if c.markedLen() >= len(c.items) {
+			if c.markedCount >= len(c.items) {
 				break // no unmarked victims: stop loading, do NOT reset phase
 			}
 			c.evictOne()
@@ -177,7 +181,7 @@ func (c *GCM) shuffledSiblings(it model.Item) []model.Item {
 			break
 		}
 	}
-	c.rng.Shuffle(len(c.sibs), func(i, j int) { c.sibs[i], c.sibs[j] = c.sibs[j], c.sibs[i] }) //gclint:allowalloc swap closure does not escape (0 allocs/op, see BenchmarkAccessGCM)
+	c.rng.shuffle(c.sibs)
 	return c.sibs
 }
 
@@ -186,119 +190,133 @@ func (c *GCM) shuffledSiblings(it model.Item) []model.Item {
 //
 //gclint:hotpath
 func (c *GCM) evictOne() {
-	if c.markedLen() >= len(c.items) {
+	if c.markedCount >= len(c.items) {
 		c.clearMarks() // phase boundary
 	}
-	for {
-		victim := c.items[c.rng.Intn(len(c.items))]
-		if c.isMarked(victim) {
-			continue
+	p := c.drawUnmarked()
+	c.evicted = append(c.evicted, c.items[p])
+	c.removeAt(p)
+}
+
+// drawUnmarked returns rng.Intn(len(items)) redrawn until the position
+// is unmarked; at least one must be. For a power-of-two length up to
+// 2^30, Intn is the output's bits 32 and up under a mask, so the loop
+// runs the stream inline with its index in a local: a rejected draw is
+// one array load and one bit test.
+//
+//gclint:hotpath
+func (c *GCM) drawUnmarked() int {
+	n := len(c.items)
+	marks := c.markAt
+	if n&(n-1) != 0 || n > 1<<30 {
+		for {
+			if p := c.rng.Intn(n); !marks.test(uint64(p)) {
+				return p
+			}
 		}
-		c.remove(victim)
-		c.evicted = append(c.evicted, victim)
-		return
+	}
+	mask := uint64(n - 1)
+	s := &c.rng
+	for i := s.i; ; i = 0 {
+		for j, x := range s.vec[i:] {
+			if p := x >> 32 & mask; !marks.test(p) {
+				s.i = i + j + 1
+				return int(p)
+			}
+		}
+		s.refill()
 	}
 }
 
+// insert appends it to the resident set, unmarked, and returns its
+// position.
+//
 //gclint:hotpath
-func (c *GCM) insert(it model.Item) {
+func (c *GCM) insert(it model.Item) int {
+	p := len(c.items)
 	if c.pos != nil {
-		c.pos[it] = int32(len(c.items)) + 1
+		c.pos[it] = int32(p) + 1
 	} else {
-		c.index[it] = len(c.items)
+		c.index[it] = p
 	}
 	c.items = append(c.items, it)
+	return p
 }
 
+// removeAt removes the unmarked item at position p, moving the last item
+// and its mark bit into the hole.
+//
 //gclint:hotpath
-func (c *GCM) remove(it model.Item) {
+func (c *GCM) removeAt(p int) {
+	it := c.items[p]
 	last := len(c.items) - 1
+	moved := c.items[last]
+	c.items[p] = moved
+	c.items = c.items[:last]
+	if c.markAt.test(uint64(last)) {
+		c.markAt.unset(uint64(last))
+		c.markAt.set(uint64(p))
+	}
 	if c.pos != nil {
-		p := c.pos[it] - 1
-		c.items[p] = c.items[last]
-		c.pos[c.items[p]] = p + 1
-		c.items = c.items[:last]
+		c.pos[moved] = int32(p) + 1
 		c.pos[it] = 0
-		if c.markedBits[it] {
-			c.markedBits[it] = false
-			c.markedCount--
-		}
 		return
 	}
-	p := c.index[it]
-	c.items[p] = c.items[last]
-	c.index[c.items[p]] = p
-	c.items = c.items[:last]
+	c.index[moved] = p
 	delete(c.index, it)
-	delete(c.marked, it)
+}
+
+// find returns the position of it in items, and whether it is resident.
+//
+//gclint:hotpath
+func (c *GCM) find(it model.Item) (int, bool) {
+	if c.pos != nil {
+		p := c.pos[it]
+		return int(p) - 1, p != 0
+	}
+	p, ok := c.index[it]
+	return p, ok
 }
 
 //gclint:hotpath
 func (c *GCM) contains(it model.Item) bool {
-	if c.pos != nil {
-		return c.pos[it] != 0
-	}
-	_, ok := c.index[it]
+	_, ok := c.find(it)
 	return ok
 }
 
-// mark marks a resident item (idempotent); the probe sees EvMark only
-// when the mark state actually flips.
+// mark marks a resident item (idempotent).
 //
 //gclint:hotpath
 func (c *GCM) mark(it model.Item) {
-	if c.markedBits != nil {
-		if !c.markedBits[it] {
-			c.markedBits[it] = true
-			c.markedCount++
-			if c.probe != nil {
-				c.probe.Observe(obs.Event{Kind: obs.EvMark, Item: it})
-			}
-		}
+	p, _ := c.find(it)
+	c.markPos(p, it)
+}
+
+// markPos marks items[p] == it; the probe sees EvMark only when the mark
+// state actually flips.
+//
+//gclint:hotpath
+func (c *GCM) markPos(p int, it model.Item) {
+	if c.markAt.test(uint64(p)) {
 		return
 	}
-	if _, ok := c.marked[it]; ok {
-		return
-	}
-	c.marked[it] = struct{}{}
+	c.markAt.set(uint64(p))
+	c.markedCount++
 	if c.probe != nil {
 		c.probe.Observe(obs.Event{Kind: obs.EvMark, Item: it})
 	}
 }
 
-//gclint:hotpath
-func (c *GCM) isMarked(it model.Item) bool {
-	if c.markedBits != nil {
-		return c.markedBits[it]
-	}
-	_, m := c.marked[it]
-	return m
-}
-
-//gclint:hotpath
-func (c *GCM) markedLen() int {
-	if c.markedBits != nil {
-		return c.markedCount
-	}
-	return len(c.marked)
-}
-
-// clearMarks unmarks every resident item (O(residents), not O(universe)).
-// The probe sees this as EvPhaseReset with N = marks dropped.
+// clearMarks unmarks every resident item (k/64 words). The probe sees
+// this as EvPhaseReset with N = marks dropped.
 //
 //gclint:hotpath
 func (c *GCM) clearMarks() {
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvPhaseReset, N: int32(c.markedLen())})
+		c.probe.Observe(obs.Event{Kind: obs.EvPhaseReset, N: int32(c.markedCount)})
 	}
-	if c.markedBits != nil {
-		for _, x := range c.items {
-			c.markedBits[x] = false
-		}
-		c.markedCount = 0
-		return
-	}
-	clear(c.marked)
+	c.markAt.reset()
+	c.markedCount = 0
 }
 
 // Contains implements cachesim.Cache.
@@ -315,20 +333,19 @@ func (c *GCM) Reset() {
 	if c.pos != nil {
 		for _, x := range c.items {
 			c.pos[x] = 0
-			c.markedBits[x] = false
 		}
-		c.markedCount = 0
 	} else {
 		clear(c.index)
-		clear(c.marked)
 	}
+	c.markAt.reset()
+	c.markedCount = 0
 	c.items = c.items[:0]
 }
 
 // Reseed implements cachesim.Reseeder: it restores the rng to the state
 // of a fresh NewGCM with the given seed, so Reseed+Reset on a pooled
 // instance reproduces a newly constructed cache exactly.
-func (c *GCM) Reseed(seed int64) { c.rng = rand.New(rand.NewSource(seed)) }
+func (c *GCM) Reseed(seed int64) { c.rng.Seed(seed) }
 
 // MarkedCount reports the number of currently marked items (for tests).
-func (c *GCM) MarkedCount() int { return c.markedLen() }
+func (c *GCM) MarkedCount() int { return c.markedCount }
