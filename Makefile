@@ -37,8 +37,11 @@ lint-one:
 test:
 	$(GO) test ./...
 
+# The engine's tests also run at GOMAXPROCS 1, 2 and 4: a spinning idle
+# path must not starve the producer on one processor.
 race:
-	$(GO) test -race ./internal/concurrent/ ./internal/cachesim/ ./internal/experiments/
+	$(GO) test -race -cpu 1,2,4 ./internal/concurrent/
+	$(GO) test -race ./internal/cachesim/ ./internal/experiments/
 
 # Load-generator smoke: gcload's selfcheck (open + batch modes, full
 # accounting verification) under the race detector — the fastest way to

@@ -495,15 +495,8 @@ func (r report) print(w *os.File, s *concurrent.Sharded) {
 	}
 	fmt.Fprintf(w, "gcload: miss ratio %.4f (%d/%d), %d lock acquisitions (%.2f accesses/lock, %.1f%% contended)\n",
 		st.MissRatio(), st.Misses, st.Accesses,
-		acquired, float64(st.Accesses)/float64(max64(acquired, 1)),
-		100*float64(contended)/float64(max64(acquired, 1)))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+		acquired, float64(st.Accesses)/float64(max(acquired, 1)),
+		100*float64(contended)/float64(max(acquired, 1)))
 }
 
 // runOpen drives s from n concurrent streams until ops accesses have

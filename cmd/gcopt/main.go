@@ -134,7 +134,7 @@ func solveExact(tr trace.Trace, geo model.Geometry, k int, deadline time.Duratio
 		if ckptPath != "" {
 			chunk, cancel = context.WithTimeout(overall, ckptEvery)
 		}
-		res, next, err := opt.ExactResumeCtx(chunk, tr, geo, k, ck)
+		res, next, err := opt.Exact(chunk, tr, geo, k, ck)
 		cancel()
 		ck = next
 		if ckptPath != "" && ck != nil {

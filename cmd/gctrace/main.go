@@ -149,10 +149,3 @@ func main() {
 }
 
 func fatal(err error) { cli.Fatal("gctrace", err) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -31,12 +31,12 @@ func main() {
 
 	section("§3 Offline GC caching is NP-complete (Theorem 1)")
 	tr := gccache.Trace{0, 1, 0, 1, 16, 32, 33, 34, 0, 1}
-	exact, err := gccache.ExactOptimal(tr, geo, 4)
+	exact, err := gccache.ExactOptimal(context.Background(), tr, geo, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	est := gccache.EstimateOptimal(tr, geo, 4)
-	fmt.Printf("exact solver (exponential, as NP-completeness demands): OPT = %d;\n", exact)
+	fmt.Printf("exact solver (exponential, as NP-completeness demands): OPT = %d;\n", exact.Incumbent)
 	fmt.Printf("polynomial bracket for large instances: %d ≤ OPT ≤ %d (%s)\n",
 		est.Lower, est.Upper, est.UpperMethod)
 

@@ -395,15 +395,15 @@ func EstimateOptimal(tr Trace, g Geometry, k int) opt.Estimate {
 	return opt.EstimateOPT(tr, g, k)
 }
 
-// ExactOptimal returns the exact GC optimum for small instances
-// (exponential; the problem is NP-complete per Theorem 1).
-func ExactOptimal(tr Trace, g Geometry, k int) (int64, error) { return opt.Exact(tr, g, k) }
-
-// ExactOptimalCtx is ExactOptimal as an anytime solver: when ctx ends
-// before the optimum is certified, it returns the best incumbent and
-// proven lower bound reached so far (see opt.Anytime).
-func ExactOptimalCtx(ctx context.Context, tr Trace, g Geometry, k int) (opt.Anytime, error) {
-	return opt.ExactCtx(ctx, tr, g, k)
+// ExactOptimal solves the exact GC optimum for small instances
+// (exponential; the problem is NP-complete per Theorem 1). A completed
+// solve returns the certified optimum as the Anytime's Incumbent. When
+// ctx ends first it returns the best incumbent and proven lower bound
+// reached so far (see opt.Anytime) with an error wrapping
+// opt.ErrDeadline.
+func ExactOptimal(ctx context.Context, tr Trace, g Geometry, k int) (opt.Anytime, error) {
+	res, _, err := opt.Exact(ctx, tr, g, k, nil)
+	return res, err
 }
 
 // Workloads and adversaries.
@@ -431,7 +431,7 @@ func NewShardedCache(nShards, totalCapacity int, g Geometry,
 func SplitStreams(tr Trace, n int) []Trace { return concurrent.SplitStreams(tr, n) }
 
 // BatchReplayConfig tunes the batched replay engine (batch size, queue
-// depth, deterministic merge mode); the zero value selects defaults.
+// depth, worker pinning); the zero value selects defaults.
 type BatchReplayConfig = concurrent.BatchConfig
 
 // NewShardedCacheBounded is NewShardedCache with every shard's recorder

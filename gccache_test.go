@@ -87,12 +87,12 @@ func TestFacadeOfflineAndLocality(t *testing.T) {
 	if est.Lower != 16 || est.Upper != 16 {
 		t.Errorf("estimate = %+v, want exactly 16 (one per block)", est)
 	}
-	exact, err := gccache.ExactOptimal(tr[:16], g, 4)
+	exact, err := gccache.ExactOptimal(context.Background(), tr[:16], g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact != 4 {
-		t.Errorf("exact = %d, want 4", exact)
+	if !exact.Exact || exact.Incumbent != 4 {
+		t.Errorf("exact = %+v, want certified 4", exact)
 	}
 	f := gccache.MeasureItemLocality(tr, []int{4, 16})
 	gp := gccache.MeasureBlockLocality(tr, g, []int{4, 16})

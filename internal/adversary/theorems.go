@@ -249,7 +249,7 @@ func General(c cachesim.Cache, geo model.Geometry, cfg Config) (Result, error) {
 			aMaxRun = aMax
 		}
 		candidates := append(append([]model.Item(nil), optSet...), step2...)
-		step4 := make([]model.Item, 0, maxInt(0, h-aMax))
+		step4 := make([]model.Item, 0, max(0, h-aMax))
 		for n := 0; n < h-aMax; n++ {
 			it, ok := pickAbsent(c, candidates)
 			if !ok {
@@ -283,10 +283,3 @@ func General(c cachesim.Cache, geo model.Geometry, cfg Config) (Result, error) {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,15 +1,12 @@
 // Package ctxflow implements the gclint analyzer for context plumbing
 // on blocking entry points. The repo's convention is that a blocking
-// entry point takes a context.Context parameter — cachesim.Replay and
-// cachesim.Sweep do — so anything long-running stays cancellable (the
-// fault-tolerant execution layer depends on it). Bare/Ctx twin pairs
-// remain only in opt, vsc and hierarchy, whose two forms return
-// different types; the analyzer still accepts a twin. It keeps the
-// convention from eroding as entry points are added:
+// entry point takes a context.Context parameter — cachesim.Replay,
+// cachesim.Sweep and the exact solvers do — so anything long-running
+// stays cancellable (the fault-tolerant execution layer depends on
+// it). It keeps the convention from eroding as entry points are added:
 //
 //   - an exported function or method whose name starts with a blocking
-//     prefix (Run, Sweep, Replay, Exact) must either take a
-//     context.Context itself or have a sibling <Name>Ctx twin that does;
+//     prefix (Run, Sweep, Replay, Exact) must take a context.Context;
 //   - a function that already receives a context.Context must not
 //     manufacture a fresh one with context.Background or context.TODO —
 //     that silently detaches the callee from the caller's cancellation;
@@ -38,7 +35,7 @@ import (
 // Analyzer is the ctxflow analyzer.
 var Analyzer = &framework.Analyzer{
 	Name:         "ctxflow",
-	Doc:          "checks that blocking entry points take (or have a twin taking) a context.Context, that received contexts are passed down, and that contexts are not stored in structs",
+	Doc:          "checks that blocking entry points take a context.Context, that received contexts are passed down, and that contexts are not stored in structs",
 	Run:          run,
 	Suppressions: []string{"ctxok"},
 }
@@ -72,16 +69,10 @@ func run(pass *framework.Pass) error {
 // entry points.
 func checkEntryPoint(pass *framework.Pass, dirs *lintutil.Directives, fd *ast.FuncDecl) {
 	name := fd.Name.Name
-	if !ast.IsExported(name) || strings.HasSuffix(name, "Ctx") || fd.Body == nil {
-		return
-	}
-	if !hasBlockingPrefix(name) {
+	if !ast.IsExported(name) || fd.Body == nil || !hasBlockingPrefix(name) {
 		return
 	}
 	if funcTypeTakesCtx(pass.TypesInfo, fd.Type) {
-		return
-	}
-	if twinTakesCtx(pass, fd, name+"Ctx") {
 		return
 	}
 	if dirs.At(fd.Pos(), "ctxok") {
@@ -91,8 +82,8 @@ func checkEntryPoint(pass *framework.Pass, dirs *lintutil.Directives, fd *ast.Fu
 		dirs.MarkUsed(c.Pos(), "ctxok")
 		return
 	}
-	pass.Reportf(fd.Name.Pos(), "exported %s looks like a blocking entry point but neither takes a context.Context nor has a %sCtx twin; add one so callers can cancel",
-		name, name)
+	pass.Reportf(fd.Name.Pos(), "exported %s looks like a blocking entry point but does not take a context.Context; add one so callers can cancel",
+		name)
 }
 
 // checkDetachedContext flags context.Background/TODO calls inside
@@ -171,46 +162,6 @@ func funcTypeTakesCtx(info *types.Info, ft *ast.FuncType) bool {
 	}
 	for _, fld := range ft.Params.List {
 		if isCtxType(info.TypeOf(fld.Type)) {
-			return true
-		}
-	}
-	return false
-}
-
-// twinTakesCtx reports whether a sibling function or method named twin
-// exists and takes a context.Context.
-func twinTakesCtx(pass *framework.Pass, fd *ast.FuncDecl, twin string) bool {
-	if fd.Recv == nil {
-		fn, ok := pass.Pkg.Scope().Lookup(twin).(*types.Func)
-		return ok && sigTakesCtx(fn)
-	}
-	// Method: look the twin up on the receiver's named type.
-	if len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == twin {
-			return sigTakesCtx(m)
-		}
-	}
-	return false
-}
-
-func sigTakesCtx(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isCtxType(sig.Params().At(i).Type()) {
 			return true
 		}
 	}

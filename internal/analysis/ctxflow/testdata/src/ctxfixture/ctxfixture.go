@@ -9,12 +9,16 @@ func RunAll(n int) { // want `exported RunAll looks like a blocking entry point`
 	}
 }
 
-func RunTwinned(n int) { // clean: RunTwinnedCtx exists below
+func RunTwinned(n int) { // want `exported RunTwinned looks like a blocking entry point`
 	_ = n
 }
 
-func RunTwinnedCtx(ctx context.Context, n int) {
+func RunTwinnedCtx(ctx context.Context, n int) { // clean: takes ctx itself
 	_ = ctx
+	_ = n
+}
+
+func RunStepCtx(n int) { // want `exported RunStepCtx looks like a blocking entry point`
 	_ = n
 }
 
@@ -58,7 +62,7 @@ type scoped struct {
 
 type engine struct{ n int }
 
-func (e *engine) Replay() { // clean: ReplayCtx twin below
+func (e *engine) Replay() { // want `exported Replay looks like a blocking entry point`
 	_ = e.n
 }
 

@@ -16,27 +16,11 @@ package autotune
 import (
 	"fmt"
 
+	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
 )
-
-// bitset is a packed membership set over a bounded ID universe — same
-// shape as the core package's dense-path sets.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
-
-//gclint:hotpath
-func (b bitset) test(id uint64) bool { return b[id>>6]>>(id&63)&1 != 0 }
-
-//gclint:hotpath
-func (b bitset) set(id uint64) { b[id>>6] |= 1 << (id & 63) }
-
-//gclint:hotpath
-func (b bitset) unset(id uint64) { b[id>>6] &^= 1 << (id & 63) }
-
-func (b bitset) reset() { clear(b) }
 
 // Shadow is a ghost IBLP cache at one fixed (i, b) split: it tracks
 // exactly the membership and recency state the real policy would hold,
@@ -55,7 +39,7 @@ type Shadow struct {
 	// separate bitset: hit detection is the recency list's MoveToFront,
 	// and without loaded/evicted accounting nothing ever asks "is this
 	// item resident somewhere".
-	inBlock   bitset
+	inBlock   bitset.Set
 	blockUsed int
 
 	want    []model.Item // scratch: the item set being admitted
@@ -92,7 +76,7 @@ func NewShadow(i, b int, g model.Geometry, universe int) (*Shadow, error) {
 		geo:       g,
 		items:     lrulist.NewDense[model.Item](universe),
 		blocks:    lrulist.NewDense[model.Block](blockUniverse),
-		inBlock:   newBitset(universe),
+		inBlock:   bitset.New(universe),
 	}, nil
 }
 
@@ -120,7 +104,7 @@ func (s *Shadow) Access(it model.Item) bool {
 		return true
 	}
 	blk := s.geo.BlockOf(it)
-	if s.inBlock.test(uint64(it)) {
+	if s.inBlock.Has(uint64(it)) {
 		s.blocks.MoveToFront(blk)
 		s.admitItemLayer(it)
 		s.hits++
@@ -156,7 +140,7 @@ func (s *Shadow) admitBlockLayer(blk model.Block, requested model.Item) {
 	s.want = model.AppendItemsOf(s.geo, s.want[:0], blk)
 	want := s.want
 	if len(want) > s.blockSize {
-		s.trunc = truncateAround(s.trunc, want, requested, s.blockSize)
+		s.trunc = model.TruncateAround(s.trunc, want, requested, s.blockSize)
 		want = s.trunc
 	}
 	for s.blockUsed+len(want) > s.blockSize {
@@ -172,7 +156,7 @@ func (s *Shadow) admitBlockLayer(blk model.Block, requested model.Item) {
 	s.blocks.PushFront(blk)
 	s.blockUsed += len(want)
 	for _, x := range want {
-		s.inBlock.set(uint64(x))
+		s.inBlock.Add(uint64(x))
 	}
 }
 
@@ -184,35 +168,19 @@ func (s *Shadow) admitBlockLayer(blk model.Block, requested model.Item) {
 func (s *Shadow) dropBlock(blk model.Block) {
 	s.scratch = model.AppendItemsOf(s.geo, s.scratch[:0], blk)
 	for _, x := range s.scratch {
-		if s.inBlock.test(uint64(x)) {
-			s.inBlock.unset(uint64(x))
+		if s.inBlock.Has(uint64(x)) {
+			s.inBlock.Remove(uint64(x))
 			s.blockUsed--
 		}
 	}
 	s.blocks.Remove(blk)
 }
 
-// truncateAround fills dst with up to n items of all, guaranteed to
-// include must — the same truncation rule as core.IBLP, so oversized
-// blocks shadow identically.
-func truncateAround(dst, all []model.Item, must model.Item, n int) []model.Item {
-	dst = append(dst[:0], must)
-	for _, x := range all {
-		if len(dst) >= n {
-			break
-		}
-		if x != must {
-			dst = append(dst, x)
-		}
-	}
-	return dst
-}
-
 // Reset empties the shadow and zeroes all counters.
 func (s *Shadow) Reset() {
 	s.items.Clear()
 	s.blocks.Clear()
-	s.inBlock.reset()
+	s.inBlock.Clear()
 	s.blockUsed = 0
 	s.hits, s.misses, s.windowMisses = 0, 0, 0
 }

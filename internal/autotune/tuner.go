@@ -410,7 +410,7 @@ func (t *Tuner) endWindow() {
 	}
 
 	improves := winner != t.live &&
-		(incM < 0 || float64(incM-winnerM) > t.cfg.MinGain*float64(maxInt64(incM, 1)))
+		(incM < 0 || float64(incM-winnerM) > t.cfg.MinGain*float64(max(incM, 1)))
 	if improves {
 		if t.streakIdx == best {
 			t.streak++
@@ -573,11 +573,4 @@ func (t *Tuner) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(w, "live=%s formula=%d (working set %d) winner=%d streak=%d pending=%s resizes=%d\n",
 		live, s.Formula, s.WorkingSet, s.Winner, s.Streak, pending, s.Resizes)
 	return 0, t.Table().WriteText(w)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

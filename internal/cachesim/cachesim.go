@@ -10,8 +10,6 @@ package cachesim
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -142,9 +140,9 @@ func (s Stats) String() string {
 // accessed since, so hits can be split into spatial and temporal exactly
 // as §2 of the paper defines them, independent of the policy.
 //
-// NewRecorder tracks pristineness in a map and accepts any item ID;
-// NewRecorderBounded swaps the map for a flat bitset over a declared item
-// universe, which keeps the replay hot path allocation- and hash-free.
+// With a declared item universe NewRecorder tracks pristineness in a
+// flat bitset, which keeps the replay hot path allocation- and
+// hash-free; without one it uses a map and accepts any item ID.
 type Recorder struct {
 	stats Stats
 	// pristine holds items loaded by a miss on a different item and not
@@ -162,8 +160,8 @@ type Recorder struct {
 	// Streaming distribution state (fixed-size, updated O(1) per access,
 	// never allocating): gaps between misses and items per block load.
 	sinceMiss int64
-	gapHist   logHist
-	burstHist logHist
+	gapHist   obs.Log2Hist
+	burstHist obs.Log2Hist
 }
 
 // SetProbe attaches p to receive the recorder-view event stream
@@ -175,99 +173,29 @@ func (r *Recorder) SetProbe(p obs.Probe) { r.probe = p }
 // §7 seen as a distribution rather than a mean. The estimate is the
 // lower bound of the log₂ bucket where the cumulative count crosses q
 // (off by at most 2×); it costs O(1) memory regardless of run length.
-func (r *Recorder) MissGapPercentile(q float64) int64 { return r.gapHist.percentile(q) }
+func (r *Recorder) MissGapPercentile(q float64) int64 { return r.gapHist.Percentile(q) }
 
 // MissGapMean returns the exact mean inter-miss gap (0 if no misses).
-func (r *Recorder) MissGapMean() float64 { return r.gapHist.mean() }
+func (r *Recorder) MissGapMean() float64 { return r.gapHist.Mean() }
 
 // LoadBurstPercentile returns the streaming q-quantile of items brought
 // in per unit-cost block load (1 = no free siblings, up to B).
-func (r *Recorder) LoadBurstPercentile(q float64) int64 { return r.burstHist.percentile(q) }
+func (r *Recorder) LoadBurstPercentile(q float64) int64 { return r.burstHist.Percentile(q) }
 
 // LoadBurstMean returns the exact mean items per block load.
-func (r *Recorder) LoadBurstMean() float64 { return r.burstHist.mean() }
+func (r *Recorder) LoadBurstMean() float64 { return r.burstHist.Mean() }
 
-// logHist is a fixed-size log₂-bucketed histogram: value v lands in
-// bucket bits.Len64(v). It is the allocation-free streaming-percentile
-// core shared by the recorder's always-on distribution stats (the
-// attachable, synchronized variant is obs.Histogram).
-type logHist struct {
-	buckets [65]int64
-	count   int64
-	sum     int64
-	max     int64
-}
-
-//gclint:hotpath
-func (h *logHist) record(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[bits.Len64(uint64(v))]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-func (h *logHist) mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// percentile follows the ceil-rank (nearest-rank) convention of
-// obs.Histogram.Percentile: the q-quantile is the bucket of the
-// ceil(q·count)-th smallest sample, so the two histograms agree on
-// identical data.
-func (h *logHist) percentile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
-	if target > h.count {
-		target = h.count
-	}
-	var cum int64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= target {
-			if i == 0 {
-				return 0
-			}
-			return int64(1) << (i - 1)
-		}
-	}
-	return h.max
-}
-
-// NewRecorder returns a Recorder for the named policy.
-func NewRecorder(policy string) *Recorder {
-	return &Recorder{
-		stats:    Stats{Policy: policy},
-		pristine: make(map[model.Item]struct{}),
-	}
-}
-
-// NewRecorderBounded returns a Recorder that tracks pristineness in a
-// flat bitset over item IDs [0, universe) — no map operations and no
-// allocation per access. It falls back to the generic map Recorder when
-// universe is non-positive or implausibly large. Observing an item ≥ the
-// declared universe panics.
-func NewRecorderBounded(policy string, universe int) *Recorder {
+// NewRecorder returns a Recorder for the named policy. A universe in
+// (0, MaxBoundedUniverse] selects a flat bitset over item IDs
+// [0, universe) — no map operations and no allocation per access — and
+// observing an item ≥ universe then panics. Any other universe selects
+// the map, which accepts any item ID.
+func NewRecorder(policy string, universe int) *Recorder {
 	if universe <= 0 || universe > MaxBoundedUniverse {
-		return NewRecorder(policy)
+		return &Recorder{
+			stats:    Stats{Policy: policy},
+			pristine: make(map[model.Item]struct{}),
+		}
 	}
 	return &Recorder{
 		stats:        Stats{Policy: policy},
@@ -302,9 +230,9 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 	r.stats.Misses++
 	r.stats.ItemsLoaded += int64(len(a.Loaded))
 	r.stats.Evictions += int64(len(a.Evicted))
-	r.gapHist.record(r.sinceMiss)
+	r.gapHist.Record(r.sinceMiss)
 	r.sinceMiss = 0
-	r.burstHist.record(int64(len(a.Loaded)))
+	r.burstHist.Record(int64(len(a.Loaded)))
 	if r.probe != nil {
 		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
 	}
@@ -346,9 +274,9 @@ func (r *Recorder) observeBounded(it model.Item, a Access) {
 	r.stats.Misses++
 	r.stats.ItemsLoaded += int64(len(a.Loaded))
 	r.stats.Evictions += int64(len(a.Evicted))
-	r.gapHist.record(r.sinceMiss)
+	r.gapHist.Record(r.sinceMiss)
 	r.sinceMiss = 0
-	r.burstHist.record(int64(len(a.Loaded)))
+	r.burstHist.Record(int64(len(a.Loaded)))
 	if r.probe != nil {
 		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
 	}
@@ -373,8 +301,8 @@ func (r *Recorder) Stats() Stats { return r.stats }
 func (r *Recorder) Reset(policy string) {
 	r.stats = Stats{Policy: policy}
 	r.sinceMiss = 0
-	r.gapHist = logHist{}
-	r.burstHist = logHist{}
+	r.gapHist = obs.Log2Hist{}
+	r.burstHist = obs.Log2Hist{}
 	if r.pristineBits != nil {
 		clear(r.pristineBits)
 		return
@@ -388,27 +316,15 @@ func (r *Recorder) Reset(policy string) {
 // should use the generic map-based paths.
 const MaxBoundedUniverse = 4 << 20
 
-// NetChanges reconciles a step's load and eviction lists to *net*
+// Reconciler reconciles a step's load and eviction lists to *net*
 // changes: an item that was transiently loaded and evicted (or evicted
 // and reloaded) within one access is removed from both lists. Policies
-// whose internal mechanics overshoot capacity mid-step call this before
-// returning an Access, so that Loaded always means absent→present and
-// Evicted always means present→absent.
+// whose internal mechanics overshoot capacity mid-step net through one
+// before returning an Access, so that Loaded always means
+// absent→present and Evicted always means present→absent.
 //
-// NetChanges allocates a scratch map per call; policies hold a Reconciler
-// instead, which owns reusable scratch and nets in-place without
-// allocating.
-func NetChanges(loaded, evicted []model.Item) (netLoaded, netEvicted []model.Item) {
-	if len(loaded) == 0 || len(evicted) == 0 {
-		return loaded, evicted
-	}
-	var r Reconciler
-	return r.NetChanges(loaded, evicted)
-}
-
-// Reconciler nets loaded/evicted lists (see NetChanges) using owned,
-// reusable scratch. The zero value is usable and allocates its map
-// scratch on first use; NewReconciler with a positive universe instead
+// A Reconciler owns reusable scratch. The zero value is usable and
+// allocates its map scratch on first use; NewReconciler with a positive universe instead
 // uses generation-stamped flat arrays indexed by item ID, making the
 // netting step allocation- and hash-free on the dense path.
 //
@@ -444,7 +360,6 @@ func NewReconciler(universe int) *Reconciler {
 }
 
 // NetChanges nets the two lists in place and returns the trimmed slices.
-// Semantics are identical to the package-level NetChanges.
 //
 //gclint:hotpath
 func (r *Reconciler) NetChanges(loaded, evicted []model.Item) (netLoaded, netEvicted []model.Item) {

@@ -29,7 +29,7 @@ func (f *fakeCache) Capacity() int               { return 4 }
 func (f *fakeCache) Reset()                      { f.resets++ }
 
 func TestRecorderSplitsSpatialAndTemporalHits(t *testing.T) {
-	rec := NewRecorder("p")
+	rec := NewRecorder("p", 0)
 	// Miss on 0 loads {0,1,2}: 1 and 2 become pristine.
 	rec.Observe(0, Access{Loaded: []model.Item{0, 1, 2}})
 	// Hit on 1: spatial (loaded by 0's miss, never accessed since).
@@ -51,7 +51,7 @@ func TestRecorderSplitsSpatialAndTemporalHits(t *testing.T) {
 }
 
 func TestRecorderEvictionClearsPristine(t *testing.T) {
-	rec := NewRecorder("p")
+	rec := NewRecorder("p", 0)
 	rec.Observe(0, Access{Loaded: []model.Item{0, 1}})
 	// Evict 1 (pristine) on some other miss; then a later load of 1 by a
 	// miss on 2 makes it pristine again.
@@ -68,7 +68,7 @@ func TestRecorderEvictionClearsPristine(t *testing.T) {
 }
 
 func TestRecorderRequestedItemNotPristine(t *testing.T) {
-	rec := NewRecorder("p")
+	rec := NewRecorder("p", 0)
 	rec.Observe(3, Access{Loaded: []model.Item{3}})
 	rec.Observe(3, Access{Hit: true})
 	if s := rec.Stats(); s.SpatialHits != 0 || s.TemporalHits != 1 {

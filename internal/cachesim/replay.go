@@ -47,7 +47,7 @@ const cancelStride = 4096
 // the error says why: ctx ended (polled every cancelStride requests),
 // src failed, or a request fell outside opt.Universe.
 func Replay(ctx context.Context, c Cache, src trace.Source, opt ReplayOptions) (Stats, error) {
-	rec := NewRecorderBounded(c.Name(), opt.Universe)
+	rec := NewRecorder(c.Name(), opt.Universe)
 	if opt.Probe != nil {
 		if in, ok := c.(Instrumented); ok {
 			in.SetProbe(opt.Probe)

@@ -66,7 +66,7 @@ func assertLoopZeroAlloc(t *testing.T, name string, rec *Recorder, n int, loop f
 // would show up as allocations proportional to trace length.
 func TestRunCtxZeroAllocSteadyState(t *testing.T) {
 	tr, universe := zeroAllocTrace()
-	rec := NewRecorderBounded("hit", universe)
+	rec := NewRecorder("hit", universe)
 	ctx := context.Background()
 	var c hitCache
 	assertLoopZeroAlloc(t, "slice", rec, len(tr), func() (Stats, error) {
@@ -79,7 +79,7 @@ func TestRunCtxZeroAllocSteadyState(t *testing.T) {
 // point may add on top of either loop: only its per-call constant.
 func TestReplayZeroAllocSteadyState(t *testing.T) {
 	tr, universe := zeroAllocTrace()
-	rec := NewRecorderBounded("hit", universe)
+	rec := NewRecorder("hit", universe)
 	ctx := context.Background()
 	var c hitCache
 	src := &rewindSource{tr: tr}

@@ -183,21 +183,14 @@ func TestReconcilerGenerationWraparound(t *testing.T) {
 	}
 }
 
-func TestPackageNetChangesStillNets(t *testing.T) {
-	l, e := NetChanges([]model.Item{1, 2, 3}, []model.Item{3, 4})
-	if len(l) != 2 || l[0] != 1 || l[1] != 2 || len(e) != 1 || e[0] != 4 {
-		t.Fatalf("NetChanges = %v, %v", l, e)
-	}
-}
-
 // TestRecorderBoundedMatchesGeneric feeds an identical random access
 // stream to the map-backed and bitset-backed Recorders and requires
 // identical statistics.
 func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 	const universe = 32
 	rng := rand.New(rand.NewSource(11))
-	gen := NewRecorder("p")
-	bnd := NewRecorderBounded("p", universe)
+	gen := NewRecorder("p", 0)
+	bnd := NewRecorder("p", universe)
 	if bnd.pristineBits == nil {
 		t.Fatal("bounded recorder fell back to map path")
 	}
@@ -236,16 +229,16 @@ func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 }
 
 func TestRecorderBoundedFallback(t *testing.T) {
-	if r := NewRecorderBounded("p", 0); r.pristineBits != nil {
+	if r := NewRecorder("p", 0); r.pristineBits != nil {
 		t.Error("universe 0 should fall back to the map recorder")
 	}
-	if r := NewRecorderBounded("p", MaxBoundedUniverse+1); r.pristineBits != nil {
+	if r := NewRecorder("p", MaxBoundedUniverse+1); r.pristineBits != nil {
 		t.Error("oversized universe should fall back to the map recorder")
 	}
 }
 
 func TestRecorderResetReuses(t *testing.T) {
-	for _, r := range []*Recorder{NewRecorder("a"), NewRecorderBounded("a", 16)} {
+	for _, r := range []*Recorder{NewRecorder("a", 0), NewRecorder("a", 16)} {
 		r.Observe(0, Access{Loaded: []model.Item{0, 1}})
 		r.Observe(1, Access{Hit: true})
 		r.Reset("b")

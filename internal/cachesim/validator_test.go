@@ -150,8 +150,15 @@ func TestValidatorLatchesFirstError(t *testing.T) {
 	}
 }
 
+// netChanges nets through a zero Reconciler, the map-scratch path that
+// accepts any item ID.
+func netChanges(loaded, evicted []model.Item) ([]model.Item, []model.Item) {
+	var r Reconciler
+	return r.NetChanges(loaded, evicted)
+}
+
 func TestNetChanges(t *testing.T) {
-	l, e := NetChanges(
+	l, e := netChanges(
 		[]model.Item{1, 2, 3},
 		[]model.Item{2, 9},
 	)
@@ -161,25 +168,29 @@ func TestNetChanges(t *testing.T) {
 	if len(e) != 1 || e[0] != 9 {
 		t.Errorf("netEvicted = %v", e)
 	}
+	l, e = netChanges([]model.Item{1, 2, 3}, []model.Item{3, 4})
+	if len(l) != 2 || l[0] != 1 || l[1] != 2 || len(e) != 1 || e[0] != 4 {
+		t.Errorf("netChanges = %v, %v", l, e)
+	}
 }
 
 func TestNetChangesNoOverlap(t *testing.T) {
-	l, e := NetChanges([]model.Item{1}, []model.Item{2})
+	l, e := netChanges([]model.Item{1}, []model.Item{2})
 	if len(l) != 1 || len(e) != 1 {
 		t.Errorf("no-overlap case mangled: %v %v", l, e)
 	}
-	l, e = NetChanges(nil, []model.Item{2})
+	l, e = netChanges(nil, []model.Item{2})
 	if l != nil || len(e) != 1 {
 		t.Errorf("nil loaded: %v %v", l, e)
 	}
-	l, e = NetChanges([]model.Item{1}, nil)
+	l, e = netChanges([]model.Item{1}, nil)
 	if len(l) != 1 || e != nil {
 		t.Errorf("nil evicted: %v %v", l, e)
 	}
 }
 
 func TestNetChangesFullCancellation(t *testing.T) {
-	l, e := NetChanges([]model.Item{4, 5}, []model.Item{5, 4})
+	l, e := netChanges([]model.Item{4, 5}, []model.Item{5, 4})
 	if len(l) != 0 || len(e) != 0 {
 		t.Errorf("full cancellation: %v %v", l, e)
 	}

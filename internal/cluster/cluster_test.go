@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,5 +267,73 @@ func TestHandoffRefusesShapeMismatch(t *testing.T) {
 	}
 	if err := odd.Restore(src.Snapshot()); err == nil {
 		t.Fatal("Restore accepted a shape-mismatched snapshot")
+	}
+}
+
+// TestOutOfUniverseItemIsRefused sends a batch holding one item beyond
+// a bounded node's universe. The node must refuse the whole batch with
+// a bad-frame error naming the item and the bound — not crash on its
+// connection goroutine — leave its counters untouched, and go on
+// serving valid batches, with the client's accounting identity intact.
+func TestOutOfUniverseItemIsRefused(t *testing.T) {
+	nodes, addrs := startNodes(t, 1)
+	c := NewClient(testRing(t, addrs), ClientConfig{Timeout: 2 * time.Second})
+	defer c.Close()
+
+	before := nodes[0].Stats()
+	err := c.Do([]model.Item{1, testUniverse + 5, 2})
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != errBadFrame {
+		t.Fatalf("Do = %v, want a bad-frame WireError", err)
+	}
+	for _, want := range []string{"4101", "4096"} {
+		if !strings.Contains(we.Msg, want) {
+			t.Errorf("refusal %q does not name %s", we.Msg, want)
+		}
+	}
+	if got := nodes[0].Stats(); got != before {
+		t.Errorf("refused batch moved the node's stats: %+v -> %+v", before, got)
+	}
+
+	if err := c.Do([]model.Item{1, 2, 3}); err != nil {
+		t.Fatalf("valid batch after a refused one: %v", err)
+	}
+	if got := nodes[0].Stats(); got.Accesses != before.Accesses+3 {
+		t.Errorf("node accesses %d after a 3-item batch, want %d", got.Accesses, before.Accesses+3)
+	}
+	st := c.Stats()
+	if !st.Identity() || st.Issued != 2 || st.ServedFirstTry != 1 || st.Rejected != 1 {
+		t.Errorf("client accounting %+v, want 2 issued = 1 first-try + 1 rejected", st)
+	}
+}
+
+// recencyList is a fixed MRU-first recency order for building warm sets.
+type recencyList []model.Item
+
+func (r recencyList) AppendRecency(dst []model.Item) []model.Item { return append(dst, r...) }
+
+// TestRestoreRefusesOutOfUniverseWarmSet hands a node a snapshot whose
+// warm set decodes to an item beyond its universe. Restore must refuse
+// it before replaying any of the warm set, leaving the node's Snapshot
+// bytes unchanged.
+func TestRestoreRefusesOutOfUniverseWarmSet(t *testing.T) {
+	nd, err := NewNode(testNodeConfig("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	nd.apply(1, []model.Item{10, 11, 12})
+	before := nd.Snapshot().Encode()
+
+	snap := nd.Snapshot()
+	// LRU-first replay order is 9, 4101, 7: a partial replay would
+	// already have touched 9.
+	snap.Sections["warmset"] = appendWarmset(nil, recencyList{7, testUniverse + 5, 9})
+	err = nd.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "4101") {
+		t.Fatalf("Restore = %v, want a refusal naming item 4101", err)
+	}
+	if after := nd.Snapshot().Encode(); !bytes.Equal(before, after) {
+		t.Error("refused snapshot changed the node's state")
 	}
 }

@@ -56,7 +56,7 @@ const DefaultReplicas = 64
 // Error codes carried by fError frames.
 const (
 	errDraining = 1 // node is draining or stopped: retry elsewhere
-	errBadFrame = 2 // peer sent something the node refused to parse
+	errBadFrame = 2 // peer sent something the node refused to parse, or an item outside its universe
 	errInternal = 3 // node-side failure applying a valid request
 )
 

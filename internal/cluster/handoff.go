@@ -74,7 +74,9 @@ func appendWarmset(dst []byte, rd recencyDumper) []byte {
 // then the sender's stats are added to them. Restoring into a fresh
 // node therefore reproduces the sender's state — and its Snapshot
 // bytes — exactly. A snapshot from a differently-shaped node (k, B,
-// universe, or policy mismatch) is refused.
+// universe, or policy mismatch), or whose warm set does not decode
+// whole inside the node's universe, is refused before any of it is
+// applied.
 func (n *Node) Restore(s *checkpoint.Snapshot) error {
 	if s.Kind != snapshotKind {
 		return fmt.Errorf("cluster: snapshot kind %q, want %q", s.Kind, snapshotKind)
@@ -98,15 +100,24 @@ func (n *Node) Restore(s *checkpoint.Snapshot) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("cluster: %d trailing bytes in stats section", len(rest))
 	}
+	var warm []model.Item
+	if ws := s.Get("warmset"); ws != nil {
+		if warm, err = n.decodeWarmset(ws); err != nil {
+			return err
+		}
+		if err := n.outsideUniverse(warm); err != nil {
+			return fmt.Errorf("cluster: snapshot warm set: %w", err)
+		}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if st.Policy != n.cache.Name() {
 		return fmt.Errorf("cluster: snapshot policy %q, this node runs %q", st.Policy, n.cache.Name())
 	}
-	if ws := s.Get("warmset"); ws != nil {
-		if err := n.replayWarmset(ws); err != nil {
-			return err
-		}
+	// Replay accesses do not count: they reconstruct state, they were
+	// already counted on the sender.
+	for _, it := range warm {
+		n.cache.Access(it)
 	}
 	n.accesses += st.Accesses
 	n.hits += st.Hits
@@ -114,31 +125,30 @@ func (n *Node) Restore(s *checkpoint.Snapshot) error {
 	return nil
 }
 
-// replayWarmset decodes and replays a warmset section with n.mu held.
-// Replay accesses do not count: they reconstruct state, they were
-// already counted on the sender.
-func (n *Node) replayWarmset(ws []byte) error {
+// decodeWarmset decodes a warmset section into its items, LRU-first.
+func (n *Node) decodeWarmset(ws []byte) ([]model.Item, error) {
 	d := &payloadDecoder{b: ws}
 	count, err := d.uvarint("warmset count")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if count > uint64(n.cfg.K) || count > uint64(len(ws)) {
-		return fmt.Errorf("cluster: warmset declares %d items (cache holds %d, section has %d bytes)", count, n.cfg.K, len(ws))
+		return nil, fmt.Errorf("cluster: warmset declares %d items (cache holds %d, section has %d bytes)", count, n.cfg.K, len(ws))
 	}
+	items := make([]model.Item, 0, count)
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		delta, err := d.varint("warmset item delta")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prev += delta
 		if prev < 0 {
-			return fmt.Errorf("cluster: warmset decodes to negative item %d", prev)
+			return nil, fmt.Errorf("cluster: warmset decodes to negative item %d", prev)
 		}
-		n.cache.Access(model.Item(prev)) //gclint:guardok caller (Restore) holds n.mu; documented on the method
+		items = append(items, model.Item(prev))
 	}
-	return d.done("warmset")
+	return items, d.done("warmset")
 }
 
 // acceptHandoff is the node side of a handoff frame.

@@ -22,7 +22,9 @@ type NodeConfig struct {
 	// snapshots from a differently-shaped node.
 	K, B int
 	// Universe is the bounded item universe (0 = unbounded), recorded
-	// in handoff snapshots for the same shape check.
+	// in handoff snapshots for the same shape check. When positive, the
+	// node refuses any batch or warm set holding an item ≥ Universe
+	// before applying any of it: bounded caches panic on such an item.
 	Universe int
 	// NewCache constructs the node's cache policy. Required.
 	NewCache func() cachesim.Cache
@@ -50,8 +52,6 @@ type Node struct {
 	misses int64
 	//gclint:guardedby mu
 	conns map[net.Conn]struct{}
-	//gclint:guardedby mu
-	itemScratch []model.Item
 }
 
 // NewNode validates cfg and builds the node (not yet listening).
@@ -203,6 +203,12 @@ func (n *Node) serveConn(conn net.Conn) {
 				}
 				continue
 			}
+			if err := n.outsideUniverse(batch); err != nil {
+				if writeFrame(bw, fError, appendErrorFrame(out[:0], errBadFrame, err.Error())) != nil {
+					return
+				}
+				continue
+			}
 			resp := n.apply(seq, batch)
 			if writeFrame(bw, fAccessResp, appendAccessResp(out[:0], resp)) != nil {
 				return
@@ -241,6 +247,22 @@ func (n *Node) WithCache(f func(cachesim.Cache)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	f(n.cache)
+}
+
+// outsideUniverse returns an error naming the first item of items at
+// or beyond the node's bounded universe, or nil when every item fits or
+// the universe is unbounded. Callers check a whole batch or warm set
+// before applying any of it, so a refusal leaves the cache untouched.
+func (n *Node) outsideUniverse(items []model.Item) error {
+	if n.cfg.Universe <= 0 {
+		return nil
+	}
+	for _, it := range items {
+		if it >= model.Item(n.cfg.Universe) {
+			return fmt.Errorf("cluster: item %d outside the node's universe %d", it, n.cfg.Universe)
+		}
+	}
+	return nil
 }
 
 // apply runs one acked batch against the cache. The ack covers the

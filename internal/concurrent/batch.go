@@ -49,14 +49,6 @@ type BatchConfig struct {
 	// memory at O(producers · shards · QueueDepth · BatchSize) regardless
 	// of trace length.
 	QueueDepth int
-	// Deterministic selects the differential-testing mode: one ring, one
-	// worker, streams merged round-robin one request at a time. The
-	// replay order — and therefore every statistic — is then a pure
-	// function of the input streams, byte-identical to driving
-	// Sharded.Access sequentially over the same interleaving.
-	// SplitStreams(tr, n) replayed deterministically reconstructs tr's
-	// original order exactly.
-	Deterministic bool
 	// PinWorkers locks each shard worker goroutine to its own OS thread
 	// (runtime.LockOSThread) for the engine's lifetime, preventing the
 	// scheduler from migrating workers between cores mid-replay and
@@ -102,7 +94,7 @@ type producerState struct {
 	counts  []uint32       // per-shard occupancy, zeroed after each chunk
 	touched []uint32       // shards hit by the current chunk
 	bufs    [][]model.Item // per-shard batch under construction
-	stage   []model.Item   // staging chunk for source/merged production
+	stage   []model.Item   // staging chunk for ReplayStream
 	_       [64]byte       // keep producer slots off each other's lines
 }
 
@@ -147,8 +139,7 @@ type Engine struct {
 // number of producer slots. producers bounds the parallelism of
 // Replay's stream production (streams are dealt round-robin across the
 // slots) and sizes the ring matrix; ReplayStream always produces from
-// the caller through slot 0. In deterministic mode the topology
-// collapses to one ring and one worker regardless of producers.
+// the caller through slot 0.
 func NewEngine(s *Sharded, producers int, cfg BatchConfig) (*Engine, error) {
 	if s == nil {
 		return nil, fmt.Errorf("concurrent: nil sharded cache")
@@ -158,9 +149,6 @@ func NewEngine(s *Sharded, producers int, cfg BatchConfig) (*Engine, error) {
 	}
 	cfg = cfg.withDefaults()
 	np, nw := producers, len(s.shards)
-	if cfg.Deterministic {
-		np, nw = 1, 1
-	}
 	e := &Engine{s: s, cfg: cfg}
 	e.lanes = make([][]lane, np)
 	for p := range e.lanes {
@@ -186,18 +174,12 @@ func NewEngine(s *Sharded, producers int, cfg BatchConfig) (*Engine, error) {
 		ps.stage = make([]model.Item, 0, cfg.BatchSize)
 	}
 	e.workers = make([]workerState, nw)
-	e.wg.Add(nw)
+	e.wg.Add(nw + np)
 	for w := 0; w < nw; w++ {
 		go e.workerLoop(w)
 	}
-	if !cfg.Deterministic {
-		// Deterministic replays produce from the calling goroutine (the
-		// round-robin merge is inherently sequential); otherwise each
-		// slot gets a persistent producer goroutine.
-		e.wg.Add(np)
-		for p := 0; p < np; p++ {
-			go e.producerLoop(p)
-		}
+	for p := 0; p < np; p++ {
+		go e.producerLoop(p)
 	}
 	return e, nil
 }
@@ -250,33 +232,28 @@ func (e *Engine) fail(err error) {
 
 // Replay replays streams through the engine and returns the merged
 // statistics (cumulative for the underlying Sharded).
-// Streams are dealt round-robin across the producer slots; in
-// deterministic mode the calling goroutine merges them round-robin one
-// request at a time instead. The error is nil when every request was
-// replayed and ctx's error when cancellation cut the replay short; the
-// statistics then cover exactly the batches workers had claimed.
+// Streams are dealt round-robin across the producer slots. A single
+// stream replays deterministically: its one producer keeps each shard's
+// subsequence in trace order and shards are independent, so the
+// statistics equal a sequential Sharded.Access replay. The error is nil
+// when every request was replayed and ctx's error when cancellation cut
+// the replay short; the statistics then cover exactly the batches
+// workers had claimed.
 func (e *Engine) Replay(ctx context.Context, streams []trace.Trace) (cachesim.Stats, error) {
 	if err := e.begin(ctx); err != nil {
 		return cachesim.Stats{}, err
 	}
 	defer e.busy.Store(false)
 
+	e.streams = streams
+	gen := e.gen.Add(1)
 	var total uint64
-	if e.cfg.Deterministic {
-		if err := e.produceMerged(ctx, streams); err != nil {
-			e.fail(err)
+	var w spinWait
+	for i := range e.producers {
+		for e.producers[i].done.Load() != gen {
+			w.wait()
 		}
-		total = e.producers[0].pushed
-	} else {
-		e.streams = streams
-		gen := e.gen.Add(1)
-		var w spinWait
-		for i := range e.producers {
-			for e.producers[i].done.Load() != gen {
-				w.wait()
-			}
-			total += e.producers[i].pushed
-		}
+		total += e.producers[i].pushed
 	}
 	e.awaitDrain(total)
 	return e.s.Stats(), e.takeErr()
@@ -404,8 +381,8 @@ func (e *Engine) routeChunk(ctx context.Context, ps *producerState, items []mode
 		return err
 	}
 	if len(e.workers) == 1 {
-		// Single lane (deterministic mode or a 1-shard cache): the
-		// partition is the identity, so ship the chunk as one batch.
+		// Single lane (a 1-shard cache): the partition is the
+		// identity, so ship the chunk as one batch.
 		return e.sendChunk(ctx, ps, items) //gclint:allowalloc takeBuf's make runs ≤QueueDepth+2 times per lane, then the free ring recycles
 	}
 	// Pass 1: shard index per item, plus the set of shards touched.
@@ -487,35 +464,6 @@ func (e *Engine) send(ctx context.Context, ln *lane, pushed *uint64, b []model.I
 	return nil
 }
 
-// produceMerged is the deterministic producer, run on the calling
-// goroutine: one pass merging streams round-robin, one request at a
-// time, into the single ring in BatchSize batches.
-func (e *Engine) produceMerged(ctx context.Context, streams []trace.Trace) error {
-	ps := &e.producers[0]
-	stage := ps.stage[:0]
-	remaining := len(streams)
-	for pos := 0; remaining > 0; pos++ {
-		remaining = 0
-		for _, st := range streams {
-			if pos >= len(st) {
-				continue
-			}
-			remaining++
-			stage = append(stage, st[pos])
-			if len(stage) == e.cfg.BatchSize {
-				if err := e.routeChunk(ctx, ps, stage); err != nil {
-					return err
-				}
-				stage = stage[:0]
-			}
-		}
-	}
-	if len(stage) > 0 {
-		return e.routeChunk(ctx, ps, stage)
-	}
-	return nil
-}
-
 // workerLoop is one shard's persistent consumer: it drains the shard's
 // column of the lane matrix, serving each popped batch under a single
 // lock acquisition, and recycles the buffer to the lane it came from.
@@ -530,7 +478,6 @@ func (e *Engine) workerLoop(w int) {
 		defer runtime.UnlockOSThread()
 	}
 	ws := &e.workers[w]
-	det := e.cfg.Deterministic
 	depth := e.cfg.QueueDepth
 	var idle spinWait
 	for {
@@ -545,14 +492,9 @@ func (e *Engine) workerLoop(w int) {
 					break
 				}
 				worked = true
-				switch {
-				case e.cancelled.Load():
+				if e.cancelled.Load() {
 					ws.dropped++ // plain: ordered by the popped.Add below
-				case det:
-					for _, it := range b {
-						e.s.Access(it)
-					}
-				default:
+				} else {
 					e.s.accessBatch(w, b)
 				}
 				ln.free.push(b[:0])

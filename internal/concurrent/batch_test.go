@@ -82,10 +82,11 @@ func TestReplayCtxAccounting(t *testing.T) {
 }
 
 // TestReplayCtxDeterministicDifferential is the engine's correctness
-// anchor: deterministic mode over SplitStreams(tr, n) merges the
-// streams back into tr's original order, so the batched replay must
-// produce statistics byte-identical to driving Sharded.Access
-// sequentially — and do so on every run.
+// anchor: a one-producer replay keeps each shard's subsequence in trace
+// order and shards are independent, so Replay of a single stream and
+// ReplayStream must both produce statistics byte-identical to driving
+// Sharded.Access sequentially, however many producer slots the engine
+// has.
 func TestReplayCtxDeterministicDifferential(t *testing.T) {
 	tr := batchFixture(t, "blockruns:blocks=128,B=8,run=4,len=40000", 9)
 
@@ -95,16 +96,29 @@ func TestReplayCtxDeterministicDifferential(t *testing.T) {
 	}
 	want := seq.Stats()
 
-	for _, nStreams := range []int{1, 3, 8} {
+	for _, producers := range []int{1, 3} {
 		batched := newIBLPSharded(t, 4, 512, 8)
-		got, err := replayOnce(context.Background(), batched, SplitStreams(tr, nStreams),
-			BatchConfig{Deterministic: true, BatchSize: 64, QueueDepth: 2})
+		e, err := NewEngine(batched, producers, BatchConfig{BatchSize: 64, QueueDepth: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		got, err := e.Replay(context.Background(), []trace.Trace{tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("deterministic batched replay (%d streams) differs from sequential:\n  batched:    %+v\n  sequential: %+v",
-				nStreams, got, want)
+			t.Errorf("one-stream Replay (%d producer slots) differs from sequential:\n  batched:    %+v\n  sequential: %+v",
+				producers, got, want)
+		}
+		batched.Reset()
+		got, err = e.ReplayStream(context.Background(), trace.NewSliceSource(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("ReplayStream (%d producer slots) differs from sequential:\n  batched:    %+v\n  sequential: %+v",
+				producers, got, want)
 		}
 	}
 }

@@ -160,9 +160,10 @@ func TestEngineReuseAcrossReplays(t *testing.T) {
 	}
 }
 
-// TestEngineDeterministicReuse replays the same streams repeatedly on
-// one deterministic engine with a Reset between rounds: every round
-// must reproduce the sequential replay byte for byte.
+// TestEngineDeterministicReuse replays one stream repeatedly on one
+// engine with a Reset between rounds, alternating Replay and
+// ReplayStream: every round must reproduce the sequential replay byte
+// for byte.
 func TestEngineDeterministicReuse(t *testing.T) {
 	tr := batchFixture(t, "blockruns:blocks=128,B=8,run=4,len=30000", 23)
 
@@ -173,20 +174,24 @@ func TestEngineDeterministicReuse(t *testing.T) {
 	want := seq.Stats()
 
 	s := newIBLPSharded(t, 4, 512, 8)
-	streams := SplitStreams(tr, 5)
-	e, err := NewEngine(s, len(streams), BatchConfig{Deterministic: true, BatchSize: 64})
+	e, err := NewEngine(s, 1, BatchConfig{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 4; round++ {
 		s.Reset()
-		got, err := e.Replay(context.Background(), streams)
+		var got cachesim.Stats
+		if round%2 == 0 {
+			got, err = e.Replay(context.Background(), []trace.Trace{tr})
+		} else {
+			got, err = e.ReplayStream(context.Background(), trace.NewSliceSource(tr))
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("round %d: deterministic replay diverged:\n  got:  %+v\n  want: %+v", round, got, want)
+			t.Fatalf("round %d: one-producer replay diverged:\n  got:  %+v\n  want: %+v", round, got, want)
 		}
 	}
 }

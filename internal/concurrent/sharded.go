@@ -79,18 +79,10 @@ func NewShardedBounded(nShards, totalCapacity int, geo model.Geometry, universe 
 			return nil, fmt.Errorf("concurrent: builder returned nil for shard %d", i)
 		}
 		s.shards[i].c = c
-		s.shards[i].rec = s.newRecorder(c.Name())
+		s.shards[i].rec = cachesim.NewRecorder(c.Name(), s.universe)
 	}
 	s.name = fmt.Sprintf("sharded(%d×%s)", len(s.shards), s.shards[0].c.Name())
 	return s, nil
-}
-
-// newRecorder builds one shard's recorder, bounded when the universe is.
-func (s *Sharded) newRecorder(policy string) *cachesim.Recorder {
-	if s.universe > 0 {
-		return cachesim.NewRecorderBounded(policy, s.universe)
-	}
-	return cachesim.NewRecorder(policy)
 }
 
 // shardIndex hashes the item's *block* so all siblings share a shard.

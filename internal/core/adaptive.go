@@ -62,11 +62,11 @@ func NewAdaptiveIBLP(k int, g model.Geometry) *AdaptiveIBLP {
 		geo:         g,
 		targetItem:  k / 2,
 		items:       lrulist.New[model.Item](k),
-		blocks:      lrulist.New[model.Block](k/maxInt(1, g.BlockSize()) + 1),
+		blocks:      lrulist.New[model.Block](k/max(1, g.BlockSize()) + 1),
 		resident:    make(map[model.Block][]model.Item),
 		inBlock:     make(map[model.Item]struct{}),
 		ghostItems:  lrulist.New[model.Item](k),
-		ghostBlocks: lrulist.New[model.Block](k/maxInt(1, g.BlockSize()) + 1),
+		ghostBlocks: lrulist.New[model.Block](k/max(1, g.BlockSize()) + 1),
 	}
 }
 
@@ -85,7 +85,7 @@ func (c *AdaptiveIBLP) ItemLayerTarget() int { return c.targetItem }
 // EvEvict per item the rebalance pushed out. Not safe for concurrent
 // use with Access.
 func (c *AdaptiveIBLP) SetItemLayerTarget(i int) {
-	i = minInt(c.capacity, maxInt(0, i))
+	i = min(c.capacity, max(0, i))
 	if i == c.targetItem {
 		return
 	}
@@ -130,7 +130,7 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 	// until only one block frame remains (spatial protection: full-block
 	// accesses can always be matched by a large item layer on *capacity*,
 	// but only a block frame delivers cold-miss spatial hits).
-	B := maxInt(1, c.geo.BlockSize())
+	B := max(1, c.geo.BlockSize())
 	maxItemTarget := c.capacity - B
 	if maxItemTarget < c.capacity/2 {
 		maxItemTarget = c.capacity
@@ -140,10 +140,10 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 	// just below a working-set cliff.
 	if c.ghostItems.Contains(it) {
 		c.ghostItems.Remove(it)
-		c.setTargetItem(minInt(maxItemTarget, c.targetItem+1))
+		c.setTargetItem(min(maxItemTarget, c.targetItem+1))
 	} else if c.ghostBlocks.Contains(blk) {
 		c.ghostBlocks.Remove(blk)
-		c.setTargetItem(maxInt(0, c.targetItem-1))
+		c.setTargetItem(max(0, c.targetItem-1))
 	}
 
 	c.admitItemLayer(it)
@@ -198,7 +198,7 @@ func (c *AdaptiveIBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 	c.wantBuf = model.AppendItemsOf(c.geo, c.wantBuf[:0], blk)
 	want := c.wantBuf
 	if len(want) > targetBlock {
-		c.trunc = truncateAround(c.trunc, want, requested, targetBlock)
+		c.trunc = model.TruncateAround(c.trunc, want, requested, targetBlock)
 		want = c.trunc
 	}
 	for c.blockUsed+len(want) > targetBlock {
@@ -253,7 +253,7 @@ func (c *AdaptiveIBLP) rebalance() {
 	for c.ghostItems.Len() > 2*c.capacity {
 		c.ghostItems.PopBack()
 	}
-	maxGhostBlocks := 2*c.capacity/maxInt(1, c.geo.BlockSize()) + 1
+	maxGhostBlocks := 2*c.capacity/max(1, c.geo.BlockSize()) + 1
 	for c.ghostBlocks.Len() > maxGhostBlocks {
 		c.ghostBlocks.PopBack()
 	}
@@ -310,11 +310,4 @@ func (c *AdaptiveIBLP) Reset() {
 	c.ghostItems.Clear()
 	c.ghostBlocks.Clear()
 	c.targetItem = c.capacity / 2
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

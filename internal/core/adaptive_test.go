@@ -177,7 +177,7 @@ func TestAdaptiveReAdaptsAcrossEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewAdaptiveIBLP(k, geo)
-	rec := cachesim.NewRecorder(c.Name())
+	rec := cachesim.NewRecorder(c.Name(), 0)
 	var epochMisses []int64
 	prev := int64(0)
 	for i, it := range tr {

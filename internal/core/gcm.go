@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
 	"gccache/internal/model"
 	"gccache/internal/obs"
@@ -40,7 +41,7 @@ type GCM struct {
 	geo      model.Geometry
 
 	items       []model.Item // indexable resident set
-	markAt      bitset       // bit p set: items[p] is marked
+	markAt      bitset.Set   // bit p set: items[p] is marked
 	markedCount int
 
 	// Generic path (nil on the dense path): item -> position in items.
@@ -73,7 +74,7 @@ func NewGCM(k int, g model.Geometry, seed int64) *GCM {
 	c := &GCM{
 		capacity: k,
 		geo:      g,
-		markAt:   newBitset(k),
+		markAt:   bitset.New(k),
 		index:    make(map[model.Item]int, k),
 	}
 	c.rng.Seed(seed)
@@ -210,7 +211,7 @@ func (c *GCM) drawUnmarked() int {
 	marks := c.markAt
 	if n&(n-1) != 0 || n > 1<<30 {
 		for {
-			if p := c.rng.Intn(n); !marks.test(uint64(p)) {
+			if p := c.rng.Intn(n); !marks.Has(uint64(p)) {
 				return p
 			}
 		}
@@ -219,7 +220,7 @@ func (c *GCM) drawUnmarked() int {
 	s := &c.rng
 	for i := s.i; ; i = 0 {
 		for j, x := range s.vec[i:] {
-			if p := x >> 32 & mask; !marks.test(p) {
+			if p := x >> 32 & mask; !marks.Has(p) {
 				s.i = i + j + 1
 				return int(p)
 			}
@@ -253,9 +254,9 @@ func (c *GCM) removeAt(p int) {
 	moved := c.items[last]
 	c.items[p] = moved
 	c.items = c.items[:last]
-	if c.markAt.test(uint64(last)) {
-		c.markAt.unset(uint64(last))
-		c.markAt.set(uint64(p))
+	if c.markAt.Has(uint64(last)) {
+		c.markAt.Remove(uint64(last))
+		c.markAt.Add(uint64(p))
 	}
 	if c.pos != nil {
 		c.pos[moved] = int32(p) + 1
@@ -297,10 +298,10 @@ func (c *GCM) mark(it model.Item) {
 //
 //gclint:hotpath
 func (c *GCM) markPos(p int, it model.Item) {
-	if c.markAt.test(uint64(p)) {
+	if c.markAt.Has(uint64(p)) {
 		return
 	}
-	c.markAt.set(uint64(p))
+	c.markAt.Add(uint64(p))
 	c.markedCount++
 	if c.probe != nil {
 		c.probe.Observe(obs.Event{Kind: obs.EvMark, Item: it})
@@ -315,7 +316,7 @@ func (c *GCM) clearMarks() {
 	if c.probe != nil {
 		c.probe.Observe(obs.Event{Kind: obs.EvPhaseReset, N: int32(c.markedCount)})
 	}
-	c.markAt.reset()
+	c.markAt.Clear()
 	c.markedCount = 0
 }
 
@@ -337,7 +338,7 @@ func (c *GCM) Reset() {
 	} else {
 		clear(c.index)
 	}
-	c.markAt.reset()
+	c.markAt.Clear()
 	c.markedCount = 0
 	c.items = c.items[:0]
 }

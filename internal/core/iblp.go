@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
@@ -48,8 +49,8 @@ type IBLP struct {
 	// resident block belong to it alone). inItemBits mirrors the item
 	// layer's membership so presentDense is two packed-bitset probes
 	// instead of a random load into the recency list's link array.
-	inBlockBits bitset
-	inItemBits  bitset
+	inBlockBits bitset.Set
+	inItemBits  bitset.Set
 	// itemsDense/blocksDense are the concrete types behind items/blocks
 	// on the dense path. The hot path calls them directly so the
 	// flat-array Contains/MoveToFront/PopBack bodies inline into the
@@ -94,7 +95,7 @@ func NewIBLP(i, b int, g model.Geometry) *IBLP {
 		blockSize: b,
 		geo:       g,
 		items:     lrulist.New[model.Item](i),
-		blocks:    lrulist.New[model.Block](b/maxInt(1, g.BlockSize()) + 1),
+		blocks:    lrulist.New[model.Block](b/max(1, g.BlockSize()) + 1),
 		resident:  make(map[model.Block][]model.Item),
 		inBlock:   make(map[model.Item]struct{}),
 	}
@@ -118,8 +119,8 @@ func NewIBLPBounded(i, b int, g model.Geometry, universe int) *IBLP {
 	}
 	c.resident = nil
 	c.inBlock = nil
-	c.inBlockBits = newBitset(universe)
-	c.inItemBits = newBitset(universe)
+	c.inBlockBits = bitset.New(universe)
+	c.inItemBits = bitset.New(universe)
 	c.itemsDense = lrulist.NewDense[model.Item](universe)
 	c.blocksDense = lrulist.NewDense[model.Block](blockUniverse)
 	c.items = c.itemsDense
@@ -196,7 +197,7 @@ func (c *IBLP) enforceTargets() {
 	if c.itemsDense != nil {
 		for c.itemsDense.Len() > c.itemSize {
 			victim, _ := c.itemsDense.PopBack()
-			c.inItemBits.unset(uint64(victim))
+			c.inItemBits.Remove(uint64(victim))
 			if !c.presentDense(victim) {
 				c.evicted = append(c.evicted, victim)
 			}
@@ -306,7 +307,7 @@ func (c *IBLP) accessDense(it model.Item) cachesim.Access {
 	c.loaded = c.loaded[:0]
 	c.evicted = c.evicted[:0]
 	blk := c.geo.BlockOf(it)
-	if c.inBlockBits.test(uint64(it)) {
+	if c.inBlockBits.Has(uint64(it)) {
 		c.blocksDense.MoveToFront(blk)
 		c.admitItemLayerDense(it)
 		if c.probe != nil {
@@ -329,7 +330,7 @@ func (c *IBLP) accessDense(it model.Item) cachesim.Access {
 //
 //gclint:hotpath
 func (c *IBLP) presentDense(it model.Item) bool {
-	return c.inItemBits.test(uint64(it)) || c.inBlockBits.test(uint64(it))
+	return c.inItemBits.Has(uint64(it)) || c.inBlockBits.Has(uint64(it))
 }
 
 // admitItemLayerDense mirrors admitItemLayer on concrete types.
@@ -341,13 +342,13 @@ func (c *IBLP) admitItemLayerDense(it model.Item) {
 	}
 	was := c.presentDense(it)
 	c.itemsDense.PushFront(it)
-	c.inItemBits.set(uint64(it))
+	c.inItemBits.Add(uint64(it))
 	if !was {
 		c.loaded = append(c.loaded, it)
 	}
 	for c.itemsDense.Len() > c.itemSize {
 		victim, _ := c.itemsDense.PopBack()
-		c.inItemBits.unset(uint64(victim))
+		c.inItemBits.Remove(uint64(victim))
 		if !c.presentDense(victim) {
 			c.evicted = append(c.evicted, victim)
 		}
@@ -368,7 +369,7 @@ func (c *IBLP) admitBlockLayerDense(blk model.Block, requested model.Item) {
 	c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
 	want := c.want
 	if len(want) > c.blockSize {
-		c.trunc = truncateAround(c.trunc, want, requested, c.blockSize)
+		c.trunc = model.TruncateAround(c.trunc, want, requested, c.blockSize)
 		want = c.trunc
 	}
 	for c.blockUsed+len(want) > c.blockSize {
@@ -385,7 +386,7 @@ func (c *IBLP) admitBlockLayerDense(blk model.Block, requested model.Item) {
 	c.blockUsed += len(want)
 	for _, x := range want {
 		was := c.presentDense(x)
-		c.inBlockBits.set(uint64(x))
+		c.inBlockBits.Add(uint64(x))
 		if !was {
 			c.loaded = append(c.loaded, x)
 		}
@@ -398,12 +399,12 @@ func (c *IBLP) admitBlockLayerDense(blk model.Block, requested model.Item) {
 func (c *IBLP) dropBlockLayerDense(blk model.Block) {
 	c.scratch = model.AppendItemsOf(c.geo, c.scratch[:0], blk)
 	for _, x := range c.scratch {
-		if c.inBlockBits.test(uint64(x)) {
-			c.inBlockBits.unset(uint64(x))
+		if c.inBlockBits.Has(uint64(x)) {
+			c.inBlockBits.Remove(uint64(x))
 			c.blockUsed--
 			// The block-layer bit is clear now, so presence reduces to
 			// item-layer membership.
-			if !c.inItemBits.test(uint64(x)) {
+			if !c.inItemBits.Has(uint64(x)) {
 				c.evicted = append(c.evicted, x)
 			}
 		}
@@ -470,7 +471,7 @@ func (c *IBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 	c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
 	want := c.want
 	if len(want) > c.blockSize {
-		c.trunc = truncateAround(c.trunc, want, requested, c.blockSize)
+		c.trunc = model.TruncateAround(c.trunc, want, requested, c.blockSize)
 		want = c.trunc
 	}
 	for c.blockUsed+len(want) > c.blockSize {
@@ -519,7 +520,7 @@ func (c *IBLP) dropBlockLayer(blk model.Block) {
 //gclint:hotpath
 func (c *IBLP) inBlockLayer(it model.Item) bool {
 	if c.inBlockBits != nil {
-		return c.inBlockBits.test(uint64(it))
+		return c.inBlockBits.Has(uint64(it))
 	}
 	_, ok := c.inBlock[it]
 	return ok
@@ -533,24 +534,6 @@ func (c *IBLP) present(it model.Item) bool {
 		return c.presentDense(it)
 	}
 	return c.items.Contains(it) || c.inBlockLayer(it)
-}
-
-// truncateAround fills dst with up to n items of all, guaranteed to
-// include must, and returns the filled slice. dst is a reusable
-// scratch: it grows to n once, after which truncation is
-// allocation-free (blocks wider than the layer truncate on every
-// admission, so this runs in the replay steady state).
-func truncateAround(dst, all []model.Item, must model.Item, n int) []model.Item {
-	dst = append(dst[:0], must)
-	for _, x := range all {
-		if len(dst) >= n {
-			break
-		}
-		if x != must {
-			dst = append(dst, x)
-		}
-	}
-	return dst
 }
 
 // Contains implements cachesim.Cache.
@@ -578,18 +561,11 @@ func (c *IBLP) Reset() {
 	c.items.Clear()
 	c.blocks.Clear()
 	if c.inBlockBits != nil {
-		c.inBlockBits.reset()
-		c.inItemBits.reset()
+		c.inBlockBits.Clear()
+		c.inItemBits.Clear()
 	} else {
 		clear(c.resident)
 		clear(c.inBlock)
 	}
 	c.blockUsed = 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

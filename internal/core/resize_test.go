@@ -5,11 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"gccache/internal/bitset"
 	"gccache/internal/model"
 )
 
-// popcount counts the set bits of a core bitset.
-func popcount(b bitset) int {
+// popcount counts the members of a bitset.
+func popcount(b bitset.Set) int {
 	n := 0
 	for _, w := range b {
 		n += bits.OnesCount64(w)

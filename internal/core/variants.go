@@ -97,7 +97,7 @@ func NewIBLPExclusive(i, b int, g model.Geometry) *IBLPExclusive {
 		blockSize: b,
 		geo:       g,
 		items:     lrulist.New[model.Item](i),
-		blocks:    lrulist.New[model.Block](b/maxInt(1, g.BlockSize()) + 1),
+		blocks:    lrulist.New[model.Block](b/max(1, g.BlockSize()) + 1),
 		resident:  make(map[model.Block]map[model.Item]struct{}),
 		inBlock:   make(map[model.Item]model.Block),
 	}

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
+
 	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
+	"gccache/internal/opt"
 	"gccache/internal/render"
+	"gccache/internal/trace"
 )
 
 // Figure1Demo makes the paper's Figure 1 executable: a request to A1
@@ -21,12 +25,12 @@ func Figure1Demo() *Report {
 
 	// k = 2: the optimum wants A1 and A2 (both re-referenced) but has no
 	// room for A3 — exactly Figure 1's subset load.
-	tr := []model.Item{0, 1, 0, 1, 0, 1}
+	tr := trace.Trace{0, 1, 0, 1, 0, 1}
 	t := &render.Table{
 		Title:   "Figure 1: miss on A1 loads the subset {A1 A2} of block {A1 A2 A3} (k=2)",
 		Headers: []string{"t", "request", "action", "cache after"},
 	}
-	_, sched, err := scheduleFor(tr, geo, 2)
+	_, sched, err := opt.ExactSchedule(context.Background(), tr, geo, 2)
 	if err != nil {
 		r.Failf("schedule: %v", err)
 		return r
@@ -65,15 +69,6 @@ func Figure1Demo() *Report {
 	}
 	r.Notef("items after the first are free (unit block cost), so the optimum loads exactly the subset it has room to exploit — the opportunity Figure 1 illustrates")
 	return r
-}
-
-// scheduleFor adapts opt.ExactSchedule to the []model.Item convenience
-// used by the demos.
-func scheduleFor(items []model.Item, geo model.Geometry, k int) (int64, []optStep, error) {
-	tr := make([]model.Item, len(items))
-	copy(tr, items)
-	cost, steps, err := exactSchedule(tr, geo, k)
-	return cost, steps, err
 }
 
 // Figure4Demo makes Figure 4 executable: the logical structure of IBLP —

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -23,7 +24,7 @@ func Figure2Demo() *Report {
 	}
 	names := []string{"A", "B", "C"}
 
-	vOPT, err := vsc.Exact(in)
+	vOPT, err := vsc.Exact(context.Background(), in)
 	if err != nil {
 		r.Failf("vsc exact: %v", err)
 		return r
@@ -33,11 +34,12 @@ func Figure2Demo() *Report {
 		r.Failf("reduce: %v", err)
 		return r
 	}
-	gOPT, sched, err := opt.ExactSchedule(red.Trace, red.Geometry, red.CacheSize)
+	gRes, sched, err := opt.ExactSchedule(context.Background(), red.Trace, red.Geometry, red.CacheSize)
 	if err != nil {
 		r.Failf("gc exact: %v", err)
 		return r
 	}
+	gOPT := gRes.Incumbent
 	if gOPT != vOPT {
 		r.Failf("reduction broke on the Figure 2 instance: VSC %d vs GC %d", vOPT, gOPT)
 	}

@@ -49,7 +49,7 @@ func ReductionCheck(rounds int, seed int64) *Report {
 			in.Trace[i] = rng.Intn(n)
 		}
 		done++
-		vOPT, err := vsc.Exact(in)
+		vOPT, err := vsc.Exact(context.Background(), in)
 		if err != nil {
 			r.Failf("vsc exact: %v", err)
 			continue
@@ -59,11 +59,12 @@ func ReductionCheck(rounds int, seed int64) *Report {
 			r.Failf("reduce: %v", err)
 			continue
 		}
-		gOPT, err := opt.Exact(red.Trace, red.Geometry, red.CacheSize)
+		gRes, _, err := opt.Exact(context.Background(), red.Trace, red.Geometry, red.CacheSize, nil)
 		if err != nil {
 			r.Failf("gc exact: %v", err)
 			continue
 		}
+		gOPT := gRes.Incumbent
 		equal := "yes"
 		if vOPT != gOPT {
 			equal = "NO"

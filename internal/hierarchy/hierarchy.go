@@ -52,7 +52,7 @@ func New(levels ...Level) (*Stack, error) {
 		if l.MissCost < 0 {
 			return nil, fmt.Errorf("hierarchy: level %d (%s) has negative miss cost", i, l.Name)
 		}
-		s.recorders = append(s.recorders, cachesim.NewRecorder(l.Cache.Name()))
+		s.recorders = append(s.recorders, cachesim.NewRecorder(l.Cache.Name(), 0))
 	}
 	return s, nil
 }
@@ -70,25 +70,17 @@ func (s *Stack) Access(it model.Item) int {
 	return len(s.levels)
 }
 
-// Run replays a trace through the stack.
-func (s *Stack) Run(tr trace.Trace) Result {
-	for _, it := range tr {
-		s.Access(it)
-	}
-	return s.Result()
-}
-
 // cancelStride matches cachesim's polling stride: a multi-level access
 // costs a handful of map operations, so checking ctx every 4096 accesses
 // bounds cancellation latency at microseconds without touching the
 // per-access path.
 const cancelStride = 4096
 
-// RunCtx is Run with cooperative cancellation: the replay polls ctx
-// every cancelStride accesses and, when the context ends, returns the
-// per-level statistics accumulated so far together with ctx's error.
-// A completed replay returns a nil error.
-func (s *Stack) RunCtx(ctx context.Context, tr trace.Trace) (Result, error) {
+// Run replays a trace through the stack with cooperative cancellation:
+// it polls ctx every cancelStride accesses and, when the context ends,
+// returns the per-level statistics accumulated so far together with
+// ctx's error. A completed replay returns a nil error.
+func (s *Stack) Run(ctx context.Context, tr trace.Trace) (Result, error) {
 	for i, it := range tr {
 		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
@@ -104,7 +96,7 @@ func (s *Stack) RunCtx(ctx context.Context, tr trace.Trace) (Result, error) {
 func (s *Stack) Reset() {
 	for i, l := range s.levels {
 		l.Cache.Reset()
-		s.recorders[i] = cachesim.NewRecorder(l.Cache.Name())
+		s.recorders[i] = cachesim.NewRecorder(l.Cache.Name(), 0)
 	}
 }
 

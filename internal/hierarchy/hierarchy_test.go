@@ -1,12 +1,14 @@
 package hierarchy
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/policy"
+	"gccache/internal/trace"
 	"gccache/internal/workload"
 )
 
@@ -23,6 +25,16 @@ func twoLevel(t *testing.T) *Stack {
 	}
 	_ = lineGeo
 	return s
+}
+
+// run replays tr through s to completion.
+func run(t *testing.T, s *Stack, tr trace.Trace) Result {
+	t.Helper()
+	res, err := s.Run(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAccessDescends(t *testing.T) {
@@ -43,7 +55,7 @@ func TestAccessDescends(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	s := twoLevel(t)
-	res := s.Run(workload.Sequential(0, 640)) // 10 rows, one pass
+	res := run(t, s, workload.Sequential(0, 640)) // 10 rows, one pass
 	l1 := res.PerLevel[0]
 	l2 := res.PerLevel[1]
 	if l1.Accesses != 640 {
@@ -84,7 +96,7 @@ func TestGCAwareL2BeatsItemL2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Run(workload.MatrixTraversal(64, 256, true, 2))
+		return run(t, s, workload.MatrixTraversal(64, 256, true, 2))
 	}
 	gcAware := build(Level{Name: "L2", Cache: core.NewIBLPEvenSplit(2048, rowGeo), MissCost: 100})
 	itemOnly := build(Level{Name: "L2", Cache: policy.NewItemLRU(2048), MissCost: 100})
@@ -103,7 +115,7 @@ func TestThreeLevelStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(workload.CyclicScan(2048, 20000))
+	res := run(t, s, workload.CyclicScan(2048, 20000))
 	// Monotone traffic: accesses can only shrink going down.
 	for i := 1; i < len(res.PerLevel); i++ {
 		if res.PerLevel[i].Accesses != res.PerLevel[i-1].Misses {
@@ -118,7 +130,7 @@ func TestThreeLevelStack(t *testing.T) {
 
 func TestResetAndLevelStats(t *testing.T) {
 	s := twoLevel(t)
-	s.Run(workload.Sequential(0, 100))
+	run(t, s, workload.Sequential(0, 100))
 	if s.LevelStats(0).Accesses != 100 {
 		t.Error("LevelStats before reset")
 	}
@@ -144,5 +156,20 @@ func TestNewValidation(t *testing.T) {
 	var empty Result
 	if empty.AMAT() != 0 {
 		t.Error("empty AMAT")
+	}
+}
+
+// TestRunCancelled checks a dead context stops the replay before any
+// access and is reported, not swallowed.
+func TestRunCancelled(t *testing.T) {
+	s := twoLevel(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := s.Run(ctx, workload.Sequential(0, 100))
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.PerLevel[0].Accesses != 0 {
+		t.Errorf("cancelled run replayed %d accesses", res.PerLevel[0].Accesses)
 	}
 }

@@ -58,6 +58,27 @@ func AppendItemsOf(g Geometry, dst []Item, b Block) []Item {
 	return append(dst, g.ItemsOf(b)...)
 }
 
+// TruncateAround fills dst with up to n items of all, guaranteed to
+// include must (placed first), and returns the filled slice. It is how
+// a block-loading policy admits a block wider than its layer — the
+// requested item plus the first siblings that fit — so every policy and
+// the autotune shadows truncate identically. dst is a reusable scratch:
+// it grows to n once, after which truncation is allocation-free (blocks
+// wider than the layer truncate on every admission, so this runs in the
+// replay steady state).
+func TruncateAround(dst, all []Item, must Item, n int) []Item {
+	dst = append(dst[:0], must)
+	for _, x := range all {
+		if len(dst) >= n {
+			break
+		}
+		if x != must {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
 // Fixed is the canonical geometry: item i belongs to block i/B, and block
 // b holds items [b*B, (b+1)*B). Every block is full. This is the geometry
 // of a memory address space split into aligned lines.

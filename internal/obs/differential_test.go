@@ -63,8 +63,8 @@ func runDifferential(t *testing.T, bare, probed cachesim.Cache, tr []model.Item,
 	}
 	in.SetProbe(suite)
 
-	recBare := cachesim.NewRecorderBounded(bare.Name(), universe)
-	recProbed := cachesim.NewRecorderBounded(probed.Name(), universe)
+	recBare := cachesim.NewRecorder(bare.Name(), universe)
+	recProbed := cachesim.NewRecorder(probed.Name(), universe)
 	recProbed.SetProbe(suite)
 
 	for i, it := range tr {

@@ -10,58 +10,43 @@ import (
 	"gccache/internal/render"
 )
 
-// Histogram is a log₂-bucketed histogram of non-negative int64 samples:
+// Log2Hist is a log₂-bucketed histogram of non-negative int64 samples:
 // value v lands in bucket bits.Len64(v), so bucket i covers
 // [2^(i−1), 2^i). Memory is a fixed 65-slot array regardless of sample
-// count, updates are O(1), and quantiles are answered from the bucket
-// prefix sums (resolution: one power of two — exactly the granularity
-// the paper's asymptotic bounds speak in). Safe for concurrent use.
-type Histogram struct {
-	mu      sync.Mutex
-	name    string
-	unit    string
+// count, updates are O(1) and allocation-free, and quantiles are
+// answered from the bucket prefix sums (resolution: one power of two —
+// exactly the granularity the paper's asymptotic bounds speak in). The
+// zero value is empty. Not safe for concurrent use: single-owner hot
+// paths (the cachesim Recorder's always-on distributions) hold one by
+// value, and Histogram wraps one with a mutex and labels.
+type Log2Hist struct {
 	buckets [65]int64
 	count   int64
 	sum     int64
 	max     int64
 }
 
-// NewHistogram returns an empty histogram labeled name, with sample
-// values measured in unit (used by the rendered tables).
-func NewHistogram(name, unit string) *Histogram {
-	return &Histogram{name: name, unit: unit}
-}
-
 // Record adds one sample; negative samples are clamped to zero.
-func (h *Histogram) Record(v int64) {
+//
+//gclint:hotpath
+func (h *Log2Hist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
 	h.buckets[bits.Len64(uint64(v))]++
 	h.count++
 	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
-	h.mu.Unlock()
 }
-
-// Name returns the histogram's label.
-func (h *Histogram) Name() string { return h.name }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Log2Hist) Count() int64 { return h.count }
 
 // Mean returns the exact mean of the samples (sums are kept exactly;
 // only the distribution is bucketed), or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *Log2Hist) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -74,13 +59,7 @@ func (h *Histogram) Mean() float64 {
 // convention is the standard nearest-rank definition: p50 of three
 // samples inspects the 2nd smallest, p99 of 100 samples the 99th.
 // Returns 0 with no samples.
-func (h *Histogram) Percentile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.percentileLocked(q)
-}
-
-func (h *Histogram) percentileLocked(q float64) int64 {
+func (h *Log2Hist) Percentile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -118,6 +97,53 @@ func bucketLow(i int) int64 {
 	return int64(1) << (i - 1)
 }
 
+// Histogram is a Log2Hist with a name, a sample unit for its rendered
+// tables, and a mutex: safe for concurrent use.
+type Histogram struct {
+	mu   sync.Mutex
+	name string
+	unit string
+	h    Log2Hist
+}
+
+// NewHistogram returns an empty histogram labeled name, with sample
+// values measured in unit (used by the rendered tables).
+func NewHistogram(name, unit string) *Histogram {
+	return &Histogram{name: name, unit: unit}
+}
+
+// Record adds one sample; negative samples are clamped to zero.
+func (h *Histogram) Record(v int64) {
+	h.mu.Lock()
+	h.h.Record(v)
+	h.mu.Unlock()
+}
+
+// Name returns the histogram's label.
+func (h *Histogram) Name() string { return h.name }
+
+// Count returns the number of recorded samples.
+func (h *Histogram) Count() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Count()
+}
+
+// Mean returns the exact mean of the samples, or 0 with no samples.
+func (h *Histogram) Mean() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Mean()
+}
+
+// Percentile returns the q-quantile under Log2Hist.Percentile's
+// ceil-rank convention, or 0 with no samples.
+func (h *Histogram) Percentile(q float64) int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Percentile(q)
+}
+
 // Table renders the non-empty buckets plus summary quantiles.
 func (h *Histogram) Table() *render.Table {
 	h.mu.Lock()
@@ -127,7 +153,7 @@ func (h *Histogram) Table() *render.Table {
 		Headers: []string{"bucket (" + h.unit + ")", "count", "cumulative %"},
 	}
 	var cum int64
-	for i, n := range h.buckets {
+	for i, n := range h.h.buckets {
 		if n == 0 {
 			continue
 		}
@@ -138,12 +164,12 @@ func (h *Histogram) Table() *render.Table {
 			hi = 0
 		}
 		t.AddRow(render.FormatFloat(float64(lo))+"–"+render.FormatFloat(float64(hi)),
-			n, 100*float64(cum)/float64(h.count))
+			n, 100*float64(cum)/float64(h.h.count))
 	}
-	t.AddRow("p50", h.percentileLocked(0.50), "-")
-	t.AddRow("p90", h.percentileLocked(0.90), "-")
-	t.AddRow("p99", h.percentileLocked(0.99), "-")
-	t.AddRow("samples", h.count, "-")
+	t.AddRow("p50", h.h.Percentile(0.50), "-")
+	t.AddRow("p90", h.h.Percentile(0.90), "-")
+	t.AddRow("p99", h.h.Percentile(0.99), "-")
+	t.AddRow("samples", h.h.count, "-")
 	return t
 }
 

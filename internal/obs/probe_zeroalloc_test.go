@@ -74,7 +74,7 @@ func TestProbeZeroAllocCountersAttached(t *testing.T) {
 func TestProbeZeroAllocRecorder(t *testing.T) {
 	g := model.NewFixed(16)
 	c := core.NewIBLPEvenSplitBounded(512, g, zaUniverse)
-	rec := cachesim.NewRecorderBounded(c.Name(), zaUniverse)
+	rec := cachesim.NewRecorder(c.Name(), zaUniverse)
 	rec.SetProbe(&obs.Counters{})
 	for i := 0; i < zaUniverse*2; i++ {
 		rec.Observe(model.Item(i%zaUniverse), c.Access(model.Item(i%zaUniverse)))

@@ -274,7 +274,7 @@ func New(cfg Config) (*Server, error) {
 	if in, ok := s.cache.(cachesim.Instrumented); ok {
 		in.SetProbe(probe)
 	}
-	s.rec = cachesim.NewRecorder(s.cache.Name())
+	s.rec = cachesim.NewRecorder(s.cache.Name(), 0)
 	s.rec.SetProbe(probe)
 	return s, nil
 }
@@ -563,7 +563,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	st := s.Stats()
-	fmt.Fprintf(w, "gcserve — %s  k=%d B=%d shards=%d\n", st.Policy, s.cfg.K, s.cfg.B, maxInt(1, s.cfg.Shards))
+	fmt.Fprintf(w, "gcserve — %s  k=%d B=%d shards=%d\n", st.Policy, s.cfg.K, s.cfg.B, max(1, s.cfg.Shards))
 	if s.node != nil {
 		fmt.Fprintf(w, "cluster: node %s in ring %s (%d nodes)\n", s.node.Addr(), s.cfg.ClusterRing, len(s.ringNodes))
 	} else if s.cfg.TraceFile != "" {
@@ -763,7 +763,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sizes := make([]int, 24)
 	for i := range sizes {
-		sizes[i] = (i + 1) * maxInt(1, s.cfg.K/len(sizes))
+		sizes[i] = (i + 1) * max(1, s.cfg.K/len(sizes))
 	}
 	results := make([]float64, len(sizes))
 	var st cachesim.SweepStats
@@ -794,11 +794,4 @@ func loopSuffix(loop bool) string {
 		return ", looping"
 	}
 	return ""
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -41,7 +41,7 @@ func TestAutotuneOffIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := cachesim.NewRecorder(c.Name())
+	rec := cachesim.NewRecorder(c.Name(), 0)
 	for _, it := range tr {
 		rec.Observe(it, c.Access(it))
 	}

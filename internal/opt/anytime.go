@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -254,61 +253,6 @@ func CheckpointFromSnapshot(s *checkpoint.Snapshot, hash int64) (*Checkpoint, er
 		return nil, fmt.Errorf("opt: negative snapshot step %d", c.Step)
 	}
 	return c, nil
-}
-
-// ExactCtx is Exact as an anytime solver: it runs the frontier DP under
-// ctx and, when ctx ends first, returns the best incumbent (DP prefix +
-// greedy completion), the proven lower bound, and an error wrapping
-// ErrDeadline. With a background context it certifies the optimum,
-// matching Exact exactly.
-func ExactCtx(ctx context.Context, tr trace.Trace, geo model.Geometry, k int) (Anytime, error) {
-	res, _, err := ExactResumeCtx(ctx, tr, geo, k, nil)
-	return res, err
-}
-
-// ExactResumeCtx is ExactCtx with checkpointing: it starts from ck (nil
-// means a fresh solve) and always returns the checkpoint reached, which
-// a later call can resume to continue the proof where it stopped.
-// Resumed solves visit exactly the states an uninterrupted solve would.
-func ExactResumeCtx(ctx context.Context, tr trace.Trace, geo model.Geometry, k int, ck *Checkpoint) (Anytime, *Checkpoint, error) {
-	if k < 1 {
-		return Anytime{}, nil, fmt.Errorf("opt: cache size %d < 1", k)
-	}
-	if len(tr) == 0 {
-		return Anytime{Exact: true}, &Checkpoint{Frontier: map[uint32]int64{0: 0}}, nil
-	}
-	ins, err := newInstance(tr, geo)
-	if err != nil {
-		return Anytime{}, nil, err
-	}
-	start := 0
-	frontier := map[uint32]int64{0: 0}
-	if ck != nil {
-		if ck.Step < 0 || ck.Step > len(tr) || len(ck.Frontier) == 0 {
-			return Anytime{}, nil, fmt.Errorf("opt: checkpoint step %d invalid for a %d-access trace", ck.Step, len(tr))
-		}
-		start = ck.Step
-		frontier = make(map[uint32]int64, len(ck.Frontier))
-		for m, c := range ck.Frontier {
-			frontier[m] = c
-		}
-	}
-	for step := start; step < len(tr); step++ {
-		if ctx.Err() != nil {
-			mask, lower := bestState(frontier)
-			inc := lower + ins.greedyComplete(tr, step, mask, k, nil)
-			return Anytime{Incumbent: inc, Lower: lower, Steps: step},
-				&Checkpoint{Step: step, Frontier: frontier},
-				fmt.Errorf("%w after %d/%d accesses: %v", ErrDeadline, step, len(tr), ctx.Err())
-		}
-		frontier = exactStep(ins, frontier, tr[step], k)
-		if len(frontier) == 0 {
-			return Anytime{}, nil, fmt.Errorf("opt: state space exhausted (internal error)")
-		}
-	}
-	_, best := bestState(frontier)
-	return Anytime{Incumbent: best, Lower: best, Exact: true, Steps: len(tr)},
-		&Checkpoint{Step: len(tr), Frontier: frontier}, nil
 }
 
 // exactStep folds one access into the frontier: relax every reachable

@@ -25,24 +25,10 @@ func randInstance(rng *rand.Rand) (trace.Trace, model.Geometry, int) {
 	return tr, g, k
 }
 
-func TestExactCtxNoDeadlineMatchesExact(t *testing.T) {
-	// The differential criterion: with no deadline the anytime solver is
-	// the exact solver — same value, certified.
-	rng := rand.New(rand.NewSource(77))
-	for round := 0; round < 40; round++ {
-		tr, g, k := randInstance(rng)
-		want, err := Exact(tr, g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ExactCtx(context.Background(), tr, g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Exact || res.Incumbent != want || res.Lower != want || res.Steps != len(tr) {
-			t.Fatalf("round %d: ExactCtx = %+v, Exact = %d", round, res, want)
-		}
-	}
+// solve runs Exact to completion from scratch and returns the optimum.
+func solve(tr trace.Trace, g model.Geometry, k int) (int64, error) {
+	res, _, err := Exact(context.Background(), tr, g, k, nil)
+	return res.Incumbent, err
 }
 
 func TestExactCtxDeadlineReturnsIncumbentAndBound(t *testing.T) {
@@ -51,11 +37,11 @@ func TestExactCtxDeadlineReturnsIncumbentAndBound(t *testing.T) {
 	defer cancel()
 	for round := 0; round < 20; round++ {
 		tr, g, k := randInstance(rng)
-		opt, err := Exact(tr, g, k)
+		opt, err := solve(tr, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ExactCtx(dead, tr, g, k)
+		res, _, err := Exact(dead, tr, g, k, nil)
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("round %d: err = %v, want ErrDeadline", round, err)
 		}
@@ -67,7 +53,7 @@ func TestExactCtxDeadlineReturnsIncumbentAndBound(t *testing.T) {
 				round, res.Incumbent, res.Lower, opt)
 		}
 		// The incumbent must be achievable: verify via the schedule variant.
-		sres, steps, serr := ExactScheduleCtx(dead, tr, g, k)
+		sres, steps, serr := ExactSchedule(dead, tr, g, k)
 		if !errors.Is(serr, ErrDeadline) {
 			t.Fatalf("round %d: schedule err = %v", round, serr)
 		}
@@ -78,27 +64,14 @@ func TestExactCtxDeadlineReturnsIncumbentAndBound(t *testing.T) {
 		if cost != sres.Incumbent {
 			t.Fatalf("round %d: schedule cost %d != incumbent %d", round, cost, sres.Incumbent)
 		}
-	}
-}
-
-func TestExactScheduleCtxNoDeadlineMatchesExactSchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for round := 0; round < 20; round++ {
-		tr, g, k := randInstance(rng)
-		want, wantSteps, err := ExactSchedule(tr, g, k)
-		if err != nil {
-			t.Fatal(err)
+		// Without a deadline the schedule is certified and verifies at
+		// the optimum.
+		sres, steps, serr = ExactSchedule(context.Background(), tr, g, k)
+		if serr != nil || !sres.Exact || sres.Incumbent != opt || len(steps) != len(tr) {
+			t.Fatalf("round %d: completed schedule res=%+v steps=%d err=%v, want exact %d", round, sres, len(steps), serr, opt)
 		}
-		res, steps, err := ExactScheduleCtx(context.Background(), tr, g, k)
-		if err != nil || !res.Exact || res.Incumbent != want {
-			t.Fatalf("round %d: res=%+v err=%v want %d", round, res, err, want)
-		}
-		if len(steps) != len(wantSteps) {
-			t.Fatalf("round %d: %d steps, want %d", round, len(steps), len(wantSteps))
-		}
-		cost, err := VerifySchedule(tr, g, k, steps)
-		if err != nil || cost != want {
-			t.Fatalf("round %d: verify cost=%d err=%v", round, cost, err)
+		if cost, verr := VerifySchedule(tr, g, k, steps); verr != nil || cost != opt {
+			t.Fatalf("round %d: completed schedule verifies at %d (err %v), want %d", round, cost, verr, opt)
 		}
 	}
 }
@@ -122,10 +95,15 @@ func TestExactResumeCtxMatchesUninterrupted(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 20; round++ {
 		tr, g, k := randInstance(rng)
-		want, err := Exact(tr, g, k)
+		// An uninterrupted solve completes and certifies its value.
+		full, _, err := Exact(context.Background(), tr, g, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !full.Exact || full.Lower != full.Incumbent || full.Steps != len(tr) {
+			t.Fatalf("round %d: completed solve = %+v, want Exact with Lower == Incumbent and Steps == %d", round, full, len(tr))
+		}
+		want := full.Incumbent
 		// Chop the solve into single-step slices via checkpoints; the
 		// final certified value must match, proving resume loses nothing.
 		var ck *Checkpoint
@@ -134,7 +112,7 @@ func TestExactResumeCtxMatchesUninterrupted(t *testing.T) {
 			if hops > len(tr)+2 {
 				t.Fatalf("round %d: resume loop did not converge", round)
 			}
-			res, ck, err = ExactResumeCtx(&stepsCtx{Context: context.Background(), remaining: 1}, tr, g, k, ck)
+			res, ck, err = Exact(&stepsCtx{Context: context.Background(), remaining: 1}, tr, g, k, ck)
 			if err == nil {
 				break
 			}
@@ -204,7 +182,7 @@ func TestExactResumeCtxRejectsBadCheckpoint(t *testing.T) {
 		{Step: 4, Frontier: map[uint32]int64{0: 0}},
 		{Step: 1, Frontier: nil},
 	} {
-		if _, _, err := ExactResumeCtx(context.Background(), tr, g, 2, ck); err == nil {
+		if _, _, err := Exact(context.Background(), tr, g, 2, ck); err == nil {
 			t.Errorf("checkpoint %+v accepted", ck)
 		}
 	}

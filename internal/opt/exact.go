@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -15,8 +16,8 @@ import (
 // certifying heuristics and the reduction on small instances.
 const MaxExactUniverse = 20
 
-// Exact returns the exact GC-caching optimum (minimum miss count) for tr
-// under geo with cache size k.
+// Exact solves the GC-caching optimum (minimum miss count) for tr under
+// geo with cache size k, as an anytime, resumable solver.
 //
 // States are bitmasks of cached items over the trace's distinct-item
 // universe. On a miss to x the cache may load any L ⊆ block(x)\cache with
@@ -26,11 +27,53 @@ const MaxExactUniverse = 20
 // only maximal states matter; the frontier is additionally pruned by
 // dominance (drop S if a superset with no larger cost survives).
 //
-// Exact runs to completion; ExactCtx is the anytime variant that
-// respects a deadline and reports incumbent + lower bound instead.
-func Exact(tr trace.Trace, geo model.Geometry, k int) (int64, error) {
-	res, err := ExactCtx(context.Background(), tr, geo, k)
-	return res.Incumbent, err
+// The solver polls ctx once per trace position. A completed solve
+// returns the certified optimum (Exact set, Lower == Incumbent, Steps ==
+// len(tr)) and a nil error. When ctx ends first it returns the best
+// incumbent (DP prefix completed greedily), the proven lower bound, and
+// an error wrapping ErrDeadline. Either way it returns the checkpoint
+// reached: passing it back as from continues the proof where it
+// stopped, visiting exactly the states an uninterrupted solve would. A
+// nil from is a fresh solve.
+func Exact(ctx context.Context, tr trace.Trace, geo model.Geometry, k int, from *Checkpoint) (Anytime, *Checkpoint, error) {
+	if k < 1 {
+		return Anytime{}, nil, fmt.Errorf("opt: cache size %d < 1", k)
+	}
+	if len(tr) == 0 {
+		return Anytime{Exact: true}, &Checkpoint{Frontier: map[uint32]int64{0: 0}}, nil
+	}
+	ins, err := newInstance(tr, geo)
+	if err != nil {
+		return Anytime{}, nil, err
+	}
+	start := 0
+	frontier := map[uint32]int64{0: 0}
+	if from != nil {
+		if from.Step < 0 || from.Step > len(tr) || len(from.Frontier) == 0 {
+			return Anytime{}, nil, fmt.Errorf("opt: checkpoint step %d invalid for a %d-access trace", from.Step, len(tr))
+		}
+		start = from.Step
+		frontier = make(map[uint32]int64, len(from.Frontier))
+		for m, c := range from.Frontier {
+			frontier[m] = c
+		}
+	}
+	for step := start; step < len(tr); step++ {
+		if ctx.Err() != nil {
+			mask, lower := bestState(frontier)
+			inc := lower + ins.greedyComplete(tr, step, mask, k, nil)
+			return Anytime{Incumbent: inc, Lower: lower, Steps: step},
+				&Checkpoint{Step: step, Frontier: frontier},
+				fmt.Errorf("%w after %d/%d accesses: %v", ErrDeadline, step, len(tr), ctx.Err())
+		}
+		frontier = exactStep(ins, frontier, tr[step], k)
+		if len(frontier) == 0 {
+			return Anytime{}, nil, fmt.Errorf("opt: state space exhausted (internal error)")
+		}
+	}
+	_, best := bestState(frontier)
+	return Anytime{Incumbent: best, Lower: best, Exact: true, Steps: len(tr)},
+		&Checkpoint{Step: len(tr), Frontier: frontier}, nil
 }
 
 // forEachSubsetOfSize calls fn for every subset of set with exactly size

@@ -70,7 +70,7 @@ func TestBeladyNeverWorseThanLRU(t *testing.T) {
 // tiny instances (reference for Belady).
 func bruteForceItemOPT(tr trace.Trace, k int) int64 {
 	g := model.NewFixed(1)
-	v, err := Exact(tr, g, k)
+	v, err := solve(tr, g, k)
 	if err != nil {
 		panic(err)
 	}
@@ -111,7 +111,7 @@ func TestExactKnownGCInstances(t *testing.T) {
 		{"empty", nil, 2, 0},
 	}
 	for _, c := range cases {
-		got, err := Exact(c.tr, g, c.k)
+		got, err := solve(c.tr, g, c.k)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -126,10 +126,10 @@ func TestExactRejectsLargeUniverse(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(i)
 	}
-	if _, err := Exact(tr, model.NewFixed(2), 2); err == nil {
+	if _, err := solve(tr, model.NewFixed(2), 2); err == nil {
 		t.Fatal("oversized universe accepted")
 	}
-	if _, err := Exact(trace.Trace{1}, model.NewFixed(2), 0); err == nil {
+	if _, err := solve(trace.Trace{1}, model.NewFixed(2), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestHeuristicsBracketExact(t *testing.T) {
 		for i := range tr {
 			tr[i] = model.Item(rng.Intn(universe))
 		}
-		exact, err := Exact(tr, g, k)
+		exact, err := solve(tr, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestBeladyKeysStaleEntryStress(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(keys[i])
 	}
-	want, err := Exact(tr, model.NewFixed(1), 4)
+	want, err := solve(tr, model.NewFixed(1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,16 +266,16 @@ func TestExactScheduleMatchesExactAndVerifies(t *testing.T) {
 		for i := range tr {
 			tr[i] = model.Item(rng.Intn(universe))
 		}
-		want, err := Exact(tr, g, k)
+		want, err := solve(tr, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, sched, err := ExactSchedule(tr, g, k)
+		res, sched, err := ExactSchedule(context.Background(), tr, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("round %d: schedule cost %d != exact %d", round, got, want)
+		if res.Incumbent != want {
+			t.Fatalf("round %d: schedule cost %d != exact %d", round, res.Incumbent, want)
 		}
 		verified, err := VerifySchedule(tr, g, k, sched)
 		if err != nil {
@@ -289,17 +289,17 @@ func TestExactScheduleMatchesExactAndVerifies(t *testing.T) {
 
 func TestExactScheduleEdgeCases(t *testing.T) {
 	g := model.NewFixed(2)
-	if _, _, err := ExactSchedule(nil, g, 2); err != nil {
+	if _, _, err := ExactSchedule(context.Background(), nil, g, 2); err != nil {
 		t.Errorf("empty trace: %v", err)
 	}
-	if _, _, err := ExactSchedule(trace.Trace{1}, g, 0); err == nil {
+	if _, _, err := ExactSchedule(context.Background(), trace.Trace{1}, g, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	big := make(trace.Trace, MaxExactUniverse+1)
 	for i := range big {
 		big[i] = model.Item(i)
 	}
-	if _, _, err := ExactSchedule(big, g, 2); err == nil {
+	if _, _, err := ExactSchedule(context.Background(), big, g, 2); err == nil {
 		t.Error("oversized universe accepted")
 	}
 }

@@ -78,7 +78,7 @@ func TestExactMatchesReference(t *testing.T) {
 		for i := range tr {
 			tr[i] = model.Item(rng.Intn(universe))
 		}
-		got, err := Exact(tr, g, k)
+		got, err := solve(tr, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestExactMatchesReference(t *testing.T) {
 func TestFailingInstanceFromBracketTest(t *testing.T) {
 	tr := trace.Trace{1, 2, 2, 0, 2, 3, 6, 7, 5, 0, 0, 4, 4, 4, 5, 6, 0}
 	g := model.NewFixed(2)
-	got, err := Exact(tr, g, 2)
+	got, err := solve(tr, g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,22 +23,15 @@ type Step struct {
 	Contents []model.Item
 }
 
-// ExactSchedule computes the exact GC optimum like Exact and additionally
-// reconstructs one optimal schedule: which items each miss loads and
-// evicts. Subject to the same MaxExactUniverse limit.
-func ExactSchedule(tr trace.Trace, geo model.Geometry, k int) (int64, []Step, error) {
-	res, steps, err := ExactScheduleCtx(context.Background(), tr, geo, k)
-	return res.Incumbent, steps, err
-}
-
-// ExactScheduleCtx is ExactSchedule as an anytime solver. With a live
-// context it returns the certified optimum and an optimal schedule.
-// When ctx ends mid-solve it still returns a complete feasible schedule
-// — the DP prefix reconstructed through parents, completed greedily
-// with furthest-next-use eviction — whose cost is the Anytime
-// incumbent, alongside the proven lower bound and a wrapped
+// ExactSchedule is Exact that also reconstructs one schedule: which
+// items each miss loads and evicts. Subject to the same MaxExactUniverse
+// limit. A completed solve returns the certified optimum and an optimal
+// schedule. When ctx ends mid-solve it still returns a complete
+// feasible schedule — the DP prefix reconstructed through parents,
+// completed greedily with furthest-next-use eviction — whose cost is
+// the Anytime incumbent, alongside the proven lower bound and a wrapped
 // ErrDeadline.
-func ExactScheduleCtx(ctx context.Context, tr trace.Trace, geo model.Geometry, k int) (Anytime, []Step, error) {
+func ExactSchedule(ctx context.Context, tr trace.Trace, geo model.Geometry, k int) (Anytime, []Step, error) {
 	if k < 1 {
 		return Anytime{}, nil, fmt.Errorf("opt: cache size %d < 1", k)
 	}

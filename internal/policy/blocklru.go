@@ -122,7 +122,7 @@ func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 	// requested item plus as many siblings as fit.
 	want := c.want
 	if len(want) > c.capacity {
-		c.trunc = truncateAround(c.trunc, want, it, c.capacity)
+		c.trunc = model.TruncateAround(c.trunc, want, it, c.capacity)
 		want = c.trunc
 	}
 
@@ -195,7 +195,7 @@ func (c *BlockLRU) accessDense(it model.Item) cachesim.Access {
 	c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
 	want := c.want
 	if len(want) > c.capacity {
-		c.trunc = truncateAround(c.trunc, want, it, c.capacity)
+		c.trunc = model.TruncateAround(c.trunc, want, it, c.capacity)
 		want = c.trunc
 	}
 
@@ -242,24 +242,6 @@ func (c *BlockLRU) dropBlockDense(blk model.Block) {
 		}
 	}
 	c.order.Remove(blk)
-}
-
-// truncateAround fills dst with up to n items of all, guaranteed to
-// include must, and returns the filled slice. dst is a reusable
-// scratch: it grows to n once, after which truncation is
-// allocation-free (blocks wider than the layer truncate on every
-// admission, so this runs in the replay steady state).
-func truncateAround(dst, all []model.Item, must model.Item, n int) []model.Item {
-	dst = append(dst[:0], must)
-	for _, x := range all {
-		if len(dst) >= n {
-			break
-		}
-		if x != must {
-			dst = append(dst, x)
-		}
-	}
-	return dst
 }
 
 // Contains implements cachesim.Cache.

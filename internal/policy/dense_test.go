@@ -128,7 +128,7 @@ func TestBlockLRUDenseMatchesGeneric(t *testing.T) {
 }
 
 // TestBlockLRUDenseDegenerate covers blocks larger than the whole cache
-// (the truncateAround path) on both representations.
+// (the model.TruncateAround path) on both representations.
 func TestBlockLRUDenseDegenerate(t *testing.T) {
 	const universe = 512
 	g := model.NewFixed(64)

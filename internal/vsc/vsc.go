@@ -75,17 +75,12 @@ const MaxExactItems = 20
 
 // Exact returns the exact optimal miss count via a frontier dynamic
 // program over cached-set bitmasks with dominance pruning (offline VSC is
-// NP-complete; this is exponential and meant for small instances).
-func Exact(in Instance) (int64, error) {
-	return ExactCtx(context.Background(), in)
-}
-
-// ExactCtx is Exact with cooperative cancellation: the solver checks ctx
-// once per trace step (each step enumerates submasks, so a step is the
-// natural polling granularity) and returns ctx's error when cut short.
-// The exponential frontier makes runaway instances easy to hit; ctx is
-// the caller's bound on them.
-func ExactCtx(ctx context.Context, in Instance) (int64, error) {
+// NP-complete; this is exponential and meant for small instances). The
+// solver checks ctx once per trace step (each step enumerates submasks,
+// so a step is the natural polling granularity) and returns ctx's error
+// when cut short. The exponential frontier makes runaway instances easy
+// to hit; ctx is the caller's bound on them.
+func Exact(ctx context.Context, in Instance) (int64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package vsc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestValidate(t *testing.T) {
 func TestScalePreservesOptimal(t *testing.T) {
 	in := Instance{Sizes: []int{1, 2, 2}, CacheSize: 3,
 		Trace: []int{0, 1, 2, 0, 1, 2, 0, 1}}
-	base, err := Exact(in)
+	base, err := Exact(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestScalePreservesOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Exact(scaled)
+		got, err := Exact(context.Background(), scaled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestExactKnownInstances(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		got, err := Exact(c.in)
+		got, err := Exact(context.Background(), c.in)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -114,7 +115,7 @@ func TestExactUnitSizesMatchesBelady(t *testing.T) {
 			in.Trace[i] = rng.Intn(n)
 			keys[i] = uint64(in.Trace[i])
 		}
-		got, err := Exact(in)
+		got, err := Exact(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestReductionPreservesOptimalCost(t *testing.T) {
 		}
 		rounds++
 
-		vscOPT, err := Exact(in)
+		vscOPT, err := Exact(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +205,13 @@ func TestReductionPreservesOptimalCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gcOPT, err := opt.Exact(red.Trace, red.Geometry, red.CacheSize)
+		gcRes, _, err := opt.Exact(context.Background(), red.Trace, red.Geometry, red.CacheSize, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gcOPT != vscOPT {
+		if gcRes.Incumbent != vscOPT {
 			t.Fatalf("reduction broke: VSC OPT %d, GC OPT %d (instance %+v)",
-				vscOPT, gcOPT, in)
+				vscOPT, gcRes.Incumbent, in)
 		}
 	}
 }
