@@ -95,7 +95,7 @@ func (s *Shadow) WindowReset() { s.windowMisses = 0 }
 
 // Access simulates one request and reports whether it would have hit.
 // It mirrors core.IBLP's dense access path with the serving concerns
-// (loaded/evicted reconciliation, probes) stripped out.
+// (loaded/evicted lists, probes) stripped out.
 //
 //gclint:hotpath
 func (s *Shadow) Access(it model.Item) bool {

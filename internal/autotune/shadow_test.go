@@ -3,6 +3,7 @@ package autotune
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"gccache/internal/core"
 	"gccache/internal/model"
@@ -132,5 +133,58 @@ func TestShadowZeroAlloc(t *testing.T) {
 		i += 37
 	}); avg != 0 {
 		t.Errorf("shadow access: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// BenchmarkShadowGridVsIBLP measures what the tuner saves by running
+// its ghosts as Shadows: it replays one scenario trace through the
+// default nine-split grid (k=4096, B=64) once as Shadows and once as
+// dense core.IBLP caches at the same splits, back to back in each
+// iteration, and reports ns per access of each and their ratio.
+func BenchmarkShadowGridVsIBLP(b *testing.B) {
+	const k, B = 4096, 64
+	for _, sc := range []string{"drift", "storage-server"} {
+		b.Run(sc, func(b *testing.B) {
+			tr := loadScenarioTrace(b, "../../scenarios/"+sc+".gcs")
+			g := model.NewFixed(B)
+			tn, err := New(Config{K: k, B: B, Universe: tr.Universe()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var shadows []*Shadow
+			var iblps []*core.IBLP
+			for _, i := range tn.Candidates() {
+				sh, err := NewShadow(i, k-i, g, tr.Universe())
+				if err != nil {
+					b.Fatal(err)
+				}
+				shadows = append(shadows, sh)
+				iblps = append(iblps, core.NewIBLPBounded(i, k-i, g, tr.Universe()))
+			}
+			var shadowNs, iblpNs time.Duration
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				t0 := time.Now()
+				for _, sh := range shadows {
+					sh.Reset()
+					for _, it := range tr {
+						sh.Access(it)
+					}
+				}
+				t1 := time.Now()
+				for _, c := range iblps {
+					c.Reset()
+					for _, it := range tr {
+						c.Access(it)
+					}
+				}
+				shadowNs += t1.Sub(t0)
+				iblpNs += time.Since(t1)
+			}
+			accesses := float64(b.N) * float64(len(tr)) * float64(len(shadows))
+			b.ReportMetric(float64(shadowNs)/accesses, "shadow-ns/access")
+			b.ReportMetric(float64(iblpNs)/accesses, "iblp-ns/access")
+			b.ReportMetric(float64(iblpNs)/float64(shadowNs), "iblp/shadow")
+		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // loadScenarioTrace materializes a corpus scenario at its pinned seed.
-func loadScenarioTrace(t *testing.T, path string) trace.Trace {
+func loadScenarioTrace(t testing.TB, path string) trace.Trace {
 	t.Helper()
 	prog, info, err := scenario.Load(path)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package bitset is the packed membership set of the dense policy
 // paths: IBLP's and GCM's bounded-universe representations in
-// internal/core and the autotune shadow caches that must decide exactly
-// as IBLP does. At one bit per ID, a 256Ki-item universe costs 32KB, so
+// internal/core, the autotune shadow caches that must decide exactly
+// as IBLP does, and cachesim.Changes' per-block offset masks. At one bit per ID, a 256Ki-item universe costs 32KB, so
 // the per-sibling membership probes in admit/drop loops stay in L1/L2
 // where a byte- or word-per-item table would stride through megabytes.
 // Every method is small enough to inline at its call site.

@@ -20,11 +20,17 @@ import (
 )
 
 // Access describes the effect of a single request on a cache.
+//
+// Loaded and Evicted report net changes over the whole access: Loaded
+// lists exactly the items that went from absent to present, Evicted
+// exactly those that went from present to absent. The two lists are
+// disjoint and neither repeats an item, however the policy moved items
+// internally (Changes builds lists that keep this contract).
 type Access struct {
 	// Hit reports whether the requested item was in cache.
 	Hit bool
 	// Loaded lists the items inserted to serve a miss (the requested item
-	// first, then any free siblings from the same block). Empty on hits.
+	// and any free siblings from the same block). Empty on hits.
 	// The slice may be reused by the cache on the next call; callers that
 	// retain it must copy.
 	Loaded []model.Item
@@ -315,124 +321,6 @@ func (r *Recorder) Reset(policy string) {
 // per-item arrays outweighs their constant-factor advantage and callers
 // should use the generic map-based paths.
 const MaxBoundedUniverse = 4 << 20
-
-// Reconciler reconciles a step's load and eviction lists to *net*
-// changes: an item that was transiently loaded and evicted (or evicted
-// and reloaded) within one access is removed from both lists. Policies
-// whose internal mechanics overshoot capacity mid-step net through one
-// before returning an Access, so that Loaded always means
-// absent→present and Evicted always means present→absent.
-//
-// A Reconciler owns reusable scratch. The zero value is usable and
-// allocates its map scratch on first use; NewReconciler with a positive universe instead
-// uses generation-stamped flat arrays indexed by item ID, making the
-// netting step allocation- and hash-free on the dense path.
-//
-// A Reconciler is owned by a single policy instance and is not safe for
-// concurrent use.
-type Reconciler struct {
-	// Generic path: reusable multiset scratch, cleared per call.
-	counts map[model.Item]int32
-	// Bounded path: net[it].count is valid iff net[it].stamp == gen.
-	// Bumping gen invalidates every entry in O(1), so per-call scratch
-	// reset costs nothing regardless of universe size. Stamp and count
-	// share an 8-byte slot so netting one item touches one cache line,
-	// not two — the lists are scattered across the universe, so every
-	// touch is a likely miss and halving them is measurable.
-	net []netSlot
-	gen uint32
-}
-
-// netSlot is one item's generation-stamped multiset entry.
-type netSlot struct {
-	stamp uint32
-	count int32
-}
-
-// NewReconciler returns a Reconciler for item IDs in [0, universe).
-// A non-positive or implausibly large universe yields a generic
-// map-scratch Reconciler that accepts any item ID.
-func NewReconciler(universe int) *Reconciler {
-	if universe <= 0 || universe > MaxBoundedUniverse {
-		return &Reconciler{}
-	}
-	return &Reconciler{net: make([]netSlot, universe)}
-}
-
-// NetChanges nets the two lists in place and returns the trimmed slices.
-//
-//gclint:hotpath
-func (r *Reconciler) NetChanges(loaded, evicted []model.Item) (netLoaded, netEvicted []model.Item) {
-	if len(loaded) == 0 || len(evicted) == 0 {
-		return loaded, evicted
-	}
-	if r.net != nil {
-		return r.netBounded(loaded, evicted)
-	}
-	if r.counts == nil {
-		r.counts = make(map[model.Item]int32, len(evicted)) //gclint:allowalloc first-use lazy init, amortized across calls
-	} else {
-		clear(r.counts)
-	}
-	for _, e := range evicted {
-		r.counts[e]++
-	}
-	netLoaded = loaded[:0]
-	for _, l := range loaded {
-		if r.counts[l] > 0 {
-			r.counts[l]--
-			continue
-		}
-		netLoaded = append(netLoaded, l)
-	}
-	netEvicted = evicted[:0]
-	for _, e := range evicted {
-		// Rebuild evicted with the matched pairs removed; counts now hold
-		// the *unmatched* evictions per item.
-		if r.counts[e] > 0 {
-			r.counts[e]--
-			netEvicted = append(netEvicted, e)
-		}
-	}
-	return netLoaded, netEvicted
-}
-
-// netBounded is NetChanges on generation-stamped flat arrays.
-//
-//gclint:hotpath
-func (r *Reconciler) netBounded(loaded, evicted []model.Item) (netLoaded, netEvicted []model.Item) {
-	r.gen++
-	if r.gen == 0 {
-		// uint32 wraparound: old stamps could alias the new generation.
-		clear(r.net)
-		r.gen = 1
-	}
-	gen := r.gen
-	for _, e := range evicted {
-		if r.net[e].stamp != gen {
-			r.net[e] = netSlot{stamp: gen}
-		}
-		r.net[e].count++
-	}
-	netLoaded = loaded[:0]
-	for _, l := range loaded {
-		if r.net[l].stamp == gen && r.net[l].count > 0 {
-			r.net[l].count--
-			continue
-		}
-		netLoaded = append(netLoaded, l)
-	}
-	netEvicted = evicted[:0]
-	for _, e := range evicted {
-		// Every evicted item was stamped in the first pass, so the bare
-		// count test is safe; counts now hold the unmatched evictions.
-		if r.net[e].count > 0 {
-			r.net[e].count--
-			netEvicted = append(netEvicted, e)
-		}
-	}
-	return netLoaded, netEvicted
-}
 
 // SweepOptions configures Sweep. The zero value runs on GOMAXPROCS
 // workers and measures nothing.

@@ -1,0 +1,167 @@
+package cachesim
+
+import (
+	"slices"
+
+	"gccache/internal/bitset"
+	"gccache/internal/model"
+	"gccache/internal/obs"
+)
+
+// Changes builds one access's Loaded and Evicted lists as net changes
+// (see Access) while the policy makes them. Only items of the requested
+// block can both enter and leave the cache within one access, so it
+// tracks that block alone, by offset, in two B-bit masks (one word at
+// B ≤ 64): out marks the block's items listed in Evicted, back those of
+// them loaded again, which Miss unlists. An item evicted, loaded and
+// evicted again keeps its first listing; an item loaded and then
+// evicted leaves Loaded. Load and Evict inline into the policy: Load
+// calls out only once an item of the block is listed in Evicted, Evict
+// only for an item in the block's ID range.
+type Changes struct {
+	Loaded, Evicted []model.Item // the lists, reused by the next access
+
+	geo        model.Geometry
+	blk        model.Block
+	fixed      uint64       // B under *model.Fixed, else 0
+	base, span uint64       // the open block lies in IDs [base, base+span)
+	items      []model.Item // the open block's items by offset, unless Fixed
+	out, back  bitset.Set
+	gone       int // items listed in Evicted and still absent
+	reloaded   int // items listed in Evicted and loaded again
+}
+
+// NewChanges returns an empty Changes for a policy under g.
+func NewChanges(g model.Geometry) Changes {
+	c := Changes{geo: g, out: bitset.New(g.BlockSize()), back: bitset.New(g.BlockSize())}
+	if _, ok := g.(*model.Fixed); ok {
+		c.fixed = uint64(g.BlockSize())
+	}
+	return c
+}
+
+// Reset empties both lists for an access that loads nothing, such as a
+// hit that evicts: every eviction is then listed as it comes.
+//
+//gclint:hotpath
+func (c *Changes) Reset() {
+	c.Loaded, c.Evicted, c.span = c.Loaded[:0], c.Evicted[:0], 0
+}
+
+// Begin empties both lists for a miss that loads from block blk.
+//
+//gclint:hotpath
+func (c *Changes) Begin(blk model.Block) {
+	c.Reset()
+	c.blk = blk
+	if c.gone+c.reloaded != 0 {
+		c.out.Clear()
+		c.back.Clear()
+		c.gone, c.reloaded = 0, 0
+	}
+	if c.fixed != 0 {
+		c.base, c.span = uint64(blk)*c.fixed, c.fixed
+		return
+	}
+	c.items = model.AppendItemsOf(c.geo, c.items[:0], blk)
+	lo, hi := uint64(c.items[0]), uint64(c.items[0])
+	for _, x := range c.items {
+		lo, hi = min(lo, uint64(x)), max(hi, uint64(x))
+	}
+	c.base, c.span = lo, hi-lo+1
+}
+
+// Load records x, an item of the open block, entering the cache.
+//
+//gclint:hotpath
+func (c *Changes) Load(x model.Item) {
+	if c.gone != 0 {
+		c.load(x)
+		return
+	}
+	c.Loaded = append(c.Loaded, x)
+}
+
+// Evict records x leaving the cache.
+//
+//gclint:hotpath
+func (c *Changes) Evict(x model.Item) {
+	if uint64(x)-c.base < c.span {
+		c.evictNear(x)
+		return
+	}
+	c.Evicted = append(c.Evicted, x)
+}
+
+// Miss returns the net changes of the miss on item it and, when p is
+// not nil, reports them to p: the unit-cost block load, then one event
+// per listed item.
+//
+//gclint:hotpath
+func (c *Changes) Miss(p obs.Probe, it model.Item) Access {
+	if c.reloaded != 0 {
+		n := 0
+		for _, x := range c.Evicted {
+			if off, own := c.offset(x); !own || !c.back.Has(off) {
+				c.Evicted[n] = x
+				n++
+			}
+		}
+		c.Evicted = c.Evicted[:n]
+	}
+	if p != nil {
+		p.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, Block: c.blk, N: int32(len(c.Loaded))})
+		for _, x := range c.Loaded {
+			p.Observe(obs.Event{Kind: obs.EvLoad, Item: x, Block: c.blk})
+		}
+		for _, x := range c.Evicted {
+			p.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
+		}
+	}
+	return Access{Loaded: c.Loaded, Evicted: c.Evicted}
+}
+
+// offset returns x's offset in the open block and whether x is in it.
+//
+//gclint:hotpath
+func (c *Changes) offset(x model.Item) (uint64, bool) {
+	off := uint64(x) - c.base
+	if off >= c.span || c.fixed != 0 {
+		return off, off < c.span
+	}
+	i := slices.Index(c.items, x)
+	return uint64(i), i >= 0
+}
+
+// load is Load once an item of the open block is listed in Evicted.
+//
+//gclint:hotpath
+func (c *Changes) load(x model.Item) {
+	if off, own := c.offset(x); own && c.out.Has(off) && !c.back.Has(off) {
+		c.back.Add(off) // evicted earlier in this access: Miss unlists it
+		c.gone, c.reloaded = c.gone-1, c.reloaded+1
+		return
+	}
+	c.Loaded = append(c.Loaded, x)
+}
+
+// evictNear is Evict inside the open block's ID range.
+//
+//gclint:hotpath
+func (c *Changes) evictNear(x model.Item) {
+	off, own := c.offset(x)
+	if own && c.back.Has(off) { // evicted, loaded, evicted: keep the first listing
+		c.back.Remove(off)
+		c.gone, c.reloaded = c.gone+1, c.reloaded-1
+		return
+	}
+	if own {
+		if i := slices.Index(c.Loaded, x); i >= 0 { // loaded earlier: the pair cancels
+			c.Loaded = slices.Delete(c.Loaded, i, i+1)
+			return
+		}
+		c.out.Add(off)
+		c.gone++
+	}
+	c.Evicted = append(c.Evicted, x)
+}

@@ -105,84 +105,6 @@ func TestSweepCachesResetsEveryPoint(t *testing.T) {
 	}
 }
 
-// referenceNetChanges is the original map-per-call implementation, kept
-// as the oracle for the Reconciler's in-place netting.
-func referenceNetChanges(loaded, evicted []model.Item) ([]model.Item, []model.Item) {
-	if len(loaded) == 0 || len(evicted) == 0 {
-		return loaded, evicted
-	}
-	inBoth := make(map[model.Item]int, len(evicted))
-	for _, e := range evicted {
-		inBoth[e]++
-	}
-	var nl, ne []model.Item
-	for _, l := range loaded {
-		if inBoth[l] > 0 {
-			inBoth[l]--
-			continue
-		}
-		nl = append(nl, l)
-	}
-	for _, e := range evicted {
-		if n := inBoth[e]; n > 0 {
-			inBoth[e]--
-			ne = append(ne, e)
-		}
-	}
-	return nl, ne
-}
-
-func TestReconcilerMatchesReference(t *testing.T) {
-	const universe = 64
-	rng := rand.New(rand.NewSource(7))
-	bounded := NewReconciler(universe)
-	generic := NewReconciler(0)
-	for trial := 0; trial < 5000; trial++ {
-		var loaded, evicted []model.Item
-		for i := rng.Intn(8); i > 0; i-- {
-			loaded = append(loaded, model.Item(rng.Intn(universe)))
-		}
-		for i := rng.Intn(8); i > 0; i-- {
-			evicted = append(evicted, model.Item(rng.Intn(universe)))
-		}
-		wantL, wantE := referenceNetChanges(loaded, evicted)
-		check := func(name string, r *Reconciler) {
-			gotL, gotE := r.NetChanges(append([]model.Item(nil), loaded...), append([]model.Item(nil), evicted...))
-			if len(gotL) != len(wantL) || len(gotE) != len(wantE) {
-				t.Fatalf("trial %d %s: lens (%d,%d) want (%d,%d) for loaded=%v evicted=%v",
-					trial, name, len(gotL), len(gotE), len(wantL), len(wantE), loaded, evicted)
-			}
-			for i := range gotL {
-				if gotL[i] != wantL[i] {
-					t.Fatalf("trial %d %s: netLoaded %v want %v", trial, name, gotL, wantL)
-				}
-			}
-			for i := range gotE {
-				if gotE[i] != wantE[i] {
-					t.Fatalf("trial %d %s: netEvicted %v want %v", trial, name, gotE, wantE)
-				}
-			}
-		}
-		check("bounded", bounded)
-		check("generic", generic)
-	}
-}
-
-func TestReconcilerGenerationWraparound(t *testing.T) {
-	r := NewReconciler(8)
-	// Seed stale stamps at an old generation, then force the uint32
-	// generation counter to wrap; stale entries must not alias.
-	r.NetChanges([]model.Item{1, 2}, []model.Item{2, 3})
-	r.gen = ^uint32(0)
-	gotL, gotE := r.NetChanges([]model.Item{1, 2}, []model.Item{2, 3})
-	if len(gotL) != 1 || gotL[0] != 1 || len(gotE) != 1 || gotE[0] != 3 {
-		t.Fatalf("post-wrap NetChanges = %v, %v", gotL, gotE)
-	}
-	if r.gen != 1 {
-		t.Errorf("gen after wrap = %d, want 1", r.gen)
-	}
-}
-
 // TestRecorderBoundedMatchesGeneric feeds an identical random access
 // stream to the map-backed and bitset-backed Recorders and requires
 // identical statistics.

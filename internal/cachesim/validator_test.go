@@ -138,6 +138,56 @@ func TestValidatorCatchesContainsLie(t *testing.T) {
 	expectViolation(t, v, "right after it was served")
 }
 
+func TestValidatorCatchesDuplicateLoad(t *testing.T) {
+	g := model.NewFixed(4)
+	s := &scripted{capacity: 4, length: func() int { return 2 },
+		script: []Access{{Loaded: []model.Item{1, 2, 1}}}}
+	v := NewValidator(s, g)
+	v.Access(1)
+	expectViolation(t, v, "Loaded lists an item twice")
+}
+
+func TestValidatorCatchesDuplicateEviction(t *testing.T) {
+	g := model.NewFixed(4)
+	s := &scripted{capacity: 4, length: func() int { return 2 },
+		script: []Access{
+			{Loaded: []model.Item{1, 2}},
+			{Loaded: []model.Item{5}, Evicted: []model.Item{2, 2}},
+		}}
+	s.contains = func(it model.Item) bool { return it != 2 || s.pos < 2 }
+	v := NewValidator(s, g)
+	v.Access(1)
+	if v.Err() != nil {
+		t.Fatalf("clean access flagged: %v", v.Err())
+	}
+	v.Access(5)
+	expectViolation(t, v, "evicted 2 was not present")
+}
+
+// A loaded sibling the cache does not hold was never really loaded.
+func TestValidatorCatchesLoadedNotContained(t *testing.T) {
+	g := model.NewFixed(4)
+	s := &scripted{capacity: 4, length: func() int { return 2 },
+		contains: func(it model.Item) bool { return it == 1 },
+		script:   []Access{{Loaded: []model.Item{1, 2}}}}
+	v := NewValidator(s, g)
+	v.Access(1)
+	expectViolation(t, v, "loaded 2 but Contains(2) is false")
+}
+
+func TestValidatorCatchesEvictedStillContained(t *testing.T) {
+	g := model.NewFixed(4)
+	s := &scripted{capacity: 4, length: func() int { return 2 },
+		script: []Access{
+			{Loaded: []model.Item{1, 2}},
+			{Loaded: []model.Item{5}, Evicted: []model.Item{2}},
+		}}
+	v := NewValidator(s, g)
+	v.Access(1)
+	v.Access(5)
+	expectViolation(t, v, "evicted 2 but Contains(2) is true")
+}
+
 func TestValidatorLatchesFirstError(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, script: []Access{{Hit: true}, {Hit: true}}}
@@ -147,51 +197,5 @@ func TestValidatorLatchesFirstError(t *testing.T) {
 	v.Access(2)
 	if v.Err() != first {
 		t.Error("error not latched")
-	}
-}
-
-// netChanges nets through a zero Reconciler, the map-scratch path that
-// accepts any item ID.
-func netChanges(loaded, evicted []model.Item) ([]model.Item, []model.Item) {
-	var r Reconciler
-	return r.NetChanges(loaded, evicted)
-}
-
-func TestNetChanges(t *testing.T) {
-	l, e := netChanges(
-		[]model.Item{1, 2, 3},
-		[]model.Item{2, 9},
-	)
-	if len(l) != 2 || l[0] != 1 || l[1] != 3 {
-		t.Errorf("netLoaded = %v", l)
-	}
-	if len(e) != 1 || e[0] != 9 {
-		t.Errorf("netEvicted = %v", e)
-	}
-	l, e = netChanges([]model.Item{1, 2, 3}, []model.Item{3, 4})
-	if len(l) != 2 || l[0] != 1 || l[1] != 2 || len(e) != 1 || e[0] != 4 {
-		t.Errorf("netChanges = %v, %v", l, e)
-	}
-}
-
-func TestNetChangesNoOverlap(t *testing.T) {
-	l, e := netChanges([]model.Item{1}, []model.Item{2})
-	if len(l) != 1 || len(e) != 1 {
-		t.Errorf("no-overlap case mangled: %v %v", l, e)
-	}
-	l, e = netChanges(nil, []model.Item{2})
-	if l != nil || len(e) != 1 {
-		t.Errorf("nil loaded: %v %v", l, e)
-	}
-	l, e = netChanges([]model.Item{1}, nil)
-	if len(l) != 1 || e != nil {
-		t.Errorf("nil evicted: %v %v", l, e)
-	}
-}
-
-func TestNetChangesFullCancellation(t *testing.T) {
-	l, e := netChanges([]model.Item{4, 5}, []model.Item{5, 4})
-	if len(l) != 0 || len(e) != 0 {
-		t.Errorf("full cancellation: %v %v", l, e)
 	}
 }

@@ -96,21 +96,36 @@ func conformanceWorkloads(t *testing.T, B int, seed int64) map[string]trace.Trac
 }
 
 func TestAllPoliciesConformToModel(t *testing.T) {
-	for _, cfg := range []struct{ k, B int }{
-		{64, 8}, // roomy
-		{16, 8}, // k = 2B: tight
-		{9, 8},  // k barely above B
-		{8, 8},  // k = B: extreme pressure
-		{64, 1}, // degenerate blocks (traditional caching)
+	type config struct {
+		name string
+		k    int
+		geo  model.Geometry
+	}
+	fixed := func(k, B int) config {
+		return config{fmt.Sprintf("k%d-B%d", k, B), k, model.NewFixed(B)}
+	}
+	for _, cfg := range []config{
+		fixed(64, 8),    // roomy
+		fixed(16, 8),    // k = 2B: tight
+		fixed(9, 8),     // k barely above B
+		fixed(8, 8),     // k = B: extreme pressure
+		fixed(64, 1),    // degenerate blocks (traditional caching)
+		fixed(256, 128), // B > 64: multi-word offset masks
+		// Uneven blocks of 1–12 shuffled items: IDs say nothing about
+		// offsets.
+		{"k24-table", 24, unevenTable(rand.New(rand.NewSource(7)), 1024)},
 	} {
-		geo := model.NewFixed(cfg.B)
-		for wname, tr := range conformanceWorkloads(t, cfg.B, 7) {
+		geo := cfg.geo
+		for wname, tr := range conformanceWorkloads(t, geo.BlockSize(), 7) {
 			mks := builders(cfg.k, geo, 7)
+			if geo.BlockSize() > 64 {
+				delete(mks, "footprint") // offset bitmaps are one word
+			}
 			for n, mk := range boundedBuilders(cfg.k, geo, 7, tr.Universe()) {
 				mks[n] = mk
 			}
 			for pname, mk := range mks {
-				t.Run(fmt.Sprintf("k%d-B%d/%s/%s", cfg.k, cfg.B, wname, pname), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%s", cfg.name, wname, pname), func(t *testing.T) {
 					v := cachesim.NewValidator(mk(), geo)
 					replay(t, v, tr)
 					if err := v.Err(); err != nil {

@@ -34,9 +34,7 @@ type AdaptiveIBLP struct {
 	ghostItems  *lrulist.List[model.Item]  // recently evicted from the item layer
 	ghostBlocks *lrulist.List[model.Block] // recently evicted from the block layer
 
-	rec     cachesim.Reconciler
-	loaded  []model.Item
-	evicted []model.Item
+	ch      cachesim.Changes
 	wantBuf []model.Item // scratch: block enumeration
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
 	probe   obs.Probe
@@ -67,6 +65,7 @@ func NewAdaptiveIBLP(k int, g model.Geometry) *AdaptiveIBLP {
 		inBlock:     make(map[model.Item]struct{}),
 		ghostItems:  lrulist.New[model.Item](k),
 		ghostBlocks: lrulist.New[model.Block](k/max(1, g.BlockSize()) + 1),
+		ch:          cachesim.NewChanges(g),
 	}
 }
 
@@ -89,12 +88,11 @@ func (c *AdaptiveIBLP) SetItemLayerTarget(i int) {
 	if i == c.targetItem {
 		return
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	c.ch.Reset()
 	c.setTargetItem(i)
 	c.rebalance()
 	if c.probe != nil {
-		for _, x := range c.evicted {
+		for _, x := range c.ch.Evicted {
 			c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
 		}
 	}
@@ -102,10 +100,7 @@ func (c *AdaptiveIBLP) SetItemLayerTarget(i int) {
 
 // Access implements cachesim.Cache.
 func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
 	blk := c.geo.BlockOf(it)
-
 	if c.items.Contains(it) {
 		c.items.MoveToFront(it)
 		if c.probe != nil {
@@ -114,16 +109,17 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 		return cachesim.Access{Hit: true}
 	}
 	if _, ok := c.inBlock[it]; ok {
+		c.ch.Reset()
 		c.blocks.MoveToFront(blk)
 		c.admitItemLayer(it)
 		c.rebalance()
 		if c.probe != nil {
 			c.probe.Observe(obs.Event{Kind: obs.EvHitBlockLayer, Item: it, Block: blk})
-			for _, x := range c.evicted {
+			for _, x := range c.ch.Evicted {
 				c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x})
 			}
 		}
-		return cachesim.Access{Hit: true, Evicted: c.evicted}
+		return cachesim.Access{Hit: true, Evicted: c.ch.Evicted}
 	}
 
 	// Miss: consult the ghosts before loading. The item layer may grow
@@ -146,20 +142,13 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 		c.setTargetItem(max(0, c.targetItem-1))
 	}
 
+	// Replacing a stale truncated copy drops items the reload brings
+	// straight back; c.ch nets them.
+	c.ch.Begin(blk)
 	c.admitItemLayer(it)
 	c.admitBlockLayer(blk, it)
 	c.rebalance()
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, Block: blk, N: int32(len(c.loaded))})
-		for _, x := range c.loaded {
-			c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: x, Block: c.geo.BlockOf(x)})
-		}
-		for _, x := range c.evicted {
-			c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
-		}
-	}
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.ch.Miss(c.probe, it)
 }
 
 // setTargetItem moves the adaptive item-layer target, reporting the
@@ -183,7 +172,7 @@ func (c *AdaptiveIBLP) admitItemLayer(it model.Item) {
 	c.items.PushFront(it)
 	c.ghostItems.Remove(it)
 	if !was {
-		c.loaded = append(c.loaded, it)
+		c.ch.Load(it)
 	}
 }
 
@@ -221,7 +210,7 @@ func (c *AdaptiveIBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 		was := c.present(x)
 		c.inBlock[x] = struct{}{}
 		if !was {
-			c.loaded = append(c.loaded, x)
+			c.ch.Load(x)
 		}
 	}
 }
@@ -236,7 +225,7 @@ func (c *AdaptiveIBLP) rebalance() {
 		}
 		c.ghostItems.PushFront(victim)
 		if !c.present(victim) {
-			c.evicted = append(c.evicted, victim)
+			c.ch.Evict(victim)
 		}
 	}
 	targetBlock := c.capacity - c.targetItem
@@ -263,7 +252,7 @@ func (c *AdaptiveIBLP) dropBlock(blk model.Block, items []model.Item, remember b
 	for _, x := range items {
 		delete(c.inBlock, x)
 		if !c.present(x) {
-			c.evicted = append(c.evicted, x)
+			c.ch.Evict(x)
 		}
 	}
 	c.blockUsed -= len(items)

@@ -177,19 +177,37 @@ func TestGCMMarkAllDenseMatchesGeneric(t *testing.T) {
 	diffCaches(t, generic, dense, tr)
 }
 
+// TestIBLPDenseZeroAllocSteadyState covers an even split and a block
+// layer narrower than a block (b < B), where every copy is truncated
+// around its requested item. There a stride shorter than B misses on a
+// block whose truncated copy is resident, so the replacement evicts
+// items the reload brings straight back and the net-change bookkeeping
+// runs inside the window.
 func TestIBLPDenseZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(16)
-	c := NewIBLPEvenSplitBounded(512, g, universe)
-	for i := 0; i < universe*2; i++ {
-		c.Access(model.Item(i % universe))
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(2000, func() {
-		c.Access(model.Item(i % universe))
-		i += 37
-	}); avg != 0 {
-		t.Errorf("IBLP dense path allocates %.2f allocs/access, want 0", avg)
+	for _, shape := range []struct{ i, b, stride int }{
+		{256, 256, 37},
+		{248, 8, 5},
+	} {
+		c := NewIBLPBounded(shape.i, shape.b, g, universe)
+		for i := 0; i < universe*2; i++ {
+			c.Access(model.Item(i % universe))
+		}
+		i, misses, evicted := 0, 0, 0
+		if avg := testing.AllocsPerRun(2000, func() {
+			a := c.Access(model.Item(i % universe))
+			if !a.Hit {
+				misses++
+			}
+			evicted += len(a.Evicted)
+			i += shape.stride
+		}); avg != 0 {
+			t.Errorf("i=%d b=%d: IBLP dense path allocates %.2f allocs/access, want 0", shape.i, shape.b, avg)
+		}
+		if misses == 0 || evicted == 0 {
+			t.Errorf("i=%d b=%d: window had %d misses and %d evictions, want both > 0", shape.i, shape.b, misses, evicted)
+		}
 	}
 }
 

@@ -50,12 +50,10 @@ type GCM struct {
 	// items (0 = absent).
 	pos []int32
 
-	rec     cachesim.Reconciler
-	loaded  []model.Item
-	evicted []model.Item
-	sibs    []model.Item // scratch: shuffled sibling order
-	probe   obs.Probe
-	rng     randStream
+	ch    cachesim.Changes
+	sibs  []model.Item // scratch: shuffled sibling order
+	probe obs.Probe
+	rng   randStream
 }
 
 var _ cachesim.Cache = (*GCM)(nil)
@@ -76,18 +74,19 @@ func NewGCM(k int, g model.Geometry, seed int64) *GCM {
 		geo:      g,
 		markAt:   bitset.New(k),
 		index:    make(map[model.Item]int, k),
+		ch:       cachesim.NewChanges(g),
 	}
 	c.rng.Seed(seed)
 	return c
 }
 
 // NewGCMBounded returns a GCM cache on the dense path for item IDs
-// [0, universe): a flat position array and an array-backed
-// net-change reconciler — no map operations and no steady-state
-// allocation. The bound is expanded to cover whole blocks (see
-// model.ItemUniverse, since sibling loads index the arrays too);
-// accessing an item beyond the expanded bound panics. It falls back to
-// the generic representation when universe is out of the bounded range.
+// [0, universe): a flat position array in place of the index map — no
+// map operations and no steady-state allocation. The bound is expanded
+// to cover whole blocks (see model.ItemUniverse, since sibling loads
+// index the array too); accessing an item beyond the expanded bound
+// panics. It falls back to the generic representation when universe is
+// out of the bounded range.
 func NewGCMBounded(k int, g model.Geometry, seed int64, universe int) *GCM {
 	c := NewGCM(k, g, seed)
 	universe = model.ItemUniverse(g, universe)
@@ -96,7 +95,6 @@ func NewGCMBounded(k int, g model.Geometry, seed int64, universe int) *GCM {
 	}
 	c.index = nil
 	c.pos = make([]int32, universe)
-	c.rec = *cachesim.NewReconciler(universe)
 	return c
 }
 
@@ -114,21 +112,24 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 		}
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	blk := c.geo.BlockOf(it)
+	// A random eviction may hit a sibling loaded earlier in this same
+	// access, or a resident sibling that is then reloaded; c.ch nets
+	// both as they happen.
+	c.ch.Begin(blk)
 
 	// Ensure room for the requested item itself.
 	if len(c.items) >= c.capacity {
 		c.evictOne()
 	}
 	c.markPos(c.insert(it), it)
-	c.loaded = append(c.loaded, it)
+	c.ch.Load(it)
 
 	// Load the rest of the block, unmarked, into whatever free space and
 	// unmarked slots exist. Siblings are taken in random order so that
 	// when slots run short the retained subset is a random selection, as
 	// §6.1 specifies.
-	for _, sib := range c.shuffledSiblings(it) {
+	for _, sib := range c.shuffledSiblings(it, blk) {
 		if c.contains(sib) {
 			continue
 		}
@@ -139,43 +140,21 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 			c.evictOne()
 		}
 		c.insert(sib)
-		c.loaded = append(c.loaded, sib)
+		c.ch.Load(sib)
 	}
-	// A random eviction may hit a sibling loaded earlier in this same
-	// access; report net changes only.
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	c.emitMiss(it)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
-}
-
-// emitMiss reports a miss's net changes to the probe: the unit-cost
-// block load plus per-item load/evict events.
-//
-//gclint:hotpath
-func (c *GCM) emitMiss(it model.Item) {
-	if c.probe == nil {
-		return
-	}
-	blk := c.geo.BlockOf(it)
-	c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, Block: blk, N: int32(len(c.loaded))})
-	for _, x := range c.loaded {
-		c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: x, Block: c.geo.BlockOf(x)})
-	}
-	for _, x := range c.evicted {
-		c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
-	}
+	return c.ch.Miss(c.probe, it)
 }
 
 // SetProbe implements cachesim.Instrumented. A nil probe restores the
 // unobserved fast path.
 func (c *GCM) SetProbe(p obs.Probe) { c.probe = p }
 
-// shuffledSiblings returns the non-requested items of it's block in a
-// random order, in a scratch slice valid until the next call.
+// shuffledSiblings returns the items of blk other than it in a random
+// order, in a scratch slice valid until the next call.
 //
 //gclint:hotpath
-func (c *GCM) shuffledSiblings(it model.Item) []model.Item {
-	c.sibs = model.AppendItemsOf(c.geo, c.sibs[:0], c.geo.BlockOf(it))
+func (c *GCM) shuffledSiblings(it model.Item, blk model.Block) []model.Item {
+	c.sibs = model.AppendItemsOf(c.geo, c.sibs[:0], blk)
 	for i, x := range c.sibs {
 		if x == it {
 			c.sibs = append(c.sibs[:i], c.sibs[i+1:]...)
@@ -195,7 +174,7 @@ func (c *GCM) evictOne() {
 		c.clearMarks() // phase boundary
 	}
 	p := c.drawUnmarked()
-	c.evicted = append(c.evicted, c.items[p])
+	c.ch.Evict(c.items[p])
 	c.removeAt(p)
 }
 

@@ -75,10 +75,8 @@ type IBLPExclusive struct {
 	inBlock   map[model.Item]model.Block
 	blockUsed int
 
-	rec     cachesim.Reconciler
-	loaded  []model.Item
-	evicted []model.Item
-	sibBuf  []model.Item // scratch: block enumeration
+	ch     cachesim.Changes
+	sibBuf []model.Item // scratch: block enumeration
 }
 
 var _ cachesim.Cache = (*IBLPExclusive)(nil)
@@ -100,6 +98,7 @@ func NewIBLPExclusive(i, b int, g model.Geometry) *IBLPExclusive {
 		blocks:    lrulist.New[model.Block](b/max(1, g.BlockSize()) + 1),
 		resident:  make(map[model.Block]map[model.Item]struct{}),
 		inBlock:   make(map[model.Item]model.Block),
+		ch:        cachesim.NewChanges(g),
 	}
 }
 
@@ -110,28 +109,28 @@ func (c *IBLPExclusive) Name() string {
 
 // Access implements cachesim.Cache.
 func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
-
 	if c.items.MoveToFront(it) {
 		return cachesim.Access{Hit: true}
 	}
 	if blk, ok := c.inBlock[it]; ok {
 		// Block-layer hit: migrate the item into the item layer,
 		// leaving a hole in the block copy.
+		c.ch.Reset()
 		c.removeFromBlock(it, blk)
 		c.blocks.MoveToFront(blk)
 		c.admitItem(it)
-		return cachesim.Access{Hit: true, Evicted: c.evicted}
+		return cachesim.Access{Hit: true, Evicted: c.ch.Evicted}
 	}
 
 	// Miss: requested item to the item layer, remaining siblings (those
-	// not already cached anywhere) to the block layer.
+	// not already cached anywhere) to the block layer. An item-layer
+	// victim from this block, or a stale partial copy, can leave and come
+	// straight back; c.ch nets it.
+	c.ch.Begin(c.geo.BlockOf(it))
 	c.admitItem(it)
-	c.loaded = append(c.loaded, it)
+	c.ch.Load(it)
 	c.admitSiblings(it)
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.ch.Miss(nil, it)
 }
 
 func (c *IBLPExclusive) admitItem(it model.Item) {
@@ -139,7 +138,7 @@ func (c *IBLPExclusive) admitItem(it model.Item) {
 	for c.items.Len() > c.itemSize {
 		victim, _ := c.items.PopBack()
 		// Exclusive: the evicted item exists nowhere else.
-		c.evicted = append(c.evicted, victim)
+		c.ch.Evict(victim)
 	}
 }
 
@@ -177,7 +176,7 @@ func (c *IBLPExclusive) admitSiblings(it model.Item) {
 	for _, x := range want {
 		set[x] = struct{}{}
 		c.inBlock[x] = blk
-		c.loaded = append(c.loaded, x)
+		c.ch.Load(x)
 	}
 	c.resident[blk] = set
 	c.blocks.PushFront(blk)
@@ -200,7 +199,7 @@ func (c *IBLPExclusive) dropBlock(blk model.Block, set map[model.Item]struct{}) 
 		delete(c.inBlock, x)
 		// Exclusive: dropping the block copy is a true eviction — the
 		// lifetime hazard §5.1 warns about.
-		c.evicted = append(c.evicted, x)
+		c.ch.Evict(x)
 	}
 	c.blockUsed -= len(set)
 	delete(c.resident, blk)

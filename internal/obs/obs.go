@@ -53,11 +53,11 @@ const (
 	// Item is the requested item, Block its block (zero for geometry-free
 	// policies), N the number of items actually brought in.
 	EvBlockLoad
-	// EvLoad is one item insertion (policy view, after net-change
-	// reconciliation); emitted once per element of Access.Loaded.
+	// EvLoad is one item insertion (policy view, a net change: see
+	// cachesim.Access); emitted once per element of Access.Loaded.
 	EvLoad
-	// EvEvict is one item eviction (policy view, after net-change
-	// reconciliation); emitted once per element of Access.Evicted.
+	// EvEvict is one item eviction (policy view, a net change: see
+	// cachesim.Access); emitted once per element of Access.Evicted.
 	EvEvict
 	// EvMark is a GCM/marking item transitioning unmarked→marked.
 	EvMark

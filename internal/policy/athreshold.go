@@ -29,9 +29,7 @@ type AThreshold struct {
 	// when a block's last resident item is evicted.
 	touched   map[model.Block]map[model.Item]struct{}
 	residents map[model.Block]int // resident item count per block
-	rec       cachesim.Reconciler
-	loaded    []model.Item
-	evicted   []model.Item
+	ch        cachesim.Changes
 	sibBuf    []model.Item // scratch: block enumeration
 }
 
@@ -56,6 +54,7 @@ func NewAThreshold(k, a int, g model.Geometry) *AThreshold {
 		order:     lrulist.New[model.Item](k),
 		touched:   make(map[model.Block]map[model.Item]struct{}),
 		residents: make(map[model.Block]int),
+		ch:        cachesim.NewChanges(g),
 	}
 }
 
@@ -94,8 +93,9 @@ func (c *AThreshold) Access(it model.Item) cachesim.Access {
 		return cachesim.Access{Hit: true}
 	}
 
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	// Under capacity pressure a full-block load can insert siblings
+	// that the overflow loop evicts in the same step; c.ch nets them.
+	c.ch.Begin(blk)
 	if len(set) >= c.a {
 		// Full-block load: siblings enter at load recency (just below
 		// the requested item), displacing older items first.
@@ -109,17 +109,14 @@ func (c *AThreshold) Access(it model.Item) cachesim.Access {
 	}
 	c.insert(it, blk) // requested item is MRU
 	c.evictOverflow(it)
-	// Under capacity pressure a full-block load can transiently insert
-	// siblings that are evicted in the same step; report net changes.
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.ch.Miss(nil, it)
 }
 
 // insert puts it at the MRU position if absent and records the load.
 func (c *AThreshold) insert(it model.Item, blk model.Block) {
 	if c.order.PushFront(it) {
 		c.residents[blk]++
-		c.loaded = append(c.loaded, it)
+		c.ch.Load(it)
 	} else {
 		c.order.MoveToFront(it)
 	}
@@ -140,7 +137,7 @@ func (c *AThreshold) evictOverflow(protect model.Item) {
 			delete(c.residents, blk)
 			delete(c.touched, blk)
 		}
-		c.evicted = append(c.evicted, victim)
+		c.ch.Evict(victim)
 	}
 }
 

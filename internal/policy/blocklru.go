@@ -37,9 +37,7 @@ type BlockLRU struct {
 	// resident block belong to it alone).
 	presentBits []bool
 
-	rec     cachesim.Reconciler
-	loaded  []model.Item
-	evicted []model.Item
+	ch      cachesim.Changes
 	want    []model.Item // scratch: the item set being admitted
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
 	scratch []model.Item // scratch: victim-block enumeration
@@ -66,16 +64,17 @@ func NewBlockLRU(k int, g model.Geometry) *BlockLRU {
 		order:    lrulist.New[model.Block](k / g.BlockSize()),
 		resident: make(map[model.Block][]model.Item),
 		present:  make(map[model.Item]struct{}),
+		ch:       cachesim.NewChanges(g),
 	}
 }
 
 // NewBlockLRUBounded returns a Block Cache on the dense path for item IDs
-// [0, universe): flat bitset membership, a Dense block-LRU order, and an
-// array-backed net-change reconciler — no map operations and no steady-
-// state allocation. The bound is expanded to cover whole blocks (see
-// model.ItemUniverse); accessing an item beyond the expanded bound
-// panics. It falls back to the generic representation when universe is
-// out of the bounded range or no block-ID bound is derivable from g.
+// [0, universe): flat membership flags and a Dense block-LRU order — no
+// map operations and no steady-state allocation. The bound is expanded
+// to cover whole blocks (see model.ItemUniverse); accessing an item
+// beyond the expanded bound panics. It falls back to the generic
+// representation when universe is out of the bounded range or no
+// block-ID bound is derivable from g.
 func NewBlockLRUBounded(k int, g model.Geometry, universe int) *BlockLRU {
 	c := NewBlockLRU(k, g)
 	universe = model.ItemUniverse(g, universe)
@@ -88,7 +87,6 @@ func NewBlockLRUBounded(k int, g model.Geometry, universe int) *BlockLRU {
 	c.present = nil
 	c.presentBits = make([]bool, universe)
 	c.order = lrulist.NewDense[model.Block](blockUniverse)
-	c.rec = *cachesim.NewReconciler(universe)
 	return c
 }
 
@@ -107,12 +105,12 @@ func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 		}
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
 	blk := c.geo.BlockOf(it)
+	c.ch.Begin(blk)
 
 	// If a truncated copy of the block is resident (possible only when a
-	// block exceeded capacity earlier), discard it before reloading.
+	// block exceeded capacity earlier), discard it before reloading; c.ch
+	// nets the items the reload brings straight back.
 	if old, ok := c.resident[blk]; ok {
 		c.dropBlock(blk, old)
 	}
@@ -142,30 +140,9 @@ func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 	c.size += len(hold)
 	for _, x := range hold {
 		c.present[x] = struct{}{}
-		c.loaded = append(c.loaded, x)
+		c.ch.Load(x)
 	}
-	// A truncated copy replaced in the same step would otherwise report
-	// its surviving items as both evicted and loaded.
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	c.emitMiss(it, blk)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
-}
-
-// emitMiss reports one miss's net changes to the probe: the unit-cost
-// block load plus per-item load/evict events.
-//
-//gclint:hotpath
-func (c *BlockLRU) emitMiss(it model.Item, blk model.Block) {
-	if c.probe == nil {
-		return
-	}
-	c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, Block: blk, N: int32(len(c.loaded))})
-	for _, x := range c.loaded {
-		c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: x, Block: blk})
-	}
-	for _, x := range c.evicted {
-		c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
-	}
+	return c.ch.Miss(c.probe, it)
 }
 
 // SetProbe implements cachesim.Instrumented. A nil probe restores the
@@ -184,10 +161,8 @@ func (c *BlockLRU) accessDense(it model.Item) cachesim.Access {
 		}
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
 	blk := c.geo.BlockOf(it)
-
+	c.ch.Begin(blk)
 	if c.order.Contains(blk) {
 		c.dropBlockDense(blk)
 	}
@@ -211,17 +186,15 @@ func (c *BlockLRU) accessDense(it model.Item) cachesim.Access {
 	c.size += len(want)
 	for _, x := range want {
 		c.presentBits[x] = true
-		c.loaded = append(c.loaded, x)
+		c.ch.Load(x)
 	}
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	c.emitMiss(it, blk)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.ch.Miss(c.probe, it)
 }
 
 func (c *BlockLRU) dropBlock(blk model.Block, items []model.Item) {
 	for _, x := range items {
 		delete(c.present, x)
-		c.evicted = append(c.evicted, x)
+		c.ch.Evict(x)
 	}
 	c.size -= len(items)
 	delete(c.resident, blk)
@@ -237,7 +210,7 @@ func (c *BlockLRU) dropBlockDense(blk model.Block) {
 	for _, x := range c.scratch {
 		if c.presentBits[x] {
 			c.presentBits[x] = false
-			c.evicted = append(c.evicted, x)
+			c.ch.Evict(x)
 			c.size--
 		}
 	}

@@ -178,18 +178,36 @@ func TestItemLRUDenseZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestBlockLRUDenseZeroAllocSteadyState covers a roomy cache and one
+// smaller than a block (k < B), where every load is truncated around
+// its requested item. There a stride shorter than B misses on a block
+// whose truncated copy is resident, so the replacement evicts items the
+// reload brings straight back and the net-change bookkeeping runs
+// inside the window.
 func TestBlockLRUDenseZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(16)
-	c := NewBlockLRUBounded(512, g, universe)
-	for i := 0; i < universe*2; i++ {
-		c.Access(model.Item(i % universe))
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(2000, func() {
-		c.Access(model.Item(i % universe))
-		i += 37
-	}); avg != 0 {
-		t.Errorf("BlockLRU dense path allocates %.2f allocs/access, want 0", avg)
+	for _, shape := range []struct{ k, stride int }{
+		{512, 37},
+		{8, 5},
+	} {
+		c := NewBlockLRUBounded(shape.k, g, universe)
+		for i := 0; i < universe*2; i++ {
+			c.Access(model.Item(i % universe))
+		}
+		i, misses, evicted := 0, 0, 0
+		if avg := testing.AllocsPerRun(2000, func() {
+			a := c.Access(model.Item(i % universe))
+			if !a.Hit {
+				misses++
+			}
+			evicted += len(a.Evicted)
+			i += shape.stride
+		}); avg != 0 {
+			t.Errorf("k=%d: BlockLRU dense path allocates %.2f allocs/access, want 0", shape.k, avg)
+		}
+		if misses == 0 || evicted == 0 {
+			t.Errorf("k=%d: window had %d misses and %d evictions, want both > 0", shape.k, misses, evicted)
+		}
 	}
 }

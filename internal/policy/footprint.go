@@ -31,10 +31,8 @@ type Footprint struct {
 	// detectable.
 	residents map[model.Block]int
 
-	rec     cachesim.Reconciler
-	loaded  []model.Item
-	evicted []model.Item
-	items   []model.Item // scratch: block enumeration
+	ch    cachesim.Changes
+	items []model.Item // scratch: block enumeration
 }
 
 var _ cachesim.Cache = (*Footprint)(nil)
@@ -59,6 +57,7 @@ func NewFootprint(k int, g model.Geometry) *Footprint {
 		footprint: make(map[model.Block]uint64),
 		touched:   make(map[model.Block]uint64),
 		residents: make(map[model.Block]int),
+		ch:        cachesim.NewChanges(g),
 	}
 }
 
@@ -84,8 +83,9 @@ func (c *Footprint) Access(it model.Item) cachesim.Access {
 		c.touched[blk] |= c.offsetOf(it, blk)
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	// The overflow loop may evict predicted siblings loaded in this same
+	// step; c.ch nets them.
+	c.ch.Begin(blk)
 
 	// Predicted subset: last residency's footprint, always including the
 	// requested item. Unknown blocks load conservatively: just the item
@@ -101,17 +101,16 @@ func (c *Footprint) Access(it model.Item) cachesim.Access {
 		}
 		if c.order.PushFront(x) {
 			c.residents[blk]++
-			c.loaded = append(c.loaded, x)
+			c.ch.Load(x)
 		}
 	}
 	if c.order.PushFront(it) {
 		c.residents[blk]++
-		c.loaded = append(c.loaded, it)
+		c.ch.Load(it)
 	}
 	c.touched[blk] |= c.offsetOf(it, blk)
 	c.evictOverflow(it)
-	c.loaded, c.evicted = c.rec.NetChanges(c.loaded, c.evicted)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.ch.Miss(nil, it)
 }
 
 func (c *Footprint) evictOverflow(protect model.Item) {
@@ -123,7 +122,7 @@ func (c *Footprint) evictOverflow(protect model.Item) {
 		c.order.Remove(victim)
 		blk := c.geo.BlockOf(victim)
 		c.residents[blk]--
-		c.evicted = append(c.evicted, victim)
+		c.ch.Evict(victim)
 		if c.residents[blk] == 0 {
 			// Residency over: commit the observed footprint for next time.
 			delete(c.residents, blk)
