@@ -73,6 +73,9 @@ type (
 	Cache = cachesim.Cache
 	// Access reports the effect of one request.
 	Access = cachesim.Access
+	// Net holds the Loaded and Evicted lists a policy reports through
+	// Access; a Cache built outside this module returns Net.Miss().
+	Net = cachesim.Net
 	// Stats aggregates hits (split into temporal and spatial), misses,
 	// loads, and evictions over a run.
 	Stats = cachesim.Stats

@@ -26,18 +26,52 @@ import (
 // exactly those that went from present to absent. The two lists are
 // disjoint and neither repeats an item, however the policy moved items
 // internally (Changes builds lists that keep this contract).
+//
+// The lists live in a Net the policy owns and reuses, so an Access is
+// two words: it stays in registers through every call that passes it
+// on, where a value holding the two slice headers itself would be
+// copied through the stack at each one. The lists stay valid until the
+// next call on the same cache; callers that retain them must copy.
 type Access struct {
 	// Hit reports whether the requested item was in cache.
 	Hit bool
-	// Loaded lists the items inserted to serve a miss (the requested item
-	// and any free siblings from the same block). Empty on hits.
-	// The slice may be reused by the cache on the next call; callers that
-	// retain it must copy.
-	Loaded []model.Item
-	// Evicted lists the items removed to make room. The slice may be
-	// reused by the cache on the next call.
-	Evicted []model.Item
+	net *Net
 }
+
+// Loaded lists the items inserted to serve a miss (the requested item
+// and any free siblings from the same block). Empty on hits.
+func (a Access) Loaded() []model.Item {
+	if a.net == nil {
+		return nil
+	}
+	return a.net.Loaded
+}
+
+// Evicted lists the items removed to make room; a hit can evict too
+// (an IBLP block-layer hit copies the item into a full item layer).
+func (a Access) Evicted() []model.Item {
+	if a.net == nil {
+		return nil
+	}
+	return a.net.Evicted
+}
+
+// Net holds the Loaded and Evicted lists of one access. A policy owns
+// one, empties it when an access starts changing contents, and hands it
+// out through the Access it returns.
+type Net struct {
+	Loaded, Evicted []model.Item
+}
+
+// Reset empties both lists, keeping their storage.
+//
+//gclint:hotpath
+func (n *Net) Reset() { n.Loaded, n.Evicted = n.Loaded[:0], n.Evicted[:0] }
+
+// Miss returns the Access of a miss whose net changes are n's lists.
+//
+//gclint:hotpath
+func (n *Net) Miss() Access { return Access{net: n} }
 
 // Cache is an online GC cache policy. Implementations own their state;
 // the runner only drives requests and aggregates statistics.
@@ -47,7 +81,8 @@ type Access struct {
 type Cache interface {
 	// Name identifies the policy (for reports).
 	Name() string
-	// Access serves one request and returns its effect.
+	// Access serves one request and returns its effect, whose lists
+	// stay valid until the next call on the same cache.
 	Access(it model.Item) Access
 	// Contains reports whether it is currently cached.
 	Contains(it model.Item) bool
@@ -233,19 +268,20 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 		}
 		return
 	}
+	loaded, evicted := a.Loaded(), a.Evicted()
 	r.stats.Misses++
-	r.stats.ItemsLoaded += int64(len(a.Loaded))
-	r.stats.Evictions += int64(len(a.Evicted))
+	r.stats.ItemsLoaded += int64(len(loaded))
+	r.stats.Evictions += int64(len(evicted))
 	r.gapHist.Record(r.sinceMiss)
 	r.sinceMiss = 0
-	r.burstHist.Record(int64(len(a.Loaded)))
+	r.burstHist.Record(int64(len(loaded)))
 	if r.probe != nil {
 		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
 	}
-	for _, v := range a.Evicted {
+	for _, v := range evicted {
 		delete(r.pristine, v)
 	}
-	for _, l := range a.Loaded {
+	for _, l := range loaded {
 		if l == it {
 			continue
 		}
@@ -277,19 +313,20 @@ func (r *Recorder) observeBounded(it model.Item, a Access) {
 		}
 		return
 	}
+	loaded, evicted := a.Loaded(), a.Evicted()
 	r.stats.Misses++
-	r.stats.ItemsLoaded += int64(len(a.Loaded))
-	r.stats.Evictions += int64(len(a.Evicted))
+	r.stats.ItemsLoaded += int64(len(loaded))
+	r.stats.Evictions += int64(len(evicted))
 	r.gapHist.Record(r.sinceMiss)
 	r.sinceMiss = 0
-	r.burstHist.Record(int64(len(a.Loaded)))
+	r.burstHist.Record(int64(len(loaded)))
 	if r.probe != nil {
 		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
 	}
-	for _, v := range a.Evicted {
+	for _, v := range evicted {
 		r.pristineBits[v] = false
 	}
-	for _, l := range a.Loaded {
+	for _, l := range loaded {
 		if l == it {
 			continue
 		}

@@ -2,8 +2,10 @@ package cachesim
 
 import (
 	"context"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"gccache/internal/model"
 	"gccache/internal/trace"
@@ -28,10 +30,25 @@ func (f *fakeCache) Len() int                    { return len(f.present) }
 func (f *fakeCache) Capacity() int               { return 4 }
 func (f *fakeCache) Reset()                      { f.resets++ }
 
+// TestAccessFitsInRegisters pins Access's shape. Every request returns
+// one through at least three calls (the policy, the Cache interface
+// call in the replay loop, Recorder.Observe). The compiler keeps a
+// value in registers only up to four words and four fields (its
+// ssa.CanSSA limit); above that, every return and argument is a copy
+// through the stack, which on a hit costs more than the policy itself.
+func TestAccessFitsInRegisters(t *testing.T) {
+	if size, limit := unsafe.Sizeof(Access{}), 4*unsafe.Sizeof(uintptr(0)); size > limit {
+		t.Errorf("Access is %d bytes, over the %d-byte register limit", size, limit)
+	}
+	if n := reflect.TypeOf(Access{}).NumField(); n > 4 {
+		t.Errorf("Access has %d fields, over the 4-field register limit", n)
+	}
+}
+
 func TestRecorderSplitsSpatialAndTemporalHits(t *testing.T) {
 	rec := NewRecorder("p", 0)
 	// Miss on 0 loads {0,1,2}: 1 and 2 become pristine.
-	rec.Observe(0, Access{Loaded: []model.Item{0, 1, 2}})
+	rec.Observe(0, Access{net: &Net{Loaded: []model.Item{0, 1, 2}}})
 	// Hit on 1: spatial (loaded by 0's miss, never accessed since).
 	rec.Observe(1, Access{Hit: true})
 	// Hit on 1 again: temporal now.
@@ -52,11 +69,11 @@ func TestRecorderSplitsSpatialAndTemporalHits(t *testing.T) {
 
 func TestRecorderEvictionClearsPristine(t *testing.T) {
 	rec := NewRecorder("p", 0)
-	rec.Observe(0, Access{Loaded: []model.Item{0, 1}})
+	rec.Observe(0, Access{net: &Net{Loaded: []model.Item{0, 1}}})
 	// Evict 1 (pristine) on some other miss; then a later load of 1 by a
 	// miss on 2 makes it pristine again.
-	rec.Observe(5, Access{Loaded: []model.Item{5}, Evicted: []model.Item{1}})
-	rec.Observe(2, Access{Loaded: []model.Item{2, 1}})
+	rec.Observe(5, Access{net: &Net{Loaded: []model.Item{5}, Evicted: []model.Item{1}}})
+	rec.Observe(2, Access{net: &Net{Loaded: []model.Item{2, 1}}})
 	rec.Observe(1, Access{Hit: true})
 	s := rec.Stats()
 	if s.SpatialHits != 1 {
@@ -69,7 +86,7 @@ func TestRecorderEvictionClearsPristine(t *testing.T) {
 
 func TestRecorderRequestedItemNotPristine(t *testing.T) {
 	rec := NewRecorder("p", 0)
-	rec.Observe(3, Access{Loaded: []model.Item{3}})
+	rec.Observe(3, Access{net: &Net{Loaded: []model.Item{3}}})
 	rec.Observe(3, Access{Hit: true})
 	if s := rec.Stats(); s.SpatialHits != 0 || s.TemporalHits != 1 {
 		t.Errorf("stats = %+v", s)
@@ -95,12 +112,12 @@ func TestStatsRatiosAndAdd(t *testing.T) {
 	}
 }
 
-// TestRunAndRunCold pins Replay's warm-start contract: it replays from
+// TestReplayStartsWarm pins Replay's warm-start contract: it replays from
 // the cache's current state and never resets it, so a cold run is the
 // caller's c.Reset().
-func TestRunAndRunCold(t *testing.T) {
+func TestReplayStartsWarm(t *testing.T) {
 	f := &fakeCache{script: []Access{
-		{Loaded: []model.Item{1}},
+		{net: &Net{Loaded: []model.Item{1}}},
 		{Hit: true},
 	}}
 	s, err := Replay(context.Background(), f, trace.NewSliceSource(trace.Trace{1, 1}), ReplayOptions{})
@@ -112,7 +129,7 @@ func TestRunAndRunCold(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAllIndices(t *testing.T) {
+func TestSweepCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var sum atomic.Int64
 		n := 100
@@ -126,7 +143,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestParallelForZeroN(t *testing.T) {
+func TestSweepZeroN(t *testing.T) {
 	called := false
 	Sweep(context.Background(), 0, SweepOptions{Workers: 4}, noWorker, func(int, struct{}) { called = true })
 	if called {
@@ -167,7 +184,7 @@ type fakeDeterministic struct{ n int }
 
 func (f *fakeDeterministic) Name() string { return "fake-det" }
 func (f *fakeDeterministic) Access(it model.Item) Access {
-	return Access{Loaded: []model.Item{it}, Evicted: []model.Item{it + 1000}}
+	return Access{net: &Net{Loaded: []model.Item{it}, Evicted: []model.Item{it + 1000}}}
 }
 func (f *fakeDeterministic) Contains(model.Item) bool { return false }
 func (f *fakeDeterministic) Len() int                 { return 0 }

@@ -19,7 +19,7 @@ import (
 // calls out only once an item of the block is listed in Evicted, Evict
 // only for an item in the block's ID range.
 type Changes struct {
-	Loaded, Evicted []model.Item // the lists, reused by the next access
+	Net // the lists, reused by the next access
 
 	geo        model.Geometry
 	blk        model.Block
@@ -45,7 +45,8 @@ func NewChanges(g model.Geometry) Changes {
 //
 //gclint:hotpath
 func (c *Changes) Reset() {
-	c.Loaded, c.Evicted, c.span = c.Loaded[:0], c.Evicted[:0], 0
+	c.Net.Reset()
+	c.span = 0
 }
 
 // Begin empties both lists for a miss that loads from block blk.
@@ -114,11 +115,33 @@ func (c *Changes) Miss(p obs.Probe, it model.Item) Access {
 		for _, x := range c.Loaded {
 			p.Observe(obs.Event{Kind: obs.EvLoad, Item: x, Block: c.blk})
 		}
-		for _, x := range c.Evicted {
-			p.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
-		}
+		c.ObserveEvicted(p)
 	}
-	return Access{Loaded: c.Loaded, Evicted: c.Evicted}
+	return c.Net.Miss()
+}
+
+// Hit returns the changes of a hit that evicted items since Reset (a
+// block-layer hit can push an item out of the item layer) and, when p
+// is not nil, reports each eviction to p.
+//
+//gclint:hotpath
+func (c *Changes) Hit(p obs.Probe) Access {
+	c.ObserveEvicted(p)
+	return Access{Hit: true, net: &c.Net}
+}
+
+// ObserveEvicted reports one EvEvict, with the item's block, per item
+// listed in Evicted to p, unless p is nil. Miss and Hit call it; a
+// layer resize calls it for the items the resize pushed out.
+//
+//gclint:hotpath
+func (c *Changes) ObserveEvicted(p obs.Probe) {
+	if p == nil {
+		return
+	}
+	for _, x := range c.Evicted {
+		p.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
+	}
 }
 
 // offset returns x's offset in the open block and whether x is in it.

@@ -57,9 +57,9 @@ func TestChangesNetsWithinTheRequestedBlock(t *testing.T) {
 				}
 			}
 			a := c.Miss(nil, geo.block[0])
-			if !slices.Equal(a.Loaded, list(tc.loaded)) || !slices.Equal(a.Evicted, list(tc.evicted)) {
+			if !slices.Equal(a.Loaded(), list(tc.loaded)) || !slices.Equal(a.Evicted(), list(tc.evicted)) {
 				t.Errorf("%s %q: Loaded %v Evicted %v, want %v and %v",
-					gname, tc.script, a.Loaded, a.Evicted, list(tc.loaded), list(tc.evicted))
+					gname, tc.script, a.Loaded(), a.Evicted(), list(tc.loaded), list(tc.evicted))
 			}
 			// A Reset access opens no block, so what the script left in
 			// the masks must not net its evictions.

@@ -26,13 +26,13 @@ func TestLogHistCeilRank(t *testing.T) {
 				t.Errorf("empty LoadBurst p50 = %d, want 0", got)
 			}
 			hit := Access{Hit: true}
-			r.Observe(0, Access{Loaded: []model.Item{0}}) // gap 1, burst 1
+			r.Observe(0, Access{net: &Net{Loaded: []model.Item{0}}}) // gap 1, burst 1
 			r.Observe(0, hit)
-			r.Observe(1, Access{Loaded: []model.Item{1, 2}}) // gap 2, burst 2
+			r.Observe(1, Access{net: &Net{Loaded: []model.Item{1, 2}}}) // gap 2, burst 2
 			r.Observe(1, hit)
 			r.Observe(1, hit)
 			r.Observe(1, hit)
-			r.Observe(4, Access{Loaded: []model.Item{4, 5, 6, 7}}) // gap 4, burst 4
+			r.Observe(4, Access{net: &Net{Loaded: []model.Item{4, 5, 6, 7}}}) // gap 4, burst 4
 
 			ref := obs.NewHistogram("ref", "accesses")
 			for _, v := range []int64{1, 2, 4} {

@@ -140,7 +140,7 @@ func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 				delete(present, v)
 			}
 			present[it] = true
-			a = Access{Loaded: loaded, Evicted: evicted}
+			a = Access{net: &Net{Loaded: loaded, Evicted: evicted}}
 		}
 		gen.Observe(it, a)
 		bnd.Observe(it, a)
@@ -161,7 +161,7 @@ func TestRecorderBoundedFallback(t *testing.T) {
 
 func TestRecorderResetReuses(t *testing.T) {
 	for _, r := range []*Recorder{NewRecorder("a", 0), NewRecorder("a", 16)} {
-		r.Observe(0, Access{Loaded: []model.Item{0, 1}})
+		r.Observe(0, Access{net: &Net{Loaded: []model.Item{0, 1}}})
 		r.Observe(1, Access{Hit: true})
 		r.Reset("b")
 		if s := r.Stats(); s.Policy != "b" || s.Accesses != 0 {
@@ -188,7 +188,7 @@ func (f *seededFake) Access(it model.Item) Access {
 	if f.pos%int(2+f.seed%3) == 0 {
 		return Access{Hit: true}
 	}
-	return Access{Loaded: []model.Item{it}}
+	return Access{net: &Net{Loaded: []model.Item{it}}}
 }
 func (f *seededFake) Contains(model.Item) bool { return false }
 func (f *seededFake) Len() int                 { return 0 }
@@ -249,7 +249,7 @@ func TestSweepPooledRace(t *testing.T) {
 		total := 0
 		for _, it := range w.buf {
 			a := w.cache.Access(it)
-			total += len(a.Loaded)
+			total += len(a.Loaded())
 		}
 		results[i] = total
 	})

@@ -63,17 +63,18 @@ func (v *Validator) Access(it model.Item) Access {
 	_, wasPresent := v.shadow[it]
 	before := len(v.shadow)
 	a := v.inner.Access(it)
+	loaded, evicted := a.Loaded(), a.Evicted()
 
 	if a.Hit != wasPresent {
 		v.failf("hit=%v but item %d present=%v", a.Hit, it, wasPresent)
 	}
-	if a.Hit && len(a.Loaded) > 0 {
-		v.failf("loads on a hit: %v", a.Loaded)
+	if a.Hit && len(loaded) > 0 {
+		v.failf("loads on a hit: %v", loaded)
 	}
 	if !a.Hit {
 		blk := v.geo.BlockOf(it)
 		foundSelf := false
-		for _, l := range a.Loaded {
+		for _, l := range loaded {
 			if l == it {
 				foundSelf = true
 			}
@@ -89,10 +90,10 @@ func (v *Validator) Access(it model.Item) Access {
 			}
 		}
 		if !foundSelf {
-			v.failf("loaded set %v missing requested item %d", a.Loaded, it)
+			v.failf("loaded set %v missing requested item %d", loaded, it)
 		}
 	}
-	for _, e := range a.Evicted {
+	for _, e := range evicted {
 		if e == it {
 			v.failf("requested item %d evicted by its own access", it)
 		}
@@ -104,13 +105,13 @@ func (v *Validator) Access(it model.Item) Access {
 		}
 		delete(v.shadow, e)
 	}
-	for _, l := range a.Loaded {
+	for _, l := range loaded {
 		v.shadow[l] = struct{}{}
 	}
 	// A repeat in Evicted fails "not present" above; one in Loaded
 	// leaves the shadow short.
-	if len(v.shadow) != before-len(a.Evicted)+len(a.Loaded) {
-		v.failf("Loaded lists an item twice: %v", a.Loaded)
+	if len(v.shadow) != before-len(evicted)+len(loaded) {
+		v.failf("Loaded lists an item twice: %v", loaded)
 	}
 	if _, ok := v.shadow[it]; !ok {
 		v.failf("requested item %d not resident after its access (demand caching)", it)

@@ -108,7 +108,10 @@ func (s *Sharded) shardOf(it model.Item) *shard {
 // allocator.
 func (s *Sharded) Name() string { return s.name }
 
-// Access implements cachesim.Cache; it is safe for concurrent use.
+// Access implements cachesim.Cache; it is safe for concurrent use. The
+// returned Loaded and Evicted lists belong to the shard's policy, which
+// reuses them on its next access: once other goroutines call Access,
+// only Hit is safe to read.
 func (s *Sharded) Access(it model.Item) cachesim.Access {
 	sh := s.shardOf(it)
 	if !sh.mu.TryLock() {

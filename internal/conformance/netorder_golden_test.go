@@ -23,9 +23,10 @@ func accessStreamHash(c cachesim.Cache, tr []model.Item, evictedAsSet bool) uint
 	var buf []byte
 	for _, it := range tr {
 		a := c.Access(it)
+		loaded, evicted := a.Loaded(), a.Evicted()
 		if evictedAsSet {
-			a.Evicted = slices.Clone(a.Evicted)
-			slices.Sort(a.Evicted)
+			evicted = slices.Clone(evicted)
+			slices.Sort(evicted)
 		}
 		buf = buf[:0]
 		if a.Hit {
@@ -33,12 +34,12 @@ func accessStreamHash(c cachesim.Cache, tr []model.Item, evictedAsSet bool) uint
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Loaded)))
-		for _, x := range a.Loaded {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(loaded)))
+		for _, x := range loaded {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Evicted)))
-		for _, x := range a.Evicted {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(evicted)))
+		for _, x := range evicted {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 		h.Write(buf)

@@ -91,11 +91,7 @@ func (c *AdaptiveIBLP) SetItemLayerTarget(i int) {
 	c.ch.Reset()
 	c.setTargetItem(i)
 	c.rebalance()
-	if c.probe != nil {
-		for _, x := range c.ch.Evicted {
-			c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
-		}
-	}
+	c.ch.ObserveEvicted(c.probe)
 }
 
 // Access implements cachesim.Cache.
@@ -115,11 +111,8 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 		c.rebalance()
 		if c.probe != nil {
 			c.probe.Observe(obs.Event{Kind: obs.EvHitBlockLayer, Item: it, Block: blk})
-			for _, x := range c.ch.Evicted {
-				c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x})
-			}
 		}
-		return cachesim.Access{Hit: true, Evicted: c.ch.Evicted}
+		return c.ch.Hit(c.probe)
 	}
 
 	// Miss: consult the ghosts before loading. The item layer may grow

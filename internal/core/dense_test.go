@@ -71,13 +71,13 @@ func diffCaches(t *testing.T, generic, dense cachesim.Cache, tr []model.Item) {
 		if ag.Hit != ad.Hit {
 			t.Fatalf("access %d (item %d): generic hit=%v dense hit=%v", i, it, ag.Hit, ad.Hit)
 		}
-		if !equalItems(sortedCopy(ag.Loaded), sortedCopy(ad.Loaded)) {
+		if !equalItems(sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded())) {
 			t.Fatalf("access %d (item %d): loaded sets diverge\n generic %v\n dense   %v",
-				i, it, sortedCopy(ag.Loaded), sortedCopy(ad.Loaded))
+				i, it, sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded()))
 		}
-		if !equalItems(sortedCopy(ag.Evicted), sortedCopy(ad.Evicted)) {
+		if !equalItems(sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted())) {
 			t.Fatalf("access %d (item %d): evicted sets diverge\n generic %v\n dense   %v",
-				i, it, sortedCopy(ag.Evicted), sortedCopy(ad.Evicted))
+				i, it, sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted()))
 		}
 		if generic.Len() != dense.Len() {
 			t.Fatalf("access %d: Len diverged generic=%d dense=%d", i, generic.Len(), dense.Len())
@@ -200,7 +200,7 @@ func TestIBLPDenseZeroAllocSteadyState(t *testing.T) {
 			if !a.Hit {
 				misses++
 			}
-			evicted += len(a.Evicted)
+			evicted += len(a.Evicted())
 			i += shape.stride
 		}); avg != 0 {
 			t.Errorf("i=%d b=%d: IBLP dense path allocates %.2f allocs/access, want 0", shape.i, shape.b, avg)
@@ -229,7 +229,7 @@ func TestGCMDenseZeroAllocSteadyState(t *testing.T) {
 			if !a.Hit {
 				misses++
 			}
-			evicted += len(a.Evicted)
+			evicted += len(a.Evicted())
 			i += 37
 		}); avg != 0 {
 			t.Errorf("k=%d: GCM dense path allocates %.2f allocs/access, want 0", k, avg)

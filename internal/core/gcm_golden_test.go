@@ -45,12 +45,12 @@ func decisionHash(c cachesim.Cache, gcm *GCM, tr []model.Item) uint64 {
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Loaded)))
-		for _, x := range a.Loaded {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Loaded())))
+		for _, x := range a.Loaded() {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Evicted)))
-		for _, x := range a.Evicted {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Evicted())))
+		for _, x := range a.Evicted() {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 		p.h.Write(buf)

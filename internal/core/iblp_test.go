@@ -7,6 +7,7 @@ import (
 
 	"gccache/internal/cachesim"
 	"gccache/internal/model"
+	"gccache/internal/obs"
 	"gccache/internal/policy"
 	"gccache/internal/trace"
 )
@@ -34,8 +35,8 @@ func TestIBLPMissLoadsBothLayers(t *testing.T) {
 	c := NewIBLP(2, 8, g)
 	a := mustMiss(t, c, 1)
 	// Overall: item 1 (item layer + block copy) plus siblings 0,2,3.
-	if len(a.Loaded) != 4 {
-		t.Fatalf("Loaded = %v, want 4 distinct items", a.Loaded)
+	if len(a.Loaded()) != 4 {
+		t.Fatalf("Loaded = %v, want 4 distinct items", a.Loaded())
 	}
 	for it := model.Item(0); it < 4; it++ {
 		if !c.Contains(it) {
@@ -266,6 +267,54 @@ func TestIBLPCapacityInvariant(t *testing.T) {
 		c.Access(model.Item(rng.Intn(100)))
 		if c.Len() > c.Capacity() {
 			t.Fatalf("Len %d > Capacity %d", c.Len(), c.Capacity())
+		}
+	}
+}
+
+// A block-layer hit can push an item out of the item layer. Its EvEvict
+// event must name the item's block, like the evictions of a miss or a
+// resize: requests 4, 8, 9 under B=4 evict item 4 (block 1) on the hit
+// to 9, and a random tail repeats such hits.
+func TestBlockLayerHitEvictionsCarryBlock(t *testing.T) {
+	g := model.NewFixed(4)
+	tr := trace.Trace{4, 8, 9}
+	rng := rand.New(rand.NewSource(3))
+	for range 3000 {
+		tr = append(tr, model.Item(rng.Intn(64)))
+	}
+	for _, c := range []interface {
+		cachesim.Cache
+		cachesim.Instrumented
+	}{
+		NewIBLPBounded(2, 4, g, 64),
+		NewIBLP(2, 4, g),
+		NewAdaptiveIBLP(8, g),
+	} {
+		log := obs.NewEventLog(1 << 16)
+		c.SetProbe(log)
+		for _, it := range tr {
+			c.Access(it)
+		}
+		hitEvictions, afterHit, reported := 0, false, false
+		for _, e := range log.Snapshot() {
+			switch e.Kind {
+			case obs.EvEvict:
+				if e.Block != g.BlockOf(e.Item) && !reported {
+					t.Errorf("%s: event %d evicts item %d with block %d, want %d",
+						c.Name(), e.Seq, e.Item, e.Block, g.BlockOf(e.Item))
+					reported = true
+				}
+				if afterHit {
+					hitEvictions++
+				}
+			case obs.EvHitBlockLayer:
+				afterHit = true
+			default:
+				afterHit = false
+			}
+		}
+		if hitEvictions == 0 {
+			t.Errorf("%s: no block-layer hit evicted an item; the trace does not exercise the path", c.Name())
 		}
 	}
 }

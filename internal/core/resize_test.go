@@ -119,8 +119,8 @@ func TestIBLPResizeStormDenseMatchesGeneric(t *testing.T) {
 				t.Fatalf("B=%d step %d (item %d): generic hit=%v dense hit=%v",
 					blockSize, step, it, ag.Hit, ad.Hit)
 			}
-			if !equalItems(sortedCopy(ag.Loaded), sortedCopy(ad.Loaded)) ||
-				!equalItems(sortedCopy(ag.Evicted), sortedCopy(ad.Evicted)) {
+			if !equalItems(sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded())) ||
+				!equalItems(sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted())) {
 				t.Fatalf("B=%d step %d (item %d): load/evict sets diverge", blockSize, step, it)
 			}
 			if step%173 == 0 {
@@ -245,8 +245,8 @@ func TestAdaptiveResizeStormDifferentialFinalSplit(t *testing.T) {
 		if as.Hit != af.Hit {
 			t.Fatalf("probe step %d (item %d): stormed hit=%v fresh hit=%v", step, it, as.Hit, af.Hit)
 		}
-		if !equalItems(sortedCopy(as.Loaded), sortedCopy(af.Loaded)) ||
-			!equalItems(sortedCopy(as.Evicted), sortedCopy(af.Evicted)) {
+		if !equalItems(sortedCopy(as.Loaded()), sortedCopy(af.Loaded())) ||
+			!equalItems(sortedCopy(as.Evicted()), sortedCopy(af.Evicted())) {
 			t.Fatalf("probe step %d (item %d): load/evict sets diverge", step, it)
 		}
 		if stormed.ItemLayerTarget() != fresh.ItemLayerTarget() {

@@ -119,7 +119,7 @@ func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 		c.removeFromBlock(it, blk)
 		c.blocks.MoveToFront(blk)
 		c.admitItem(it)
-		return cachesim.Access{Hit: true, Evicted: c.ch.Evicted}
+		return c.ch.Hit(nil)
 	}
 
 	// Miss: requested item to the item layer, remaining siblings (those
@@ -253,7 +253,7 @@ func (c *GCMMarkAll) Name() string { return "gcm-mark-all" }
 // Access implements cachesim.Cache.
 func (c *GCMMarkAll) Access(it model.Item) cachesim.Access {
 	a := c.inner.Access(it)
-	for _, l := range a.Loaded {
+	for _, l := range a.Loaded() {
 		c.inner.mark(l)
 	}
 	return a

@@ -97,8 +97,8 @@ func Figure4Demo() *Report {
 		return a
 	}
 	a := access(0, "A1 → item layer; whole block {A1 A2 A3} → block layer")
-	if a.Hit || len(a.Loaded) != 3 {
-		r.Failf("first access: want miss loading 3 items, got %+v", a)
+	if a.Hit || len(a.Loaded()) != 3 {
+		r.Failf("first access: want miss loading 3 items, got hit=%v loaded=%v", a.Hit, a.Loaded())
 	}
 	a = access(1, "A2 served by the block layer (spatial hit), copied to item layer")
 	if !a.Hit {

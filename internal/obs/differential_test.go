@@ -70,7 +70,7 @@ func runDifferential(t *testing.T, bare, probed cachesim.Cache, tr []model.Item,
 	for i, it := range tr {
 		a := bare.Access(it)
 		b := probed.Access(it)
-		if a.Hit != b.Hit || !sameItems(a.Loaded, b.Loaded) || !sameItems(a.Evicted, b.Evicted) {
+		if a.Hit != b.Hit || !sameItems(a.Loaded(), b.Loaded()) || !sameItems(a.Evicted(), b.Evicted()) {
 			t.Fatalf("access %d (item %d) diverged: bare %+v probed %+v", i, it, a, b)
 		}
 		recBare.Observe(it, a)

@@ -54,10 +54,11 @@ const (
 	// policies), N the number of items actually brought in.
 	EvBlockLoad
 	// EvLoad is one item insertion (policy view, a net change: see
-	// cachesim.Access); emitted once per element of Access.Loaded.
+	// cachesim.Access); emitted once per item Access.Loaded lists.
 	EvLoad
 	// EvEvict is one item eviction (policy view, a net change: see
-	// cachesim.Access); emitted once per element of Access.Evicted.
+	// cachesim.Access); emitted once per item Access.Evicted lists,
+	// and once per item a layer resize pushes out.
 	EvEvict
 	// EvMark is a GCM/marking item transitioning unmarked→marked.
 	EvMark

@@ -17,11 +17,11 @@ func RecordSchedule(c cachesim.Cache, tr trace.Trace) []Step {
 	for i, it := range tr {
 		a := c.Access(it)
 		st := Step{Hit: a.Hit}
-		if len(a.Loaded) > 0 {
-			st.Load = append([]model.Item(nil), a.Loaded...)
+		if l := a.Loaded(); len(l) > 0 {
+			st.Load = append([]model.Item(nil), l...)
 		}
-		if len(a.Evicted) > 0 {
-			st.Evict = append([]model.Item(nil), a.Evicted...)
+		if e := a.Evicted(); len(e) > 0 {
+			st.Evict = append([]model.Item(nil), e...)
 		}
 		steps[i] = st
 	}

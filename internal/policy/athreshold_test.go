@@ -12,8 +12,8 @@ func TestBlockLoadItemEvictLoadsFullBlockOnMiss(t *testing.T) {
 	g := model.NewFixed(4)
 	c := NewBlockLoadItemEvict(8, g)
 	a := mustMiss(t, c, 1)
-	if len(a.Loaded) != 4 {
-		t.Fatalf("Loaded = %v, want full block", a.Loaded)
+	if len(a.Loaded()) != 4 {
+		t.Fatalf("Loaded = %v, want full block", a.Loaded())
 	}
 	mustHit(t, c, 0)
 	mustHit(t, c, 2)
@@ -38,16 +38,16 @@ func TestAThresholdWaitsForADistinctAccesses(t *testing.T) {
 	g := model.NewFixed(4)
 	c := NewAThreshold(16, 3, g)
 	a := mustMiss(t, c, 0) // 1 distinct
-	if len(a.Loaded) != 1 {
-		t.Fatalf("first miss loaded %v", a.Loaded)
+	if len(a.Loaded()) != 1 {
+		t.Fatalf("first miss loaded %v", a.Loaded())
 	}
 	a = mustMiss(t, c, 1) // 2 distinct
-	if len(a.Loaded) != 1 {
-		t.Fatalf("second miss loaded %v", a.Loaded)
+	if len(a.Loaded()) != 1 {
+		t.Fatalf("second miss loaded %v", a.Loaded())
 	}
 	a = mustMiss(t, c, 2) // 3rd distinct: whole block
-	if len(a.Loaded) != 2 {
-		t.Fatalf("third miss loaded %v, want remaining 2 items", a.Loaded)
+	if len(a.Loaded()) != 2 {
+		t.Fatalf("third miss loaded %v, want remaining 2 items", a.Loaded())
 	}
 	mustHit(t, c, 3)
 }
@@ -58,8 +58,8 @@ func TestAThresholdCounterIncludesHits(t *testing.T) {
 	mustMiss(t, c, 0)
 	mustHit(t, c, 0) // same item: still 1 distinct
 	a := mustMiss(t, c, 1)
-	if len(a.Loaded) != 3 {
-		t.Fatalf("expected full-block load on 2nd distinct access, got %v", a.Loaded)
+	if len(a.Loaded()) != 3 {
+		t.Fatalf("expected full-block load on 2nd distinct access, got %v", a.Loaded())
 	}
 }
 
@@ -73,8 +73,8 @@ func TestAThresholdNoLoadOnHit(t *testing.T) {
 	// triggers the load.
 	mustHit(t, c, 0)
 	a := mustMiss(t, c, 1)
-	if len(a.Loaded) != 3 {
-		t.Fatalf("Loaded = %v", a.Loaded)
+	if len(a.Loaded()) != 3 {
+		t.Fatalf("Loaded = %v", a.Loaded())
 	}
 }
 
@@ -101,8 +101,8 @@ func TestAThresholdResetClearsCounters(t *testing.T) {
 	mustMiss(t, c, 0)
 	c.Reset()
 	a := mustMiss(t, c, 1)
-	if len(a.Loaded) != 1 {
-		t.Fatalf("counter survived Reset: %v", a.Loaded)
+	if len(a.Loaded()) != 1 {
+		t.Fatalf("counter survived Reset: %v", a.Loaded())
 	}
 }
 
@@ -119,8 +119,8 @@ func TestAThresholdCounterClearsWhenBlockFullyEvicted(t *testing.T) {
 	// Re-access 0: its counter must have restarted at 0, so this is the
 	// 1st distinct access and loads only the item.
 	a := mustMiss(t, c, 0)
-	if len(a.Loaded) != 1 {
-		t.Fatalf("Loaded = %v, want just the item", a.Loaded)
+	if len(a.Loaded()) != 1 {
+		t.Fatalf("Loaded = %v, want just the item", a.Loaded())
 	}
 }
 

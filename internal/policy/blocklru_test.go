@@ -12,8 +12,8 @@ func TestBlockLRULoadsWholeBlock(t *testing.T) {
 	g := model.NewFixed(4)
 	c := NewBlockLRU(8, g)
 	a := mustMiss(t, c, 1)
-	if len(a.Loaded) != 4 {
-		t.Fatalf("Loaded = %v, want 4 items", a.Loaded)
+	if len(a.Loaded()) != 4 {
+		t.Fatalf("Loaded = %v, want 4 items", a.Loaded())
 	}
 	for it := model.Item(0); it < 4; it++ {
 		if !c.Contains(it) {
@@ -34,8 +34,8 @@ func TestBlockLRUEvictsWholeBlocks(t *testing.T) {
 	mustMiss(t, c, 4)      // block 1
 	mustHit(t, c, 1)       // promote block 0
 	a := mustMiss(t, c, 8) // block 2 evicts block 1 (LRU)
-	if len(a.Evicted) != 4 {
-		t.Fatalf("Evicted = %v, want 4 items", a.Evicted)
+	if len(a.Evicted()) != 4 {
+		t.Fatalf("Evicted = %v, want 4 items", a.Evicted())
 	}
 	for it := model.Item(4); it < 8; it++ {
 		if c.Contains(it) {
@@ -84,8 +84,8 @@ func TestBlockLRUOversizedBlockTruncates(t *testing.T) {
 	g := model.NewFixed(8)
 	c := NewBlockLRU(4, g)
 	a := mustMiss(t, c, 3)
-	if len(a.Loaded) != 4 {
-		t.Fatalf("Loaded = %d items, want 4 (truncated)", len(a.Loaded))
+	if len(a.Loaded()) != 4 {
+		t.Fatalf("Loaded = %d items, want 4 (truncated)", len(a.Loaded()))
 	}
 	if !c.Contains(3) {
 		t.Fatal("requested item not retained")

@@ -19,8 +19,7 @@ type Clock struct {
 	refbit   []bool
 	index    map[model.Item]int // item -> ring slot
 	hand     int
-	loaded   []model.Item
-	evicted  []model.Item
+	net      cachesim.Net
 }
 
 var _ cachesim.Cache = (*Clock)(nil)
@@ -47,14 +46,13 @@ func (c *Clock) Access(it model.Item) cachesim.Access {
 		c.refbit[slot] = true
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	c.net.Reset()
 	if len(c.ring) < c.capacity {
 		c.index[it] = len(c.ring)
 		c.ring = append(c.ring, it)
 		c.refbit = append(c.refbit, false)
-		c.loaded = append(c.loaded, it)
-		return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+		c.net.Loaded = append(c.net.Loaded, it)
+		return c.net.Miss()
 	}
 	// Sweep: clear reference bits until an unreferenced victim appears.
 	for c.refbit[c.hand] {
@@ -63,13 +61,13 @@ func (c *Clock) Access(it model.Item) cachesim.Access {
 	}
 	victim := c.ring[c.hand]
 	delete(c.index, victim)
-	c.evicted = append(c.evicted, victim)
+	c.net.Evicted = append(c.net.Evicted, victim)
 	c.ring[c.hand] = it
 	c.refbit[c.hand] = false
 	c.index[it] = c.hand
 	c.hand = (c.hand + 1) % c.capacity
-	c.loaded = append(c.loaded, it)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	c.net.Loaded = append(c.net.Loaded, it)
+	return c.net.Miss()
 }
 
 // Contains implements cachesim.Cache.

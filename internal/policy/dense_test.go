@@ -62,8 +62,8 @@ func diffCaches(t *testing.T, generic, dense cachesim.Cache, tr []model.Item) {
 		if ag.Hit != ad.Hit {
 			t.Fatalf("access %d (item %d): generic hit=%v dense hit=%v", i, it, ag.Hit, ad.Hit)
 		}
-		gl, dl := sortedCopy(ag.Loaded), sortedCopy(ad.Loaded)
-		ge, de := sortedCopy(ag.Evicted), sortedCopy(ad.Evicted)
+		gl, dl := sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded())
+		ge, de := sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted())
 		if !equalItems(gl, dl) {
 			t.Fatalf("access %d (item %d): loaded sets diverge\n generic %v\n dense   %v", i, it, gl, dl)
 		}
@@ -201,7 +201,7 @@ func TestBlockLRUDenseZeroAllocSteadyState(t *testing.T) {
 			if !a.Hit {
 				misses++
 			}
-			evicted += len(a.Evicted)
+			evicted += len(a.Evicted())
 			i += shape.stride
 		}); avg != 0 {
 			t.Errorf("k=%d: BlockLRU dense path allocates %.2f allocs/access, want 0", shape.k, avg)

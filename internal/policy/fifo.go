@@ -14,8 +14,7 @@ import (
 type FIFO struct {
 	capacity int
 	order    *lrulist.List[model.Item]
-	loaded   []model.Item
-	evicted  []model.Item
+	net      cachesim.Net
 }
 
 var _ cachesim.Cache = (*FIFO)(nil)
@@ -37,15 +36,14 @@ func (c *FIFO) Access(it model.Item) cachesim.Access {
 	if c.order.Contains(it) {
 		return cachesim.Access{Hit: true} // no promotion: FIFO
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	c.net.Reset()
 	c.order.PushFront(it)
-	c.loaded = append(c.loaded, it)
+	c.net.Loaded = append(c.net.Loaded, it)
 	for c.order.Len() > c.capacity {
 		victim, _ := c.order.PopBack()
-		c.evicted = append(c.evicted, victim)
+		c.net.Evicted = append(c.net.Evicted, victim)
 	}
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.net.Miss()
 }
 
 // Contains implements cachesim.Cache.

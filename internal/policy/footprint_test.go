@@ -14,8 +14,8 @@ func TestFootprintFirstTouchLoadsOnlyItem(t *testing.T) {
 	g := model.NewFixed(8)
 	c := NewFootprint(32, g)
 	a := mustMiss(t, c, 3)
-	if len(a.Loaded) != 1 || a.Loaded[0] != 3 {
-		t.Fatalf("first touch loaded %v, want just the item", a.Loaded)
+	if len(a.Loaded()) != 1 || a.Loaded()[0] != 3 {
+		t.Fatalf("first touch loaded %v, want just the item", a.Loaded())
 	}
 }
 
@@ -38,8 +38,8 @@ func TestFootprintLearnsUsedOffsets(t *testing.T) {
 	}
 	// Second residency: the miss on 0 prefetches 2 as well.
 	a := mustMiss(t, c, 0)
-	if len(a.Loaded) != 2 {
-		t.Fatalf("predicted load = %v, want {0, 2}", a.Loaded)
+	if len(a.Loaded()) != 2 {
+		t.Fatalf("predicted load = %v, want {0, 2}", a.Loaded())
 	}
 	mustHit(t, c, 2)
 }

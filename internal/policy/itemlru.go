@@ -23,8 +23,7 @@ import (
 type ItemLRU struct {
 	capacity int
 	order    lrulist.Order[model.Item]
-	loaded   []model.Item
-	evicted  []model.Item
+	net      cachesim.Net
 	probe    obs.Probe
 }
 
@@ -69,24 +68,23 @@ func (c *ItemLRU) Access(it model.Item) cachesim.Access {
 		}
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	c.net.Reset()
 	c.order.PushFront(it)
-	c.loaded = append(c.loaded, it)
+	c.net.Loaded = append(c.net.Loaded, it)
 	for c.order.Len() > c.capacity {
 		victim, _ := c.order.PopBack()
-		c.evicted = append(c.evicted, victim)
+		c.net.Evicted = append(c.net.Evicted, victim)
 	}
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, N: int32(len(c.loaded))})
-		for _, x := range c.loaded {
+		c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, N: int32(len(c.net.Loaded))})
+		for _, x := range c.net.Loaded {
 			c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: x})
 		}
-		for _, x := range c.evicted {
+		for _, x := range c.net.Evicted {
 			c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x})
 		}
 	}
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	return c.net.Miss()
 }
 
 // SetProbe implements cachesim.Instrumented. A nil probe restores the

@@ -17,8 +17,8 @@ func TestItemLRUBasicEviction(t *testing.T) {
 	if a.Hit {
 		t.Fatal("unexpected hit on 3")
 	}
-	if len(a.Evicted) != 1 || a.Evicted[0] != 2 {
-		t.Fatalf("Evicted = %v, want [2]", a.Evicted)
+	if len(a.Evicted()) != 1 || a.Evicted()[0] != 2 {
+		t.Fatalf("Evicted = %v, want [2]", a.Evicted())
 	}
 	if !c.Contains(1) || c.Contains(2) || !c.Contains(3) {
 		t.Error("wrong contents after eviction")
@@ -68,8 +68,8 @@ func TestItemLRUPanicsOnBadCapacity(t *testing.T) {
 func TestItemLRUNeverLoadsSiblings(t *testing.T) {
 	c := NewItemLRU(10)
 	a := c.Access(5)
-	if len(a.Loaded) != 1 || a.Loaded[0] != 5 {
-		t.Errorf("Loaded = %v, want [5]", a.Loaded)
+	if len(a.Loaded()) != 1 || a.Loaded()[0] != 5 {
+		t.Errorf("Loaded = %v, want [5]", a.Loaded())
 	}
 }
 

@@ -22,8 +22,7 @@ type Marking struct {
 	items    []model.Item       // indexable set of resident items
 	index    map[model.Item]int // item -> position in items
 	marked   map[model.Item]struct{}
-	loaded   []model.Item
-	evicted  []model.Item
+	net      cachesim.Net
 }
 
 var _ cachesim.Cache = (*Marking)(nil)
@@ -51,8 +50,7 @@ func (c *Marking) Access(it model.Item) cachesim.Access {
 		c.marked[it] = struct{}{}
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	c.net.Reset()
 	if len(c.items) >= c.capacity {
 		if len(c.marked) == len(c.items) {
 			// Phase boundary: unmark everything.
@@ -64,12 +62,12 @@ func (c *Marking) Access(it model.Item) cachesim.Access {
 			victim = c.items[c.rng.Intn(len(c.items))]
 		}
 		c.remove(victim)
-		c.evicted = append(c.evicted, victim)
+		c.net.Evicted = append(c.net.Evicted, victim)
 	}
 	c.insert(it)
 	c.marked[it] = struct{}{}
-	c.loaded = append(c.loaded, it)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	c.net.Loaded = append(c.net.Loaded, it)
+	return c.net.Miss()
 }
 
 // randomUnmarked samples a uniformly random unmarked resident item by

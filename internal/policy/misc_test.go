@@ -16,8 +16,8 @@ func TestFIFOEvictsInsertionOrder(t *testing.T) {
 	mustMiss(t, c, 2)
 	mustHit(t, c, 1) // does NOT promote
 	a := mustMiss(t, c, 3)
-	if len(a.Evicted) != 1 || a.Evicted[0] != 1 {
-		t.Fatalf("Evicted = %v, want [1] (FIFO ignores recency)", a.Evicted)
+	if len(a.Evicted()) != 1 || a.Evicted()[0] != 1 {
+		t.Fatalf("Evicted = %v, want [1] (FIFO ignores recency)", a.Evicted())
 	}
 }
 
@@ -157,8 +157,8 @@ func TestClockSecondChance(t *testing.T) {
 	// Miss on 3: hand at 0 (item 1, ref=1) → clear, advance; item 2
 	// (ref=0) → evict 2.
 	a := mustMiss(t, c, 3)
-	if len(a.Evicted) != 1 || a.Evicted[0] != 2 {
-		t.Fatalf("Evicted = %v, want [2] (second chance for 1)", a.Evicted)
+	if len(a.Evicted()) != 1 || a.Evicted()[0] != 2 {
+		t.Fatalf("Evicted = %v, want [2] (second chance for 1)", a.Evicted())
 	}
 	if !c.Contains(1) || !c.Contains(3) {
 		t.Error("contents wrong after sweep")
@@ -205,8 +205,8 @@ func TestClockAllReferencedSweepsFullCircle(t *testing.T) {
 		mustHit(t, c, it) // everything referenced
 	}
 	a := mustMiss(t, c, 4) // full sweep clears all bits, evicts slot 0
-	if len(a.Evicted) != 1 || a.Evicted[0] != 1 {
-		t.Fatalf("Evicted = %v, want [1]", a.Evicted)
+	if len(a.Evicted()) != 1 || a.Evicted()[0] != 1 {
+		t.Fatalf("Evicted = %v, want [1]", a.Evicted())
 	}
 }
 

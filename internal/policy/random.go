@@ -18,8 +18,7 @@ type RandomEvict struct {
 	rng      *rand.Rand
 	items    []model.Item       // indexable set for O(1) random choice
 	index    map[model.Item]int // item -> position in items
-	loaded   []model.Item
-	evicted  []model.Item
+	net      cachesim.Net
 }
 
 var _ cachesim.Cache = (*RandomEvict)(nil)
@@ -45,18 +44,17 @@ func (c *RandomEvict) Access(it model.Item) cachesim.Access {
 	if _, ok := c.index[it]; ok {
 		return cachesim.Access{Hit: true}
 	}
-	c.loaded = c.loaded[:0]
-	c.evicted = c.evicted[:0]
+	c.net.Reset()
 	if len(c.items) >= c.capacity {
 		pos := c.rng.Intn(len(c.items))
 		victim := c.items[pos]
 		c.removeAt(pos)
-		c.evicted = append(c.evicted, victim)
+		c.net.Evicted = append(c.net.Evicted, victim)
 	}
 	c.index[it] = len(c.items)
 	c.items = append(c.items, it)
-	c.loaded = append(c.loaded, it)
-	return cachesim.Access{Loaded: c.loaded, Evicted: c.evicted}
+	c.net.Loaded = append(c.net.Loaded, it)
+	return c.net.Miss()
 }
 
 func (c *RandomEvict) removeAt(pos int) {
