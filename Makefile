@@ -94,7 +94,7 @@ bench:
 # hot-path benchmarks and record them under "current", preserving the
 # committed "pre_change" section so the file tracks the performance
 # trajectory (see DESIGN.md, Performance notes).
-HOTPATH_BENCH = ^(BenchmarkRunTrace|BenchmarkRunTraceGeneric|BenchmarkRunStream|BenchmarkReplayThroughput(Parallel)?|BenchmarkSweep|BenchmarkAccess(ItemLRU|BlockLRU|IBLP|GCM|AThreshold))$$
+HOTPATH_BENCH = ^(BenchmarkRunTrace|BenchmarkRunTraceUndeclared|BenchmarkRunStream|BenchmarkReplayThroughput(Parallel)?|BenchmarkSweep|BenchmarkAccess(ItemLRU|BlockLRU|IBLP|GCM|AThreshold))$$
 bench-json:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem . | $(GO) run ./cmd/gcbenchjson -out BENCH_baseline.json
 

@@ -23,14 +23,16 @@ func runTraceWorkload(b *testing.B) (*model.Fixed, gccache.Trace) {
 }
 
 // BenchmarkRunTrace measures the end-to-end trace-replay hot path — policy
-// access, recorder classification, and net-change reconciliation — by
-// replaying one BlockRuns trace per iteration through the even-split IBLP
-// on the dense (bounded-universe) path. BENCH_baseline.json keeps the
-// pre-optimization number under "pre_change" for the trajectory.
+// access, recorder classification, and net-change bookkeeping — by
+// replaying one BlockRuns trace per iteration through the even-split
+// IBLP with the trace's universe declared. One untimed replay first grows
+// the cache's arrays. BENCH_baseline.json keeps the pre-optimization
+// number under "pre_change" for the trajectory.
 func BenchmarkRunTrace(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	u := model.ItemUniverse(g, tr.Universe())
-	c := gccache.NewIBLPEvenSplitBounded(4096, g, u)
+	c := gccache.NewIBLPEvenSplit(4096, g)
+	replayCold(b, c, tr, u)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,12 +50,13 @@ func replayCold(b *testing.B, c gccache.Cache, tr gccache.Trace, universe int) {
 	}
 }
 
-// BenchmarkRunTraceGeneric is the same replay on the generic (map-backed)
-// representation — the permanent reference point for the dense path's
-// speedup, so the comparison stays reproducible on any machine.
-func BenchmarkRunTraceGeneric(b *testing.B) {
+// BenchmarkRunTraceUndeclared is the same replay with no declared
+// universe, so each replay's Recorder starts empty and grows its
+// pristine set as items arrive.
+func BenchmarkRunTraceUndeclared(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	c := gccache.NewIBLPEvenSplit(4096, g)
+	replayCold(b, c, tr, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,8 +65,9 @@ func BenchmarkRunTraceGeneric(b *testing.B) {
 }
 
 // BenchmarkSweep measures the chunked work-stealing sweep engine on a
-// 64-point grid, one pooled dense IBLP per worker reused (Reset before
-// each replay) across every point the worker claims.
+// 64-point grid, one pooled IBLP per worker reused (Reset before each
+// replay) across every point the worker claims; each grows its arrays
+// on its first point.
 func BenchmarkSweep(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	u := model.ItemUniverse(g, tr.Universe())
@@ -71,7 +75,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gccache.Sweep(context.Background(), 64, gccache.SweepOptions{}, func() gccache.Cache {
-			return gccache.NewIBLPEvenSplitBounded(4096, g, u)
+			return gccache.NewIBLPEvenSplit(4096, g)
 		}, func(pt int, c gccache.Cache) {
 			replayCold(b, c, tr, u)
 		})

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkRunStream measures the streaming replay path end to end —
-// binary varint decode, policy access, dense recorder — off an
+// binary varint decode, policy access, recorder — off an
 // in-memory encoding of the BlockRuns trace, so the number is the
 // decode+replay cost with no file-system noise. The slice-path
 // counterpart is BenchmarkRunTrace; the gap between them is the price
@@ -20,7 +20,8 @@ import (
 func BenchmarkRunStream(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	u := model.ItemUniverse(g, tr.Universe())
-	c := gccache.NewIBLPEvenSplitBounded(4096, g, u)
+	c := gccache.NewIBLPEvenSplit(4096, g)
+	replayCold(b, c, tr, u)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		b.Fatal(err)
@@ -46,17 +47,15 @@ func BenchmarkRunStream(b *testing.B) {
 
 // replayThroughput measures a warm persistent ReplayEngine over the
 // BlockRuns trace split into nStreams streams on an nShards-shard
-// bounded (dense, allocation-free) cache. The engine, cache, rings,
-// and batch buffers are all built before the timer starts, so the
-// steady-state loop is the pure serving cost: SPSC ring hand-off,
-// counting-sort routing, one lock acquisition per batch, dense policy
-// access.
+// cache. The engine, cache, rings, and batch buffers are all built
+// before the timer starts, so the steady-state loop is the pure serving
+// cost: SPSC ring hand-off, counting-sort routing, one lock acquisition
+// per batch, policy access.
 func replayThroughput(b *testing.B, nShards, nStreams int) {
 	g, tr := runTraceWorkload(b)
-	u := gccache.ItemUniverse(g, tr.Universe())
 	streams := gccache.SplitStreams(tr, nStreams)
-	s, err := gccache.NewShardedCacheBounded(nShards, 4096, g, u, func(k int) gccache.Cache {
-		return gccache.NewIBLPEvenSplitBounded(k, g, u)
+	s, err := gccache.NewShardedCache(nShards, 4096, g, func(k int) gccache.Cache {
+		return gccache.NewIBLPEvenSplit(k, g)
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -68,7 +67,8 @@ func replayThroughput(b *testing.B, nShards, nStreams int) {
 	defer e.Close()
 	ctx := context.Background()
 	// One warmup replay primes the free rings with recycled batch
-	// buffers; everything after it is allocation-free.
+	// buffers and grows the caches' and recorders' arrays; everything
+	// after it is allocation-free.
 	if _, err := e.Replay(ctx, streams); err != nil {
 		b.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func runClusterSelfcheck() error {
 	newNode := func() (*cluster.Node, error) {
 		return cluster.NewNode(cluster.NodeConfig{
 			Addr: "127.0.0.1:0", K: kk, B: bb, Universe: universe,
-			NewCache: func() cachesim.Cache { return policy.NewItemLRUBounded(kk, universe) },
+			NewCache: func() cachesim.Cache { return policy.NewItemLRU(kk) },
 		})
 	}
 	nodes := make([]*cluster.Node, 3)

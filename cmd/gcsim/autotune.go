@@ -42,7 +42,7 @@ func runAutotuneEval(tr trace.Trace, k, B int) {
 		}
 	}
 
-	live := core.NewIBLPBounded(evenSplit, k-evenSplit, geo, universe)
+	live := core.NewIBLP(evenSplit, k-evenSplit, geo)
 	st := autotune.Drive(live, tn, tr, 0)
 	s := tn.State()
 

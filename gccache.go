@@ -63,8 +63,8 @@ func NewTableGeometry(blocks [][]Item) (*model.Table, error) { return model.NewT
 // ItemUniverse expands an upper bound on *requested* item IDs to cover
 // every item a block-loading policy may bring in (the whole block of
 // each requested item). Pass the result — not the raw Trace.Universe —
-// to the *Bounded constructors and ReplayOptions.Universe. A zero
-// return means no finite bound is derivable; use the generic path.
+// as ReplayOptions.Universe to presize the Recorder for every item the
+// cache may load. A zero return means no finite bound is derivable.
 func ItemUniverse(g Geometry, universe int) int { return model.ItemUniverse(g, universe) }
 
 // Simulation.
@@ -81,8 +81,9 @@ type (
 	Stats = cachesim.Stats
 )
 
-// ReplayOptions selects Replay's recorder path (Universe) and attaches
-// an observability probe (Probe); the zero value replays with neither.
+// ReplayOptions bounds the requested item IDs and presizes Replay's
+// recorder (Universe; 0 bounds IDs at 4Mi items) and attaches an
+// observability probe (Probe); the zero value attaches none.
 type ReplayOptions = cachesim.ReplayOptions
 
 // Replay drives every request of src through c from its current state
@@ -90,7 +91,7 @@ type ReplayOptions = cachesim.ReplayOptions
 // fresh cache needs none. Wrap an in-memory Trace with NewSliceSource.
 // A nil error means every request was replayed; otherwise the partial
 // statistics come back with ctx's error, the source's error, or the
-// first request outside opt.Universe.
+// first request outside the universe (see ReplayOptions).
 func Replay(ctx context.Context, c Cache, src TraceSource, opt ReplayOptions) (Stats, error) {
 	return cachesim.Replay(ctx, c, src, opt)
 }
@@ -123,7 +124,8 @@ func NewSliceSource(tr Trace) TraceSource { return trace.NewSliceSource(tr) }
 
 // RunFile opens path, streams the gctrace binary format through c, and
 // closes the file — the one-call entry point for replaying traces
-// larger than memory. Universe > 0 selects the bounded recorder.
+// larger than memory. universe bounds the item IDs as
+// ReplayOptions.Universe does.
 func RunFile(ctx context.Context, c Cache, path string, universe int) (Stats, error) {
 	return cachesim.RunFile(ctx, c, path, universe)
 }
@@ -212,18 +214,6 @@ func NewIBLP(i, b int, g Geometry) *core.IBLP { return core.NewIBLP(i, b, g) }
 // NewIBLPEvenSplit returns IBLP with i = ⌈k/2⌉, b = ⌊k/2⌋ (§7.3's split).
 func NewIBLPEvenSplit(k int, g Geometry) *core.IBLP { return core.NewIBLPEvenSplit(k, g) }
 
-// NewIBLPBounded and NewIBLPEvenSplitBounded are the dense-path variants
-// of NewIBLP and NewIBLPEvenSplit for item IDs in [0, universe): flat
-// bitsets and array-backed LRU orders make steady-state accesses
-// allocation- and hash-free. Behaviour is identical to the generic
-// constructors; accessing an item ≥ universe panics.
-func NewIBLPBounded(i, b int, g Geometry, universe int) *core.IBLP {
-	return core.NewIBLPBounded(i, b, g, universe)
-}
-func NewIBLPEvenSplitBounded(k int, g Geometry, universe int) *core.IBLP {
-	return core.NewIBLPEvenSplitBounded(k, g, universe)
-}
-
 // NewIBLPTuned returns IBLP with the §5.3 optimal split for a known
 // offline comparison size h.
 func NewIBLPTuned(k, h int, g Geometry) *core.IBLP {
@@ -236,13 +226,6 @@ func NewIBLPTuned(k, h int, g Geometry) *core.IBLP {
 
 // NewGCM returns a Granularity-Change Marking cache (randomized, §6.1).
 func NewGCM(k int, g Geometry, seed int64) *core.GCM { return core.NewGCM(k, g, seed) }
-
-// NewGCMBounded is the dense-path variant of NewGCM for item IDs in
-// [0, universe); it makes identical random decisions to NewGCM with the
-// same seed.
-func NewGCMBounded(k int, g Geometry, seed int64, universe int) *core.GCM {
-	return core.NewGCMBounded(k, g, seed, universe)
-}
 
 // NewAdaptiveIBLP returns the ghost-list extension of IBLP that learns
 // its item/block split online — this repository's answer to the §5.3
@@ -285,21 +268,9 @@ func NewValidator(c Cache, g Geometry) *cachesim.Validator { return cachesim.New
 // items.
 func NewItemLRU(k int) *policy.ItemLRU { return policy.NewItemLRU(k) }
 
-// NewItemLRUBounded is the dense-path variant of NewItemLRU for item IDs
-// in [0, universe).
-func NewItemLRUBounded(k, universe int) *policy.ItemLRU {
-	return policy.NewItemLRUBounded(k, universe)
-}
-
 // NewBlockLRU returns the Block Cache baseline: loads and evicts whole
 // blocks, LRU over blocks.
 func NewBlockLRU(k int, g Geometry) *policy.BlockLRU { return policy.NewBlockLRU(k, g) }
-
-// NewBlockLRUBounded is the dense-path variant of NewBlockLRU for item
-// IDs in [0, universe).
-func NewBlockLRUBounded(k int, g Geometry, universe int) *policy.BlockLRU {
-	return policy.NewBlockLRUBounded(k, g, universe)
-}
 
 // NewFIFO returns a FIFO Item Cache.
 func NewFIFO(k int) *policy.FIFO { return policy.NewFIFO(k) }
@@ -436,15 +407,6 @@ func SplitStreams(tr Trace, n int) []Trace { return concurrent.SplitStreams(tr, 
 // BatchReplayConfig tunes the batched replay engine (batch size, queue
 // depth, worker pinning); the zero value selects defaults.
 type BatchReplayConfig = concurrent.BatchConfig
-
-// NewShardedCacheBounded is NewShardedCache with every shard's recorder
-// on the flat-bitset allocation-free path for item IDs in [0, universe)
-// — pair it with the *Bounded policy constructors (and the ItemUniverse
-// expansion) for a serving stack with no steady-state allocations.
-func NewShardedCacheBounded(nShards, totalCapacity int, g Geometry, universe int,
-	build func(shardCapacity int) Cache) (*ShardedCache, error) {
-	return concurrent.NewShardedBounded(nShards, totalCapacity, g, universe, build)
-}
 
 // ReplayEngine is the batched serving engine, the one concurrent replay
 // path: SPSC rings, producer and worker goroutines, and batch buffers

@@ -53,9 +53,9 @@ type Shadow struct {
 
 // NewShadow returns a shadow IBLP with item layer i and block layer b
 // under g, over item IDs [0, universe) (expanded to whole blocks, see
-// model.ItemUniverse). Unlike the real policy there is no generic
-// fallback: shadows exist to be nearly free, so an unbounded universe
-// is a configuration error.
+// model.ItemUniverse). Unlike the real policy, which grows on demand,
+// a shadow is sized once: shadows exist to be nearly free, so an
+// unbounded universe is a configuration error.
 func NewShadow(i, b int, g model.Geometry, universe int) (*Shadow, error) {
 	if i < 0 || b < 0 || i+b < 1 {
 		return nil, fmt.Errorf("autotune: shadow layer sizes i=%d b=%d invalid", i, b)
@@ -65,10 +65,10 @@ func NewShadow(i, b int, g model.Geometry, universe int) (*Shadow, error) {
 	}
 	universe = model.ItemUniverse(g, universe)
 	blockUniverse := model.BlockUniverse(g, universe)
-	if universe <= 0 || universe > cachesim.MaxBoundedUniverse ||
-		blockUniverse <= 0 || blockUniverse > cachesim.MaxBoundedUniverse {
+	if universe <= 0 || universe > cachesim.MaxUniverse ||
+		blockUniverse <= 0 || blockUniverse > cachesim.MaxUniverse {
 		return nil, fmt.Errorf("autotune: shadow universe %d outside bounded range (0, %d]",
-			universe, cachesim.MaxBoundedUniverse)
+			universe, cachesim.MaxUniverse)
 	}
 	return &Shadow{
 		itemSize:  i,
@@ -94,7 +94,7 @@ func (s *Shadow) WindowMisses() int64 { return s.windowMisses }
 func (s *Shadow) WindowReset() { s.windowMisses = 0 }
 
 // Access simulates one request and reports whether it would have hit.
-// It mirrors core.IBLP's dense access path with the serving concerns
+// It mirrors core.IBLP's access path with the serving concerns
 // (loaded/evicted lists, probes) stripped out.
 //
 //gclint:hotpath

@@ -46,7 +46,7 @@ func TestShadowMatchesIBLP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("B=%d i=%d: NewShadow: %v", blockSize, i, err)
 			}
-			ref := core.NewIBLPBounded(i, k-i, g, universe)
+			ref := core.NewIBLP(i, k-i, g)
 			rng := rand.New(rand.NewSource(int64(blockSize*1000 + i)))
 			tr := genMixedTrace(rng, universe, 30000, blockSize)
 			for step, it := range tr {
@@ -159,7 +159,7 @@ func BenchmarkShadowGridVsIBLP(b *testing.B) {
 					b.Fatal(err)
 				}
 				shadows = append(shadows, sh)
-				iblps = append(iblps, core.NewIBLPBounded(i, k-i, g, tr.Universe()))
+				iblps = append(iblps, core.NewIBLP(i, k-i, g))
 			}
 			var shadowNs, iblpNs time.Duration
 			b.ResetTimer()

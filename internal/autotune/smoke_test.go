@@ -59,7 +59,7 @@ func TestAutotuneSmokeDrift(t *testing.T) {
 	t.Logf("offline sweep: best i=%d ratio=%.4f, worst i=%d ratio=%.4f",
 		offBest.ItemLayer, offBest.MissRatio, worst.ItemLayer, worst.MissRatio)
 
-	live := core.NewIBLPBounded(worst.ItemLayer, k-worst.ItemLayer, g, universe)
+	live := core.NewIBLP(worst.ItemLayer, k-worst.ItemLayer, g)
 	st := Drive(live, tn, tr, 0)
 	s := tn.State()
 	t.Logf("autotuned: ratio=%.4f resizes=%d final split=%d (formula=%d, working set=%d)",

@@ -210,7 +210,7 @@ func TestTunerSkipsOutOfUniverse(t *testing.T) {
 func TestTunerApplyReentrancy(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(1)
-	live := core.NewIBLPBounded(32, 32, g, universe)
+	live := core.NewIBLP(32, 32, g)
 	tn := newTestTuner(t, 1, 1)
 	tn.SetLiveTarget(32)
 	live.SetProbe(tn)
@@ -235,14 +235,14 @@ func TestTunerApplyReentrancy(t *testing.T) {
 }
 
 // TestTunerZeroAllocSteadyState is the satellite-4 proof at system
-// level: a dense live cache with the tuner attached as its probe must
+// level: a live cache with the tuner attached as its probe must
 // serve accesses at 0 allocs/op — including the accesses that cross
 // decision-window boundaries, so the whole endWindow step (formula,
 // comparison, history ring) is covered.
 func TestTunerZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(16)
-	live := core.NewIBLPEvenSplitBounded(512, g, universe)
+	live := core.NewIBLPEvenSplit(512, g)
 	tn, err := New(Config{K: 512, B: 16, Universe: universe, Window: 64})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gccache/internal/bitset"
 	"gccache/internal/model"
 	"gccache/internal/obs"
 	"gccache/internal/trace"
@@ -179,129 +180,48 @@ func (s Stats) String() string {
 // Recorder incrementally classifies accesses into the Stats fields.
 // It tracks which cached items were loaded as free siblings and never
 // accessed since, so hits can be split into spatial and temporal exactly
-// as §2 of the paper defines them, independent of the policy.
-//
-// With a declared item universe NewRecorder tracks pristineness in a
-// flat bitset, which keeps the replay hot path allocation- and
-// hash-free; without one it uses a map and accepts any item ID.
+// as §2 of the paper defines them, independent of the policy. Those
+// pristine items live in a flat array indexed by item ID that grows with
+// the largest item loaded, so the replay hot path neither hashes nor
+// allocates.
 type Recorder struct {
 	stats Stats
-	// pristine holds items loaded by a miss on a different item and not
-	// accessed since; a hit on a pristine item is a spatial hit. nil on
-	// the bounded path.
-	pristine map[model.Item]struct{}
-	// pristineBits is the bounded-universe bitset replacement for
-	// pristine; nil on the generic path.
-	pristineBits []bool
+	// pristine[it] marks an item loaded by a miss on a different item
+	// and not accessed since; a hit on a pristine item is a spatial hit.
+	// An item past the end is not pristine. A byte per item, not a bit:
+	// a miss marks several items of one block, and separate bytes keep
+	// those stores independent.
+	pristine []bool
 
 	// probe, when attached, receives the recorder-view event stream
 	// (EvHitTemporal / EvHitSpatial / EvMiss); nil costs one branch.
 	probe obs.Probe
-
-	// Streaming distribution state (fixed-size, updated O(1) per access,
-	// never allocating): gaps between misses and items per block load.
-	sinceMiss int64
-	gapHist   obs.Log2Hist
-	burstHist obs.Log2Hist
 }
 
 // SetProbe attaches p to receive the recorder-view event stream
 // (nil detaches). The probe does not affect the accumulated Stats.
 func (r *Recorder) SetProbe(p obs.Probe) { r.probe = p }
 
-// MissGapPercentile returns the streaming q-quantile (q in [0,1]) of
-// the number of accesses between successive misses — the fault rate of
-// §7 seen as a distribution rather than a mean. The estimate is the
-// lower bound of the log₂ bucket where the cumulative count crosses q
-// (off by at most 2×); it costs O(1) memory regardless of run length.
-func (r *Recorder) MissGapPercentile(q float64) int64 { return r.gapHist.Percentile(q) }
-
-// MissGapMean returns the exact mean inter-miss gap (0 if no misses).
-func (r *Recorder) MissGapMean() float64 { return r.gapHist.Mean() }
-
-// LoadBurstPercentile returns the streaming q-quantile of items brought
-// in per unit-cost block load (1 = no free siblings, up to B).
-func (r *Recorder) LoadBurstPercentile(q float64) int64 { return r.burstHist.Percentile(q) }
-
-// LoadBurstMean returns the exact mean items per block load.
-func (r *Recorder) LoadBurstMean() float64 { return r.burstHist.Mean() }
-
-// NewRecorder returns a Recorder for the named policy. A universe in
-// (0, MaxBoundedUniverse] selects a flat bitset over item IDs
-// [0, universe) — no map operations and no allocation per access — and
-// observing an item ≥ universe then panics. Any other universe selects
-// the map, which accepts any item ID.
+// NewRecorder returns a Recorder for the named policy, presized for
+// item IDs [0, min(universe, MaxUniverse)); it grows past that on
+// demand, and 0 presizes nothing.
 func NewRecorder(policy string, universe int) *Recorder {
-	if universe <= 0 || universe > MaxBoundedUniverse {
-		return &Recorder{
-			stats:    Stats{Policy: policy},
-			pristine: make(map[model.Item]struct{}),
-		}
-	}
 	return &Recorder{
-		stats:        Stats{Policy: policy},
-		pristineBits: make([]bool, universe),
+		stats:    Stats{Policy: policy},
+		pristine: make([]bool, min(max(universe, 0), MaxUniverse)),
 	}
 }
 
 // Observe records the outcome of one request.
-func (r *Recorder) Observe(it model.Item, a Access) {
-	if r.pristineBits != nil {
-		r.observeBounded(it, a)
-		return
-	}
-	r.stats.Accesses++
-	r.sinceMiss++
-	if a.Hit {
-		r.stats.Hits++
-		if _, ok := r.pristine[it]; ok {
-			r.stats.SpatialHits++
-			delete(r.pristine, it)
-			if r.probe != nil {
-				r.probe.Observe(obs.Event{Kind: obs.EvHitSpatial, Item: it})
-			}
-		} else {
-			r.stats.TemporalHits++
-			if r.probe != nil {
-				r.probe.Observe(obs.Event{Kind: obs.EvHitTemporal, Item: it})
-			}
-		}
-		return
-	}
-	loaded, evicted := a.Loaded(), a.Evicted()
-	r.stats.Misses++
-	r.stats.ItemsLoaded += int64(len(loaded))
-	r.stats.Evictions += int64(len(evicted))
-	r.gapHist.Record(r.sinceMiss)
-	r.sinceMiss = 0
-	r.burstHist.Record(int64(len(loaded)))
-	if r.probe != nil {
-		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
-	}
-	for _, v := range evicted {
-		delete(r.pristine, v)
-	}
-	for _, l := range loaded {
-		if l == it {
-			continue
-		}
-		r.pristine[l] = struct{}{}
-	}
-	// The requested item itself has now been accessed.
-	delete(r.pristine, it)
-}
-
-// observeBounded is Observe on the bitset path; identical classification.
 //
 //gclint:hotpath
-func (r *Recorder) observeBounded(it model.Item, a Access) {
+func (r *Recorder) Observe(it model.Item, a Access) {
 	r.stats.Accesses++
-	r.sinceMiss++
 	if a.Hit {
 		r.stats.Hits++
-		if r.pristineBits[it] {
+		if uint64(it) < uint64(len(r.pristine)) && r.pristine[it] {
 			r.stats.SpatialHits++
-			r.pristineBits[it] = false
+			r.pristine[it] = false
 			if r.probe != nil {
 				r.probe.Observe(obs.Event{Kind: obs.EvHitSpatial, Item: it})
 			}
@@ -317,23 +237,41 @@ func (r *Recorder) observeBounded(it model.Item, a Access) {
 	r.stats.Misses++
 	r.stats.ItemsLoaded += int64(len(loaded))
 	r.stats.Evictions += int64(len(evicted))
-	r.gapHist.Record(r.sinceMiss)
-	r.sinceMiss = 0
-	r.burstHist.Record(int64(len(loaded)))
 	if r.probe != nil {
 		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
 	}
 	for _, v := range evicted {
-		r.pristineBits[v] = false
+		if uint64(v) < uint64(len(r.pristine)) {
+			r.pristine[v] = false
+		}
 	}
 	for _, l := range loaded {
 		if l == it {
 			continue
 		}
-		r.pristineBits[l] = true
+		if uint64(l) >= uint64(len(r.pristine)) {
+			r.grow(l)
+		}
+		r.pristine[l] = true
 	}
 	// The requested item itself has now been accessed.
-	r.pristineBits[it] = false
+	if uint64(it) < uint64(len(r.pristine)) {
+		r.pristine[it] = false
+	}
+}
+
+// grow extends pristine to cover it, at least doubling it. It panics if
+// it ≥ bitset.Limit, the bound on every ID-indexed set. It is kept out
+// of line so Observe stays small.
+//
+//go:noinline
+func (r *Recorder) grow(it model.Item) {
+	if it >= bitset.Limit {
+		panic(fmt.Sprintf("cachesim: item %d at or past bitset.Limit", it))
+	}
+	grown := make([]bool, max(2*len(r.pristine), int(it)+1)) //gclint:allowalloc amortized: each grow at least doubles, so items below n cost O(log n) grows per Recorder
+	copy(grown, r.pristine)
+	r.pristine = grown
 }
 
 // Stats returns the accumulated statistics.
@@ -343,21 +281,14 @@ func (r *Recorder) Stats() Stats { return r.stats }
 // retaining allocated tracking state and any attached probe.
 func (r *Recorder) Reset(policy string) {
 	r.stats = Stats{Policy: policy}
-	r.sinceMiss = 0
-	r.gapHist = obs.Log2Hist{}
-	r.burstHist = obs.Log2Hist{}
-	if r.pristineBits != nil {
-		clear(r.pristineBits)
-		return
-	}
 	clear(r.pristine)
 }
 
-// MaxBoundedUniverse caps the item universe the bounded (flat-array)
-// simulation paths will allocate for: beyond ~4M items the footprint of
-// per-item arrays outweighs their constant-factor advantage and callers
-// should use the generic map-based paths.
-const MaxBoundedUniverse = 4 << 20
+// MaxUniverse bounds the item IDs taken from outside input when no
+// universe is declared: Replay, a cluster node and gcserve's trace load
+// refuse any item ≥ MaxUniverse, so the dense structures that input
+// feeds never grow past it.
+const MaxUniverse = 4 << 20
 
 // SweepOptions configures Sweep. The zero value runs on GOMAXPROCS
 // workers and measures nothing.
@@ -547,8 +478,8 @@ func RunSeeds(ctx context.Context, build func(seed int64) Cache, tr trace.Trace,
 			c.Reset()
 		}
 		// A claimed point runs to completion (Sweep's contract), so the
-		// replay itself is not cancellable and, over a slice with no
-		// universe bound, cannot fail.
+		// replay itself is not cancellable; it fails only on an item
+		// ≥ MaxUniverse, and then the ratio covers the requests before it.
 		st, _ := Replay(context.WithoutCancel(ctx), c, trace.NewSliceSource(tr), ReplayOptions{})
 		out[i] = st.MissRatio()
 	})

@@ -10,15 +10,17 @@ import (
 	"gccache/internal/trace"
 )
 
-// ReplayOptions configures Replay. The zero value replays with the
-// generic map-backed Recorder and no probe.
+// ReplayOptions configures Replay. The zero value replays with no probe
+// and refuses items ≥ MaxUniverse.
 type ReplayOptions struct {
-	// Universe > 0 puts the Recorder on its allocation-free bitset path
-	// for item IDs in [0, Universe). Every item the cache may load must
-	// lie in that range — block-loading policies pull in whole blocks,
-	// so expand the requested bound with model.ItemUniverse. A request
-	// outside it stops the replay with an error. Statistics are
-	// identical to the generic path's.
+	// Universe > 0 declares the requested item IDs to lie in
+	// [0, Universe): a request outside it stops the replay with an
+	// error, and the Recorder is presized for it. Universe ≤ 0 bounds
+	// requests by MaxUniverse instead, so outside input never grows the
+	// dense structures without limit. Block-loading policies pull in
+	// whole blocks, so expand a trace's bound with model.ItemUniverse to
+	// presize for every item the cache may load. Statistics do not
+	// depend on Universe.
 	Universe int
 	// Probe, when non-nil, is attached to the cache (when it implements
 	// Instrumented) and to the Recorder, so it sees the complete event
@@ -45,9 +47,14 @@ const cancelStride = 4096
 // A nil error means every request was replayed. Otherwise the
 // statistics cover the requests served before the replay stopped, and
 // the error says why: ctx ended (polled every cancelStride requests),
-// src failed, or a request fell outside opt.Universe.
+// src failed, or a request fell outside the universe (see
+// ReplayOptions.Universe).
 func Replay(ctx context.Context, c Cache, src trace.Source, opt ReplayOptions) (Stats, error) {
 	rec := NewRecorder(c.Name(), opt.Universe)
+	universe := opt.Universe
+	if universe <= 0 {
+		universe = MaxUniverse
+	}
 	if opt.Probe != nil {
 		if in, ok := c.(Instrumented); ok {
 			in.SetProbe(opt.Probe)
@@ -59,9 +66,9 @@ func Replay(ctx context.Context, c Cache, src trace.Source, opt ReplayOptions) (
 	// inline Next and Item; through the interface each request pays two
 	// dynamic calls.
 	if s, ok := src.(*trace.SliceSource); ok {
-		return replaySlice(ctx, c, s, rec, opt.Universe)
+		return replaySlice(ctx, c, s, rec, universe)
 	}
-	return replaySource(ctx, c, src, rec, opt.Universe)
+	return replaySource(ctx, c, src, rec, universe)
 }
 
 // replaySlice is Replay's loop over an in-memory trace. It must stay
@@ -76,7 +83,7 @@ func replaySlice(ctx context.Context, c Cache, src *trace.SliceSource, rec *Reco
 			}
 		}
 		it := src.Item()
-		if universe > 0 && uint64(it) >= uint64(universe) {
+		if uint64(it) >= uint64(universe) {
 			return rec.Stats(), outsideUniverse(it, universe) //gclint:allowalloc cold error path, taken at most once per replay
 		}
 		rec.Observe(it, c.Access(it))
@@ -96,7 +103,7 @@ func replaySource(ctx context.Context, c Cache, src trace.Source, rec *Recorder,
 			}
 		}
 		it := src.Item()
-		if universe > 0 && uint64(it) >= uint64(universe) {
+		if uint64(it) >= uint64(universe) {
 			return rec.Stats(), outsideUniverse(it, universe) //gclint:allowalloc cold error path, taken at most once per replay
 		}
 		rec.Observe(it, c.Access(it))
@@ -104,17 +111,17 @@ func replaySource(ctx context.Context, c Cache, src trace.Source, rec *Recorder,
 	return rec.Stats(), src.Err()
 }
 
-// outsideUniverse builds the error for a request the bounded Recorder
-// cannot track. It is kept out of line so the replay loops stay small
-// and free of formatting.
+// outsideUniverse builds the error for a request outside the replay's
+// universe. It is kept out of line so the replay loops stay small and
+// free of formatting.
 //
 //go:noinline
 func outsideUniverse(it model.Item, universe int) error {
-	return fmt.Errorf("cachesim: request for item %d is outside the declared universe [0, %d)", it, universe)
+	return fmt.Errorf("cachesim: request for item %d is outside the universe [0, %d)", it, universe)
 }
 
-// RunColdBounded resets c and replays tr with the bounded Recorder,
-// panicking if tr requests an item outside the universe.
+// RunColdBounded resets c and replays tr with the Recorder presized for
+// universe, panicking if tr requests an item outside it.
 //
 //gclint:ctxok kept only because perfbench (a separate module) calls it; new code calls Replay
 func RunColdBounded(c Cache, tr trace.Trace, universe int) Stats {
@@ -122,8 +129,8 @@ func RunColdBounded(c Cache, tr trace.Trace, universe int) Stats {
 	return mustReplay(Replay(context.Background(), c, trace.NewSliceSource(tr), ReplayOptions{Universe: universe}))
 }
 
-// RunColdStreamBounded resets c and replays src with the bounded
-// Recorder.
+// RunColdStreamBounded resets c and replays src with the Recorder
+// presized for universe.
 //
 //gclint:ctxok kept only because perfbench (a separate module) calls it; new code calls Replay
 func RunColdStreamBounded(c Cache, src trace.Source, universe int) (Stats, error) {
@@ -140,8 +147,8 @@ func mustReplay(st Stats, err error) Stats {
 
 // RunFile opens path, streams the gctrace binary format through c, and
 // closes the file — the one-call entry point for replaying traces
-// larger than memory. Universe > 0 selects the bounded Recorder (see
-// ReplayOptions); pass 0 when item IDs are unknown.
+// larger than memory. Universe bounds the item IDs as in
+// ReplayOptions; pass 0 when they are unknown.
 func RunFile(ctx context.Context, c Cache, path string, universe int) (Stats, error) {
 	f, err := os.Open(path)
 	if err != nil {

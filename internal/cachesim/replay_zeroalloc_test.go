@@ -61,7 +61,7 @@ func assertLoopZeroAlloc(t *testing.T, name string, rec *Recorder, n int, loop f
 // TestRunCtxZeroAllocSteadyState pins the fault-tolerance contract that
 // cancellation support stays off the hot path of an in-memory trace
 // replay: Replay's *trace.SliceSource loop — source advance, universe
-// check, policy access, bounded recorder classification, context poll
+// check, policy access, recorder classification, context poll
 // every cancelStride requests — must not allocate. A regression here
 // would show up as allocations proportional to trace length.
 func TestRunCtxZeroAllocSteadyState(t *testing.T) {

@@ -36,9 +36,9 @@ func streamFixture(t *testing.T, tr trace.Trace) string {
 
 // TestReplayOptionsDifferential is Replay's equivalence gate. Every
 // source shape (the concrete slice loop, the same slice forced through
-// the generic loop, a binary trace.Scanner), recorder path (generic and
-// bounded) and probe setting (none, obs.Counters) must produce Stats
-// identical to a fresh cache's plain replay, for every dense policy.
+// the generic loop, a binary trace.Scanner), universe (undeclared and
+// declared) and probe setting (none, obs.Counters) must produce Stats
+// identical to a fresh cache's plain replay, for every policy.
 // One cache per policy serves every combination, Reset (and re-seeded)
 // in between, so the table also pins that reuse matches a fresh build.
 func TestReplayOptionsDifferential(t *testing.T) {
@@ -71,10 +71,10 @@ func TestReplayOptionsDifferential(t *testing.T) {
 		name  string
 		build func() cachesim.Cache
 	}{
-		{"item-lru", func() cachesim.Cache { return policy.NewItemLRUBounded(256, u) }},
-		{"block-lru", func() cachesim.Cache { return policy.NewBlockLRUBounded(256, geo, u) }},
-		{"iblp", func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(256, geo, u) }},
-		{"gcm", func() cachesim.Cache { return core.NewGCMBounded(256, geo, seed, u) }},
+		{"item-lru", func() cachesim.Cache { return policy.NewItemLRU(256) }},
+		{"block-lru", func() cachesim.Cache { return policy.NewBlockLRU(256, geo) }},
+		{"iblp", func() cachesim.Cache { return core.NewIBLPEvenSplit(256, geo) }},
+		{"gcm", func() cachesim.Cache { return core.NewGCM(256, geo, seed) }},
 	}
 	ctx := context.Background()
 	cancelled, cancel := context.WithCancel(ctx)
@@ -132,7 +132,8 @@ func TestReplayOptionsDifferential(t *testing.T) {
 
 // TestRunStreamMatchesRunAllPolicies is RunFile's equivalence gate:
 // replaying a trace from disk must produce Stats byte-identical to the
-// in-memory replay, on both recorder paths, for every dense policy.
+// in-memory replay, with and without a declared universe, for every
+// policy.
 func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
 	geo := model.NewFixed(8)
 	tr, err := workload.FromSpec("blockruns:blocks=128,B=8,run=4,len=40000", 11)
@@ -143,10 +144,10 @@ func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
 	path := streamFixture(t, tr)
 
 	builders := map[string]func() cachesim.Cache{
-		"item-lru":  func() cachesim.Cache { return policy.NewItemLRUBounded(256, u) },
-		"block-lru": func() cachesim.Cache { return policy.NewBlockLRUBounded(256, geo, u) },
-		"iblp":      func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(256, geo, u) },
-		"gcm":       func() cachesim.Cache { return core.NewGCMBounded(256, geo, 42, u) },
+		"item-lru":  func() cachesim.Cache { return policy.NewItemLRU(256) },
+		"block-lru": func() cachesim.Cache { return policy.NewBlockLRU(256, geo) },
+		"iblp":      func() cachesim.Cache { return core.NewIBLPEvenSplit(256, geo) },
+		"gcm":       func() cachesim.Cache { return core.NewGCM(256, geo, 42) },
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
@@ -167,11 +168,11 @@ func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
 // TestRunFileRejectsItemsOutsideUniverse checks a trace file is treated
 // as outside input: an item beyond the declared universe ends the replay
 // with an error naming the item and the bound, and the statistics so
-// far — for a generic policy and for a dense one, which would otherwise
-// index past its arrays.
+// far — for an item cache and for a block cache, whose dense arrays
+// would otherwise grow to the item.
 func TestRunFileRejectsItemsOutsideUniverse(t *testing.T) {
 	path := streamFixture(t, trace.Trace{0, 1, 5000})
-	for _, c := range []cachesim.Cache{policy.NewItemLRU(4), policy.NewItemLRUBounded(4, 100)} {
+	for _, c := range []cachesim.Cache{policy.NewItemLRU(4), policy.NewBlockLRU(4, model.NewFixed(4))} {
 		st, err := cachesim.RunFile(context.Background(), c, path, 100)
 		if err == nil || !strings.Contains(err.Error(), "5000") || !strings.Contains(err.Error(), "100") {
 			t.Errorf("%s: err = %v, want one naming item 5000 and universe 100", c.Name(), err)
@@ -182,12 +183,30 @@ func TestRunFileRejectsItemsOutsideUniverse(t *testing.T) {
 	}
 }
 
+// TestReplayUndeclaredUniverseRefusesMaxUniverse: with no declared
+// universe, Replay still bounds requests. Item MaxUniverse ends the
+// replay with an error naming it, not a panic, after the requests
+// before it.
+func TestReplayUndeclaredUniverseRefusesMaxUniverse(t *testing.T) {
+	tr := trace.Trace{0, 1, cachesim.MaxUniverse, 2}
+	for _, c := range []cachesim.Cache{policy.NewItemLRU(4), core.NewIBLPEvenSplit(4, model.NewFixed(4))} {
+		st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		if err == nil || !strings.Contains(err.Error(), "4194304") {
+			t.Errorf("%s: err = %v, want one naming item 4194304", c.Name(), err)
+		}
+		if st.Accesses != 2 {
+			t.Errorf("%s: %d accesses replayed before the refused item, want 2", c.Name(), st.Accesses)
+		}
+	}
+}
+
 // TestRunStreamZeroAllocSteadyState pins the streaming memory budget:
 // Replay over a binary trace.Scanner — scanner decode, policy access,
-// bounded recorder classification, context poll — must not allocate per
+// recorder classification, context poll — must not allocate per
 // request. The fixed overhead (scanner + bufio buffer per replay,
-// recorder and bitset per Replay call) is tolerated; anything
-// proportional to the trace would blow the bound.
+// recorder and bitset per Replay call) is tolerated, and the cache's
+// arrays grow during AllocsPerRun's warm-up run; anything proportional
+// to the trace would blow the bound.
 func TestRunStreamZeroAllocSteadyState(t *testing.T) {
 	const universe = 512
 	geo := model.NewFixed(8)
@@ -204,7 +223,7 @@ func TestRunStreamZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	c := core.NewIBLPEvenSplitBounded(128, geo, universe)
+	c := core.NewIBLPEvenSplit(128, geo)
 	ctx := context.Background()
 	rd := bytes.NewReader(raw)
 

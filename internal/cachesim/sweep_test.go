@@ -106,15 +106,15 @@ func TestSweepCachesResetsEveryPoint(t *testing.T) {
 }
 
 // TestRecorderBoundedMatchesGeneric feeds an identical random access
-// stream to the map-backed and bitset-backed Recorders and requires
-// identical statistics.
+// stream to a Recorder presized for the universe and one that grows its
+// pristine set from empty, and requires identical statistics.
 func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 	const universe = 32
 	rng := rand.New(rand.NewSource(11))
 	gen := NewRecorder("p", 0)
 	bnd := NewRecorder("p", universe)
-	if bnd.pristineBits == nil {
-		t.Fatal("bounded recorder fell back to map path")
+	if len(bnd.pristine) < universe {
+		t.Fatalf("presized recorder covers %d items, want %d", len(bnd.pristine), universe)
 	}
 	present := make(map[model.Item]bool)
 	for step := 0; step < 20000; step++ {
@@ -146,16 +146,25 @@ func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 		bnd.Observe(it, a)
 	}
 	if gen.Stats() != bnd.Stats() {
-		t.Fatalf("stats diverged:\n generic %+v\n bounded %+v", gen.Stats(), bnd.Stats())
+		t.Fatalf("stats diverged:\n grown    %+v\n presized %+v", gen.Stats(), bnd.Stats())
 	}
 }
 
+// TestRecorderBoundedFallback: whatever universe a Recorder is given,
+// it presizes at most MaxUniverse items, and it classifies items past
+// its presized end by growing.
 func TestRecorderBoundedFallback(t *testing.T) {
-	if r := NewRecorder("p", 0); r.pristineBits != nil {
-		t.Error("universe 0 should fall back to the map recorder")
-	}
-	if r := NewRecorder("p", MaxBoundedUniverse+1); r.pristineBits != nil {
-		t.Error("oversized universe should fall back to the map recorder")
+	for _, universe := range []int{0, MaxUniverse + 1} {
+		r := NewRecorder("p", universe)
+		if got := len(r.pristine); got > MaxUniverse {
+			t.Errorf("universe %d: presized %d items, want ≤ %d", universe, got, MaxUniverse)
+		}
+		it := model.Item(MaxUniverse + 5)
+		r.Observe(it, Access{net: &Net{Loaded: []model.Item{it, it + 1}}})
+		r.Observe(it+1, Access{Hit: true})
+		if st := r.Stats(); st.SpatialHits != 1 || st.Misses != 1 {
+			t.Errorf("universe %d: stats %+v, want 1 miss and 1 spatial hit", universe, st)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ const (
 func testNodeConfig(addr string) NodeConfig {
 	return NodeConfig{
 		Addr: addr, K: testK, B: testB, Universe: testUniverse,
-		NewCache: func() cachesim.Cache { return policy.NewItemLRUBounded(testK, testUniverse) },
+		NewCache: func() cachesim.Cache { return policy.NewItemLRU(testK) },
 	}
 }
 
@@ -252,7 +252,7 @@ func TestHandoffRefusesShapeMismatch(t *testing.T) {
 	defer src.Close()
 	odd, err := NewNode(NodeConfig{
 		Addr: "127.0.0.1:0", K: testK * 2, B: testB, Universe: testUniverse,
-		NewCache: func() cachesim.Cache { return policy.NewItemLRUBounded(testK*2, testUniverse) },
+		NewCache: func() cachesim.Cache { return policy.NewItemLRU(testK * 2) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +304,38 @@ func TestOutOfUniverseItemIsRefused(t *testing.T) {
 	st := c.Stats()
 	if !st.Identity() || st.Issued != 2 || st.ServedFirstTry != 1 || st.Rejected != 1 {
 		t.Errorf("client accounting %+v, want 2 issued = 1 first-try + 1 rejected", st)
+	}
+}
+
+// TestUndeclaredUniverseRefusesMaxUniverse: a node with no declared
+// universe still bounds the IDs it takes from the wire. A batch holding
+// item cachesim.MaxUniverse is refused with a bad-frame error naming the
+// item, and the node serves on.
+func TestUndeclaredUniverseRefusesMaxUniverse(t *testing.T) {
+	cfg := testNodeConfig("127.0.0.1:0")
+	cfg.Universe = 0
+	nd, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	addr, err := nd.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(testRing(t, []string{addr}), ClientConfig{Timeout: 2 * time.Second})
+	defer c.Close()
+
+	err = c.Do([]model.Item{1, cachesim.MaxUniverse, 2})
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != errBadFrame || !strings.Contains(we.Msg, "4194304") {
+		t.Fatalf("Do = %v, want a bad-frame WireError naming item 4194304", err)
+	}
+	if st := nd.Stats(); st.Accesses != 0 {
+		t.Errorf("refused batch reached the cache: %+v", st)
+	}
+	if err := c.Do([]model.Item{1, 2}); err != nil {
+		t.Fatalf("valid batch after a refused one: %v", err)
 	}
 }
 

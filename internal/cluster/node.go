@@ -21,10 +21,12 @@ type NodeConfig struct {
 	// K and B are the cache capacity and block size; handoff refuses
 	// snapshots from a differently-shaped node.
 	K, B int
-	// Universe is the bounded item universe (0 = unbounded), recorded
-	// in handoff snapshots for the same shape check. When positive, the
-	// node refuses any batch or warm set holding an item ≥ Universe
-	// before applying any of it: bounded caches panic on such an item.
+	// Universe bounds the item IDs the node accepts, recorded in
+	// handoff snapshots for the same shape check. The node refuses any
+	// batch or warm set holding an item ≥ Universe, or ≥
+	// cachesim.MaxUniverse when Universe is 0, before applying any of
+	// it: the cache's dense structures grow with the largest ID it
+	// sees, so IDs from the wire must stay bounded.
 	Universe int
 	// NewCache constructs the node's cache policy. Required.
 	NewCache func() cachesim.Cache
@@ -250,16 +252,17 @@ func (n *Node) WithCache(f func(cachesim.Cache)) {
 }
 
 // outsideUniverse returns an error naming the first item of items at
-// or beyond the node's bounded universe, or nil when every item fits or
-// the universe is unbounded. Callers check a whole batch or warm set
-// before applying any of it, so a refusal leaves the cache untouched.
+// or beyond the node's universe (see NodeConfig.Universe), or nil when
+// every item fits. Callers check a whole batch or warm set before
+// applying any of it, so a refusal leaves the cache untouched.
 func (n *Node) outsideUniverse(items []model.Item) error {
-	if n.cfg.Universe <= 0 {
-		return nil
+	universe := n.cfg.Universe
+	if universe <= 0 {
+		universe = cachesim.MaxUniverse
 	}
 	for _, it := range items {
-		if it >= model.Item(n.cfg.Universe) {
-			return fmt.Errorf("cluster: item %d outside the node's universe %d", it, n.cfg.Universe)
+		if it >= model.Item(universe) {
+			return fmt.Errorf("cluster: item %d outside the node's universe %d", it, universe)
 		}
 	}
 	return nil

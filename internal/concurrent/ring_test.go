@@ -354,14 +354,13 @@ func FuzzReplayInterleaved(f *testing.F) {
 }
 
 // TestReplayEngineZeroAllocSteadyState proves the acceptance criterion
-// directly: a warm engine over a fully bounded (dense) sharded cache
-// replays with zero allocations per run.
+// directly: a warm engine over a sharded cache replays with zero
+// allocations per run.
 func TestReplayEngineZeroAllocSteadyState(t *testing.T) {
 	geo := model.NewFixed(16)
 	tr := batchFixture(t, "blockruns:blocks=256,B=16,run=8,len=20000", 31)
-	u := model.ItemUniverse(geo, tr.Universe())
-	s, err := NewShardedBounded(8, 1024, geo, u, func(per int) cachesim.Cache {
-		return core.NewIBLPEvenSplitBounded(per, geo, u)
+	s, err := NewSharded(8, 1024, geo, func(per int) cachesim.Cache {
+		return core.NewIBLPEvenSplit(per, geo)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,14 +446,13 @@ func BenchmarkRouteOnly(b *testing.B) {
 }
 
 // BenchmarkEngineReplay is the end-to-end stage: a warm persistent
-// engine serving the dense (bounded) IBLP policy — the in-package
+// engine serving the IBLP policy — the in-package
 // counterpart of the root BenchmarkReplayThroughput.
 func BenchmarkEngineReplay(b *testing.B) {
 	geo := model.NewFixed(16)
 	tr := batchFixture(b, "blockruns:blocks=256,B=16,run=8,len=65536", 3)
-	u := model.ItemUniverse(geo, tr.Universe())
-	s, err := NewShardedBounded(8, 1024, geo, u, func(per int) cachesim.Cache {
-		return core.NewIBLPEvenSplitBounded(per, geo, u)
+	s, err := NewSharded(8, 1024, geo, func(per int) cachesim.Cache {
+		return core.NewIBLPEvenSplit(per, geo)
 	})
 	if err != nil {
 		b.Fatal(err)

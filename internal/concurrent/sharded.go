@@ -27,9 +27,6 @@ type Sharded struct {
 	mask   uint64
 	probe  obs.Probe
 	name   string
-	// universe selects bounded (flat-bitset, zero-allocation) recorders
-	// when positive; see NewShardedBounded.
-	universe int
 }
 
 type shard struct {
@@ -52,15 +49,20 @@ type shard struct {
 // capacity. The geometry must match the one the shard policies use.
 func NewSharded(nShards, totalCapacity int, geo model.Geometry,
 	build func(shardCapacity int) cachesim.Cache) (*Sharded, error) {
-	return NewShardedBounded(nShards, totalCapacity, geo, 0, build)
+	return newSharded(nShards, totalCapacity, geo, 0, build)
 }
 
-// NewShardedBounded is NewSharded for a bounded item universe: every
-// shard's recorder uses the flat-bitset (zero-allocation) pristineness
-// tracker over item IDs [0, universe), the dense counterpart the
-// *Bounded policy constructors pair with. A non-positive universe falls
-// back to the generic map recorders.
+// NewShardedBounded is NewSharded with every shard's recorder presized
+// for item IDs [0, universe). It stays for the benchmark module; new
+// code calls NewSharded.
 func NewShardedBounded(nShards, totalCapacity int, geo model.Geometry, universe int,
+	build func(shardCapacity int) cachesim.Cache) (*Sharded, error) {
+	return newSharded(nShards, totalCapacity, geo, universe, build)
+}
+
+// newSharded is NewSharded with recorders presized for item IDs
+// [0, universe).
+func newSharded(nShards, totalCapacity int, geo model.Geometry, universe int,
 	build func(shardCapacity int) cachesim.Cache) (*Sharded, error) {
 	if nShards < 1 || nShards&(nShards-1) != 0 {
 		return nil, fmt.Errorf("concurrent: shard count %d is not a positive power of two", nShards)
@@ -71,7 +73,7 @@ func NewShardedBounded(nShards, totalCapacity int, geo model.Geometry, universe 
 	if geo == nil {
 		return nil, fmt.Errorf("concurrent: nil geometry")
 	}
-	s := &Sharded{geo: geo, shards: make([]shard, nShards), mask: uint64(nShards - 1), universe: universe}
+	s := &Sharded{geo: geo, shards: make([]shard, nShards), mask: uint64(nShards - 1)}
 	per := totalCapacity / nShards
 	for i := range s.shards {
 		c := build(per)
@@ -79,7 +81,7 @@ func NewShardedBounded(nShards, totalCapacity int, geo model.Geometry, universe 
 			return nil, fmt.Errorf("concurrent: builder returned nil for shard %d", i)
 		}
 		s.shards[i].c = c
-		s.shards[i].rec = cachesim.NewRecorder(c.Name(), s.universe)
+		s.shards[i].rec = cachesim.NewRecorder(c.Name(), universe)
 	}
 	s.name = fmt.Sprintf("sharded(%d×%s)", len(s.shards), s.shards[0].c.Name())
 	return s, nil

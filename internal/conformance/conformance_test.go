@@ -57,16 +57,24 @@ func builders(k int, geo model.Geometry, seed int64) map[string]func() cachesim.
 	}
 }
 
-// boundedBuilders enumerates the dense-path (bounded) constructors,
-// which must conform exactly like their generic counterparts. universe
-// must be at least the trace's item bound (constructors expand it to
-// whole blocks themselves).
+// boundedBuilders enumerates the policies with ID-indexed arrays, built
+// and then grown to cover item IDs [0, universe) by one access at its
+// end and a Reset (and Reseed), which must conform exactly like freshly
+// built ones. universe must be positive.
 func boundedBuilders(k int, geo model.Geometry, seed int64, universe int) map[string]func() cachesim.Cache {
+	grown := func(c cachesim.Cache) cachesim.Cache {
+		c.Access(model.Item(universe - 1))
+		c.Reset()
+		if rs, ok := c.(cachesim.Reseeder); ok {
+			rs.Reseed(seed)
+		}
+		return c
+	}
 	return map[string]func() cachesim.Cache{
-		"item-lru-dense":  func() cachesim.Cache { return policy.NewItemLRUBounded(k, universe) },
-		"block-lru-dense": func() cachesim.Cache { return policy.NewBlockLRUBounded(k, geo, universe) },
-		"gcm-dense":       func() cachesim.Cache { return core.NewGCMBounded(k, geo, seed, universe) },
-		"iblp-even-dense": func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(k, geo, universe) },
+		"item-lru-dense":  func() cachesim.Cache { return grown(policy.NewItemLRU(k)) },
+		"block-lru-dense": func() cachesim.Cache { return grown(policy.NewBlockLRU(k, geo)) },
+		"gcm-dense":       func() cachesim.Cache { return grown(core.NewGCM(k, geo, seed)) },
+		"iblp-even-dense": func() cachesim.Cache { return grown(core.NewIBLPEvenSplit(k, geo)) },
 	}
 }
 

@@ -24,15 +24,15 @@ type AdaptiveIBLP struct {
 
 	targetItem int // current item-layer target; block target = capacity − targetItem
 
-	items *lrulist.List[model.Item]
+	items *lrulist.Dense[model.Item]
 
-	blocks    *lrulist.List[model.Block]
+	blocks    *lrulist.Dense[model.Block]
 	resident  map[model.Block][]model.Item
 	inBlock   map[model.Item]struct{}
 	blockUsed int
 
-	ghostItems  *lrulist.List[model.Item]  // recently evicted from the item layer
-	ghostBlocks *lrulist.List[model.Block] // recently evicted from the block layer
+	ghostItems  *lrulist.Dense[model.Item]  // recently evicted from the item layer
+	ghostBlocks *lrulist.Dense[model.Block] // recently evicted from the block layer
 
 	ch      cachesim.Changes
 	wantBuf []model.Item // scratch: block enumeration
@@ -59,12 +59,12 @@ func NewAdaptiveIBLP(k int, g model.Geometry) *AdaptiveIBLP {
 		capacity:    k,
 		geo:         g,
 		targetItem:  k / 2,
-		items:       lrulist.New[model.Item](k),
-		blocks:      lrulist.New[model.Block](k/max(1, g.BlockSize()) + 1),
+		items:       lrulist.NewDense[model.Item](0),
+		blocks:      lrulist.NewDense[model.Block](0),
 		resident:    make(map[model.Block][]model.Item),
 		inBlock:     make(map[model.Item]struct{}),
-		ghostItems:  lrulist.New[model.Item](k),
-		ghostBlocks: lrulist.New[model.Block](k/max(1, g.BlockSize()) + 1),
+		ghostItems:  lrulist.NewDense[model.Item](0),
+		ghostBlocks: lrulist.NewDense[model.Block](0),
 		ch:          cachesim.NewChanges(g),
 	}
 }

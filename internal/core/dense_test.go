@@ -61,48 +61,51 @@ func equalItems(a, b []model.Item) bool {
 }
 
 // diffCaches feeds tr to both caches and requires identical per-access
-// outcomes: Hit flags and loaded/evicted *sets* (order may legitimately
-// differ between representations; no consumer is order-sensitive).
-func diffCaches(t *testing.T, generic, dense cachesim.Cache, tr []model.Item) {
+// outcomes: Hit flags and loaded/evicted *sets*, Len and Contains.
+func diffCaches(t *testing.T, want, got cachesim.Cache, tr []model.Item) {
 	t.Helper()
 	for i, it := range tr {
-		ag := generic.Access(it)
-		ad := dense.Access(it)
-		if ag.Hit != ad.Hit {
-			t.Fatalf("access %d (item %d): generic hit=%v dense hit=%v", i, it, ag.Hit, ad.Hit)
+		aw := want.Access(it)
+		ag := got.Access(it)
+		if aw.Hit != ag.Hit {
+			t.Fatalf("access %d (item %d): want hit=%v got hit=%v", i, it, aw.Hit, ag.Hit)
 		}
-		if !equalItems(sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded())) {
-			t.Fatalf("access %d (item %d): loaded sets diverge\n generic %v\n dense   %v",
-				i, it, sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded()))
+		if !equalItems(sortedCopy(aw.Loaded()), sortedCopy(ag.Loaded())) {
+			t.Fatalf("access %d (item %d): loaded sets diverge\n want %v\n got  %v",
+				i, it, sortedCopy(aw.Loaded()), sortedCopy(ag.Loaded()))
 		}
-		if !equalItems(sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted())) {
-			t.Fatalf("access %d (item %d): evicted sets diverge\n generic %v\n dense   %v",
-				i, it, sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted()))
+		if !equalItems(sortedCopy(aw.Evicted()), sortedCopy(ag.Evicted())) {
+			t.Fatalf("access %d (item %d): evicted sets diverge\n want %v\n got  %v",
+				i, it, sortedCopy(aw.Evicted()), sortedCopy(ag.Evicted()))
 		}
-		if generic.Len() != dense.Len() {
-			t.Fatalf("access %d: Len diverged generic=%d dense=%d", i, generic.Len(), dense.Len())
+		if want.Len() != got.Len() {
+			t.Fatalf("access %d: Len diverged want=%d got=%d", i, want.Len(), got.Len())
 		}
 	}
 	for probe := 0; probe < 256; probe++ {
 		it := tr[probe*len(tr)/256]
-		if generic.Contains(it) != dense.Contains(it) {
+		if want.Contains(it) != got.Contains(it) {
 			t.Fatalf("Contains(%d) diverged", it)
 		}
 	}
 }
 
+// TestIBLPDenseMatchesGeneric requires an IBLP presized for the
+// universe and one grown on demand, as NewIBLPEvenSplit builds it, to
+// decide alike.
 func TestIBLPDenseMatchesGeneric(t *testing.T) {
 	const universe = 4096
 	for _, blockSize := range []int{1, 8, 64} {
 		g := model.NewFixed(blockSize)
 		rng := rand.New(rand.NewSource(int64(blockSize)))
 		tr := genTrace(rng, universe, 50000, blockSize)
-		diffCaches(t, NewIBLPEvenSplit(256, g), NewIBLPEvenSplitBounded(256, g, universe), tr)
+		diffCaches(t, NewIBLPEvenSplitBounded(256, g, universe), NewIBLPEvenSplit(256, g), tr)
 	}
 }
 
 // TestIBLPDenseExtremeSplits covers i=0 (pure block layer) and b=0 (pure
-// item layer) plus a block layer smaller than one block (truncation).
+// item layer) plus a block layer smaller than one block (truncation):
+// an IBLP grown on demand decides as one presized for the universe.
 func TestIBLPDenseExtremeSplits(t *testing.T) {
 	const universe = 1024
 	g := model.NewFixed(16)
@@ -110,7 +113,7 @@ func TestIBLPDenseExtremeSplits(t *testing.T) {
 	tr := genTrace(rng, universe, 30000, 16)
 	for _, split := range [][2]int{{0, 128}, {128, 0}, {120, 8}} {
 		i, b := split[0], split[1]
-		diffCaches(t, NewIBLP(i, b, g), NewIBLPBounded(i, b, g, universe), tr)
+		diffCaches(t, newIBLP(i, b, g, universe), NewIBLP(i, b, g), tr)
 	}
 }
 
@@ -127,24 +130,26 @@ func TestIBLPDenseReset(t *testing.T) {
 	diffCaches(t, NewIBLPEvenSplit(128, g), pooled, tr)
 }
 
-// TestGCMDenseMatchesGeneric requires bit-for-bit equality: both
-// representations must consume the shared seed's random stream
-// identically, so every random eviction picks the same victim.
+// TestGCMDenseMatchesGeneric requires bit-for-bit equality between a
+// GCM presized for the universe and one grown on demand: growing must
+// not touch the seeded stream, so every random eviction picks the same
+// victim.
 func TestGCMDenseMatchesGeneric(t *testing.T) {
 	const universe = 2048
 	for _, blockSize := range []int{1, 8, 32} {
 		g := model.NewFixed(blockSize)
 		rng := rand.New(rand.NewSource(int64(100 + blockSize)))
 		tr := genTrace(rng, universe, 40000, blockSize)
-		generic := NewGCM(192, g, 77)
-		dense := NewGCMBounded(192, g, 77, universe)
-		if dense.pos == nil {
-			t.Fatalf("B=%d: bounded constructor fell back unexpectedly", blockSize)
+		presized := NewGCMBounded(192, g, 77, universe)
+		grown := NewGCM(192, g, 77)
+		if len(presized.pos) < universe || len(grown.pos) != 0 {
+			t.Fatalf("B=%d: position arrays %d and %d items, want ≥ %d and 0",
+				blockSize, len(presized.pos), len(grown.pos), universe)
 		}
-		diffCaches(t, generic, dense, tr)
-		if generic.MarkedCount() != dense.MarkedCount() {
+		diffCaches(t, presized, grown, tr)
+		if presized.MarkedCount() != grown.MarkedCount() {
 			t.Fatalf("B=%d: marked counts diverged %d vs %d",
-				blockSize, generic.MarkedCount(), dense.MarkedCount())
+				blockSize, presized.MarkedCount(), grown.MarkedCount())
 		}
 	}
 }
@@ -157,24 +162,25 @@ func TestGCMReseedEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tr := genTrace(rng, universe, 20000, 8)
 
-	pooled := NewGCMBounded(128, g, 1, universe)
+	pooled := NewGCM(128, g, 1)
 	for _, it := range tr[:5000] {
 		pooled.Access(it)
 	}
 	pooled.Reseed(99)
 	pooled.Reset()
-	fresh := NewGCMBounded(128, g, 99, universe)
+	fresh := NewGCM(128, g, 99)
 	diffCaches(t, fresh, pooled, tr)
 }
 
+// TestGCMMarkAllDenseMatchesGeneric is TestGCMDenseMatchesGeneric for
+// the mark-everything ablation.
 func TestGCMMarkAllDenseMatchesGeneric(t *testing.T) {
 	const universe = 1024
 	g := model.NewFixed(8)
 	rng := rand.New(rand.NewSource(12))
 	tr := genTrace(rng, universe, 30000, 8)
-	generic := NewGCMMarkAll(128, g, 5)
-	dense := &GCMMarkAll{inner: NewGCMBounded(128, g, 5, universe)}
-	diffCaches(t, generic, dense, tr)
+	presized := &GCMMarkAll{inner: NewGCMBounded(128, g, 5, universe)}
+	diffCaches(t, presized, NewGCMMarkAll(128, g, 5), tr)
 }
 
 // TestIBLPDenseZeroAllocSteadyState covers an even split and a block
@@ -190,7 +196,7 @@ func TestIBLPDenseZeroAllocSteadyState(t *testing.T) {
 		{256, 256, 37},
 		{248, 8, 5},
 	} {
-		c := NewIBLPBounded(shape.i, shape.b, g, universe)
+		c := NewIBLP(shape.i, shape.b, g)
 		for i := 0; i < universe*2; i++ {
 			c.Access(model.Item(i % universe))
 		}
@@ -219,7 +225,7 @@ func TestGCMDenseZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(16)
 	for _, k := range []int{500, 512} {
-		c := NewGCMBounded(k, g, 3, universe)
+		c := NewGCM(k, g, 3)
 		for i := 0; i < universe*2; i++ {
 			c.Access(model.Item(i % universe))
 		}

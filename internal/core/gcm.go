@@ -5,6 +5,7 @@ import (
 
 	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
+	"gccache/internal/lrulist"
 	"gccache/internal/model"
 	"gccache/internal/obs"
 )
@@ -23,10 +24,9 @@ import (
 //
 // Marks are kept by position: bit p of one k-bit set marks items[p], so
 // a mark test reads k/8 bytes at most and a phase reset clears k/64
-// words. The one mark set serves both item-to-position indexes: the
-// generic path (a map, any item IDs) and the bounded dense path
-// (NewGCMBounded — a flat array over a declared universe; steady-state
-// accesses neither hash nor allocate).
+// words. Each item's position sits in a flat array indexed by item ID
+// that grows with the largest ID loaded, so steady-state accesses
+// neither hash nor allocate.
 //
 // The victim draw is rejection sampling — Intn(len(items)) until an
 // unmarked position comes up — from a generator that reproduces
@@ -34,8 +34,7 @@ import (
 // alone would need far fewer draws, but it would consume the stream
 // differently and so change every seeded result; rejection keeps runs
 // bit-for-bit equal to those of the earlier map-and-*rand.Rand
-// implementation (TestGCMDecisionStreamGolden), and both paths equal to
-// each other.
+// implementation (TestGCMDecisionStreamGolden).
 type GCM struct {
 	capacity int
 	geo      model.Geometry
@@ -44,10 +43,8 @@ type GCM struct {
 	markAt      bitset.Set   // bit p set: items[p] is marked
 	markedCount int
 
-	// Generic path (nil on the dense path): item -> position in items.
-	index map[model.Item]int
-	// Dense path (nil on the generic path): pos[it] is position+1 in
-	// items (0 = absent).
+	// pos[it] is the position of it in items plus one; 0, or an item
+	// past the end of pos, is absent.
 	pos []int32
 
 	ch    cachesim.Changes
@@ -63,6 +60,20 @@ var _ cachesim.Instrumented = (*GCM)(nil)
 // NewGCM returns a GCM cache of capacity k under g with the given seed.
 // It panics if k < 1 or g is nil.
 func NewGCM(k int, g model.Geometry, seed int64) *GCM {
+	return newGCM(k, g, seed, 0)
+}
+
+// NewGCMBounded is NewGCM presized for item IDs [0, universe), so a
+// replay inside that range never grows it. It stays for the benchmark
+// module; new code calls NewGCM.
+func NewGCMBounded(k int, g model.Geometry, seed int64, universe int) *GCM {
+	return newGCM(k, g, seed, universe)
+}
+
+// newGCM is NewGCM with its position array presized for item IDs
+// [0, universe), expanded to whole blocks since sibling loads index it
+// too (see model.ItemUniverse).
+func newGCM(k int, g model.Geometry, seed int64, universe int) *GCM {
 	if k < 1 {
 		panic(fmt.Sprintf("core: GCM capacity %d < 1", k))
 	}
@@ -73,28 +84,10 @@ func NewGCM(k int, g model.Geometry, seed int64) *GCM {
 		capacity: k,
 		geo:      g,
 		markAt:   bitset.New(k),
-		index:    make(map[model.Item]int, k),
+		pos:      make([]int32, model.ItemUniverse(g, universe)),
 		ch:       cachesim.NewChanges(g),
 	}
 	c.rng.Seed(seed)
-	return c
-}
-
-// NewGCMBounded returns a GCM cache on the dense path for item IDs
-// [0, universe): a flat position array in place of the index map — no
-// map operations and no steady-state allocation. The bound is expanded
-// to cover whole blocks (see model.ItemUniverse, since sibling loads
-// index the array too); accessing an item beyond the expanded bound
-// panics. It falls back to the generic representation when universe is
-// out of the bounded range.
-func NewGCMBounded(k int, g model.Geometry, seed int64, universe int) *GCM {
-	c := NewGCM(k, g, seed)
-	universe = model.ItemUniverse(g, universe)
-	if universe <= 0 || universe > cachesim.MaxBoundedUniverse {
-		return c
-	}
-	c.index = nil
-	c.pos = make([]int32, universe)
 	return c
 }
 
@@ -209,16 +202,19 @@ func (c *GCM) drawUnmarked() int {
 }
 
 // insert appends it to the resident set, unmarked, and returns its
-// position.
+// position. The growth of pos is written inline, not as a call, so
+// insert stays within the compiler's inlining budget.
 //
 //gclint:hotpath
 func (c *GCM) insert(it model.Item) int {
 	p := len(c.items)
-	if c.pos != nil {
-		c.pos[it] = int32(p) + 1
-	} else {
-		c.index[it] = p
+	if uint64(it) >= uint64(len(c.pos)) {
+		if it >= lrulist.MaxDenseUniverse {
+			panic("core: GCM item at or past lrulist.MaxDenseUniverse")
+		}
+		c.pos = append(c.pos, make([]int32, int(it)+1-len(c.pos))...) //gclint:allowalloc amortized: append grows capacity geometrically, so IDs below n cost O(log n) grows per cache
 	}
+	c.pos[it] = int32(p) + 1
 	c.items = append(c.items, it)
 	return p
 }
@@ -237,25 +233,19 @@ func (c *GCM) removeAt(p int) {
 		c.markAt.Remove(uint64(last))
 		c.markAt.Add(uint64(p))
 	}
-	if c.pos != nil {
-		c.pos[moved] = int32(p) + 1
-		c.pos[it] = 0
-		return
-	}
-	c.index[moved] = p
-	delete(c.index, it)
+	c.pos[moved] = int32(p) + 1
+	c.pos[it] = 0
 }
 
 // find returns the position of it in items, and whether it is resident.
 //
 //gclint:hotpath
 func (c *GCM) find(it model.Item) (int, bool) {
-	if c.pos != nil {
-		p := c.pos[it]
-		return int(p) - 1, p != 0
+	if uint64(it) >= uint64(len(c.pos)) {
+		return -1, false
 	}
-	p, ok := c.index[it]
-	return p, ok
+	p := c.pos[it]
+	return int(p) - 1, p != 0
 }
 
 //gclint:hotpath
@@ -310,12 +300,8 @@ func (c *GCM) Capacity() int { return c.capacity }
 
 // Reset implements cachesim.Cache.
 func (c *GCM) Reset() {
-	if c.pos != nil {
-		for _, x := range c.items {
-			c.pos[x] = 0
-		}
-	} else {
-		clear(c.index)
+	for _, x := range c.items {
+		c.pos[x] = 0
 	}
 	c.markAt.Clear()
 	c.markedCount = 0

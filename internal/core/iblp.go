@@ -24,41 +24,27 @@ import (
 // enters the block layer. The layers are neither inclusive nor exclusive:
 // each holds its own copy.
 //
-// Two interchangeable representations back the policy: the generic path
-// (maps keyed by item/block IDs, any IDs accepted) and the bounded dense
-// path (NewIBLPBounded — flat bitsets plus lrulist.Dense orders over a
-// declared universe; steady-state accesses neither hash nor allocate).
-// Eviction decisions are identical on both paths.
+// Both layers keep an lrulist.Dense recency order and a bitset of
+// members, all growing with the largest ID seen, so steady-state
+// accesses neither hash nor allocate.
 type IBLP struct {
 	itemSize  int // i
 	blockSize int // b
 	geo       model.Geometry
 
-	items lrulist.Order[model.Item] // item layer, MRU..LRU
+	items *lrulist.Dense[model.Item] // item layer, MRU..LRU
 
-	blocks    lrulist.Order[model.Block] // block layer order, MRU..LRU
-	blockUsed int                        // items currently in block layer
+	blocks    *lrulist.Dense[model.Block] // block layer order, MRU..LRU
+	blockUsed int                         // items currently in block layer
 
-	// Generic path (nil on the dense path):
-	resident map[model.Block][]model.Item // items held per block-layer block
-	inBlock  map[model.Item]struct{}      // membership in block layer
-
-	// Dense path (nil on the generic path): inBlockBits holds block-layer
-	// membership; a block's resident set is re-derived from the geometry
-	// filtered by inBlockBits (blocks are disjoint, so the set bits of a
-	// resident block belong to it alone). inItemBits mirrors the item
-	// layer's membership so presentDense is two packed-bitset probes
-	// instead of a random load into the recency list's link array.
-	inBlockBits bitset.Set
-	inItemBits  bitset.Set
-	// itemsDense/blocksDense are the concrete types behind items/blocks
-	// on the dense path. The hot path calls them directly instead of
-	// dispatching through the Order interface — devirtualization is
-	// worth ~20% of batched serving throughput. Contains, PopBack and
-	// Back then inline into the access loop; MoveToFront, PushFront and
-	// Remove exceed the inlining budget and stay direct calls.
-	itemsDense  *lrulist.Dense[model.Item]
-	blocksDense *lrulist.Dense[model.Block]
+	// inBlock holds block-layer membership; a block's resident set is
+	// re-derived from the geometry filtered by inBlock (blocks are
+	// disjoint, so the set bits of a resident block belong to it alone).
+	// inItem mirrors the item layer's membership so present is two
+	// packed-bitset probes instead of a random load into the recency
+	// list's link array.
+	inBlock bitset.Set
+	inItem  bitset.Set
 
 	// promoteOnItemHit is an ablation switch (see NewIBLPPromoteAll): when
 	// set, item-layer hits also refresh the block layer's LRU order,
@@ -68,7 +54,7 @@ type IBLP struct {
 	ch      cachesim.Changes
 	want    []model.Item // scratch: the item set being admitted
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
-	scratch []model.Item // scratch: victim-block enumeration (dense)
+	scratch []model.Item // scratch: victim-block enumeration
 	probe   obs.Probe
 }
 
@@ -83,48 +69,29 @@ var (
 // b=0 — or any b smaller than the largest block — to an Item Cache). It
 // panics if i < 0, b < 0, i+b < 1, or g is nil.
 func NewIBLP(i, b int, g model.Geometry) *IBLP {
+	return newIBLP(i, b, g, 0)
+}
+
+// newIBLP is NewIBLP with its arrays presized for item IDs
+// [0, universe), expanded to whole blocks (see model.ItemUniverse).
+func newIBLP(i, b int, g model.Geometry, universe int) *IBLP {
 	if i < 0 || b < 0 || i+b < 1 {
 		panic(fmt.Sprintf("core: IBLP layer sizes i=%d b=%d invalid", i, b))
 	}
 	if g == nil {
 		panic("core: IBLP nil geometry")
 	}
+	universe = model.ItemUniverse(g, universe)
 	return &IBLP{
 		itemSize:  i,
 		blockSize: b,
 		geo:       g,
-		items:     lrulist.New[model.Item](i),
-		blocks:    lrulist.New[model.Block](b/max(1, g.BlockSize()) + 1),
-		resident:  make(map[model.Block][]model.Item),
-		inBlock:   make(map[model.Item]struct{}),
+		items:     lrulist.NewDense[model.Item](universe),
+		blocks:    lrulist.NewDense[model.Block](model.BlockUniverse(g, universe)),
+		inBlock:   bitset.New(universe),
+		inItem:    bitset.New(universe),
 		ch:        cachesim.NewChanges(g),
 	}
-}
-
-// NewIBLPBounded returns an IBLP cache on the dense path for item IDs
-// [0, universe): bitset membership and Dense recency orders for both
-// layers — no map operations and no steady-state allocation. The bound
-// is expanded to cover whole blocks (see model.ItemUniverse); accessing
-// an item beyond the expanded bound panics. It falls back to the generic
-// representation when universe is out of the bounded range or no
-// block-ID bound is derivable from g.
-func NewIBLPBounded(i, b int, g model.Geometry, universe int) *IBLP {
-	c := NewIBLP(i, b, g)
-	universe = model.ItemUniverse(g, universe)
-	blockUniverse := model.BlockUniverse(g, universe)
-	if universe <= 0 || universe > cachesim.MaxBoundedUniverse ||
-		blockUniverse <= 0 || blockUniverse > cachesim.MaxBoundedUniverse {
-		return c
-	}
-	c.resident = nil
-	c.inBlock = nil
-	c.inBlockBits = bitset.New(universe)
-	c.inItemBits = bitset.New(universe)
-	c.itemsDense = lrulist.NewDense[model.Item](universe)
-	c.blocksDense = lrulist.NewDense[model.Block](blockUniverse)
-	c.items = c.itemsDense
-	c.blocks = c.blocksDense
-	return c
 }
 
 // NewIBLPEvenSplit returns an IBLP cache with i = ⌈k/2⌉, b = ⌊k/2⌋, the
@@ -133,10 +100,11 @@ func NewIBLPEvenSplit(k int, g model.Geometry) *IBLP {
 	return NewIBLP((k+1)/2, k/2, g)
 }
 
-// NewIBLPEvenSplitBounded is NewIBLPEvenSplit on the dense path (see
-// NewIBLPBounded).
+// NewIBLPEvenSplitBounded is NewIBLPEvenSplit presized for item IDs
+// [0, universe), so a replay inside that range never grows it. It stays
+// for the benchmark module; new code calls NewIBLPEvenSplit.
 func NewIBLPEvenSplitBounded(k int, g model.Geometry, universe int) *IBLP {
-	return NewIBLPBounded((k+1)/2, k/2, g, universe)
+	return newIBLP((k+1)/2, k/2, g, universe)
 }
 
 // NewIBLPPromoteAll returns the ablation variant in which item-layer hits
@@ -189,25 +157,9 @@ func (c *IBLP) SetItemLayerTarget(i int) {
 // the resize path's analogue of the admit loops, which only enforce the
 // bounds while admitting.
 func (c *IBLP) enforceTargets() {
-	if c.itemsDense != nil {
-		for c.itemsDense.Len() > c.itemSize {
-			victim, _ := c.itemsDense.PopBack()
-			c.inItemBits.Remove(uint64(victim))
-			if !c.presentDense(victim) {
-				c.ch.Evict(victim)
-			}
-		}
-		for c.blockUsed > c.blockSize {
-			victim, ok := c.blocksDense.Back()
-			if !ok {
-				break
-			}
-			c.dropBlockLayerDense(victim)
-		}
-		return
-	}
 	for c.items.Len() > c.itemSize {
 		victim, _ := c.items.PopBack()
+		c.inItem.Remove(uint64(victim))
 		if !c.present(victim) {
 			c.ch.Evict(victim)
 		}
@@ -229,19 +181,17 @@ func (c *IBLP) Name() string {
 	return fmt.Sprintf("iblp(i=%d,b=%d)", c.itemSize, c.blockSize)
 }
 
-// Access implements cachesim.Cache.
+// Access implements cachesim.Cache. Every layer operation runs on the
+// concrete flat-array types, so the whole request — recency promotion,
+// bitset membership, victim scans — compiles to inlined array
+// arithmetic and direct calls.
 //
 //gclint:hotpath
 func (c *IBLP) Access(it model.Item) cachesim.Access {
-	if c.itemsDense != nil {
-		return c.accessDense(it)
-	}
 	if c.items.MoveToFront(it) {
 		if c.promoteOnItemHit {
-			blk := c.geo.BlockOf(it)
-			if c.blocks.Contains(blk) {
-				c.blocks.MoveToFront(blk)
-			}
+			// MoveToFront on an absent block is a no-op.
+			c.blocks.MoveToFront(c.geo.BlockOf(it))
 		}
 		if c.probe != nil {
 			c.probe.Observe(obs.Event{Kind: obs.EvHitItemLayer, Item: it})
@@ -250,7 +200,7 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 	}
 
 	blk := c.geo.BlockOf(it)
-	if c.inBlockLayer(it) {
+	if c.inBlock.Has(uint64(it)) {
 		// Block-layer hit: serve it, refresh the block's recency, and
 		// copy the item into the item layer (an internal move — free).
 		c.ch.Reset()
@@ -274,132 +224,12 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 	return c.ch.Miss(c.probe, it)
 }
 
-// accessDense is Access on the bounded path, with every layer
-// operation on the concrete flat-array types so the whole request —
-// recency promotion, bitset membership, victim scans — compiles to
-// inlined array arithmetic. It mirrors the generic path below exactly;
-// TestIBLPDenseMatchesGeneric pins the equivalence.
+// present reports overall membership (either layer).
 //
 //gclint:hotpath
-func (c *IBLP) accessDense(it model.Item) cachesim.Access {
-	if c.itemsDense.MoveToFront(it) {
-		if c.promoteOnItemHit {
-			// MoveToFront on an absent block is a no-op, matching the
-			// generic path's Contains-then-promote.
-			c.blocksDense.MoveToFront(c.geo.BlockOf(it))
-		}
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHitItemLayer, Item: it})
-		}
-		return cachesim.Access{Hit: true}
-	}
-
-	blk := c.geo.BlockOf(it)
-	if c.inBlockBits.Has(uint64(it)) {
-		c.ch.Reset()
-		c.blocksDense.MoveToFront(blk)
-		c.admitItemLayerDense(it)
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHitBlockLayer, Item: it, Block: blk})
-		}
-		return c.ch.Hit(c.probe)
-	}
-
-	c.ch.Begin(blk)
-	c.admitItemLayerDense(it)
-	c.admitBlockLayerDense(blk, it)
-	return c.ch.Miss(c.probe, it)
+func (c *IBLP) present(it model.Item) bool {
+	return c.inItem.Has(uint64(it)) || c.inBlock.Has(uint64(it))
 }
-
-// presentDense is present with both membership tests inlined.
-//
-//gclint:hotpath
-func (c *IBLP) presentDense(it model.Item) bool {
-	return c.inItemBits.Has(uint64(it)) || c.inBlockBits.Has(uint64(it))
-}
-
-// admitItemLayerDense mirrors admitItemLayer on concrete types.
-//
-//gclint:hotpath
-func (c *IBLP) admitItemLayerDense(it model.Item) {
-	if c.itemSize == 0 {
-		return
-	}
-	was := c.presentDense(it)
-	c.itemsDense.PushFront(it)
-	c.inItemBits.Add(uint64(it))
-	if !was {
-		c.ch.Load(it)
-	}
-	for c.itemsDense.Len() > c.itemSize {
-		victim, _ := c.itemsDense.PopBack()
-		c.inItemBits.Remove(uint64(victim))
-		if !c.presentDense(victim) {
-			c.ch.Evict(victim)
-		}
-	}
-}
-
-// admitBlockLayerDense mirrors admitBlockLayer on concrete types.
-//
-//gclint:hotpath
-func (c *IBLP) admitBlockLayerDense(blk model.Block, requested model.Item) {
-	if c.blockSize == 0 {
-		return
-	}
-	if c.blocksDense.Contains(blk) {
-		// Only possible for a previously truncated copy; replace it.
-		c.dropBlockLayerDense(blk)
-	}
-	c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
-	want := c.want
-	if len(want) > c.blockSize {
-		c.trunc = model.TruncateAround(c.trunc, want, requested, c.blockSize)
-		want = c.trunc
-	}
-	for c.blockUsed+len(want) > c.blockSize {
-		victim, ok := c.blocksDense.Back()
-		if !ok {
-			break
-		}
-		c.dropBlockLayerDense(victim)
-	}
-	if c.blockUsed+len(want) > c.blockSize {
-		return // layer cannot hold this block at all
-	}
-	c.blocksDense.PushFront(blk)
-	c.blockUsed += len(want)
-	for _, x := range want {
-		was := c.presentDense(x)
-		c.inBlockBits.Add(uint64(x))
-		if !was {
-			c.ch.Load(x)
-		}
-	}
-}
-
-// dropBlockLayerDense mirrors dropBlockLayer on concrete types.
-//
-//gclint:hotpath
-func (c *IBLP) dropBlockLayerDense(blk model.Block) {
-	c.scratch = model.AppendItemsOf(c.geo, c.scratch[:0], blk)
-	for _, x := range c.scratch {
-		if c.inBlockBits.Has(uint64(x)) {
-			c.inBlockBits.Remove(uint64(x))
-			c.blockUsed--
-			// The block-layer bit is clear now, so presence reduces to
-			// item-layer membership.
-			if !c.inItemBits.Has(uint64(x)) {
-				c.ch.Evict(x)
-			}
-		}
-	}
-	c.blocksDense.Remove(blk)
-}
-
-// SetProbe implements cachesim.Instrumented. A nil probe restores the
-// unobserved fast path.
-func (c *IBLP) SetProbe(p obs.Probe) { c.probe = p }
 
 // admitItemLayer inserts it at the item layer's MRU position, evicting
 // its LRU as needed, and maintains overall loaded/evicted accounting.
@@ -411,11 +241,13 @@ func (c *IBLP) admitItemLayer(it model.Item) {
 	}
 	was := c.present(it)
 	c.items.PushFront(it)
+	c.inItem.Add(uint64(it))
 	if !was {
 		c.ch.Load(it)
 	}
 	for c.items.Len() > c.itemSize {
 		victim, _ := c.items.PopBack()
+		c.inItem.Remove(uint64(victim))
 		if !c.present(victim) {
 			c.ch.Evict(victim)
 		}
@@ -424,8 +256,7 @@ func (c *IBLP) admitItemLayer(it model.Item) {
 
 // admitBlockLayer loads blk's full item set into the block layer,
 // evicting LRU blocks until it fits. Blocks larger than the layer are
-// truncated around the requested item. Generic (map) path only —
-// bounded caches route through admitBlockLayerDense.
+// truncated around the requested item.
 //
 //gclint:hotpath
 func (c *IBLP) admitBlockLayer(blk model.Block, requested model.Item) {
@@ -452,57 +283,40 @@ func (c *IBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 	if c.blockUsed+len(want) > c.blockSize {
 		return // layer cannot hold this block at all
 	}
-	hold := make([]model.Item, len(want)) //gclint:allowalloc generic (map) path only; dense path uses admitBlockLayerDense
-	copy(hold, want)
-	c.resident[blk] = hold
 	c.blocks.PushFront(blk)
-	c.blockUsed += len(hold)
-	for _, x := range hold {
+	c.blockUsed += len(want)
+	for _, x := range want {
 		was := c.present(x)
-		c.inBlock[x] = struct{}{}
+		c.inBlock.Add(uint64(x))
 		if !was {
 			c.ch.Load(x)
 		}
 	}
 }
 
-// dropBlockLayer evicts blk from the block layer. Generic (map) path
-// only — bounded caches route through dropBlockLayerDense.
+// dropBlockLayer evicts blk from the block layer; its items leave in
+// geometry order.
 //
 //gclint:hotpath
 func (c *IBLP) dropBlockLayer(blk model.Block) {
-	items := c.resident[blk]
-	for _, x := range items {
-		delete(c.inBlock, x)
-		if !c.present(x) {
-			c.ch.Evict(x)
+	c.scratch = model.AppendItemsOf(c.geo, c.scratch[:0], blk)
+	for _, x := range c.scratch {
+		if c.inBlock.Has(uint64(x)) {
+			c.inBlock.Remove(uint64(x))
+			c.blockUsed--
+			// The block-layer bit is clear now, so presence reduces to
+			// item-layer membership.
+			if !c.inItem.Has(uint64(x)) {
+				c.ch.Evict(x)
+			}
 		}
 	}
-	c.blockUsed -= len(items)
-	delete(c.resident, blk)
 	c.blocks.Remove(blk)
 }
 
-// inBlockLayer reports block-layer membership of it.
-//
-//gclint:hotpath
-func (c *IBLP) inBlockLayer(it model.Item) bool {
-	if c.inBlockBits != nil {
-		return c.inBlockBits.Has(uint64(it))
-	}
-	_, ok := c.inBlock[it]
-	return ok
-}
-
-// present reports overall membership (either layer).
-//
-//gclint:hotpath
-func (c *IBLP) present(it model.Item) bool {
-	if c.itemsDense != nil {
-		return c.presentDense(it)
-	}
-	return c.items.Contains(it) || c.inBlockLayer(it)
-}
+// SetProbe implements cachesim.Instrumented. A nil probe restores the
+// unobserved fast path.
+func (c *IBLP) SetProbe(p obs.Probe) { c.probe = p }
 
 // Contains implements cachesim.Cache.
 func (c *IBLP) Contains(it model.Item) bool { return c.present(it) }
@@ -511,7 +325,7 @@ func (c *IBLP) Contains(it model.Item) bool { return c.present(it) }
 func (c *IBLP) Len() int {
 	n := c.blockUsed
 	c.items.Each(func(it model.Item) bool {
-		if !c.inBlockLayer(it) {
+		if !c.inBlock.Has(uint64(it)) {
 			n++
 		}
 		return true
@@ -528,12 +342,7 @@ func (c *IBLP) Capacity() int { return c.itemSize + c.blockSize }
 func (c *IBLP) Reset() {
 	c.items.Clear()
 	c.blocks.Clear()
-	if c.inBlockBits != nil {
-		c.inBlockBits.Clear()
-		c.inItemBits.Clear()
-	} else {
-		clear(c.resident)
-		clear(c.inBlock)
-	}
+	c.inBlock.Clear()
+	c.inItem.Clear()
 	c.blockUsed = 0
 }

@@ -286,7 +286,7 @@ func TestBlockLayerHitEvictionsCarryBlock(t *testing.T) {
 		cachesim.Cache
 		cachesim.Instrumented
 	}{
-		NewIBLPBounded(2, 4, g, 64),
+		newIBLP(2, 4, g, 64),
 		NewIBLP(2, 4, g),
 		NewAdaptiveIBLP(8, g),
 	} {

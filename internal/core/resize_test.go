@@ -20,7 +20,7 @@ func popcount(b bitset.Set) int {
 
 // checkIBLPInvariants asserts the occupancy identities a resize must
 // preserve: each layer within its configured size, and the membership
-// structures (bits or maps) agreeing with the recency orders.
+// bitsets agreeing with the recency orders.
 func checkIBLPInvariants(t *testing.T, c *IBLP, step int) {
 	t.Helper()
 	if c.items.Len() > c.itemSize {
@@ -32,27 +32,11 @@ func checkIBLPInvariants(t *testing.T, c *IBLP, step int) {
 	if c.blockUsed < 0 {
 		t.Fatalf("step %d: blockUsed drifted negative: %d", step, c.blockUsed)
 	}
-	if c.itemsDense != nil {
-		if got := popcount(c.inItemBits); got != c.itemsDense.Len() {
-			t.Fatalf("step %d: inItemBits has %d set, item order holds %d", step, got, c.itemsDense.Len())
-		}
-		if got := popcount(c.inBlockBits); got != c.blockUsed {
-			t.Fatalf("step %d: inBlockBits has %d set, blockUsed=%d", step, got, c.blockUsed)
-		}
-		return
+	if got := popcount(c.inItem); got != c.items.Len() {
+		t.Fatalf("step %d: inItem has %d set, item order holds %d", step, got, c.items.Len())
 	}
-	sum := 0
-	for _, items := range c.resident {
-		sum += len(items)
-	}
-	if sum != c.blockUsed {
-		t.Fatalf("step %d: resident holds %d items, blockUsed=%d", step, sum, c.blockUsed)
-	}
-	if len(c.resident) != c.blocks.Len() {
-		t.Fatalf("step %d: resident has %d blocks, order holds %d", step, len(c.resident), c.blocks.Len())
-	}
-	if len(c.inBlock) != c.blockUsed {
-		t.Fatalf("step %d: inBlock has %d items, blockUsed=%d", step, len(c.inBlock), c.blockUsed)
+	if got := popcount(c.inBlock); got != c.blockUsed {
+		t.Fatalf("step %d: inBlock has %d set, blockUsed=%d", step, got, c.blockUsed)
 	}
 }
 
@@ -91,9 +75,9 @@ func checkAdaptiveInvariants(t *testing.T, c *AdaptiveIBLP, step int) {
 }
 
 // TestIBLPResizeStormDenseMatchesGeneric interleaves random accesses
-// with random repartitions and requires the dense and generic
-// representations to stay decision-identical throughout — the resize
-// path's version of TestIBLPDenseMatchesGeneric.
+// with random repartitions and requires an IBLP presized for the
+// universe (dense) and one grown on demand (generic) to stay
+// decision-identical throughout.
 func TestIBLPResizeStormDenseMatchesGeneric(t *testing.T) {
 	const universe = 4096
 	const k = 256
@@ -131,7 +115,7 @@ func TestIBLPResizeStormDenseMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestIBLPResizeStormInvariants hammers both representations with
+// TestIBLPResizeStormInvariants hammers a grown and a presized IBLP with
 // interleaved accesses and grow/shrink moves (including the extremes
 // i=0 and i=k) and asserts the occupancy identities after every move.
 func TestIBLPResizeStormInvariants(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
@@ -68,15 +69,19 @@ type IBLPExclusive struct {
 	blockSize int
 	geo       model.Geometry
 
-	items *lrulist.List[model.Item]
+	items *lrulist.Dense[model.Item]
 
-	blocks    *lrulist.List[model.Block]
-	resident  map[model.Block]map[model.Item]struct{} // holes appear as items migrate
-	inBlock   map[model.Item]model.Block
+	blocks *lrulist.Dense[model.Block]
+	// inBlock holds the block layer's items; holes appear as items
+	// migrate out. held[blk] counts blk's items in it.
+	inBlock   bitset.Set
+	held      []int32
 	blockUsed int
 
-	ch     cachesim.Changes
-	sibBuf []model.Item // scratch: block enumeration
+	ch      cachesim.Changes
+	sibBuf  []model.Item // scratch: block enumeration
+	want    []model.Item // scratch: the siblings being admitted
+	scratch []model.Item // scratch: victim-block enumeration
 }
 
 var _ cachesim.Cache = (*IBLPExclusive)(nil)
@@ -94,10 +99,8 @@ func NewIBLPExclusive(i, b int, g model.Geometry) *IBLPExclusive {
 		itemSize:  i,
 		blockSize: b,
 		geo:       g,
-		items:     lrulist.New[model.Item](i),
-		blocks:    lrulist.New[model.Block](b/max(1, g.BlockSize()) + 1),
-		resident:  make(map[model.Block]map[model.Item]struct{}),
-		inBlock:   make(map[model.Item]model.Block),
+		items:     lrulist.NewDense[model.Item](0),
+		blocks:    lrulist.NewDense[model.Block](0),
 		ch:        cachesim.NewChanges(g),
 	}
 }
@@ -112,7 +115,8 @@ func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 	if c.items.MoveToFront(it) {
 		return cachesim.Access{Hit: true}
 	}
-	if blk, ok := c.inBlock[it]; ok {
+	blk := c.geo.BlockOf(it)
+	if c.inBlock.Has(uint64(it)) {
 		// Block-layer hit: migrate the item into the item layer,
 		// leaving a hole in the block copy.
 		c.ch.Reset()
@@ -126,10 +130,10 @@ func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 	// not already cached anywhere) to the block layer. An item-layer
 	// victim from this block, or a stale partial copy, can leave and come
 	// straight back; c.ch nets it.
-	c.ch.Begin(c.geo.BlockOf(it))
+	c.ch.Begin(blk)
 	c.admitItem(it)
 	c.ch.Load(it)
-	c.admitSiblings(it)
+	c.admitSiblings(it, blk)
 	return c.ch.Miss(nil, it)
 }
 
@@ -142,77 +146,78 @@ func (c *IBLPExclusive) admitItem(it model.Item) {
 	}
 }
 
-func (c *IBLPExclusive) admitSiblings(it model.Item) {
+func (c *IBLPExclusive) admitSiblings(it model.Item, blk model.Block) {
 	if c.blockSize == 0 {
 		return
 	}
-	blk := c.geo.BlockOf(it)
-	if set, ok := c.resident[blk]; ok {
+	if c.blocks.Contains(blk) {
 		// Refresh: drop the stale partial copy first.
-		c.dropBlock(blk, set)
+		c.dropBlock(blk)
 	}
 	c.sibBuf = model.AppendItemsOf(c.geo, c.sibBuf[:0], blk)
-	var want []model.Item
+	c.want = c.want[:0]
 	for _, sib := range c.sibBuf {
 		if sib == it || c.items.Contains(sib) {
 			continue
 		}
-		want = append(want, sib)
-		if len(want) >= c.blockSize {
+		c.want = append(c.want, sib)
+		if len(c.want) >= c.blockSize {
 			break
 		}
 	}
-	if len(want) == 0 {
+	if len(c.want) == 0 {
 		return
 	}
-	for c.blockUsed+len(want) > c.blockSize {
+	for c.blockUsed+len(c.want) > c.blockSize {
 		victim, ok := c.blocks.Back()
 		if !ok {
 			return // nothing evictable and no room
 		}
-		c.dropBlock(victim, c.resident[victim])
+		c.dropBlock(victim)
 	}
-	set := make(map[model.Item]struct{}, len(want))
-	for _, x := range want {
-		set[x] = struct{}{}
-		c.inBlock[x] = blk
+	for _, x := range c.want {
+		c.inBlock.Add(uint64(x))
 		c.ch.Load(x)
 	}
-	c.resident[blk] = set
+	if uint64(blk) >= uint64(len(c.held)) {
+		if blk >= lrulist.MaxDenseUniverse {
+			panic("core: IBLPExclusive block at or past lrulist.MaxDenseUniverse")
+		}
+		c.held = append(c.held, make([]int32, int(blk)+1-len(c.held))...)
+	}
+	c.held[blk] = int32(len(c.want))
 	c.blocks.PushFront(blk)
-	c.blockUsed += len(set)
+	c.blockUsed += len(c.want)
 }
 
 func (c *IBLPExclusive) removeFromBlock(it model.Item, blk model.Block) {
-	set := c.resident[blk]
-	delete(set, it)
-	delete(c.inBlock, it)
+	c.inBlock.Remove(uint64(it))
 	c.blockUsed--
-	if len(set) == 0 {
-		delete(c.resident, blk)
+	c.held[blk]--
+	if c.held[blk] == 0 {
 		c.blocks.Remove(blk)
 	}
 }
 
-func (c *IBLPExclusive) dropBlock(blk model.Block, set map[model.Item]struct{}) {
-	for x := range set {
-		delete(c.inBlock, x)
-		// Exclusive: dropping the block copy is a true eviction — the
-		// lifetime hazard §5.1 warns about.
-		c.ch.Evict(x)
+// dropBlock evicts blk's remaining items in geometry order.
+func (c *IBLPExclusive) dropBlock(blk model.Block) {
+	c.scratch = model.AppendItemsOf(c.geo, c.scratch[:0], blk)
+	for _, x := range c.scratch {
+		if c.inBlock.Has(uint64(x)) {
+			c.inBlock.Remove(uint64(x))
+			// Exclusive: dropping the block copy is a true eviction —
+			// the lifetime hazard §5.1 warns about.
+			c.ch.Evict(x)
+		}
 	}
-	c.blockUsed -= len(set)
-	delete(c.resident, blk)
+	c.blockUsed -= int(c.held[blk])
+	c.held[blk] = 0
 	c.blocks.Remove(blk)
 }
 
 // Contains implements cachesim.Cache.
 func (c *IBLPExclusive) Contains(it model.Item) bool {
-	if c.items.Contains(it) {
-		return true
-	}
-	_, ok := c.inBlock[it]
-	return ok
+	return c.items.Contains(it) || c.inBlock.Has(uint64(it))
 }
 
 // Len implements cachesim.Cache: exclusive, so no double counting.
@@ -225,8 +230,8 @@ func (c *IBLPExclusive) Capacity() int { return c.itemSize + c.blockSize }
 func (c *IBLPExclusive) Reset() {
 	c.items.Clear()
 	c.blocks.Clear()
-	clear(c.resident)
-	clear(c.inBlock)
+	c.inBlock.Clear()
+	clear(c.held)
 	c.blockUsed = 0
 }
 

@@ -52,9 +52,9 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 		name  string
 		build func() cachesim.Cache
 	}{
-		{"item-only", func() cachesim.Cache { return core.NewIBLPBounded(k, 0, geo, universe) }},
-		{"even", func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(k, geo, universe) }},
-		{"block-heavy", func() cachesim.Cache { return core.NewIBLPBounded(k/8, k-k/8, geo, universe) }},
+		{"item-only", func() cachesim.Cache { return core.NewIBLP(k, 0, geo) }},
+		{"even", func() cachesim.Cache { return core.NewIBLPEvenSplit(k, geo) }},
+		{"block-heavy", func() cachesim.Cache { return core.NewIBLP(k/8, k-k/8, geo) }},
 		{"adaptive", func() cachesim.Cache { return core.NewAdaptiveIBLP(k, geo) }},
 	}
 

@@ -73,9 +73,9 @@ func PolicyShootout(k, B int, seed int64) *Report {
 		r.Failf("workloads: %v", err)
 		return r
 	}
-	// One item-ID bound covering every workload lets each pooled cache be
-	// built once per worker on the dense (allocation-free) path and reused
-	// across all of its grid cells.
+	// One item-ID bound covering every workload presizes each replay's
+	// Recorder. Each pooled cache is built once per worker and reused
+	// across all of its grid cells, so it grows to that bound once.
 	universe := 0
 	for _, wl := range wls {
 		if u := wl.tr.Universe(); u > universe {
@@ -84,16 +84,16 @@ func PolicyShootout(k, B int, seed int64) *Report {
 	}
 	universe = model.ItemUniverse(geo, universe)
 	builders := []func() cachesim.Cache{
-		func() cachesim.Cache { return policy.NewItemLRUBounded(k, universe) },
+		func() cachesim.Cache { return policy.NewItemLRU(k) },
 		func() cachesim.Cache { return policy.NewClock(k) },
 		func() cachesim.Cache { return policy.NewFIFO(k) },
-		func() cachesim.Cache { return policy.NewBlockLRUBounded(k, geo, universe) },
+		func() cachesim.Cache { return policy.NewBlockLRU(k, geo) },
 		func() cachesim.Cache { return policy.NewBlockLoadItemEvict(k, geo) },
 		func() cachesim.Cache { return policy.NewAThreshold(k, 2, geo) },
 		func() cachesim.Cache { return policy.NewFootprint(k, geo) },
 		func() cachesim.Cache { return policy.NewMarking(k, seed) },
-		func() cachesim.Cache { return core.NewGCMBounded(k, geo, seed, universe) },
-		func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(k, geo, universe) },
+		func() cachesim.Cache { return core.NewGCM(k, geo, seed) },
+		func() cachesim.Cache { return core.NewIBLPEvenSplit(k, geo) },
 		func() cachesim.Cache { return core.NewAdaptiveIBLP(k, geo) },
 	}
 	names := make([]string, len(builders))
@@ -246,7 +246,7 @@ func Ablations(k, B int, seed int64) *Report {
 		Headers: []string{"variant", "miss-ratio", "spatial-hits", "temporal-hits"},
 	}
 	orderingU := model.ItemUniverse(geo, orderingTr.Universe())
-	real := replay(core.NewIBLPBounded(i, b, geo, orderingU), orderingTr, orderingU)
+	real := replay(core.NewIBLP(i, b, geo), orderingTr, orderingU)
 	abl := replay(core.NewIBLPPromoteAll(i, b, geo), orderingTr, 0)
 	ordering.AddRow("iblp (item hits do not touch block layer)", real.MissRatio(),
 		real.SpatialHits, real.TemporalHits)
@@ -300,7 +300,7 @@ func Ablations(k, B int, seed int64) *Report {
 	resCh := make([]splitRes, len(fracs))
 	cachesim.Sweep(context.Background(), len(fracs), cachesim.SweepOptions{}, noWorker, func(fi int, _ struct{}) {
 		ii := int(float64(k) * fracs[fi])
-		st := replay(core.NewIBLPBounded(ii, k-ii, geo, mixU), mixTr, mixU)
+		st := replay(core.NewIBLP(ii, k-ii, geo), mixTr, mixU)
 		resCh[fi] = splitRes{i: ii, b: k - ii, mr: st.MissRatio()}
 	})
 	results = resCh
@@ -326,7 +326,7 @@ func Ablations(k, B int, seed int64) *Report {
 	// (its marked dead siblings shrink the effective cache).
 	scan := workload.Sequential(0, 100000)
 	scanU := model.ItemUniverse(geo, scan.Universe())
-	gcm := replay(core.NewGCMBounded(k, geo, seed, scanU), scan, scanU)
+	gcm := replay(core.NewGCM(k, geo, seed), scan, scanU)
 	mark := replay(policy.NewMarking(k, seed), scan, 0)
 	marking := &render.Table{
 		Title:   "Ablation 3 — GCM's unmarked sibling loads vs classic marking (fresh-block scan)",
@@ -343,7 +343,7 @@ func Ablations(k, B int, seed int64) *Report {
 
 	stride := workload.Stride(k*3/4, B, 100000)
 	strideU := model.ItemUniverse(geo, stride.Universe())
-	gcmStride := replay(core.NewGCMBounded(k, geo, seed, strideU), stride, strideU)
+	gcmStride := replay(core.NewGCM(k, geo, seed), stride, strideU)
 	markAllStride := replay(core.NewGCMMarkAll(k, geo, seed), stride, 0)
 	markAll := &render.Table{
 		Title:   "Ablation 3b — marking loaded siblings (§6.1) on a stride with no spatial locality",

@@ -53,7 +53,7 @@ func Figure6Empirical(k, B, h, length int) *Report {
 				return
 			}
 			u := model.ItemUniverse(geo, tr.Universe())
-			st := replay(core.NewIBLPBounded(i, b, geo, u), tr, u)
+			st := replay(core.NewIBLP(i, b, geo), tr, u)
 			est := opt.EstimateOPT(tr, geo, h)
 			if est.Upper == 0 {
 				continue

@@ -11,8 +11,8 @@ import (
 // and sweeps run under a background context, and a sweep's error (only
 // ever a context's) is not checked.
 
-// replay runs tr through c — a freshly built or just-Reset cache — on
-// the bounded recorder when universe > 0. Experiment inputs are
+// replay runs tr through c — a freshly built or just-Reset cache —
+// bounded by universe as in cachesim.ReplayOptions. Experiment inputs are
 // generated in-process with known universes, so an error is a bug in
 // the experiment and panics.
 func replay(c cachesim.Cache, tr trace.Trace, universe int) cachesim.Stats {

@@ -1,3 +1,8 @@
+// Package lrulist provides Dense, the recency order every replacement
+// policy in this repository keeps: O(1) lookup, promotion, insertion and
+// victim selection over unsigned integer IDs, stored in one flat array
+// indexed by ID so the promote/evict path touches no map and, once the
+// array is large enough, never allocates.
 package lrulist
 
 import (
@@ -8,32 +13,6 @@ import (
 // UintID constrains keys usable with Dense: unsigned 64-bit identifier
 // types such as model.Item and model.Block.
 type UintID interface{ ~uint64 }
-
-// Order is the recency-ordering contract shared by List and Dense. The
-// front is the MRU end; the back is the LRU end. Policies program against
-// Order so that bounded-universe configurations can swap in the
-// allocation-free Dense implementation without any behavioural change —
-// the two implementations are differentially tested for identical
-// eviction order.
-type Order[K comparable] interface {
-	Len() int
-	Contains(k K) bool
-	PushFront(k K) bool
-	PushBack(k K) bool
-	MoveToFront(k K) bool
-	Remove(k K) bool
-	Back() (K, bool)
-	Front() (K, bool)
-	PopBack() (K, bool)
-	Each(fn func(K) bool)
-	Keys() []K
-	Clear()
-}
-
-var (
-	_ Order[uint64] = (*List[uint64])(nil)
-	_ Order[uint64] = (*Dense[uint64])(nil)
-)
 
 // Dense slots 0 and 1 are the head and tail sentinels; key k lives at
 // slot k+2. A slot is absent exactly when its next link is 0 (no live
@@ -47,26 +26,31 @@ const (
 // denseLink is one doubly-linked-list node, addressed by slot index.
 type denseLink struct{ prev, next int32 }
 
-// Dense is a slice-backed intrusive LRU order over a bounded key universe
-// [0, universe). It provides the same operations and ordering semantics
-// as List but stores the linked list in two flat int32 arrays indexed by
-// key, so the promote/evict path touches no map and never allocates.
+// Dense is a slice-backed intrusive LRU order over unsigned integer
+// keys. The front is the MRU end; the back is the LRU end. The linked
+// list lives in one flat array of int32 link pairs indexed by key.
 //
-// Keys must be < universe; operations on larger keys panic. Memory is
-// 8 bytes per universe slot, so Dense suits the dense integer ID spaces
-// produced by workload generators and trace files, not sparse universes.
+// The array covers keys [0, Universe()). An insert past the end grows
+// it to at least double its size, so a run whose keys stay below n
+// grows O(log n) times and then never allocates again; a lookup past
+// the end reports the key absent. Memory is 8 bytes per key up to the
+// largest key inserted, so Dense suits the dense integer ID spaces
+// produced by workload generators and trace files, not sparse ones.
+//
+// The zero value is not usable; construct with NewDense.
 type Dense[K UintID] struct {
 	links []denseLink // slot = key + 2; sentinels at 0, 1
 	count int
 }
 
-// MaxDenseUniverse is the largest key universe NewDense accepts. Beyond
-// this, slot indices would overflow int32 (and the footprint would be
-// unreasonable anyway); callers fall back to the generic List.
+// MaxDenseUniverse bounds the keys Dense accepts: beyond it, slot
+// indices would overflow int32 (and the footprint would be
+// unreasonable anyway). Inserting a key ≥ MaxDenseUniverse panics.
 const MaxDenseUniverse = math.MaxInt32 - denseSentinels
 
-// NewDense returns an empty dense order over keys [0, universe).
-// It panics if universe is negative or exceeds MaxDenseUniverse.
+// NewDense returns an empty dense order presized for keys
+// [0, universe); 0 presizes nothing. It panics if universe is negative
+// or exceeds MaxDenseUniverse.
 func NewDense[K UintID](universe int) *Dense[K] {
 	if universe < 0 || universe > MaxDenseUniverse {
 		panic(fmt.Sprintf("lrulist: dense universe %d outside [0, %d]", universe, MaxDenseUniverse))
@@ -77,30 +61,46 @@ func NewDense[K UintID](universe int) *Dense[K] {
 	return d
 }
 
-// Universe returns the configured key bound.
+// Universe returns the number of keys the array currently covers.
 func (d *Dense[K]) Universe() int { return len(d.links) - denseSentinels }
 
-// slot maps a key to its link index, panicking on out-of-universe keys.
-// The panic lives in a separate no-inline helper to keep slot small, yet
-// slot (cost 81) and MoveToFront (153) still exceed the compiler's
-// inlining budget of 80 (go1.24, -gcflags=-m=2). Contains, PopBack,
-// Back and Front inline into their callers (Contains with a call to
-// slot). A caller holding a *Dense rather than an Order calls the rest
-// directly instead of through the interface, which is worth ~20% of the
-// batched serving path.
+// slot maps a key to its link index; ok is false for a key past the end,
+// which no list holds. It inlines into its callers, and so do Contains,
+// PopBack, Back and Front; MoveToFront, PushFront and Remove exceed the
+// compiler's inlining budget (go1.24, -gcflags=-m=2) and stay direct
+// calls for a caller holding a *Dense.
 //
 //gclint:hotpath
-func (d *Dense[K]) slot(k K) int32 {
-	s := uint64(k) + denseSentinels
-	if s >= uint64(len(d.links)) {
-		d.badKey(k)
+func (d *Dense[K]) slot(k K) (s int32, ok bool) {
+	if uint64(k) >= uint64(len(d.links)-denseSentinels) {
+		return 0, false
 	}
-	return int32(s)
+	return int32(k) + denseSentinels, true
 }
 
+// insertSlot is slot for an insert: a key past the end grows the array.
+//
+//gclint:hotpath
+func (d *Dense[K]) insertSlot(k K) int32 {
+	if uint64(k) >= uint64(len(d.links)-denseSentinels) {
+		d.grow(k)
+	}
+	return int32(k) + denseSentinels
+}
+
+// grow extends the array to cover k, at least doubling it. It panics
+// if k ≥ MaxDenseUniverse. It is kept out of line so the insert paths
+// stay small.
+//
 //go:noinline
-func (d *Dense[K]) badKey(k K) {
-	panic(fmt.Sprintf("lrulist: key %d outside dense universe %d", uint64(k), d.Universe()))
+func (d *Dense[K]) grow(k K) {
+	if uint64(k) >= MaxDenseUniverse {
+		panic(fmt.Sprintf("lrulist: key %d at or past MaxDenseUniverse %d", uint64(k), MaxDenseUniverse))
+	}
+	u := min(max(2*d.Universe(), int(k)+1), MaxDenseUniverse)
+	links := make([]denseLink, u+denseSentinels) //gclint:allowalloc amortized: each grow at least doubles, so keys below n cost O(log n) grows per list
+	copy(links, d.links)
+	d.links = links
 }
 
 // Len returns the number of keys in the list.
@@ -109,14 +109,17 @@ func (d *Dense[K]) Len() int { return d.count }
 // Contains reports whether k is in the list.
 //
 //gclint:hotpath
-func (d *Dense[K]) Contains(k K) bool { return d.links[d.slot(k)].next != 0 }
+func (d *Dense[K]) Contains(k K) bool {
+	s, ok := d.slot(k)
+	return ok && d.links[s].next != 0
+}
 
 // PushFront inserts k at the MRU position. If k is already present it is
 // promoted instead. It returns true if k was newly inserted.
 //
 //gclint:hotpath
 func (d *Dense[K]) PushFront(k K) bool {
-	s := d.slot(k)
+	s := d.insertSlot(k)
 	if d.links[s].next != 0 {
 		d.unlink(s)
 		d.linkFront(s)
@@ -132,7 +135,7 @@ func (d *Dense[K]) PushFront(k K) bool {
 //
 //gclint:hotpath
 func (d *Dense[K]) PushBack(k K) bool {
-	s := d.slot(k)
+	s := d.insertSlot(k)
 	if d.links[s].next != 0 {
 		d.unlink(s)
 		d.linkBack(s)
@@ -148,8 +151,8 @@ func (d *Dense[K]) PushBack(k K) bool {
 //
 //gclint:hotpath
 func (d *Dense[K]) MoveToFront(k K) bool {
-	s := d.slot(k)
-	if d.links[s].next == 0 {
+	s, ok := d.slot(k)
+	if !ok || d.links[s].next == 0 {
 		return false
 	}
 	d.unlink(s)
@@ -161,8 +164,8 @@ func (d *Dense[K]) MoveToFront(k K) bool {
 //
 //gclint:hotpath
 func (d *Dense[K]) Remove(k K) bool {
-	s := d.slot(k)
-	if d.links[s].next == 0 {
+	s, ok := d.slot(k)
+	if !ok || d.links[s].next == 0 {
 		return false
 	}
 	d.unlink(s)
@@ -226,8 +229,8 @@ func (d *Dense[K]) Keys() []K {
 	return out
 }
 
-// Clear removes every key. It walks only the occupied slots, so clearing
-// is O(Len), not O(universe).
+// Clear removes every key, keeping the array. It walks only the
+// occupied slots, so clearing is O(Len), not O(Universe).
 func (d *Dense[K]) Clear() {
 	for s := d.links[denseHead].next; s != denseTail; {
 		next := d.links[s].next

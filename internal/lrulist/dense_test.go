@@ -6,8 +6,60 @@ import (
 	"testing/quick"
 )
 
-func TestDenseEmpty(t *testing.T) {
-	d := NewDense[uint64](16)
+// referenceLRU is a naive slice-backed model for differential testing.
+type referenceLRU struct{ keys []int } // index 0 = MRU
+
+func (r *referenceLRU) pushFront(k int) {
+	r.remove(k)
+	r.keys = append([]int{k}, r.keys...)
+}
+func (r *referenceLRU) remove(k int) {
+	for i, x := range r.keys {
+		if x == k {
+			r.keys = append(r.keys[:i], r.keys[i+1:]...)
+			return
+		}
+	}
+}
+func (r *referenceLRU) moveToFront(k int) {
+	for _, x := range r.keys {
+		if x == k {
+			r.pushFront(k)
+			return
+		}
+	}
+}
+func (r *referenceLRU) popBack() (int, bool) {
+	if len(r.keys) == 0 {
+		return 0, false
+	}
+	k := r.keys[len(r.keys)-1]
+	r.keys = r.keys[:len(r.keys)-1]
+	return k, true
+}
+
+// Each unit test runs twice: TestDenseX on a list presized for its keys,
+// TestX on one built empty that grows as keys arrive, the form every
+// policy builds.
+func TestEmpty(t *testing.T)                           { testEmpty(t, 0) }
+func TestDenseEmpty(t *testing.T)                      { testEmpty(t, 16) }
+func TestOrdering(t *testing.T)                        { testOrdering(t, 0) }
+func TestDenseOrdering(t *testing.T)                   { testOrdering(t, 8) }
+func TestPushFrontDuplicatePromotes(t *testing.T)      { testPushFrontDuplicatePromotes(t, 0) }
+func TestDensePushFrontDuplicatePromotes(t *testing.T) { testPushFrontDuplicatePromotes(t, 4) }
+func TestPushBack(t *testing.T)                        { testPushBack(t, 0) }
+func TestDensePushBack(t *testing.T)                   { testPushBack(t, 4) }
+func TestClearAndReuse(t *testing.T)                   { testClearAndReuse(t, 0) }
+func TestDenseClearAndReuse(t *testing.T)              { testClearAndReuse(t, 16) }
+func TestEachEarlyStop(t *testing.T)                   { testEachEarlyStop(t, 0) }
+func TestDenseEachEarlyStop(t *testing.T)              { testEachEarlyStop(t, 8) }
+func TestDifferential(t *testing.T)                    { testDifferential(t, 0) }
+func TestDenseDifferential(t *testing.T)               { testDifferential(t, 30) }
+func TestPushOrderProperty(t *testing.T)               { testPushOrderProperty(t, 0) }
+func TestDensePushOrderProperty(t *testing.T)          { testPushOrderProperty(t, 256) }
+
+func testEmpty(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
 	if d.Len() != 0 {
 		t.Fatalf("Len = %d", d.Len())
 	}
@@ -26,13 +78,13 @@ func TestDenseEmpty(t *testing.T) {
 	if d.MoveToFront(3) {
 		t.Error("MoveToFront on empty returned true")
 	}
-	if d.Universe() != 16 {
-		t.Errorf("Universe = %d, want 16", d.Universe())
+	if d.Universe() != universe {
+		t.Errorf("Universe = %d, want %d", d.Universe(), universe)
 	}
 }
 
-func TestDenseOrdering(t *testing.T) {
-	d := NewDense[uint64](8)
+func testOrdering(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
 	for _, k := range []uint64{1, 2, 3} {
 		if !d.PushFront(k) {
 			t.Fatalf("PushFront(%d) reported duplicate", k)
@@ -57,8 +109,8 @@ func TestDenseOrdering(t *testing.T) {
 	}
 }
 
-func TestDensePushFrontDuplicatePromotes(t *testing.T) {
-	d := NewDense[uint64](4)
+func testPushFrontDuplicatePromotes(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
 	d.PushFront(0)
 	d.PushFront(1)
 	if d.PushFront(0) {
@@ -72,8 +124,8 @@ func TestDensePushFrontDuplicatePromotes(t *testing.T) {
 	}
 }
 
-func TestDensePushBack(t *testing.T) {
-	d := NewDense[uint64](4)
+func testPushBack(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
 	d.PushFront(1)
 	d.PushBack(2) // 1 2
 	if back, _ := d.Back(); back != 2 {
@@ -85,8 +137,8 @@ func TestDensePushBack(t *testing.T) {
 	}
 }
 
-func TestDenseClearAndReuse(t *testing.T) {
-	d := NewDense[uint64](16)
+func testClearAndReuse(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
 	for i := uint64(0); i < 10; i++ {
 		d.PushFront(i)
 	}
@@ -106,8 +158,8 @@ func TestDenseClearAndReuse(t *testing.T) {
 	}
 }
 
-func TestDenseEachEarlyStop(t *testing.T) {
-	d := NewDense[uint64](8)
+func testEachEarlyStop(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
 	for i := uint64(0); i < 5; i++ {
 		d.PushFront(i)
 	}
@@ -121,14 +173,78 @@ func TestDenseEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestDenseOutOfUniversePanics(t *testing.T) {
+// TestDenseGrowsPastEnd: an insert past the end grows the list and keeps
+// its order, a lookup past the end reports absent without growing, and
+// a list built with no universe matches the reference model as it grows.
+func TestDenseGrowsPastEnd(t *testing.T) {
 	d := NewDense[uint64](4)
+	d.PushFront(1)
+	d.PushFront(3)
+	for _, k := range []uint64{4, 1000, 1 << 20} {
+		if d.Contains(k) || d.MoveToFront(k) || d.Remove(k) {
+			t.Errorf("lookup of %d past the end reported present", k)
+		}
+	}
+	if d.Universe() != 4 {
+		t.Fatalf("lookups grew the list to %d", d.Universe())
+	}
+	if !d.PushFront(4) || !d.PushBack(1000) {
+		t.Fatal("insert past the end reported a duplicate")
+	}
+	if d.Universe() < 1001 {
+		t.Fatalf("Universe = %d after inserting 1000", d.Universe())
+	}
+	if got := d.Keys(); len(got) != 4 || got[0] != 4 || got[1] != 3 || got[2] != 1 || got[3] != 1000 {
+		t.Fatalf("Keys after growth = %v, want [4 3 1 1000]", got)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	g := NewDense[uint64](0)
+	ref := &referenceLRU{}
+	for step := 0; step < 5000; step++ {
+		k := rng.Intn(step/8 + 1)
+		switch rng.Intn(3) {
+		case 0:
+			g.PushFront(uint64(k))
+			ref.pushFront(k)
+		case 1:
+			g.MoveToFront(uint64(k))
+			ref.moveToFront(k)
+		case 2:
+			a, aok := g.PopBack()
+			b, bok := ref.popBack()
+			if aok != bok || (aok && a != uint64(b)) {
+				t.Fatalf("step %d: PopBack %d,%v vs ref %d,%v", step, a, aok, b, bok)
+			}
+		}
+	}
+	got := g.Keys()
+	if len(got) != len(ref.keys) {
+		t.Fatalf("final len %d vs %d", len(got), len(ref.keys))
+	}
+	for i := range got {
+		if got[i] != uint64(ref.keys[i]) {
+			t.Fatalf("final order differs at %d: %v vs %v", i, got, ref.keys)
+		}
+	}
+}
+
+// TestDenseOutOfUniversePanics: the one key range Dense refuses is at
+// and past MaxDenseUniverse, and it refuses before allocating.
+func TestDenseOutOfUniversePanics(t *testing.T) {
+	d := NewDense[uint64](0)
+	if d.Contains(MaxDenseUniverse) {
+		t.Error("Contains(MaxDenseUniverse) on an empty list")
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("PushFront(4) on universe 4 did not panic")
+			t.Error("PushFront(MaxDenseUniverse) did not panic")
+		}
+		if d.Universe() != 0 {
+			t.Errorf("refused insert grew the list to %d", d.Universe())
 		}
 	}()
-	d.PushFront(4)
+	d.PushFront(MaxDenseUniverse)
 }
 
 func TestDenseBadUniversePanics(t *testing.T) {
@@ -140,12 +256,11 @@ func TestDenseBadUniversePanics(t *testing.T) {
 	NewDense[uint64](-1)
 }
 
-// TestDenseDifferential drives Dense and the naive model with the same
-// random operation stream and checks full-order agreement (the mirror of
-// TestDifferential for List).
-func TestDenseDifferential(t *testing.T) {
+// testDifferential drives Dense and the naive model with the same
+// random operation stream and checks full-order agreement.
+func testDifferential(t *testing.T, universe int) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense[uint64](30)
+	d := NewDense[uint64](universe)
 	ref := &referenceLRU{}
 	for step := 0; step < 20000; step++ {
 		k := rng.Intn(30)
@@ -181,12 +296,12 @@ func TestDenseDifferential(t *testing.T) {
 	}
 }
 
-// TestDenseVsListCrossCheck drives Dense and the generic List with an
-// identical stream of well over 10^5 random operations and asserts they
-// stay in lockstep: every PopBack evicts the same key, every probe
-// answers identically, and the full MRU→LRU order matches at checkpoints
-// and at the end. This is the proof that bounded-universe policies may
-// swap one for the other without changing any eviction decision.
+// TestDenseVsListCrossCheck drives a Dense presized for its keys and
+// one built empty, which grows as keys arrive, with an identical stream
+// of well over 10^5 random operations and asserts they stay in
+// lockstep: every PopBack evicts the same key, every probe answers
+// identically, and the full MRU→LRU order matches at checkpoints and at
+// the end. Growing changes no eviction decision.
 func TestDenseVsListCrossCheck(t *testing.T) {
 	const (
 		universe = 512
@@ -194,7 +309,7 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(42))
 	d := NewDense[uint64](universe)
-	l := New[uint64](universe)
+	l := NewDense[uint64](0)
 	sameOrder := func(step int) {
 		dk, lk := d.Keys(), l.Keys()
 		if len(dk) != len(lk) {
@@ -202,7 +317,7 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 		}
 		for i := range dk {
 			if dk[i] != lk[i] {
-				t.Fatalf("step %d: order differs at %d: dense %v vs list %v", step, i, dk, lk)
+				t.Fatalf("step %d: order differs at %d: presized %v vs grown %v", step, i, dk, lk)
 			}
 		}
 	}
@@ -263,10 +378,10 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 }
 
 // Property: after pushing a sequence of distinct keys, Keys() is the
-// reverse of the push order (the Dense mirror of TestPushOrderProperty).
-func TestDensePushOrderProperty(t *testing.T) {
+// reverse of the push order.
+func testPushOrderProperty(t *testing.T, universe int) {
 	prop := func(raw []uint8) bool {
-		d := NewDense[uint64](256)
+		d := NewDense[uint64](universe)
 		seen := make(map[uint8]bool)
 		var distinct []uint8
 		for _, k := range raw {

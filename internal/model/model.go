@@ -222,8 +222,8 @@ var (
 
 // BlockUniverse returns an exclusive upper bound on the block IDs that
 // BlockOf can produce for items in [0, universe), or 0 if no useful bound
-// is known for the geometry. It is how bounded (dense-path) policies size
-// their block-ID structures from an item-universe bound.
+// is known for the geometry. It is how policies presize their block-ID
+// structures from an item-universe bound.
 func BlockUniverse(g Geometry, universe int) int {
 	if universe <= 0 {
 		return 0
@@ -242,10 +242,10 @@ func BlockUniverse(g Geometry, universe int) int {
 // ItemUniverse expands an exclusive item-ID bound (e.g. Trace.Universe)
 // to one closed under block membership: every sibling of every item below
 // universe is also below the result. Block-loading policies and recorders
-// on the bounded path index arrays by *loaded* items, which include
-// siblings the trace itself never requests, so they must be sized with
-// this bound rather than the raw trace bound. Returns 0 (no bound — the
-// dense paths fall back to generic) for unknown geometries.
+// index arrays by *loaded* items, which include siblings the trace
+// itself never requests, so arrays presized with this bound rather than
+// the raw trace bound never grow. Returns 0 (nothing to presize) for
+// unknown geometries.
 func ItemUniverse(g Geometry, universe int) int {
 	if universe <= 0 {
 		return 0

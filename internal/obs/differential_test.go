@@ -100,8 +100,8 @@ func TestProbeDifferentialItemLRU(t *testing.T) {
 	const universe = 1 << 10
 	rng := rand.New(rand.NewSource(41))
 	tr := diffTrace(rng, universe, diffOps, 8)
-	runDifferential(t, policy.NewItemLRUBounded(128, universe),
-		policy.NewItemLRUBounded(128, universe), tr, universe)
+	runDifferential(t, policy.NewItemLRU(128),
+		policy.NewItemLRU(128), tr, universe)
 }
 
 func TestProbeDifferentialBlockLRU(t *testing.T) {
@@ -109,8 +109,8 @@ func TestProbeDifferentialBlockLRU(t *testing.T) {
 	g := model.NewFixed(8)
 	rng := rand.New(rand.NewSource(42))
 	tr := diffTrace(rng, universe, diffOps, 8)
-	runDifferential(t, policy.NewBlockLRUBounded(128, g, universe),
-		policy.NewBlockLRUBounded(128, g, universe), tr, universe)
+	runDifferential(t, policy.NewBlockLRU(128, g),
+		policy.NewBlockLRU(128, g), tr, universe)
 }
 
 func TestProbeDifferentialIBLP(t *testing.T) {
@@ -118,8 +118,8 @@ func TestProbeDifferentialIBLP(t *testing.T) {
 	g := model.NewFixed(8)
 	rng := rand.New(rand.NewSource(43))
 	tr := diffTrace(rng, universe, diffOps, 8)
-	runDifferential(t, core.NewIBLPEvenSplitBounded(128, g, universe),
-		core.NewIBLPEvenSplitBounded(128, g, universe), tr, universe)
+	runDifferential(t, core.NewIBLPEvenSplit(128, g),
+		core.NewIBLPEvenSplit(128, g), tr, universe)
 }
 
 func TestProbeDifferentialGCM(t *testing.T) {
@@ -127,8 +127,8 @@ func TestProbeDifferentialGCM(t *testing.T) {
 	g := model.NewFixed(8)
 	rng := rand.New(rand.NewSource(44))
 	tr := diffTrace(rng, universe, diffOps, 8)
-	runDifferential(t, core.NewGCMBounded(128, g, 7, universe),
-		core.NewGCMBounded(128, g, 7, universe), tr, universe)
+	runDifferential(t, core.NewGCM(128, g, 7),
+		core.NewGCM(128, g, 7), tr, universe)
 }
 
 func TestProbeDifferentialAdaptiveIBLP(t *testing.T) {

@@ -17,14 +17,15 @@ import (
 
 const zaUniverse = 1 << 12
 
-// densePolicies builds every dense-path policy at steady state.
+// densePolicies builds every dense-array policy at steady state, its
+// arrays grown over the universe.
 func densePolicies() map[string]cachesim.Cache {
 	g := model.NewFixed(16)
 	caches := map[string]cachesim.Cache{
-		"item-lru":  policy.NewItemLRUBounded(256, zaUniverse),
-		"block-lru": policy.NewBlockLRUBounded(512, g, zaUniverse),
-		"iblp":      core.NewIBLPEvenSplitBounded(512, g, zaUniverse),
-		"gcm":       core.NewGCMBounded(512, g, 1, zaUniverse),
+		"item-lru":  policy.NewItemLRU(256),
+		"block-lru": policy.NewBlockLRU(512, g),
+		"iblp":      core.NewIBLPEvenSplit(512, g),
+		"gcm":       core.NewGCM(512, g, 1),
 	}
 	for _, c := range caches {
 		for i := 0; i < zaUniverse*2; i++ {
@@ -67,13 +68,12 @@ func TestProbeZeroAllocCountersAttached(t *testing.T) {
 	}
 }
 
-// TestProbeZeroAllocRecorder covers the recorder view: a bounded
-// Recorder with a Counters probe attached must observe dense accesses
-// without allocating (the miss-gap/load-burst histograms are flat
-// arrays).
+// TestProbeZeroAllocRecorder covers the recorder view: a presized
+// Recorder with a Counters probe attached must observe accesses without
+// allocating.
 func TestProbeZeroAllocRecorder(t *testing.T) {
 	g := model.NewFixed(16)
-	c := core.NewIBLPEvenSplitBounded(512, g, zaUniverse)
+	c := core.NewIBLPEvenSplit(512, g)
 	rec := cachesim.NewRecorder(c.Name(), zaUniverse)
 	rec.SetProbe(&obs.Counters{})
 	for i := 0; i < zaUniverse*2; i++ {

@@ -231,6 +231,13 @@ func New(cfg Config) (*Server, error) {
 	if len(s.tr) == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
+	// The caches' dense structures grow with the largest item ID they
+	// see, so a loaded trace is held to the bound Replay applies.
+	for _, it := range s.tr {
+		if it >= cachesim.MaxUniverse {
+			return nil, fmt.Errorf("serve: trace item %d is outside the universe [0, %d)", it, cachesim.MaxUniverse)
+		}
+	}
 
 	if cfg.Shards > 1 {
 		if cfg.Autotune {
@@ -643,12 +650,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			m[fmt.Sprintf("shard.%d.contended", i)] = l.Contended
 		}
 	} else {
-		s.mu.Lock()
-		m["miss_gap_p50"] = s.rec.MissGapPercentile(0.50)
-		m["miss_gap_p99"] = s.rec.MissGapPercentile(0.99)
-		m["miss_gap_mean"] = s.rec.MissGapMean()
-		m["load_burst_mean"] = s.rec.LoadBurstMean()
-		s.mu.Unlock()
+		if g := s.suite.Gaps; g != nil {
+			m["miss_gap_p50"] = g.Hist().Percentile(0.50)
+			m["miss_gap_p99"] = g.Hist().Percentile(0.99)
+			m["miss_gap_mean"] = g.Hist().Mean()
+		}
+		// The Recorder counts loads only on misses, so this is the mean
+		// number of items per unit-cost block load.
+		burst := 0.0
+		if st.Misses > 0 {
+			burst = float64(st.ItemsLoaded) / float64(st.Misses)
+		}
+		m["load_burst_mean"] = burst
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

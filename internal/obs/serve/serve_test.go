@@ -5,9 +5,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"gccache/internal/cachesim"
+	"gccache/internal/trace"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -162,5 +167,76 @@ func TestProbeServeConfigErrors(t *testing.T) {
 	}
 	if _, err := New(Config{K: 64, B: 8, Workload: "sequential:len=0"}); err == nil {
 		t.Error("empty trace accepted")
+	}
+}
+
+// TestProbeServeFlatMissGapMetrics: in flat mode /metrics serves the
+// miss-gap keys from the suite's InterMissGap probe, exactly when the
+// suite has one, and load_burst_mean as ItemsLoaded / Misses.
+func TestProbeServeFlatMissGapMetrics(t *testing.T) {
+	for _, spec := range []string{"gaps", "counters"} {
+		s := newTestServer(t, Config{Policy: "iblp", Probe: spec, Addr: "127.0.0.1:0"})
+		if _, err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		s.Wait() // the replay does not loop
+		ts := httptest.NewServer(s.Handler())
+		_, body := get(t, ts.URL+"/metrics")
+		ts.Close()
+		s.Stop()
+		var m map[string]any
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Fatalf("%s: /metrics is not JSON: %v", spec, err)
+		}
+		st := s.Stats()
+		if st.Misses == 0 {
+			t.Fatalf("%s: replay had no misses", spec)
+		}
+		if got, want := m["load_burst_mean"], float64(st.ItemsLoaded)/float64(st.Misses); got != want {
+			t.Errorf("%s: load_burst_mean = %v, want ItemsLoaded/Misses = %v", spec, got, want)
+		}
+		gaps := s.Suite().Gaps
+		if gaps == nil {
+			for _, k := range []string{"miss_gap_p50", "miss_gap_p99", "miss_gap_mean"} {
+				if v, ok := m[k]; ok {
+					t.Errorf("%s: %s = %v served without a gaps probe", spec, k, v)
+				}
+			}
+			continue
+		}
+		h := gaps.Hist()
+		if h.Count() != st.Misses {
+			t.Errorf("%s: gaps probe saw %d misses, recorder %d", spec, h.Count(), st.Misses)
+		}
+		for k, want := range map[string]float64{
+			"miss_gap_p50":  float64(h.Percentile(0.50)),
+			"miss_gap_p99":  float64(h.Percentile(0.99)),
+			"miss_gap_mean": h.Mean(),
+		} {
+			if got := m[k]; got != want {
+				t.Errorf("%s: %s = %v, want %v from the gaps probe", spec, k, got, want)
+			}
+		}
+	}
+}
+
+// TestProbeServeRefusesTraceOutsideUniverse: a loaded trace is outside
+// input, so an item at cachesim.MaxUniverse is refused with an error
+// naming it instead of growing the cache to it.
+func TestProbeServeRefusesTraceOutsideUniverse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.gctrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (trace.Trace{1, cachesim.MaxUniverse, 2}).Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{K: 64, B: 8, TraceFile: path})
+	if err == nil || !strings.Contains(err.Error(), "4194304") {
+		t.Fatalf("New = %v, want a refusal naming item 4194304", err)
 	}
 }

@@ -40,9 +40,9 @@ func BestIBLPSplit(tr trace.Trace, geo model.Geometry, k int, candidates []int) 
 			continue
 		}
 		seen[i] = true
-		// A slice source with no universe bound never fails.
-		st, _ := cachesim.Replay(context.Background(), core.NewIBLPBounded(i, k-i, geo, universe),
-			trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+		// Bounded by the trace's own universe, the replay never fails.
+		st, _ := cachesim.Replay(context.Background(), core.NewIBLP(i, k-i, geo),
+			trace.NewSliceSource(tr), cachesim.ReplayOptions{Universe: universe})
 		ev := SplitEval{ItemLayer: i, Misses: st.Misses, MissRatio: st.MissRatio()}
 		all = append(all, ev)
 		if best.ItemLayer < 0 || ev.Misses < best.Misses ||

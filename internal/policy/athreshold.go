@@ -23,7 +23,7 @@ type AThreshold struct {
 	capacity int
 	a        int
 	geo      model.Geometry
-	order    *lrulist.List[model.Item]
+	order    *lrulist.Dense[model.Item]
 	// touched tracks, per block, the distinct items accessed since the
 	// block was last fully loaded. Entries are cleared on full load and
 	// when a block's last resident item is evicted.
@@ -51,7 +51,7 @@ func NewAThreshold(k, a int, g model.Geometry) *AThreshold {
 		capacity:  k,
 		a:         a,
 		geo:       g,
-		order:     lrulist.New[model.Item](k),
+		order:     lrulist.NewDense[model.Item](0),
 		touched:   make(map[model.Block]map[model.Item]struct{}),
 		residents: make(map[model.Block]int),
 		ch:        cachesim.NewChanges(g),

@@ -52,31 +52,30 @@ func sortedCopy(items []model.Item) []model.Item {
 }
 
 // diffCaches feeds tr to both caches and requires identical per-access
-// outcomes: Hit flags and loaded/evicted *sets* (order may legitimately
-// differ between representations; no consumer is order-sensitive).
-func diffCaches(t *testing.T, generic, dense cachesim.Cache, tr []model.Item) {
+// outcomes: Hit flags and loaded/evicted *sets*, Len and Contains.
+func diffCaches(t *testing.T, want, got cachesim.Cache, tr []model.Item) {
 	t.Helper()
 	for i, it := range tr {
-		ag := generic.Access(it)
-		ad := dense.Access(it)
-		if ag.Hit != ad.Hit {
-			t.Fatalf("access %d (item %d): generic hit=%v dense hit=%v", i, it, ag.Hit, ad.Hit)
+		aw := want.Access(it)
+		ag := got.Access(it)
+		if aw.Hit != ag.Hit {
+			t.Fatalf("access %d (item %d): want hit=%v got hit=%v", i, it, aw.Hit, ag.Hit)
 		}
-		gl, dl := sortedCopy(ag.Loaded()), sortedCopy(ad.Loaded())
-		ge, de := sortedCopy(ag.Evicted()), sortedCopy(ad.Evicted())
-		if !equalItems(gl, dl) {
-			t.Fatalf("access %d (item %d): loaded sets diverge\n generic %v\n dense   %v", i, it, gl, dl)
+		wl, gl := sortedCopy(aw.Loaded()), sortedCopy(ag.Loaded())
+		we, ge := sortedCopy(aw.Evicted()), sortedCopy(ag.Evicted())
+		if !equalItems(wl, gl) {
+			t.Fatalf("access %d (item %d): loaded sets diverge\n want %v\n got  %v", i, it, wl, gl)
 		}
-		if !equalItems(ge, de) {
-			t.Fatalf("access %d (item %d): evicted sets diverge\n generic %v\n dense   %v", i, it, ge, de)
+		if !equalItems(we, ge) {
+			t.Fatalf("access %d (item %d): evicted sets diverge\n want %v\n got  %v", i, it, we, ge)
 		}
-		if generic.Len() != dense.Len() {
-			t.Fatalf("access %d: Len diverged generic=%d dense=%d", i, generic.Len(), dense.Len())
+		if want.Len() != got.Len() {
+			t.Fatalf("access %d: Len diverged want=%d got=%d", i, want.Len(), got.Len())
 		}
 	}
 	for probe := 0; probe < 256; probe++ {
 		it := tr[probe*len(tr)/256]
-		if generic.Contains(it) != dense.Contains(it) {
+		if want.Contains(it) != got.Contains(it) {
 			t.Fatalf("Contains(%d) diverged", it)
 		}
 	}
@@ -94,68 +93,55 @@ func equalItems(a, b []model.Item) bool {
 	return true
 }
 
+// grown returns c after one access to item universe-1 and a Reset: its
+// arrays then cover the universe, as a presized cache's would.
+func grown(c cachesim.Cache, universe int) cachesim.Cache {
+	c.Access(model.Item(universe - 1))
+	c.Reset()
+	return c
+}
+
+// TestItemLRUDenseMatchesGeneric requires an ItemLRU whose arrays
+// already cover the universe and one growing them as items arrive to
+// decide alike.
 func TestItemLRUDenseMatchesGeneric(t *testing.T) {
 	const universe = 2048
 	rng := rand.New(rand.NewSource(1))
 	tr := genTrace(rng, universe, 50000, 16)
-	generic := NewItemLRU(128)
-	dense := NewItemLRUBounded(128, universe)
-	diffCaches(t, generic, dense, tr)
+	diffCaches(t, grown(NewItemLRU(128), universe), NewItemLRU(128), tr)
 }
 
-func TestItemLRUBoundedFallback(t *testing.T) {
-	c := NewItemLRUBounded(4, cachesim.MaxBoundedUniverse+1)
-	// Out-of-range universe must fall back to the generic list and keep
-	// accepting arbitrary IDs.
-	if a := c.Access(model.Item(1 << 40)); a.Hit {
-		t.Fatal("fresh cache reported a hit")
-	}
-}
-
+// TestBlockLRUDenseMatchesGeneric is TestItemLRUDenseMatchesGeneric for
+// BlockLRU at B = 1, 8, 64.
 func TestBlockLRUDenseMatchesGeneric(t *testing.T) {
 	const universe = 4096
 	for _, blockSize := range []int{1, 8, 64} {
 		g := model.NewFixed(blockSize)
 		rng := rand.New(rand.NewSource(int64(blockSize)))
 		tr := genTrace(rng, universe, 50000, blockSize)
-		generic := NewBlockLRU(256, g)
-		dense := NewBlockLRUBounded(256, g, universe)
-		if dense.presentBits == nil {
-			t.Fatalf("B=%d: bounded constructor fell back unexpectedly", blockSize)
-		}
-		diffCaches(t, generic, dense, tr)
+		diffCaches(t, grown(NewBlockLRU(256, g), universe), NewBlockLRU(256, g), tr)
 	}
 }
 
 // TestBlockLRUDenseDegenerate covers blocks larger than the whole cache
-// (the model.TruncateAround path) on both representations.
+// (the model.TruncateAround path): a cache growing its arrays as it goes
+// decides as one whose arrays already cover the universe.
 func TestBlockLRUDenseDegenerate(t *testing.T) {
 	const universe = 512
 	g := model.NewFixed(64)
 	rng := rand.New(rand.NewSource(9))
 	tr := genTrace(rng, universe, 20000, 64)
-	diffCaches(t, NewBlockLRU(16, g), NewBlockLRUBounded(16, g, universe), tr)
+	diffCaches(t, grown(NewBlockLRU(16, g), universe), NewBlockLRU(16, g), tr)
 }
 
-func TestBlockLRUBoundedFallback(t *testing.T) {
-	g := model.NewFixed(8)
-	c := NewBlockLRUBounded(64, g, 0)
-	if c.presentBits != nil {
-		t.Fatal("universe 0 should fall back to the generic representation")
-	}
-	if a := c.Access(model.Item(1 << 40)); a.Hit {
-		t.Fatal("fresh cache reported a hit")
-	}
-}
-
-// TestBlockLRUDenseReset proves pooled reuse: Reset must restore a dense
+// TestBlockLRUDenseReset proves pooled reuse: Reset must restore a
 // cache to a state indistinguishable from a fresh one.
 func TestBlockLRUDenseReset(t *testing.T) {
 	const universe = 1024
 	g := model.NewFixed(8)
 	rng := rand.New(rand.NewSource(3))
 	tr := genTrace(rng, universe, 20000, 8)
-	pooled := NewBlockLRUBounded(128, g, universe)
+	pooled := NewBlockLRU(128, g)
 	for _, it := range tr[:5000] {
 		pooled.Access(it)
 	}
@@ -165,7 +151,7 @@ func TestBlockLRUDenseReset(t *testing.T) {
 
 func TestItemLRUDenseZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
-	c := NewItemLRUBounded(256, universe)
+	c := NewItemLRU(256)
 	for i := 0; i < universe*2; i++ {
 		c.Access(model.Item(i % universe))
 	}
@@ -191,7 +177,7 @@ func TestBlockLRUDenseZeroAllocSteadyState(t *testing.T) {
 		{512, 37},
 		{8, 5},
 	} {
-		c := NewBlockLRUBounded(shape.k, g, universe)
+		c := NewBlockLRU(shape.k, g)
 		for i := 0; i < universe*2; i++ {
 			c.Access(model.Item(i % universe))
 		}

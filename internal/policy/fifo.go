@@ -13,7 +13,7 @@ import (
 // Cache it is subject to the Theorem 2 lower bound.
 type FIFO struct {
 	capacity int
-	order    *lrulist.List[model.Item]
+	order    *lrulist.Dense[model.Item]
 	net      cachesim.Net
 }
 
@@ -25,7 +25,7 @@ func NewFIFO(k int) *FIFO {
 	if k < 1 {
 		panic(fmt.Sprintf("policy: FIFO capacity %d < 1", k))
 	}
-	return &FIFO{capacity: k, order: lrulist.New[model.Item](k)}
+	return &FIFO{capacity: k, order: lrulist.NewDense[model.Item](0)}
 }
 
 // Name implements cachesim.Cache.

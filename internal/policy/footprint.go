@@ -19,7 +19,7 @@ import (
 type Footprint struct {
 	capacity int
 	geo      model.Geometry
-	order    *lrulist.List[model.Item]
+	order    *lrulist.Dense[model.Item]
 
 	// footprint maps a block to the offset bitmap observed during its
 	// last completed residency (nil bitmap = never seen before).
@@ -53,7 +53,7 @@ func NewFootprint(k int, g model.Geometry) *Footprint {
 	return &Footprint{
 		capacity:  k,
 		geo:       g,
-		order:     lrulist.New[model.Item](k),
+		order:     lrulist.NewDense[model.Item](0),
 		footprint: make(map[model.Block]uint64),
 		touched:   make(map[model.Block]uint64),
 		residents: make(map[model.Block]int),

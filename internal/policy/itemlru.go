@@ -22,7 +22,7 @@ import (
 // poorly on spatial locality (Theorem 2).
 type ItemLRU struct {
 	capacity int
-	order    lrulist.Order[model.Item]
+	order    *lrulist.Dense[model.Item]
 	net      cachesim.Net
 	probe    obs.Probe
 }
@@ -32,27 +32,14 @@ var (
 	_ cachesim.Instrumented = (*ItemLRU)(nil)
 )
 
-// NewItemLRU returns an Item Cache of capacity k items. It panics if
-// k < 1.
+// NewItemLRU returns an Item Cache of capacity k items. Its recency
+// order is an lrulist.Dense that grows with the largest item ID seen.
+// It panics if k < 1.
 func NewItemLRU(k int) *ItemLRU {
 	if k < 1 {
 		panic(fmt.Sprintf("policy: ItemLRU capacity %d < 1", k))
 	}
-	return &ItemLRU{capacity: k, order: lrulist.New[model.Item](k)}
-}
-
-// NewItemLRUBounded returns an Item Cache whose recency order is the
-// map-free lrulist.Dense over item IDs [0, universe) — the
-// allocation-free hot path. Accessing an item ≥ universe panics. It
-// falls back to the generic list when universe is out of the bounded
-// range (see cachesim.MaxBoundedUniverse); behaviour is identical
-// either way.
-func NewItemLRUBounded(k, universe int) *ItemLRU {
-	c := NewItemLRU(k)
-	if universe > 0 && universe <= cachesim.MaxBoundedUniverse {
-		c.order = lrulist.NewDense[model.Item](universe)
-	}
-	return c
+	return &ItemLRU{capacity: k, order: lrulist.NewDense[model.Item](0)}
 }
 
 // Name implements cachesim.Cache.

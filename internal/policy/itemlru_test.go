@@ -113,9 +113,9 @@ func checkInvariants(t *testing.T, c cachesim.Cache) {
 
 // TestItemLRUAppendRecency pins the MRU-first dump order cluster
 // handoff replays: the dump after a known access pattern lists items
-// from most to least recently used, for both list and dense backings.
+// from most to least recently used.
 func TestItemLRUAppendRecency(t *testing.T) {
-	for _, c := range []*ItemLRU{NewItemLRU(4), NewItemLRUBounded(4, 64)} {
+	for _, c := range []*ItemLRU{NewItemLRU(4)} {
 		for _, it := range []model.Item{1, 2, 3, 4, 2, 1} {
 			c.Access(it)
 		}

@@ -5,13 +5,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gccache/internal/cachesim"
 )
 
 // TestScenarioCorpus is the corpus gate (run under -race by `make
 // scenario-smoke`): every scenarios/*.gcs file must parse, validate,
 // carry a documenting header comment, survive a canonical-format round
 // trip, and compile + replay to exactly its static length with every
-// item inside the universe the bounding pre-pass computed.
+// item inside the universe the bounding pre-pass computed, which must
+// not exceed the bound a replay applies when none is declared.
 func TestScenarioCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*"+Ext))
 	if err != nil {
@@ -60,6 +63,9 @@ func TestScenarioCorpus(t *testing.T) {
 			u, err := Universe(prog, info.Seed)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if u > cachesim.MaxUniverse {
+				t.Errorf("universe %d exceeds cachesim.MaxUniverse %d: a replay with no declared universe refuses its items", u, cachesim.MaxUniverse)
 			}
 			s, err := Compile(prog, info.Seed)
 			if err != nil {

@@ -93,9 +93,9 @@ func Trace(p *Program, seed int64) (trace.Trace, error) {
 }
 
 // Universe replays the scenario once (O(1) memory) and returns an
-// exclusive upper bound on its item IDs — the argument the bounded
-// dense-path constructors need. Deterministic: the probing pass and
-// the replay pass see the same sequence.
+// exclusive upper bound on its item IDs — the argument
+// ReplayOptions.Universe and the autotuner take. Deterministic: the
+// probing pass and the replay pass see the same sequence.
 func Universe(p *Program, seed int64) (int, error) {
 	s, err := Compile(p, seed)
 	if err != nil {

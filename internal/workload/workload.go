@@ -302,8 +302,10 @@ type StorageServer struct {
 	Seed                 int64
 }
 
-// Generate produces the trace. Address regions of the three components
-// are disjoint.
+// Generate produces the trace. The three components occupy disjoint,
+// contiguous address regions at block-aligned bases: the streams first,
+// each with a span of at least Length items, then the random-read
+// region, then the metadata blocks.
 func (s StorageServer) Generate() (trace.Trace, error) {
 	if s.BlockSize < 1 || s.Streams < 1 || s.RandomUniverse < 1 ||
 		s.MetaBlocks < 1 || s.Length < 0 {
@@ -315,13 +317,16 @@ func (s StorageServer) Generate() (trace.Trace, error) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	metaZipf := rand.NewZipf(rng, 1.3, 1, uint64(s.MetaBlocks-1))
 
-	streamBase := uint64(0)
-	randomBase := uint64(1) << 40
-	metaBase := uint64(1) << 41
+	// A stream advances at most Length items, so spans of Length rounded
+	// up to whole blocks never collide.
+	B := uint64(s.BlockSize)
+	roundUp := func(n int) uint64 { return (uint64(n) + B - 1) / B * B }
+	streamSpan := roundUp(s.Length)
+	randomBase := uint64(s.Streams) * streamSpan
+	metaBase := randomBase + roundUp(s.RandomUniverse)
 	streamPos := make([]uint64, s.Streams)
 	for i := range streamPos {
-		// Space streams far apart so they never collide.
-		streamPos[i] = streamBase + uint64(i)<<30
+		streamPos[i] = uint64(i) * streamSpan
 	}
 	tr := make(trace.Trace, s.Length)
 	for i := range tr {

@@ -338,12 +338,17 @@ func TestStorageServerComponents(t *testing.T) {
 	if len(tr) != 60000 {
 		t.Fatalf("len = %d", len(tr))
 	}
+	// Four streams of span 60000 (a multiple of B), then 4096 random
+	// items, then the metadata blocks.
+	const randomBase, metaBase = 4 * 60000, 4*60000 + 4096
 	var stream, random, meta int
 	for _, it := range tr {
 		switch {
-		case uint64(it) >= 1<<41:
+		case uint64(it) >= metaBase+32*16:
+			t.Fatalf("item %d past the metadata region", it)
+		case uint64(it) >= metaBase:
 			meta++
-		case uint64(it) >= 1<<40:
+		case uint64(it) >= randomBase:
 			random++
 		default:
 			stream++
