@@ -195,6 +195,9 @@ func main() {
 			}
 			var rerr error
 			st, rerr = cachesim.Replay(ctx, mk(), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+			if rerr != nil && ctx.Err() == nil {
+				fatal(rerr) // an item outside the universe, not the deadline
+			}
 			if rerr != nil {
 				saveCkpt()
 				hint := ""
