@@ -117,6 +117,10 @@ func goldenShapes() []goldenShape {
 		{name: "fixed128-trunc", geo: model.NewFixed(128), k: 100, i: 160, b: 96, universe: 4096},
 		{name: "table", geo: unevenTable(rng, 1024), k: 48, i: 24, b: 24, universe: 1024},
 		{name: "table-trunc", geo: unevenTable(rng, 512), k: 8, i: 8, b: 6, universe: 512},
+		// B = 48 and 100: blocks that straddle 64-bit words of a bitset.
+		{name: "fixed48", geo: model.NewFixed(48), k: 384, i: 192, b: 192, universe: 6144},
+		{name: "fixed48-trunc", geo: model.NewFixed(48), k: 40, i: 72, b: 36, universe: 1536},
+		{name: "fixed100", geo: model.NewFixed(100), k: 800, i: 400, b: 400, universe: 12800},
 	}
 }
 
@@ -158,6 +162,17 @@ func goldenPolicies(s goldenShape) map[string]func() cachesim.Cache {
 // BlockLRU hashes, and every IBLPExclusive hash, were recorded once the
 // map-backed representations were gone.
 var netOrderGolden = map[string]uint64{
+	"fixed100/adaptive-iblp":          0x436cf317714e0d86,
+	"fixed100/athresh-1":              0xd33c2b2442182ba3,
+	"fixed100/athresh-2":              0xf44ed2312178cb97,
+	"fixed100/block-lru":              0x25e46a0cf67461b9,
+	"fixed100/fifo":                   0xada12cb8fa2a3a99,
+	"fixed100/gcm":                    0x5925f14050e2c5ab,
+	"fixed100/iblp":                   0x329ec5fc3420875c,
+	"fixed100/iblp-exclusive":         0x36cd4b1ce155f47c,
+	"fixed100/iblp-inclusive":         0x160b56734127defb,
+	"fixed100/iblp-promote-all":       0xa16d490f9532c7ff,
+	"fixed100/item-lru":               0xc5469f9b145781c9,
 	"fixed128-trunc/adaptive-iblp":    0x287f4ba28aae2916,
 	"fixed128-trunc/athresh-1":        0xe5220a0062f75b,
 	"fixed128-trunc/athresh-2":        0x534aa8ed1afe256d,
@@ -180,6 +195,30 @@ var netOrderGolden = map[string]uint64{
 	"fixed128/iblp-inclusive":         0x8f218236a7e59996,
 	"fixed128/iblp-promote-all":       0xcadb6f63cfb76c1b,
 	"fixed128/item-lru":               0x240ffed5cd6880f0,
+	"fixed48-trunc/adaptive-iblp":     0x99a8ce12e98cb041,
+	"fixed48-trunc/athresh-1":         0x626a7bf5bb7a0b0d,
+	"fixed48-trunc/athresh-2":         0x4cac2f3429d81ccc,
+	"fixed48-trunc/block-lru":         0x11cce97b3180dbba,
+	"fixed48-trunc/fifo":              0x8c3d4739bc07fd7b,
+	"fixed48-trunc/footprint":         0x54defffb59852f07,
+	"fixed48-trunc/gcm":               0x8f1e6e9cb7c4d51a,
+	"fixed48-trunc/iblp":              0xe6fe2c31d2933b0,
+	"fixed48-trunc/iblp-exclusive":    0xb3bddd319a1d66c,
+	"fixed48-trunc/iblp-inclusive":    0x64b4116f9cbf700f,
+	"fixed48-trunc/iblp-promote-all":  0xe6fe2c31d2933b0,
+	"fixed48-trunc/item-lru":          0x922b4b88e4df382b,
+	"fixed48/adaptive-iblp":           0x426a2b8b11c8cf7b,
+	"fixed48/athresh-1":               0xfba3f4fca6fba21e,
+	"fixed48/athresh-2":               0x5b122c2d400845e3,
+	"fixed48/block-lru":               0xe66986b465365d0b,
+	"fixed48/fifo":                    0x934a82b384d9bb9a,
+	"fixed48/footprint":               0xff0777efa17df73c,
+	"fixed48/gcm":                     0x4cef2db9357e5c76,
+	"fixed48/iblp":                    0x5f566fa67aa5992f,
+	"fixed48/iblp-exclusive":          0x797634f145c8ce59,
+	"fixed48/iblp-inclusive":          0x6c44c73aed9743f2,
+	"fixed48/iblp-promote-all":        0xe19838d8e95c9e29,
+	"fixed48/item-lru":                0x96c95c044d85d08e,
 	"fixed64-i0/adaptive-iblp":        0xdbb276384074139f,
 	"fixed64-i0/athresh-1":            0xacd72be707f0b3af,
 	"fixed64-i0/athresh-2":            0x3ce8e00f773b02f6,
@@ -269,6 +308,17 @@ var netOrderGolden = map[string]uint64{
 // list hashed sorted: it pins the decisions and the evicted sets
 // independently of the order a policy lists its evictions in.
 var netSetGolden = map[string]uint64{
+	"fixed100/adaptive-iblp":          0x9b2016f94aff4fae,
+	"fixed100/athresh-1":              0x47b7fea44c2a3d3f,
+	"fixed100/athresh-2":              0x982574dace1f0f43,
+	"fixed100/block-lru":              0x25e46a0cf67461b9,
+	"fixed100/fifo":                   0xada12cb8fa2a3a99,
+	"fixed100/gcm":                    0x847e385bcab539c3,
+	"fixed100/iblp":                   0x3fe1755b6fc7f0ac,
+	"fixed100/iblp-exclusive":         0xc931e6741c6dfde8,
+	"fixed100/iblp-inclusive":         0x160b56734127defb,
+	"fixed100/iblp-promote-all":       0xcf879786c9946267,
+	"fixed100/item-lru":               0xc5469f9b145781c9,
 	"fixed128-trunc/adaptive-iblp":    0xa68c45461a2d2476,
 	"fixed128-trunc/athresh-1":        0x3cbfd39854a7232b,
 	"fixed128-trunc/athresh-2":        0x7f33f93310f3773d,
@@ -291,6 +341,30 @@ var netSetGolden = map[string]uint64{
 	"fixed128/iblp-inclusive":         0x8f218236a7e59996,
 	"fixed128/iblp-promote-all":       0xcd0699d136ff5e0f,
 	"fixed128/item-lru":               0x240ffed5cd6880f0,
+	"fixed48-trunc/adaptive-iblp":     0xa51cd1c1bdf29eed,
+	"fixed48-trunc/athresh-1":         0xc0c9fb43d3dd58ad,
+	"fixed48-trunc/athresh-2":         0x57aad7df348e5d80,
+	"fixed48-trunc/block-lru":         0x11cce97b3180dbba,
+	"fixed48-trunc/fifo":              0x8c3d4739bc07fd7b,
+	"fixed48-trunc/footprint":         0x6908c6d2dc00d613,
+	"fixed48-trunc/gcm":               0x2c9ab2c780e18052,
+	"fixed48-trunc/iblp":              0x75f96a24e9cd1a8c,
+	"fixed48-trunc/iblp-exclusive":    0x2aa8e7df997fbc0c,
+	"fixed48-trunc/iblp-inclusive":    0x64b4116f9cbf700f,
+	"fixed48-trunc/iblp-promote-all":  0x75f96a24e9cd1a8c,
+	"fixed48-trunc/item-lru":          0x922b4b88e4df382b,
+	"fixed48/adaptive-iblp":           0xaafaac0ad17bd3db,
+	"fixed48/athresh-1":               0xec520c919aafd1de,
+	"fixed48/athresh-2":               0x1ef42db8a4e7fdd3,
+	"fixed48/block-lru":               0xe66986b465365d0b,
+	"fixed48/fifo":                    0x934a82b384d9bb9a,
+	"fixed48/footprint":               0xe24ca289e28bd95c,
+	"fixed48/gcm":                     0x997b80e6f68428e2,
+	"fixed48/iblp":                    0xb135eaaccc3b1983,
+	"fixed48/iblp-exclusive":          0xc550af132e510949,
+	"fixed48/iblp-inclusive":          0x6c44c73aed9743f2,
+	"fixed48/iblp-promote-all":        0x60297b47d13d6181,
+	"fixed48/item-lru":                0x96c95c044d85d08e,
 	"fixed64-i0/adaptive-iblp":        0x4872a07c079c2c93,
 	"fixed64-i0/athresh-1":            0xd5c0182211011323,
 	"fixed64-i0/athresh-2":            0x209e3955994fb53e,
@@ -378,7 +452,7 @@ var netSetGolden = map[string]uint64{
 
 // TestNetChangeOrderGolden pins the decisions and the exact Loaded and
 // Evicted order of every block-loading policy over full and truncating
-// Fixed shapes (B = 8, 64, 128) and uneven Table geometries;
+// Fixed shapes (B = 8, 48, 64, 100, 128) and uneven Table geometries;
 // netSetGolden pins the same runs with each Evicted list as a set.
 func TestNetChangeOrderGolden(t *testing.T) {
 	for si, s := range goldenShapes() {
