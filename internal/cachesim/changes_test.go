@@ -1,6 +1,8 @@
 package cachesim
 
 import (
+	"math/bits"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -67,6 +69,61 @@ func TestChangesNetsWithinTheRequestedBlock(t *testing.T) {
 			c.Evict(geo.block[1])
 			if !slices.Equal(c.Evicted, list("1")) {
 				t.Errorf("%s %q: after Reset Evicted %v, want %v", gname, tc.script, c.Evicted, list("1"))
+			}
+		}
+	}
+}
+
+// TestChangesBitsMatchPerItem: LoadBits and EvictBits list exactly what
+// one Load or Evict per set bit, in ascending ID order, lists. Random
+// valid sequences (an item loads only while absent and leaves only
+// while present) move words of the open block and of other blocks,
+// under Fixed geometries whose blocks fill, straddle and span words.
+func TestChangesBitsMatchPerItem(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, B := range []int{8, 48, 64, 100, 128} {
+		g := model.NewFixed(B)
+		words, items := NewChanges(g), NewChanges(g)
+		present := map[model.Item]bool{}
+		for trial := 0; trial < 2000; trial++ {
+			open := model.Block(rng.Intn(6))
+			words.Begin(open)
+			items.Begin(open)
+			for op := rng.Intn(12); op > 0; op-- {
+				blk := open
+				if rng.Intn(2) == 0 {
+					blk = model.Block(rng.Intn(6))
+				}
+				off := rng.Intn((B+63)/64) * 64
+				id := uint64(blk)*uint64(B) + uint64(off)
+				n := min(B-off, 64)
+				load := rng.Intn(2) == 0
+				var m uint64
+				for j := 0; j < n; j++ {
+					if present[model.Item(id+uint64(j))] != load && rng.Intn(3) != 0 {
+						m |= 1 << j
+					}
+				}
+				if load {
+					words.LoadBits(id, m)
+				} else {
+					words.EvictBits(id, m)
+				}
+				for r := m; r != 0; r &= r - 1 {
+					x := model.Item(id + uint64(bits.TrailingZeros64(r)))
+					present[x] = load
+					if load {
+						items.Load(x)
+					} else {
+						items.Evict(x)
+					}
+				}
+			}
+			it := model.Item(uint64(open) * uint64(B))
+			w, i := words.Miss(nil, it), items.Miss(nil, it)
+			if !slices.Equal(w.Loaded(), i.Loaded()) || !slices.Equal(w.Evicted(), i.Evicted()) {
+				t.Fatalf("B=%d trial %d: bits listed %v and %v, items %v and %v",
+					B, trial, w.Loaded(), w.Evicted(), i.Loaded(), i.Evicted())
 			}
 		}
 	}

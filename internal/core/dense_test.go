@@ -188,15 +188,17 @@ func TestGCMMarkAllDenseMatchesGeneric(t *testing.T) {
 // around its requested item. There a stride shorter than B misses on a
 // block whose truncated copy is resident, so the replacement evicts
 // items the reload brings straight back and the net-change bookkeeping
-// runs inside the window.
+// runs inside the window. B = 48 and 128 admit and drop whole blocks
+// as words that straddle or span a bitset word.
 func TestIBLPDenseZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
-	g := model.NewFixed(16)
-	for _, shape := range []struct{ i, b, stride int }{
-		{256, 256, 37},
-		{248, 8, 5},
+	for _, shape := range []struct{ B, i, b, stride int }{
+		{16, 256, 256, 37},
+		{16, 248, 8, 5},
+		{48, 256, 256, 37},
+		{128, 256, 256, 37},
 	} {
-		c := NewIBLP(shape.i, shape.b, g)
+		c := NewIBLP(shape.i, shape.b, model.NewFixed(shape.B))
 		for i := 0; i < universe*2; i++ {
 			c.Access(model.Item(i % universe))
 		}
@@ -209,10 +211,10 @@ func TestIBLPDenseZeroAllocSteadyState(t *testing.T) {
 			evicted += len(a.Evicted())
 			i += shape.stride
 		}); avg != 0 {
-			t.Errorf("i=%d b=%d: IBLP dense path allocates %.2f allocs/access, want 0", shape.i, shape.b, avg)
+			t.Errorf("B=%d i=%d b=%d: IBLP dense path allocates %.2f allocs/access, want 0", shape.B, shape.i, shape.b, avg)
 		}
 		if misses == 0 || evicted == 0 {
-			t.Errorf("i=%d b=%d: window had %d misses and %d evictions, want both > 0", shape.i, shape.b, misses, evicted)
+			t.Errorf("B=%d i=%d b=%d: window had %d misses and %d evictions, want both > 0", shape.B, shape.i, shape.b, misses, evicted)
 		}
 	}
 }

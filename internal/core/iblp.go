@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
@@ -26,11 +27,15 @@ import (
 //
 // Both layers keep an lrulist.Dense recency order and a bitset of
 // members, all growing with the largest ID seen, so steady-state
-// accesses neither hash nor allocate.
+// accesses neither hash nor allocate. Under model.Fixed a block is a
+// range of bits: the block layer drops a block, and admits one it can
+// hold whole, 64 items at a time by word operations rather than probing
+// it item by item.
 type IBLP struct {
 	itemSize  int // i
 	blockSize int // b
 	geo       model.Geometry
+	fixed     int // B under model.Fixed, else 0
 
 	items *lrulist.Dense[model.Item] // item layer, MRU..LRU
 
@@ -86,6 +91,7 @@ func newIBLP(i, b int, g model.Geometry, universe int) *IBLP {
 		itemSize:  i,
 		blockSize: b,
 		geo:       g,
+		fixed:     model.FixedSize(g),
 		items:     lrulist.NewDense[model.Item](universe),
 		blocks:    lrulist.NewDense[model.Block](model.BlockUniverse(g, universe)),
 		inBlock:   bitset.New(universe),
@@ -256,7 +262,9 @@ func (c *IBLP) admitItemLayer(it model.Item) {
 
 // admitBlockLayer loads blk's full item set into the block layer,
 // evicting LRU blocks until it fits. Blocks larger than the layer are
-// truncated around the requested item.
+// truncated around the requested item. A whole Fixed block is admitted
+// a word at a time: blk is not resident, so none of its bits is set in
+// inBlock, and the items it loads are those absent from the item layer.
 //
 //gclint:hotpath
 func (c *IBLP) admitBlockLayer(blk model.Block, requested model.Item) {
@@ -267,24 +275,38 @@ func (c *IBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 		// Only possible for a previously truncated copy; replace it.
 		c.dropBlockLayer(blk)
 	}
-	c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
-	want := c.want
-	if len(want) > c.blockSize {
-		c.trunc = model.TruncateAround(c.trunc, want, requested, c.blockSize)
-		want = c.trunc
+	n := c.fixed
+	words := n != 0 && n <= c.blockSize
+	var want []model.Item
+	if !words {
+		c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
+		want = c.want
+		if len(want) > c.blockSize {
+			c.trunc = model.TruncateAround(c.trunc, want, requested, c.blockSize)
+			want = c.trunc
+		}
+		n = len(want)
 	}
-	for c.blockUsed+len(want) > c.blockSize {
+	for c.blockUsed+n > c.blockSize {
 		victim, ok := c.blocks.Back()
 		if !ok {
 			break
 		}
 		c.dropBlockLayer(victim)
 	}
-	if c.blockUsed+len(want) > c.blockSize {
+	if c.blockUsed+n > c.blockSize {
 		return // layer cannot hold this block at all
 	}
 	c.blocks.PushFront(blk)
-	c.blockUsed += len(want)
+	c.blockUsed += n
+	if words {
+		for id, end := uint64(blk)*uint64(n), uint64(blk+1)*uint64(n); id < end; id += 64 {
+			m := bitset.Mask(end - id)
+			c.ch.LoadBits(id, m&^c.inItem.Word(id, m))
+			c.inBlock.AddWord(id, m)
+		}
+		return
+	}
 	for _, x := range want {
 		was := c.present(x)
 		c.inBlock.Add(uint64(x))
@@ -295,10 +317,22 @@ func (c *IBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 }
 
 // dropBlockLayer evicts blk from the block layer; its items leave in
-// geometry order.
+// geometry order. A Fixed block leaves a word at a time.
 //
 //gclint:hotpath
 func (c *IBLP) dropBlockLayer(blk model.Block) {
+	if n := uint64(c.fixed); n != 0 {
+		for id, end := uint64(blk)*n, uint64(blk+1)*n; id < end; id += 64 {
+			held := c.inBlock.Word(id, bitset.Mask(end-id))
+			c.inBlock.RemoveWord(id, held)
+			c.blockUsed -= bits.OnesCount64(held)
+			// The block-layer bits are clear now, so presence reduces
+			// to item-layer membership.
+			c.ch.EvictBits(id, held&^c.inItem.Word(id, held))
+		}
+		c.blocks.Remove(blk)
+		return
+	}
 	c.scratch = model.AppendItemsOf(c.geo, c.scratch[:0], blk)
 	for _, x := range c.scratch {
 		if c.inBlock.Has(uint64(x)) {

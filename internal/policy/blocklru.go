@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
@@ -18,10 +19,13 @@ import (
 //
 // Item membership is a bitset and the block LRU order an lrulist.Dense,
 // both growing with the largest ID seen, so steady-state accesses
-// neither hash nor allocate.
+// neither hash nor allocate. Under model.Fixed a block is a range of
+// bits: BlockLRU drops a block, and loads one it can hold whole, 64
+// items at a time by word operations rather than item by item.
 type BlockLRU struct {
 	capacity int
 	geo      model.Geometry
+	fixed    int // B under model.Fixed, else 0
 	order    *lrulist.Dense[model.Block]
 	size     int // total items held
 
@@ -54,6 +58,7 @@ func NewBlockLRU(k int, g model.Geometry) *BlockLRU {
 	return &BlockLRU{
 		capacity: k,
 		geo:      g,
+		fixed:    model.FixedSize(g),
 		order:    lrulist.NewDense[model.Block](0),
 		ch:       cachesim.NewChanges(g),
 	}
@@ -83,17 +88,24 @@ func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 		c.dropBlock(blk)
 	}
 
-	c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
-	// Degenerate case: a block larger than the whole cache. Load the
-	// requested item plus as many siblings as fit.
-	want := c.want
-	if len(want) > c.capacity {
-		c.trunc = model.TruncateAround(c.trunc, want, it, c.capacity)
-		want = c.trunc
+	// A whole Fixed block loads a word at a time; otherwise list it.
+	n := c.fixed
+	words := n != 0 && n <= c.capacity
+	var want []model.Item
+	if !words {
+		c.want = model.AppendItemsOf(c.geo, c.want[:0], blk)
+		want = c.want
+		// Degenerate case: a block larger than the whole cache. Load the
+		// requested item plus as many siblings as fit.
+		if len(want) > c.capacity {
+			c.trunc = model.TruncateAround(c.trunc, want, it, c.capacity)
+			want = c.trunc
+		}
+		n = len(want)
 	}
 
 	// Evict whole LRU blocks until the new block fits.
-	for c.size+len(want) > c.capacity {
+	for c.size+n > c.capacity {
 		victim, ok := c.order.Back()
 		if !ok {
 			break
@@ -102,7 +114,15 @@ func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 	}
 
 	c.order.PushFront(blk)
-	c.size += len(want)
+	c.size += n
+	if words {
+		for id, end := uint64(blk)*uint64(n), uint64(blk+1)*uint64(n); id < end; id += 64 {
+			m := bitset.Mask(end - id)
+			c.present.AddWord(id, m)
+			c.ch.LoadBits(id, m)
+		}
+		return c.ch.Miss(c.probe, it)
+	}
 	for _, x := range want {
 		c.present.Add(uint64(x))
 		c.ch.Load(x)
@@ -116,10 +136,20 @@ func (c *BlockLRU) SetProbe(p obs.Probe) { c.probe = p }
 
 // dropBlock evicts blk, deriving its resident set from the bitset:
 // blocks are disjoint, so exactly the set items of blk belong to it.
-// The items leave in geometry order.
+// The items leave in geometry order, a Fixed block a word at a time.
 //
 //gclint:hotpath
 func (c *BlockLRU) dropBlock(blk model.Block) {
+	if n := uint64(c.fixed); n != 0 {
+		for id, end := uint64(blk)*n, uint64(blk+1)*n; id < end; id += 64 {
+			held := c.present.Word(id, bitset.Mask(end-id))
+			c.present.RemoveWord(id, held)
+			c.ch.EvictBits(id, held)
+			c.size -= bits.OnesCount64(held)
+		}
+		c.order.Remove(blk)
+		return
+	}
 	c.scratch = model.AppendItemsOf(c.geo, c.scratch[:0], blk)
 	for _, x := range c.scratch {
 		if c.present.Has(uint64(x)) {

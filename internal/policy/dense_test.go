@@ -169,15 +169,17 @@ func TestItemLRUDenseZeroAllocSteadyState(t *testing.T) {
 // its requested item. There a stride shorter than B misses on a block
 // whose truncated copy is resident, so the replacement evicts items the
 // reload brings straight back and the net-change bookkeeping runs
-// inside the window.
+// inside the window. B = 48 and 128 load and drop whole blocks as
+// words that straddle or span a bitset word.
 func TestBlockLRUDenseZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
-	g := model.NewFixed(16)
-	for _, shape := range []struct{ k, stride int }{
-		{512, 37},
-		{8, 5},
+	for _, shape := range []struct{ B, k, stride int }{
+		{16, 512, 37},
+		{16, 8, 5},
+		{48, 512, 37},
+		{128, 512, 37},
 	} {
-		c := NewBlockLRU(shape.k, g)
+		c := NewBlockLRU(shape.k, model.NewFixed(shape.B))
 		for i := 0; i < universe*2; i++ {
 			c.Access(model.Item(i % universe))
 		}
@@ -190,10 +192,10 @@ func TestBlockLRUDenseZeroAllocSteadyState(t *testing.T) {
 			evicted += len(a.Evicted())
 			i += shape.stride
 		}); avg != 0 {
-			t.Errorf("k=%d: BlockLRU dense path allocates %.2f allocs/access, want 0", shape.k, avg)
+			t.Errorf("B=%d k=%d: BlockLRU dense path allocates %.2f allocs/access, want 0", shape.B, shape.k, avg)
 		}
 		if misses == 0 || evicted == 0 {
-			t.Errorf("k=%d: window had %d misses and %d evictions, want both > 0", shape.k, misses, evicted)
+			t.Errorf("B=%d k=%d: window had %d misses and %d evictions, want both > 0", shape.B, shape.k, misses, evicted)
 		}
 	}
 }
