@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
@@ -27,8 +28,8 @@ type AdaptiveIBLP struct {
 	items *lrulist.Dense[model.Item]
 
 	blocks    *lrulist.Dense[model.Block]
-	resident  map[model.Block][]model.Item
-	inBlock   map[model.Item]struct{}
+	resident  map[model.Block][]model.Item // each block's copy, in admission order
+	inBlock   bitset.Set                   // block-layer membership
 	blockUsed int
 
 	ghostItems  *lrulist.Dense[model.Item]  // recently evicted from the item layer
@@ -62,7 +63,6 @@ func NewAdaptiveIBLP(k int, g model.Geometry) *AdaptiveIBLP {
 		items:       lrulist.NewDense[model.Item](0),
 		blocks:      lrulist.NewDense[model.Block](0),
 		resident:    make(map[model.Block][]model.Item),
-		inBlock:     make(map[model.Item]struct{}),
 		ghostItems:  lrulist.NewDense[model.Item](0),
 		ghostBlocks: lrulist.NewDense[model.Block](0),
 		ch:          cachesim.NewChanges(g),
@@ -104,7 +104,7 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 		}
 		return cachesim.Access{Hit: true}
 	}
-	if _, ok := c.inBlock[it]; ok {
+	if c.inBlock.Has(uint64(it)) {
 		c.ch.Reset()
 		c.blocks.MoveToFront(blk)
 		c.admitItemLayer(it)
@@ -201,7 +201,7 @@ func (c *AdaptiveIBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 	c.blockUsed += len(hold)
 	for _, x := range hold {
 		was := c.present(x)
-		c.inBlock[x] = struct{}{}
+		c.inBlock.Add(uint64(x))
 		if !was {
 			c.ch.Load(x)
 		}
@@ -243,7 +243,7 @@ func (c *AdaptiveIBLP) rebalance() {
 
 func (c *AdaptiveIBLP) dropBlock(blk model.Block, items []model.Item, remember bool) {
 	for _, x := range items {
-		delete(c.inBlock, x)
+		c.inBlock.Remove(uint64(x))
 		if !c.present(x) {
 			c.ch.Evict(x)
 		}
@@ -257,11 +257,7 @@ func (c *AdaptiveIBLP) dropBlock(blk model.Block, items []model.Item, remember b
 }
 
 func (c *AdaptiveIBLP) present(it model.Item) bool {
-	if c.items.Contains(it) {
-		return true
-	}
-	_, ok := c.inBlock[it]
-	return ok
+	return c.items.Contains(it) || c.inBlock.Has(uint64(it))
 }
 
 // Contains implements cachesim.Cache.
@@ -271,7 +267,7 @@ func (c *AdaptiveIBLP) Contains(it model.Item) bool { return c.present(it) }
 func (c *AdaptiveIBLP) Len() int {
 	n := c.blockUsed
 	c.items.Each(func(it model.Item) bool {
-		if _, dup := c.inBlock[it]; !dup {
+		if !c.inBlock.Has(uint64(it)) {
 			n++
 		}
 		return true
@@ -287,7 +283,7 @@ func (c *AdaptiveIBLP) Reset() {
 	c.items.Clear()
 	c.blocks.Clear()
 	clear(c.resident)
-	clear(c.inBlock)
+	c.inBlock.Clear()
 	c.blockUsed = 0
 	c.ghostItems.Clear()
 	c.ghostBlocks.Clear()

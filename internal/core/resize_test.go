@@ -63,8 +63,8 @@ func checkAdaptiveInvariants(t *testing.T, c *AdaptiveIBLP, step int) {
 	if len(c.resident) != c.blocks.Len() {
 		t.Fatalf("step %d: resident has %d blocks, order holds %d", step, len(c.resident), c.blocks.Len())
 	}
-	if len(c.inBlock) != c.blockUsed {
-		t.Fatalf("step %d: inBlock has %d items, blockUsed=%d", step, len(c.inBlock), c.blockUsed)
+	if got := popcount(c.inBlock); got != c.blockUsed {
+		t.Fatalf("step %d: inBlock has %d set, blockUsed=%d", step, got, c.blockUsed)
 	}
 	if c.Len() > c.capacity {
 		t.Fatalf("step %d: Len()=%d exceeds capacity %d", step, c.Len(), c.capacity)
