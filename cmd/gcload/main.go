@@ -142,8 +142,8 @@ func main() {
 		cli.Fatalf("gcload", "-ops %d < 1", *ops)
 	}
 
-	// The whole trace is resident, so its item universe is known; the
-	// autotuner's shadow caches are sized to it.
+	// The whole trace is resident, so its item universe is known; it
+	// bounds the items the autotuner's ghost caches see.
 	checkUniverse(tr.Universe())
 	universe := model.ItemUniverse(geo, tr.Universe())
 	build, err := buildPolicy(*policyArg, geo, *seed)
@@ -303,8 +303,8 @@ type scenarioLoadConfig struct {
 // seeded seed+i (clients decorrelate, like independent users running
 // the same workload); batch mode streams one compiled copy through the
 // engine's ReplayStream, resetting between rounds. The universe
-// pre-pass replays each seed once in O(1) memory to size the
-// autotuner's shadow caches, exactly as the trace path does.
+// pre-pass replays each seed once in O(1) memory to bound the
+// autotuner's input, exactly as the trace path does.
 func runScenarioLoad(c scenarioLoadConfig) {
 	prog, info, err := scenario.Load(c.path)
 	if err != nil {

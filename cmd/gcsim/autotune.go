@@ -21,8 +21,8 @@ import (
 // against the offline-optimal fixed split.
 //
 // Unlike the plain -scenario path this materializes the trace: the
-// offline baseline needs the whole request sequence, and the autotuner's
-// dense shadows need the universe bound.
+// offline baseline needs the whole request sequence, and the autotuner
+// needs the universe bound.
 func runAutotuneEval(tr trace.Trace, k, B int) {
 	geo := model.NewFixed(B)
 	universe := tr.Universe()

@@ -274,7 +274,7 @@ func runScenario(path string, k, B int, policies string, flagSeed int64, optWant
 	fmt.Printf("scenario: %s: %s; effective seed %d\n", path, scenario.Describe(prog, info), seed)
 	if autoMode {
 		// The closed-loop evaluation needs the materialized trace (for
-		// the offline sweep and the shadows' universe bound), so it gives
+		// the offline sweep and the autotuner's universe bound), so it gives
 		// up the O(1)-memory streaming path.
 		tr, terr := scenario.Trace(prog, seed)
 		if terr != nil {

@@ -187,8 +187,8 @@ func TestTunerTracksLiveFromResizeEvents(t *testing.T) {
 }
 
 // TestTunerSkipsOutOfUniverse: items beyond the configured universe
-// are counted and ignored — they must not panic the dense shadows or
-// advance the window clock.
+// are counted and ignored — they must not reach the ghosts or advance
+// the window clock.
 func TestTunerSkipsOutOfUniverse(t *testing.T) {
 	tn, err := New(Config{K: 16, B: 4, Universe: 64, Window: 8})
 	if err != nil {
@@ -278,6 +278,24 @@ func TestTunerStateAndRendering(t *testing.T) {
 	for _, smp := range s.Samples {
 		if len(smp.Misses) != len(s.Candidates) {
 			t.Fatalf("sample misses len %d, candidates %d", len(smp.Misses), len(s.Candidates))
+		}
+	}
+	// Each ghost's window misses restart every window while its lifetime
+	// counters run on: the five windows cover every request, so their
+	// misses sum to the lifetime misses.
+	for idx, c := range s.Candidates {
+		if c.Hits+c.Misses != s.Requests {
+			t.Errorf("i=%d: hits %d + misses %d != %d requests", c.Target, c.Hits, c.Misses, s.Requests)
+		}
+		var sum int64
+		for _, smp := range s.Samples {
+			sum += smp.Misses[idx]
+		}
+		if sum != c.Misses {
+			t.Errorf("i=%d: window misses sum to %d, lifetime misses %d", c.Target, sum, c.Misses)
+		}
+		if last := s.Samples[len(s.Samples)-1].Misses[idx]; c.LastWindowMisses != last {
+			t.Errorf("i=%d: LastWindowMisses %d, last sample %d", c.Target, c.LastWindowMisses, last)
 		}
 	}
 	var sb strings.Builder

@@ -61,7 +61,7 @@ type Config struct {
 	// AutotuneWindow overrides the controller's decision window in
 	// requests (0 = the autotune package default).
 	AutotuneWindow int
-	// AutotuneUniverse bounds the dense shadows' item universe in
+	// AutotuneUniverse bounds the autotuner's item universe in
 	// cluster mode, where no local trace exists to derive it from
 	// (0 = 1<<20). Out-of-universe items are counted and skipped.
 	AutotuneUniverse int
