@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor bench-selftest load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick repro-check fuzz stress clean
+.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor bench-selftest inline-check load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick repro-check fuzz stress clean
 
 all: build vet lint test
 
@@ -112,6 +112,19 @@ bench-floor:
 # fits.
 bench-selftest:
 	python3 perfbench/run.py --selftest
+
+# Inlining gate: the per-item membership and net-change helpers run for
+# every item a replay loads or evicts, so each must stay within the
+# compiler's inlining budget. Losing one to a call has cost sim-loads
+# 15–18% before. Fails naming any helper the compiler will not inline.
+INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/bitset ./internal/cachesim 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+	can=$$(printf '%s\n' "$$out" | awk '$$2 == "can" && $$3 == "inline" { print $$4 }'); \
+	missing=0; for f in $(INLINE_FUNCS); do \
+		printf '%s\n' "$$can" | grep -qxF -- "$$f" || { echo "inline-check: $$f does not inline"; missing=1; }; \
+	done; \
+	test $$missing = 0 && echo "inline-check: all $(words $(INLINE_FUNCS)) hot-path helpers inline"
 
 # Regenerate every table/figure of the paper plus the validation
 # experiments into results/ (exits non-zero if any claim fails).
