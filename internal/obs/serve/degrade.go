@@ -33,6 +33,7 @@ func isControlPlane(k obs.Kind) bool { return k == obs.EvLayerResize }
 // control-plane events so they are never displaced by data floods.
 type subscriber struct {
 	ch      chan fanEvent
+	closeCh sync.Once // the consumer's cancel and CloseAll may race to close ch
 	dropped atomic.Int64
 
 	// notify wakes the stream handler (capacity 1, non-blocking send)
@@ -146,17 +147,19 @@ func (f *eventFan) Subscribe(buf int) (*subscriber, func()) {
 	f.subs[id] = s
 	f.mu.Unlock()
 	f.nsubs.Add(1)
-	var once sync.Once
 	return s, func() {
-		once.Do(func() {
-			f.mu.Lock()
+		f.mu.Lock()
+		if _, ok := f.subs[id]; ok { // not yet dropped by CloseAll or an earlier cancel
 			delete(f.subs, id)
-			f.mu.Unlock()
 			f.nsubs.Add(-1)
-			close(s.ch)
-		})
+		}
+		f.mu.Unlock()
+		s.close()
 	}
 }
+
+// close closes s.ch once, whichever of cancel and CloseAll comes first.
+func (s *subscriber) close() { s.closeCh.Do(func() { close(s.ch) }) }
 
 // CloseAll disconnects every subscriber — used at shutdown so stream
 // handlers drain and return instead of holding connections open.
@@ -170,7 +173,7 @@ func (f *eventFan) CloseAll() {
 	f.nsubs.Store(0)
 	f.mu.Unlock()
 	for _, s := range subs {
-		close(s.ch)
+		s.close()
 	}
 }
 

@@ -190,7 +190,7 @@ func TestEventStreamDeliversResizesUnderFlood(t *testing.T) {
 func TestEventFanUnsubscribeAndCloseAll(t *testing.T) {
 	f := newEventFan()
 	_, cancel1 := f.Subscribe(1)
-	sub2, _ := f.Subscribe(1)
+	sub2, cancel2 := f.Subscribe(1)
 	if f.Subscribers() != 2 {
 		t.Fatalf("subscribers = %d", f.Subscribers())
 	}
@@ -202,6 +202,10 @@ func TestEventFanUnsubscribeAndCloseAll(t *testing.T) {
 	f.CloseAll()
 	if _, open := <-sub2.ch; open {
 		t.Error("CloseAll left a subscriber channel open")
+	}
+	cancel2() // a stream handler returning after shutdown: no second close
+	if f.Subscribers() != 0 {
+		t.Fatalf("cancel after CloseAll: subscribers = %d", f.Subscribers())
 	}
 	f.Observe(obs.Event{}) // no subscribers: must be a no-op
 }
