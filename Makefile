@@ -62,11 +62,13 @@ scenario-smoke:
 # detector — on the drift scenario the controller must fire at least
 # one live resize and land within 10% of the offline-optimal fixed
 # split (internal/autotune/smoke_test.go), plus the serve-layer
-# differential (autotune off ⇒ byte-identical replay) and the
-# cluster-mode accounting check across a live resize.
+# differential (autotune off ⇒ byte-identical replay), the
+# cluster-mode accounting check across a live resize, and gcload's
+# apply loop resizing shard 0 under its mutex while load streams run.
 autotune-smoke:
 	$(GO) test -race -run 'TestAutotuneSmokeDrift' -v ./internal/autotune/
 	$(GO) test -race -run 'TestAutotune' ./internal/obs/serve/
+	$(GO) run -race ./cmd/gcload -autotune -shards 1 -streams 4 -ops 50000
 
 # Cluster smoke: the full internal/cluster suite (ring, wire codec,
 # breaker, node lifecycle, byte-identical handoff) plus gcload's

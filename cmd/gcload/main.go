@@ -142,10 +142,7 @@ func main() {
 		cli.Fatalf("gcload", "-ops %d < 1", *ops)
 	}
 
-	// The whole trace is resident, so its item universe is known; it
-	// bounds the items the autotuner's ghost caches see.
 	checkUniverse(tr.Universe())
-	universe := model.ItemUniverse(geo, tr.Universe())
 	build, err := buildPolicy(*policyArg, geo, *seed)
 	if err != nil {
 		cli.Fatal("gcload", err)
@@ -156,7 +153,7 @@ func main() {
 	}
 	var tn *autotune.Tuner
 	if *autotuneOn {
-		if tn, err = attachAutotune(s, *shards, *k, *B, geo, universe); err != nil {
+		if tn, err = attachAutotune(s, *shards, *k, *B, geo); err != nil {
 			cli.Fatal("gcload", err)
 		}
 		stop := startAutotuneApply(s, tn)
@@ -194,7 +191,7 @@ func main() {
 // attachAutotune wires the §5.3 controller into a single-shard load
 // run: the tuner rides the shard's probe stream, and startAutotuneApply
 // enacts its proposals under the shard's Access mutex.
-func attachAutotune(s *concurrent.Sharded, shards, k, B int, geo model.Geometry, universe int) (*autotune.Tuner, error) {
+func attachAutotune(s *concurrent.Sharded, shards, k, B int, geo model.Geometry) (*autotune.Tuner, error) {
 	if shards != 1 {
 		// Each shard is an independent cache at k/shards; a single global
 		// split target is meaningless across them.
@@ -205,7 +202,7 @@ func attachAutotune(s *concurrent.Sharded, shards, k, B int, geo model.Geometry,
 	if !resizable {
 		return nil, fmt.Errorf("policy does not support layer resizing (autotune needs iblp or adaptive)")
 	}
-	tn, err := autotune.New(autotune.Config{K: k, B: B, Geometry: geo, Universe: universe})
+	tn, err := autotune.New(autotune.Config{K: k, B: B, Geometry: geo})
 	if err != nil {
 		return nil, err
 	}
@@ -258,12 +255,12 @@ func printAutotune(w *os.File, tn *autotune.Tuner, s *concurrent.Sharded) {
 		st.Windows, st.Window, st.Resizes, final, st.Formula, st.WorkingSet)
 }
 
-// checkUniverse exits when the requested item IDs reach
-// cachesim.MaxUniverse: the caches' ID-indexed arrays grow with the
-// largest ID they see, so input keeps the bound Replay applies.
+// checkUniverse exits when the exclusive bound on the requested item
+// IDs exceeds cachesim.MaxUniverse: the caches' ID-indexed arrays grow
+// with the largest ID they see, so input keeps the bound Replay applies.
 func checkUniverse(universe int) {
-	if universe > cachesim.MaxUniverse {
-		cli.Fatalf("gcload", "item %d is outside the universe [0, %d)", universe-1, cachesim.MaxUniverse)
+	if err := cachesim.CheckUniverse(universe); err != nil {
+		cli.Fatal("gcload", err)
 	}
 }
 
@@ -303,8 +300,8 @@ type scenarioLoadConfig struct {
 // seeded seed+i (clients decorrelate, like independent users running
 // the same workload); batch mode streams one compiled copy through the
 // engine's ReplayStream, resetting between rounds. The universe
-// pre-pass replays each seed once in O(1) memory to bound the
-// autotuner's input, exactly as the trace path does.
+// pre-pass replays each seed once in O(1) memory to hold the input to
+// cachesim.MaxUniverse, exactly as the trace path does.
 func runScenarioLoad(c scenarioLoadConfig) {
 	prog, info, err := scenario.Load(c.path)
 	if err != nil {
@@ -337,7 +334,6 @@ func runScenarioLoad(c scenarioLoadConfig) {
 		}
 	}
 	checkUniverse(universe)
-	universe = model.ItemUniverse(geo, universe)
 	build, err := buildPolicy(c.policy, geo, seed)
 	if err != nil {
 		cli.Fatal("gcload", err)
@@ -348,7 +344,7 @@ func runScenarioLoad(c scenarioLoadConfig) {
 	}
 	var tn *autotune.Tuner
 	if c.autotune {
-		if tn, err = attachAutotune(s, c.shards, c.k, c.B, geo, universe); err != nil {
+		if tn, err = attachAutotune(s, c.shards, c.k, c.B, geo); err != nil {
 			cli.Fatal("gcload", err)
 		}
 		stop := startAutotuneApply(s, tn)

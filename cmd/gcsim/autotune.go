@@ -21,13 +21,16 @@ import (
 // against the offline-optimal fixed split.
 //
 // Unlike the plain -scenario path this materializes the trace: the
-// offline baseline needs the whole request sequence, and the autotuner
-// needs the universe bound.
+// offline baseline needs the whole request sequence. The trace is held
+// to cachesim.MaxUniverse first, the bound Replay applies: Drive feeds
+// the live cache directly, and the tuner skips items past it.
 func runAutotuneEval(tr trace.Trace, k, B int) {
+	if err := cachesim.CheckUniverse(tr.Universe()); err != nil {
+		fatal(err)
+	}
 	geo := model.NewFixed(B)
-	universe := tr.Universe()
 
-	tn, err := autotune.New(autotune.Config{K: k, B: B, Universe: universe})
+	tn, err := autotune.New(autotune.Config{K: k, B: B})
 	if err != nil {
 		fatal(err)
 	}

@@ -178,7 +178,7 @@ func main() {
 		var st gccache.Stats
 		switch {
 		case *probeSpec != "":
-			suite, serr := gccache.NewProbeSuite(*probeSpec, 0)
+			suite, serr := gccache.NewProbeSuite(*probeSpec)
 			if serr != nil {
 				fatal(serr)
 			}
@@ -273,9 +273,9 @@ func runScenario(path string, k, B int, policies string, flagSeed int64, optWant
 	seed := scenario.ResolveSeed(info, flagSeed, seedSet)
 	fmt.Printf("scenario: %s: %s; effective seed %d\n", path, scenario.Describe(prog, info), seed)
 	if autoMode {
-		// The closed-loop evaluation needs the materialized trace (for
-		// the offline sweep and the autotuner's universe bound), so it gives
-		// up the O(1)-memory streaming path.
+		// The closed-loop evaluation needs the materialized trace for
+		// the offline sweep, so it gives up the O(1)-memory streaming
+		// path.
 		tr, terr := scenario.Trace(prog, seed)
 		if terr != nil {
 			fatal(terr)

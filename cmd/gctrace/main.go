@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"gccache/internal/cachesim"
 	"gccache/internal/cli"
 	"gccache/internal/locality"
 	"gccache/internal/model"
@@ -79,6 +80,14 @@ func main() {
 		fmt.Printf("wrote %d requests to %s (%s)\n", len(tr), *out, *format)
 	}
 
+	if *reuse {
+		// The reuse profiles' tables grow with the largest item ID, so
+		// the trace is held to the bound Replay applies.
+		if err := cachesim.CheckUniverse(tr.Universe()); err != nil {
+			fatal(err)
+		}
+	}
+
 	geo := model.NewFixed(*B)
 	s := trace.Summarize(tr, geo)
 	fmt.Printf("requests=%d distinct-items=%d distinct-blocks=%d items/block=%.2f mean-run=%.2f\n",
@@ -111,8 +120,8 @@ func main() {
 		// involved — at both granularities. Item-level distances explain
 		// temporal locality; block-level distances explain what a block
 		// cache can exploit.
-		items := obs.NewReuseDist(0)
-		blocks := obs.NewReuseDist(0)
+		items := obs.NewReuseDist()
+		blocks := obs.NewReuseDist()
 		for _, it := range tr {
 			items.Note(it)
 			blocks.Note(model.Item(geo.BlockOf(it)))

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gccache"
+	"gccache/internal/cachesim"
 )
 
 // TestCommandSmoke builds and runs every CLI once with representative
@@ -59,6 +62,10 @@ func TestCommandSmoke(t *testing.T) {
 			"-k", "256", "-B", "64", "-shards", "2", "-streams", "2", "-ops", "20000"}, "ops/sec"},
 		{"gcload-scenario-batch", []string{"run", "./cmd/gcload", "-scenario", "scenarios/hotcold.gcs",
 			"-mode", "batch", "-k", "256", "-B", "64", "-shards", "2", "-ops", "20000"}, "ops/sec"},
+		{"gcsim-autotune", []string{"run", "./cmd/gcsim", "-autotune", "-k", "128", "-B", "8",
+			"-workload", "blockruns:blocks=32,B=8,run=4,len=20000"}, "controller:"},
+		{"gcload-autotune", []string{"run", "./cmd/gcload", "-autotune", "-shards", "1", "-k", "128", "-B", "8",
+			"-streams", "2", "-ops", "20000", "-workload", "blockruns:blocks=32,B=8,run=4,len=4000"}, "gcload: autotune:"},
 	}
 	for _, c := range cases {
 		c := c
@@ -72,6 +79,43 @@ func TestCommandSmoke(t *testing.T) {
 			}
 			if !strings.Contains(string(out), c.want) {
 				t.Fatalf("output missing %q:\n%s", c.want, out)
+			}
+		})
+	}
+}
+
+// TestCommandRefusesOutsideUniverse: the CLIs whose tables grow with the
+// largest item ID refuse a trace file holding an item at
+// cachesim.MaxUniverse instead of growing to it. Skipped under -short
+// (each invocation pays a `go run` compile).
+func TestCommandRefusesOutsideUniverse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("refusal test compiles two binaries")
+	}
+	path := filepath.Join(t.TempDir(), "big.gct")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (gccache.Trace{1, cachesim.MaxUniverse, 2}).Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]string{
+		"gctrace-reuse":  {"run", "./cmd/gctrace", "-in", path, "-reuse"},
+		"gcsim-autotune": {"run", "./cmd/gcsim", "-autotune", "-trace", path},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cmd := exec.Command("go", args...)
+			cmd.Env = os.Environ()
+			out, err := cmd.CombinedOutput()
+			if err == nil {
+				t.Fatalf("%v exited 0, want a refusal:\n%s", args, out)
+			}
+			if !strings.Contains(string(out), "outside the universe") {
+				t.Fatalf("%v: output missing %q:\n%s", args, "outside the universe", out)
 			}
 		})
 	}

@@ -60,13 +60,6 @@ func NewFixedGeometry(B int) *model.Fixed { return model.NewFixed(B) }
 // per list (used, e.g., by the Theorem 1 reduction's active sets).
 func NewTableGeometry(blocks [][]Item) (*model.Table, error) { return model.NewTable(blocks) }
 
-// ItemUniverse expands an upper bound on *requested* item IDs to cover
-// every item a block-loading policy may bring in (the whole block of
-// each requested item). Pass the result — not the raw Trace.Universe —
-// as ReplayOptions.Universe to presize the Recorder for every item the
-// cache may load. A zero return means no finite bound is derivable.
-func ItemUniverse(g Geometry, universe int) int { return model.ItemUniverse(g, universe) }
-
 // Simulation.
 type (
 	// Cache is an online GC caching policy.
@@ -143,10 +136,9 @@ type (
 )
 
 // NewProbeSuite parses a probe spec (see obs.SpecHelp: "counters,
-// events=64, reuse, ...") into a bundled probe; universe > 0 puts the
-// per-item trackers on flat allocation-free tables.
-func NewProbeSuite(spec string, universe int) (*ProbeSuite, error) {
-	return obs.NewSuite(spec, universe)
+// events=64, reuse, ...") into a bundled probe.
+func NewProbeSuite(spec string) (*ProbeSuite, error) {
+	return obs.NewSuite(spec)
 }
 
 // SweepOptions sets Sweep's worker count and an optional SweepStats

@@ -31,7 +31,7 @@ func Drive(c cachesim.Cache, t *Tuner, tr trace.Trace, applyEvery int) cachesim.
 	inst.SetProbe(t)
 	defer inst.SetProbe(nil)
 	c.Reset()
-	rec := cachesim.NewRecorder(c.Name(), t.Universe())
+	rec := cachesim.NewRecorder(c.Name(), 0)
 	for i, it := range tr {
 		rec.Observe(it, c.Access(it))
 		if (i+1)%applyEvery == 0 {

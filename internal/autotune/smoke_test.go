@@ -38,9 +38,8 @@ func TestAutotuneSmokeDrift(t *testing.T) {
 	)
 	tr := loadScenarioTrace(t, "../../scenarios/drift.gcs")
 	g := model.NewFixed(B)
-	universe := tr.Universe()
 
-	tn, err := New(Config{K: k, B: B, Universe: universe})
+	tn, err := New(Config{K: k, B: B})
 	if err != nil {
 		t.Fatal(err)
 	}

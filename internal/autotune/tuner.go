@@ -27,7 +27,7 @@ import (
 )
 
 // Config parameterizes a Tuner. Zero values get the documented
-// defaults; K, B, and Universe are required.
+// defaults; K and B are required.
 type Config struct {
 	// K is the live cache's total size (item layer + block layer).
 	K int
@@ -37,11 +37,6 @@ type Config struct {
 	// Geometry maps items to blocks for the ghosts. Defaults to
 	// model.NewFixed(B).
 	Geometry model.Geometry
-	// Universe bounds the item IDs the tuner will see, at most
-	// cachesim.MaxUniverse. Required: the working-set estimator is a
-	// flat array over it. Out-of-universe items are counted
-	// (State().Skipped) and ignored, so the ghosts never grow past it.
-	Universe int
 	// Window is the decision interval in requests (default 4096): each
 	// window ends with one compare-and-maybe-propose step.
 	Window int
@@ -149,8 +144,10 @@ type State struct {
 
 // Tuner is the §5.3 closed-loop controller. Attached as an obs.Probe to
 // the live policy, it clocks on policy-view request events (exactly one
-// per access, in both flat and cluster modes), feeds every request to
-// the candidate ghosts, and at each window boundary compares their
+// per access, in both flat and cluster modes), feeds every request for
+// an item below cachesim.MaxUniverse to the candidate ghosts (it counts
+// and ignores the rest, so neither they nor its own presence array
+// outgrow what Replay admits), and at each window boundary compares their
 // miss counts: the winner — with the §5.3 formula target breaking
 // near-ties — must beat the incumbent split by MinGain for Patience
 // consecutive windows before a resize is proposed, and proposals are
@@ -171,8 +168,9 @@ type Tuner struct {
 	//gclint:guardedby mu
 	candidates []int
 
-	// Working-set estimator: epoch-stamped presence array. distinct is
-	// the number of in-universe items first seen this window.
+	// Working-set estimator: epoch-stamped presence array, grown with
+	// the largest item seen. distinct is the number of in-universe items
+	// first seen this window.
 	//gclint:guardedby mu
 	seen []uint32
 	//gclint:guardedby mu
@@ -240,10 +238,6 @@ func New(cfg Config) (*Tuner, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	universe := model.ItemUniverse(cfg.Geometry, cfg.Universe)
-	if universe <= 0 || universe > cachesim.MaxUniverse {
-		return nil, fmt.Errorf("autotune: universe %d outside (0, %d]", cfg.Universe, cachesim.MaxUniverse)
-	}
 	// Clamp, dedup, and sort the candidate grid.
 	seen := map[int]bool{}
 	var cands []int
@@ -270,7 +264,6 @@ func New(cfg Config) (*Tuner, error) {
 	t := &Tuner{
 		cfg:        cfg,
 		candidates: cands,
-		seen:       make([]uint32, universe),
 		epoch:      1,
 		live:       -1,
 		streakIdx:  -1,
@@ -298,14 +291,6 @@ func (t *Tuner) Candidates() []int {
 	return out
 }
 
-// Universe returns the dense item-universe bound the tuner was built
-// with (the length of its presence array).
-func (t *Tuner) Universe() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.seen)
-}
-
 // SetLiveTarget seeds the incumbent split when the tuner is attached to
 // an already-configured cache. Without it the incumbent is unknown and
 // the first window's winner qualifies unconditionally.
@@ -318,6 +303,8 @@ func (t *Tuner) SetLiveTarget(i int) {
 // Observe implements obs.Probe. Request-serving events drive the
 // ghosts and the window clock; EvLayerResize keeps the incumbent in
 // sync (including moves made by others, e.g. AdaptiveIBLP's own votes).
+//
+//gclint:hotpath
 func (t *Tuner) Observe(e obs.Event) {
 	if e.Kind != obs.EvLayerResize && !e.Kind.IsPolicyRequest() {
 		return
@@ -327,7 +314,7 @@ func (t *Tuner) Observe(e obs.Event) {
 	switch {
 	case e.Kind == obs.EvLayerResize:
 		t.live = int(e.N)
-	case uint64(e.Item) >= uint64(len(t.seen)):
+	case e.Item >= cachesim.MaxUniverse:
 		t.skipped++
 	default:
 		for j := range t.ghosts {
@@ -335,6 +322,10 @@ func (t *Tuner) Observe(e obs.Event) {
 				g.misses++
 				g.window++
 			}
+		}
+		if n := int(e.Item) + 1; n > len(t.seen) {
+			// New stamps are 0, which matches no epoch.
+			t.seen = append(t.seen, make([]uint32, n-len(t.seen))...) //gclint:allowalloc amortized: append grows capacity geometrically, so items below n cost O(log n) grows per Tuner
 		}
 		if t.seen[e.Item] != t.epoch {
 			t.seen[e.Item] = t.epoch

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/obs"
@@ -36,7 +37,7 @@ func feedRequests(t *Tuner, n, span int) {
 func newTestTuner(t *testing.T, patience, minInterval int) *Tuner {
 	t.Helper()
 	tn, err := New(Config{
-		K: 64, B: 1, Universe: 512, Window: 96,
+		K: 64, B: 1, Window: 96,
 		Candidates:  []int{32, 64},
 		Patience:    patience,
 		MinInterval: minInterval,
@@ -124,7 +125,7 @@ func TestTunerRateCap(t *testing.T) {
 // advantage is inside MinGain the incumbent is kept indefinitely.
 func TestTunerHoldsWithoutGain(t *testing.T) {
 	tn, err := New(Config{
-		K: 64, B: 1, Universe: 1 << 14, Window: 128,
+		K: 64, B: 1, Window: 128,
 		Candidates:  []int{32, 64},
 		Patience:    1,
 		MinInterval: 1,
@@ -153,7 +154,7 @@ func TestTunerHoldsWithoutGain(t *testing.T) {
 // off), so the all-miss workload's winner is the largest item layer.
 func TestTunerTiebreakPrefersFormula(t *testing.T) {
 	tn, err := New(Config{
-		K: 64, B: 1, Universe: 1 << 14, Window: 128,
+		K: 64, B: 1, Window: 128,
 		Candidates: []int{0, 16, 32, 48, 64},
 	})
 	if err != nil {
@@ -186,16 +187,16 @@ func TestTunerTracksLiveFromResizeEvents(t *testing.T) {
 	}
 }
 
-// TestTunerSkipsOutOfUniverse: items beyond the configured universe
+// TestTunerSkipsOutOfUniverse: items at or past cachesim.MaxUniverse
 // are counted and ignored — they must not reach the ghosts or advance
 // the window clock.
 func TestTunerSkipsOutOfUniverse(t *testing.T) {
-	tn, err := New(Config{K: 16, B: 4, Universe: 64, Window: 8})
+	tn, err := New(Config{K: 16, B: 4, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		tn.Observe(obs.Event{Kind: obs.EvHit, Item: model.Item(1 << 20)})
+		tn.Observe(obs.Event{Kind: obs.EvHit, Item: model.Item(cachesim.MaxUniverse)})
 	}
 	s := tn.State()
 	if s.Skipped != 100 || s.Requests != 0 || s.Windows != 0 {
@@ -243,7 +244,7 @@ func TestTunerZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(16)
 	live := core.NewIBLPEvenSplit(512, g)
-	tn, err := New(Config{K: 512, B: 16, Universe: universe, Window: 64})
+	tn, err := New(Config{K: 512, B: 16, Window: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,16 +313,13 @@ func TestTunerStateAndRendering(t *testing.T) {
 
 // TestTunerConfigValidation covers New's error paths.
 func TestTunerConfigValidation(t *testing.T) {
-	if _, err := New(Config{K: 0, B: 8, Universe: 64}); err == nil {
+	if _, err := New(Config{K: 0, B: 8}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := New(Config{K: 64, B: 0, Universe: 64}); err == nil {
+	if _, err := New(Config{K: 64, B: 0}); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := New(Config{K: 64, B: 8, Universe: 0}); err == nil {
-		t.Error("Universe=0 accepted")
-	}
-	if _, err := New(Config{K: 64, B: 8, Universe: 64, Candidates: []int{7, 7}}); err == nil {
+	if _, err := New(Config{K: 64, B: 8, Candidates: []int{7, 7}}); err == nil {
 		t.Error("single distinct candidate accepted")
 	}
 }

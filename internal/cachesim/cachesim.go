@@ -290,6 +290,17 @@ func (r *Recorder) Reset(policy string) {
 // feeds never grow past it.
 const MaxUniverse = 4 << 20
 
+// CheckUniverse returns Replay's error for item n−1 when the exclusive
+// ID bound n exceeds MaxUniverse, and nil otherwise. It is the check for
+// input read whole before it is served, such as trace.Trace.Universe of
+// a loaded trace.
+func CheckUniverse(n int) error {
+	if n > MaxUniverse {
+		return outsideUniverse(model.Item(n-1), MaxUniverse)
+	}
+	return nil
+}
+
 // SweepOptions configures Sweep. The zero value runs on GOMAXPROCS
 // workers and measures nothing.
 type SweepOptions struct {

@@ -256,7 +256,7 @@ func TestProbeShardedContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := obs.NewSuite("counters", 0)
+	suite, err := obs.NewSuite("counters")
 	if err != nil {
 		t.Fatal(err)
 	}

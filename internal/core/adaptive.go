@@ -28,9 +28,11 @@ type AdaptiveIBLP struct {
 	items *lrulist.Dense[model.Item]
 
 	blocks    *lrulist.Dense[model.Block]
-	resident  map[model.Block][]model.Item // each block's copy, in admission order
-	inBlock   bitset.Set                   // block-layer membership
+	inBlock   bitset.Set // block-layer membership
 	blockUsed int
+	// lead[blk] is 1 + the requested item of blk's copy if the copy was
+	// truncated, 0 if it is whole.
+	lead []model.Item
 
 	ghostItems  *lrulist.Dense[model.Item]  // recently evicted from the item layer
 	ghostBlocks *lrulist.Dense[model.Block] // recently evicted from the block layer
@@ -38,6 +40,7 @@ type AdaptiveIBLP struct {
 	ch      cachesim.Changes
 	wantBuf []model.Item // scratch: block enumeration
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
+	scratch []model.Item // scratch: victim-block enumeration
 	probe   obs.Probe
 }
 
@@ -62,7 +65,6 @@ func NewAdaptiveIBLP(k int, g model.Geometry) *AdaptiveIBLP {
 		targetItem:  k / 2,
 		items:       lrulist.NewDense[model.Item](0),
 		blocks:      lrulist.NewDense[model.Block](0),
-		resident:    make(map[model.Block][]model.Item),
 		ghostItems:  lrulist.NewDense[model.Item](0),
 		ghostBlocks: lrulist.NewDense[model.Block](0),
 		ch:          cachesim.NewChanges(g),
@@ -95,6 +97,8 @@ func (c *AdaptiveIBLP) SetItemLayerTarget(i int) {
 }
 
 // Access implements cachesim.Cache.
+//
+//gclint:hotpath
 func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 	blk := c.geo.BlockOf(it)
 	if c.items.Contains(it) {
@@ -174,12 +178,13 @@ func (c *AdaptiveIBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 	if targetBlock <= 0 {
 		return
 	}
-	if old, ok := c.resident[blk]; ok {
-		c.dropBlock(blk, old, false)
+	if c.blocks.Contains(blk) {
+		c.dropBlock(blk, false)
 	}
 	c.wantBuf = model.AppendItemsOf(c.geo, c.wantBuf[:0], blk)
 	want := c.wantBuf
-	if len(want) > targetBlock {
+	truncated := len(want) > targetBlock
+	if truncated {
 		c.trunc = model.TruncateAround(c.trunc, want, requested, targetBlock)
 		want = c.trunc
 	}
@@ -188,18 +193,21 @@ func (c *AdaptiveIBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 		if !ok {
 			break
 		}
-		c.dropBlock(victim, c.resident[victim], true)
+		c.dropBlock(victim, true)
 	}
 	if c.blockUsed+len(want) > targetBlock {
 		return
 	}
-	hold := make([]model.Item, len(want))
-	copy(hold, want)
-	c.resident[blk] = hold
 	c.blocks.PushFront(blk)
+	if truncated {
+		if n := int(blk) + 1; n > len(c.lead) {
+			c.lead = append(c.lead, make([]model.Item, n-len(c.lead))...) //gclint:allowalloc amortized: append grows capacity geometrically, so blocks below n cost O(log n) grows per cache
+		}
+		c.lead[blk] = requested + 1
+	}
 	c.ghostBlocks.Remove(blk)
-	c.blockUsed += len(hold)
-	for _, x := range hold {
+	c.blockUsed += len(want)
+	for _, x := range want {
 		was := c.present(x)
 		c.inBlock.Add(uint64(x))
 		if !was {
@@ -227,7 +235,7 @@ func (c *AdaptiveIBLP) rebalance() {
 		if !ok {
 			break
 		}
-		c.dropBlock(victim, c.resident[victim], true)
+		c.dropBlock(victim, true)
 	}
 	// Ghosts remember up to twice the capacity: one-pass traffic churns
 	// the real layers fast, and a ghost that forgets before the first
@@ -241,15 +249,26 @@ func (c *AdaptiveIBLP) rebalance() {
 	}
 }
 
-func (c *AdaptiveIBLP) dropBlock(blk model.Block, items []model.Item, remember bool) {
-	for _, x := range items {
-		c.inBlock.Remove(uint64(x))
-		if !c.present(x) {
-			c.ch.Evict(x)
+// dropBlock evicts blk from the block layer in admission order.
+// TruncateAround admits a truncated copy's lead first and then siblings
+// in geometry order, so the lead leaves first and the geometry pass
+// finds it gone.
+func (c *AdaptiveIBLP) dropBlock(blk model.Block, remember bool) {
+	c.scratch = c.scratch[:0]
+	if uint64(blk) < uint64(len(c.lead)) && c.lead[blk] != 0 {
+		c.scratch = append(c.scratch, c.lead[blk]-1)
+		c.lead[blk] = 0
+	}
+	c.scratch = model.AppendItemsOf(c.geo, c.scratch, blk)
+	for _, x := range c.scratch {
+		if c.inBlock.Has(uint64(x)) {
+			c.inBlock.Remove(uint64(x))
+			c.blockUsed--
+			if !c.present(x) {
+				c.ch.Evict(x)
+			}
 		}
 	}
-	c.blockUsed -= len(items)
-	delete(c.resident, blk)
 	c.blocks.Remove(blk)
 	if remember {
 		c.ghostBlocks.PushFront(blk)
@@ -282,7 +301,7 @@ func (c *AdaptiveIBLP) Capacity() int { return c.capacity }
 func (c *AdaptiveIBLP) Reset() {
 	c.items.Clear()
 	c.blocks.Clear()
-	clear(c.resident)
+	clear(c.lead)
 	c.inBlock.Clear()
 	c.blockUsed = 0
 	c.ghostItems.Clear()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gccache/internal/cachesim"
@@ -141,6 +142,19 @@ func TestAdaptiveResetRestoresEvenSplit(t *testing.T) {
 	c.Reset()
 	if c.ItemLayerTarget() != 32 || c.Len() != 0 {
 		t.Error("Reset did not restore the even split")
+	}
+}
+
+// TestAdaptiveDropsTruncatedCopyInAdmissionOrder: a truncated copy is
+// admitted requested item first, then siblings in geometry order, and a
+// drop lists its evictions in that order, not in geometry order.
+func TestAdaptiveDropsTruncatedCopyInAdmissionOrder(t *testing.T) {
+	c := NewAdaptiveIBLP(4, model.NewFixed(8))
+	c.SetItemLayerTarget(0) // every item lives in one 4-item block copy
+	c.Access(5)             // block 0 copy: 5, 0, 1, 2
+	got := c.Access(16).Evicted()
+	if want := []model.Item{5, 0, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("dropping the truncated copy evicted %v, want %v", got, want)
 	}
 }
 

@@ -54,14 +54,30 @@ func checkAdaptiveInvariants(t *testing.T, c *AdaptiveIBLP, step int) {
 		t.Fatalf("step %d: blockUsed drifted negative: %d", step, c.blockUsed)
 	}
 	sum := 0
-	for _, items := range c.resident {
-		sum += len(items)
-	}
+	c.blocks.Each(func(blk model.Block) bool {
+		held := 0
+		for _, x := range model.AppendItemsOf(c.geo, nil, blk) {
+			if c.inBlock.Has(uint64(x)) {
+				held++
+			}
+		}
+		if held == 0 {
+			t.Fatalf("step %d: resident block %d holds no items", step, blk)
+		}
+		sum += held
+		return true
+	})
 	if sum != c.blockUsed {
-		t.Fatalf("step %d: resident holds %d items, blockUsed=%d", step, sum, c.blockUsed)
+		t.Fatalf("step %d: resident blocks hold %d items, blockUsed=%d", step, sum, c.blockUsed)
 	}
-	if len(c.resident) != c.blocks.Len() {
-		t.Fatalf("step %d: resident has %d blocks, order holds %d", step, len(c.resident), c.blocks.Len())
+	for blk, lead := range c.lead {
+		if lead == 0 {
+			continue
+		}
+		it := lead - 1
+		if c.geo.BlockOf(it) != model.Block(blk) || !c.blocks.Contains(model.Block(blk)) || !c.inBlock.Has(uint64(it)) {
+			t.Fatalf("step %d: lead item %d of block %d is not a held item of a resident block", step, it, blk)
+		}
 	}
 	if got := popcount(c.inBlock); got != c.blockUsed {
 		t.Fatalf("step %d: inBlock has %d set, blockUsed=%d", step, got, c.blockUsed)

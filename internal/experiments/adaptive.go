@@ -41,13 +41,6 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 		{"mixed (runs ≈ B/4, zipf)", runs(float64(B)/4, 512)},
 		{"scan", workload.CyclicScan(8*k, 150000)},
 	}
-	universe := 0
-	for _, wl := range wls {
-		if u := wl.tr.Universe(); u > universe {
-			universe = u
-		}
-	}
-	universe = model.ItemUniverse(geo, universe)
 	splits := []struct {
 		name  string
 		build func() cachesim.Cache
@@ -85,7 +78,7 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 			pool[key.si] = cache
 		}
 		cache.Reset()
-		results[j] = replay(cache, wls[key.wi].tr, universe).MissRatio()
+		results[j] = replay(cache, wls[key.wi].tr).MissRatio()
 	})
 	for wi, wl := range wls {
 		bestFixed := 1.0

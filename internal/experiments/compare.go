@@ -73,16 +73,6 @@ func PolicyShootout(k, B int, seed int64) *Report {
 		r.Failf("workloads: %v", err)
 		return r
 	}
-	// One item-ID bound covering every workload presizes each replay's
-	// Recorder. Each pooled cache is built once per worker and reused
-	// across all of its grid cells, so it grows to that bound once.
-	universe := 0
-	for _, wl := range wls {
-		if u := wl.tr.Universe(); u > universe {
-			universe = u
-		}
-	}
-	universe = model.ItemUniverse(geo, universe)
 	builders := []func() cachesim.Cache{
 		func() cachesim.Cache { return policy.NewItemLRU(k) },
 		func() cachesim.Cache { return policy.NewClock(k) },
@@ -130,7 +120,7 @@ func PolicyShootout(k, B int, seed int64) *Report {
 			rs.Reseed(seed)
 		}
 		cache.Reset()
-		cells[ci].stats = replay(cache, wls[c.wi].tr, universe) // distinct slot per cell: no lock needed
+		cells[ci].stats = replay(cache, wls[c.wi].tr) // distinct slot per cell: no lock needed
 	})
 	missRatio := make([][]float64, len(wls))
 	for i := range missRatio {
@@ -245,9 +235,8 @@ func Ablations(k, B int, seed int64) *Report {
 		Title:   "Ablation 1 — §5.1 layer ordering (hot items + cyclic cold blocks)",
 		Headers: []string{"variant", "miss-ratio", "spatial-hits", "temporal-hits"},
 	}
-	orderingU := model.ItemUniverse(geo, orderingTr.Universe())
-	real := replay(core.NewIBLP(i, b, geo), orderingTr, orderingU)
-	abl := replay(core.NewIBLPPromoteAll(i, b, geo), orderingTr, 0)
+	real := replay(core.NewIBLP(i, b, geo), orderingTr)
+	abl := replay(core.NewIBLPPromoteAll(i, b, geo), orderingTr)
 	ordering.AddRow("iblp (item hits do not touch block layer)", real.MissRatio(),
 		real.SpatialHits, real.TemporalHits)
 	ordering.AddRow("promote-all (violates §5.1)", abl.MissRatio(),
@@ -266,8 +255,8 @@ func Ablations(k, B int, seed int64) *Report {
 		Title:   "Ablation 1b — §5.1 inclusion policy (same workload)",
 		Headers: []string{"variant", "miss-ratio"},
 	}
-	inclStats := replay(core.NewIBLPInclusive(i, b, geo), orderingTr, 0)
-	exclStats := replay(core.NewIBLPExclusive(i, b, geo), orderingTr, 0)
+	inclStats := replay(core.NewIBLPInclusive(i, b, geo), orderingTr)
+	exclStats := replay(core.NewIBLPExclusive(i, b, geo), orderingTr)
 	inclusion.AddRow("iblp (neither inclusive nor exclusive)", real.MissRatio())
 	inclusion.AddRow("inclusive (item layer wasted)", inclStats.MissRatio())
 	inclusion.AddRow("exclusive (lifetime holes)", exclStats.MissRatio())
@@ -296,11 +285,10 @@ func Ablations(k, B int, seed int64) *Report {
 	}
 	var results []splitRes
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1}
-	mixU := model.ItemUniverse(geo, mixTr.Universe())
 	resCh := make([]splitRes, len(fracs))
 	cachesim.Sweep(context.Background(), len(fracs), cachesim.SweepOptions{}, noWorker, func(fi int, _ struct{}) {
 		ii := int(float64(k) * fracs[fi])
-		st := replay(core.NewIBLP(ii, k-ii, geo), mixTr, mixU)
+		st := replay(core.NewIBLP(ii, k-ii, geo), mixTr)
 		resCh[fi] = splitRes{i: ii, b: k - ii, mr: st.MissRatio()}
 	})
 	results = resCh
@@ -325,9 +313,8 @@ func Ablations(k, B int, seed int64) *Report {
 	// plus the mark-everything ablation on a no-spatial-locality stride
 	// (its marked dead siblings shrink the effective cache).
 	scan := workload.Sequential(0, 100000)
-	scanU := model.ItemUniverse(geo, scan.Universe())
-	gcm := replay(core.NewGCM(k, geo, seed), scan, scanU)
-	mark := replay(policy.NewMarking(k, seed), scan, 0)
+	gcm := replay(core.NewGCM(k, geo, seed), scan)
+	mark := replay(policy.NewMarking(k, seed), scan)
 	marking := &render.Table{
 		Title:   "Ablation 3 — GCM's unmarked sibling loads vs classic marking (fresh-block scan)",
 		Headers: []string{"policy", "misses", "miss-ratio"},
@@ -342,9 +329,8 @@ func Ablations(k, B int, seed int64) *Report {
 	}
 
 	stride := workload.Stride(k*3/4, B, 100000)
-	strideU := model.ItemUniverse(geo, stride.Universe())
-	gcmStride := replay(core.NewGCM(k, geo, seed), stride, strideU)
-	markAllStride := replay(core.NewGCMMarkAll(k, geo, seed), stride, 0)
+	gcmStride := replay(core.NewGCM(k, geo, seed), stride)
+	markAllStride := replay(core.NewGCMMarkAll(k, geo, seed), stride)
 	markAll := &render.Table{
 		Title:   "Ablation 3b — marking loaded siblings (§6.1) on a stride with no spatial locality",
 		Headers: []string{"policy", "misses", "miss-ratio"},

@@ -37,7 +37,7 @@ func Figure5Stress(i, b, B, h, length int) *Report {
 			r.Failf("generate share=%v: %v", share, err)
 			continue
 		}
-		st := replay(core.NewIBLP(i, b, geo), tr, 0)
+		st := replay(core.NewIBLP(i, b, geo), tr)
 		est := opt.EstimateOPT(tr, geo, h)
 		ratioLow := float64(st.Misses) / float64(est.Upper)
 		t.AddRow(share, st.Misses, est.Upper, est.Lower, ratioLow, ub)

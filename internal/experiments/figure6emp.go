@@ -52,8 +52,7 @@ func Figure6Empirical(k, B, h, length int) *Report {
 				mu.Unlock()
 				return
 			}
-			u := model.ItemUniverse(geo, tr.Universe())
-			st := replay(core.NewIBLP(i, b, geo), tr, u)
+			st := replay(core.NewIBLP(i, b, geo), tr)
 			est := opt.EstimateOPT(tr, geo, h)
 			if est.Upper == 0 {
 				continue

@@ -78,9 +78,9 @@ func RandomizedComparison(k, B, phases int, seed int64) *Report {
 		Headers: []string{"policy", "miss-ratio"},
 	}
 	stride := workload.Stride(k*9/10, B, 200000)
-	markSt := replay(policy.NewMarking(k, seed), stride, 0)
-	gcmSt := replay(core.NewGCM(k, geo, seed), stride, 0)
-	allSt := replay(core.NewGCMMarkAll(k, geo, seed), stride, 0)
+	markSt := replay(policy.NewMarking(k, seed), stride)
+	gcmSt := replay(core.NewGCM(k, geo, seed), stride)
+	allSt := replay(core.NewGCMMarkAll(k, geo, seed), stride)
 	pollution.AddRow("item-marking", markSt.MissRatio())
 	pollution.AddRow("gcm", gcmSt.MissRatio())
 	pollution.AddRow("gcm-mark-all", allSt.MissRatio())

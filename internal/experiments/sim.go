@@ -11,12 +11,12 @@ import (
 // and sweeps run under a background context, and a sweep's error (only
 // ever a context's) is not checked.
 
-// replay runs tr through c — a freshly built or just-Reset cache —
-// bounded by universe as in cachesim.ReplayOptions. Experiment inputs are
-// generated in-process with known universes, so an error is a bug in
-// the experiment and panics.
-func replay(c cachesim.Cache, tr trace.Trace, universe int) cachesim.Stats {
-	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{Universe: universe})
+// replay runs tr through c — a freshly built or just-Reset cache.
+// Experiment inputs are generated in-process, far below
+// cachesim.MaxUniverse, so an error is a bug in the experiment and
+// panics.
+func replay(c cachesim.Cache, tr trace.Trace) cachesim.Stats {
+	st, err := cachesim.Replay(context.Background(), c, trace.NewSliceSource(tr), cachesim.ReplayOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -53,7 +53,7 @@ func sameItems(a, b []model.Item) bool {
 // mismatch at the end.
 func runDifferential(t *testing.T, bare, probed cachesim.Cache, tr []model.Item, universe int) {
 	t.Helper()
-	suite, err := obs.NewSuite("all", universe)
+	suite, err := obs.NewSuite("all")
 	if err != nil {
 		t.Fatal(err)
 	}

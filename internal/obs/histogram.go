@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"sync"
 
+	"gccache/internal/bitset"
 	"gccache/internal/model"
 	"gccache/internal/render"
 )
@@ -188,53 +190,37 @@ func (h *Histogram) WriteCSV(w io.Writer) error { return h.Table().WriteCSV(w) }
 // as ColdCount). It listens to the recorder view — attach a probed
 // cachesim.Recorder (cachesim.Replay with ReplayOptions.Probe does).
 //
-// With a positive universe the last-seen table is a flat array and
-// Observe never allocates; otherwise a map is used and accepts any item.
+// Its last-seen table is indexed by item ID and grows with the largest
+// item observed, so Observe neither hashes nor, once grown, allocates.
 type ReuseDist struct {
 	mu   sync.Mutex
 	hist *Histogram
 	seq  int64
 	cold int64
-	// lastDense[it] is 1+sequence of it's previous reference (0 = never);
-	// nil on the map path.
-	lastDense []int64
-	last      map[model.Item]int64
+	// last[it] is the sequence of it's previous reference (0 = never).
+	last []int64
 }
 
 var _ Probe = (*ReuseDist)(nil)
 
-// NewReuseDist returns a ReuseDist probe; universe > 0 selects the flat
-// allocation-free last-seen table for item IDs in [0, universe).
-func NewReuseDist(universe int) *ReuseDist {
-	r := &ReuseDist{hist: NewHistogram("reuse distance", "requests")}
-	if universe > 0 {
-		r.lastDense = make([]int64, universe)
-	} else {
-		r.last = make(map[model.Item]int64)
-	}
-	return r
+// NewReuseDist returns an empty ReuseDist probe.
+func NewReuseDist() *ReuseDist {
+	return &ReuseDist{hist: NewHistogram("reuse distance", "requests")}
 }
 
 // Observe implements Probe.
+//
+//gclint:hotpath
 func (r *ReuseDist) Observe(e Event) {
 	if !e.Kind.IsRecorderRequest() {
 		return
 	}
 	r.mu.Lock()
 	r.seq++
-	if r.lastDense != nil {
-		if int(e.Item) < len(r.lastDense) {
-			if prev := r.lastDense[e.Item]; prev != 0 {
-				r.hist.Record(r.seq - prev)
-			} else {
-				r.cold++
-			}
-			r.lastDense[e.Item] = r.seq
-		}
-		r.mu.Unlock()
-		return
+	if uint64(e.Item) >= uint64(len(r.last)) {
+		r.last = growTable(r.last, e.Item)
 	}
-	if prev, ok := r.last[e.Item]; ok {
+	if prev := r.last[e.Item]; prev != 0 {
 		r.hist.Record(r.seq - prev)
 	} else {
 		r.cold++
@@ -305,32 +291,26 @@ func (g *InterMissGap) WriteTo(w io.Writer) (int64, error) { return g.hist.Write
 // Residency is a probe that histograms how long items stay resident:
 // the number of requests between an item's load and its eviction.
 // Policy view (EvLoad/EvEvict), so it works attached directly to a
-// policy, with or without a recorder.
+// policy, with or without a recorder. Its load table grows like
+// ReuseDist's.
 type Residency struct {
 	mu   sync.Mutex
 	hist *Histogram
 	seq  int64
-	// loadedDense[it] is 1+sequence of it's load (0 = not resident);
-	// nil on the map path.
-	loadedDense []int64
-	loaded      map[model.Item]int64
+	// loaded[it] is 1+sequence of it's load (0 = not resident).
+	loaded []int64
 }
 
 var _ Probe = (*Residency)(nil)
 
-// NewResidency returns a Residency probe; universe > 0 selects the flat
-// allocation-free residency table for item IDs in [0, universe).
-func NewResidency(universe int) *Residency {
-	r := &Residency{hist: NewHistogram("residency", "requests")}
-	if universe > 0 {
-		r.loadedDense = make([]int64, universe)
-	} else {
-		r.loaded = make(map[model.Item]int64)
-	}
-	return r
+// NewResidency returns an empty Residency probe.
+func NewResidency() *Residency {
+	return &Residency{hist: NewHistogram("residency", "requests")}
 }
 
 // Observe implements Probe.
+//
+//gclint:hotpath
 func (r *Residency) Observe(e Event) {
 	switch {
 	case e.Kind.IsPolicyRequest():
@@ -339,26 +319,19 @@ func (r *Residency) Observe(e Event) {
 		r.mu.Unlock()
 	case e.Kind == EvLoad:
 		r.mu.Lock()
-		if r.loadedDense != nil {
-			if int(e.Item) < len(r.loadedDense) {
-				r.loadedDense[e.Item] = r.seq + 1
-			}
-		} else {
-			r.loaded[e.Item] = r.seq + 1
+		if uint64(e.Item) >= uint64(len(r.loaded)) {
+			r.loaded = growTable(r.loaded, e.Item)
 		}
+		r.loaded[e.Item] = r.seq + 1
 		r.mu.Unlock()
 	case e.Kind == EvEvict:
 		r.mu.Lock()
-		if r.loadedDense != nil {
-			if int(e.Item) < len(r.loadedDense) {
-				if at := r.loadedDense[e.Item]; at != 0 {
-					r.hist.Record(r.seq - (at - 1))
-					r.loadedDense[e.Item] = 0
-				}
+		// An item past the table's end was never loaded.
+		if uint64(e.Item) < uint64(len(r.loaded)) {
+			if at := r.loaded[e.Item]; at != 0 {
+				r.hist.Record(r.seq - (at - 1))
+				r.loaded[e.Item] = 0
 			}
-		} else if at, ok := r.loaded[e.Item]; ok {
-			r.hist.Record(r.seq - (at - 1))
-			delete(r.loaded, e.Item)
 		}
 		r.mu.Unlock()
 	}
@@ -369,3 +342,17 @@ func (r *Residency) Hist() *Histogram { return r.hist }
 
 // WriteTo renders the histogram.
 func (r *Residency) WriteTo(w io.Writer) (int64, error) { return r.hist.WriteTo(w) }
+
+// growTable returns t extended to cover it, at least doubling it. It
+// panics if it ≥ bitset.Limit, the bound on every ID-indexed table. It
+// is kept out of line so the probes' Observe stays small.
+//
+//go:noinline
+func growTable(t []int64, it model.Item) []int64 {
+	if it >= bitset.Limit {
+		panic(fmt.Sprintf("obs: item %d at or past bitset.Limit", it))
+	}
+	grown := make([]int64, max(2*len(t), int(it)+1)) //gclint:allowalloc amortized: each grow at least doubles, so items below n cost O(log n) grows per table
+	copy(grown, t)
+	return grown
+}

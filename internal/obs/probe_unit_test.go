@@ -164,27 +164,29 @@ func TestProbeMissCurve(t *testing.T) {
 	}
 }
 
-func TestProbeReuseDistDenseMatchesMap(t *testing.T) {
+// TestProbeReuseDistObserveMatchesNote: a recorder-view miss and a raw
+// Note are the same reference to the probe.
+func TestProbeReuseDistObserveMatchesNote(t *testing.T) {
 	seqs := []model.Item{1, 2, 1, 3, 2, 1, 1, 9, 3}
-	dense := NewReuseDist(16)
-	generic := NewReuseDist(0)
+	observed := NewReuseDist()
+	noted := NewReuseDist()
 	for _, it := range seqs {
-		dense.Observe(Event{Kind: EvMiss, Item: it})
-		generic.Note(it)
+		observed.Observe(Event{Kind: EvMiss, Item: it})
+		noted.Note(it)
 	}
-	if d, g := dense.ColdCount(), generic.ColdCount(); d != g || d != 4 {
-		t.Errorf("cold counts dense=%d generic=%d, want 4", d, g)
+	if o, n := observed.ColdCount(), noted.ColdCount(); o != n || o != 4 {
+		t.Errorf("cold counts observed=%d noted=%d, want 4", o, n)
 	}
-	if d, g := dense.Hist().Count(), generic.Hist().Count(); d != g || d != 5 {
-		t.Errorf("sample counts dense=%d generic=%d, want 5", d, g)
+	if o, n := observed.Hist().Count(), noted.Hist().Count(); o != n || o != 5 {
+		t.Errorf("sample counts observed=%d noted=%d, want 5", o, n)
 	}
-	if d, g := dense.Hist().Mean(), generic.Hist().Mean(); d != g {
-		t.Errorf("means diverge: dense=%v generic=%v", d, g)
+	if o, n := observed.Hist().Mean(), noted.Hist().Mean(); o != n {
+		t.Errorf("means diverge: observed=%v noted=%v", o, n)
 	}
 }
 
 func TestProbeResidency(t *testing.T) {
-	r := NewResidency(16)
+	r := NewResidency()
 	r.Observe(Event{Kind: EvBlockLoad, Item: 1}) // request 1
 	r.Observe(Event{Kind: EvLoad, Item: 1})
 	r.Observe(Event{Kind: EvHit, Item: 1}) // request 2
@@ -202,17 +204,26 @@ func TestProbeResidency(t *testing.T) {
 	if got := r.Hist().Count(); got != 1 {
 		t.Errorf("phantom eviction recorded a sample")
 	}
+	// An item far past every ID seen so far grows the table instead of
+	// being dropped.
+	const far = model.Item(1 << 20)
+	r.Observe(Event{Kind: EvLoad, Item: far})
+	r.Observe(Event{Kind: EvHit, Item: far}) // request 4
+	r.Observe(Event{Kind: EvEvict, Item: far})
+	if got := r.Hist().Count(); got != 2 {
+		t.Errorf("item %d: got %d residency samples, want 2", far, got)
+	}
 }
 
 func TestProbeSuiteSpec(t *testing.T) {
-	s, err := NewSuite("", 0)
+	s, err := NewSuite("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Counters == nil || s.Events != nil || s.Reuse != nil {
 		t.Error("empty spec should be counters-only")
 	}
-	s, err = NewSuite("all", 64)
+	s, err = NewSuite("all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +231,7 @@ func TestProbeSuiteSpec(t *testing.T) {
 		s.Gaps == nil || s.Residency == nil || s.Curve == nil {
 		t.Error("spec 'all' should enable every probe")
 	}
-	s, err = NewSuite("events=8, misscurve=100", 0)
+	s, err = NewSuite("events=8, misscurve=100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +239,14 @@ func TestProbeSuiteSpec(t *testing.T) {
 		t.Error("valued spec entries not honored")
 	}
 	for _, bad := range []string{"bogus", "events=x", "window=-1"} {
-		if _, err := NewSuite(bad, 0); err == nil {
+		if _, err := NewSuite(bad); err == nil {
 			t.Errorf("spec %q should be rejected", bad)
 		}
 	}
 }
 
 func TestProbeSuiteWriteTo(t *testing.T) {
-	s, err := NewSuite("all", 64)
+	s, err := NewSuite("all")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,13 @@ const zaUniverse = 1 << 12
 func densePolicies() map[string]cachesim.Cache {
 	g := model.NewFixed(16)
 	caches := map[string]cachesim.Cache{
-		"item-lru":  policy.NewItemLRU(256),
-		"block-lru": policy.NewBlockLRU(512, g),
-		"iblp":      core.NewIBLPEvenSplit(512, g),
-		"gcm":       core.NewGCM(512, g, 1),
+		"item-lru":      policy.NewItemLRU(256),
+		"block-lru":     policy.NewBlockLRU(512, g),
+		"iblp":          core.NewIBLPEvenSplit(512, g),
+		"gcm":           core.NewGCM(512, g, 1),
+		"adaptive-iblp": core.NewAdaptiveIBLP(512, g),
+		// k < B: every block-layer admission is a truncated copy.
+		"adaptive-iblp-trunc": core.NewAdaptiveIBLP(8, g),
 	}
 	for _, c := range caches {
 		for i := 0; i < zaUniverse*2; i++ {

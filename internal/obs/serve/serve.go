@@ -61,10 +61,6 @@ type Config struct {
 	// AutotuneWindow overrides the controller's decision window in
 	// requests (0 = the autotune package default).
 	AutotuneWindow int
-	// AutotuneUniverse bounds the autotuner's item universe in
-	// cluster mode, where no local trace exists to derive it from
-	// (0 = 1<<20). Out-of-universe items are counted and skipped.
-	AutotuneUniverse int
 
 	// ClusterRing switches the server into cluster-node mode: instead
 	// of replaying a local workload, it serves cache traffic from
@@ -150,7 +146,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, geo: model.NewFixed(cfg.B)}
 
 	var err error
-	if s.suite, err = obs.NewSuite(cfg.Probe, 0); err != nil {
+	if s.suite, err = obs.NewSuite(cfg.Probe); err != nil {
 		return nil, err
 	}
 	s.fan = newEventFan()
@@ -183,13 +179,8 @@ func New(cfg Config) (*Server, error) {
 			if !ok {
 				return nil, fmt.Errorf("serve: policy %q does not support layer resizing (autotune needs iblp or adaptive)", cfg.Policy)
 			}
-			universe := cfg.AutotuneUniverse
-			if universe <= 0 {
-				universe = 1 << 20 // wire traffic has no trace to bound it
-			}
 			if s.tuner, err = autotune.New(autotune.Config{
-				K: cfg.K, B: cfg.B, Geometry: s.geo,
-				Universe: universe, Window: cfg.AutotuneWindow,
+				K: cfg.K, B: cfg.B, Geometry: s.geo, Window: cfg.AutotuneWindow,
 			}); err != nil {
 				return nil, err
 			}
@@ -233,10 +224,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The caches' dense structures grow with the largest item ID they
 	// see, so a loaded trace is held to the bound Replay applies.
-	for _, it := range s.tr {
-		if it >= cachesim.MaxUniverse {
-			return nil, fmt.Errorf("serve: trace item %d is outside the universe [0, %d)", it, cachesim.MaxUniverse)
-		}
+	if err := cachesim.CheckUniverse(s.tr.Universe()); err != nil {
+		return nil, fmt.Errorf("serve: trace: %w", err)
 	}
 
 	if cfg.Shards > 1 {
@@ -270,8 +259,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.resizable = rz
 		if s.tuner, err = autotune.New(autotune.Config{
-			K: cfg.K, B: cfg.B, Geometry: s.geo,
-			Universe: s.tr.Universe(), Window: cfg.AutotuneWindow,
+			K: cfg.K, B: cfg.B, Geometry: s.geo, Window: cfg.AutotuneWindow,
 		}); err != nil {
 			return nil, err
 		}

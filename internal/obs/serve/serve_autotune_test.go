@@ -139,7 +139,7 @@ func TestAutotuneClusterKeepsAccountingDuringResize(t *testing.T) {
 		s, err := New(Config{
 			Addr: "127.0.0.1:0", K: 64, B: 1, Policy: "iblp",
 			ClusterRing: rp, ClusterAddr: addr,
-			Autotune: true, AutotuneWindow: 128, AutotuneUniverse: 1 << 12,
+			Autotune: true, AutotuneWindow: 128,
 		})
 		if err != nil {
 			t.Fatal(err)

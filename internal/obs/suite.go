@@ -47,11 +47,9 @@ const (
 	defaultRingCount = 16
 )
 
-// NewSuite parses spec (see Suite) and returns the bundled probe.
-// universe > 0 puts the reuse/residency trackers on their flat
-// allocation-free tables for item IDs in [0, universe). An empty spec
-// yields a counters-only suite.
-func NewSuite(spec string, universe int) (*Suite, error) {
+// NewSuite parses spec (see Suite) and returns the bundled probe. An
+// empty spec yields a counters-only suite.
+func NewSuite(spec string) (*Suite, error) {
 	s := &Suite{Counters: &Counters{}}
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
@@ -82,11 +80,11 @@ func NewSuite(spec string, universe int) (*Suite, error) {
 			}
 			s.Events = NewEventLog(n)
 		case "reuse":
-			s.Reuse = NewReuseDist(universe)
+			s.Reuse = NewReuseDist()
 		case "gaps":
 			s.Gaps = NewInterMissGap()
 		case "residency":
-			s.Residency = NewResidency(universe)
+			s.Residency = NewResidency()
 		case "misscurve":
 			if !hasVal {
 				n = defaultWindow
@@ -95,9 +93,9 @@ func NewSuite(spec string, universe int) (*Suite, error) {
 		case "all":
 			s.Windowed = NewWindowed(defaultWindow, defaultRingCount)
 			s.Events = NewEventLog(defaultEventLog)
-			s.Reuse = NewReuseDist(universe)
+			s.Reuse = NewReuseDist()
 			s.Gaps = NewInterMissGap()
-			s.Residency = NewResidency(universe)
+			s.Residency = NewResidency()
 			s.Curve = NewMissCurve(defaultWindow, defaultCurvePts)
 		default:
 			return nil, fmt.Errorf("obs: unknown probe %q (want counters, window=W, events=N, reuse, gaps, residency, misscurve=W, or all)", key)
