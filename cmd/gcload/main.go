@@ -142,7 +142,7 @@ func main() {
 		cli.Fatalf("gcload", "-ops %d < 1", *ops)
 	}
 
-	checkUniverse(tr.Universe())
+	checkUniverse(tr.MaxItem())
 	build, err := buildPolicy(*policyArg, geo, *seed)
 	if err != nil {
 		cli.Fatal("gcload", err)
@@ -255,11 +255,11 @@ func printAutotune(w *os.File, tn *autotune.Tuner, s *concurrent.Sharded) {
 		st.Windows, st.Window, st.Resizes, final, st.Formula, st.WorkingSet)
 }
 
-// checkUniverse exits when the exclusive bound on the requested item
-// IDs exceeds cachesim.MaxUniverse: the caches' ID-indexed arrays grow
-// with the largest ID they see, so input keeps the bound Replay applies.
-func checkUniverse(universe int) {
-	if err := cachesim.CheckUniverse(universe); err != nil {
+// checkUniverse exits when the largest requested item is at or past
+// cachesim.MaxUniverse: the caches' ID-indexed arrays grow with the
+// largest ID they see, so input keeps the bound Replay applies.
+func checkUniverse(largest model.Item) {
+	if err := cachesim.CheckUniverse(largest); err != nil {
 		cli.Fatal("gcload", err)
 	}
 }
@@ -323,17 +323,15 @@ func runScenarioLoad(c scenarioLoadConfig) {
 	if c.mode == "open" {
 		nSeeds = c.streams
 	}
-	universe := 0
+	var largest model.Item
 	for i := 0; i < nSeeds; i++ {
-		u, uerr := scenario.Universe(prog, seed+int64(i))
-		if uerr != nil {
-			cli.Fatal("gcload", uerr)
+		m, merr := scenario.MaxItem(prog, seed+int64(i))
+		if merr != nil {
+			cli.Fatal("gcload", merr)
 		}
-		if u > universe {
-			universe = u
-		}
+		largest = max(largest, m)
 	}
-	checkUniverse(universe)
+	checkUniverse(largest)
 	build, err := buildPolicy(c.policy, geo, seed)
 	if err != nil {
 		cli.Fatal("gcload", err)

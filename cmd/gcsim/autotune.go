@@ -25,7 +25,7 @@ import (
 // to cachesim.MaxUniverse first, the bound Replay applies: Drive feeds
 // the live cache directly, and the tuner skips items past it.
 func runAutotuneEval(tr trace.Trace, k, B int) {
-	if err := cachesim.CheckUniverse(tr.Universe()); err != nil {
+	if err := cachesim.CheckUniverse(tr.MaxItem()); err != nil {
 		fatal(err)
 	}
 	geo := model.NewFixed(B)

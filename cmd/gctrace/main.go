@@ -83,7 +83,7 @@ func main() {
 	if *reuse {
 		// The reuse profiles' tables grow with the largest item ID, so
 		// the trace is held to the bound Replay applies.
-		if err := cachesim.CheckUniverse(tr.Universe()); err != nil {
+		if err := cachesim.CheckUniverse(tr.MaxItem()); err != nil {
 			fatal(err)
 		}
 	}

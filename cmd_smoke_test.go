@@ -1,6 +1,7 @@
 package gccache_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"gccache"
 	"gccache/internal/cachesim"
+	"gccache/internal/model"
 )
 
 // TestCommandSmoke builds and runs every CLI once with representative
@@ -86,38 +88,47 @@ func TestCommandSmoke(t *testing.T) {
 
 // TestCommandRefusesOutsideUniverse: the CLIs whose tables grow with the
 // largest item ID refuse a trace file holding an item at
-// cachesim.MaxUniverse instead of growing to it. Skipped under -short
-// (each invocation pays a `go run` compile).
+// cachesim.MaxUniverse, or at 1<<63 or 2⁶⁴−1, whose exclusive bound
+// would wrap an int, instead of growing to it. The error names the
+// item. Skipped under -short (it compiles three binaries).
 func TestCommandRefusesOutsideUniverse(t *testing.T) {
 	if testing.Short() {
-		t.Skip("refusal test compiles two binaries")
+		t.Skip("refusal test compiles three binaries")
 	}
-	path := filepath.Join(t.TempDir(), "big.gct")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, name := range []string{"gctrace", "gcsim", "gcload"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, out)
+		}
 	}
-	if err := (gccache.Trace{1, cachesim.MaxUniverse, 2}).Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, args := range map[string][]string{
-		"gctrace-reuse":  {"run", "./cmd/gctrace", "-in", path, "-reuse"},
-		"gcsim-autotune": {"run", "./cmd/gcsim", "-autotune", "-trace", path},
-	} {
-		t.Run(name, func(t *testing.T) {
-			cmd := exec.Command("go", args...)
-			cmd.Env = os.Environ()
-			out, err := cmd.CombinedOutput()
-			if err == nil {
-				t.Fatalf("%v exited 0, want a refusal:\n%s", args, out)
-			}
-			if !strings.Contains(string(out), "outside the universe") {
-				t.Fatalf("%v: output missing %q:\n%s", args, "outside the universe", out)
-			}
-		})
+	for _, it := range []model.Item{cachesim.MaxUniverse, 1 << 63, ^model.Item(0)} {
+		path := filepath.Join(dir, fmt.Sprintf("big-%d.gct", it))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (gccache.Trace{1, it, 2}).Write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("item %d is outside the universe", it)
+		for _, args := range [][]string{
+			{"gctrace", "-in", path, "-reuse"},
+			{"gcsim", "-autotune", "-trace", path},
+			{"gcload", "-trace", path, "-shards", "1", "-streams", "1", "-ops", "10"},
+		} {
+			t.Run(fmt.Sprintf("%s-%d", args[0], it), func(t *testing.T) {
+				out, err := exec.Command(filepath.Join(dir, args[0]), args[1:]...).CombinedOutput()
+				if err == nil {
+					t.Fatalf("%v exited 0, want a refusal:\n%s", args, out)
+				}
+				if !strings.Contains(string(out), want) {
+					t.Fatalf("%v: output missing %q:\n%s", args, want, out)
+				}
+			})
+		}
 	}
 }
 

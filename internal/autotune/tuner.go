@@ -18,6 +18,7 @@ import (
 	"math"
 	"sync"
 
+	"gccache/internal/bitset"
 	"gccache/internal/bounds"
 	"gccache/internal/cachesim"
 	"gccache/internal/core"
@@ -323,9 +324,9 @@ func (t *Tuner) Observe(e obs.Event) {
 				g.window++
 			}
 		}
-		if n := int(e.Item) + 1; n > len(t.seen) {
+		if uint64(e.Item) >= uint64(len(t.seen)) {
 			// New stamps are 0, which matches no epoch.
-			t.seen = append(t.seen, make([]uint32, n-len(t.seen))...) //gclint:allowalloc amortized: append grows capacity geometrically, so items below n cost O(log n) grows per Tuner
+			t.seen = bitset.Grow(t.seen, uint64(e.Item))
 		}
 		if t.seen[e.Item] != t.epoch {
 			t.seen[e.Item] = t.epoch

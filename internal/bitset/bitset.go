@@ -7,7 +7,9 @@
 // to inline at their call sites. Word, AddWord and RemoveWord read and
 // write up to 64 consecutive IDs at once, at any offset: under
 // model.Fixed, IBLP and BlockLRU admit and drop a block as whole words
-// instead of probing it item by item.
+// instead of probing it item by item. Grow extends the other
+// ID-indexed tables — the Recorder's, the probes', the autotuner's and
+// AdaptiveIBLP's — under the same Limit.
 package bitset
 
 import "math/bits"
@@ -24,6 +26,21 @@ const Limit = 1 << 31
 
 // New returns an empty set presized for IDs [0, n).
 func New(n int) Set { return make(Set, (n+63)>>6) }
+
+// Grow returns s extended with zero values to cover index id, at least
+// doubling its length, so a table indexed by IDs below n grows O(log n)
+// times. It panics if id ≥ Limit. It is kept out of line so callers'
+// hot paths stay small; they test id against len(s) first.
+//
+//go:noinline
+func Grow[T any](s []T, id uint64) []T {
+	if id >= Limit {
+		panic("bitset: id at or past Limit")
+	}
+	grown := make([]T, max(2*len(s), int(id)+1)) //gclint:allowalloc amortized: each grow at least doubles, so IDs below n cost O(log n) grows per table
+	copy(grown, s)
+	return grown
+}
 
 // Has reports whether id is in the set.
 //

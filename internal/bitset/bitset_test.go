@@ -47,6 +47,33 @@ func TestSetAddPanicsAtLimit(t *testing.T) {
 	s.Add(Limit)
 }
 
+// TestGrowDoublesAndKeeps: Grow covers the ID, at least doubles the
+// length, keeps the old entries and zero-fills the new ones; it panics
+// for an ID at Limit.
+func TestGrowDoublesAndKeeps(t *testing.T) {
+	s := []int64{7, 8, 9}
+	for _, c := range []struct {
+		id   uint64
+		want int
+	}{{3, 6}, {6, 12}, {100, 101}} {
+		s = Grow(s, c.id)
+		if len(s) != c.want {
+			t.Fatalf("Grow(%d) left length %d, want %d", c.id, len(s), c.want)
+		}
+	}
+	for i, v := range s {
+		if want := []int64{7, 8, 9}; (i < 3 && v != want[i]) || (i >= 3 && v != 0) {
+			t.Fatalf("s[%d] = %d after growth", i, v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Grow(Limit) did not panic")
+		}
+	}()
+	Grow([]bool(nil), Limit)
+}
+
 // TestWordStraddlesTwoWords: a range at an unaligned ID reads, sets and
 // clears bits of two neighbouring words, and only the masked ones.
 func TestWordStraddlesTwoWords(t *testing.T) {

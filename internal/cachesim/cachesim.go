@@ -250,7 +250,7 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 			continue
 		}
 		if uint64(l) >= uint64(len(r.pristine)) {
-			r.grow(l)
+			r.pristine = bitset.Grow(r.pristine, uint64(l))
 		}
 		r.pristine[l] = true
 	}
@@ -258,20 +258,6 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 	if uint64(it) < uint64(len(r.pristine)) {
 		r.pristine[it] = false
 	}
-}
-
-// grow extends pristine to cover it, at least doubling it. It panics if
-// it ≥ bitset.Limit, the bound on every ID-indexed set. It is kept out
-// of line so Observe stays small.
-//
-//go:noinline
-func (r *Recorder) grow(it model.Item) {
-	if it >= bitset.Limit {
-		panic(fmt.Sprintf("cachesim: item %d at or past bitset.Limit", it))
-	}
-	grown := make([]bool, max(2*len(r.pristine), int(it)+1)) //gclint:allowalloc amortized: each grow at least doubles, so items below n cost O(log n) grows per Recorder
-	copy(grown, r.pristine)
-	r.pristine = grown
 }
 
 // Stats returns the accumulated statistics.
@@ -290,13 +276,14 @@ func (r *Recorder) Reset(policy string) {
 // feeds never grow past it.
 const MaxUniverse = 4 << 20
 
-// CheckUniverse returns Replay's error for item n−1 when the exclusive
-// ID bound n exceeds MaxUniverse, and nil otherwise. It is the check for
-// input read whole before it is served, such as trace.Trace.Universe of
-// a loaded trace.
-func CheckUniverse(n int) error {
-	if n > MaxUniverse {
-		return outsideUniverse(model.Item(n-1), MaxUniverse)
+// CheckUniverse returns Replay's error for item largest when it is at
+// or past MaxUniverse, and nil otherwise. It is the check for input read
+// whole before it is served: pass the largest requested item, such as
+// trace.Trace.MaxItem of a loaded trace. It compares items, not an
+// exclusive bound, so no item near 2⁶⁴ wraps past it.
+func CheckUniverse(largest model.Item) error {
+	if largest >= MaxUniverse {
+		return outsideUniverse(largest, MaxUniverse)
 	}
 	return nil
 }

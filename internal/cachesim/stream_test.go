@@ -3,6 +3,8 @@ package cachesim_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,6 +198,21 @@ func TestReplayUndeclaredUniverseRefusesMaxUniverse(t *testing.T) {
 		}
 		if st.Accesses != 2 {
 			t.Errorf("%s: %d accesses replayed before the refused item, want 2", c.Name(), st.Accesses)
+		}
+	}
+}
+
+// TestCheckUniverseComparesItems: CheckUniverse passes the largest item
+// below MaxUniverse and refuses, naming the item, every item at or past
+// it, including those whose exclusive bound would wrap an int.
+func TestCheckUniverseComparesItems(t *testing.T) {
+	if err := cachesim.CheckUniverse(cachesim.MaxUniverse - 1); err != nil {
+		t.Errorf("CheckUniverse(MaxUniverse-1) = %v, want nil", err)
+	}
+	for _, it := range []model.Item{cachesim.MaxUniverse, math.MaxInt64, 1 << 63, math.MaxUint64} {
+		err := cachesim.CheckUniverse(it)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("item %d is outside the universe", it)) {
+			t.Errorf("CheckUniverse(%d) = %v, want a refusal naming it", it, err)
 		}
 	}
 }

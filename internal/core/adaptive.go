@@ -200,8 +200,8 @@ func (c *AdaptiveIBLP) admitBlockLayer(blk model.Block, requested model.Item) {
 	}
 	c.blocks.PushFront(blk)
 	if truncated {
-		if n := int(blk) + 1; n > len(c.lead) {
-			c.lead = append(c.lead, make([]model.Item, n-len(c.lead))...) //gclint:allowalloc amortized: append grows capacity geometrically, so blocks below n cost O(log n) grows per cache
+		if uint64(blk) >= uint64(len(c.lead)) {
+			c.lead = bitset.Grow(c.lead, uint64(blk))
 		}
 		c.lead[blk] = requested + 1
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -218,7 +217,7 @@ func (r *ReuseDist) Observe(e Event) {
 	r.mu.Lock()
 	r.seq++
 	if uint64(e.Item) >= uint64(len(r.last)) {
-		r.last = growTable(r.last, e.Item)
+		r.last = bitset.Grow(r.last, uint64(e.Item))
 	}
 	if prev := r.last[e.Item]; prev != 0 {
 		r.hist.Record(r.seq - prev)
@@ -320,7 +319,7 @@ func (r *Residency) Observe(e Event) {
 	case e.Kind == EvLoad:
 		r.mu.Lock()
 		if uint64(e.Item) >= uint64(len(r.loaded)) {
-			r.loaded = growTable(r.loaded, e.Item)
+			r.loaded = bitset.Grow(r.loaded, uint64(e.Item))
 		}
 		r.loaded[e.Item] = r.seq + 1
 		r.mu.Unlock()
@@ -342,17 +341,3 @@ func (r *Residency) Hist() *Histogram { return r.hist }
 
 // WriteTo renders the histogram.
 func (r *Residency) WriteTo(w io.Writer) (int64, error) { return r.hist.WriteTo(w) }
-
-// growTable returns t extended to cover it, at least doubling it. It
-// panics if it ≥ bitset.Limit, the bound on every ID-indexed table. It
-// is kept out of line so the probes' Observe stays small.
-//
-//go:noinline
-func growTable(t []int64, it model.Item) []int64 {
-	if it >= bitset.Limit {
-		panic(fmt.Sprintf("obs: item %d at or past bitset.Limit", it))
-	}
-	grown := make([]int64, max(2*len(t), int(it)+1)) //gclint:allowalloc amortized: each grow at least doubles, so items below n cost O(log n) grows per table
-	copy(grown, t)
-	return grown
-}

@@ -224,7 +224,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The caches' dense structures grow with the largest item ID they
 	// see, so a loaded trace is held to the bound Replay applies.
-	if err := cachesim.CheckUniverse(s.tr.Universe()); err != nil {
+	if err := cachesim.CheckUniverse(s.tr.MaxItem()); err != nil {
 		return nil, fmt.Errorf("serve: trace: %w", err)
 	}
 

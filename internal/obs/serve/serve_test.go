@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"gccache/internal/cachesim"
+	"gccache/internal/model"
 	"gccache/internal/trace"
 )
 
@@ -238,5 +240,28 @@ func TestProbeServeRefusesTraceOutsideUniverse(t *testing.T) {
 	_, err = New(Config{K: 64, B: 8, TraceFile: path})
 	if err == nil || !strings.Contains(err.Error(), "4194304") {
 		t.Fatalf("New = %v, want a refusal naming item 4194304", err)
+	}
+}
+
+// TestProbeServeRefusesTraceFarOutsideUniverse: items whose exclusive
+// bound would wrap an int, 1<<63 and 2⁶⁴−1, are refused at load as
+// item MaxUniverse is, not handed to the replay goroutine.
+func TestProbeServeRefusesTraceFarOutsideUniverse(t *testing.T) {
+	for _, it := range []model.Item{1 << 63, ^model.Item(0)} {
+		path := filepath.Join(t.TempDir(), "far.gctrace")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (trace.Trace{1, it, 2}).Write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("item %d is outside the universe", it)
+		if _, err := New(Config{K: 64, B: 8, TraceFile: path}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("item %d: New = %v, want a refusal naming it", it, err)
+		}
 	}
 }

@@ -287,7 +287,7 @@ func TestStreamZeroAlloc(t *testing.T) {
 // materialized trace.
 func TestUniverse(t *testing.T) {
 	p, _, _ := parseAndCheck(t, allCombinators)
-	u, err := Universe(p, 7)
+	m, err := MaxItem(p, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +295,11 @@ func TestUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := tr.Universe(); u != want {
-		t.Errorf("Universe() = %d, trace says %d", u, want)
+	if want := tr.MaxItem(); m != want {
+		t.Errorf("MaxItem() = %d, trace says %d", m, want)
 	}
-	if u <= 0 {
-		t.Errorf("Universe() = %d, want > 0", u)
+	if m <= 0 {
+		t.Errorf("MaxItem() = %d, want > 0", m)
 	}
 }
 

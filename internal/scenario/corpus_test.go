@@ -60,12 +60,12 @@ func TestScenarioCorpus(t *testing.T) {
 				t.Fatalf("reparse of Format output: %v", err)
 			}
 
-			u, err := Universe(prog, info.Seed)
+			m, err := MaxItem(prog, info.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if u > cachesim.MaxUniverse {
-				t.Errorf("universe %d exceeds cachesim.MaxUniverse %d: a replay with no declared universe refuses its items", u, cachesim.MaxUniverse)
+			if m >= cachesim.MaxUniverse {
+				t.Errorf("largest item %d is at or past cachesim.MaxUniverse %d: a replay with no declared universe refuses it", m, cachesim.MaxUniverse)
 			}
 			s, err := Compile(prog, info.Seed)
 			if err != nil {
@@ -80,8 +80,8 @@ func TestScenarioCorpus(t *testing.T) {
 				if !s2.Next() || s2.Item() != s.Item() {
 					t.Fatalf("formatted copy diverges at request %d", n)
 				}
-				if int(s.Item()) >= u {
-					t.Fatalf("request %d: item %d outside computed universe %d", n, s.Item(), u)
+				if s.Item() > m {
+					t.Fatalf("request %d: item %d past computed largest item %d", n, s.Item(), m)
 				}
 				n++
 			}

@@ -29,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"gccache/internal/model"
 	"gccache/internal/trace"
 )
 
@@ -92,27 +93,20 @@ func Trace(p *Program, seed int64) (trace.Trace, error) {
 	return out, nil
 }
 
-// Universe replays the scenario once (O(1) memory) and returns an
-// exclusive upper bound on its item IDs — the argument
-// ReplayOptions.Universe and the autotuner take. Deterministic: the
-// probing pass and the replay pass see the same sequence.
-func Universe(p *Program, seed int64) (int, error) {
+// MaxItem replays the scenario once (O(1) memory) and returns its
+// largest item ID, or 0 if it emits none — the argument
+// cachesim.CheckUniverse takes. Deterministic: the probing pass and the
+// replay pass see the same sequence.
+func MaxItem(p *Program, seed int64) (model.Item, error) {
 	s, err := Compile(p, seed)
 	if err != nil {
 		return 0, err
 	}
-	max := uint64(0)
-	seen := false
+	var m model.Item
 	for s.Next() {
-		if v := uint64(s.Item()); v >= max {
-			max = v
-			seen = true
-		}
+		m = max(m, s.Item())
 	}
-	if !seen {
-		return 0, nil
-	}
-	return int(max + 1), nil
+	return m, nil
 }
 
 // CombinatorsUsed returns the sorted set of combinator names appearing

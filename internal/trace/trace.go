@@ -43,23 +43,26 @@ func (t Trace) DistinctBlocks(g model.Geometry) int {
 	return len(seen)
 }
 
-// Universe returns an exclusive upper bound on the item IDs referenced —
-// max(t)+1, or 0 for an empty trace. It is the natural universe argument
-// for the bounded (dense-path) constructors: every trace item is a valid
-// index in [0, Universe()).
-func (t Trace) Universe() int {
-	max := uint64(0)
-	seen := false
+// MaxItem returns the largest item ID referenced, or 0 for an empty
+// trace. It is what cachesim.CheckUniverse takes.
+func (t Trace) MaxItem() model.Item {
+	var m model.Item
 	for _, it := range t {
-		if uint64(it) >= max {
-			max = uint64(it)
-			seen = true
-		}
+		m = max(m, it)
 	}
-	if !seen {
+	return m
+}
+
+// Universe returns an exclusive upper bound on the item IDs referenced —
+// MaxItem()+1, or 0 for an empty trace. It is the natural universe
+// argument for the bounded (dense-path) constructors: every trace item
+// is a valid index in [0, Universe()). It wraps for an item at or past
+// math.MaxInt, so input is checked with MaxItem, not with it.
+func (t Trace) Universe() int {
+	if len(t) == 0 {
 		return 0
 	}
-	return int(max + 1)
+	return int(t.MaxItem()) + 1
 }
 
 // Clone returns a deep copy.

@@ -18,6 +18,19 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestMaxItem: MaxItem is the largest item, 0 for an empty trace, and
+// does not wrap near 2⁶⁴ as Universe does.
+func TestMaxItem(t *testing.T) {
+	for _, c := range []struct {
+		tr   Trace
+		want model.Item
+	}{{Trace{}, 0}, {Trace{0}, 0}, {Trace{3, 9, 1}, 9}, {Trace{1, 1 << 63, 2}, 1 << 63}, {Trace{1, ^model.Item(0), 2}, ^model.Item(0)}} {
+		if got := c.tr.MaxItem(); got != c.want {
+			t.Errorf("%v.MaxItem() = %d, want %d", c.tr, got, c.want)
+		}
+	}
+}
+
 func TestDistinctBlocks(t *testing.T) {
 	g := model.NewFixed(4)
 	tr := Trace{0, 1, 2, 3, 4, 8, 9}
