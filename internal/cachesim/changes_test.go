@@ -67,8 +67,8 @@ func TestChangesNetsWithinTheRequestedBlock(t *testing.T) {
 			// the masks must not net its evictions.
 			c.Reset()
 			c.Evict(geo.block[1])
-			if !slices.Equal(c.Evicted, list("1")) {
-				t.Errorf("%s %q: after Reset Evicted %v, want %v", gname, tc.script, c.Evicted, list("1"))
+			if got := c.Hit(nil).Evicted(); !slices.Equal(got, list("1")) {
+				t.Errorf("%s %q: after Reset Evicted %v, want %v", gname, tc.script, got, list("1"))
 			}
 		}
 	}

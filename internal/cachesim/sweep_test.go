@@ -105,16 +105,16 @@ func TestSweepCachesResetsEveryPoint(t *testing.T) {
 	}
 }
 
-// TestRecorderBoundedMatchesGeneric feeds an identical random access
+// TestRecorderPresizedMatchesGrown feeds an identical random access
 // stream to a Recorder presized for the universe and one that grows its
 // pristine set from empty, and requires identical statistics.
-func TestRecorderBoundedMatchesGeneric(t *testing.T) {
+func TestRecorderPresizedMatchesGrown(t *testing.T) {
 	const universe = 32
 	rng := rand.New(rand.NewSource(11))
 	gen := NewRecorder("p", 0)
 	bnd := NewRecorder("p", universe)
-	if len(bnd.pristine) < universe {
-		t.Fatalf("presized recorder covers %d items, want %d", len(bnd.pristine), universe)
+	if ids := 64 * len(bnd.pristine); ids < universe {
+		t.Fatalf("presized recorder covers %d items, want %d", ids, universe)
 	}
 	present := make(map[model.Item]bool)
 	for step := 0; step < 20000; step++ {
@@ -140,7 +140,7 @@ func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 				delete(present, v)
 			}
 			present[it] = true
-			a = Access{net: &Net{Loaded: loaded, Evicted: evicted}}
+			a = Access{net: netOf(loaded, evicted)}
 		}
 		gen.Observe(it, a)
 		bnd.Observe(it, a)
@@ -150,17 +150,17 @@ func TestRecorderBoundedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestRecorderBoundedFallback: whatever universe a Recorder is given,
-// it presizes at most MaxUniverse items, and it classifies items past
-// its presized end by growing.
-func TestRecorderBoundedFallback(t *testing.T) {
+// TestRecorderPresizeClamp: whatever universe a Recorder is given, it
+// presizes at most MaxUniverse items, and it classifies items past its
+// presized end by growing.
+func TestRecorderPresizeClamp(t *testing.T) {
 	for _, universe := range []int{0, MaxUniverse + 1} {
 		r := NewRecorder("p", universe)
-		if got := len(r.pristine); got > MaxUniverse {
+		if got := 64 * len(r.pristine); got > MaxUniverse {
 			t.Errorf("universe %d: presized %d items, want ≤ %d", universe, got, MaxUniverse)
 		}
 		it := model.Item(MaxUniverse + 5)
-		r.Observe(it, Access{net: &Net{Loaded: []model.Item{it, it + 1}}})
+		r.Observe(it, Access{net: netOf([]model.Item{it, it + 1}, nil)})
 		r.Observe(it+1, Access{Hit: true})
 		if st := r.Stats(); st.SpatialHits != 1 || st.Misses != 1 {
 			t.Errorf("universe %d: stats %+v, want 1 miss and 1 spatial hit", universe, st)
@@ -170,7 +170,7 @@ func TestRecorderBoundedFallback(t *testing.T) {
 
 func TestRecorderResetReuses(t *testing.T) {
 	for _, r := range []*Recorder{NewRecorder("a", 0), NewRecorder("a", 16)} {
-		r.Observe(0, Access{net: &Net{Loaded: []model.Item{0, 1}}})
+		r.Observe(0, Access{net: netOf([]model.Item{0, 1}, nil)})
 		r.Observe(1, Access{Hit: true})
 		r.Reset("b")
 		if s := r.Stats(); s.Policy != "b" || s.Accesses != 0 {
@@ -197,7 +197,7 @@ func (f *seededFake) Access(it model.Item) Access {
 	if f.pos%int(2+f.seed%3) == 0 {
 		return Access{Hit: true}
 	}
-	return Access{net: &Net{Loaded: []model.Item{it}}}
+	return Access{net: netOf([]model.Item{it}, nil)}
 }
 func (f *seededFake) Contains(model.Item) bool { return false }
 func (f *seededFake) Len() int                 { return 0 }

@@ -62,8 +62,8 @@ func TestValidatorCatchesLoadOnHit(t *testing.T) {
 	s := &scripted{capacity: 4,
 		length: func() int { return 1 },
 		script: []Access{
-			{net: &Net{Loaded: []model.Item{1}}},
-			{Hit: true, net: &Net{Loaded: []model.Item{2}}},
+			{net: netOf([]model.Item{1}, nil)},
+			{Hit: true, net: netOf([]model.Item{2}, nil)},
 		}}
 	v := NewValidator(s, g)
 	v.Access(1)
@@ -77,7 +77,7 @@ func TestValidatorCatchesLoadOnHit(t *testing.T) {
 func TestValidatorCatchesMissingSelfLoad(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 1 },
-		script: []Access{{net: &Net{Loaded: []model.Item{2}}}}}
+		script: []Access{{net: netOf([]model.Item{2}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "missing requested item")
@@ -86,7 +86,7 @@ func TestValidatorCatchesMissingSelfLoad(t *testing.T) {
 func TestValidatorCatchesForeignBlockLoad(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 2 },
-		script: []Access{{net: &Net{Loaded: []model.Item{1, 9}}}}}
+		script: []Access{{net: netOf([]model.Item{1, 9}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "outside requested block")
@@ -95,7 +95,7 @@ func TestValidatorCatchesForeignBlockLoad(t *testing.T) {
 func TestValidatorCatchesPhantomEviction(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 1 },
-		script: []Access{{net: &Net{Loaded: []model.Item{1}, Evicted: []model.Item{7}}}}}
+		script: []Access{{net: netOf([]model.Item{1}, []model.Item{7})}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "was not present")
@@ -104,7 +104,7 @@ func TestValidatorCatchesPhantomEviction(t *testing.T) {
 func TestValidatorCatchesSelfEviction(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 0 },
-		script: []Access{{net: &Net{Loaded: []model.Item{1}, Evicted: []model.Item{1}}}}}
+		script: []Access{{net: netOf([]model.Item{1}, []model.Item{1})}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "evicted by its own access")
@@ -113,7 +113,7 @@ func TestValidatorCatchesSelfEviction(t *testing.T) {
 func TestValidatorCatchesCapacityOverflow(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 1, length: func() int { return 2 },
-		script: []Access{{net: &Net{Loaded: []model.Item{1, 2}}}}}
+		script: []Access{{net: netOf([]model.Item{1, 2}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "exceed capacity")
@@ -122,7 +122,7 @@ func TestValidatorCatchesCapacityOverflow(t *testing.T) {
 func TestValidatorCatchesLenDisagreement(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 5 },
-		script: []Access{{net: &Net{Loaded: []model.Item{1}}}}}
+		script: []Access{{net: netOf([]model.Item{1}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "disagrees with shadow")
@@ -132,7 +132,7 @@ func TestValidatorCatchesContainsLie(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 1 },
 		contains: func(model.Item) bool { return false },
-		script:   []Access{{net: &Net{Loaded: []model.Item{1}}}}}
+		script:   []Access{{net: netOf([]model.Item{1}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "right after it was served")
@@ -141,7 +141,7 @@ func TestValidatorCatchesContainsLie(t *testing.T) {
 func TestValidatorCatchesDuplicateLoad(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 2 },
-		script: []Access{{net: &Net{Loaded: []model.Item{1, 2, 1}}}}}
+		script: []Access{{net: netOf([]model.Item{1, 2, 1}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "Loaded lists an item twice")
@@ -151,8 +151,8 @@ func TestValidatorCatchesDuplicateEviction(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 2 },
 		script: []Access{
-			{net: &Net{Loaded: []model.Item{1, 2}}},
-			{net: &Net{Loaded: []model.Item{5}, Evicted: []model.Item{2, 2}}},
+			{net: netOf([]model.Item{1, 2}, nil)},
+			{net: netOf([]model.Item{5}, []model.Item{2, 2})},
 		}}
 	s.contains = func(it model.Item) bool { return it != 2 || s.pos < 2 }
 	v := NewValidator(s, g)
@@ -169,7 +169,7 @@ func TestValidatorCatchesLoadedNotContained(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 2 },
 		contains: func(it model.Item) bool { return it == 1 },
-		script:   []Access{{net: &Net{Loaded: []model.Item{1, 2}}}}}
+		script:   []Access{{net: netOf([]model.Item{1, 2}, nil)}}}
 	v := NewValidator(s, g)
 	v.Access(1)
 	expectViolation(t, v, "loaded 2 but Contains(2) is false")
@@ -179,8 +179,8 @@ func TestValidatorCatchesEvictedStillContained(t *testing.T) {
 	g := model.NewFixed(4)
 	s := &scripted{capacity: 4, length: func() int { return 2 },
 		script: []Access{
-			{net: &Net{Loaded: []model.Item{1, 2}}},
-			{net: &Net{Loaded: []model.Item{5}, Evicted: []model.Item{2}}},
+			{net: netOf([]model.Item{1, 2}, nil)},
+			{net: netOf([]model.Item{5}, []model.Item{2})},
 		}}
 	v := NewValidator(s, g)
 	v.Access(1)

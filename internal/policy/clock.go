@@ -51,7 +51,7 @@ func (c *Clock) Access(it model.Item) cachesim.Access {
 		c.index[it] = len(c.ring)
 		c.ring = append(c.ring, it)
 		c.refbit = append(c.refbit, false)
-		c.net.Loaded = append(c.net.Loaded, it)
+		c.net.Load(it)
 		return c.net.Miss()
 	}
 	// Sweep: clear reference bits until an unreferenced victim appears.
@@ -61,12 +61,12 @@ func (c *Clock) Access(it model.Item) cachesim.Access {
 	}
 	victim := c.ring[c.hand]
 	delete(c.index, victim)
-	c.net.Evicted = append(c.net.Evicted, victim)
+	c.net.Evict(victim)
 	c.ring[c.hand] = it
 	c.refbit[c.hand] = false
 	c.index[it] = c.hand
 	c.hand = (c.hand + 1) % c.capacity
-	c.net.Loaded = append(c.net.Loaded, it)
+	c.net.Load(it)
 	return c.net.Miss()
 }
 

@@ -38,10 +38,10 @@ func (c *FIFO) Access(it model.Item) cachesim.Access {
 	}
 	c.net.Reset()
 	c.order.PushFront(it)
-	c.net.Loaded = append(c.net.Loaded, it)
+	c.net.Load(it)
 	for c.order.Len() > c.capacity {
 		victim, _ := c.order.PopBack()
-		c.net.Evicted = append(c.net.Evicted, victim)
+		c.net.Evict(victim)
 	}
 	return c.net.Miss()
 }

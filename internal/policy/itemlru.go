@@ -57,21 +57,20 @@ func (c *ItemLRU) Access(it model.Item) cachesim.Access {
 	}
 	c.net.Reset()
 	c.order.PushFront(it)
-	c.net.Loaded = append(c.net.Loaded, it)
+	c.net.Load(it)
 	for c.order.Len() > c.capacity {
 		victim, _ := c.order.PopBack()
-		c.net.Evicted = append(c.net.Evicted, victim)
+		c.net.Evict(victim)
 	}
+	a := c.net.Miss()
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, N: int32(len(c.net.Loaded))})
-		for _, x := range c.net.Loaded {
-			c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: x})
-		}
-		for _, x := range c.net.Evicted {
+		c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, N: 1})
+		c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: it})
+		for _, x := range a.Evicted() {
 			c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x})
 		}
 	}
-	return c.net.Miss()
+	return a
 }
 
 // SetProbe implements cachesim.Instrumented. A nil probe restores the

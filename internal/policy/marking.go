@@ -62,11 +62,11 @@ func (c *Marking) Access(it model.Item) cachesim.Access {
 			victim = c.items[c.rng.Intn(len(c.items))]
 		}
 		c.remove(victim)
-		c.net.Evicted = append(c.net.Evicted, victim)
+		c.net.Evict(victim)
 	}
 	c.insert(it)
 	c.marked[it] = struct{}{}
-	c.net.Loaded = append(c.net.Loaded, it)
+	c.net.Load(it)
 	return c.net.Miss()
 }
 

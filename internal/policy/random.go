@@ -49,11 +49,11 @@ func (c *RandomEvict) Access(it model.Item) cachesim.Access {
 		pos := c.rng.Intn(len(c.items))
 		victim := c.items[pos]
 		c.removeAt(pos)
-		c.net.Evicted = append(c.net.Evicted, victim)
+		c.net.Evict(victim)
 	}
 	c.index[it] = len(c.items)
 	c.items = append(c.items, it)
-	c.net.Loaded = append(c.net.Loaded, it)
+	c.net.Load(it)
 	return c.net.Miss()
 }
 
