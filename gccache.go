@@ -67,7 +67,10 @@ type (
 	// Access reports the effect of one request.
 	Access = cachesim.Access
 	// Net holds the Loaded and Evicted lists a policy reports through
-	// Access; a Cache built outside this module returns Net.Miss().
+	// Access. A Cache built outside this module keeps one and, on a
+	// miss, calls Reset, then Load for each item it inserts and Evict
+	// for each item it removes, each once, and returns Net.Miss(); a
+	// hit returns Access{Hit: true}.
 	Net = cachesim.Net
 	// Stats aggregates hits (split into temporal and spatial), misses,
 	// loads, and evictions over a run.

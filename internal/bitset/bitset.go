@@ -1,15 +1,16 @@
-// Package bitset is the packed membership set of the policies: the
-// layer membership of IBLP, its variants, BlockLRU and AdaptiveIBLP,
-// GCM's marks and cachesim.Changes' per-block offset masks. At one
-// bit per ID, a 256Ki-item universe costs 32KB, so membership probes
-// stay in L1/L2 where a byte- or word-per-item table would stride
-// through megabytes. Has, Remove and Add's common case are small enough
-// to inline at their call sites. Word, AddWord and RemoveWord read and
-// write up to 64 consecutive IDs at once, at any offset: under
-// model.Fixed, IBLP and BlockLRU admit and drop a block as whole words
-// instead of probing it item by item. Grow extends the other
-// ID-indexed tables — the Recorder's, the probes', the autotuner's and
-// AdaptiveIBLP's — under the same Limit.
+// Package bitset is the packed membership set of the policies and the
+// Recorder: the layer membership of IBLP, its variants, BlockLRU and
+// AdaptiveIBLP, GCM's marks, cachesim.Changes' per-block offset masks
+// and the cachesim.Recorder's pristine items. At one bit per ID, a
+// 256Ki-item universe costs 32KB, so membership probes stay in L1/L2
+// where a byte- or word-per-item table would stride through megabytes.
+// Has, Remove and Add's common case are small enough to inline at their
+// call sites. Word, AddWord and RemoveWord read and write up to 64
+// consecutive IDs at once, at any offset: under model.Fixed, IBLP and
+// BlockLRU admit and drop a block as whole words instead of probing it
+// item by item, and the Recorder marks each listed run of loaded items
+// as one word. Grow extends the other ID-indexed tables — the probes',
+// the autotuner's and AdaptiveIBLP's — under the same Limit.
 package bitset
 
 import "math/bits"
