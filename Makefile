@@ -53,10 +53,12 @@ load-smoke:
 # scenarios/*.gcs under the race detector (universe bounds, exact
 # declared lengths, format round-trips — see corpus_test.go), plus the
 # docs gate that diffs docs/SCENARIOS.md against the combinator
-# registry, and a short parser fuzz pass.
+# registry, a short parser fuzz pass, and a short fuzz pass checking
+# that the Zipf sampler's tables decide every draw as math/rand does.
 scenario-smoke:
 	$(GO) test -race -run 'TestScenarioCorpus|TestManual' ./internal/scenario/
 	$(GO) test ./internal/scenario/ -run FuzzScenarioParse -fuzz FuzzScenarioParse -fuzztime 5s
+	$(GO) test ./internal/zipf/ -run FuzzTableMatchesExact -fuzz FuzzTableMatchesExact -fuzztime 5s
 
 # Autotune smoke: the §5.3 closed-loop acceptance gate under the race
 # detector — on the drift scenario the controller must fire at least

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"gccache/internal/model"
+	"gccache/internal/zipf"
 )
 
 // Compile lowers a validated program to a Stream. Compilation is where
@@ -114,7 +115,10 @@ func (c *compiler) buildCall(call *Call) node {
 		return &uniformNode{n: num("n"), base: uint64(num("base")), rng: rng, seed: seed}
 	case "zipf":
 		rng, seed := c.rng()
-		z := rand.NewZipf(rng, fnum("s"), 1, uint64(num("n")-1))
+		z, err := zipf.New(rng, fnum("s"), uint64(num("n")-1))
+		if err != nil {
+			panic("scenario: " + err.Error()) // Check bounds s to [1.0000001, 64]
+		}
 		return &zipfNode{base: uint64(num("base")), rng: rng, seed: seed, z: z}
 	case "take":
 		n := num("n")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"gccache/internal/model"
+	"gccache/internal/zipf"
 )
 
 // Every combinator compiles to a node: a resettable, allocation-free
@@ -87,7 +88,7 @@ type zipfNode struct {
 	base uint64
 	seed int64
 	rng  *rand.Rand
-	z    *rand.Zipf
+	z    *zipf.Sampler
 }
 
 //gclint:hotpath
@@ -95,8 +96,9 @@ func (n *zipfNode) next() (model.Item, bool) {
 	return model.Item(n.base + n.z.Uint64()), true
 }
 
-// reset reseeds the shared *rand.Rand; rand.Zipf itself holds only
-// immutable precomputed parameters, so the draw stream restarts.
+// reset reseeds the shared *rand.Rand; the sampler itself holds only
+// immutable precomputed parameters and tables, so the draw stream
+// restarts.
 func (n *zipfNode) reset() { n.rng.Seed(n.seed) }
 
 // --- transforms -----------------------------------------------------
