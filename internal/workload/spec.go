@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,7 +49,11 @@ func FromSpec(spec string, seed int64) (trace.Trace, error) {
 	case "stride":
 		tr = Stride(p.geti("n", 64), p.geti("s", 8), p.geti("len", 10000))
 	case "zipf":
-		tr = Zipf(p.geti("n", 4096), p.getf("s", 1.2), p.geti("len", 100000), seed)
+		s := p.getf("s", 1.2)
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("workload: zipf skew s=%v is not finite", s)
+		}
+		tr = Zipf(p.geti("n", 4096), s, p.geti("len", 100000), seed)
 	case "blockruns":
 		cfg := BlockRunsConfig{
 			NumBlocks:     p.geti("blocks", 512),
