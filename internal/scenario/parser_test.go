@@ -77,6 +77,7 @@ func TestParseErrors(t *testing.T) {
 		{"double dot", "emit take(seq(), n=1.2.3)", "1:20", `malformed number "1.2.3"`},
 		{"number out of range",
 			"seed " + strings.Repeat("9", 400), "1:6", "out of range"},
+		{"zipf skew in exponent form", "emit take(zipf(n=4, s=1e400), n=5)", "1:23", `malformed number "1e400"`},
 		{"stray statement", "foo", "1:1", "expected a statement (seed, let, or emit)"},
 		{"stray punctuation", ", emit x", "1:1", "expected a statement (seed, let, or emit), got ','"},
 		{"let needs name", "let = seq()", "1:5", "expected identifier after let"},
@@ -124,6 +125,7 @@ func TestCheckErrors(t *testing.T) {
 			"parameter n=0 of cycle is below the minimum 1"},
 		{"parameter above maximum", "emit take(spread(seq(), gap=2000000), n=5)", "1:29",
 			"is above the maximum 1048576"},
+		{"zipf skew not a number", "emit take(zipf(n=4, s=NaN), n=5)", "1:23", `parameter "s" of zipf expects a number`},
 		{"missing required parameter", "emit take(cycle(), n=5)", "1:11",
 			`missing required parameter "n" of cycle`},
 		{"weighted on plain combinator", "emit take(0.5: seq(), n=4)", "1:11",
