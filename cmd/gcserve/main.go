@@ -38,8 +38,8 @@ func main() {
 		spec      = flag.String("workload", "blockruns:blocks=512,B=64,run=16,len=200000", workload.SpecHelp)
 		traceFile = flag.String("trace", "", "read a gctrace binary file instead of generating a workload")
 		seed      = flag.Int64("seed", 1, "workload / policy seed")
-		shards    = flag.Int("shards", 1, "replay through this many lock-striped shards (power of two; 1 = flat)")
-		streams   = flag.Int("streams", 4, "concurrent client streams (sharded mode)")
+		shards    = flag.Int("shards", 1, "replay through this many lock-striped shards (power of two; 1 replays the trace as one stream)")
+		streams   = flag.Int("streams", 4, "concurrent client streams when -shards > 1")
 		probeSpec = flag.String("probe", "all", obs.SpecHelp)
 		loop      = flag.Bool("loop", false, "replay the trace forever instead of once")
 		rate      = flag.Int("rate", 0, "accesses/second per stream (0 = unthrottled)")

@@ -1,6 +1,9 @@
 package autotune
 
 import (
+	"context"
+	"time"
+
 	"gccache/internal/cachesim"
 	"gccache/internal/trace"
 )
@@ -39,4 +42,32 @@ func Drive(c cachesim.Cache, t *Tuner, tr trace.Trace, applyEvery int) cachesim.
 		}
 	}
 	return rec.Stats()
+}
+
+// applyTick is how often ApplyLoop polls for a proposal.
+const applyTick = 20 * time.Millisecond
+
+// ApplyLoop applies t's proposals to a cache that concurrent traffic
+// drives, until ctx ends. Every applyTick it peeks at the proposal
+// buffer, and only when a proposal waits does it call withCache, which
+// must run its argument on the live cache under the lock that
+// serializes Access (a shard's or a cluster node's mutex).
+func (t *Tuner) ApplyLoop(ctx context.Context, withCache func(func(cachesim.Cache))) {
+	apply := func(c cachesim.Cache) {
+		if rz, ok := c.(cachesim.LayerResizable); ok {
+			t.Apply(rz)
+		}
+	}
+	tick := time.NewTicker(applyTick)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			if _, ok := t.Pending(); ok {
+				withCache(apply)
+			}
+		}
+	}
 }

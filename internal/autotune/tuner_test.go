@@ -1,14 +1,18 @@
 package autotune
 
 import (
+	"context"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/obs"
+	"gccache/internal/policy"
 )
 
 // fakeResizable records SetItemLayerTarget calls.
@@ -321,5 +325,62 @@ func TestTunerConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{K: 64, B: 8, Candidates: []int{7, 7}}); err == nil {
 		t.Error("single distinct candidate accepted")
+	}
+}
+
+// TestNewLiveSeedsTheLiveTarget: NewLive starts the incumbent at the
+// live cache's split and refuses a cache that cannot be resized.
+func TestNewLiveSeedsTheLiveTarget(t *testing.T) {
+	geo := model.NewFixed(1)
+	tn, err := NewLive(Config{K: 64, B: 1, Geometry: geo}, core.NewIBLP(16, 48, geo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := tn.State().Live; live != 16 {
+		t.Errorf("live target %d, want the cache's item layer 16", live)
+	}
+	if _, err := NewLive(Config{K: 64, B: 1}, policy.NewItemLRU(64)); err == nil || !strings.Contains(err.Error(), "resizing") {
+		t.Errorf("NewLive accepted a cache without layers (err=%v)", err)
+	}
+}
+
+// TestApplyLoopAppliesUnderTheCallersLock: ApplyLoop enacts a pending
+// proposal through withCache, calls it only while a proposal waits, and
+// returns when its context ends.
+func TestApplyLoopAppliesUnderTheCallersLock(t *testing.T) {
+	tn := newTestTuner(t, 1, 1)
+	live := core.NewIBLP(32, 32, model.NewFixed(1))
+	var mu sync.Mutex
+	calls := 0
+	withCache := func(f func(cachesim.Cache)) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		f(live)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tn.ApplyLoop(ctx, withCache)
+	}()
+
+	feedRequests(tn, 96, 48) // one winning window: Patience 1 proposes i=64
+	deadline := time.Now().Add(10 * time.Second)
+	for tn.Resizes() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no resize applied within 10s: %+v", tn.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	mu.Lock()
+	defer mu.Unlock()
+	if got := live.ItemLayerTarget(); got != 64 {
+		t.Errorf("live cache target %d, want 64", got)
+	}
+	if calls != 1 {
+		t.Errorf("withCache ran %d times for one proposal", calls)
 	}
 }

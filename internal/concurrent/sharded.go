@@ -83,7 +83,10 @@ func newSharded(nShards, totalCapacity int, geo model.Geometry, universe int,
 		s.shards[i].c = c
 		s.shards[i].rec = cachesim.NewRecorder(c.Name(), universe)
 	}
-	s.name = fmt.Sprintf("sharded(%d×%s)", len(s.shards), s.shards[0].c.Name())
+	s.name = s.shards[0].c.Name()
+	if nShards > 1 {
+		s.name = fmt.Sprintf("sharded(%d×%s)", nShards, s.name)
+	}
 	return s, nil
 }
 
@@ -105,9 +108,10 @@ func (s *Sharded) shardOf(it model.Item) *shard {
 	return &s.shards[s.shardIndex(it)]
 }
 
-// Name implements cachesim.Cache. The name is computed once at
-// construction so Stats (which stamps it on every merge) stays off the
-// allocator.
+// Name implements cachesim.Cache. A 1-shard cache replays exactly as
+// its policy does, so it takes the policy's name; more shards read
+// "sharded(N×policy)". The name is computed once at construction so
+// Stats (which stamps it on every merge) stays off the allocator.
 func (s *Sharded) Name() string { return s.name }
 
 // Access implements cachesim.Cache; it is safe for concurrent use. The

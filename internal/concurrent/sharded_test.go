@@ -97,12 +97,12 @@ func TestSingleShardMatchesFlatPolicy(t *testing.T) {
 	}
 	got := replay(t, s, tr)
 	want := replay(t, flat, tr)
-	if got.Misses != want.Misses || got.SpatialHits != want.SpatialHits {
+	if got != want {
 		t.Errorf("sharded(1) %+v != flat %+v", got, want)
 	}
 	// Internal recorder agrees with the external one.
-	if st := s.Stats(); st.Misses != got.Misses {
-		t.Errorf("internal stats misses %d != %d", st.Misses, got.Misses)
+	if st := s.Stats(); st != got {
+		t.Errorf("internal stats %+v != %+v", st, got)
 	}
 }
 
@@ -195,8 +195,12 @@ func TestNameAndNumShards(t *testing.T) {
 	if s.NumShards() != 4 {
 		t.Error("NumShards")
 	}
-	if s.Name() == "" {
-		t.Error("Name")
+	if got, want := s.Name(), "sharded(4×iblp(i=16,b=16))"; got != want {
+		t.Errorf("Name = %q, want %q", got, want)
+	}
+	// One shard replays exactly as its policy, so it takes the policy's name.
+	if got, want := newIBLPSharded(t, 1, 128, 8).Name(), "iblp(i=64,b=64)"; got != want {
+		t.Errorf("1-shard Name = %q, want %q", got, want)
 	}
 }
 

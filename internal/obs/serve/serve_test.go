@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"gccache/internal/cachesim"
+	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/trace"
 )
@@ -33,6 +35,17 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// buildPolicy builds one instance of the named policy at capacity k,
+// as the server builds its shards: the reference the differential
+// tests replay without a server.
+func buildPolicy(name string, k int, geo model.Geometry, seed int64) (cachesim.Cache, error) {
+	build, err := core.ByName(name, geo, seed)
+	if err != nil {
+		return nil, err
+	}
+	return build(k), nil
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -144,6 +157,35 @@ func TestProbeServeSharded(t *testing.T) {
 	}
 }
 
+// TestProbeServeRateHoldsOnShortLoops: Rate throttles once per batch
+// of accesses counted across loop passes, so a looping stream shorter
+// than a batch is held to its rate like a long one, with one shard and
+// with four streams over two.
+func TestProbeServeRateHoldsOnShortLoops(t *testing.T) {
+	const rate = 1000 // accesses/second per stream
+	for _, cfg := range []Config{
+		{Workload: "cyclic:n=96,len=200"},
+		{Workload: "cyclic:n=96,len=800", Shards: 2, Streams: 4},
+	} {
+		cfg.Addr, cfg.K, cfg.B, cfg.Policy, cfg.Loop, cfg.Rate = "127.0.0.1:0", 64, 8, "iblp", true, rate
+		s := newTestServer(t, cfg)
+		start := time.Now()
+		if _, err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(500 * time.Millisecond)
+		got := s.Stats().Accesses
+		elapsed := time.Since(start)
+		s.Stop()
+		// A stream runs at most one batch ahead of its schedule, so 10×
+		// the rate is a wide margin.
+		if limit := 10 * rate * float64(s.cfg.Streams) * elapsed.Seconds(); float64(got) > limit {
+			t.Errorf("%s, %d streams: %d accesses in %v, over 10× the rate (%.0f)",
+				cfg.Workload, s.cfg.Streams, got, elapsed.Round(time.Millisecond), limit)
+		}
+	}
+}
+
 // TestProbeServeSweep exercises the on-demand observed sweep page.
 func TestProbeServeSweep(t *testing.T) {
 	s := newTestServer(t, Config{Policy: "item-lru"})
@@ -172,52 +214,78 @@ func TestProbeServeConfigErrors(t *testing.T) {
 	}
 }
 
-// TestProbeServeFlatMissGapMetrics: in flat mode /metrics serves the
-// miss-gap keys from the suite's InterMissGap probe, exactly when the
-// suite has one, and load_burst_mean as ItemsLoaded / Misses.
-func TestProbeServeFlatMissGapMetrics(t *testing.T) {
+// TestProbeServeMissGapMetrics: at every shard count /metrics serves
+// the miss-gap keys from the suite's InterMissGap probe, exactly when the
+// suite has one, load_burst_mean as ItemsLoaded / Misses, and
+// shard.N.acquired and shard.N.contended for each shard. Runs at one and
+// two shards serve the same keys but for the shard.N ones.
+func TestProbeServeMissGapMetrics(t *testing.T) {
 	for _, spec := range []string{"gaps", "counters"} {
-		s := newTestServer(t, Config{Policy: "iblp", Probe: spec, Addr: "127.0.0.1:0"})
-		if _, err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		s.Wait() // the replay does not loop
-		ts := httptest.NewServer(s.Handler())
-		_, body := get(t, ts.URL+"/metrics")
-		ts.Close()
-		s.Stop()
-		var m map[string]any
-		if err := json.Unmarshal([]byte(body), &m); err != nil {
-			t.Fatalf("%s: /metrics is not JSON: %v", spec, err)
-		}
-		st := s.Stats()
-		if st.Misses == 0 {
-			t.Fatalf("%s: replay had no misses", spec)
-		}
-		if got, want := m["load_burst_mean"], float64(st.ItemsLoaded)/float64(st.Misses); got != want {
-			t.Errorf("%s: load_burst_mean = %v, want ItemsLoaded/Misses = %v", spec, got, want)
-		}
-		gaps := s.Suite().Gaps
-		if gaps == nil {
-			for _, k := range []string{"miss_gap_p50", "miss_gap_p99", "miss_gap_mean"} {
-				if v, ok := m[k]; ok {
-					t.Errorf("%s: %s = %v served without a gaps probe", spec, k, v)
+		var engineKeys [2]string
+		for i, shards := range []int{1, 2} {
+			name := fmt.Sprintf("%s/shards=%d", spec, shards)
+			s := newTestServer(t, Config{Policy: "iblp", Probe: spec, Addr: "127.0.0.1:0", Shards: shards})
+			if _, err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			s.Wait() // the replay does not loop
+			ts := httptest.NewServer(s.Handler())
+			_, body := get(t, ts.URL+"/metrics")
+			ts.Close()
+			s.Stop()
+			var m map[string]any
+			if err := json.Unmarshal([]byte(body), &m); err != nil {
+				t.Fatalf("%s: /metrics is not JSON: %v", name, err)
+			}
+			var keys []string
+			for k := range m {
+				if !strings.HasPrefix(k, "shard.") {
+					keys = append(keys, k)
 				}
 			}
-			continue
-		}
-		h := gaps.Hist()
-		if h.Count() != st.Misses {
-			t.Errorf("%s: gaps probe saw %d misses, recorder %d", spec, h.Count(), st.Misses)
-		}
-		for k, want := range map[string]float64{
-			"miss_gap_p50":  float64(h.Percentile(0.50)),
-			"miss_gap_p99":  float64(h.Percentile(0.99)),
-			"miss_gap_mean": h.Mean(),
-		} {
-			if got := m[k]; got != want {
-				t.Errorf("%s: %s = %v, want %v from the gaps probe", spec, k, got, want)
+			sort.Strings(keys)
+			engineKeys[i] = strings.Join(keys, " ")
+			for n := 0; n < shards; n++ {
+				for _, k := range []string{fmt.Sprintf("shard.%d.acquired", n), fmt.Sprintf("shard.%d.contended", n)} {
+					if _, ok := m[k]; !ok {
+						t.Errorf("%s: /metrics missing %s", name, k)
+					}
+				}
 			}
+
+			st := s.Stats()
+			if st.Misses == 0 {
+				t.Fatalf("%s: replay had no misses", name)
+			}
+			if got, want := m["load_burst_mean"], float64(st.ItemsLoaded)/float64(st.Misses); got != want {
+				t.Errorf("%s: load_burst_mean = %v, want ItemsLoaded/Misses = %v", name, got, want)
+			}
+			gaps := s.Suite().Gaps
+			if gaps == nil {
+				for _, k := range []string{"miss_gap_p50", "miss_gap_p99", "miss_gap_mean"} {
+					if v, ok := m[k]; ok {
+						t.Errorf("%s: %s = %v served without a gaps probe", name, k, v)
+					}
+				}
+				continue
+			}
+			h := gaps.Hist()
+			if h.Count() != st.Misses {
+				t.Errorf("%s: gaps probe saw %d misses, recorder %d", name, h.Count(), st.Misses)
+			}
+			for k, want := range map[string]float64{
+				"miss_gap_p50":  float64(h.Percentile(0.50)),
+				"miss_gap_p99":  float64(h.Percentile(0.99)),
+				"miss_gap_mean": h.Mean(),
+			} {
+				if got := m[k]; got != want {
+					t.Errorf("%s: %s = %v, want %v from the gaps probe", name, k, got, want)
+				}
+			}
+		}
+		if engineKeys[0] != engineKeys[1] {
+			t.Errorf("%s: /metrics keys other than shard.N differ by shard count:\n 1 shard:  %s\n 2 shards: %s",
+				spec, engineKeys[0], engineKeys[1])
 		}
 	}
 }
