@@ -63,14 +63,20 @@ scenario-smoke:
 # Autotune smoke: the §5.3 closed-loop acceptance gate under the race
 # detector — on the drift scenario the controller must fire at least
 # one live resize and land within 10% of the offline-optimal fixed
-# split (internal/autotune/smoke_test.go), plus the serve-layer
-# differential (autotune off ⇒ byte-identical replay), the
-# cluster-mode accounting check across a live resize, and gcload's
-# apply loop resizing shard 0 under its mutex while load streams run.
+# split (internal/autotune/smoke_test.go), plus gcserve's replay
+# differentials (autotune off ⇒ byte-identical replay, autotune on ⇒
+# the same replay as autotune.Drive), the cluster-mode accounting
+# check across a live resize, and gcload's apply loop resizing shard 0
+# under its mutex while load streams run: a cyclic scan of 48 items
+# at k=64, B=1 moves the split, and the step fails unless gcload
+# reports at least one resize.
 autotune-smoke:
 	$(GO) test -race -run 'TestAutotuneSmokeDrift' -v ./internal/autotune/
 	$(GO) test -race -run 'TestAutotune' ./internal/obs/serve/
-	$(GO) run -race ./cmd/gcload -autotune -shards 1 -streams 4 -ops 50000
+	@out=$$($(GO) run -race ./cmd/gcload -autotune -shards 1 -streams 4 -ops 50000 \
+		-k 64 -B 1 -workload 'cyclic:n=48,len=50000') || { printf '%s\n' "$$out"; exit 1; }; \
+	printf '%s\n' "$$out"; \
+	printf '%s\n' "$$out" | grep -qE ', [1-9][0-9]* resizes' || { echo 'autotune-smoke: gcload applied no resize'; exit 1; }
 
 # Cluster smoke: the full internal/cluster suite (ring, wire codec,
 # breaker, node lifecycle, byte-identical handoff) plus gcload's
