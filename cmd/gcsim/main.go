@@ -15,8 +15,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"strings"
 
@@ -125,7 +127,7 @@ func main() {
 	done := make(map[string]gccache.Stats)
 	if *resume {
 		if snap, err := checkpoint.Load(*ckptPath); err != nil {
-			if !os.IsNotExist(err) {
+			if !errors.Is(err, fs.ErrNotExist) {
 				fatal(fmt.Errorf("loading checkpoint: %w", err))
 			}
 		} else {

@@ -178,6 +178,37 @@ func TestGcsimKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestGcsimResumeWithoutCheckpointStartsFresh runs gcsim with -resume
+// against a checkpoint path that does not exist yet, as a first run of a
+// resumable job does: it must start fresh, print the plain run's stdout
+// and leave a checkpoint behind. Skipped under -short (two `go run`
+// invocations).
+func TestGcsimResumeWithoutCheckpointStartsFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("first-run resume test pays two go run compiles")
+	}
+	ckpt := filepath.Join(t.TempDir(), "absent.ckpt")
+	base := []string{"run", "./cmd/gcsim", "-workload", "cyclic:n=48,len=2000",
+		"-k", "64", "-B", "8", "-policy", "item-lru,iblp", "-opt=false"}
+	run := func(extra ...string) string {
+		cmd := exec.Command("go", append(base, extra...)...)
+		cmd.Env = os.Environ()
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("gcsim %v: %v\n%s", extra, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	plain := run()
+	if resumed := run("-resume", "-checkpoint", ckpt); resumed != plain {
+		t.Errorf("first -resume run's stdout differs from the plain run:\n--- plain ---\n%s\n--- resumed ---\n%s", plain, resumed)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("first -resume run left no checkpoint: %v", err)
+	}
+}
+
 // TestGcsimScenarioDeterministic runs gcsim twice on the same scenario
 // program with an explicit seed and asserts byte-identical stdout —
 // the DSL's headline contract (docs/SCENARIOS.md §3) held end to end
