@@ -170,36 +170,6 @@ func RunSeeds(ctx context.Context, build func(seed int64) Cache, tr Trace, seeds
 	return cachesim.RunSeeds(ctx, build, tr, seeds)
 }
 
-// Fault-tolerant execution (see DESIGN.md, "Fault tolerance").
-type (
-	// Quarantine records one grid point abandoned after exhausting its
-	// retries, with the recovered panic value.
-	Quarantine = cachesim.Quarantine
-	// RetryPolicy bounds retries and backoff for SweepHardened.
-	RetryPolicy = cachesim.RetryPolicy
-	// SweepCheckpointConfig configures SweepCheckpointed's snapshot
-	// file, save cadence, and instance hash.
-	SweepCheckpointConfig = cachesim.SweepCheckpointConfig
-)
-
-// SweepHardened is Sweep with per-point panic recovery: panicking
-// points are retried under retry's backoff and, when retries are
-// exhausted, quarantined (recorded in opt.Stats and returned, sorted by
-// index) while the rest of the grid completes.
-func SweepHardened[W any](ctx context.Context, n int, opt SweepOptions, retry RetryPolicy,
-	newWorker func() W, fn func(i int, w W)) ([]Quarantine, error) {
-	return cachesim.SweepHardened(ctx, n, opt, retry, newWorker, fn)
-}
-
-// SweepCheckpointed runs a sweep whose per-index results are
-// periodically persisted as atomic snapshots; an interrupted run
-// resumes from the file and returns bytes identical to an
-// uninterrupted run when fn is deterministic.
-func SweepCheckpointed[W any](ctx context.Context, n int, opt SweepOptions, cfg SweepCheckpointConfig,
-	newWorker func() W, fn func(i int, w W) []byte) ([][]byte, error) {
-	return cachesim.SweepCheckpointed(ctx, n, opt, cfg, newWorker, fn)
-}
-
 // The paper's policies (§5, §6).
 
 // NewIBLP returns an Item-Block Layered Partitioning cache with item

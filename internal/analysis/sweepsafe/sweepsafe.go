@@ -7,10 +7,9 @@
 //
 //   - goroutine bodies (`go func() {...}`) that capture an enclosing
 //     loop variable instead of receiving it as an argument;
-//   - worker-callback bodies passed to Sweep / SweepHardened /
-//     SweepCheckpointed that write state captured from outside the
-//     callback, unless the write lands in a per-index slot (an element
-//     indexed by the callback's point-index parameter).
+//   - worker-callback bodies passed to Sweep that write state captured
+//     from outside the callback, unless the write lands in a per-index
+//     slot (an element indexed by the callback's point-index parameter).
 //
 // A `//gclint:sharedok` comment on the offending line vouches for writes
 // that are externally synchronized (e.g. under a sync.Once or mutex).
@@ -45,9 +44,7 @@ var sweepPackages = []string{
 // TestEntryPointsMatchEngine fails when this set and the exported
 // functions of internal/cachesim drift apart.
 var sweepEntryPoints = map[string]bool{
-	"Sweep":             true,
-	"SweepHardened":     true,
-	"SweepCheckpointed": true,
+	"Sweep": true,
 }
 
 func run(pass *framework.Pass) error {

@@ -63,26 +63,4 @@ func wrongSlot(n int) []int {
 	return out
 }
 
-// hardenedShared writes captured state from a hardened-sweep worker:
-// the retry machinery makes this worse, not better — a retried callback
-// re-applies the racy write.
-func hardenedShared(n int) int {
-	retried := 0
-	SweepHardened(n, 0, func() int { return 0 }, func(i int, w int) {
-		retried++ // want `SweepHardened worker writes captured variable retried`
-	})
-	return retried
-}
-
-// checkpointedShared appends to a captured slice from a resumable-sweep
-// worker instead of returning the result as its per-index value.
-func checkpointedShared(n int) [][]byte {
-	var all [][]byte
-	SweepCheckpointed(n, 0, func() int { return 0 }, func(i int, w int) []byte {
-		all = append(all, nil) // want `SweepCheckpointed worker writes captured variable all`
-		return nil
-	})
-	return all
-}
-
 func process(int) {}

@@ -406,62 +406,37 @@ func Sweep[W any](ctx context.Context, n int, opt SweepOptions, newWorker func()
 		st.Workers = make([]SweepWorkerStats, workers)
 		st.Chunk = chunk
 	}
-	if workers <= 1 {
-		w := newWorker()
-		var slot *SweepWorkerStats
-		if st != nil {
-			slot = &st.Workers[0]
-		}
-		// Walk chunk by chunk (even unobserved) so cancellation is
-		// checked at the engine's chunk granularity, like the parallel
-		// path.
-		for start := 0; start < n; start += chunk {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			if slot == nil {
-				for i := start; i < end; i++ {
-					fn(i, w)
-				}
-				continue
-			}
-			t0 := nowNano()
-			for i := start; i < end; i++ {
-				fn(i, w)
-			}
-			slot.Chunks++
-			slot.Indices += int64(end - start)
-			slot.BusyNanos += nowNano() - t0
-		}
-		return nil
-	}
 	var (
-		next      atomic.Int64
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  atomic.Bool
-		panicVal  any
+		next     atomic.Int64
+		panicked atomic.Bool
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicOnce.Do(func() { panicVal = p })
-					panicked.Store(true)
-				}
-			}()
-			sweepWorker(ctx, n, chunk, &next, &panicked, st, worker, newWorker(), fn)
-		}(w)
-	}
-	wg.Wait()
-	if panicked.Load() {
-		panic(panicVal)
+	if workers <= 1 {
+		// The one worker runs on the caller's goroutine: indices run in
+		// order and a panic in fn unwinds straight to the caller.
+		sweepWorker(ctx, n, chunk, &next, &panicked, st, 0, newWorker(), fn)
+	} else {
+		var (
+			wg        sync.WaitGroup
+			panicOnce sync.Once
+			panicVal  any
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(worker int) {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						panicOnce.Do(func() { panicVal = p })
+						panicked.Store(true)
+					}
+				}()
+				sweepWorker(ctx, n, chunk, &next, &panicked, st, worker, newWorker(), fn)
+			}(w)
+		}
+		wg.Wait()
+		if panicked.Load() {
+			panic(panicVal)
+		}
 	}
 	// Claims happen only on the way into processing a chunk, so a fully
 	// claimed range means every index ran even if ctx has since ended.
@@ -484,24 +459,20 @@ func sweepWorker[W any](ctx context.Context, n, chunk int, next *atomic.Int64, p
 		if start >= int64(n) {
 			return
 		}
-		end := start + int64(chunk)
-		if end > int64(n) {
-			end = int64(n)
+		end := min(start+int64(chunk), int64(n))
+		var t0 int64
+		if st != nil {
+			t0 = nowNano()
 		}
-		if st == nil {
-			for i := start; i < end; i++ {
-				fn(int(i), w)
-			}
-			continue
-		}
-		t0 := nowNano()
 		for i := start; i < end; i++ {
 			fn(int(i), w)
 		}
-		slot := &st.Workers[worker]
-		slot.Chunks++
-		slot.Indices += end - start
-		slot.BusyNanos += nowNano() - t0
+		if st != nil {
+			slot := &st.Workers[worker]
+			slot.Chunks++
+			slot.Indices += end - start
+			slot.BusyNanos += nowNano() - t0
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -221,3 +222,42 @@ func (f *fakeDeterministic) Contains(model.Item) bool { return false }
 func (f *fakeDeterministic) Len() int                 { return 0 }
 func (f *fakeDeterministic) Capacity() int            { return 1 }
 func (f *fakeDeterministic) Reset()                   {}
+
+// cancelAt cancels a context when it serves its n-th access.
+type cancelAt struct {
+	fakeDeterministic
+	n, seen int
+	cancel  context.CancelFunc
+}
+
+func (c *cancelAt) Access(it model.Item) Access {
+	if c.seen++; c.seen == c.n {
+		c.cancel()
+	}
+	return c.fakeDeterministic.Access(it)
+}
+
+// TestRunCtxCancelsMidTrace checks a context that ends mid-replay stops
+// Replay at the next poll, within one stride, with the partial
+// statistics and ctx's error — on both replay loops.
+func TestRunCtxCancelsMidTrace(t *testing.T) {
+	tr := make(trace.Trace, 3*cancelStride)
+	for i := range tr {
+		tr[i] = model.Item(i % 64)
+	}
+	sources := map[string]func() trace.Source{
+		"slice":  func() trace.Source { return trace.NewSliceSource(tr) },
+		"source": func() trace.Source { return struct{ trace.Source }{trace.NewSliceSource(tr)} },
+	}
+	for name, src := range sources {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancelAt{n: cancelStride / 2, cancel: cancel}
+		st, err := Replay(ctx, c, src(), ReplayOptions{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if st.Accesses != cancelStride {
+			t.Errorf("%s: cancelled replay stopped after %d accesses, want %d (the next poll)", name, st.Accesses, cancelStride)
+		}
+	}
+}

@@ -2,8 +2,11 @@ package cachesim
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -11,13 +14,19 @@ import (
 	"gccache/internal/trace"
 )
 
-func TestParallelForPanicPropagates(t *testing.T) {
+// TestSweepPanicPropagates pins that a panic in fn reaches Sweep's
+// caller: re-raised after the workers stop, or, with one worker, unwound
+// straight from fn, whose frames are then still on the caller's stack.
+func TestSweepPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {
 			defer func() {
 				p := recover()
 				if p != "boom-37" {
 					t.Errorf("workers=%d: recovered %v, want boom-37", workers, p)
+				}
+				if inline := strings.Contains(string(debug.Stack()), "sweepWorker"); inline != (workers == 1) {
+					t.Errorf("workers=%d: sweepWorker on the recovering stack = %v", workers, inline)
 				}
 			}()
 			Sweep(context.Background(), 100, SweepOptions{Workers: workers}, noWorker, func(i int, _ struct{}) {
@@ -27,6 +36,51 @@ func TestParallelForPanicPropagates(t *testing.T) {
 			})
 			t.Errorf("workers=%d: Sweep returned instead of panicking", workers)
 		}()
+	}
+}
+
+func TestSweepCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		err := Sweep(ctx, 1000, SweepOptions{Workers: workers}, noWorker,
+			func(int, struct{}) { ran.Add(1) })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if ran.Load() != 0 {
+			t.Errorf("workers=%d: %d indices ran under a dead context", workers, ran.Load())
+		}
+	}
+}
+
+func TestSweepStopsEarlyButCompletesClaimedChunks(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Int64
+	err := Sweep(ctx, 100000, SweepOptions{Workers: 4}, noWorker,
+		func(i int, _ struct{}) {
+			if i == 0 {
+				cancel()
+			}
+			ran.Add(1)
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := ran.Load(); got == 0 || got == 100000 {
+		t.Fatalf("ran %d of 100000 indices, want a strict partial run", got)
+	}
+}
+
+func TestSweepCompleteRunReturnsNilEvenIfCtxDiesAfter(t *testing.T) {
+	// A context that ends after all work is claimed must not turn a
+	// complete sweep into a spurious error.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := Sweep(ctx, 64, SweepOptions{Workers: 4}, noWorker,
+		func(int, struct{}) {}); err != nil {
+		t.Fatalf("complete sweep returned %v", err)
 	}
 }
 

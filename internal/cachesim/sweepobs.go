@@ -30,9 +30,6 @@ type SweepStats struct {
 	Workers []SweepWorkerStats
 	// Chunk is the chunk size the engine picked for the run.
 	Chunk int
-	// Quarantined lists the grid points SweepHardened gave up on, sorted
-	// by index. Empty for fault-free runs and for the plain sweeps.
-	Quarantined []Quarantine
 }
 
 // Totals sums the per-worker counters.

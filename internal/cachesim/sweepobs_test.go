@@ -64,28 +64,20 @@ func TestSweepStatsString(t *testing.T) {
 }
 
 // TestSweepResetsReusedStats pins that Sweep starts a reused SweepStats
-// from zero: no field of an earlier run — a hardened sweep's quarantine
-// list, a previous chunk size — may leak into the next report.
+// from zero: no field of an earlier run — its worker slots, its chunk
+// size — may leak into the next report.
 func TestSweepResetsReusedStats(t *testing.T) {
 	var st SweepStats
-	q, err := SweepHardened(context.Background(), 8, SweepOptions{Workers: 1, Stats: &st}, RetryPolicy{}, noWorker,
-		func(i int, _ struct{}) {
-			if i == 3 {
-				panic("poisoned point")
-			}
-		})
-	if err != nil || len(q) != 1 || len(st.Quarantined) != 1 {
-		t.Fatalf("hardened sweep: q=%v st.Quarantined=%v err=%v", q, st.Quarantined, err)
-	}
+	Sweep(context.Background(), 1000, SweepOptions{Workers: 4, Stats: &st}, noWorker, func(int, struct{}) {})
 	Sweep(context.Background(), 8, SweepOptions{Workers: 1, Stats: &st}, noWorker, func(int, struct{}) {})
-	if len(st.Quarantined) != 0 {
-		t.Errorf("fault-free sweep still reports %d quarantined points", len(st.Quarantined))
+	if len(st.Workers) != 1 || st.Workers[0].Indices != 8 {
+		t.Errorf("one-worker sweep after a four-worker one reports slots %+v", st.Workers)
 	}
 	if st.Chunk < 1 {
 		t.Fatalf("chunk %d after a non-empty sweep", st.Chunk)
 	}
 	Sweep(context.Background(), 0, SweepOptions{Stats: &st}, noWorker, func(int, struct{}) {})
-	if st.Chunk != 0 || len(st.Workers) != 0 || len(st.Quarantined) != 0 {
+	if st.Chunk != 0 || len(st.Workers) != 0 {
 		t.Errorf("empty sweep left stale stats: %+v", st)
 	}
 }

@@ -1,22 +1,23 @@
 // Package faults is a deterministic, seeded fault-injection framework
-// for hardening the repository's long-running execution paths: parallel
-// sweeps, solver runs, and replay servers.
+// for testing the repository's failure paths: pooled sweep workers that
+// panic mid-trace, and cluster connections that drop, partition or
+// slow down.
 //
 // An Injector is built from a Plan — a seed plus per-fault-kind
 // fractions — and decides purely from (seed, index, attempt) which grid
-// indices panic, stall, or corrupt their result, and (in the network
-// wiring, see Proxy) which connections are dropped, blackholed, or
-// slowed. The decisions are
+// indices panic and (in the network wiring, see Proxy) which
+// connections are dropped, blackholed, or slowed. The decisions are
 // stable hash functions, not draws from a shared rng, so an injected
 // failure reproduces exactly regardless of how many workers run the
 // sweep, which worker claims the index, or how many indices run in
 // between. Tests assert against the Injector's own schedule
-// (PanicIndices, CorruptIndices) instead of hard-coding index lists.
+// (PanicIndices, DropIndices, PartitionIndices) instead of hard-coding
+// index lists.
 //
-// The intended wiring is one Injector per sweep, with Step(i) called
-// inside the worker callback at the point the fault should strike
-// (typically mid-trace, so a panic leaves genuinely poisoned policy
-// state behind for the retry machinery to deal with).
+// For panics, call Step(i) inside the worker callback at the point the
+// fault should strike (typically mid-trace, so the panic leaves
+// genuinely poisoned policy state behind for the caller's recover and
+// Reset to deal with).
 package faults
 
 import (
@@ -25,9 +26,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Forever marks a fault as permanent: every attempt at the index fails.
-const Forever = -1
 
 // Plan configures an Injector. The zero value injects nothing.
 type Plan struct {
@@ -39,18 +37,8 @@ type Plan struct {
 	PanicFrac float64
 	// PanicAttempts is how many consecutive attempts at a selected
 	// index panic before it succeeds: 1 means the first attempt fails
-	// and the first retry succeeds; Forever (-1) means every attempt
-	// fails. 0 defaults to 1.
+	// and the first retry succeeds. 0 defaults to 1.
 	PanicAttempts int
-	// DelayFrac is the fraction of indices that sleep for Delay before
-	// doing their work — a widener for race windows in -race runs.
-	DelayFrac float64
-	// Delay is the injected sleep duration.
-	Delay time.Duration
-	// CorruptFrac is the fraction of indices whose results Corrupt
-	// perturbs — for testing that downstream verification catches
-	// silently wrong per-index results.
-	CorruptFrac float64
 	// DropFrac is the fraction of indices (connections, in the network
 	// wiring) that are dropped outright: the netfaults proxy closes a
 	// drop-scheduled connection before forwarding a byte, modelling a
@@ -71,7 +59,8 @@ type Plan struct {
 }
 
 // Injected is the panic value of an injected worker panic. It carries
-// the index and attempt so quarantine reports can be asserted exactly.
+// the index and attempt so a test that recovers it can tell which
+// attempt at which index failed.
 type Injected struct {
 	Index   int
 	Attempt int
@@ -122,10 +111,11 @@ func (in *Injector) chosen(i int, salt uint64, frac float64) bool {
 	return float64(h>>11)/float64(1<<53) < frac
 }
 
+// Each fault kind hashes under its own salt, so the kinds' schedules are
+// independent. A salt is part of every schedule drawn under it, so the
+// unused values 2 and 3 stay a gap rather than being renumbered.
 const (
 	saltPanic     = 0xfa017c_0001
-	saltDelay     = 0xfa017c_0002
-	saltCorrupt   = 0xfa017c_0003
 	saltDrop      = 0xfa017c_0004
 	saltPartition = 0xfa017c_0005
 	saltConnDelay = 0xfa017c_0006
@@ -137,18 +127,7 @@ func (in *Injector) ShouldPanic(i, attempt int) bool {
 	if !in.chosen(i, saltPanic, in.plan.PanicFrac) {
 		return false
 	}
-	return in.plan.PanicAttempts == Forever || attempt < in.plan.PanicAttempts
-}
-
-// ShouldDelay reports whether index i is scheduled to stall.
-func (in *Injector) ShouldDelay(i int) bool {
-	return in.chosen(i, saltDelay, in.plan.DelayFrac)
-}
-
-// ShouldCorrupt reports whether index i's result is scheduled to be
-// perturbed.
-func (in *Injector) ShouldCorrupt(i int) bool {
-	return in.chosen(i, saltCorrupt, in.plan.CorruptFrac)
+	return attempt < in.plan.PanicAttempts
 }
 
 // ShouldDrop reports whether connection (or generic index) i is
@@ -186,19 +165,14 @@ func (in *Injector) PartitionIndices(n int) []int {
 	return in.schedule(n, in.ShouldPartition)
 }
 
-// Step records one execution attempt at index i and injects that
-// attempt's scheduled faults: it sleeps when the index is
-// delay-scheduled, then panics with an Injected value when the attempt
-// is panic-scheduled. Call it from the sweep worker callback at the
-// point the fault should strike.
+// Step records one execution attempt at index i and panics with an
+// Injected value when that attempt is panic-scheduled. Call it from the
+// sweep worker callback at the point the fault should strike.
 func (in *Injector) Step(i int) {
 	in.mu.Lock()
 	attempt := in.attempts[i]
 	in.attempts[i] = attempt + 1
 	in.mu.Unlock()
-	if in.ShouldDelay(i) {
-		time.Sleep(in.plan.Delay)
-	}
 	if in.ShouldPanic(i, attempt) {
 		panic(Injected{Index: i, Attempt: attempt})
 	}
@@ -211,30 +185,11 @@ func (in *Injector) Attempts(i int) int {
 	return in.attempts[i]
 }
 
-// Corrupt deterministically perturbs a result byte slice for a
-// corrupt-scheduled index (flipping one hash-selected bit) and returns
-// it unchanged otherwise. The input is modified in place when owned by
-// the caller; zero-length slices pass through.
-func (in *Injector) Corrupt(i int, b []byte) []byte {
-	if len(b) == 0 || !in.ShouldCorrupt(i) {
-		return b
-	}
-	h := splitmix64(uint64(in.plan.Seed) ^ saltCorrupt ^ uint64(i))
-	b[h%uint64(len(b))] ^= 1 << (h >> 32 % 8)
-	return b
-}
-
 // PanicIndices returns the sorted indices in [0, n) scheduled to panic
-// on their first attempt — the oracle tests compare quarantine reports
+// on their first attempt — the oracle tests compare recovered panics
 // against.
 func (in *Injector) PanicIndices(n int) []int {
 	return in.schedule(n, func(i int) bool { return in.ShouldPanic(i, 0) })
-}
-
-// CorruptIndices returns the sorted indices in [0, n) scheduled for
-// result corruption.
-func (in *Injector) CorruptIndices(n int) []int {
-	return in.schedule(n, in.ShouldCorrupt)
 }
 
 func (in *Injector) schedule(n int, pred func(int) bool) []int {
