@@ -155,14 +155,16 @@ repro-check:
 		$(GO) run ./cmd/gcrepro -out "$$tmp" && diff -r results "$$tmp" && \
 		echo "repro-check: $$(ls results | wc -l) files identical to results/"
 
-# Fault-tolerance stress gate: the fault-injection and cancellation
-# sweep tests under the race detector (injected panics + retries on
+# Fault-tolerance stress gate: the sweep, cancellation, injected-panic
+# and checkpoint tests under the race detector (injected panics on
 # pooled workers are exactly where poisoned-state races would hide),
-# plus a short fuzz smoke over every binary decoder a resumed run
-# trusts (trace files, checkpoint snapshots, workload specs).
+# internal/faults and internal/checkpoint whole under it, plus a short
+# fuzz smoke over every binary decoder a resumed run trusts (trace
+# files, checkpoint snapshots, workload specs).
 stress:
-	$(GO) test -race -run 'Sweep|Ctx|Fault|Quarantine|InjectedPanic|Checkpoint' \
-		./internal/cachesim/ ./internal/faults/ ./internal/checkpoint/ ./internal/conformance/ ./internal/opt/
+	$(GO) test -race -run 'Sweep|Ctx|InjectedPanic|Checkpoint' \
+		./internal/cachesim/ ./internal/conformance/ ./internal/opt/
+	$(GO) test -race ./internal/faults/ ./internal/checkpoint/
 	$(GO) test ./internal/trace/ -run FuzzReadArbitraryBytes -fuzz FuzzReadArbitraryBytes -fuzztime 2s
 	$(GO) test ./internal/trace/ -run FuzzCheckpointDecode -fuzz FuzzCheckpointDecode -fuzztime 2s
 	$(GO) test ./internal/workload/ -run FuzzFromSpec -fuzz FuzzFromSpec -fuzztime 2s
