@@ -127,11 +127,13 @@ bench-selftest:
 # every item a replay loads or evicts, so each must stay within the
 # compiler's inlining budget. Losing one to a call has cost sim-loads
 # 15–18% before. Net.Load and Net.Evict list each item ItemLRU, FIFO,
-# Clock, Marking and RandomEvict move on a miss. Fails naming any helper
-# the compiler will not inline.
-INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict' '(*Net).Load' '(*Net).Evict'
+# Clock, Marking and RandomEvict move on a miss. GCM's find, insert and
+# removeAt run for each item of its miss path, and randStream.Uint64
+# for each sibling-shuffle draw. Fails naming any helper the compiler
+# will not inline.
+INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict' '(*Net).Load' '(*Net).Evict' '(*GCM).find' '(*GCM).insert' '(*GCM).removeAt' '(*randStream).Uint64'
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/bitset ./internal/cachesim 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m ./internal/bitset ./internal/cachesim ./internal/core 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
 	can=$$(printf '%s\n' "$$out" | awk '$$2 == "can" && $$3 == "inline" { print $$4 }'); \
 	missing=0; for f in $(INLINE_FUNCS); do \
 		printf '%s\n' "$$can" | grep -qxF -- "$$f" || { echo "inline-check: $$f does not inline"; missing=1; }; \

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"time"
 
@@ -112,15 +113,18 @@ func solveExact(tr trace.Trace, geo model.Geometry, k int, deadline time.Duratio
 		if ckptPath == "" {
 			fatal(fmt.Errorf("-resume requires -checkpoint"))
 		}
-		snap, err := checkpoint.Load(ckptPath)
-		if err != nil {
-			fatal(fmt.Errorf("loading checkpoint: %w", err))
+		// A first run of a resumable job finds no checkpoint yet and
+		// starts fresh; any other load error is fatal.
+		if snap, err := checkpoint.Load(ckptPath); err != nil {
+			if !errors.Is(err, fs.ErrNotExist) {
+				fatal(fmt.Errorf("loading checkpoint: %w", err))
+			}
+		} else {
+			if ck, err = opt.CheckpointFromSnapshot(snap, hash); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("resuming exact solve from %s at access %d/%d\n", ckptPath, ck.Step, len(tr))
 		}
-		ck, err = opt.CheckpointFromSnapshot(snap, hash)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("resuming exact solve from %s at access %d/%d\n", ckptPath, ck.Step, len(tr))
 	}
 	overall := context.Background()
 	if deadline > 0 {

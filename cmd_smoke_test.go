@@ -209,6 +209,40 @@ func TestGcsimResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	}
 }
 
+// TestGcoptResumeWithoutCheckpointStartsFresh is
+// TestGcsimResumeWithoutCheckpointStartsFresh for gcopt's exact solve:
+// a first -resume run against an absent checkpoint must exit 0, print
+// the plain run's stdout (no "resuming" line) and leave a checkpoint
+// behind. Skipped under -short (two `go run` invocations).
+func TestGcoptResumeWithoutCheckpointStartsFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("first-run resume test pays two go run compiles")
+	}
+	ckpt := filepath.Join(t.TempDir(), "absent.ckpt")
+	base := []string{"run", "./cmd/gcopt", "-exact", "-k", "4", "-B", "2",
+		"-workload", "cyclic:n=8,len=40"}
+	run := func(extra ...string) string {
+		cmd := exec.Command("go", append(base, extra...)...)
+		cmd.Env = os.Environ()
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("gcopt %v: %v\n%s", extra, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	plain := run()
+	if !strings.Contains(plain, "exact GC optimum: 14\n") {
+		t.Fatalf("plain run did not print the exact optimum 14:\n%s", plain)
+	}
+	if resumed := run("-resume", "-checkpoint", ckpt); resumed != plain {
+		t.Errorf("first -resume run's stdout differs from the plain run:\n--- plain ---\n%s\n--- resumed ---\n%s", plain, resumed)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("first -resume run left no checkpoint: %v", err)
+	}
+}
+
 // TestGcsimScenarioDeterministic runs gcsim twice on the same scenario
 // program with an explicit seed and asserts byte-identical stdout —
 // the DSL's headline contract (docs/SCENARIOS.md §3) held end to end

@@ -1,7 +1,7 @@
 // Package bitset is the packed membership set of the policies and the
 // Recorder: the layer membership of IBLP, its variants, BlockLRU and
-// AdaptiveIBLP, GCM's marks, cachesim.Changes' per-block offset masks
-// and the cachesim.Recorder's pristine items. At one bit per ID, a
+// AdaptiveIBLP, cachesim.Changes' per-block offset masks and the
+// cachesim.Recorder's pristine items. At one bit per ID, a
 // 256Ki-item universe costs 32KB, so membership probes stay in L1/L2
 // where a byte- or word-per-item table would stride through megabytes.
 // Has, Remove and Add's common case are small enough to inline at their

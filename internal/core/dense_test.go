@@ -130,11 +130,11 @@ func TestIBLPDenseReset(t *testing.T) {
 	diffCaches(t, NewIBLPEvenSplit(128, g), pooled, tr)
 }
 
-// TestGCMDenseMatchesGeneric requires bit-for-bit equality between a
+// TestGCMPresizedMatchesGrown requires bit-for-bit equality between a
 // GCM presized for the universe and one grown on demand: growing must
 // not touch the seeded stream, so every random eviction picks the same
 // victim.
-func TestGCMDenseMatchesGeneric(t *testing.T) {
+func TestGCMPresizedMatchesGrown(t *testing.T) {
 	const universe = 2048
 	for _, blockSize := range []int{1, 8, 32} {
 		g := model.NewFixed(blockSize)
@@ -172,9 +172,9 @@ func TestGCMReseedEqualsFresh(t *testing.T) {
 	diffCaches(t, fresh, pooled, tr)
 }
 
-// TestGCMMarkAllDenseMatchesGeneric is TestGCMDenseMatchesGeneric for
+// TestGCMMarkAllPresizedMatchesGrown is TestGCMPresizedMatchesGrown for
 // the mark-everything ablation.
-func TestGCMMarkAllDenseMatchesGeneric(t *testing.T) {
+func TestGCMMarkAllPresizedMatchesGrown(t *testing.T) {
 	const universe = 1024
 	g := model.NewFixed(8)
 	rng := rand.New(rand.NewSource(12))

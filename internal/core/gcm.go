@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
-	"gccache/internal/bitset"
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
@@ -22,11 +22,12 @@ import (
 // replaces exactly the unmarked items with (randomly selected) items of
 // the accessed block, as the paper describes.
 //
-// Marks are kept by position: bit p of one k-bit set marks items[p], so
-// a mark test reads k/8 bytes at most and a phase reset clears k/64
-// words. Each item's position sits in a flat array indexed by item ID
-// that grows with the largest ID loaded, so steady-state accesses
-// neither hash nor allocate.
+// Marks are kept by position: marks[p] is 1 when items[p] is marked and 0
+// otherwise, one byte for each of the k slots, so removeAt moves a mark
+// with one byte swap and the victim draw tests eight marks with one AND.
+// Each item's position sits in a flat array indexed by item ID that
+// grows with the largest ID loaded, so steady-state accesses neither
+// hash nor allocate.
 //
 // The victim draw is rejection sampling — Intn(len(items)) until an
 // unmarked position comes up — from a generator that reproduces
@@ -40,7 +41,7 @@ type GCM struct {
 	geo      model.Geometry
 
 	items       []model.Item // indexable resident set
-	markAt      bitset.Set   // bit p set: items[p] is marked
+	marks       []uint8      // marks[p] == 1: items[p] is marked; 0 past len(items)
 	markedCount int
 
 	// pos[it] is the position of it in items plus one; 0, or an item
@@ -48,6 +49,7 @@ type GCM struct {
 	pos []int32
 
 	ch    cachesim.Changes
+	fixed model.Item   // B under *model.Fixed, else 0
 	sibs  []model.Item // scratch: shuffled sibling order
 	probe obs.Probe
 	rng   randStream
@@ -83,9 +85,10 @@ func newGCM(k int, g model.Geometry, seed int64, universe int) *GCM {
 	c := &GCM{
 		capacity: k,
 		geo:      g,
-		markAt:   bitset.New(k),
+		marks:    make([]uint8, k),
 		pos:      make([]int32, model.ItemUniverse(g, universe)),
 		ch:       cachesim.NewChanges(g),
+		fixed:    model.Item(model.FixedSize(g)),
 	}
 	c.rng.Seed(seed)
 	return c
@@ -143,15 +146,25 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 func (c *GCM) SetProbe(p obs.Probe) { c.probe = p }
 
 // shuffledSiblings returns the items of blk other than it in a random
-// order, in a scratch slice valid until the next call.
+// order, in a scratch slice valid until the next call. Under
+// model.Fixed the block is a range of IDs, listed skipping it.
 //
 //gclint:hotpath
 func (c *GCM) shuffledSiblings(it model.Item, blk model.Block) []model.Item {
-	c.sibs = model.AppendItemsOf(c.geo, c.sibs[:0], blk)
-	for i, x := range c.sibs {
-		if x == it {
-			c.sibs = append(c.sibs[:i], c.sibs[i+1:]...)
-			break
+	if B := c.fixed; B != 0 {
+		c.sibs = c.sibs[:0]
+		for x, end := model.Item(blk)*B, model.Item(blk)*B+B; x < end; x++ {
+			if x != it {
+				c.sibs = append(c.sibs, x)
+			}
+		}
+	} else {
+		c.sibs = model.AppendItemsOf(c.geo, c.sibs[:0], blk)
+		for i, x := range c.sibs {
+			if x == it {
+				c.sibs = append(c.sibs[:i], c.sibs[i+1:]...)
+				break
+			}
 		}
 	}
 	c.rng.shuffle(c.sibs)
@@ -174,26 +187,40 @@ func (c *GCM) evictOne() {
 // drawUnmarked returns rng.Intn(len(items)) redrawn until the position
 // is unmarked; at least one must be. For a power-of-two length up to
 // 2^30, Intn is the output's bits 32 and up under a mask, so the loop
-// runs the stream inline with its index in a local: a rejected draw is
-// one array load and one bit test.
+// runs the stream inline with its index in a local and tests eight
+// draws at a time: the AND of their eight mark bytes is zero exactly
+// when one is unmarked, and the first such draw is the one taken, so
+// the stream advances just past it as Intn's loop would. The last
+// outputs of a batch, fewer than eight, are tested one at a time.
 //
 //gclint:hotpath
 func (c *GCM) drawUnmarked() int {
 	n := len(c.items)
-	marks := c.markAt
+	mark := c.marks[:n]
 	if n&(n-1) != 0 || n > 1<<30 {
 		for {
-			if p := c.rng.Intn(n); !marks.Has(uint64(p)) {
+			if p := c.rng.Intn(n); mark[p] == 0 {
 				return p
 			}
 		}
 	}
 	mask := uint64(n - 1)
+	_ = mark[mask] // one bounds check here proves every mark[x&mask] below in range
 	s := &c.rng
-	for i := s.i; ; i = 0 {
-		for j, x := range s.vec[i:] {
-			if p := x >> 32 & mask; !marks.Has(p) {
-				s.i = i + j + 1
+	v := &s.vec
+	for i := uint(s.i); ; i = 0 {
+		for ; i <= rngLen-8; i += 8 {
+			m0, m1, m2, m3 := mark[v[i]>>32&mask], mark[v[i+1]>>32&mask], mark[v[i+2]>>32&mask], mark[v[i+3]>>32&mask]
+			m4, m5, m6, m7 := mark[v[i+4]>>32&mask], mark[v[i+5]>>32&mask], mark[v[i+6]>>32&mask], mark[v[i+7]>>32&mask]
+			if m0&m1&m2&m3&m4&m5&m6&m7 == 0 {
+				i += uint(bits.TrailingZeros8(^(m0 | m1<<1 | m2<<2 | m3<<3 | m4<<4 | m5<<5 | m6<<6 | m7<<7)))
+				s.i = int(i) + 1
+				return int(v[i] >> 32 & mask)
+			}
+		}
+		for ; i < rngLen; i++ {
+			if p := v[i] >> 32 & mask; mark[p] == 0 {
+				s.i = int(i) + 1
 				return int(p)
 			}
 		}
@@ -220,7 +247,7 @@ func (c *GCM) insert(it model.Item) int {
 }
 
 // removeAt removes the unmarked item at position p, moving the last item
-// and its mark bit into the hole.
+// and its mark into the hole.
 //
 //gclint:hotpath
 func (c *GCM) removeAt(p int) {
@@ -229,10 +256,7 @@ func (c *GCM) removeAt(p int) {
 	moved := c.items[last]
 	c.items[p] = moved
 	c.items = c.items[:last]
-	if c.markAt.Has(uint64(last)) {
-		c.markAt.Remove(uint64(last))
-		c.markAt.Add(uint64(p))
-	}
+	c.marks[p], c.marks[last] = c.marks[last], c.marks[p]
 	c.pos[moved] = int32(p) + 1
 	c.pos[it] = 0
 }
@@ -267,25 +291,25 @@ func (c *GCM) mark(it model.Item) {
 //
 //gclint:hotpath
 func (c *GCM) markPos(p int, it model.Item) {
-	if c.markAt.Has(uint64(p)) {
+	if c.marks[p] != 0 {
 		return
 	}
-	c.markAt.Add(uint64(p))
+	c.marks[p] = 1
 	c.markedCount++
 	if c.probe != nil {
 		c.probe.Observe(obs.Event{Kind: obs.EvMark, Item: it})
 	}
 }
 
-// clearMarks unmarks every resident item (k/64 words). The probe sees
-// this as EvPhaseReset with N = marks dropped.
+// clearMarks unmarks every resident item (k bytes). The probe sees this
+// as EvPhaseReset with N = marks dropped.
 //
 //gclint:hotpath
 func (c *GCM) clearMarks() {
 	if c.probe != nil {
 		c.probe.Observe(obs.Event{Kind: obs.EvPhaseReset, N: int32(c.markedCount)})
 	}
-	c.markAt.Clear()
+	clear(c.marks)
 	c.markedCount = 0
 }
 
@@ -303,7 +327,7 @@ func (c *GCM) Reset() {
 	for _, x := range c.items {
 		c.pos[x] = 0
 	}
-	c.markAt.Clear()
+	clear(c.marks)
 	c.markedCount = 0
 	c.items = c.items[:0]
 }

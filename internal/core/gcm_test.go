@@ -158,3 +158,78 @@ func TestGCMPanics(t *testing.T) {
 		t.Error("Name")
 	}
 }
+
+// TestGCMDrawMatchesRejectionLoop pins drawUnmarked, which tests the
+// draws for a power-of-two resident count eight at a time, to the plain
+// rejection loop it stands for: Intn(n) on a copy of the stream, redrawn
+// until the position is unmarked. Each state draws several victims in a
+// row without changing the marks, and each must agree on the position
+// and on the stream left behind, and leave markedCount alone. Stream
+// indices 599–607 leave eight or fewer outputs before a refill, so the
+// draw starts at or past the last whole group; n=192 takes Intn's loop.
+func TestGCMDrawMatchesRejectionLoop(t *testing.T) {
+	type pattern struct {
+		name   string
+		marked func(n int, rng *rand.Rand) []int // positions to mark, fewer than n
+	}
+	some := func(num, den int) func(int, *rand.Rand) []int {
+		return func(n int, rng *rand.Rand) []int {
+			return rng.Perm(n)[:min(n-1, n*num/den)]
+		}
+	}
+	allBut := func(lone func(n int) int) func(int, *rand.Rand) []int {
+		return func(n int, _ *rand.Rand) []int {
+			var ps []int
+			for p := 0; p < n; p++ {
+				if p != lone(n) {
+					ps = append(ps, p)
+				}
+			}
+			return ps
+		}
+	}
+	patterns := []pattern{
+		{"none", some(0, 1)},
+		{"half", some(1, 2)},
+		{"0.99", some(99, 100)},
+		{"all-but-first", allBut(func(int) int { return 0 })},
+		{"all-but-last", allBut(func(n int) int { return n - 1 })},
+	}
+	starts := []int{0, 599, 600, 601, 602, 603, 604, 605, 606, 607}
+	const draws = 12
+	for _, n := range []int{1, 2, 8, 64, 192, 4096} {
+		for _, pat := range patterns {
+			for _, start := range starts {
+				rng := rand.New(rand.NewSource(int64(n*1000 + start)))
+				c := NewGCM(n, model.NewFixed(1), int64(start)-int64(n))
+				for it := 0; it < n; it++ {
+					c.insert(model.Item(it))
+				}
+				ps := pat.marked(n, rng)
+				for _, p := range ps {
+					c.markPos(p, c.items[p])
+				}
+				for range start {
+					c.rng.Uint64()
+				}
+				for d := 0; d < draws; d++ {
+					ref := c.rng
+					want := -1
+					for want < 0 {
+						if p := ref.Intn(n); c.marks[p] == 0 {
+							want = p
+						}
+					}
+					got := c.drawUnmarked()
+					if got != want || c.rng.i != ref.i || c.rng.vec != ref.vec {
+						t.Fatalf("n=%d %s start=%d draw %d: position %d, stream index %d; rejection loop %d, index %d (batches equal: %v)",
+							n, pat.name, start, d, got, c.rng.i, want, ref.i, c.rng.vec == ref.vec)
+					}
+					if c.markedCount != len(ps) {
+						t.Fatalf("n=%d %s start=%d draw %d: markedCount %d, want %d", n, pat.name, start, d, c.markedCount, len(ps))
+					}
+				}
+			}
+		}
+	}
+}
