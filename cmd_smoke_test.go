@@ -325,3 +325,42 @@ func TestCommandUsage(t *testing.T) {
 		})
 	}
 }
+
+// TestGcsimStdoutGolden pins gcsim's stdout byte for byte on a small
+// blockruns workload with every policy and the OPT bracket, and on the
+// drift scenario with every policy, against testdata/gcsim-*.golden.
+// A change to how gcsim builds policies or loads input must leave both
+// unchanged. Skipped under -short (it compiles gcsim).
+func TestGcsimStdoutGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden test compiles gcsim")
+	}
+	bin := filepath.Join(t.TempDir(), "gcsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/gcsim").CombinedOutput(); err != nil {
+		t.Fatalf("build gcsim: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"gcsim-blockruns-all.golden", []string{"-k", "64", "-B", "8",
+			"-workload", "blockruns:blocks=64,B=8,run=4,len=3000", "-policy", "all"}},
+		{"gcsim-drift-all.golden", []string{"-scenario", "scenarios/drift.gcs", "-policy", "all"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(bin, c.args...)
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("gcsim %v: %v\n%s", c.args, err, stderr.String())
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Errorf("gcsim %v stdout differs from %s:\n--- got ---\n%s--- want ---\n%s", c.args, c.golden, got, want)
+			}
+		})
+	}
+}
