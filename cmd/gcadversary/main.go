@@ -15,46 +15,29 @@ import (
 	"gccache"
 	"gccache/internal/adversary"
 	"gccache/internal/cli"
-	"gccache/internal/model"
+	"gccache/internal/core"
 )
 
 func main() {
 	var (
 		construction = flag.String("construction", "thm2", "one of: st, thm2, thm3, thm4, locality")
-		policyName   = flag.String("policy", "item-lru",
-			"item-lru, block-lru, fifo, marking, gcm, iblp, blie, athreshold2")
-		k      = flag.Int("k", 1024, "online cache size")
-		h      = flag.Int("h", 129, "offline comparison size")
-		B      = flag.Int("B", 64, "block size")
-		phases = flag.Int("phases", 25, "construction phases (st: accesses/1000)")
-		p      = flag.Float64("p", 2, "locality exponent for -construction locality")
-		seed   = flag.Int64("seed", 1, "seed for randomized policies")
+		policyName   = flag.String("policy", "item-lru", cli.PolicyHelp)
+		k            = flag.Int("k", 1024, "online cache size")
+		h            = flag.Int("h", 129, "offline comparison size")
+		B            = flag.Int("B", 64, "block size")
+		phases       = flag.Int("phases", 25, "construction phases (st: accesses/1000)")
+		p            = flag.Float64("p", 2, "locality exponent for -construction locality")
+		seed         = flag.Int64("seed", 1, "seed for randomized policies")
 	)
 	cli.SetUsage("gcadversary", "drive a lower-bound adversary construction against a live policy")
 	flag.Parse()
 
-	geo := model.NewFixed(*B)
-	var c gccache.Cache
-	switch *policyName {
-	case "item-lru":
-		c = gccache.NewItemLRU(*k)
-	case "block-lru":
-		c = gccache.NewBlockLRU(*k, geo)
-	case "fifo":
-		c = gccache.NewFIFO(*k)
-	case "marking":
-		c = gccache.NewMarking(*k, *seed)
-	case "gcm":
-		c = gccache.NewGCM(*k, geo, *seed)
-	case "iblp":
-		c = gccache.NewIBLPEvenSplit(*k, geo)
-	case "blie":
-		c = gccache.NewBlockLoadItemEvict(*k, geo)
-	case "athreshold2":
-		c = gccache.NewAThreshold(*k, 2, geo)
-	default:
-		fatal(fmt.Errorf("unknown policy %q", *policyName))
+	geo := cli.Geometry("gcadversary", *B, *k)
+	build, err := core.ByName(*policyName, geo, *seed)
+	if err != nil {
+		fatal(err)
 	}
+	c := build(*k)
 
 	cfg := adversary.Config{OptSize: *h, Phases: *phases}
 	switch *construction {

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,21 +12,21 @@ import (
 	"gccache/internal/cluster"
 	"gccache/internal/cluster/ring"
 	"gccache/internal/concurrent"
+	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/obs"
-	"gccache/internal/policy"
 	"gccache/internal/trace"
-	"gccache/internal/workload"
 )
 
 // clusterLoadConfig carries the flag values the -cluster path needs.
 type clusterLoadConfig struct {
-	ringPath, spec, traceFile string
-	seed                      int64
-	streams                   int
-	ops                       int64
-	batch, rate               int
-	duration                  time.Duration
+	ringPath    string
+	tr          trace.Trace
+	seed        int64
+	streams     int
+	ops         int64
+	batch, rate int
+	duration    time.Duration
 }
 
 // defaultClusterBatch is the wire batch size when -batch is unset: big
@@ -50,26 +49,6 @@ func runClusterLoad(c clusterLoadConfig) {
 	if err != nil {
 		cli.Fatal("gcload", err)
 	}
-	var tr trace.Trace
-	if c.traceFile != "" {
-		f, ferr := os.Open(c.traceFile)
-		if ferr != nil {
-			cli.Fatal("gcload", ferr)
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-	} else {
-		tr, err = workload.FromSpec(c.spec, c.seed)
-	}
-	if err != nil {
-		cli.Fatal("gcload", err)
-	}
-	if len(tr) == 0 {
-		cli.Fatalf("gcload", "empty trace")
-	}
-	if c.ops < 1 {
-		cli.Fatalf("gcload", "-ops %d < 1", c.ops)
-	}
 	batch := c.batch
 	if batch <= 0 {
 		batch = defaultClusterBatch
@@ -91,7 +70,7 @@ func runClusterLoad(c clusterLoadConfig) {
 
 	fmt.Printf("gcload: cluster of %d nodes (ring %s), %d streams, batch %d\n",
 		r.Len(), c.ringPath, c.streams, batch)
-	issued, hist, elapsed := driveCluster(ctx, client, r, tr, c.streams, c.ops, batch, c.rate)
+	issued, hist, elapsed := driveCluster(ctx, client, r, c.tr, c.streams, c.ops, batch, c.rate)
 	printClusterReport(client, issued, hist, elapsed)
 	st := client.Stats()
 	if !st.Identity() {
@@ -210,10 +189,14 @@ func runClusterSelfcheck() error {
 		batch    = 64
 		rounds   = 50
 	)
+	build, err := core.ByName("item-lru", model.NewFixed(bb), 1)
+	if err != nil {
+		return err
+	}
 	newNode := func() (*cluster.Node, error) {
 		return cluster.NewNode(cluster.NodeConfig{
 			Addr: "127.0.0.1:0", K: kk, B: bb, Universe: universe,
-			NewCache: func() cachesim.Cache { return policy.NewItemLRU(kk) },
+			NewCache: func() cachesim.Cache { return build(kk) },
 		})
 	}
 	nodes := make([]*cluster.Node, 3)

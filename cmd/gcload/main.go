@@ -51,11 +51,8 @@ func main() {
 	var (
 		k         = flag.Int("k", 4096, "cache size in items (split across shards)")
 		B         = flag.Int("B", 64, "block size")
-		policyArg = flag.String("policy", "iblp", "policy: item-lru, block-lru, iblp, gcm, adaptive")
-		spec      = flag.String("workload", "blockruns:blocks=512,B=64,run=16,len=200000", workload.SpecHelp)
-		traceFile = flag.String("trace", "", "read a gctrace binary file instead of generating a workload")
-		scenFile  = flag.String("scenario", "", scenario.FlagHelp)
-		seed      = flag.Int64("seed", 1, "workload / policy seed")
+		policyArg = flag.String("policy", "iblp", cli.PolicyHelp)
+		in        = cli.NewInput("gcload", "blockruns:blocks=512,B=64,run=16,len=200000", "trace", true)
 		shards    = flag.Int("shards", 8, "lock-striped shard count (power of two)")
 		streams   = flag.Int("streams", 8, "concurrent client streams")
 		ops       = flag.Int64("ops", 1_000_000, "total accesses to issue (the trace repeats as needed)")
@@ -88,6 +85,9 @@ func main() {
 		return
 	}
 
+	if *ops < 1 {
+		cli.Fatalf("gcload", "-ops %d < 1", *ops)
+	}
 	if *clusterMode {
 		if *ringArg == "" {
 			cli.Fatalf("gcload", "-cluster requires -ring")
@@ -95,54 +95,39 @@ func main() {
 		if *autotuneOn {
 			cli.Fatalf("gcload", "-autotune drives the in-process engine; in cluster mode the controller lives server-side (gcserve -autotune)")
 		}
-		if *scenFile != "" {
+		if in.Scenario != "" {
 			cli.Fatalf("gcload", "-cluster and -scenario are mutually exclusive")
 		}
 		runClusterLoad(clusterLoadConfig{
-			ringPath: *ringArg, spec: *spec, traceFile: *traceFile, seed: *seed,
+			ringPath: *ringArg, tr: loadTrace(in, false), seed: in.Seed,
 			streams: *streams, ops: *ops, batch: *batch, rate: *rate, duration: *duration,
 		})
 		return
 	}
 
-	if *scenFile != "" {
-		if *traceFile != "" {
-			cli.Fatalf("gcload", "-scenario and -trace are mutually exclusive")
-		}
-		runScenarioLoad(scenarioLoadConfig{
-			path: *scenFile, k: *k, B: *B, policy: *policyArg, seed: *seed,
-			shards: *shards, streams: *streams, ops: *ops, rate: *rate,
-			mode: *mode, batch: *batch, depth: *depth, pin: *pin, duration: *duration,
-			autotune: *autotuneOn,
-		})
-		return
-	}
-
-	geo := model.NewFixed(*B)
+	// A -scenario program compiles instead of materializing: open mode
+	// gives each client stream its own copy seeded seed+i (clients
+	// decorrelate, like independent users running the same workload);
+	// batch mode streams one compiled copy through the engine's
+	// ReplayStream, resetting between rounds. The loader replays each
+	// of those seeds once in O(1) memory to hold the input to
+	// cachesim.MaxUniverse, as the trace path does.
+	geo := cli.Geometry("gcload", *B, *k)
+	seed, source := in.Seed, ""
+	var prog *scenario.Program
 	var tr trace.Trace
-	var err error
-	if *traceFile != "" {
-		f, ferr := os.Open(*traceFile)
-		if ferr != nil {
-			cli.Fatal("gcload", ferr)
+	if in.Scenario != "" {
+		nSeeds := 1
+		if *mode == "open" {
+			nSeeds = *streams
 		}
-		tr, err = trace.Read(f)
-		f.Close()
+		var info *scenario.Info
+		prog, info, seed = in.Program(nSeeds)
+		source = fmt.Sprintf("scenario %s (%d requests/replay, seed %d), ", in.Scenario, info.Length, seed)
 	} else {
-		tr, err = workload.FromSpec(*spec, *seed)
+		tr = loadTrace(in, true)
 	}
-	if err != nil {
-		cli.Fatal("gcload", err)
-	}
-	if len(tr) == 0 {
-		cli.Fatalf("gcload", "empty trace")
-	}
-	if *ops < 1 {
-		cli.Fatalf("gcload", "-ops %d < 1", *ops)
-	}
-
-	checkUniverse(tr.MaxItem())
-	build, err := core.ByName(*policyArg, geo, *seed)
+	build, err := core.ByName(*policyArg, geo, seed)
 	if err != nil {
 		cli.Fatal("gcload", err)
 	}
@@ -166,20 +151,24 @@ func main() {
 		defer cancel()
 	}
 
-	fmt.Printf("gcload: policy %s, k %d, B %d, %d shards, %d streams, mode %s\n",
-		*policyArg, *k, *B, *shards, *streams, *mode)
+	fmt.Printf("gcload: %spolicy %s, k %d, B %d, %d shards, %d streams, mode %s\n",
+		source, *policyArg, *k, *B, *shards, *streams, *mode)
 	var r report
-	switch *mode {
-	case "open":
+	cfg := concurrent.BatchConfig{BatchSize: *batch, QueueDepth: *depth, PinWorkers: *pin}
+	switch {
+	case *mode == "open" && prog != nil:
+		r = runOpenScenario(ctx, s, compile(prog, seed, *streams), *ops, *rate)
+	case *mode == "open":
 		r = runOpen(ctx, s, tr, *streams, *ops, *rate)
-	case "batch":
-		cfg := concurrent.BatchConfig{BatchSize: *batch, QueueDepth: *depth, PinWorkers: *pin}
+	case *mode == "batch" && prog != nil:
+		r, err = runBatchScenario(ctx, s, compile(prog, seed, 1)[0], *ops, cfg)
+	case *mode == "batch":
 		r, err = runBatch(ctx, s, tr, *streams, *ops, cfg)
-		if err != nil && ctx.Err() == nil {
-			cli.Fatal("gcload", err)
-		}
 	default:
 		cli.Fatalf("gcload", "unknown -mode %q (want open or batch)", *mode)
+	}
+	if err != nil && ctx.Err() == nil {
+		cli.Fatal("gcload", err)
 	}
 	r.print(os.Stdout, s)
 	if tn != nil {
@@ -226,118 +215,27 @@ func printAutotune(w *os.File, tn *autotune.Tuner, s *concurrent.Sharded) {
 		st.Windows, st.Window, st.Resizes, final, st.Formula, st.WorkingSet)
 }
 
-// checkUniverse exits when the largest requested item is at or past
-// cachesim.MaxUniverse: the caches' ID-indexed arrays grow with the
-// largest ID they see, so input keeps the bound Replay applies.
-func checkUniverse(largest model.Item) {
-	if err := cachesim.CheckUniverse(largest); err != nil {
-		cli.Fatal("gcload", err)
+// loadTrace loads the -trace file or -workload and refuses an empty
+// trace; bounded holds it to cachesim.MaxUniverse, as the in-process
+// caches' ID-indexed arrays grow with the largest ID they see.
+func loadTrace(in *cli.Input, bounded bool) trace.Trace {
+	tr := in.Trace(bounded)
+	if len(tr) == 0 {
+		cli.Fatalf("gcload", "empty trace")
 	}
+	return tr
 }
 
-// scenarioLoadConfig carries the flag values the -scenario path needs.
-type scenarioLoadConfig struct {
-	path, policy, mode          string
-	k, B, shards, streams, rate int
-	batch, depth                int
-	pin                         bool
-	autotune                    bool
-	seed                        int64
-	ops                         int64
-	duration                    time.Duration
-}
-
-// runScenarioLoad is the -scenario path. The program compiles instead
-// of materializing: open mode gives each client stream its own copy
-// seeded seed+i (clients decorrelate, like independent users running
-// the same workload); batch mode streams one compiled copy through the
-// engine's ReplayStream, resetting between rounds. The universe
-// pre-pass replays each seed once in O(1) memory to hold the input to
-// cachesim.MaxUniverse, exactly as the trace path does.
-func runScenarioLoad(c scenarioLoadConfig) {
-	prog, info, err := scenario.Load(c.path)
-	if err != nil {
-		cli.Fatal("gcload", err)
-	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	seed := scenario.ResolveSeed(info, c.seed, seedSet)
-	if c.ops < 1 {
-		cli.Fatalf("gcload", "-ops %d < 1", c.ops)
-	}
-
-	geo := model.NewFixed(c.B)
-	nSeeds := 1
-	if c.mode == "open" {
-		nSeeds = c.streams
-	}
-	var largest model.Item
-	for i := 0; i < nSeeds; i++ {
-		m, merr := scenario.MaxItem(prog, seed+int64(i))
-		if merr != nil {
-			cli.Fatal("gcload", merr)
-		}
-		largest = max(largest, m)
-	}
-	checkUniverse(largest)
-	build, err := core.ByName(c.policy, geo, seed)
-	if err != nil {
-		cli.Fatal("gcload", err)
-	}
-	s, err := concurrent.NewSharded(c.shards, c.k, geo, build)
-	if err != nil {
-		cli.Fatal("gcload", err)
-	}
-	var tn *autotune.Tuner
-	if c.autotune {
-		var stop func()
-		if tn, stop, err = startAutotune(s, c.k, c.B, geo); err != nil {
+// compile compiles n copies of the program, seeded seed, seed+1, ….
+func compile(prog *scenario.Program, seed int64, n int) []*scenario.Stream {
+	streams := make([]*scenario.Stream, n)
+	for i := range streams {
+		var err error
+		if streams[i], err = scenario.Compile(prog, seed+int64(i)); err != nil {
 			cli.Fatal("gcload", err)
 		}
-		defer stop()
 	}
-
-	ctx := context.Background()
-	if c.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.duration)
-		defer cancel()
-	}
-
-	fmt.Printf("gcload: scenario %s (%d requests/replay, seed %d), policy %s, k %d, B %d, %d shards, %d streams, mode %s\n",
-		c.path, info.Length, seed, c.policy, c.k, c.B, c.shards, c.streams, c.mode)
-	var r report
-	switch c.mode {
-	case "open":
-		streams := make([]*scenario.Stream, c.streams)
-		for i := range streams {
-			streams[i], err = scenario.Compile(prog, seed+int64(i))
-			if err != nil {
-				cli.Fatal("gcload", err)
-			}
-		}
-		r = runOpenScenario(ctx, s, streams, c.ops, c.rate)
-	case "batch":
-		src, cerr := scenario.Compile(prog, seed)
-		if cerr != nil {
-			cli.Fatal("gcload", cerr)
-		}
-		cfg := concurrent.BatchConfig{BatchSize: c.batch, QueueDepth: c.depth, PinWorkers: c.pin}
-		r, err = runBatchScenario(ctx, s, src, c.ops, cfg)
-		if err != nil && ctx.Err() == nil {
-			cli.Fatal("gcload", err)
-		}
-	default:
-		cli.Fatalf("gcload", "unknown -mode %q (want open or batch)", c.mode)
-	}
-	r.print(os.Stdout, s)
-	if tn != nil {
-		printAutotune(os.Stdout, tn, s)
-	}
+	return streams
 }
 
 // runOpenScenario mirrors runOpen but drives each client from its own
@@ -545,7 +443,7 @@ func runSelfcheck() error {
 		nOps    = 40_000
 	)
 	geo := model.NewFixed(bb)
-	tr, err := workload.FromSpec("blockruns:blocks=64,B=8,run=8,len=20000", 1)
+	tr, err := workload.BlockRuns(workload.BlockRunsConfig{NumBlocks: 64, BlockSize: 8, MeanRunLength: 8, Length: 20000, Seed: 1})
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 	"gccache/internal/model"
 	"gccache/internal/opt"
 	"gccache/internal/trace"
-	"gccache/internal/workload"
 )
 
 // ckptEvery bounds how much solver progress a crash can lose when
@@ -32,12 +31,10 @@ const ckptEvery = 500 * time.Millisecond
 
 func main() {
 	var (
-		spec      = flag.String("workload", "", workload.SpecHelp)
-		traceFile = flag.String("trace", "", "read a gctrace binary file")
-		k         = flag.Int("k", 64, "cache size in items")
-		B         = flag.Int("B", 8, "block size")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		exact     = flag.Bool("exact", false,
+		in    = cli.NewInput("gcopt", "", "trace", false)
+		k     = flag.Int("k", 64, "cache size in items")
+		B     = flag.Int("B", 8, "block size")
+		exact = flag.Bool("exact", false,
 			"force the exact exponential solver (requires a small distinct-item universe)")
 		deadline = flag.Duration("deadline", 0,
 			"time budget for the exact solver; on expiry print the best incumbent and lower bound (0 = none)")
@@ -48,25 +45,8 @@ func main() {
 	cli.SetUsage("gcopt", "bracket the offline-optimal miss count for a trace")
 	flag.Parse()
 
-	var tr trace.Trace
-	var err error
-	switch {
-	case *traceFile != "":
-		f, ferr := os.Open(*traceFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-	case *spec != "":
-		tr, err = workload.FromSpec(*spec, *seed)
-	default:
-		fatal(fmt.Errorf("need -workload or -trace"))
-	}
-	if err != nil {
-		fatal(err)
-	}
-	geo := model.NewFixed(*B)
+	geo := cli.Geometry("gcopt", *B, *k)
+	tr := in.Trace(false)
 
 	fmt.Printf("trace: %d requests, %d distinct items, %d distinct blocks\n",
 		len(tr), tr.Distinct(), tr.DistinctBlocks(geo))

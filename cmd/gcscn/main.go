@@ -50,22 +50,14 @@ func main() {
 		cli.Fatalf("gcscn", "-out compiles exactly one scenario, got %d files", len(files))
 	}
 
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-
 	failed := false
 	for _, path := range files {
-		prog, info, err := scenario.Load(path)
+		prog, info, effSeed, err := cli.LoadScenario(path, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			failed = true
 			continue
 		}
-		effSeed := scenario.ResolveSeed(info, *seed, seedSet)
 		switch {
 		case *format:
 			fmt.Print(scenario.Format(prog))

@@ -26,7 +26,7 @@ import (
 	"gccache/internal/cli"
 	"gccache/internal/obs"
 	"gccache/internal/obs/serve"
-	"gccache/internal/workload"
+	"gccache/internal/trace"
 )
 
 func main() {
@@ -34,10 +34,8 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		k         = flag.Int("k", 4096, "cache size in items")
 		B         = flag.Int("B", 64, "block size")
-		policyArg = flag.String("policy", "iblp", "policy: item-lru, block-lru, iblp, gcm, adaptive")
-		spec      = flag.String("workload", "blockruns:blocks=512,B=64,run=16,len=200000", workload.SpecHelp)
-		traceFile = flag.String("trace", "", "read a gctrace binary file instead of generating a workload")
-		seed      = flag.Int64("seed", 1, "workload / policy seed")
+		policyArg = flag.String("policy", "iblp", cli.PolicyHelp)
+		in        = cli.NewInput("gcserve", "blockruns:blocks=512,B=64,run=16,len=200000", "trace", false)
 		shards    = flag.Int("shards", 1, "replay through this many lock-striped shards (power of two; 1 replays the trace as one stream)")
 		streams   = flag.Int("streams", 4, "concurrent client streams when -shards > 1")
 		probeSpec = flag.String("probe", "all", obs.SpecHelp)
@@ -58,18 +56,17 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		Addr:      *addr,
-		K:         *k,
-		B:         *B,
-		Policy:    *policyArg,
-		Workload:  *spec,
-		TraceFile: *traceFile,
-		Seed:      *seed,
-		Shards:    *shards,
-		Streams:   *streams,
-		Probe:     *probeSpec,
-		Loop:      *loop,
-		Rate:      *rate,
+		Addr:    *addr,
+		K:       *k,
+		B:       *B,
+		Policy:  *policyArg,
+		Source:  "workload: " + in.Workload,
+		Seed:    in.Seed,
+		Shards:  *shards,
+		Streams: *streams,
+		Probe:   *probeSpec,
+		Loop:    *loop,
+		Rate:    *rate,
 
 		Autotune:       *autotune,
 		AutotuneWindow: *autotuneWindow,
@@ -84,7 +81,16 @@ func main() {
 		cfg.Addr = "127.0.0.1:0"
 		cfg.Loop = false
 	}
-	srv, err := serve.New(cfg)
+	if in.File != "" {
+		cfg.Source = "trace: " + in.File
+	}
+	// A cluster node serves wire traffic, not a trace; serve.New holds a
+	// replayed trace to cachesim.MaxUniverse itself.
+	var tr trace.Trace
+	if cfg.ClusterRing == "" {
+		tr = in.Trace(false)
+	}
+	srv, err := serve.New(cfg, tr)
 	if err != nil {
 		cli.Fatal("gcserve", err)
 	}
@@ -92,7 +98,7 @@ func main() {
 	if err != nil {
 		cli.Fatal("gcserve", err)
 	}
-	fmt.Printf("gcserve: listening on http://%s (policy %s, %s)\n", bound, *policyArg, sourceDesc(cfg))
+	fmt.Printf("gcserve: listening on http://%s (policy %s, %s)\n", bound, *policyArg, cfg.Source)
 	if cfg.ClusterRing != "" {
 		fmt.Printf("gcserve: cluster node %s in ring %s\n", srv.NodeAddr(), cfg.ClusterRing)
 	}
@@ -143,13 +149,6 @@ func main() {
 	case <-interrupt:
 		srv.Stop()
 	}
-}
-
-func sourceDesc(cfg serve.Config) string {
-	if cfg.TraceFile != "" {
-		return "trace " + cfg.TraceFile
-	}
-	return "workload " + cfg.Workload
 }
 
 // runSelfcheck waits for the replay to produce accesses, then fetches

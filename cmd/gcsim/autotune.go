@@ -21,13 +21,11 @@ import (
 // against the offline-optimal fixed split.
 //
 // Unlike the plain -scenario path this materializes the trace: the
-// offline baseline needs the whole request sequence. The trace is held
-// to cachesim.MaxUniverse first, the bound Replay applies: Drive feeds
-// the live cache directly, and the tuner skips items past it.
+// offline baseline needs the whole request sequence. The loader has
+// held the trace to cachesim.MaxUniverse, the bound Replay applies:
+// Drive feeds the live cache directly, and the tuner skips items past
+// it.
 func runAutotuneEval(tr trace.Trace, k, B int) {
-	if err := cachesim.CheckUniverse(tr.MaxItem()); err != nil {
-		fatal(err)
-	}
 	geo := model.NewFixed(B)
 
 	tn, err := autotune.New(autotune.Config{K: k, B: B})
@@ -45,7 +43,15 @@ func runAutotuneEval(tr trace.Trace, k, B int) {
 		}
 	}
 
-	live := core.NewIBLP(evenSplit, k-evenSplit, geo)
+	// The live cache starts at the even split with ⌊k/2⌋ items, the
+	// candidate the sweep recovers below; the table's iblp gives the item
+	// layer ⌈k/2⌉, so an odd k is moved there before the replay.
+	build, err := core.ByName("iblp", geo, 0)
+	if err != nil {
+		fatal(err)
+	}
+	live := build(k).(*core.IBLP)
+	live.SetItemLayerTarget(evenSplit)
 	st := autotune.Drive(live, tn, tr, 0)
 	s := tn.State()
 

@@ -26,13 +26,13 @@ import (
 	"gccache/internal/cachesim"
 	"gccache/internal/checkpoint"
 	"gccache/internal/cli"
+	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/obs"
 	"gccache/internal/opt"
 	"gccache/internal/render"
 	"gccache/internal/scenario"
 	"gccache/internal/trace"
-	"gccache/internal/workload"
 )
 
 // simSnapshotKind tags gcsim checkpoint files: one Stats record per
@@ -41,14 +41,10 @@ const simSnapshotKind = "gcsim.policies"
 
 func main() {
 	var (
-		k        = flag.Int("k", 4096, "cache size in items")
-		B        = flag.Int("B", 64, "block size")
-		policies = flag.String("policy", "all",
-			"comma-separated: item-lru, block-lru, fifo, marking, gcm, iblp, iblp-even, blie, athreshold2, or 'all'")
-		spec      = flag.String("workload", "blockruns:blocks=512,B=64,run=16,len=200000", workload.SpecHelp)
-		traceFile = flag.String("trace", "", "read a gctrace binary file instead of generating a workload")
-		scenFile  = flag.String("scenario", "", scenario.FlagHelp)
-		seed      = flag.Int64("seed", 1, "workload / policy seed")
+		k         = flag.Int("k", 4096, "cache size in items")
+		B         = flag.Int("B", 64, "block size")
+		policies  = flag.String("policy", "all", cli.PolicyHelp+"; a comma-separated list, or all for every one in this order")
+		in        = cli.NewInput("gcsim", "blockruns:blocks=512,B=64,run=16,len=200000", "trace", true)
 		optimal   = flag.Bool("opt", true, "also compute the offline-optimum bracket")
 		probeSpec = flag.String("probe", "", "attach probes and dump their view per policy; "+obs.SpecHelp)
 		deadline  = flag.Duration("deadline", 0,
@@ -70,40 +66,25 @@ func main() {
 	if *resume && *ckptPath == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
-	if *scenFile != "" {
-		if *traceFile != "" || *probeSpec != "" || *ckptPath != "" || *resume || *deadline != 0 {
-			fatal(fmt.Errorf("-scenario streams in O(1) memory and cannot be combined with -trace/-probe/-checkpoint/-resume/-deadline"))
+	geo := cli.Geometry("gcsim", *B, *k)
+	if in.Scenario != "" {
+		if *probeSpec != "" || *ckptPath != "" || *resume || *deadline != 0 {
+			fatal(fmt.Errorf("-scenario streams in O(1) memory and cannot be combined with -probe/-checkpoint/-resume/-deadline"))
 		}
-		runScenario(*scenFile, *k, *B, *policies, *seed, *optimal, *autoMode)
+		runScenario(in, *k, geo, *policies, *optimal, *autoMode)
 		return
 	}
 
-	var tr trace.Trace
-	var err error
-	if *traceFile != "" {
-		f, ferr := os.Open(*traceFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-	} else {
-		tr, err = workload.FromSpec(*spec, *seed)
-	}
-	if err != nil {
-		fatal(err)
-	}
+	tr := in.Trace(true)
 	if *autoMode {
 		runAutotuneEval(tr, *k, *B)
 		return
 	}
 
-	geo := model.NewFixed(*B)
 	sum := trace.Summarize(tr, geo)
 	fmt.Printf("trace: %d requests, %d items, %d blocks, %.2f items/block, mean run %.2f\n",
 		sum.Requests, sum.DistinctItems, sum.DistinctBlocks, sum.MeanItemsPerBlock, sum.BlockRunLengthMean)
 
-	builders := policyBuilders(*k, geo, *seed)
 	names := policyNames(*policies)
 
 	t := &render.Table{
@@ -134,7 +115,7 @@ func main() {
 			if snap.Kind != simSnapshotKind {
 				fatal(fmt.Errorf("checkpoint %s has kind %q, not %q", *ckptPath, snap.Kind, simSnapshotKind))
 			}
-			if snap.MetaInt("hash", 0) != hash || snap.MetaInt("seed", 0) != *seed {
+			if snap.MetaInt("hash", 0) != hash || snap.MetaInt("seed", 0) != in.Seed {
 				fatal(fmt.Errorf("checkpoint %s is for a different trace/k/B/seed", *ckptPath))
 			}
 			for name, body := range snap.Sections {
@@ -157,7 +138,7 @@ func main() {
 		}
 		snap := &checkpoint.Snapshot{
 			Kind:     simSnapshotKind,
-			Meta:     map[string]int64{"hash": hash, "seed": *seed},
+			Meta:     map[string]int64{"hash": hash, "seed": in.Seed},
 			Sections: sections,
 		}
 		if err := checkpoint.Save(*ckptPath, snap); err != nil {
@@ -173,10 +154,7 @@ func main() {
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		mk, ok := builders[name]
-		if !ok {
-			fatal(fmt.Errorf("unknown policy %q", name))
-		}
+		mk := policy(name, geo, in.Seed)
 		var st gccache.Stats
 		switch {
 		case *probeSpec != "":
@@ -185,7 +163,7 @@ func main() {
 				fatal(serr)
 			}
 			var rerr error
-			st, rerr = cachesim.Replay(ctx, mk(), trace.NewSliceSource(tr), cachesim.ReplayOptions{Probe: suite})
+			st, rerr = cachesim.Replay(ctx, mk(*k), trace.NewSliceSource(tr), cachesim.ReplayOptions{Probe: suite})
 			if rerr != nil {
 				fatal(rerr)
 			}
@@ -196,7 +174,7 @@ func main() {
 				break
 			}
 			var rerr error
-			st, rerr = cachesim.Replay(ctx, mk(), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
+			st, rerr = cachesim.Replay(ctx, mk(*k), trace.NewSliceSource(tr), cachesim.ReplayOptions{})
 			if rerr != nil && ctx.Err() == nil {
 				fatal(rerr) // an item outside the universe, not the deadline
 			}
@@ -230,50 +208,36 @@ func main() {
 	}
 }
 
-// policyBuilders maps policy names to constructors for the given
-// capacity, geometry, and seed — shared by the slice and scenario paths.
-func policyBuilders(k int, geo model.Geometry, seed int64) map[string]func() gccache.Cache {
-	return map[string]func() gccache.Cache{
-		"item-lru":    func() gccache.Cache { return gccache.NewItemLRU(k) },
-		"block-lru":   func() gccache.Cache { return gccache.NewBlockLRU(k, geo) },
-		"fifo":        func() gccache.Cache { return gccache.NewFIFO(k) },
-		"marking":     func() gccache.Cache { return gccache.NewMarking(k, seed) },
-		"gcm":         func() gccache.Cache { return gccache.NewGCM(k, geo, seed) },
-		"iblp":        func() gccache.Cache { return gccache.NewIBLPEvenSplit(k, geo) },
-		"iblp-even":   func() gccache.Cache { return gccache.NewIBLPEvenSplit(k, geo) },
-		"blie":        func() gccache.Cache { return gccache.NewBlockLoadItemEvict(k, geo) },
-		"athreshold2": func() gccache.Cache { return gccache.NewAThreshold(k, 2, geo) },
-		"clock":       func() gccache.Cache { return gccache.NewClock(k) },
-		"footprint":   func() gccache.Cache { return gccache.NewFootprint(k, geo) },
-		"adaptive":    func() gccache.Cache { return gccache.NewAdaptiveIBLP(k, geo) },
-	}
-}
-
 // policyNames expands the -policy argument ("all" or a comma list).
 func policyNames(arg string) []string {
 	if arg == "all" {
-		return []string{"item-lru", "clock", "block-lru", "blie", "footprint",
-			"athreshold2", "fifo", "marking", "gcm", "iblp", "adaptive"}
+		return core.PolicyNames()
 	}
 	return strings.Split(arg, ",")
+}
+
+// policy returns the named policy's constructor from core.ByName's
+// table, exiting on an unknown name.
+func policy(name string, geo model.Geometry, seed int64) func(k int) cachesim.Cache {
+	mk, err := core.ByName(name, geo, seed)
+	if err != nil {
+		fatal(err)
+	}
+	return mk
 }
 
 // runScenario is the -scenario path: compile once, stream every policy
 // from the same compiled program via Reset — O(1) memory however long
 // the scenario, and byte-identical output across runs at a fixed seed.
-func runScenario(path string, k, B int, policies string, flagSeed int64, optWanted, autoMode bool) {
-	prog, info, err := scenario.Load(path)
-	if err != nil {
-		fatal(err)
+func runScenario(in *cli.Input, k int, geo *model.Fixed, policies string, optWanted, autoMode bool) {
+	// The closed-loop evaluation feeds its live cache directly, so the
+	// loader holds its one seed to the universe first.
+	seeds := 0
+	if autoMode {
+		seeds = 1
 	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	seed := scenario.ResolveSeed(info, flagSeed, seedSet)
-	fmt.Printf("scenario: %s: %s; effective seed %d\n", path, scenario.Describe(prog, info), seed)
+	prog, info, seed := in.Program(seeds)
+	fmt.Printf("scenario: %s: %s; effective seed %d\n", in.Scenario, scenario.Describe(prog, info), seed)
 	if autoMode {
 		// The closed-loop evaluation needs the materialized trace for
 		// the offline sweep, so it gives up the O(1)-memory streaming
@@ -282,7 +246,7 @@ func runScenario(path string, k, B int, policies string, flagSeed int64, optWant
 		if terr != nil {
 			fatal(terr)
 		}
-		runAutotuneEval(tr, k, B)
+		runAutotuneEval(tr, k, geo.BlockSize())
 		return
 	}
 	s, err := scenario.Compile(prog, seed)
@@ -293,19 +257,13 @@ func runScenario(path string, k, B int, policies string, flagSeed int64, optWant
 		fmt.Fprintln(os.Stderr, "gcsim: note: -opt needs a materialized trace and is skipped for scenarios")
 	}
 
-	geo := model.NewFixed(B)
-	builders := policyBuilders(k, geo, seed)
 	t := &render.Table{
-		Title:   fmt.Sprintf("k=%d, B=%d", k, B),
+		Title:   fmt.Sprintf("k=%d, B=%d", k, geo.BlockSize()),
 		Headers: []string{"policy", "misses", "miss-ratio", "temporal-hits", "spatial-hits", "items-loaded"},
 	}
 	for _, name := range policyNames(policies) {
-		name = strings.TrimSpace(name)
-		mk, ok := builders[name]
-		if !ok {
-			fatal(fmt.Errorf("unknown policy %q", name))
-		}
-		st, rerr := cachesim.Replay(context.Background(), mk(), s, cachesim.ReplayOptions{})
+		mk := policy(strings.TrimSpace(name), geo, seed)
+		st, rerr := cachesim.Replay(context.Background(), mk(k), s, cachesim.ReplayOptions{})
 		if rerr != nil {
 			fatal(rerr)
 		}

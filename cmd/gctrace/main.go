@@ -13,64 +13,45 @@ import (
 	"fmt"
 	"os"
 
-	"gccache/internal/cachesim"
 	"gccache/internal/cli"
 	"gccache/internal/locality"
 	"gccache/internal/model"
 	"gccache/internal/obs"
 	"gccache/internal/render"
 	"gccache/internal/trace"
-	"gccache/internal/workload"
 )
 
 func main() {
 	var (
-		spec   = flag.String("workload", "", workload.SpecHelp)
+		in     = cli.NewInput("gctrace", "", "in", false)
 		out    = flag.String("out", "", "write the generated trace to this file")
-		in     = flag.String("in", "", "inspect an existing trace file")
 		B      = flag.Int("B", 64, "block size for statistics")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		format = flag.String("format", "binary", "trace file format: binary or text (one item ID per line)")
+		format = flag.String("format", "binary", "trace file format of -in and -out: binary or text (one item ID per line)")
 		mrc    = flag.Bool("mrc", false, "also print exact LRU miss-ratio curves (item and block granularity)")
 		reuse  = flag.Bool("reuse", false, "also print reuse-distance histograms of the raw trace (item and block granularity)")
 	)
 	cli.SetUsage("gctrace", "generate synthetic traces to binary files and inspect existing ones")
 	flag.Parse()
 
-	var tr trace.Trace
-	var err error
-	switch {
-	case *in != "":
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		if *format == "text" {
-			tr, err = trace.ReadText(f)
-		} else {
-			tr, err = trace.Read(f)
-		}
-		f.Close()
-	case *spec != "":
-		tr, err = workload.FromSpec(*spec, *seed)
-	default:
-		fatal(fmt.Errorf("need -workload or -in"))
+	if *format != "binary" && *format != "text" {
+		fatal(fmt.Errorf("unknown -format %q (want binary or text)", *format))
 	}
-	if err != nil {
-		fatal(err)
-	}
+	geo := cli.Geometry("gctrace", *B)
+	in.Text = *format == "text"
+	// The reuse profiles' tables grow with the largest item ID, so with
+	// -reuse the trace is held to the bound Replay applies.
+	tr := in.Trace(*reuse)
 
 	if *out != "" {
-		f, ferr := os.Create(*out)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		if *format == "text" {
-			err = tr.WriteText(f)
-		} else {
-			err = tr.Write(f)
-		}
+		f, err := os.Create(*out)
 		if err != nil {
+			fatal(err)
+		}
+		write := tr.Write
+		if in.Text {
+			write = tr.WriteText
+		}
+		if err := write(f); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -80,15 +61,6 @@ func main() {
 		fmt.Printf("wrote %d requests to %s (%s)\n", len(tr), *out, *format)
 	}
 
-	if *reuse {
-		// The reuse profiles' tables grow with the largest item ID, so
-		// the trace is held to the bound Replay applies.
-		if err := cachesim.CheckUniverse(tr.MaxItem()); err != nil {
-			fatal(err)
-		}
-	}
-
-	geo := model.NewFixed(*B)
 	s := trace.Summarize(tr, geo)
 	fmt.Printf("requests=%d distinct-items=%d distinct-blocks=%d items/block=%.2f mean-run=%.2f\n",
 		s.Requests, s.DistinctItems, s.DistinctBlocks, s.MeanItemsPerBlock, s.BlockRunLengthMean)

@@ -10,6 +10,7 @@ import (
 
 	"gccache"
 	"gccache/internal/cachesim"
+	"gccache/internal/cli"
 	"gccache/internal/model"
 )
 
@@ -129,6 +130,72 @@ func TestCommandRefusesOutsideUniverse(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCommandRefusesBadFlags: a cache size or block size below 1 and
+// an unknown gctrace -format are refused in the uniform format —
+// "<name>: <error>" on stderr, exit 1, no panic — and a refused -out
+// writes no file. Skipped under -short (it compiles five binaries).
+func TestCommandRefusesBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("refusal test compiles five binaries")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"gcsim", "gcadversary", "gcload", "gcopt", "gctrace"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, out)
+		}
+	}
+	traceFile := filepath.Join(dir, "t.gct")
+	f, err := os.Create(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (gccache.Trace{1, 2, 3}).Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	outFile := filepath.Join(dir, "out.txt")
+	const spec = "cyclic:n=8,len=40"
+	const format = `unknown -format "txt" (want binary or text)`
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // stderr, after "<name>: "
+	}{
+		{"gcsim-k0", []string{"gcsim", "-k", "0"}, "cache size 0 < 1"},
+		{"gcsim-B0", []string{"gcsim", "-B", "0"}, "block size 0 < 1"},
+		{"gcadversary-k0", []string{"gcadversary", "-k", "0"}, "cache size 0 < 1"},
+		{"gcadversary-B0", []string{"gcadversary", "-B", "0"}, "block size 0 < 1"},
+		{"gcload-B0", []string{"gcload", "-B", "0"}, "block size 0 < 1"},
+		{"gcopt-B0", []string{"gcopt", "-B", "0", "-workload", spec}, "block size 0 < 1"},
+		{"gcopt-k0", []string{"gcopt", "-k", "0", "-workload", spec}, "cache size 0 < 1"},
+		{"gctrace-B0", []string{"gctrace", "-B", "0", "-workload", spec}, "block size 0 < 1"},
+		{"gctrace-format-out", []string{"gctrace", "-workload", spec, "-format", "txt", "-out", outFile}, format},
+		{"gctrace-format-in", []string{"gctrace", "-in", traceFile, "-format", "txt"}, format},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(dir, c.args[0]), c.args[1:]...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != 1 {
+				t.Errorf("exit code %d (err %v), want 1", code, err)
+			}
+			got := stderr.String()
+			if strings.Contains(got, "panic:") || strings.Contains(got, "goroutine") {
+				t.Errorf("stderr holds a panic:\n%s", got)
+			}
+			if want := c.args[0] + ": " + c.want + "\n"; got != want {
+				t.Errorf("stderr = %q, want %q", got, want)
+			}
+		})
+	}
+	if _, err := os.Stat(outFile); !os.IsNotExist(err) {
+		t.Errorf("a refused -format wrote %s (stat err %v)", outFile, err)
 	}
 }
 
@@ -298,6 +365,9 @@ func TestCommandUsage(t *testing.T) {
 			"deadline", "checkpoint", "resume"},
 		"gctrace": {"workload", "out", "in", "B", "seed", "format", "mrc", "reuse"},
 	}
+	// Every command that takes -policy reads it from core.ByName's table,
+	// so each help text lists the table's names, in the same words.
+	policyCmds := map[string]bool{"gcadversary": true, "gcload": true, "gcserve": true, "gcsim": true}
 	for name, flags := range cmds {
 		name, flags := name, flags
 		t.Run(name, func(t *testing.T) {
@@ -321,6 +391,9 @@ func TestCommandUsage(t *testing.T) {
 				if !strings.Contains(text, "-"+f) {
 					t.Errorf("usage output does not mention flag -%s:\n%s", f, text)
 				}
+			}
+			if policyCmds[name] && !strings.Contains(text, cli.PolicyHelp) {
+				t.Errorf("-policy help does not list the policy table's names %q:\n%s", cli.PolicyHelp, text)
 			}
 		})
 	}

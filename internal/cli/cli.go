@@ -1,7 +1,9 @@
-// Package cli holds the small conventions shared by every command in
-// cmd/: a uniform usage banner and a uniform fatal-error format
-// ("<name>: <error>" on stderr, exit 1), so the tools feel like one
-// suite. The cmd smoke test asserts both.
+// Package cli holds the conventions shared by every command in cmd/: a
+// uniform usage banner, a uniform fatal-error format ("<name>: <error>"
+// on stderr, exit 1), the size check every command makes (Geometry),
+// the -policy help built from core.ByName's table (PolicyHelp), and the
+// one input loader (Input) behind -workload, -trace, -scenario and
+// -seed. The cmd smoke tests assert them.
 package cli
 
 import (

@@ -138,7 +138,7 @@ func TestEventFanControlRingOverwritesOldest(t *testing.T) {
 // an /events/stream reader that connects while the fan is flooding
 // still sees every layer-resize line.
 func TestEventStreamDeliversResizesUnderFlood(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "iblp"})
+	s := newTestServer(t, Config{Policy: "iblp"}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -211,7 +211,7 @@ func TestEventFanUnsubscribeAndCloseAll(t *testing.T) {
 }
 
 func TestHealthzDegradesOnShedding(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "iblp"})
+	s := newTestServer(t, Config{Policy: "iblp"}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -254,7 +254,7 @@ func TestHealthzDegradesOnShedding(t *testing.T) {
 }
 
 func TestEventStreamDeliversLiveEvents(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "iblp", Loop: true, Rate: 200000})
+	s := newTestServer(t, Config{Policy: "iblp", Loop: true, Rate: 200000}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if _, err := s.Start(); err != nil {
@@ -287,7 +287,7 @@ func TestEventStreamDeliversLiveEvents(t *testing.T) {
 }
 
 func TestShutdownDrainsAndReportsUnavailable(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "iblp", Loop: true, Rate: 200000})
+	s := newTestServer(t, Config{Policy: "iblp", Loop: true, Rate: 200000}, "")
 	addr, err := s.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestShutdownDrainsAndReportsUnavailable(t *testing.T) {
 // in-flight work) but no longer ready (/readyz 503 — routing anything
 // new to it would be lost).
 func TestLivenessReadinessSplitDuringShutdown(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "iblp"})
+	s := newTestServer(t, Config{Policy: "iblp"}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

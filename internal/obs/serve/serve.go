@@ -19,7 +19,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,23 +33,21 @@ import (
 	"gccache/internal/model"
 	"gccache/internal/obs"
 	"gccache/internal/trace"
-	"gccache/internal/workload"
 )
 
 // Config describes one gcserve replay.
 type Config struct {
-	Addr      string // listen address, e.g. ":8080" or "127.0.0.1:0"
-	K         int    // cache size in items
-	B         int    // block size
-	Policy    string // item-lru, block-lru, iblp, gcm, adaptive
-	Workload  string // workload spec (ignored when TraceFile is set)
-	TraceFile string // gctrace binary file to replay instead
-	Seed      int64
-	Shards    int    // lock-striped shards of the replay cache (power of two); 0 means 1
-	Streams   int    // concurrent client streams when Shards > 1 (default 4); one shard replays one stream
-	Probe     string // probe suite spec (obs.NewSuite); default "all"
-	Loop      bool   // replay the trace forever instead of once
-	Rate      int    // accesses/second per stream; 0 = unthrottled
+	Addr    string // listen address, e.g. ":8080" or "127.0.0.1:0"
+	K       int    // cache size in items
+	B       int    // block size
+	Policy  string // a name core.ByName accepts; default iblp
+	Source  string // what the trace is, for the dashboard: "workload: <spec>" or "trace: <file>"
+	Seed    int64
+	Shards  int    // lock-striped shards of the replay cache (power of two); 0 means 1
+	Streams int    // concurrent client streams when Shards > 1 (default 4); one shard replays one stream
+	Probe   string // probe suite spec (obs.NewSuite); default "all"
+	Loop    bool   // replay the trace forever instead of once
+	Rate    int    // accesses/second per stream; 0 = unthrottled
 
 	// Autotune attaches the §5.3 shadow-cache controller: candidate
 	// layer splits are shadowed off the live probe stream and winning
@@ -101,10 +98,10 @@ type Server struct {
 	shuttingDown atomic.Bool
 }
 
-// New builds a Server from cfg: loads or generates the trace, builds
-// the sharded cache, and attaches the probe suite. Nothing runs until
-// Start.
-func New(cfg Config) (*Server, error) {
+// New builds a Server from cfg that replays tr: it builds the sharded
+// cache and attaches the probe suite. In cluster mode tr is unused.
+// Nothing runs until Start.
+func New(cfg Config, tr trace.Trace) (*Server, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("serve: cache size %d < 1", cfg.K)
 	}
@@ -124,7 +121,7 @@ func New(cfg Config) (*Server, error) {
 	case cfg.Streams < 1:
 		cfg.Streams = 4
 	}
-	s := &Server{cfg: cfg, geo: model.NewFixed(cfg.B)}
+	s := &Server{cfg: cfg, geo: model.NewFixed(cfg.B), tr: tr}
 
 	var err error
 	if s.build, err = core.ByName(cfg.Policy, s.geo, cfg.Seed); err != nil {
@@ -176,19 +173,6 @@ func New(cfg Config) (*Server, error) {
 		return s, nil
 	}
 
-	if cfg.TraceFile != "" {
-		f, ferr := os.Open(cfg.TraceFile)
-		if ferr != nil {
-			return nil, ferr
-		}
-		s.tr, err = trace.Read(f)
-		f.Close()
-	} else {
-		s.tr, err = workload.FromSpec(cfg.Workload, cfg.Seed)
-	}
-	if err != nil {
-		return nil, err
-	}
 	if len(s.tr) == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
@@ -466,10 +450,8 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "gcserve — %s  k=%d B=%d shards=%d\n", st.Policy, s.cfg.K, s.cfg.B, s.cfg.Shards)
 	if s.node != nil {
 		fmt.Fprintf(w, "cluster: node %s in ring %s (%d nodes)\n", s.node.Addr(), s.cfg.ClusterRing, len(s.ringNodes))
-	} else if s.cfg.TraceFile != "" {
-		fmt.Fprintf(w, "trace: %s (%d requests%s)\n", s.cfg.TraceFile, len(s.tr), loopSuffix(s.cfg.Loop))
 	} else {
-		fmt.Fprintf(w, "workload: %s (%d requests%s, seed %d)\n", s.cfg.Workload, len(s.tr), loopSuffix(s.cfg.Loop), s.cfg.Seed)
+		fmt.Fprintf(w, "%s (%d requests%s, seed %d)\n", s.cfg.Source, len(s.tr), loopSuffix(s.cfg.Loop), s.cfg.Seed)
 	}
 	fmt.Fprintf(w, "uptime: %v\n\n", time.Since(s.start).Round(time.Millisecond))
 	fmt.Fprintf(w, "accesses=%d hits=%d misses=%d miss-ratio=%.4f temporal=%d spatial=%d\n\n",

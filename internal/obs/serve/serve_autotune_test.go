@@ -12,7 +12,6 @@ import (
 	"gccache/internal/cluster"
 	"gccache/internal/cluster/ring"
 	"gccache/internal/model"
-	"gccache/internal/workload"
 )
 
 // TestAutotuneOffIsByteIdentical is the differential gate from the
@@ -20,11 +19,9 @@ import (
 // exactly the statistics of a bare cachesim replay of the same trace —
 // the autotune wiring compiled in but disabled changes nothing.
 func TestAutotuneOffIsByteIdentical(t *testing.T) {
-	cfg := Config{
-		Addr: "127.0.0.1:0", K: 64, B: 8, Policy: "iblp",
-		Workload: "cyclic:n=96,len=20000", Seed: 11,
-	}
-	s := newTestServer(t, cfg)
+	const spec = "cyclic:n=96,len=20000"
+	cfg := Config{Addr: "127.0.0.1:0", K: 64, B: 8, Policy: "iblp", Seed: 11}
+	s := newTestServer(t, cfg, spec)
 	if s.tuner != nil {
 		t.Fatal("tuner built with Autotune off")
 	}
@@ -35,10 +32,7 @@ func TestAutotuneOffIsByteIdentical(t *testing.T) {
 	got := s.Stats()
 	s.Stop()
 
-	tr, err := workload.FromSpec(cfg.Workload, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := specTrace(t, spec, cfg.Seed)
 	c, err := buildPolicy(cfg.Policy, cfg.K, model.NewFixed(cfg.B), cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +65,9 @@ func TestAutotuneOnMatchesDrive(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s/%s/k=%d", tc.policy, tc.workload, tc.k)
 		s := newTestServer(t, Config{
-			Addr: "127.0.0.1:0", K: tc.k, B: tc.b, Policy: tc.policy,
-			Workload: tc.workload, Seed: seed,
+			Addr: "127.0.0.1:0", K: tc.k, B: tc.b, Policy: tc.policy, Seed: seed,
 			Autotune: true, AutotuneWindow: tc.window,
-		})
+		}, tc.workload)
 		if _, err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -82,10 +75,7 @@ func TestAutotuneOnMatchesDrive(t *testing.T) {
 		got, gotResizes, gotLive := s.Stats(), s.Tuner().Resizes(), s.Tuner().State().Live
 		s.Stop()
 
-		tr, err := workload.FromSpec(tc.workload, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := specTrace(t, tc.workload, seed)
 		geo := model.NewFixed(tc.b)
 		c, err := buildPolicy(tc.policy, tc.k, geo, seed)
 		if err != nil {
@@ -120,10 +110,9 @@ func TestAutotuneOnMatchesDrive(t *testing.T) {
 // batch boundary and visible on the dashboard and /metrics.
 func TestAutotuneReplayResizes(t *testing.T) {
 	s := newTestServer(t, Config{
-		Addr: "127.0.0.1:0", K: 64, B: 1, Policy: "iblp",
-		Workload: "cyclic:n=48,len=50000", Loop: true,
+		Addr: "127.0.0.1:0", K: 64, B: 1, Policy: "iblp", Loop: true,
 		Autotune: true, AutotuneWindow: 96,
-	})
+	}, "cyclic:n=48,len=50000")
 	if s.tuner == nil {
 		t.Fatal("no tuner with Autotune on")
 	}
@@ -168,10 +157,9 @@ func TestAutotuneReplayResizes(t *testing.T) {
 // that still has its proposals applied.
 func TestAutotuneResizesOnShortLoop(t *testing.T) {
 	s := newTestServer(t, Config{
-		Addr: "127.0.0.1:0", K: 64, B: 1, Policy: "iblp",
-		Workload: "cyclic:n=48,len=240", Loop: true,
+		Addr: "127.0.0.1:0", K: 64, B: 1, Policy: "iblp", Loop: true,
 		Autotune: true, AutotuneWindow: 96,
-	})
+	}, "cyclic:n=48,len=240")
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,18 +180,19 @@ func TestAutotuneResizesOnShortLoop(t *testing.T) {
 // TestAutotuneConfigRejections pins the wiring's error paths: sharded
 // replay and non-resizable policies cannot be autotuned.
 func TestAutotuneConfigRejections(t *testing.T) {
-	base := Config{Addr: ":0", K: 64, B: 8, Workload: "cyclic:n=48,len=1000", Autotune: true}
+	base := Config{Addr: ":0", K: 64, B: 8, Autotune: true}
+	tr := specTrace(t, "cyclic:n=48,len=1000", 0)
 
 	sharded := base
 	sharded.Shards = 4
-	if _, err := New(sharded); err == nil || !strings.Contains(err.Error(), "shards") {
+	if _, err := New(sharded, tr); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("sharded autotune accepted (err=%v)", err)
 	}
 
 	for _, p := range []string{"item-lru", "block-lru", "gcm"} {
 		c := base
 		c.Policy = p
-		if _, err := New(c); err == nil || !strings.Contains(err.Error(), "resizing") {
+		if _, err := New(c, tr); err == nil || !strings.Contains(err.Error(), "resizing") {
 			t.Errorf("policy %s accepted for autotune (err=%v)", p, err)
 		}
 	}
@@ -212,7 +201,7 @@ func TestAutotuneConfigRejections(t *testing.T) {
 	cluster.Policy = "item-lru"
 	cluster.ClusterRing = writeRingFile(t, "127.0.0.1:9101")
 	cluster.ClusterAddr = "127.0.0.1:9101"
-	if _, err := New(cluster); err == nil || !strings.Contains(err.Error(), "resizing") {
+	if _, err := New(cluster, nil); err == nil || !strings.Contains(err.Error(), "resizing") {
 		t.Errorf("non-resizable policy accepted for cluster autotune (err=%v)", err)
 	}
 }
@@ -231,7 +220,7 @@ func TestAutotuneClusterKeepsAccountingDuringResize(t *testing.T) {
 			Addr: "127.0.0.1:0", K: 64, B: 1, Policy: "iblp",
 			ClusterRing: rp, ClusterAddr: addr,
 			Autotune: true, AutotuneWindow: 128,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

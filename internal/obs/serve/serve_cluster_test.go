@@ -43,7 +43,7 @@ func newClusterServer(t *testing.T, ringPath, nodeAddr string) *Server {
 	s, err := New(Config{
 		Addr: "127.0.0.1:0", K: 128, B: 8, Policy: "item-lru",
 		ClusterRing: ringPath, ClusterAddr: nodeAddr,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFailedStartReleasesPort(t *testing.T) {
 	s, err := New(Config{
 		Addr: httpAddr, K: 128, B: 8, Policy: "item-lru",
 		ClusterRing: writeRingFile(t, nodeAddr), ClusterAddr: nodeAddr,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +200,14 @@ func TestFailedStartReleasesPort(t *testing.T) {
 
 // TestClusterConfigValidation covers the ring-file error paths.
 func TestClusterConfigValidation(t *testing.T) {
-	if _, err := New(Config{Addr: ":0", K: 8, B: 8, ClusterRing: "/no/such/ring", ClusterAddr: "x:1"}); err == nil {
+	if _, err := New(Config{Addr: ":0", K: 8, B: 8, ClusterRing: "/no/such/ring", ClusterAddr: "x:1"}, nil); err == nil {
 		t.Error("missing ring file accepted")
 	}
 	rp := writeRingFile(t, "127.0.0.1:9101")
-	if _, err := New(Config{Addr: ":0", K: 8, B: 8, ClusterRing: rp, ClusterAddr: "127.0.0.1:9999"}); err == nil {
+	if _, err := New(Config{Addr: ":0", K: 8, B: 8, ClusterRing: rp, ClusterAddr: "127.0.0.1:9999"}, nil); err == nil {
 		t.Error("cluster addr outside the ring file accepted")
 	}
-	if _, err := New(Config{Addr: ":0", K: 8, B: 8, Policy: "bogus", ClusterRing: rp, ClusterAddr: "127.0.0.1:9101"}); err == nil {
+	if _, err := New(Config{Addr: ":0", K: 8, B: 8, Policy: "bogus", ClusterRing: rp, ClusterAddr: "127.0.0.1:9101"}, nil); err == nil {
 		t.Error("unknown policy accepted in cluster mode")
 	}
 }

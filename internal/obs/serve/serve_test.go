@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -17,9 +15,12 @@ import (
 	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/trace"
+	"gccache/internal/workload"
 )
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+// newTestServer builds a server that replays the workload spec (a
+// 20,000-request blockruns trace when spec is "") generated at cfg.Seed.
+func newTestServer(t *testing.T, cfg Config, spec string) *Server {
 	t.Helper()
 	if cfg.K == 0 {
 		cfg.K = 256
@@ -27,14 +28,24 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	if cfg.B == 0 {
 		cfg.B = 8
 	}
-	if cfg.Workload == "" {
-		cfg.Workload = "blockruns:blocks=128,B=8,run=4,len=20000"
+	if spec == "" {
+		spec = "blockruns:blocks=128,B=8,run=4,len=20000"
 	}
-	s, err := New(cfg)
+	s, err := New(cfg, specTrace(t, spec, cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// specTrace generates the workload spec at seed.
+func specTrace(t *testing.T, spec string, seed int64) trace.Trace {
+	t.Helper()
+	tr, err := workload.FromSpec(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // buildPolicy builds one instance of the named policy at capacity k,
@@ -65,7 +76,7 @@ func get(t *testing.T, url string) (int, string) {
 // TestProbeServeEndpoints is the acceptance smoke test: gcserve must
 // serve live metrics and pprof over HTTP during a replay.
 func TestProbeServeEndpoints(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "iblp", Loop: true, Rate: 200000})
+	s := newTestServer(t, Config{Policy: "iblp", Loop: true, Rate: 200000}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -135,7 +146,7 @@ func TestProbeServeEndpoints(t *testing.T) {
 // TestProbeServeSharded covers the lock-striped mode: shard lock
 // traffic must appear on the dashboard and in the metrics.
 func TestProbeServeSharded(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "gcm", Shards: 4, Streams: 4})
+	s := newTestServer(t, Config{Policy: "gcm", Shards: 4, Streams: 4}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if _, err := s.Start(); err != nil {
@@ -163,12 +174,16 @@ func TestProbeServeSharded(t *testing.T) {
 // with four streams over two.
 func TestProbeServeRateHoldsOnShortLoops(t *testing.T) {
 	const rate = 1000 // accesses/second per stream
-	for _, cfg := range []Config{
-		{Workload: "cyclic:n=96,len=200"},
-		{Workload: "cyclic:n=96,len=800", Shards: 2, Streams: 4},
+	for _, tc := range []struct {
+		spec string
+		cfg  Config
+	}{
+		{"cyclic:n=96,len=200", Config{}},
+		{"cyclic:n=96,len=800", Config{Shards: 2, Streams: 4}},
 	} {
+		cfg := tc.cfg
 		cfg.Addr, cfg.K, cfg.B, cfg.Policy, cfg.Loop, cfg.Rate = "127.0.0.1:0", 64, 8, "iblp", true, rate
-		s := newTestServer(t, cfg)
+		s := newTestServer(t, cfg, tc.spec)
 		start := time.Now()
 		if _, err := s.Start(); err != nil {
 			t.Fatal(err)
@@ -181,14 +196,14 @@ func TestProbeServeRateHoldsOnShortLoops(t *testing.T) {
 		// the rate is a wide margin.
 		if limit := 10 * rate * float64(s.cfg.Streams) * elapsed.Seconds(); float64(got) > limit {
 			t.Errorf("%s, %d streams: %d accesses in %v, over 10× the rate (%.0f)",
-				cfg.Workload, s.cfg.Streams, got, elapsed.Round(time.Millisecond), limit)
+				tc.spec, s.cfg.Streams, got, elapsed.Round(time.Millisecond), limit)
 		}
 	}
 }
 
 // TestProbeServeSweep exercises the on-demand observed sweep page.
 func TestProbeServeSweep(t *testing.T) {
-	s := newTestServer(t, Config{Policy: "item-lru"})
+	s := newTestServer(t, Config{Policy: "item-lru"}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	_, body := get(t, ts.URL+"/sweep")
@@ -200,16 +215,17 @@ func TestProbeServeSweep(t *testing.T) {
 }
 
 func TestProbeServeConfigErrors(t *testing.T) {
-	if _, err := New(Config{K: 0, B: 8, Workload: "sequential:len=10"}); err == nil {
+	tr := specTrace(t, "sequential:len=10", 0)
+	if _, err := New(Config{K: 0, B: 8}, tr); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := New(Config{K: 64, B: 8, Policy: "bogus", Workload: "sequential:len=10"}); err == nil {
+	if _, err := New(Config{K: 64, B: 0}, tr); err == nil {
+		t.Error("B=0 accepted")
+	}
+	if _, err := New(Config{K: 64, B: 8, Policy: "bogus"}, tr); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := New(Config{K: 64, B: 8, Workload: "bogus:x=1"}); err == nil {
-		t.Error("bad workload accepted")
-	}
-	if _, err := New(Config{K: 64, B: 8, Workload: "sequential:len=0"}); err == nil {
+	if _, err := New(Config{K: 64, B: 8}, nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -224,7 +240,7 @@ func TestProbeServeMissGapMetrics(t *testing.T) {
 		var engineKeys [2]string
 		for i, shards := range []int{1, 2} {
 			name := fmt.Sprintf("%s/shards=%d", spec, shards)
-			s := newTestServer(t, Config{Policy: "iblp", Probe: spec, Addr: "127.0.0.1:0", Shards: shards})
+			s := newTestServer(t, Config{Policy: "iblp", Probe: spec, Addr: "127.0.0.1:0", Shards: shards}, "")
 			if _, err := s.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -294,18 +310,7 @@ func TestProbeServeMissGapMetrics(t *testing.T) {
 // input, so an item at cachesim.MaxUniverse is refused with an error
 // naming it instead of growing the cache to it.
 func TestProbeServeRefusesTraceOutsideUniverse(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "big.gctrace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (trace.Trace{1, cachesim.MaxUniverse, 2}).Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{K: 64, B: 8, TraceFile: path})
+	_, err := New(Config{K: 64, B: 8}, trace.Trace{1, cachesim.MaxUniverse, 2})
 	if err == nil || !strings.Contains(err.Error(), "4194304") {
 		t.Fatalf("New = %v, want a refusal naming item 4194304", err)
 	}
@@ -316,19 +321,8 @@ func TestProbeServeRefusesTraceOutsideUniverse(t *testing.T) {
 // item MaxUniverse is, not handed to the replay goroutine.
 func TestProbeServeRefusesTraceFarOutsideUniverse(t *testing.T) {
 	for _, it := range []model.Item{1 << 63, ^model.Item(0)} {
-		path := filepath.Join(t.TempDir(), "far.gctrace")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := (trace.Trace{1, it, 2}).Write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
 		want := fmt.Sprintf("item %d is outside the universe", it)
-		if _, err := New(Config{K: 64, B: 8, TraceFile: path}); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := New(Config{K: 64, B: 8}, trace.Trace{1, it, 2}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("item %d: New = %v, want a refusal naming it", it, err)
 		}
 	}
