@@ -132,11 +132,11 @@ func TestReplayOptionsDifferential(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRunAllPolicies is RunFile's equivalence gate:
+// TestRunFileMatchesSliceReplay is RunFile's equivalence gate:
 // replaying a trace from disk must produce Stats byte-identical to the
 // in-memory replay, with and without a declared universe, for every
 // policy.
-func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
+func TestRunFileMatchesSliceReplay(t *testing.T) {
 	geo := model.NewFixed(8)
 	tr, err := workload.FromSpec("blockruns:blocks=128,B=8,run=4,len=40000", 11)
 	if err != nil {
@@ -217,14 +217,14 @@ func TestCheckUniverseComparesItems(t *testing.T) {
 	}
 }
 
-// TestRunStreamZeroAllocSteadyState pins the streaming memory budget:
+// TestReplayScannerZeroAllocSteadyState pins the streaming memory budget:
 // Replay over a binary trace.Scanner — scanner decode, policy access,
 // recorder classification, context poll — must not allocate per
 // request. The fixed overhead (scanner + bufio buffer per replay,
 // recorder and bitset per Replay call) is tolerated, and the cache's
 // arrays grow during AllocsPerRun's warm-up run; anything proportional
 // to the trace would blow the bound.
-func TestRunStreamZeroAllocSteadyState(t *testing.T) {
+func TestReplayScannerZeroAllocSteadyState(t *testing.T) {
 	const universe = 512
 	geo := model.NewFixed(8)
 	tr, err := workload.FromSpec("blockruns:blocks=64,B=8,run=4,len=60000", 7)
@@ -272,9 +272,9 @@ func replay(t *testing.T, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
 	return st
 }
 
-// TestRunStreamTextSource checks the text scanner drives the engine the
+// TestReplayTextScanner checks the text scanner drives the engine the
 // same way the binary one does.
-func TestRunStreamTextSource(t *testing.T) {
+func TestReplayTextScanner(t *testing.T) {
 	geo := model.NewFixed(4)
 	tr, err := workload.FromSpec("blockruns:blocks=32,B=4,run=3,len=5000", 3)
 	if err != nil {
@@ -294,9 +294,9 @@ func TestRunStreamTextSource(t *testing.T) {
 	}
 }
 
-// TestRunStreamSourceError checks a failing source surfaces its error
+// TestReplaySourceError checks a failing source surfaces its error
 // along with the statistics accumulated before the failure.
-func TestRunStreamSourceError(t *testing.T) {
+func TestReplaySourceError(t *testing.T) {
 	tr := make(trace.Trace, 1000)
 	for i := range tr {
 		tr[i] = model.Item(i % 64)

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func TestSweepObservedCoversAllIndices(t *testing.T) {
+func TestSweepStatsCoverAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var st SweepStats
 		var hits atomic.Int64
@@ -37,7 +37,7 @@ func TestSweepObservedCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestSweepObservedNilStatsAndEmpty(t *testing.T) {
+func TestSweepNilStatsAndEmpty(t *testing.T) {
 	n := 0
 	Sweep(context.Background(), 100, SweepOptions{Workers: 2}, func() *int { return &n }, func(i int, _ *int) {})
 	st := SweepStats{Workers: make([]SweepWorkerStats, 3)}
