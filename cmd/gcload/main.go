@@ -88,6 +88,9 @@ func main() {
 	if *ops < 1 {
 		cli.Fatalf("gcload", "-ops %d < 1", *ops)
 	}
+	if *streams < 1 {
+		cli.Fatalf("gcload", "-streams %d < 1", *streams)
+	}
 	if *clusterMode {
 		if *ringArg == "" {
 			cli.Fatalf("gcload", "-cluster requires -ring")

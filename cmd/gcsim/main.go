@@ -80,12 +80,11 @@ func main() {
 		runAutotuneEval(tr, *k, *B)
 		return
 	}
+	pols := resolvePolicies(*policies, geo, in.Seed)
 
 	sum := trace.Summarize(tr, geo)
 	fmt.Printf("trace: %d requests, %d items, %d blocks, %.2f items/block, mean run %.2f\n",
 		sum.Requests, sum.DistinctItems, sum.DistinctBlocks, sum.MeanItemsPerBlock, sum.BlockRunLengthMean)
-
-	names := policyNames(*policies)
 
 	t := &render.Table{
 		Title:   fmt.Sprintf("k=%d, B=%d", *k, *B),
@@ -152,9 +151,8 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		mk := policy(name, geo, in.Seed)
+	for _, p := range pols {
+		name, mk := p.name, p.mk
 		var st gccache.Stats
 		switch {
 		case *probeSpec != "":
@@ -185,7 +183,7 @@ func main() {
 					hint = fmt.Sprintf("; rerun with -resume -checkpoint %s to continue", *ckptPath)
 				}
 				fatal(fmt.Errorf("deadline exceeded after %d/%d policies (%v)%s",
-					len(done), len(names), rerr, hint))
+					len(done), len(pols), rerr, hint))
 			}
 			done[name] = st
 			saveCkpt()
@@ -208,22 +206,30 @@ func main() {
 	}
 }
 
-// policyNames expands the -policy argument ("all" or a comma list).
-func policyNames(arg string) []string {
-	if arg == "all" {
-		return core.PolicyNames()
-	}
-	return strings.Split(arg, ",")
+// namedPolicy is one -policy entry and its constructor.
+type namedPolicy struct {
+	name string
+	mk   func(k int) cachesim.Cache
 }
 
-// policy returns the named policy's constructor from core.ByName's
-// table, exiting on an unknown name.
-func policy(name string, geo model.Geometry, seed int64) func(k int) cachesim.Cache {
-	mk, err := core.ByName(name, geo, seed)
-	if err != nil {
-		fatal(err)
+// resolvePolicies expands the -policy argument ("all" or a comma list)
+// and resolves every name through core.ByName, so an unknown name exits
+// before anything replays or is checkpointed.
+func resolvePolicies(arg string, geo model.Geometry, seed int64) []namedPolicy {
+	names := core.PolicyNames()
+	if arg != "all" {
+		names = strings.Split(arg, ",")
 	}
-	return mk
+	pols := make([]namedPolicy, len(names))
+	for i, name := range names {
+		name = strings.TrimSpace(name)
+		mk, err := core.ByName(name, geo, seed)
+		if err != nil {
+			fatal(err)
+		}
+		pols[i] = namedPolicy{name: name, mk: mk}
+	}
+	return pols
 }
 
 // runScenario is the -scenario path: compile once, stream every policy
@@ -249,6 +255,7 @@ func runScenario(in *cli.Input, k int, geo *model.Fixed, policies string, optWan
 		runAutotuneEval(tr, k, geo.BlockSize())
 		return
 	}
+	pols := resolvePolicies(policies, geo, seed)
 	s, err := scenario.Compile(prog, seed)
 	if err != nil {
 		fatal(err)
@@ -261,9 +268,8 @@ func runScenario(in *cli.Input, k int, geo *model.Fixed, policies string, optWan
 		Title:   fmt.Sprintf("k=%d, B=%d", k, geo.BlockSize()),
 		Headers: []string{"policy", "misses", "miss-ratio", "temporal-hits", "spatial-hits", "items-loaded"},
 	}
-	for _, name := range policyNames(policies) {
-		mk := policy(strings.TrimSpace(name), geo, seed)
-		st, rerr := cachesim.Replay(context.Background(), mk(k), s, cachesim.ReplayOptions{})
+	for _, p := range pols {
+		st, rerr := cachesim.Replay(context.Background(), p.mk(k), s, cachesim.ReplayOptions{})
 		if rerr != nil {
 			fatal(rerr)
 		}

@@ -133,8 +133,9 @@ func TestCommandRefusesOutsideUniverse(t *testing.T) {
 	}
 }
 
-// TestCommandRefusesBadFlags: a cache size or block size below 1 and
-// an unknown gctrace -format are refused in the uniform format —
+// TestCommandRefusesBadFlags: a cache size or block size below 1, a
+// gcload stream count below 1 (on the trace and the -scenario path)
+// and an unknown gctrace -format are refused in the uniform format —
 // "<name>: <error>" on stderr, exit 1, no panic — and a refused -out
 // writes no file. Skipped under -short (it compiles five binaries).
 func TestCommandRefusesBadFlags(t *testing.T) {
@@ -171,6 +172,8 @@ func TestCommandRefusesBadFlags(t *testing.T) {
 		{"gcadversary-k0", []string{"gcadversary", "-k", "0"}, "cache size 0 < 1"},
 		{"gcadversary-B0", []string{"gcadversary", "-B", "0"}, "block size 0 < 1"},
 		{"gcload-B0", []string{"gcload", "-B", "0"}, "block size 0 < 1"},
+		{"gcload-streams0", []string{"gcload", "-streams", "0", "-ops", "100", "-workload", spec}, "-streams 0 < 1"},
+		{"gcload-streams0-scenario", []string{"gcload", "-scenario", "scenarios/hotcold.gcs", "-streams", "0", "-ops", "100"}, "-streams 0 < 1"},
 		{"gcopt-B0", []string{"gcopt", "-B", "0", "-workload", spec}, "block size 0 < 1"},
 		{"gcopt-k0", []string{"gcopt", "-k", "0", "-workload", spec}, "cache size 0 < 1"},
 		{"gctrace-B0", []string{"gctrace", "-B", "0", "-workload", spec}, "block size 0 < 1"},
@@ -196,6 +199,35 @@ func TestCommandRefusesBadFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(outFile); !os.IsNotExist(err) {
 		t.Errorf("a refused -format wrote %s (stat err %v)", outFile, err)
+	}
+}
+
+// TestGcsimRefusesUnknownPolicyBeforeReplay: gcsim resolves every
+// -policy name before it replays any, so a list that ends in an unknown
+// name exits 1 naming it, prints nothing on stdout, and writes no
+// checkpoint for the names ahead of it. Skipped under -short (one
+// `go run` compile).
+func TestGcsimRefusesUnknownPolicyBeforeReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("refusal test pays a go run compile")
+	}
+	ckpt := filepath.Join(t.TempDir(), "sim.ckpt")
+	cmd := exec.Command("go", "run", "./cmd/gcsim", "-policy", "gcm,footprint,bogus", "-opt=false", "-checkpoint", ckpt)
+	cmd.Env = os.Environ()
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Errorf("exit code %d (err %v), want 1", code, err)
+	}
+	if want := `gcsim: unknown policy "bogus"`; !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr = %q, want it to start %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing before the refusal", stdout.String())
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("a refused -policy list wrote %s (stat err %v)", ckpt, err)
 	}
 }
 

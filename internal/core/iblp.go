@@ -26,7 +26,8 @@ import (
 // each holds its own copy.
 //
 // Both layers keep an lrulist.Dense recency order and a bitset of
-// members, all growing with the largest ID seen, so steady-state
+// members. The bitsets and the lists' ID tables grow with the largest ID
+// seen, the lists' links with the layers' occupancy, so steady-state
 // accesses neither hash nor allocate. Under model.Fixed a block is a
 // range of bits: the block layer drops a block, and admits one it can
 // hold whole, 64 items at a time by word operations rather than probing
@@ -46,8 +47,8 @@ type IBLP struct {
 	// re-derived from the geometry filtered by inBlock (blocks are
 	// disjoint, so the set bits of a resident block belong to it alone).
 	// inItem mirrors the item layer's membership so present is two
-	// packed-bitset probes instead of a random load into the recency
-	// list's link array.
+	// packed-bitset probes, one bit per item, instead of a random load
+	// from the recency list's 4-byte-per-item ID table.
 	inBlock bitset.Set
 	inItem  bitset.Set
 
@@ -107,8 +108,11 @@ func NewIBLPEvenSplit(k int, g model.Geometry) *IBLP {
 }
 
 // NewIBLPEvenSplitBounded is NewIBLPEvenSplit presized for item IDs
-// [0, universe), so a replay inside that range never grows it. It stays
-// for the benchmark module; new code calls NewIBLPEvenSplit.
+// [0, universe), so a replay inside that range never grows its
+// ID-indexed tables; the two recency lists' nodes grow with the layers'
+// occupancy on the first replay, up to the layer sizes, and Reset keeps
+// them. It stays for the benchmark module; new code calls
+// NewIBLPEvenSplit.
 func NewIBLPEvenSplitBounded(k int, g model.Geometry, universe int) *IBLP {
 	return newIBLP((k+1)/2, k/2, g, universe)
 }

@@ -2,6 +2,7 @@ package lrulist
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -38,25 +39,44 @@ func (r *referenceLRU) popBack() (int, bool) {
 	return k, true
 }
 
-// Each unit test runs twice: TestDenseX on a list presized for its keys,
-// TestX on one built empty that grows as keys arrive, the form every
-// policy builds.
-func TestEmpty(t *testing.T)                           { testEmpty(t, 0) }
-func TestDenseEmpty(t *testing.T)                      { testEmpty(t, 16) }
-func TestOrdering(t *testing.T)                        { testOrdering(t, 0) }
-func TestDenseOrdering(t *testing.T)                   { testOrdering(t, 8) }
-func TestPushFrontDuplicatePromotes(t *testing.T)      { testPushFrontDuplicatePromotes(t, 0) }
-func TestDensePushFrontDuplicatePromotes(t *testing.T) { testPushFrontDuplicatePromotes(t, 4) }
-func TestPushBack(t *testing.T)                        { testPushBack(t, 0) }
-func TestDensePushBack(t *testing.T)                   { testPushBack(t, 4) }
-func TestClearAndReuse(t *testing.T)                   { testClearAndReuse(t, 0) }
-func TestDenseClearAndReuse(t *testing.T)              { testClearAndReuse(t, 16) }
-func TestEachEarlyStop(t *testing.T)                   { testEachEarlyStop(t, 0) }
-func TestDenseEachEarlyStop(t *testing.T)              { testEachEarlyStop(t, 8) }
-func TestDifferential(t *testing.T)                    { testDifferential(t, 0) }
-func TestDenseDifferential(t *testing.T)               { testDifferential(t, 30) }
-func TestPushOrderProperty(t *testing.T)               { testPushOrderProperty(t, 0) }
-func TestDensePushOrderProperty(t *testing.T)          { testPushOrderProperty(t, 256) }
+// keys returns d's keys from MRU to LRU.
+func keys[K UintID](d *Dense[K]) []K {
+	out := make([]K, 0, d.Len())
+	d.Each(func(k K) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
+}
+
+// front returns d's MRU key; ok is false if d is empty.
+func front[K UintID](d *Dense[K]) (k K, ok bool) {
+	d.Each(func(x K) bool {
+		k, ok = x, true
+		return false
+	})
+	return k, ok
+}
+
+// shapes runs test on the two ways a list is built: presized for keys
+// [0, universe), and built empty so it grows as keys arrive, the form
+// every policy builds.
+func shapes(t *testing.T, universe int, test func(t *testing.T, universe int)) {
+	for _, c := range []struct {
+		name     string
+		universe int
+	}{{"presized", universe}, {"grown", 0}} {
+		t.Run(c.name, func(t *testing.T) { test(t, c.universe) })
+	}
+}
+
+func TestEmpty(t *testing.T)                      { shapes(t, 16, testEmpty) }
+func TestOrdering(t *testing.T)                   { shapes(t, 8, testOrdering) }
+func TestPushFrontDuplicatePromotes(t *testing.T) { shapes(t, 4, testPushFrontDuplicatePromotes) }
+func TestClearAndReuse(t *testing.T)              { shapes(t, 16, testClearAndReuse) }
+func TestEachEarlyStop(t *testing.T)              { shapes(t, 8, testEachEarlyStop) }
+func TestDifferential(t *testing.T)               { shapes(t, 30, testDifferential) }
+func TestPushOrderProperty(t *testing.T)          { shapes(t, 256, testPushOrderProperty) }
 
 func testEmpty(t *testing.T, universe int) {
 	d := NewDense[uint64](universe)
@@ -65,9 +85,6 @@ func testEmpty(t *testing.T, universe int) {
 	}
 	if _, ok := d.Back(); ok {
 		t.Error("Back on empty returned ok")
-	}
-	if _, ok := d.Front(); ok {
-		t.Error("Front on empty returned ok")
 	}
 	if _, ok := d.PopBack(); ok {
 		t.Error("PopBack on empty returned ok")
@@ -91,15 +108,15 @@ func testOrdering(t *testing.T, universe int) {
 		}
 	}
 	// Order: 3 2 1 (MRU..LRU)
-	if got := d.Keys(); len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
+	if got := keys(d); len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("Keys = %v", got)
 	}
 	d.MoveToFront(1) // 1 3 2
 	if back, _ := d.Back(); back != 2 {
 		t.Errorf("Back = %d, want 2", back)
 	}
-	if front, _ := d.Front(); front != 1 {
-		t.Errorf("Front = %d, want 1", front)
+	if f, _ := front(d); f != 1 {
+		t.Errorf("front = %d, want 1", f)
 	}
 	if k, ok := d.PopBack(); !ok || k != 2 {
 		t.Errorf("PopBack = %d,%v", k, ok)
@@ -116,24 +133,11 @@ func testPushFrontDuplicatePromotes(t *testing.T, universe int) {
 	if d.PushFront(0) {
 		t.Error("duplicate PushFront reported new")
 	}
-	if front, _ := d.Front(); front != 0 {
-		t.Errorf("Front = %d, want 0", front)
+	if f, _ := front(d); f != 0 {
+		t.Errorf("front = %d, want 0", f)
 	}
 	if d.Len() != 2 {
 		t.Errorf("Len = %d, want 2", d.Len())
-	}
-}
-
-func testPushBack(t *testing.T, universe int) {
-	d := NewDense[uint64](universe)
-	d.PushFront(1)
-	d.PushBack(2) // 1 2
-	if back, _ := d.Back(); back != 2 {
-		t.Errorf("Back = %d, want 2", back)
-	}
-	d.PushBack(1) // 2 1: existing key demoted
-	if back, _ := d.Back(); back != 1 {
-		t.Errorf("Back after demote = %d, want 1", back)
 	}
 }
 
@@ -150,10 +154,7 @@ func testClearAndReuse(t *testing.T, universe int) {
 		t.Error("Contains(5) after Clear")
 	}
 	d.PushFront(14)
-	if front, _ := d.Front(); front != 14 {
-		t.Errorf("Front = %d", front)
-	}
-	if got := d.Keys(); len(got) != 1 || got[0] != 14 {
+	if got := keys(d); len(got) != 1 || got[0] != 14 {
 		t.Errorf("Keys after reuse = %v", got)
 	}
 }
@@ -188,14 +189,14 @@ func TestDenseGrowsPastEnd(t *testing.T) {
 	if d.Universe() != 4 {
 		t.Fatalf("lookups grew the list to %d", d.Universe())
 	}
-	if !d.PushFront(4) || !d.PushBack(1000) {
+	if !d.PushFront(4) || !d.PushFront(1000) {
 		t.Fatal("insert past the end reported a duplicate")
 	}
 	if d.Universe() < 1001 {
 		t.Fatalf("Universe = %d after inserting 1000", d.Universe())
 	}
-	if got := d.Keys(); len(got) != 4 || got[0] != 4 || got[1] != 3 || got[2] != 1 || got[3] != 1000 {
-		t.Fatalf("Keys after growth = %v, want [4 3 1 1000]", got)
+	if got := keys(d); len(got) != 4 || got[0] != 1000 || got[1] != 4 || got[2] != 3 || got[3] != 1 {
+		t.Fatalf("keys after growth = %v, want [1000 4 3 1]", got)
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -218,7 +219,7 @@ func TestDenseGrowsPastEnd(t *testing.T) {
 			}
 		}
 	}
-	got := g.Keys()
+	got := keys(g)
 	if len(got) != len(ref.keys) {
 		t.Fatalf("final len %d vs %d", len(got), len(ref.keys))
 	}
@@ -245,6 +246,71 @@ func TestDenseOutOfUniversePanics(t *testing.T) {
 		}
 	}()
 	d.PushFront(MaxDenseUniverse)
+}
+
+// TestDenseCostsFourBytesPerID: a list presized for 2^20 keys pays 4
+// bytes per key for its table and, for its nodes, only what its
+// members need: 10^5 random operations over 4,096 keys spread across
+// the table allocate at most 4 bytes per key plus 64 KiB, and the list
+// never holds more slots than its peak Len plus the two sentinels, so
+// freed slots are reused. After Clear, the same operations again
+// allocate nothing.
+func TestDenseCostsFourBytesPerID(t *testing.T) {
+	const (
+		universe = 1 << 20
+		pool     = 4096
+		steps    = 100000
+		slack    = 64 << 10
+	)
+	type op struct {
+		kind uint8
+		key  uint64
+	}
+	rng := rand.New(rand.NewSource(3))
+	ops := make([]op, steps)
+	for i := range ops {
+		ops[i] = op{uint8(rng.Intn(4)), uint64(rng.Intn(pool)) * (universe / pool)}
+	}
+	var d *Dense[uint64]
+	peak, bad := 0, -1
+	run := func() {
+		for i, o := range ops {
+			switch o.kind {
+			case 0:
+				d.PushFront(o.key)
+			case 1:
+				d.MoveToFront(o.key)
+			case 2:
+				d.Remove(o.key)
+			case 3:
+				d.PopBack()
+			}
+			peak = max(peak, d.Len())
+			if len(d.nodes) > peak+denseSentinels && bad < 0 {
+				bad = i
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d = NewDense[uint64](universe)
+	run()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(4*universe + slack); got > limit {
+		t.Errorf("allocated %d B, want at most %d (4 B per key plus %d)", got, limit, slack)
+	}
+	if bad >= 0 {
+		t.Errorf("step %d: %d slots held, peak Len %d", bad, len(d.nodes), peak)
+	}
+	t.Logf("peak Len %d, %d slots, %d B allocated", peak, len(d.nodes), got)
+
+	if allocs := testing.AllocsPerRun(5, func() {
+		d.Clear()
+		run()
+	}); allocs != 0 {
+		t.Errorf("a pass after Clear allocated %v times, want 0", allocs)
+	}
 }
 
 func TestDenseBadUniversePanics(t *testing.T) {
@@ -285,7 +351,7 @@ func testDifferential(t *testing.T, universe int) {
 			t.Fatalf("step %d: Len %d vs ref %d", step, d.Len(), len(ref.keys))
 		}
 	}
-	got := d.Keys()
+	got := keys(d)
 	if len(got) != len(ref.keys) {
 		t.Fatalf("final len %d vs %d", len(got), len(ref.keys))
 	}
@@ -296,13 +362,13 @@ func testDifferential(t *testing.T, universe int) {
 	}
 }
 
-// TestDenseVsListCrossCheck drives a Dense presized for its keys and
+// TestDensePresizedMatchesGrown drives a Dense presized for its keys and
 // one built empty, which grows as keys arrive, with an identical stream
 // of well over 10^5 random operations and asserts they stay in
 // lockstep: every PopBack evicts the same key, every probe answers
 // identically, and the full MRU→LRU order matches at checkpoints and at
 // the end. Growing changes no eviction decision.
-func TestDenseVsListCrossCheck(t *testing.T) {
+func TestDensePresizedMatchesGrown(t *testing.T) {
 	const (
 		universe = 512
 		steps    = 200000
@@ -311,9 +377,9 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 	d := NewDense[uint64](universe)
 	l := NewDense[uint64](0)
 	sameOrder := func(step int) {
-		dk, lk := d.Keys(), l.Keys()
+		dk, lk := keys(d), keys(l)
 		if len(dk) != len(lk) {
-			t.Fatalf("step %d: Keys len %d vs %d", step, len(dk), len(lk))
+			t.Fatalf("step %d: keys len %d vs %d", step, len(dk), len(lk))
 		}
 		for i := range dk {
 			if dk[i] != lk[i] {
@@ -324,13 +390,9 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		k := uint64(rng.Intn(universe))
 		switch rng.Intn(8) {
-		case 0, 1:
+		case 0, 1, 2:
 			if dn, ln := d.PushFront(k), l.PushFront(k); dn != ln {
 				t.Fatalf("step %d: PushFront(%d) new %v vs %v", step, k, dn, ln)
-			}
-		case 2:
-			if dn, ln := d.PushBack(k), l.PushBack(k); dn != ln {
-				t.Fatalf("step %d: PushBack(%d) new %v vs %v", step, k, dn, ln)
 			}
 		case 3:
 			if dok, lok := d.MoveToFront(k), l.MoveToFront(k); dok != lok {
@@ -360,10 +422,10 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 				d.Clear()
 				l.Clear()
 			} else {
-				df, dok := d.Front()
-				lf, lok := l.Front()
+				df, dok := front(d)
+				lf, lok := front(l)
 				if dok != lok || df != lf {
-					t.Fatalf("step %d: Front %d,%v vs %d,%v", step, df, dok, lf, lok)
+					t.Fatalf("step %d: front %d,%v vs %d,%v", step, df, dok, lf, lok)
 				}
 			}
 		}
@@ -377,7 +439,7 @@ func TestDenseVsListCrossCheck(t *testing.T) {
 	sameOrder(steps)
 }
 
-// Property: after pushing a sequence of distinct keys, Keys() is the
+// Property: after pushing a sequence of distinct keys, keys(d) is the
 // reverse of the push order.
 func testPushOrderProperty(t *testing.T, universe int) {
 	prop := func(raw []uint8) bool {
@@ -391,7 +453,7 @@ func testPushOrderProperty(t *testing.T, universe int) {
 				d.PushFront(uint64(k))
 			}
 		}
-		got := d.Keys()
+		got := keys(d)
 		if len(got) != len(distinct) {
 			return false
 		}
