@@ -125,13 +125,16 @@ func goldenShapes() []goldenShape {
 }
 
 // goldenPolicies builds every block-loading policy for shape s, plus
-// the item-granularity ItemLRU and FIFO; layer splits a constructor
-// rejects are left out.
+// the item-granularity ItemLRU, FIFO, Clock, Marking and RandomEvict;
+// layer splits a constructor rejects are left out.
 func goldenPolicies(s goldenShape) map[string]func() cachesim.Cache {
 	g, k, i, b := s.geo, s.k, s.i, s.b
 	m := map[string]func() cachesim.Cache{
 		"item-lru":         func() cachesim.Cache { return policy.NewItemLRU(k) },
 		"fifo":             func() cachesim.Cache { return policy.NewFIFO(k) },
+		"clock":            func() cachesim.Cache { return policy.NewClock(k) },
+		"marking":          func() cachesim.Cache { return policy.NewMarking(k, 5) },
+		"random":           func() cachesim.Cache { return policy.NewRandomEvict(k, 5) },
 		"iblp":             func() cachesim.Cache { return core.NewIBLP(i, b, g) },
 		"iblp-promote-all": func() cachesim.Cache { return core.NewIBLPPromoteAll(i, b, g) },
 		"block-lru":        func() cachesim.Cache { return policy.NewBlockLRU(k, g) },
@@ -166,6 +169,7 @@ var netOrderGolden = map[string]uint64{
 	"fixed100/athresh-1":              0xd33c2b2442182ba3,
 	"fixed100/athresh-2":              0xf44ed2312178cb97,
 	"fixed100/block-lru":              0x25e46a0cf67461b9,
+	"fixed100/clock":                  0x4f1373b2aec1864b,
 	"fixed100/fifo":                   0xada12cb8fa2a3a99,
 	"fixed100/gcm":                    0x5925f14050e2c5ab,
 	"fixed100/iblp":                   0x329ec5fc3420875c,
@@ -173,10 +177,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed100/iblp-inclusive":         0x160b56734127defb,
 	"fixed100/iblp-promote-all":       0xa16d490f9532c7ff,
 	"fixed100/item-lru":               0xc5469f9b145781c9,
+	"fixed100/marking":                0xc384333c5851cf08,
+	"fixed100/random":                 0xea0efaf23464ce1,
 	"fixed128-trunc/adaptive-iblp":    0x287f4ba28aae2916,
 	"fixed128-trunc/athresh-1":        0xe5220a0062f75b,
 	"fixed128-trunc/athresh-2":        0x534aa8ed1afe256d,
 	"fixed128-trunc/block-lru":        0xedfc62a77a8ce478,
+	"fixed128-trunc/clock":            0xd4c45763587f5126,
 	"fixed128-trunc/fifo":             0xd6b97e418cbdfa55,
 	"fixed128-trunc/gcm":              0xd63db74e3474b826,
 	"fixed128-trunc/iblp":             0x40a48ef14dc2c0ce,
@@ -184,10 +191,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed128-trunc/iblp-inclusive":   0x845795e027dbf9be,
 	"fixed128-trunc/iblp-promote-all": 0x40a48ef14dc2c0ce,
 	"fixed128-trunc/item-lru":         0x538aa8b1083e565f,
+	"fixed128-trunc/marking":          0x67809c1dbe30c172,
+	"fixed128-trunc/random":           0x2a4553ba5c8bf8b,
 	"fixed128/adaptive-iblp":          0x71dace3739cd6dc6,
 	"fixed128/athresh-1":              0xb5a7402b81535edf,
 	"fixed128/athresh-2":              0x8c7562f75eedc02a,
 	"fixed128/block-lru":              0xbf5b3cf6b688b759,
+	"fixed128/clock":                  0xaf001ec963ba9f60,
 	"fixed128/fifo":                   0x3843b136e8123439,
 	"fixed128/gcm":                    0xa57b3520ee3595fe,
 	"fixed128/iblp":                   0x5416f5f55ede89fb,
@@ -195,10 +205,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed128/iblp-inclusive":         0x8f218236a7e59996,
 	"fixed128/iblp-promote-all":       0xcadb6f63cfb76c1b,
 	"fixed128/item-lru":               0x240ffed5cd6880f0,
+	"fixed128/marking":                0x555d3db864697bc9,
+	"fixed128/random":                 0x54c59bc49c12b6dc,
 	"fixed48-trunc/adaptive-iblp":     0x99a8ce12e98cb041,
 	"fixed48-trunc/athresh-1":         0x626a7bf5bb7a0b0d,
 	"fixed48-trunc/athresh-2":         0x4cac2f3429d81ccc,
 	"fixed48-trunc/block-lru":         0x11cce97b3180dbba,
+	"fixed48-trunc/clock":             0x89c6e06c6b893ba6,
 	"fixed48-trunc/fifo":              0x8c3d4739bc07fd7b,
 	"fixed48-trunc/footprint":         0x54defffb59852f07,
 	"fixed48-trunc/gcm":               0x8f1e6e9cb7c4d51a,
@@ -207,10 +220,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed48-trunc/iblp-inclusive":    0x64b4116f9cbf700f,
 	"fixed48-trunc/iblp-promote-all":  0xe6fe2c31d2933b0,
 	"fixed48-trunc/item-lru":          0x922b4b88e4df382b,
+	"fixed48-trunc/marking":           0x22266484be457f34,
+	"fixed48-trunc/random":            0x622d6adf529c487b,
 	"fixed48/adaptive-iblp":           0x426a2b8b11c8cf7b,
 	"fixed48/athresh-1":               0xfba3f4fca6fba21e,
 	"fixed48/athresh-2":               0x5b122c2d400845e3,
 	"fixed48/block-lru":               0xe66986b465365d0b,
+	"fixed48/clock":                   0x29d4da293092c0c6,
 	"fixed48/fifo":                    0x934a82b384d9bb9a,
 	"fixed48/footprint":               0xff0777efa17df73c,
 	"fixed48/gcm":                     0x4cef2db9357e5c76,
@@ -219,10 +235,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed48/iblp-inclusive":          0x6c44c73aed9743f2,
 	"fixed48/iblp-promote-all":        0xe19838d8e95c9e29,
 	"fixed48/item-lru":                0x96c95c044d85d08e,
+	"fixed48/marking":                 0x4de04316df0c0a8f,
+	"fixed48/random":                  0x5b2aa63c2a3c9b43,
 	"fixed64-i0/adaptive-iblp":        0xdbb276384074139f,
 	"fixed64-i0/athresh-1":            0xacd72be707f0b3af,
 	"fixed64-i0/athresh-2":            0x3ce8e00f773b02f6,
 	"fixed64-i0/block-lru":            0x279ce0ee6f53be5c,
+	"fixed64-i0/clock":                0x98c428ab0fbaa3c9,
 	"fixed64-i0/fifo":                 0xd63d31ab7bb60453,
 	"fixed64-i0/footprint":            0xf691a702286f2030,
 	"fixed64-i0/gcm":                  0xcfd2e70fca2fb67d,
@@ -230,10 +249,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed64-i0/iblp-inclusive":       0x279ce0ee6f53be5c,
 	"fixed64-i0/iblp-promote-all":     0x279ce0ee6f53be5c,
 	"fixed64-i0/item-lru":             0x3f63ebb74701c0c,
+	"fixed64-i0/marking":              0xe83dc025c4315c06,
+	"fixed64-i0/random":               0x9802f93e8cb5ffa2,
 	"fixed64-trunc/adaptive-iblp":     0xc41db212299cab5d,
 	"fixed64-trunc/athresh-1":         0x5a159d3eece71e87,
 	"fixed64-trunc/athresh-2":         0xb71715ed56fdcf83,
 	"fixed64-trunc/block-lru":         0xef91344279da2ba,
+	"fixed64-trunc/clock":             0x42fb980fca6577e,
 	"fixed64-trunc/fifo":              0x5fcdcf36c10b97bb,
 	"fixed64-trunc/footprint":         0x1ea08d3f5e5c8a7d,
 	"fixed64-trunc/gcm":               0x4a362cded2a26e66,
@@ -242,10 +264,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed64-trunc/iblp-inclusive":    0x6e98557541944422,
 	"fixed64-trunc/iblp-promote-all":  0xefa1d36d79faaa95,
 	"fixed64-trunc/item-lru":          0x3c19ce5749ba8f91,
+	"fixed64-trunc/marking":           0x93f88ce2063d0d59,
+	"fixed64-trunc/random":            0x33ee2c8fa4c788cb,
 	"fixed64/adaptive-iblp":           0xd63559607a7a8cd,
 	"fixed64/athresh-1":               0x32af82b01adea9b4,
 	"fixed64/athresh-2":               0x7748bdc398f0d9f4,
 	"fixed64/block-lru":               0xd808e8f158230ca2,
+	"fixed64/clock":                   0x6c955e5734159d9d,
 	"fixed64/fifo":                    0xd01c4fac7add61d4,
 	"fixed64/footprint":               0xe3f3d7930a1bd836,
 	"fixed64/gcm":                     0x25ed8c70fc2d5229,
@@ -254,10 +279,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed64/iblp-inclusive":          0x10dc4e3e021a8444,
 	"fixed64/iblp-promote-all":        0x2f745e0799e82e14,
 	"fixed64/item-lru":                0xf20fc7c5ef7e8a2f,
+	"fixed64/marking":                 0xcc924cbfd1364ed8,
+	"fixed64/random":                  0x23cd2df44dec098e,
 	"fixed8-trunc/adaptive-iblp":      0x4a87c7004318cdc3,
 	"fixed8-trunc/athresh-1":          0xa9be2092052b4668,
 	"fixed8-trunc/athresh-2":          0x9641c42d3540bd9c,
 	"fixed8-trunc/block-lru":          0x321304273871a127,
+	"fixed8-trunc/clock":              0x7ac799d8304bf880,
 	"fixed8-trunc/fifo":               0xde51a7b6e156014c,
 	"fixed8-trunc/footprint":          0x97748968ad4de79a,
 	"fixed8-trunc/gcm":                0xba06abb4e1b1716b,
@@ -266,10 +294,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed8-trunc/iblp-inclusive":     0x98d2c331cd2d2c8,
 	"fixed8-trunc/iblp-promote-all":   0x1476b1533b46ea47,
 	"fixed8-trunc/item-lru":           0x493f5977a22f3fc5,
+	"fixed8-trunc/marking":            0x65201f738ec856fd,
+	"fixed8-trunc/random":             0x729a4a3c41fbd26,
 	"fixed8/adaptive-iblp":            0xf699693bb03bed6e,
 	"fixed8/athresh-1":                0x20d06500e909c369,
 	"fixed8/athresh-2":                0x28a172861003b8dd,
 	"fixed8/block-lru":                0xb15eefa918e6828c,
+	"fixed8/clock":                    0x6a947fc04f18017d,
 	"fixed8/fifo":                     0xc470eb19809bc98f,
 	"fixed8/footprint":                0xd7ce42b721a64fd9,
 	"fixed8/gcm":                      0x3c59891b43eaa178,
@@ -278,10 +309,13 @@ var netOrderGolden = map[string]uint64{
 	"fixed8/iblp-inclusive":           0xfac8260e813bb015,
 	"fixed8/iblp-promote-all":         0xa6e8485e0cbad4d9,
 	"fixed8/item-lru":                 0x6c86315227742e41,
+	"fixed8/marking":                  0x88546a4b1ab82c89,
+	"fixed8/random":                   0xc0fabd5f0b885f27,
 	"table-trunc/adaptive-iblp":       0xca4a51cb7954f590,
 	"table-trunc/athresh-1":           0xe456fae318ff56dd,
 	"table-trunc/athresh-2":           0x1e4472818147418b,
 	"table-trunc/block-lru":           0x41b1954da134514a,
+	"table-trunc/clock":               0x6c57883036fe7445,
 	"table-trunc/fifo":                0xd0add79147d2e6cd,
 	"table-trunc/footprint":           0x6ece545b5bb54bfd,
 	"table-trunc/gcm":                 0x10815ae90b24fb30,
@@ -290,10 +324,13 @@ var netOrderGolden = map[string]uint64{
 	"table-trunc/iblp-inclusive":      0x2af64f8ca8c320d9,
 	"table-trunc/iblp-promote-all":    0x30958bfec0f09a2c,
 	"table-trunc/item-lru":            0x195c741db3578a5a,
+	"table-trunc/marking":             0xc59a9b17614f8721,
+	"table-trunc/random":              0x515bf5fb7d67f4d8,
 	"table/adaptive-iblp":             0x625b8fc4389f150d,
 	"table/athresh-1":                 0xa5afeb2777013269,
 	"table/athresh-2":                 0x9f9a51b76d7ee7f5,
 	"table/block-lru":                 0x93db7e87bc31de8e,
+	"table/clock":                     0xcf2df952b23eb87b,
 	"table/fifo":                      0x6e78e2f4b8603c6d,
 	"table/footprint":                 0x8826bcf83b0e029e,
 	"table/gcm":                       0xfe036e7f1a7bbc98,
@@ -302,6 +339,8 @@ var netOrderGolden = map[string]uint64{
 	"table/iblp-inclusive":            0x98af9ba4cc29441,
 	"table/iblp-promote-all":          0x43858229ad88d54d,
 	"table/item-lru":                  0x852d37b9bc2d88a0,
+	"table/marking":                   0xa6e5333c3fd64acf,
+	"table/random":                    0x43b6097e17956a76,
 }
 
 // netSetGolden holds every entry's accessStreamHash with each Evicted
@@ -312,6 +351,7 @@ var netSetGolden = map[string]uint64{
 	"fixed100/athresh-1":              0x47b7fea44c2a3d3f,
 	"fixed100/athresh-2":              0x982574dace1f0f43,
 	"fixed100/block-lru":              0x25e46a0cf67461b9,
+	"fixed100/clock":                  0x4f1373b2aec1864b,
 	"fixed100/fifo":                   0xada12cb8fa2a3a99,
 	"fixed100/gcm":                    0x847e385bcab539c3,
 	"fixed100/iblp":                   0x3fe1755b6fc7f0ac,
@@ -319,10 +359,13 @@ var netSetGolden = map[string]uint64{
 	"fixed100/iblp-inclusive":         0x160b56734127defb,
 	"fixed100/iblp-promote-all":       0xcf879786c9946267,
 	"fixed100/item-lru":               0xc5469f9b145781c9,
+	"fixed100/marking":                0xc384333c5851cf08,
+	"fixed100/random":                 0xea0efaf23464ce1,
 	"fixed128-trunc/adaptive-iblp":    0xa68c45461a2d2476,
 	"fixed128-trunc/athresh-1":        0x3cbfd39854a7232b,
 	"fixed128-trunc/athresh-2":        0x7f33f93310f3773d,
 	"fixed128-trunc/block-lru":        0xedfc62a77a8ce478,
+	"fixed128-trunc/clock":            0xd4c45763587f5126,
 	"fixed128-trunc/fifo":             0xd6b97e418cbdfa55,
 	"fixed128-trunc/gcm":              0x647d918f292c11ca,
 	"fixed128-trunc/iblp":             0xedeb36a6b637a0fa,
@@ -330,10 +373,13 @@ var netSetGolden = map[string]uint64{
 	"fixed128-trunc/iblp-inclusive":   0x845795e027dbf9be,
 	"fixed128-trunc/iblp-promote-all": 0xedeb36a6b637a0fa,
 	"fixed128-trunc/item-lru":         0x538aa8b1083e565f,
+	"fixed128-trunc/marking":          0x67809c1dbe30c172,
+	"fixed128-trunc/random":           0x2a4553ba5c8bf8b,
 	"fixed128/adaptive-iblp":          0x19e6307a5acb7fb6,
 	"fixed128/athresh-1":              0xac08ef8064bdedf3,
 	"fixed128/athresh-2":              0x8d5039110c388292,
 	"fixed128/block-lru":              0xbf5b3cf6b688b759,
+	"fixed128/clock":                  0xaf001ec963ba9f60,
 	"fixed128/fifo":                   0x3843b136e8123439,
 	"fixed128/gcm":                    0xc74a349f1d582f9e,
 	"fixed128/iblp":                   0x68c9642239661e43,
@@ -341,10 +387,13 @@ var netSetGolden = map[string]uint64{
 	"fixed128/iblp-inclusive":         0x8f218236a7e59996,
 	"fixed128/iblp-promote-all":       0xcd0699d136ff5e0f,
 	"fixed128/item-lru":               0x240ffed5cd6880f0,
+	"fixed128/marking":                0x555d3db864697bc9,
+	"fixed128/random":                 0x54c59bc49c12b6dc,
 	"fixed48-trunc/adaptive-iblp":     0xa51cd1c1bdf29eed,
 	"fixed48-trunc/athresh-1":         0xc0c9fb43d3dd58ad,
 	"fixed48-trunc/athresh-2":         0x57aad7df348e5d80,
 	"fixed48-trunc/block-lru":         0x11cce97b3180dbba,
+	"fixed48-trunc/clock":             0x89c6e06c6b893ba6,
 	"fixed48-trunc/fifo":              0x8c3d4739bc07fd7b,
 	"fixed48-trunc/footprint":         0x6908c6d2dc00d613,
 	"fixed48-trunc/gcm":               0x2c9ab2c780e18052,
@@ -353,10 +402,13 @@ var netSetGolden = map[string]uint64{
 	"fixed48-trunc/iblp-inclusive":    0x64b4116f9cbf700f,
 	"fixed48-trunc/iblp-promote-all":  0x75f96a24e9cd1a8c,
 	"fixed48-trunc/item-lru":          0x922b4b88e4df382b,
+	"fixed48-trunc/marking":           0x22266484be457f34,
+	"fixed48-trunc/random":            0x622d6adf529c487b,
 	"fixed48/adaptive-iblp":           0xaafaac0ad17bd3db,
 	"fixed48/athresh-1":               0xec520c919aafd1de,
 	"fixed48/athresh-2":               0x1ef42db8a4e7fdd3,
 	"fixed48/block-lru":               0xe66986b465365d0b,
+	"fixed48/clock":                   0x29d4da293092c0c6,
 	"fixed48/fifo":                    0x934a82b384d9bb9a,
 	"fixed48/footprint":               0xe24ca289e28bd95c,
 	"fixed48/gcm":                     0x997b80e6f68428e2,
@@ -365,10 +417,13 @@ var netSetGolden = map[string]uint64{
 	"fixed48/iblp-inclusive":          0x6c44c73aed9743f2,
 	"fixed48/iblp-promote-all":        0x60297b47d13d6181,
 	"fixed48/item-lru":                0x96c95c044d85d08e,
+	"fixed48/marking":                 0x4de04316df0c0a8f,
+	"fixed48/random":                  0x5b2aa63c2a3c9b43,
 	"fixed64-i0/adaptive-iblp":        0x4872a07c079c2c93,
 	"fixed64-i0/athresh-1":            0xd5c0182211011323,
 	"fixed64-i0/athresh-2":            0x209e3955994fb53e,
 	"fixed64-i0/block-lru":            0x279ce0ee6f53be5c,
+	"fixed64-i0/clock":                0x98c428ab0fbaa3c9,
 	"fixed64-i0/fifo":                 0xd63d31ab7bb60453,
 	"fixed64-i0/footprint":            0xc499a89e03c6e370,
 	"fixed64-i0/gcm":                  0x4ce00e7683dd3db5,
@@ -376,10 +431,13 @@ var netSetGolden = map[string]uint64{
 	"fixed64-i0/iblp-inclusive":       0x279ce0ee6f53be5c,
 	"fixed64-i0/iblp-promote-all":     0x279ce0ee6f53be5c,
 	"fixed64-i0/item-lru":             0x3f63ebb74701c0c,
+	"fixed64-i0/marking":              0xe83dc025c4315c06,
+	"fixed64-i0/random":               0x9802f93e8cb5ffa2,
 	"fixed64-trunc/adaptive-iblp":     0xea55faac10f23599,
 	"fixed64-trunc/athresh-1":         0x76ace84bc60a2003,
 	"fixed64-trunc/athresh-2":         0x8d6bca17525256eb,
 	"fixed64-trunc/block-lru":         0xef91344279da2ba,
+	"fixed64-trunc/clock":             0x42fb980fca6577e,
 	"fixed64-trunc/fifo":              0x5fcdcf36c10b97bb,
 	"fixed64-trunc/footprint":         0x759eedeeaf831a61,
 	"fixed64-trunc/gcm":               0xb27ec16b58e0086,
@@ -388,10 +446,13 @@ var netSetGolden = map[string]uint64{
 	"fixed64-trunc/iblp-inclusive":    0x6e98557541944422,
 	"fixed64-trunc/iblp-promote-all":  0x13f8a088c411825d,
 	"fixed64-trunc/item-lru":          0x3c19ce5749ba8f91,
+	"fixed64-trunc/marking":           0x93f88ce2063d0d59,
+	"fixed64-trunc/random":            0x33ee2c8fa4c788cb,
 	"fixed64/adaptive-iblp":           0x19e623eccdb664fd,
 	"fixed64/athresh-1":               0xbfefd484051d2f60,
 	"fixed64/athresh-2":               0xbb2e4c572808d9ec,
 	"fixed64/block-lru":               0xd808e8f158230ca2,
+	"fixed64/clock":                   0x6c955e5734159d9d,
 	"fixed64/fifo":                    0xd01c4fac7add61d4,
 	"fixed64/footprint":               0xad27e7bc6d1c7912,
 	"fixed64/gcm":                     0x1cd92ffee6d45fa5,
@@ -400,10 +461,13 @@ var netSetGolden = map[string]uint64{
 	"fixed64/iblp-inclusive":          0x10dc4e3e021a8444,
 	"fixed64/iblp-promote-all":        0xc43220e8d03baa98,
 	"fixed64/item-lru":                0xf20fc7c5ef7e8a2f,
+	"fixed64/marking":                 0xcc924cbfd1364ed8,
+	"fixed64/random":                  0x23cd2df44dec098e,
 	"fixed8-trunc/adaptive-iblp":      0x20617b799722a8c3,
 	"fixed8-trunc/athresh-1":          0xaed55fa62f90ee28,
 	"fixed8-trunc/athresh-2":          0x3504d89e5943119c,
 	"fixed8-trunc/block-lru":          0x321304273871a127,
+	"fixed8-trunc/clock":              0x7ac799d8304bf880,
 	"fixed8-trunc/fifo":               0xde51a7b6e156014c,
 	"fixed8-trunc/footprint":          0x9f8aacf44418533a,
 	"fixed8-trunc/gcm":                0xbda90cceaf88e56b,
@@ -412,10 +476,13 @@ var netSetGolden = map[string]uint64{
 	"fixed8-trunc/iblp-inclusive":     0x98d2c331cd2d2c8,
 	"fixed8-trunc/iblp-promote-all":   0xc60e95f6394c41a7,
 	"fixed8-trunc/item-lru":           0x493f5977a22f3fc5,
+	"fixed8-trunc/marking":            0x65201f738ec856fd,
+	"fixed8-trunc/random":             0x729a4a3c41fbd26,
 	"fixed8/adaptive-iblp":            0xaa242156970fe,
 	"fixed8/athresh-1":                0x6fdd42b9554237d9,
 	"fixed8/athresh-2":                0xdb2b40d66bc8df79,
 	"fixed8/block-lru":                0xb15eefa918e6828c,
+	"fixed8/clock":                    0x6a947fc04f18017d,
 	"fixed8/fifo":                     0xc470eb19809bc98f,
 	"fixed8/footprint":                0x718c451ed5d0a70d,
 	"fixed8/gcm":                      0x13863a9bc16cf6b4,
@@ -424,10 +491,13 @@ var netSetGolden = map[string]uint64{
 	"fixed8/iblp-inclusive":           0xfac8260e813bb015,
 	"fixed8/iblp-promote-all":         0xff9accab44b6b1a1,
 	"fixed8/item-lru":                 0x6c86315227742e41,
+	"fixed8/marking":                  0x88546a4b1ab82c89,
+	"fixed8/random":                   0xc0fabd5f0b885f27,
 	"table-trunc/adaptive-iblp":       0x93883bc086212654,
 	"table-trunc/athresh-1":           0x50909f1fd16c1339,
 	"table-trunc/athresh-2":           0x5fcea1ed2cb013df,
 	"table-trunc/block-lru":           0x74326128a4ee4ee2,
+	"table-trunc/clock":               0x6c57883036fe7445,
 	"table-trunc/fifo":                0xd0add79147d2e6cd,
 	"table-trunc/footprint":           0xa6a0c770437b32d9,
 	"table-trunc/gcm":                 0x29b7b8736c6ea610,
@@ -436,10 +506,13 @@ var netSetGolden = map[string]uint64{
 	"table-trunc/iblp-inclusive":      0xb73598cb2971f385,
 	"table-trunc/iblp-promote-all":    0xc06145c933ea1d3c,
 	"table-trunc/item-lru":            0x195c741db3578a5a,
+	"table-trunc/marking":             0xc59a9b17614f8721,
+	"table-trunc/random":              0x515bf5fb7d67f4d8,
 	"table/adaptive-iblp":             0x2b924c4a78c17e1,
 	"table/athresh-1":                 0x29a49f04225b3aa5,
 	"table/athresh-2":                 0x43cc82c6f44cf629,
 	"table/block-lru":                 0x914507defe570e46,
+	"table/clock":                     0xcf2df952b23eb87b,
 	"table/fifo":                      0x6e78e2f4b8603c6d,
 	"table/footprint":                 0xaae5403de6b44552,
 	"table/gcm":                       0x7574449e77d8f948,
@@ -448,6 +521,8 @@ var netSetGolden = map[string]uint64{
 	"table/iblp-inclusive":            0x8af4abe00a32c139,
 	"table/iblp-promote-all":          0x776bf49c1da9505d,
 	"table/item-lru":                  0x852d37b9bc2d88a0,
+	"table/marking":                   0xa6e5333c3fd64acf,
+	"table/random":                    0x43b6097e17956a76,
 }
 
 // TestNetChangeOrderGolden pins the decisions and the exact Loaded and
