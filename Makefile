@@ -129,12 +129,14 @@ bench-selftest:
 # 15–18% before. Net.Load and Net.Evict list each item ItemLRU, FIFO,
 # Clock, Marking and RandomEvict move on a miss. GCM's find, insert and
 # removeAt run for each item of its miss path, and randStream.Uint64
-# for each sibling-shuffle draw. IBLP calls Dense's PopBack for each
-# item-layer eviction, and Back and Contains on each block admission;
-# Dense is generic, so its methods are compiled, and reported, as the
-# go.shape.uint64 instance in the packages that use it (core here).
-# Fails naming any helper the compiler will not inline.
-INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict' '(*Net).Load' '(*Net).Evict' '(*GCM).find' '(*GCM).insert' '(*GCM).removeAt' '(*randStream).Uint64' \
+# for each sibling-shuffle draw. IBLP finds each request's block with
+# its blockOf, calls Dense's Back and Contains on each block admission,
+# and PopBack for each item the resize path evicts; an item-layer
+# eviction on admission is one ReplaceBack, a direct call like
+# PushFront. Dense is generic, so its methods are compiled, and
+# reported, as the go.shape.uint64 instance in the packages that use it
+# (core here). Fails naming any helper the compiler will not inline.
+INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict' '(*Net).Load' '(*Net).Evict' '(*GCM).find' '(*GCM).insert' '(*GCM).removeAt' '(*randStream).Uint64' '(*IBLP).blockOf' \
 	'lrulist.(*Dense[go.shape.uint64]).Contains' 'lrulist.(*Dense[go.shape.uint64]).Back' 'lrulist.(*Dense[go.shape.uint64]).PopBack'
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/bitset ./internal/cachesim ./internal/core ./internal/lrulist 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \

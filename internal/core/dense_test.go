@@ -90,10 +90,10 @@ func diffCaches(t *testing.T, want, got cachesim.Cache, tr []model.Item) {
 	}
 }
 
-// TestIBLPDenseMatchesGeneric requires an IBLP presized for the
+// TestIBLPPresizedMatchesGrown requires an IBLP presized for the
 // universe and one grown on demand, as NewIBLPEvenSplit builds it, to
 // decide alike.
-func TestIBLPDenseMatchesGeneric(t *testing.T) {
+func TestIBLPPresizedMatchesGrown(t *testing.T) {
 	const universe = 4096
 	for _, blockSize := range []int{1, 8, 64} {
 		g := model.NewFixed(blockSize)

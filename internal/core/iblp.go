@@ -36,7 +36,8 @@ type IBLP struct {
 	itemSize  int // i
 	blockSize int // b
 	geo       model.Geometry
-	fixed     int // B under model.Fixed, else 0
+	fixed     int  // B under model.Fixed, else 0
+	shift     uint // log2 B under a model.Fixed whose B is a power of two, else 64
 
 	items *lrulist.Dense[model.Item] // item layer, MRU..LRU
 
@@ -46,9 +47,9 @@ type IBLP struct {
 	// inBlock holds block-layer membership; a block's resident set is
 	// re-derived from the geometry filtered by inBlock (blocks are
 	// disjoint, so the set bits of a resident block belong to it alone).
-	// inItem mirrors the item layer's membership so present is two
-	// packed-bitset probes, one bit per item, instead of a random load
-	// from the recency list's 4-byte-per-item ID table.
+	// inItem mirrors the item layer's membership so Access and present
+	// decide it by packed-bitset probes, one bit per item, instead of a
+	// random load from the recency list's 4-byte-per-item ID table.
 	inBlock bitset.Set
 	inItem  bitset.Set
 
@@ -88,11 +89,16 @@ func newIBLP(i, b int, g model.Geometry, universe int) *IBLP {
 		panic("core: IBLP nil geometry")
 	}
 	universe = model.ItemUniverse(g, universe)
+	fixed, shift := model.FixedSize(g), uint(64)
+	if fixed&(fixed-1) == 0 && fixed != 0 {
+		shift = uint(bits.TrailingZeros(uint(fixed)))
+	}
 	return &IBLP{
 		itemSize:  i,
 		blockSize: b,
 		geo:       g,
-		fixed:     model.FixedSize(g),
+		fixed:     fixed,
+		shift:     shift,
 		items:     lrulist.NewDense[model.Item](universe),
 		blocks:    lrulist.NewDense[model.Block](model.BlockUniverse(g, universe)),
 		inBlock:   bitset.New(universe),
@@ -194,14 +200,17 @@ func (c *IBLP) Name() string {
 // Access implements cachesim.Cache. Every layer operation runs on the
 // concrete flat-array types, so the whole request — recency promotion,
 // bitset membership, victim scans — compiles to inlined array
-// arithmetic and direct calls.
+// arithmetic and direct calls. Membership of both layers is decided
+// from the packed bitsets, so a request touches the item layer's
+// 4-byte-per-item ID table only to promote a hit or to admit the item.
 //
 //gclint:hotpath
 func (c *IBLP) Access(it model.Item) cachesim.Access {
-	if c.items.MoveToFront(it) {
+	if c.inItem.Has(uint64(it)) {
+		c.items.MoveToFront(it)
 		if c.promoteOnItemHit {
 			// MoveToFront on an absent block is a no-op.
-			c.blocks.MoveToFront(c.geo.BlockOf(it))
+			c.blocks.MoveToFront(c.blockOf(it))
 		}
 		if c.probe != nil {
 			c.probe.Observe(obs.Event{Kind: obs.EvHitItemLayer, Item: it})
@@ -209,13 +218,13 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 		return cachesim.Access{Hit: true}
 	}
 
-	blk := c.geo.BlockOf(it)
+	blk := c.blockOf(it)
 	if c.inBlock.Has(uint64(it)) {
 		// Block-layer hit: serve it, refresh the block's recency, and
 		// copy the item into the item layer (an internal move — free).
 		c.ch.Reset()
 		c.blocks.MoveToFront(blk)
-		c.admitItemLayer(it)
+		c.admitItemLayer(it, false)
 		if c.probe != nil {
 			c.probe.Observe(obs.Event{Kind: obs.EvHitBlockLayer, Item: it, Block: blk})
 		}
@@ -229,9 +238,21 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 	// item-layer victim from this block, or a stale truncated copy being
 	// replaced, leaves and re-enters within the step; c.ch nets it.
 	c.ch.Begin(blk)
-	c.admitItemLayer(it)
+	c.admitItemLayer(it, true)
 	c.admitBlockLayer(blk, it)
 	return c.ch.Miss(c.probe, it)
+}
+
+// blockOf returns the block holding it: a shift when the geometry is
+// Fixed with a power-of-two B, else the geometry's BlockOf, an
+// interface call that divides. make inline-check holds it inline.
+//
+//gclint:hotpath
+func (c *IBLP) blockOf(it model.Item) model.Block {
+	if c.shift < 64 {
+		return model.Block(uint64(it) >> c.shift)
+	}
+	return c.geo.BlockOf(it)
 }
 
 // present reports overall membership (either layer).
@@ -241,26 +262,29 @@ func (c *IBLP) present(it model.Item) bool {
 	return c.inItem.Has(uint64(it)) || c.inBlock.Has(uint64(it))
 }
 
-// admitItemLayer inserts it at the item layer's MRU position, evicting
-// its LRU as needed, and maintains overall loaded/evicted accounting.
+// admitItemLayer inserts it, which the item layer does not hold, at
+// the item layer's MRU position and maintains overall loaded/evicted
+// accounting: miss says it is new to the cache, not copied from the
+// block layer. A full layer hands its LRU item's node to it with one
+// ReplaceBack instead of a PushFront and a PopBack.
 //
 //gclint:hotpath
-func (c *IBLP) admitItemLayer(it model.Item) {
+func (c *IBLP) admitItemLayer(it model.Item, miss bool) {
 	if c.itemSize == 0 {
 		return
 	}
-	was := c.present(it)
-	c.items.PushFront(it)
 	c.inItem.Add(uint64(it))
-	if !was {
+	if miss {
 		c.ch.Load(it)
 	}
-	for c.items.Len() > c.itemSize {
-		victim, _ := c.items.PopBack()
-		c.inItem.Remove(uint64(victim))
-		if !c.present(victim) {
-			c.ch.Evict(victim)
-		}
+	if c.items.Len() < c.itemSize {
+		c.items.PushFront(it)
+		return
+	}
+	victim := c.items.ReplaceBack(it)
+	c.inItem.Remove(uint64(victim))
+	if !c.present(victim) {
+		c.ch.Evict(victim)
 	}
 }
 

@@ -90,11 +90,11 @@ func checkAdaptiveInvariants(t *testing.T, c *AdaptiveIBLP, step int) {
 	}
 }
 
-// TestIBLPResizeStormDenseMatchesGeneric interleaves random accesses
+// TestIBLPResizeStormPresizedMatchesGrown interleaves random accesses
 // with random repartitions and requires an IBLP presized for the
-// universe (dense) and one grown on demand (generic) to stay
+// universe and one grown on demand to stay
 // decision-identical throughout.
-func TestIBLPResizeStormDenseMatchesGeneric(t *testing.T) {
+func TestIBLPResizeStormPresizedMatchesGrown(t *testing.T) {
 	const universe = 4096
 	const k = 256
 	for _, blockSize := range []int{1, 8, 64} {

@@ -137,13 +137,15 @@ func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 	return c.ch.Miss(nil, it)
 }
 
+// admitItem inserts it, which the item layer does not hold, evicting
+// the layer's LRU item when it is full.
 func (c *IBLPExclusive) admitItem(it model.Item) {
-	c.items.PushFront(it)
-	for c.items.Len() > c.itemSize {
-		victim, _ := c.items.PopBack()
-		// Exclusive: the evicted item exists nowhere else.
-		c.ch.Evict(victim)
+	if c.items.Len() < c.itemSize {
+		c.items.PushFront(it)
+		return
 	}
+	// Exclusive: the evicted item exists nowhere else.
+	c.ch.Evict(c.items.ReplaceBack(it))
 }
 
 func (c *IBLPExclusive) admitSiblings(it model.Item, blk model.Block) {

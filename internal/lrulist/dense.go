@@ -1,9 +1,10 @@
 // Package lrulist provides Dense, the recency order every replacement
-// policy in this repository keeps: O(1) lookup, promotion, insertion and
-// victim selection over unsigned integer IDs, with one flat table
-// indexed by ID and a linked list in an array sized by occupancy, so
-// the promote/evict path touches no map and, once both arrays are large
-// enough, never allocates.
+// policy in this repository keeps: O(1) lookup, promotion, insertion,
+// victim selection and replacement of the victim by a new key over
+// unsigned integer IDs, with one flat table indexed by ID and a linked
+// list in an array sized by occupancy, so the promote/evict path
+// touches no map and, once both arrays are large enough, never
+// allocates.
 package lrulist
 
 import (
@@ -41,11 +42,13 @@ type denseNode[K UintID] struct {
 // times; a lookup past the end reports the key absent. The nodes,
 // indexed by slot, hold each member's links and key; they grow with the
 // list's peak Len, and a removed member's slot is reused by the next
-// insert. Memory is 4 bytes per key up to the largest key inserted
-// plus 16 bytes per member at the list's peak (and the spare capacity
-// append leaves), so Dense suits the dense integer ID spaces produced
-// by workload generators and trace files, not sparse ones. Once both
-// arrays have grown, nothing allocates.
+// insert. A list held at a bound admits a new key with ReplaceBack,
+// which gives the LRU key's slot to it directly. Memory is 4 bytes per
+// key up to the largest key inserted plus 16 bytes per member at the
+// list's peak (and the spare capacity append leaves), so Dense suits
+// the dense integer ID spaces produced by workload generators and
+// trace files, not sparse ones. Once both arrays have grown, nothing
+// allocates.
 //
 // The zero value is not usable; construct with NewDense.
 type Dense[K UintID] struct {
@@ -82,8 +85,9 @@ func (d *Dense[K]) Universe() int { return len(d.slots) }
 // slot returns k's slot, 0 when k is absent or past the end of the
 // table. It inlines into its callers, and so do Contains, Back and
 // PopBack (make inline-check holds those three); MoveToFront,
-// PushFront and Remove exceed the compiler's inlining budget (go1.24,
-// -gcflags=-m=2) and stay direct calls for a caller holding a *Dense.
+// PushFront, ReplaceBack and Remove exceed the compiler's inlining
+// budget (go1.24, -gcflags=-m=2) and stay direct calls for a caller
+// holding a *Dense.
 // The hot paths copy a slice header into a local before a run of
 // stores, so the compiler does not reload it after each one.
 //
@@ -159,7 +163,7 @@ func (d *Dense[K]) PushFront(k K) bool {
 }
 
 // MoveToFront promotes k to the MRU position. It reports whether k was
-// present.
+// present. A key already at the front is left where it is.
 //
 //gclint:hotpath
 func (d *Dense[K]) MoveToFront(k K) bool {
@@ -167,10 +171,36 @@ func (d *Dense[K]) MoveToFront(k K) bool {
 	if s == 0 {
 		return false
 	}
-	nodes := d.nodes
+	if nodes := d.nodes; nodes[denseHead].next != s {
+		unlink(nodes, s)
+		linkFront(nodes, s, k)
+	}
+	return true
+}
+
+// ReplaceBack inserts k at the MRU position in place of the LRU key,
+// which it removes and returns: the LRU key's slot passes to k and is
+// relinked at the front, so Len is unchanged and the free chain is not
+// touched. It is PushFront followed by PopBack for a list at its bound,
+// in one relink. Like PushFront it grows the table to cover k. k must
+// be absent and the list non-empty; it panics otherwise.
+//
+//gclint:hotpath
+func (d *Dense[K]) ReplaceBack(k K) (victim K) {
+	if uint64(k) >= uint64(len(d.slots)) {
+		d.grow(k)
+	}
+	slots, nodes := d.slots, d.nodes
+	s := nodes[denseTail].prev
+	if s == denseHead || slots[k] != 0 {
+		panic("lrulist: ReplaceBack on an empty list or of a present key")
+	}
+	victim = nodes[s].key
+	slots[victim] = 0
+	slots[k] = s
 	unlink(nodes, s)
 	linkFront(nodes, s, k)
-	return true
+	return victim
 }
 
 // Remove deletes k and reports whether it was present.

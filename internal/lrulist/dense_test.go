@@ -77,6 +77,7 @@ func TestClearAndReuse(t *testing.T)              { shapes(t, 16, testClearAndRe
 func TestEachEarlyStop(t *testing.T)              { shapes(t, 8, testEachEarlyStop) }
 func TestDifferential(t *testing.T)               { shapes(t, 30, testDifferential) }
 func TestPushOrderProperty(t *testing.T)          { shapes(t, 256, testPushOrderProperty) }
+func TestReplaceBack(t *testing.T)                { shapes(t, 16, testReplaceBack) }
 
 func testEmpty(t *testing.T, universe int) {
 	d := NewDense[uint64](universe)
@@ -172,6 +173,86 @@ func testEachEarlyStop(t *testing.T, universe int) {
 	if n != 2 {
 		t.Errorf("visited %d, want 2", n)
 	}
+}
+
+// testReplaceBack drives ReplaceBack, between PushFront, Remove,
+// MoveToFront and PopBack, against the naive model, over keys that
+// reach past the table's end: it must evict the key PopBack would,
+// leave k at the front and keep Len. It starts on a one-member list and
+// refuses an empty list or a present key.
+func testReplaceBack(t *testing.T, universe int) {
+	d := NewDense[uint64](universe)
+	d.PushFront(3)
+	if v := d.ReplaceBack(1000); v != 3 {
+		t.Fatalf("ReplaceBack(1000) on [3] evicted %d", v)
+	}
+	if got := keys(d); len(got) != 1 || got[0] != 1000 || d.Contains(3) || d.Universe() < 1001 {
+		t.Fatalf("after ReplaceBack(1000): keys %v, Contains(3) %v, Universe %d", got, d.Contains(3), d.Universe())
+	}
+	mustPanic(t, "ReplaceBack of a present key", func() { d.ReplaceBack(1000) })
+	mustPanic(t, "ReplaceBack on an empty list", func() { NewDense[uint64](universe).ReplaceBack(1) })
+
+	rng := rand.New(rand.NewSource(11))
+	d = NewDense[uint64](universe)
+	ref := &referenceLRU{}
+	for step := 0; step < 20000; step++ {
+		k := rng.Intn(step/256 + 8)
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			d.PushFront(uint64(k))
+			ref.pushFront(k)
+		case 3:
+			d.Remove(uint64(k))
+			ref.remove(k)
+		case 4:
+			d.MoveToFront(uint64(k))
+			ref.moveToFront(k)
+		case 5:
+			a, aok := d.PopBack()
+			b, bok := ref.popBack()
+			if aok != bok || (aok && a != uint64(b)) {
+				t.Fatalf("step %d: PopBack %d,%v vs ref %d,%v", step, a, aok, b, bok)
+			}
+		default:
+			if d.Len() == 0 || d.Contains(uint64(k)) {
+				continue
+			}
+			a := d.ReplaceBack(uint64(k))
+			b, _ := ref.popBack()
+			ref.pushFront(k)
+			if a != uint64(b) {
+				t.Fatalf("step %d: ReplaceBack(%d) evicted %d, ref %d", step, k, a, b)
+			}
+			if f, _ := front(d); f != uint64(k) {
+				t.Fatalf("step %d: front %d after ReplaceBack(%d)", step, f, k)
+			}
+		}
+		if d.Len() != len(ref.keys) {
+			t.Fatalf("step %d: Len %d vs ref %d", step, d.Len(), len(ref.keys))
+		}
+	}
+	if d.Universe() <= universe {
+		t.Errorf("keys never passed the table's end: Universe %d", d.Universe())
+	}
+	got := keys(d)
+	if len(got) != len(ref.keys) {
+		t.Fatalf("final len %d vs %d", len(got), len(ref.keys))
+	}
+	for i := range got {
+		if got[i] != uint64(ref.keys[i]) {
+			t.Fatalf("final order differs at %d: %v vs %v", i, got, ref.keys)
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
 }
 
 // TestDenseGrowsPastEnd: an insert past the end grows the list and keeps

@@ -101,19 +101,19 @@ func grown(c cachesim.Cache, universe int) cachesim.Cache {
 	return c
 }
 
-// TestItemLRUDenseMatchesGeneric requires an ItemLRU whose arrays
+// TestItemLRUPresizedMatchesGrown requires an ItemLRU whose arrays
 // already cover the universe and one growing them as items arrive to
 // decide alike.
-func TestItemLRUDenseMatchesGeneric(t *testing.T) {
+func TestItemLRUPresizedMatchesGrown(t *testing.T) {
 	const universe = 2048
 	rng := rand.New(rand.NewSource(1))
 	tr := genTrace(rng, universe, 50000, 16)
 	diffCaches(t, grown(NewItemLRU(128), universe), NewItemLRU(128), tr)
 }
 
-// TestBlockLRUDenseMatchesGeneric is TestItemLRUDenseMatchesGeneric for
+// TestBlockLRUPresizedMatchesGrown is TestItemLRUPresizedMatchesGrown for
 // BlockLRU at B = 1, 8, 64.
-func TestBlockLRUDenseMatchesGeneric(t *testing.T) {
+func TestBlockLRUPresizedMatchesGrown(t *testing.T) {
 	const universe = 4096
 	for _, blockSize := range []int{1, 8, 64} {
 		g := model.NewFixed(blockSize)

@@ -37,11 +37,11 @@ func (c *FIFO) Access(it model.Item) cachesim.Access {
 		return cachesim.Access{Hit: true} // no promotion: FIFO
 	}
 	c.net.Reset()
-	c.order.PushFront(it)
 	c.net.Load(it)
-	for c.order.Len() > c.capacity {
-		victim, _ := c.order.PopBack()
-		c.net.Evict(victim)
+	if c.order.Len() < c.capacity {
+		c.order.PushFront(it)
+	} else {
+		c.net.Evict(c.order.ReplaceBack(it))
 	}
 	return c.net.Miss()
 }

@@ -119,9 +119,10 @@ func (c *Marking) Reset() {
 	clear(c.marked)
 }
 
-// Reseed implements cachesim.Reseeder: it restores the rng to the state
-// of a fresh NewMarking with the given seed, so Reseed+Reset on a pooled
-// instance reproduces a newly constructed cache exactly.
-func (c *Marking) Reseed(seed int64) { c.rng = rand.New(rand.NewSource(seed)) }
+// Reseed implements cachesim.Reseeder: it re-seeds the rng in place to
+// the state of a fresh NewMarking with the given seed, without
+// allocating, so Reseed+Reset on a pooled instance reproduces a newly
+// constructed cache exactly.
+func (c *Marking) Reseed(seed int64) { c.rng.Seed(seed) }
 
 var _ cachesim.Reseeder = (*Marking)(nil)

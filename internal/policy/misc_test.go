@@ -219,3 +219,18 @@ func replay(t testing.TB, c cachesim.Cache, tr trace.Trace) cachesim.Stats {
 	}
 	return st
 }
+
+// TestReseedZeroAlloc: a pooled Marking or RandomEvict is re-seeded at
+// every sweep point, in place, so Reseed allocates nothing. The
+// conformance sweep checks that Reseed+Reset equals a fresh instance.
+func TestReseedZeroAlloc(t *testing.T) {
+	for _, c := range []cachesim.Reseeder{NewMarking(8, 1), NewRandomEvict(8, 1)} {
+		seed := int64(0)
+		if avg := testing.AllocsPerRun(100, func() {
+			seed++
+			c.Reseed(seed)
+		}); avg != 0 {
+			t.Errorf("%T: Reseed allocates %.2f times, want 0", c, avg)
+		}
+	}
+}

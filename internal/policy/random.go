@@ -84,9 +84,10 @@ func (c *RandomEvict) Reset() {
 	clear(c.index)
 }
 
-// Reseed implements cachesim.Reseeder: it restores the rng to the state
-// of a fresh NewRandomEvict with the given seed, so Reseed+Reset on a
-// pooled instance reproduces a newly constructed cache exactly.
-func (c *RandomEvict) Reseed(seed int64) { c.rng = rand.New(rand.NewSource(seed)) }
+// Reseed implements cachesim.Reseeder: it re-seeds the rng in place to
+// the state of a fresh NewRandomEvict with the given seed, without
+// allocating, so Reseed+Reset on a pooled instance reproduces a newly
+// constructed cache exactly.
+func (c *RandomEvict) Reseed(seed int64) { c.rng.Seed(seed) }
 
 var _ cachesim.Reseeder = (*RandomEvict)(nil)
