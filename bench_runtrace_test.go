@@ -2,10 +2,12 @@ package gccache_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"gccache"
 	"gccache/internal/model"
+	"gccache/internal/scenario"
 	"gccache/internal/workload"
 )
 
@@ -47,6 +49,52 @@ func replayCold(b *testing.B, c gccache.Cache, tr gccache.Trace, universe int) {
 	st, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), gccache.ReplayOptions{Universe: universe})
 	if err != nil || st.Misses == 0 {
 		b.Fatalf("implausible replay: %+v, err = %v", st, err)
+	}
+}
+
+// BenchmarkReplayProbed measures what probes add to a replay: the
+// even-split IBLP (k = 4096, B = 64) replays drift.gcs and
+// storage-server.gcs, each compiled at seed 1, cold per iteration with
+// no probe, with the counters suite and with the "all" suite. Each case
+// builds its suite once, so its tables grow in the untimed first
+// replay; ns/req divides the time by the requests replayed.
+func BenchmarkReplayProbed(b *testing.B) {
+	g := model.NewFixed(64)
+	for _, name := range []string{"drift", "storage-server"} {
+		p, _, err := scenario.Load(filepath.Join("scenarios", name+".gcs"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := scenario.Trace(p, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, spec := range []string{"none", "counters", "all"} {
+			b.Run(name+"/"+spec, func(b *testing.B) {
+				var opt gccache.ReplayOptions
+				if spec != "none" {
+					suite, err := gccache.NewProbeSuite(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					opt.Probe = suite
+				}
+				c := gccache.NewIBLPEvenSplit(4096, g)
+				replay := func() {
+					c.Reset()
+					if _, err := gccache.Replay(context.Background(), c, gccache.NewSliceSource(tr), opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				replay()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					replay()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr)), "ns/req")
+			})
+		}
 	}
 }
 
