@@ -128,11 +128,18 @@ func RunFile(ctx context.Context, c Cache, path string, universe int) (Stats, er
 
 // Observability (internal/obs; see DESIGN.md, "Observability").
 type (
-	// Probe consumes per-access observability events. Attaching one costs
-	// a nil check per emission site; attaching none costs nothing.
+	// Probe consumes observability records: one per access, given by
+	// the replay's recorder, plus the lifecycle records (marks, phase
+	// resets, layer resizes) a policy reports. Attaching one costs a nil
+	// check per emission site; attaching none costs nothing.
 	Probe = obs.Probe
-	// ProbeEvent is one observability event (kind, item, block, magnitude).
-	ProbeEvent = obs.Event
+	// ProbeEvent is one record. For an access: what served it (a hit,
+	// an item-layer hit, a block-layer hit or a block load), its §2
+	// class (temporal hit, spatial hit or miss), the item, and the items
+	// the access loaded and evicted. For a lifecycle record: its kind,
+	// item and magnitude, and the items a layer resize evicted. A probe
+	// gets a pointer to it, valid only during the Observe call.
+	ProbeEvent = obs.Record
 	// ProbeSuite bundles the ready-made probes — counters, histograms,
 	// event log, miss curve — behind one Probe with text/CSV export.
 	ProbeSuite = obs.Suite

@@ -14,8 +14,9 @@ import (
 // of the decision window keeps resizes near their window boundary.
 const DefaultApplyStride = 256
 
-// Drive replays tr cold through c with t attached as the policy probe,
-// polling t.Apply every applyEvery accesses (DefaultApplyStride if
+// Drive replays tr cold through c with t attached as the probe of the
+// policy and of the replay's recorder, polling t.Apply every applyEvery
+// accesses (DefaultApplyStride if
 // applyEvery < 1) so proposals become live resizes. It is the
 // single-threaded serving loop in miniature — the same
 // observe-then-poll shape gcserve's replay uses — and what the
@@ -35,6 +36,7 @@ func Drive(c cachesim.Cache, t *Tuner, tr trace.Trace, applyEvery int) cachesim.
 	defer inst.SetProbe(nil)
 	c.Reset()
 	rec := cachesim.NewRecorder(c.Name(), 0)
+	rec.SetProbe(t)
 	for i, it := range tr {
 		rec.Observe(it, c.Access(it))
 		if (i+1)%applyEvery == 0 {

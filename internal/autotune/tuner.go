@@ -144,8 +144,8 @@ type State struct {
 }
 
 // Tuner is the §5.3 closed-loop controller. Attached as an obs.Probe to
-// the live policy, it clocks on policy-view request events (exactly one
-// per access, in replay and cluster modes alike), feeds every request for
+// the live policy and its recorder, it clocks on access records (exactly
+// one per access, in replay and cluster modes alike), feeds every request for
 // an item below cachesim.MaxUniverse to the candidate ghosts (it counts
 // and ignores the rest, so neither they nor its own presence array
 // outgrow what Replay admits), and at each window boundary compares their
@@ -318,35 +318,35 @@ func (t *Tuner) SetLiveTarget(i int) {
 	t.mu.Unlock()
 }
 
-// Observe implements obs.Probe. Request-serving events drive the
-// ghosts and the window clock; EvLayerResize keeps the incumbent in
-// sync (including moves made by others, e.g. AdaptiveIBLP's own votes).
+// Observe implements obs.Probe. Access records drive the ghosts and
+// the window clock; EvLayerResize keeps the incumbent in sync
+// (including moves made by others, e.g. AdaptiveIBLP's own votes).
 //
 //gclint:hotpath
-func (t *Tuner) Observe(e obs.Event) {
-	if e.Kind != obs.EvLayerResize && !e.Kind.IsPolicyRequest() {
+func (t *Tuner) Observe(r *obs.Record) {
+	if r.Kind == obs.EvMark || r.Kind == obs.EvPhaseReset {
 		return
 	}
 	t.mu.Lock()
 	roll := false
 	switch {
-	case e.Kind == obs.EvLayerResize:
-		t.live = int(e.N)
-	case e.Item >= cachesim.MaxUniverse:
+	case r.Kind == obs.EvLayerResize:
+		t.live = int(r.N)
+	case r.Item >= cachesim.MaxUniverse:
 		t.skipped++
 	default:
 		for j := range t.ghosts {
-			if g := &t.ghosts[j]; !g.c.Access(e.Item).Hit {
+			if g := &t.ghosts[j]; !g.c.Access(r.Item).Hit {
 				g.misses++
 				g.window++
 			}
 		}
-		if uint64(e.Item) >= uint64(len(t.seen)) {
+		if uint64(r.Item) >= uint64(len(t.seen)) {
 			// New stamps are 0, which matches no epoch.
-			t.seen = bitset.Grow(t.seen, uint64(e.Item))
+			t.seen = bitset.Grow(t.seen, uint64(r.Item))
 		}
-		if t.seen[e.Item] != t.epoch {
-			t.seen[e.Item] = t.epoch
+		if t.seen[r.Item] != t.epoch {
+			t.seen[r.Item] = t.epoch
 			t.distinct++
 		}
 		t.requests++

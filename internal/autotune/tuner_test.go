@@ -24,11 +24,11 @@ type fakeResizable struct {
 func (f *fakeResizable) ItemLayerTarget() int     { return f.target }
 func (f *fakeResizable) SetItemLayerTarget(i int) { f.target = i; f.calls++ }
 
-// feedRequests pushes n policy-view request events for the cyclic item
-// range [0, span) into t.
+// feedRequests pushes n access records for the cyclic item range
+// [0, span) into t.
 func feedRequests(t *Tuner, n, span int) {
 	for i := 0; i < n; i++ {
-		t.Observe(obs.Event{Kind: obs.EvHitItemLayer, Item: model.Item(i % span)})
+		t.Observe(&obs.Record{Kind: obs.EvHitItemLayer, Item: model.Item(i % span)})
 	}
 }
 
@@ -142,7 +142,7 @@ func TestTunerHoldsWithoutGain(t *testing.T) {
 	// Fresh items every access: with B=1 every candidate misses every
 	// time — zero gain for anyone, so never a proposal.
 	for i := 0; i < 128*6; i++ {
-		tn.Observe(obs.Event{Kind: obs.EvHit, Item: model.Item(i)})
+		tn.Observe(&obs.Record{Kind: obs.EvHit, Item: model.Item(i)})
 	}
 	if _, ok := tn.Pending(); ok {
 		t.Fatal("proposal despite zero miss-count gain")
@@ -165,7 +165,7 @@ func TestTunerTiebreakPrefersFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 128; i++ {
-		tn.Observe(obs.Event{Kind: obs.EvHit, Item: model.Item(i)})
+		tn.Observe(&obs.Record{Kind: obs.EvHit, Item: model.Item(i)})
 	}
 	s := tn.State()
 	if s.Formula != 64 {
@@ -176,11 +176,11 @@ func TestTunerTiebreakPrefersFormula(t *testing.T) {
 	}
 }
 
-// TestTunerTracksLiveFromResizeEvents: EvLayerResize events — whoever
+// TestTunerTracksLiveFromResizeEvents: EvLayerResize records — whoever
 // causes them — update the incumbent the comparisons run against.
 func TestTunerTracksLiveFromResizeEvents(t *testing.T) {
 	tn := newTestTuner(t, 2, 1)
-	tn.Observe(obs.Event{Kind: obs.EvLayerResize, N: 64})
+	tn.Observe(&obs.Record{Kind: obs.EvLayerResize, N: 64})
 	if s := tn.State(); s.Live != 64 {
 		t.Fatalf("live=%d after EvLayerResize(64)", s.Live)
 	}
@@ -200,7 +200,7 @@ func TestTunerSkipsOutOfUniverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		tn.Observe(obs.Event{Kind: obs.EvHit, Item: model.Item(cachesim.MaxUniverse)})
+		tn.Observe(&obs.Record{Kind: obs.EvHit, Item: model.Item(cachesim.MaxUniverse)})
 	}
 	s := tn.State()
 	if s.Skipped != 100 || s.Requests != 0 || s.Windows != 0 {
@@ -210,7 +210,7 @@ func TestTunerSkipsOutOfUniverse(t *testing.T) {
 
 // TestTunerApplyReentrancy: Apply calls SetItemLayerTarget on a live
 // cache whose probe is this same tuner, so the resulting EvLayerResize
-// re-enters Observe. This must not deadlock and must leave the tuner's
+// record re-enters Observe. This must not deadlock and must leave the tuner's
 // live target in sync.
 func TestTunerApplyReentrancy(t *testing.T) {
 	const universe = 1 << 12
@@ -220,9 +220,12 @@ func TestTunerApplyReentrancy(t *testing.T) {
 	tn.SetLiveTarget(32)
 	live.SetProbe(tn)
 	defer live.SetProbe(nil)
+	rec := cachesim.NewRecorder(live.Name(), 0)
+	rec.SetProbe(tn)
 
 	for i := 0; i < 96*2; i++ {
-		live.Access(model.Item(i % 48))
+		it := model.Item(i % 48)
+		rec.Observe(it, live.Access(it))
 	}
 	if p, ok := tn.Pending(); !ok || p != 64 {
 		t.Fatalf("pending=%d ok=%v, want 64", p, ok)
@@ -239,9 +242,9 @@ func TestTunerApplyReentrancy(t *testing.T) {
 	}
 }
 
-// TestTunerZeroAllocSteadyState is the satellite-4 proof at system
-// level: a live cache with the tuner attached as its probe must
-// serve accesses at 0 allocs/op — including the accesses that cross
+// TestTunerZeroAllocSteadyState is the zero-alloc proof at system
+// level: a live cache and its recorder with the tuner attached as their
+// probe must serve accesses at 0 allocs/op — including the accesses that cross
 // decision-window boundaries, so the whole endWindow step (formula,
 // comparison, history ring) is covered.
 func TestTunerZeroAllocSteadyState(t *testing.T) {
@@ -255,14 +258,18 @@ func TestTunerZeroAllocSteadyState(t *testing.T) {
 	tn.SetLiveTarget(live.ItemLayerTarget())
 	live.SetProbe(tn)
 	defer live.SetProbe(nil)
+	rec := cachesim.NewRecorder(live.Name(), universe)
+	rec.SetProbe(tn)
 	for i := 0; i < universe*2; i++ {
-		live.Access(model.Item(i % universe))
+		it := model.Item(i % universe)
+		rec.Observe(it, live.Access(it))
 	}
 	i := 0
 	// 2000 runs with Window=64 crosses ~60 window boundaries (plus
 	// history-ring wraps with History=32), incl. in the measured runs.
 	if avg := testing.AllocsPerRun(2000, func() {
-		live.Access(model.Item(i % universe))
+		it := model.Item(i % universe)
+		rec.Observe(it, live.Access(it))
 		i += 37
 	}); avg != 0 {
 		t.Errorf("live access with tuner probe: %.2f allocs/op, want 0", avg)
@@ -274,7 +281,7 @@ func TestTunerStateAndRendering(t *testing.T) {
 	tn := newTestTuner(t, 2, 1)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 96*5; i++ {
-		tn.Observe(obs.Event{Kind: obs.EvHit, Item: model.Item(rng.Intn(400))})
+		tn.Observe(&obs.Record{Kind: obs.EvHit, Item: model.Item(rng.Intn(400))})
 	}
 	s := tn.State()
 	if s.Windows != 5 || len(s.Samples) != 5 {

@@ -37,7 +37,11 @@ import (
 type Access struct {
 	// Hit reports whether the requested item was in cache.
 	Hit bool
-	net *Net
+	// Served says what served a hit: obs.EvHit, the zero value, or in a
+	// layered policy obs.EvHitItemLayer or obs.EvHitBlockLayer. A miss
+	// is served by a block load whatever it holds.
+	Served obs.Kind
+	net    *Net
 }
 
 // Loaded lists the items inserted to serve a miss (the requested item
@@ -144,9 +148,12 @@ type Cache interface {
 	Reset()
 }
 
-// Instrumented is implemented by caches that can attach an obs.Probe.
-// SetProbe(nil) detaches; implementations must keep the nil fast path
-// allocation-free (the zero-cost-when-nil rule, see internal/obs).
+// Instrumented is implemented by caches that can attach an obs.Probe:
+// policies with lifecycle records to report (marks, phase resets,
+// layer resizes), and caches that record their own accesses
+// (concurrent.Sharded). A policy never reports an access; the Recorder
+// does. SetProbe(nil) detaches; implementations must keep the nil fast
+// path allocation-free (the zero-cost-when-nil rule, see internal/obs).
 type Instrumented interface {
 	SetProbe(p obs.Probe)
 }
@@ -157,8 +164,8 @@ type Instrumented interface {
 // and the block layer to Capacity()−i, enforcing the new occupancy
 // bounds immediately (evicting as needed) rather than lazily on future
 // admissions — so the layer invariants hold before the next Access.
-// Implementations report the move to any attached probe as
-// EvLayerResize followed by per-item EvEvict events.
+// Implementations report the move to any attached probe as one
+// EvLayerResize record listing the items it evicted.
 //
 // SetItemLayerTarget is not safe for concurrent use with Access;
 // callers (the autotune controller's apply path) must serialize with
@@ -235,6 +242,9 @@ func (s Stats) String() string {
 // allocates. It reads an access's lists as runs: a run adds a popcount
 // to the counters and sets its pristine bits as one word, and one-item
 // runs of one word set theirs together.
+//
+// A Recorder with a probe attached is the only emitter of access
+// records: after each access it gives the probe one obs.Record.
 type Recorder struct {
 	stats Stats
 	// pristine holds the items loaded by a miss on a different item and
@@ -244,13 +254,14 @@ type Recorder struct {
 	// which rewrites it.
 	pristine bitset.Set
 
-	// probe, when attached, receives the recorder-view event stream
-	// (EvHitTemporal / EvHitSpatial / EvMiss); nil costs one branch.
+	// probe, when attached, receives one access record per Observe,
+	// built in rec; nil costs one branch.
 	probe obs.Probe
+	rec   obs.Record
 }
 
-// SetProbe attaches p to receive the recorder-view event stream
-// (nil detaches). The probe does not affect the accumulated Stats.
+// SetProbe attaches p to receive one access record per Observe (nil
+// detaches). The probe does not affect the accumulated Stats.
 func (r *Recorder) SetProbe(p obs.Probe) { r.probe = p }
 
 // NewRecorder returns a Recorder for the named policy, presized for
@@ -263,24 +274,21 @@ func NewRecorder(policy string, universe int) *Recorder {
 	}
 }
 
-// Observe records the outcome of one request.
+// Observe records the outcome of one request and reports it to the
+// attached probe.
 //
 //gclint:hotpath
 func (r *Recorder) Observe(it model.Item, a Access) {
 	r.stats.Accesses++
 	if a.Hit {
 		r.stats.Hits++
+		class := obs.EvHitTemporal
 		if r.pristine.Has(uint64(it)) {
 			r.stats.SpatialHits++
 			r.pristine.Remove(uint64(it))
-			if r.probe != nil {
-				r.probe.Observe(obs.Event{Kind: obs.EvHitSpatial, Item: it})
-			}
+			class = obs.EvHitSpatial
 		} else {
 			r.stats.TemporalHits++
-			if r.probe != nil {
-				r.probe.Observe(obs.Event{Kind: obs.EvHitTemporal, Item: it})
-			}
 		}
 		// A hit can evict: an IBLP block-layer hit copies the item into
 		// a full item layer. Its evictions count; no flag changes, as on
@@ -288,12 +296,12 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 		if a.net != nil {
 			r.stats.Evictions += int64(countItems(a.net.evicted))
 		}
+		if r.probe != nil {
+			r.report(it, a, class)
+		}
 		return
 	}
 	r.stats.Misses++
-	if r.probe != nil {
-		r.probe.Observe(obs.Event{Kind: obs.EvMiss, Item: it})
-	}
 	if n := a.net; n != nil {
 		// One-item runs, as a policy that loads item by item lists
 		// them, are gathered in m, the bits of word w, and set with one
@@ -318,6 +326,23 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 	}
 	// The requested item itself has now been accessed.
 	r.pristine.Remove(uint64(it))
+	if r.probe != nil {
+		r.report(it, a, obs.EvMiss)
+	}
+}
+
+// report gives the probe the record of the access a to it. The fields
+// are set one by one, so the probe's reads of them forward from their
+// stores.
+func (r *Recorder) report(it model.Item, a Access, class obs.Kind) {
+	rec := &r.rec
+	rec.Kind = a.Served
+	if !a.Hit {
+		rec.Kind = obs.EvBlockLoad
+	}
+	rec.Class, rec.Item = class, it
+	rec.Loaded, rec.Evicted = a.Loaded(), a.Evicted()
+	r.probe.Observe(rec)
 }
 
 // Stats returns the accumulated statistics.

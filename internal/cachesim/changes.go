@@ -27,7 +27,6 @@ type Changes struct {
 	Net // the lists, reused by the next access
 
 	geo        model.Geometry
-	blk        model.Block
 	fixed      uint64       // B under *model.Fixed, else 0
 	base, span uint64       // the open block lies in IDs [base, base+span)
 	items      []model.Item // the open block's items by offset, unless Fixed
@@ -56,7 +55,6 @@ func (c *Changes) Reset() {
 //gclint:hotpath
 func (c *Changes) Begin(blk model.Block) {
 	c.Reset()
-	c.blk = blk
 	if c.gone+c.reloaded != 0 {
 		c.out.Clear()
 		c.back.Clear()
@@ -140,12 +138,10 @@ func wordRun(id, m uint64) run {
 	return run{model.Item(id + z), m >> z >> 1}
 }
 
-// Miss returns the net changes of the miss on item it and, when p is
-// not nil, reports them to p: the unit-cost block load, then one event
-// per listed item.
+// Miss returns the net changes of the miss since Begin.
 //
 //gclint:hotpath
-func (c *Changes) Miss(p obs.Probe, it model.Item) Access {
+func (c *Changes) Miss() Access {
 	if c.reloaded != 0 {
 		n := 0
 		for _, r := range c.evicted {
@@ -163,39 +159,16 @@ func (c *Changes) Miss(p obs.Probe, it model.Item) Access {
 		}
 		c.evicted = c.evicted[:n]
 	}
-	if p != nil {
-		loaded := c.Net.Miss().Loaded()
-		p.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, Block: c.blk, N: int32(len(loaded))})
-		for _, x := range loaded {
-			p.Observe(obs.Event{Kind: obs.EvLoad, Item: x, Block: c.blk})
-		}
-		c.ObserveEvicted(p)
-	}
 	return c.Net.Miss()
 }
 
-// Hit returns the changes of a hit that evicted items since Reset (a
-// block-layer hit can push an item out of the item layer) and, when p
-// is not nil, reports each eviction to p.
+// Hit returns the changes of a block-layer hit, which can evict items
+// since Reset (copying the item into a full item layer pushes one out).
+// A layer resize reads the items it evicted since Reset from it too.
 //
 //gclint:hotpath
-func (c *Changes) Hit(p obs.Probe) Access {
-	c.ObserveEvicted(p)
-	return Access{Hit: true, net: &c.Net}
-}
-
-// ObserveEvicted reports one EvEvict, with the item's block, per item
-// listed in Evicted to p, unless p is nil. Miss and Hit call it; a
-// layer resize calls it for the items the resize pushed out.
-//
-//gclint:hotpath
-func (c *Changes) ObserveEvicted(p obs.Probe) {
-	if p == nil {
-		return
-	}
-	for _, x := range c.Net.Miss().Evicted() {
-		p.Observe(obs.Event{Kind: obs.EvEvict, Item: x, Block: c.geo.BlockOf(x)})
-	}
+func (c *Changes) Hit() Access {
+	return Access{Hit: true, Served: obs.EvHitBlockLayer, net: &c.Net}
 }
 
 // offset returns x's offset in the open block and whether x is in it.

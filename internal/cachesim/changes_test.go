@@ -58,7 +58,7 @@ func TestChangesNetsWithinTheRequestedBlock(t *testing.T) {
 					c.Evict(item(op[1:]))
 				}
 			}
-			a := c.Miss(nil, geo.block[0])
+			a := c.Miss()
 			if !slices.Equal(a.Loaded(), list(tc.loaded)) || !slices.Equal(a.Evicted(), list(tc.evicted)) {
 				t.Errorf("%s %q: Loaded %v Evicted %v, want %v and %v",
 					gname, tc.script, a.Loaded(), a.Evicted(), list(tc.loaded), list(tc.evicted))
@@ -67,7 +67,7 @@ func TestChangesNetsWithinTheRequestedBlock(t *testing.T) {
 			// the masks must not net its evictions.
 			c.Reset()
 			c.Evict(geo.block[1])
-			if got := c.Hit(nil).Evicted(); !slices.Equal(got, list("1")) {
+			if got := c.Hit().Evicted(); !slices.Equal(got, list("1")) {
 				t.Errorf("%s %q: after Reset Evicted %v, want %v", gname, tc.script, got, list("1"))
 			}
 		}
@@ -119,8 +119,7 @@ func TestChangesBitsMatchPerItem(t *testing.T) {
 					}
 				}
 			}
-			it := model.Item(uint64(open) * uint64(B))
-			w, i := words.Miss(nil, it), items.Miss(nil, it)
+			w, i := words.Miss(), items.Miss()
 			if !slices.Equal(w.Loaded(), i.Loaded()) || !slices.Equal(w.Evicted(), i.Evicted()) {
 				t.Fatalf("B=%d trial %d: bits listed %v and %v, items %v and %v",
 					B, trial, w.Loaded(), w.Evicted(), i.Loaded(), i.Evicted())

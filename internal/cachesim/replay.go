@@ -22,12 +22,11 @@ type ReplayOptions struct {
 	// presize for every item the cache may load. Statistics do not
 	// depend on Universe.
 	Universe int
-	// Probe, when non-nil, is attached to the cache (when it implements
-	// Instrumented) and to the Recorder, so it sees the complete event
-	// stream: policy-view layer hits, block loads, item loads and
-	// evictions, plus the recorder-view temporal/spatial/miss
-	// classification. It is detached from the cache before Replay
-	// returns. Probes observe, they never steer: statistics are
+	// Probe, when non-nil, is attached to the Recorder, which gives it
+	// one record per access, and to the cache when it implements
+	// Instrumented, which reports its lifecycle records (marks, phase
+	// resets, layer resizes). It is detached from the cache before
+	// Replay returns. Probes observe, they never steer: statistics are
 	// identical with and without one.
 	Probe obs.Probe
 }

@@ -120,12 +120,13 @@ func TestReplayOptionsDifferential(t *testing.T) {
 					t.Errorf("%s: pre-cancelled replay: %d accesses, err = %v; want 0, context.Canceled", src.name, st.Accesses, err)
 				}
 			}
-			// Each probe saw exactly its own replay, in both views: it was
-			// attached to the policy and the recorder, and detached after.
+			// Each probe saw exactly its own replay: it was attached to
+			// the recorder and the policy, and detached after.
 			for _, ctr := range probes {
-				if ctr.RecorderAccesses() != want.Accesses || ctr.PolicyMisses() != want.Misses {
-					t.Errorf("probe saw %d accesses and %d policy misses, want %d and %d",
-						ctr.RecorderAccesses(), ctr.PolicyMisses(), want.Accesses, want.Misses)
+				accesses := ctr.Get(obs.EvHitTemporal) + ctr.Get(obs.EvHitSpatial) + ctr.Get(obs.EvMiss)
+				if accesses != want.Accesses || ctr.Get(obs.EvBlockLoad) != want.Misses {
+					t.Errorf("probe saw %d accesses and %d block loads, want %d and %d",
+						accesses, ctr.Get(obs.EvBlockLoad), want.Accesses, want.Misses)
 				}
 			}
 		})

@@ -40,12 +40,7 @@ func (n *Node) Snapshot() *checkpoint.Snapshot {
 			"universe": int64(n.cfg.Universe),
 		},
 		Sections: map[string][]byte{
-			"stats": cachesim.AppendStats(nil, cachesim.Stats{
-				Policy:   n.cache.Name(),
-				Accesses: n.accesses,
-				Hits:     n.hits,
-				Misses:   n.misses,
-			}),
+			"stats": cachesim.AppendStats(nil, n.stats()),
 		},
 	}
 	if rd, ok := n.cache.(recencyDumper); ok {
@@ -114,14 +109,12 @@ func (n *Node) Restore(s *checkpoint.Snapshot) error {
 	if st.Policy != n.cache.Name() {
 		return fmt.Errorf("cluster: snapshot policy %q, this node runs %q", st.Policy, n.cache.Name())
 	}
-	// Replay accesses do not count: they reconstruct state, they were
-	// already counted on the sender.
+	// Replay accesses are not recorded: they reconstruct state, they
+	// were already counted on the sender.
 	for _, it := range warm {
 		n.cache.Access(it)
 	}
-	n.accesses += st.Accesses
-	n.hits += st.Hits
-	n.misses += st.Misses
+	n.handed.Add(st)
 	return nil
 }
 

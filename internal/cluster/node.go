@@ -11,6 +11,7 @@ import (
 
 	"gccache/internal/cachesim"
 	"gccache/internal/model"
+	"gccache/internal/obs"
 )
 
 // NodeConfig describes one cluster node.
@@ -35,7 +36,8 @@ type NodeConfig struct {
 // Node is one member of the cache ring: a TCP server applying access
 // batches to a single cache under a mutex, with a drain/handoff
 // lifecycle. Wire concurrency is per-connection; the cache itself is
-// serialized, mirroring one shard of the sharded engine.
+// serialized, mirroring one shard of the sharded engine: a
+// cachesim.Recorder classifies every acked access, as a shard's does.
 type Node struct {
 	cfg   NodeConfig
 	state atomic.Int32 // stateReady / stateDraining / stateStopped
@@ -47,11 +49,11 @@ type Node struct {
 	//gclint:guardedby mu
 	cache cachesim.Cache
 	//gclint:guardedby mu
-	accesses int64
+	rec *cachesim.Recorder
+	// handed holds the statistics restored from handoffs, counted on the
+	// nodes that served them.
 	//gclint:guardedby mu
-	hits int64
-	//gclint:guardedby mu
-	misses int64
+	handed cachesim.Stats
 	//gclint:guardedby mu
 	conns map[net.Conn]struct{}
 }
@@ -64,9 +66,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.K < 1 || cfg.B < 1 {
 		return nil, fmt.Errorf("cluster: node needs k ≥ 1 and B ≥ 1 (got k=%d B=%d)", cfg.K, cfg.B)
 	}
+	c := cfg.NewCache()
 	n := &Node{
 		cfg:   cfg,
-		cache: cfg.NewCache(),
+		cache: c,
+		rec:   cachesim.NewRecorder(c.Name(), 0),
 		conns: make(map[net.Conn]struct{}),
 	}
 	n.state.Store(stateReady)
@@ -110,16 +114,34 @@ func (n *Node) Drain() { n.state.CompareAndSwap(stateReady, stateDraining) }
 // planned handoff is aborted.
 func (n *Node) Resume() { n.state.CompareAndSwap(stateDraining, stateReady) }
 
-// Stats returns the node's accounting counters.
+// Stats returns the node's recorder statistics, with those restored
+// from handoffs added.
 func (n *Node) Stats() cachesim.Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return cachesim.Stats{
-		Policy:   n.cache.Name(),
-		Accesses: n.accesses,
-		Hits:     n.hits,
-		Misses:   n.misses,
+	return n.stats()
+}
+
+// stats is Stats for a caller holding n.mu. The policy is named as it
+// is now: a layer resize renames an IBLP.
+func (n *Node) stats() cachesim.Stats {
+	st := n.rec.Stats()        //gclint:guardok caller holds mu
+	st.Add(n.handed)           //gclint:guardok caller holds mu
+	st.Policy = n.cache.Name() //gclint:guardok caller holds mu
+	return st
+}
+
+// SetProbe attaches p to the node's recorder, which reports each acked
+// access, and to its cache when instrumented, which reports lifecycle
+// records (nil detaches). p must be safe for concurrent use with the
+// node's readers.
+func (n *Node) SetProbe(p obs.Probe) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if in, ok := n.cache.(cachesim.Instrumented); ok {
+		in.SetProbe(p)
 	}
+	n.rec.SetProbe(p)
 }
 
 // Close stops the node: the listener and every live connection are
@@ -217,7 +239,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 		case fHealthReq:
 			n.mu.Lock()
-			acc := n.accesses
+			acc := n.rec.Stats().Accesses + n.handed.Accesses
 			n.mu.Unlock()
 			h := healthResp{State: byte(n.state.Load()), Accesses: uint64(acc)}
 			if writeFrame(bw, fHealthResp, appendHealthResp(out[:0], h)) != nil {
@@ -269,21 +291,20 @@ func (n *Node) outsideUniverse(items []model.Item) error {
 }
 
 // apply runs one acked batch against the cache. The ack covers the
-// whole batch: every item is applied and counted before the response
+// whole batch: every item is applied and recorded before the response
 // is built.
 func (n *Node) apply(seq uint64, batch []model.Item) accessResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	resp := accessResp{Seq: seq, Served: uint64(len(batch))}
 	for _, it := range batch {
-		if n.cache.Access(it).Hit {
+		a := n.cache.Access(it)
+		n.rec.Observe(it, a)
+		if a.Hit {
 			resp.Hits++
 		} else {
 			resp.Misses++
 		}
 	}
-	n.accesses += int64(len(batch))
-	n.hits += int64(resp.Hits)
-	n.misses += int64(resp.Misses)
 	return resp
 }

@@ -25,7 +25,6 @@ type Sharded struct {
 	geo    model.Geometry
 	shards []shard
 	mask   uint64
-	probe  obs.Probe
 	name   string
 }
 
@@ -180,11 +179,11 @@ func (s *Sharded) Reset() {
 }
 
 // SetProbe implements cachesim.Instrumented, fanning the probe out to
-// every shard's policy (when instrumented) and recorder. The probe must
-// be safe for concurrent use — shards call it in parallel (every probe
-// in internal/obs is; a Suite can be shared across all shards).
+// every shard's recorder, which reports each access, and to its policy
+// when instrumented, which reports lifecycle records. The probe must be
+// safe for concurrent use — shards call it in parallel (every probe in
+// internal/obs is; a Suite can be shared across all shards).
 func (s *Sharded) SetProbe(p obs.Probe) {
-	s.probe = p
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()

@@ -41,7 +41,8 @@ type AdaptiveIBLP struct {
 	wantBuf []model.Item // scratch: block enumeration
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
 	scratch []model.Item // scratch: victim-block enumeration
-	probe   obs.Probe
+	probe   obs.Probe    // receives layer resizes
+	rec     obs.Record   // the record given to probe
 }
 
 var (
@@ -82,18 +83,17 @@ func (c *AdaptiveIBLP) ItemLayerTarget() int { return c.targetItem }
 // immediately, so an external controller's move is enacted before the
 // next access instead of lazily on future evictions. The internal ghost
 // votes keep fine-tuning ±1 around the new setpoint afterwards. The
-// move is reported as EvLayerResize (via setTargetItem) followed by one
-// EvEvict per item the rebalance pushed out. Not safe for concurrent
-// use with Access.
+// move is reported as one EvLayerResize record listing the items the
+// rebalance pushed out. Not safe for concurrent use with Access.
 func (c *AdaptiveIBLP) SetItemLayerTarget(i int) {
 	i = min(c.capacity, max(0, i))
 	if i == c.targetItem {
 		return
 	}
 	c.ch.Reset()
-	c.setTargetItem(i)
+	c.targetItem = i
 	c.rebalance()
-	c.ch.ObserveEvicted(c.probe)
+	c.resized(c.ch.Hit().Evicted())
 }
 
 // Access implements cachesim.Cache.
@@ -103,20 +103,14 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 	blk := c.geo.BlockOf(it)
 	if c.items.Contains(it) {
 		c.items.MoveToFront(it)
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHitItemLayer, Item: it})
-		}
-		return cachesim.Access{Hit: true}
+		return cachesim.Access{Hit: true, Served: obs.EvHitItemLayer}
 	}
 	if c.inBlock.Has(uint64(it)) {
 		c.ch.Reset()
 		c.blocks.MoveToFront(blk)
 		c.admitItemLayer(it)
 		c.rebalance()
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHitBlockLayer, Item: it, Block: blk})
-		}
-		return c.ch.Hit(c.probe)
+		return c.ch.Hit()
 	}
 
 	// Miss: consult the ghosts before loading. The item layer may grow
@@ -145,23 +139,32 @@ func (c *AdaptiveIBLP) Access(it model.Item) cachesim.Access {
 	c.admitItemLayer(it)
 	c.admitBlockLayer(blk, it)
 	c.rebalance()
-	return c.ch.Miss(c.probe, it)
+	return c.ch.Miss()
 }
 
-// setTargetItem moves the adaptive item-layer target, reporting the
-// vote to the probe as EvLayerResize with N = the new target.
+// setTargetItem moves the adaptive item-layer target on a ghost vote,
+// reporting the move as an EvLayerResize record. The access's own
+// record lists what the move evicts.
 func (c *AdaptiveIBLP) setTargetItem(target int) {
 	if target == c.targetItem {
 		return
 	}
 	c.targetItem = target
+	c.resized(nil)
+}
+
+// resized reports a move of the item-layer target, with the items it
+// evicted, to the probe.
+func (c *AdaptiveIBLP) resized(evicted []model.Item) {
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvLayerResize, N: int32(target)})
+		c.rec = obs.Record{Kind: obs.EvLayerResize, N: int32(c.targetItem), Evicted: evicted}
+		c.probe.Observe(&c.rec)
 	}
 }
 
-// SetProbe implements cachesim.Instrumented. A nil probe restores the
-// unobserved fast path.
+// SetProbe implements cachesim.Instrumented: p receives the
+// EvLayerResize record of each move of the item-layer target. A nil
+// probe detaches it.
 func (c *AdaptiveIBLP) SetProbe(p obs.Probe) { c.probe = p }
 
 func (c *AdaptiveIBLP) admitItemLayer(it model.Item) {

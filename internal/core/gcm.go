@@ -51,7 +51,8 @@ type GCM struct {
 	ch    cachesim.Changes
 	fixed model.Item   // B under *model.Fixed, else 0
 	sibs  []model.Item // scratch: shuffled sibling order
-	probe obs.Probe
+	probe obs.Probe    // receives marks and phase resets
+	rec   obs.Record   // the record given to probe
 	rng   randStream
 }
 
@@ -103,9 +104,6 @@ func (c *GCM) Name() string { return "gcm" }
 func (c *GCM) Access(it model.Item) cachesim.Access {
 	if p, ok := c.find(it); ok {
 		c.markPos(p, it)
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHit, Item: it})
-		}
 		return cachesim.Access{Hit: true}
 	}
 	blk := c.geo.BlockOf(it)
@@ -138,11 +136,11 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 		c.insert(sib)
 		c.ch.Load(sib)
 	}
-	return c.ch.Miss(c.probe, it)
+	return c.ch.Miss()
 }
 
-// SetProbe implements cachesim.Instrumented. A nil probe restores the
-// unobserved fast path.
+// SetProbe implements cachesim.Instrumented: p receives GCM's EvMark
+// and EvPhaseReset records. A nil probe detaches it.
 func (c *GCM) SetProbe(p obs.Probe) { c.probe = p }
 
 // shuffledSiblings returns the items of blk other than it in a random
@@ -286,8 +284,8 @@ func (c *GCM) mark(it model.Item) {
 	c.markPos(p, it)
 }
 
-// markPos marks items[p] == it; the probe sees EvMark only when the mark
-// state actually flips.
+// markPos marks items[p] == it; the probe sees an EvMark record only
+// when the mark state actually flips.
 //
 //gclint:hotpath
 func (c *GCM) markPos(p int, it model.Item) {
@@ -297,17 +295,19 @@ func (c *GCM) markPos(p int, it model.Item) {
 	c.marks[p] = 1
 	c.markedCount++
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvMark, Item: it})
+		c.rec = obs.Record{Kind: obs.EvMark, Item: it}
+		c.probe.Observe(&c.rec)
 	}
 }
 
 // clearMarks unmarks every resident item (k bytes). The probe sees this
-// as EvPhaseReset with N = marks dropped.
+// as an EvPhaseReset record with N = marks dropped.
 //
 //gclint:hotpath
 func (c *GCM) clearMarks() {
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvPhaseReset, N: int32(c.markedCount)})
+		c.rec = obs.Record{Kind: obs.EvPhaseReset, N: int32(c.markedCount)}
+		c.probe.Observe(&c.rec)
 	}
 	clear(c.marks)
 	c.markedCount = 0

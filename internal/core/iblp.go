@@ -62,7 +62,7 @@ type IBLP struct {
 	want    []model.Item // scratch: the item set being admitted
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
 	scratch []model.Item // scratch: victim-block enumeration
-	probe   obs.Probe
+	probe   obs.Probe    // receives layer resizes
 }
 
 var (
@@ -146,9 +146,9 @@ func (c *IBLP) ItemLayerTarget() int { return c.itemSize }
 // SetItemLayerTarget implements cachesim.LayerResizable: repartition to
 // an item layer of i (clamped to [0, i+b]) and a block layer of the
 // remainder, enforcing the new bounds immediately so the occupancy
-// invariants hold before the next access. The move is reported as
-// EvLayerResize followed by one EvEvict per item the shrink pushed out.
-// Not safe for concurrent use with Access.
+// invariants hold before the next access. The move is reported as one
+// EvLayerResize record listing the items the shrink pushed out. Not
+// safe for concurrent use with Access.
 func (c *IBLP) SetItemLayerTarget(i int) {
 	k := c.itemSize + c.blockSize
 	if i < 0 {
@@ -164,8 +164,7 @@ func (c *IBLP) SetItemLayerTarget(i int) {
 	c.ch.Reset()
 	c.enforceTargets()
 	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvLayerResize, N: int32(i)})
-		c.ch.ObserveEvicted(c.probe)
+		c.probe.Observe(&obs.Record{Kind: obs.EvLayerResize, N: int32(i), Evicted: c.ch.Hit().Evicted()})
 	}
 }
 
@@ -212,10 +211,7 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 			// MoveToFront on an absent block is a no-op.
 			c.blocks.MoveToFront(c.blockOf(it))
 		}
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHitItemLayer, Item: it})
-		}
-		return cachesim.Access{Hit: true}
+		return cachesim.Access{Hit: true, Served: obs.EvHitItemLayer}
 	}
 
 	blk := c.blockOf(it)
@@ -225,10 +221,7 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 		c.ch.Reset()
 		c.blocks.MoveToFront(blk)
 		c.admitItemLayer(it, false)
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHitBlockLayer, Item: it, Block: blk})
-		}
-		return c.ch.Hit(c.probe)
+		return c.ch.Hit()
 	}
 
 	// Full miss: one unit-cost load brings the requested item into the
@@ -240,7 +233,7 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 	c.ch.Begin(blk)
 	c.admitItemLayer(it, true)
 	c.admitBlockLayer(blk, it)
-	return c.ch.Miss(c.probe, it)
+	return c.ch.Miss()
 }
 
 // blockOf returns the block holding it: a shift when the geometry is
@@ -376,8 +369,9 @@ func (c *IBLP) dropBlockLayer(blk model.Block) {
 	c.blocks.Remove(blk)
 }
 
-// SetProbe implements cachesim.Instrumented. A nil probe restores the
-// unobserved fast path.
+// SetProbe implements cachesim.Instrumented: p receives the
+// EvLayerResize record of each SetItemLayerTarget move. A nil probe
+// detaches it.
 func (c *IBLP) SetProbe(p obs.Probe) { c.probe = p }
 
 // Contains implements cachesim.Cache.

@@ -271,52 +271,104 @@ func TestIBLPCapacityInvariant(t *testing.T) {
 	}
 }
 
-// A block-layer hit can push an item out of the item layer. Its EvEvict
-// event must name the item's block, like the evictions of a miss or a
-// resize: requests 4, 8, 9 under B=4 evict item 4 (block 1) on the hit
-// to 9, and a random tail repeats such hits.
-func TestBlockLayerHitEvictionsCarryBlock(t *testing.T) {
+// lastRecord is a probe that keeps a copy of the last record it saw.
+type lastRecord struct {
+	r       obs.Record
+	evicted []model.Item
+}
+
+func (l *lastRecord) Observe(r *obs.Record) {
+	l.r = *r
+	l.evicted = append(l.evicted[:0], r.Evicted...)
+	l.r.Loaded, l.r.Evicted = nil, l.evicted
+}
+
+// A block-layer hit can push an item out of the item layer. Its access
+// record must say the block layer served it and list the items it
+// evicted, as a resize's record lists the items the resize pushed out:
+// requests 4, 8, 9 under B=4 evict item 4 on the hit to 9, a random
+// tail repeats such hits, and every 500 requests the item layer is
+// resized.
+func TestBlockLayerHitRecordsListEvictions(t *testing.T) {
 	g := model.NewFixed(4)
 	tr := trace.Trace{4, 8, 9}
 	rng := rand.New(rand.NewSource(3))
 	for range 3000 {
 		tr = append(tr, model.Item(rng.Intn(64)))
 	}
+	// resident lists the items of [0, 64) that c holds.
+	resident := func(c cachesim.Cache) map[model.Item]bool {
+		in := map[model.Item]bool{}
+		for x := range model.Item(64) {
+			if c.Contains(x) {
+				in[x] = true
+			}
+		}
+		return in
+	}
 	for _, c := range []interface {
 		cachesim.Cache
 		cachesim.Instrumented
+		cachesim.LayerResizable
 	}{
 		newIBLP(2, 4, g, 64),
 		NewIBLP(2, 4, g),
 		NewAdaptiveIBLP(8, g),
 	} {
-		log := obs.NewEventLog(1 << 16)
-		c.SetProbe(log)
-		for _, it := range tr {
-			c.Access(it)
-		}
-		hitEvictions, afterHit, reported := 0, false, false
-		for _, e := range log.Snapshot() {
-			switch e.Kind {
-			case obs.EvEvict:
-				if e.Block != g.BlockOf(e.Item) && !reported {
-					t.Errorf("%s: event %d evicts item %d with block %d, want %d",
-						c.Name(), e.Seq, e.Item, e.Block, g.BlockOf(e.Item))
-					reported = true
+		last := &lastRecord{}
+		c.SetProbe(last)
+		rec := cachesim.NewRecorder(c.Name(), 0)
+		rec.SetProbe(last)
+		hitEvictions, resizeEvictions := 0, 0
+		for i, it := range tr {
+			before := resident(c)
+			if i%500 == 499 {
+				target := c.Capacity() - c.ItemLayerTarget()
+				if target == c.ItemLayerTarget() {
+					target = 0
 				}
-				if afterHit {
-					hitEvictions++
+				c.SetItemLayerTarget(target)
+				if last.r.Kind != obs.EvLayerResize || int(last.r.N) != target {
+					t.Fatalf("%s: resize to %d reported as %+v", c.Name(), target, last.r)
 				}
-			case obs.EvHitBlockLayer:
-				afterHit = true
-			default:
-				afterHit = false
+				resizeEvictions += checkEvicted(t, c, before, last.evicted)
+				before = resident(c)
+			}
+			rec.Observe(it, c.Access(it))
+			if last.r.Item != it || last.r.Class == 0 {
+				t.Fatalf("%s: request %d for item %d reported as %+v", c.Name(), i, it, last.r)
+			}
+			if last.r.Kind == obs.EvHitBlockLayer {
+				hitEvictions += checkEvicted(t, c, before, last.evicted)
 			}
 		}
-		if hitEvictions == 0 {
-			t.Errorf("%s: no block-layer hit evicted an item; the trace does not exercise the path", c.Name())
+		if hitEvictions == 0 || resizeEvictions == 0 {
+			t.Errorf("%s: block-layer hits evicted %d items and resizes %d; the trace does not exercise both paths",
+				c.Name(), hitEvictions, resizeEvictions)
 		}
 	}
+}
+
+// checkEvicted fails unless evicted lists exactly the items of before
+// that c no longer holds, and returns how many it lists.
+func checkEvicted(t *testing.T, c cachesim.Cache, before map[model.Item]bool, evicted []model.Item) int {
+	t.Helper()
+	gone := map[model.Item]bool{}
+	for x := range before {
+		if !c.Contains(x) {
+			gone[x] = true
+		}
+	}
+	for _, x := range evicted {
+		if !gone[x] {
+			t.Fatalf("%s: record lists item %d as evicted; present before: %v, now: %v", c.Name(), x, before[x], c.Contains(x))
+		}
+		delete(gone, x)
+	}
+	if len(gone) != 0 {
+		t.Fatalf("%s: record leaves out evicted items %v", c.Name(), gone)
+	}
+	return len(evicted)
 }
 
 // replay runs tr through c from its current state.

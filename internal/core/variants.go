@@ -7,6 +7,7 @@ import (
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
+	"gccache/internal/obs"
 	"gccache/internal/policy"
 )
 
@@ -113,7 +114,7 @@ func (c *IBLPExclusive) Name() string {
 // Access implements cachesim.Cache.
 func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 	if c.items.MoveToFront(it) {
-		return cachesim.Access{Hit: true}
+		return cachesim.Access{Hit: true, Served: obs.EvHitItemLayer}
 	}
 	blk := c.geo.BlockOf(it)
 	if c.inBlock.Has(uint64(it)) {
@@ -123,7 +124,7 @@ func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 		c.removeFromBlock(it, blk)
 		c.blocks.MoveToFront(blk)
 		c.admitItem(it)
-		return c.ch.Hit(nil)
+		return c.ch.Hit()
 	}
 
 	// Miss: requested item to the item layer, remaining siblings (those
@@ -134,7 +135,7 @@ func (c *IBLPExclusive) Access(it model.Item) cachesim.Access {
 	c.admitItem(it)
 	c.ch.Load(it)
 	c.admitSiblings(it, blk)
-	return c.ch.Miss(nil, it)
+	return c.ch.Miss()
 }
 
 // admitItem inserts it, which the item layer does not hold, evicting

@@ -5,48 +5,53 @@ import (
 	"sync/atomic"
 )
 
-// Counters tallies events per kind with atomic counters — the cheapest
-// attachable probe (one atomic add per event, no locks, no allocation),
-// safe to share across shards and goroutines.
+// Counters tallies records per kind with atomic counters — the
+// cheapest attachable probe (no locks, no allocation), safe to share
+// across shards and goroutines. An access counts under its Kind and
+// its Class with one atomic add, and its Loaded and Evicted items under
+// EvLoad and EvEvict.
 type Counters struct {
+	// pair[k][c] counts the access records of Kind k and Class c.
+	pair [numKinds][numKinds]atomic.Int64
+	// n counts lifecycle records by kind, and list items under EvLoad
+	// and EvEvict.
 	n [numKinds]atomic.Int64
-	// itemsLoaded accumulates EvBlockLoad.N: total items brought in by
-	// unit-cost loads (≥ block loads; the surplus is free siblings).
-	itemsLoaded atomic.Int64
 }
 
 var _ Probe = (*Counters)(nil)
 
 // Observe implements Probe.
-func (c *Counters) Observe(e Event) {
-	c.n[e.Kind].Add(1)
-	if e.Kind == EvBlockLoad {
-		c.itemsLoaded.Add(int64(e.N))
+func (c *Counters) Observe(r *Record) {
+	if r.access() {
+		c.pair[r.Kind][r.Class].Add(1)
+	} else {
+		c.n[r.Kind].Add(1)
+	}
+	if len(r.Loaded) != 0 {
+		c.n[EvLoad].Add(int64(len(r.Loaded)))
+	}
+	if len(r.Evicted) != 0 {
+		c.n[EvEvict].Add(int64(len(r.Evicted)))
 	}
 }
 
-// Get returns the count of events of kind k.
-func (c *Counters) Get(k Kind) int64 { return c.n[k].Load() }
-
-// ItemsLoaded returns the total items brought in by block loads.
-func (c *Counters) ItemsLoaded() int64 { return c.itemsLoaded.Load() }
-
-// PolicyHits returns hits in the policy view (all layers).
-func (c *Counters) PolicyHits() int64 {
-	return c.n[EvHit].Load() + c.n[EvHitItemLayer].Load() + c.n[EvHitBlockLayer].Load()
+// Get returns the count of kind k: the access records it served or
+// classed, the lifecycle records of kind k, or the list items counted
+// under it.
+func (c *Counters) Get(k Kind) int64 {
+	n := c.n[k].Load()
+	for i := range c.pair {
+		n += c.pair[k][i].Load()
+		if Kind(i) != k {
+			n += c.pair[i][k].Load()
+		}
+	}
+	return n
 }
 
-// PolicyMisses returns misses in the policy view: every miss costs
-// exactly one block load (Definition 1), so EvBlockLoad counts misses.
-func (c *Counters) PolicyMisses() int64 { return c.n[EvBlockLoad].Load() }
-
-// PolicyAccesses returns requests served in the policy view.
-func (c *Counters) PolicyAccesses() int64 { return c.PolicyHits() + c.PolicyMisses() }
-
-// RecorderAccesses returns requests served in the recorder view.
-func (c *Counters) RecorderAccesses() int64 {
-	return c.n[EvHitTemporal].Load() + c.n[EvHitSpatial].Load() + c.n[EvMiss].Load()
-}
+// ItemsLoaded returns the total items brought in by block loads (≥
+// block loads; the surplus is free siblings).
+func (c *Counters) ItemsLoaded() int64 { return c.n[EvLoad].Load() }
 
 // Snapshot returns a consistent-enough copy of all per-kind counts
 // (each counter is read atomically; the vector is not a global
@@ -54,15 +59,16 @@ func (c *Counters) RecorderAccesses() int64 {
 func (c *Counters) Snapshot() [NumKinds]int64 {
 	var out [NumKinds]int64
 	for i := range out {
-		out[i] = c.n[i].Load()
+		out[i] = c.Get(Kind(i))
 	}
 	return out
 }
 
-// Windowed tracks per-kind event counts per window of W policy-view (or
-// recorder-view, whichever arrives) request events, retaining the last R
-// completed windows in a ring — the "what happened recently" complement
-// to the monotone Counters. Memory is bounded by R windows.
+// Windowed tracks per-kind counts, as Counters counts them, per window
+// of W accesses, retaining the last R completed windows in a ring — the
+// "what happened recently" complement to the monotone Counters. A
+// lifecycle record counts in the window it falls in. Memory is bounded
+// by R windows.
 type Windowed struct {
 	mu     sync.Mutex
 	window int64 // immutable after construction
@@ -76,13 +82,6 @@ type Windowed struct {
 	next int
 	//gclint:guardedby mu
 	filled int
-	// seenRecorder: once any recorder-view event arrives, only the
-	// recorder clock advances windows, so a fully probed run (policy and
-	// recorder views both attached) counts each access once.
-	//gclint:guardedby mu
-	seenRecorder bool
-	//gclint:guardedby mu
-	total int64
 }
 
 var _ Probe = (*Windowed)(nil)
@@ -107,20 +106,14 @@ func clamp(v, lo, hi int) int {
 }
 
 // Observe implements Probe.
-func (w *Windowed) Observe(e Event) {
+func (w *Windowed) Observe(r *Record) {
 	w.mu.Lock()
-	w.current[e.Kind]++
-	advance := false
-	if e.Kind.IsRecorderRequest() {
-		w.seenRecorder = true
-		advance = true
-	} else if e.Kind.IsPolicyRequest() && !w.seenRecorder {
-		advance = true
-	}
-	if advance {
-		w.width++
-		w.total++
-		if w.width >= w.window {
+	w.current[r.Kind]++
+	w.current[EvLoad] += int64(len(r.Loaded))
+	w.current[EvEvict] += int64(len(r.Evicted))
+	if r.access() {
+		w.current[r.Class]++
+		if w.width++; w.width >= w.window {
 			w.ring[w.next] = w.current
 			w.next = (w.next + 1) % len(w.ring)
 			if w.filled < len(w.ring) {

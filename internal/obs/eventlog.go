@@ -4,17 +4,43 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"gccache/internal/model"
 )
 
-// LoggedEvent is an Event stamped with its global sequence number.
+// LoggedEvent is a Record as the event log and gcserve's event stream
+// keep it: stamped with its sequence number, its lists cut to their
+// lengths.
 type LoggedEvent struct {
-	Seq int64
-	Event
+	Seq             int64
+	Kind, Class     Kind
+	N               int32
+	Item            model.Item
+	Loaded, Evicted int
 }
 
-// EventLog is a probe that retains the most recent events in a
+// String formats e as one line, the format of gcsim -probe, /events
+// and /events/stream. An access reads
+//
+//	seq=1042 kind=block-load class=miss item=513 loaded=8 evicted=8
+//
+// and a lifecycle record
+//
+//	seq=1043 kind=layer-resize item=0 n=2048 evicted=3
+//
+// Fields that are zero for the kind are still printed; the format is
+// stable for tooling (EXPERIMENTS.md's event-log appendix parses it).
+func (e LoggedEvent) String() string {
+	if e.Kind < EvMark {
+		return fmt.Sprintf("seq=%d kind=%s class=%s item=%d loaded=%d evicted=%d",
+			e.Seq, e.Kind, e.Class, e.Item, e.Loaded, e.Evicted)
+	}
+	return fmt.Sprintf("seq=%d kind=%s item=%d n=%d evicted=%d", e.Seq, e.Kind, e.Item, e.N, e.Evicted)
+}
+
+// EventLog is a probe that retains the most recent records in a
 // fixed-size ring — bounded memory no matter how long the run, and no
-// allocation per event once constructed. Safe for concurrent use.
+// allocation per record once constructed. Safe for concurrent use.
 type EventLog struct {
 	mu sync.Mutex
 	//gclint:guardedby mu
@@ -29,17 +55,18 @@ type EventLog struct {
 
 var _ Probe = (*EventLog)(nil)
 
-// NewEventLog returns an event log retaining the last n events
+// NewEventLog returns an event log retaining the last n records
 // (clamped to [1, 1<<20]).
 func NewEventLog(n int) *EventLog {
 	return &EventLog{ring: make([]LoggedEvent, clamp(n, 1, 1<<20))}
 }
 
 // Observe implements Probe.
-func (l *EventLog) Observe(e Event) {
+func (l *EventLog) Observe(r *Record) {
 	l.mu.Lock()
 	l.seq++
-	l.ring[l.next] = LoggedEvent{Seq: l.seq, Event: e}
+	l.ring[l.next] = LoggedEvent{Seq: l.seq, Kind: r.Kind, Class: r.Class, N: r.N, Item: r.Item,
+		Loaded: len(r.Loaded), Evicted: len(r.Evicted)}
 	l.next = (l.next + 1) % len(l.ring)
 	if l.filled < len(l.ring) {
 		l.filled++
@@ -47,14 +74,14 @@ func (l *EventLog) Observe(e Event) {
 	l.mu.Unlock()
 }
 
-// Seq returns the total number of events observed.
+// Seq returns the total number of records observed.
 func (l *EventLog) Seq() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
 }
 
-// Snapshot returns the retained events, oldest first.
+// Snapshot returns the retained records, oldest first.
 func (l *EventLog) Snapshot() []LoggedEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -66,17 +93,12 @@ func (l *EventLog) Snapshot() []LoggedEvent {
 	return out
 }
 
-// WriteTo dumps the retained events as one line each:
-//
-//	seq=1042 kind=block-load item=513 block=64 n=8
-//
-// Fields that are zero for the kind are still printed; the format is
-// stable for tooling (EXPERIMENTS.md's event-log appendix parses it).
+// WriteTo dumps the retained records one line each, as
+// LoggedEvent.String formats them.
 func (l *EventLog) WriteTo(w io.Writer) (int64, error) {
 	var written int64
 	for _, e := range l.Snapshot() {
-		n, err := fmt.Fprintf(w, "seq=%d kind=%s item=%d block=%d n=%d\n",
-			e.Seq, e.Kind, e.Item, e.Block, e.N)
+		n, err := fmt.Fprintln(w, e)
 		written += int64(n)
 		if err != nil {
 			return written, err

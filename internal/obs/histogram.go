@@ -186,8 +186,7 @@ func (h *Histogram) WriteCSV(w io.Writer) error { return h.Table().WriteCSV(w) }
 // ReuseDist is a probe that histograms reuse distances: the number of
 // requests between successive references to the same item (an upper
 // bound on stack distance; cold first references are tracked separately
-// as ColdCount). It listens to the recorder view — attach a probed
-// cachesim.Recorder (cachesim.Replay with ReplayOptions.Probe does).
+// as ColdCount). It reads access records.
 //
 // Its last-seen table is indexed by item ID and grows with the largest
 // item observed, so Observe neither hashes nor, once grown, allocates.
@@ -210,22 +209,10 @@ func NewReuseDist() *ReuseDist {
 // Observe implements Probe.
 //
 //gclint:hotpath
-func (r *ReuseDist) Observe(e Event) {
-	if !e.Kind.IsRecorderRequest() {
-		return
+func (r *ReuseDist) Observe(rec *Record) {
+	if rec.access() {
+		r.Note(rec.Item)
 	}
-	r.mu.Lock()
-	r.seq++
-	if uint64(e.Item) >= uint64(len(r.last)) {
-		r.last = bitset.Grow(r.last, uint64(e.Item))
-	}
-	if prev := r.last[e.Item]; prev != 0 {
-		r.hist.Record(r.seq - prev)
-	} else {
-		r.cold++
-	}
-	r.last[e.Item] = r.seq
-	r.mu.Unlock()
 }
 
 // Hist returns the underlying histogram.
@@ -238,10 +225,24 @@ func (r *ReuseDist) ColdCount() int64 {
 	return r.cold
 }
 
-// Note records a raw reference outside any cache run — the entry point
-// gctrace uses to profile a trace's reuse structure directly.
+// Note records one reference to it. Observe calls it for each access;
+// gctrace calls it directly to profile a trace's reuse structure
+// outside any cache run.
+//
+//gclint:hotpath
 func (r *ReuseDist) Note(it model.Item) {
-	r.Observe(Event{Kind: EvMiss, Item: it})
+	r.mu.Lock()
+	r.seq++
+	if uint64(it) >= uint64(len(r.last)) {
+		r.last = bitset.Grow(r.last, uint64(it))
+	}
+	if prev := r.last[it]; prev != 0 {
+		r.hist.Record(r.seq - prev)
+	} else {
+		r.cold++
+	}
+	r.last[it] = r.seq
+	r.mu.Unlock()
 }
 
 // WriteTo renders the histogram plus the cold-reference count.
@@ -253,7 +254,7 @@ func (r *ReuseDist) WriteTo(w io.Writer) (int64, error) {
 
 // InterMissGap is a probe that histograms the number of requests between
 // successive misses — the paper's fault rate, seen as a distribution
-// instead of a mean. Recorder view.
+// instead of a mean. It reads access records.
 type InterMissGap struct {
 	mu       sync.Mutex
 	hist     *Histogram
@@ -268,13 +269,13 @@ func NewInterMissGap() *InterMissGap {
 }
 
 // Observe implements Probe.
-func (g *InterMissGap) Observe(e Event) {
-	if !e.Kind.IsRecorderRequest() {
+func (g *InterMissGap) Observe(r *Record) {
+	if !r.access() {
 		return
 	}
 	g.mu.Lock()
 	g.sinceMis++
-	if e.Kind == EvMiss {
+	if r.Class == EvMiss {
 		g.hist.Record(g.sinceMis)
 		g.sinceMis = 0
 	}
@@ -288,10 +289,9 @@ func (g *InterMissGap) Hist() *Histogram { return g.hist }
 func (g *InterMissGap) WriteTo(w io.Writer) (int64, error) { return g.hist.WriteTo(w) }
 
 // Residency is a probe that histograms how long items stay resident:
-// the number of requests between an item's load and its eviction.
-// Policy view (EvLoad/EvEvict), so it works attached directly to a
-// policy, with or without a recorder. Its load table grows like
-// ReuseDist's.
+// the number of requests between an item's load and its eviction. It
+// reads the Loaded and Evicted lists of access records and the
+// evictions of layer resizes. Its load table grows like ReuseDist's.
 type Residency struct {
 	mu   sync.Mutex
 	hist *Histogram
@@ -310,30 +310,27 @@ func NewResidency() *Residency {
 // Observe implements Probe.
 //
 //gclint:hotpath
-func (r *Residency) Observe(e Event) {
-	switch {
-	case e.Kind.IsPolicyRequest():
-		r.mu.Lock()
+func (r *Residency) Observe(rec *Record) {
+	r.mu.Lock()
+	if rec.access() {
 		r.seq++
-		r.mu.Unlock()
-	case e.Kind == EvLoad:
-		r.mu.Lock()
-		if uint64(e.Item) >= uint64(len(r.loaded)) {
-			r.loaded = bitset.Grow(r.loaded, uint64(e.Item))
+	}
+	for _, x := range rec.Loaded {
+		if uint64(x) >= uint64(len(r.loaded)) {
+			r.loaded = bitset.Grow(r.loaded, uint64(x))
 		}
-		r.loaded[e.Item] = r.seq + 1
-		r.mu.Unlock()
-	case e.Kind == EvEvict:
-		r.mu.Lock()
+		r.loaded[x] = r.seq + 1
+	}
+	for _, x := range rec.Evicted {
 		// An item past the table's end was never loaded.
-		if uint64(e.Item) < uint64(len(r.loaded)) {
-			if at := r.loaded[e.Item]; at != 0 {
+		if uint64(x) < uint64(len(r.loaded)) {
+			if at := r.loaded[x]; at != 0 {
 				r.hist.Record(r.seq - (at - 1))
-				r.loaded[e.Item] = 0
+				r.loaded[x] = 0
 			}
 		}
-		r.mu.Unlock()
 	}
+	r.mu.Unlock()
 }
 
 // Hist returns the underlying histogram.

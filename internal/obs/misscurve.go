@@ -27,7 +27,7 @@ type MissCurvePoint struct {
 // MissCurve is a probe that samples the miss ratio per window of W
 // requests into a bounded ring — the time-resolved miss curve that
 // makes phase changes (e.g. a working set outgrowing the item layer)
-// visible while a replay is still running. Recorder view. Memory is
+// visible while a replay is still running. It reads access records. Memory is
 // bounded by the ring size; steady-state observation does not allocate.
 type MissCurve struct {
 	mu     sync.Mutex
@@ -59,14 +59,14 @@ func NewMissCurve(window, points int) *MissCurve {
 }
 
 // Observe implements Probe.
-func (m *MissCurve) Observe(e Event) {
-	if !e.Kind.IsRecorderRequest() {
+func (m *MissCurve) Observe(r *Record) {
+	if !r.access() {
 		return
 	}
 	m.mu.Lock()
 	m.seq++
 	m.width++
-	if e.Kind == EvMiss {
+	if r.Class == EvMiss {
 		m.misses++
 	}
 	if m.width >= m.window {

@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-// feedCurve drives n recorder-view requests into m, every missEvery-th
-// one a miss (missEvery = 1 makes every request miss), and returns the
-// number of misses fed.
+// feedCurve drives n access records into m, every missEvery-th one a
+// miss (missEvery = 1 makes every request miss), and returns the number
+// of misses fed.
 func feedCurve(m *MissCurve, n, missEvery int) int64 {
 	var misses int64
 	for i := 0; i < n; i++ {
-		k := EvHitTemporal
+		r := Record{Kind: EvHit, Class: EvHitTemporal}
 		if missEvery > 0 && i%missEvery == 0 {
-			k = EvMiss
+			r = Record{Kind: EvBlockLoad, Class: EvMiss}
 			misses++
 		}
-		m.Observe(Event{Kind: k})
+		m.Observe(&r)
 	}
 	return misses
 }

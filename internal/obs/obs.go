@@ -1,16 +1,19 @@
-// Package obs is the observability layer of the simulator: a typed
-// event stream (Probe) emitted by every instrumented policy and by the
-// cachesim.Recorder, plus ready-made consumers — atomic counters,
-// windowed rates, log-bucketed histograms, a bounded event log, and a
-// miss-curve sampler — that turn per-access events into the quantities
-// the paper reasons about (block loads, item faults, marks, evictions,
-// layer rebalances).
+// Package obs is the observability layer of the simulator: a stream of
+// records (Probe) and ready-made consumers — atomic counters, windowed
+// rates, log-bucketed histograms, a bounded event log, and a miss-curve
+// sampler — that turn it into the quantities the paper reasons about
+// (block loads, item faults, marks, evictions, layer rebalances).
+//
+// A probe sees one record per access, and cachesim.Recorder alone
+// emits it: the paper prices an access, not an item (Definition 1).
+// Policies emit only lifecycle records — marks, phase resets and layer
+// resizes — that no access reveals.
 //
 // Invariant (the zero-cost-when-nil rule): every emission site in a
 // `//gclint:hotpath` function is guarded by a single `probe != nil`
-// check, events are plain value structs, and Probe methods take only
-// concrete types — so an unattached policy pays one predictable branch
-// and zero allocations per access. This is enforced statically by the
+// check, and a hot emitter passes a pointer to a record it owns and
+// reuses — so an unattached cache pays one predictable branch and zero
+// allocations per access, and an attached one copies nothing. This is enforced statically by the
 // hotalloc analyzer and dynamically by the AllocsPerRun regression
 // tests in this package. See DESIGN.md, "Observability".
 //
@@ -21,58 +24,54 @@ package obs
 
 import "gccache/internal/model"
 
-// Kind classifies an observability event.
+// Kind classifies a record, or one of its parts.
 type Kind uint8
 
-// Event kinds. Two complementary views share the stream: *policy view*
-// events are emitted by the cache implementation itself (it knows
-// layers, marks, and what a block load brought in), while *recorder
-// view* events are emitted by cachesim.Recorder, which classifies hits
-// into temporal vs spatial exactly as §2 of the paper defines them.
-// Attaching a probe to both (cachesim.Replay with ReplayOptions.Probe
-// does) yields the complete stream; the views never double-count the
-// same kind.
+// Record kinds. An access record's Kind says what served the request
+// (EvHit, EvHitItemLayer, EvHitBlockLayer or EvBlockLoad) and its Class
+// how §2 of the paper classes it (EvHitTemporal, EvHitSpatial or
+// EvMiss). EvLoad and EvEvict name no record: Counters counts the items
+// of the Loaded and Evicted lists under them. EvMark, EvPhaseReset and
+// EvLayerResize are the lifecycle records policies emit.
 const (
-	// EvHit is a policy-view hit in a policy without internal layers
-	// (ItemLRU, BlockLRU, GCM, ...).
+	// EvHit is a hit in a policy without internal layers (ItemLRU,
+	// BlockLRU, GCM, ...).
 	EvHit Kind = iota
 	// EvHitItemLayer is an IBLP/adaptive hit served by the item layer.
 	EvHitItemLayer
 	// EvHitBlockLayer is an IBLP/adaptive hit served by the block layer.
 	EvHitBlockLayer
-	// EvHitTemporal is a recorder-view hit on an item that was requested
-	// before (temporal locality).
+	// EvHitTemporal classes a hit on an item that was requested before
+	// (temporal locality).
 	EvHitTemporal
-	// EvHitSpatial is a recorder-view hit on a pristine item: loaded as a
-	// free sibling of an earlier miss and not requested since (spatial
+	// EvHitSpatial classes a hit on a pristine item: loaded as a free
+	// sibling of an earlier miss and not requested since (spatial
 	// locality — the hits the GC model exists to price).
 	EvHitSpatial
-	// EvMiss is a recorder-view miss (one unit of cost, Definition 1).
+	// EvMiss classes a miss (one unit of cost, Definition 1).
 	EvMiss
-	// EvBlockLoad is the policy-view unit-cost block load serving a miss;
-	// Item is the requested item, Block its block (zero for geometry-free
-	// policies), N the number of items actually brought in.
+	// EvBlockLoad is the unit-cost block load serving a miss; the
+	// record's Loaded lists the items it brought in.
 	EvBlockLoad
-	// EvLoad is one item insertion (policy view, a net change: see
-	// cachesim.Access); emitted once per item Access.Loaded lists.
+	// EvLoad counts one item insertion: an item of an access's Loaded.
 	EvLoad
-	// EvEvict is one item eviction (policy view, a net change: see
-	// cachesim.Access); emitted once per item Access.Evicted lists,
-	// and once per item a layer resize pushes out.
+	// EvEvict counts one item eviction: an item of an access's or a
+	// resize's Evicted.
 	EvEvict
-	// EvMark is a GCM/marking item transitioning unmarked→marked.
+	// EvMark is a GCM item transitioning unmarked→marked; Item is the
+	// item.
 	EvMark
-	// EvPhaseReset is a GCM/marking phase boundary (all marks cleared);
-	// N is the number of resident items at the boundary.
+	// EvPhaseReset is a GCM phase boundary (all marks cleared); N is the
+	// number of marks dropped.
 	EvPhaseReset
-	// EvLayerResize is an AdaptiveIBLP partition move; N is the new
-	// item-layer target.
+	// EvLayerResize is an IBLP/adaptive partition move; N is the new
+	// item-layer target and Evicted the items the move pushed out.
 	EvLayerResize
 
 	numKinds
 )
 
-// NumKinds is the number of distinct event kinds.
+// NumKinds is the number of distinct kinds.
 const NumKinds = int(numKinds)
 
 var kindNames = [numKinds]string{
@@ -98,63 +97,50 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// IsPolicyRequest reports whether k marks the service of one request in
-// the policy view (a hit of any layer, or the block load of a miss).
-// Exactly one such event is emitted per access by an instrumented
-// policy, so these kinds are the per-access clock for policy-view
-// probes.
-func (k Kind) IsPolicyRequest() bool {
-	switch k {
-	case EvHit, EvHitItemLayer, EvHitBlockLayer, EvBlockLoad:
-		return true
-	}
-	return false
+// Record is one observation. An access record (Kind EvHit,
+// EvHitItemLayer, EvHitBlockLayer or EvBlockLoad) describes one
+// request: Kind is what served it, Class its §2 class, Item the
+// requested item, and Loaded and Evicted the access's net changes (see
+// cachesim.Access). A lifecycle record (Kind EvMark, EvPhaseReset or
+// EvLayerResize) reports a policy's own state change through Item, N
+// and Evicted, as its kind says; its Class is zero.
+//
+// The record and its Loaded and Evicted lists belong to the emitter,
+// which reuses them, and are valid only during the Observe call: a
+// probe that keeps any of them must copy.
+type Record struct {
+	Kind  Kind
+	Class Kind
+	// N is the kind-specific magnitude: marks dropped (EvPhaseReset) or
+	// the new item-layer target (EvLayerResize).
+	N               int32
+	Item            model.Item
+	Loaded, Evicted []model.Item
 }
 
-// IsRecorderRequest reports whether k marks the service of one request
-// in the recorder view (temporal hit, spatial hit, or miss). Exactly one
-// such event is emitted per access by a probed cachesim.Recorder.
-func (k Kind) IsRecorderRequest() bool {
-	switch k {
-	case EvHitTemporal, EvHitSpatial, EvMiss:
-		return true
-	}
-	return false
-}
+// access reports whether r describes a request rather than a lifecycle
+// change.
+func (r *Record) access() bool { return r.Kind < EvMark }
 
-// Event is one observability event. It is a small value struct so
-// emitting one costs no allocation; fields not meaningful for a kind are
-// zero.
-type Event struct {
-	// Kind classifies the event.
-	Kind Kind
-	// Item is the item concerned (requested, loaded, evicted, marked).
-	Item model.Item
-	// Block is the block concerned, when the emitter knows a geometry.
-	Block model.Block
-	// N is the kind-specific magnitude: items brought in (EvBlockLoad),
-	// residents at a phase boundary (EvPhaseReset), or the new item-layer
-	// target (EvLayerResize).
-	N int32
-}
-
-// Probe consumes observability events. Implementations must be safe for
+// Probe consumes records. Observe gets a record its emitter owns and
+// reuses, valid only during the call. Implementations must be safe for
 // the concurrency of their attachment point: probes attached to a
 // concurrent.Sharded see concurrent Observe calls.
 //
-// Observe must not call back into the cache that emitted the event; the
+// Observe must not modify the record, which the next member of a Multi
+// or Suite reads too, nor call back into the cache that emitted it; the
 // differential tests assert that attaching any probe in this package
 // leaves policy decisions byte-identical.
 type Probe interface {
-	Observe(e Event)
+	Observe(r *Record)
 }
 
-// Multi fans events out to several probes in order.
+// Multi fans records out to several probes in order.
 type Multi []Probe
 
 // Observe implements Probe.
-func (m Multi) Observe(e Event) {
+func (m Multi) Observe(r *Record) {
 	for _, p := range m {
-		p.Observe(e)
+		p.Observe(r)
 	}
 }

@@ -16,44 +16,52 @@ func TestProbeKindStrings(t *testing.T) {
 	if Kind(200).String() != "unknown" {
 		t.Error("out-of-range kind should stringify as unknown")
 	}
-	policy, recorder := 0, 0
-	for k := Kind(0); int(k) < NumKinds; k++ {
-		if k.IsPolicyRequest() {
-			policy++
-		}
-		if k.IsRecorderRequest() {
-			recorder++
-		}
-		if k.IsPolicyRequest() && k.IsRecorderRequest() {
-			t.Errorf("kind %v is in both request views", k)
+	for _, k := range []Kind{EvHit, EvHitItemLayer, EvHitBlockLayer, EvBlockLoad} {
+		if !(&Record{Kind: k}).access() {
+			t.Errorf("%v should be an access kind", k)
 		}
 	}
-	if policy != 4 || recorder != 3 {
-		t.Errorf("request-view kinds: policy %d (want 4), recorder %d (want 3)", policy, recorder)
+	for _, k := range []Kind{EvMark, EvPhaseReset, EvLayerResize} {
+		if (&Record{Kind: k}).access() {
+			t.Errorf("%v should be a lifecycle kind", k)
+		}
 	}
 }
 
+// items returns n consecutive items from first.
+func items(first model.Item, n int) []model.Item {
+	out := make([]model.Item, n)
+	for i := range out {
+		out[i] = first + model.Item(i)
+	}
+	return out
+}
+
+// TestProbeCounters: an access counts under its kind and its class and
+// its lists under load and evict; a lifecycle record counts once, its
+// zero Class under nothing.
 func TestProbeCounters(t *testing.T) {
 	var c Counters
-	c.Observe(Event{Kind: EvHit})
-	c.Observe(Event{Kind: EvHitItemLayer})
-	c.Observe(Event{Kind: EvHitBlockLayer})
-	c.Observe(Event{Kind: EvBlockLoad, N: 8})
-	c.Observe(Event{Kind: EvBlockLoad, N: 3})
-	if got := c.PolicyHits(); got != 3 {
-		t.Errorf("PolicyHits = %d, want 3", got)
-	}
-	if got := c.PolicyMisses(); got != 2 {
-		t.Errorf("PolicyMisses = %d, want 2", got)
-	}
-	if got := c.PolicyAccesses(); got != 5 {
-		t.Errorf("PolicyAccesses = %d, want 5", got)
+	c.Observe(&Record{Kind: EvHit, Class: EvHitTemporal})
+	c.Observe(&Record{Kind: EvHitItemLayer, Class: EvHitSpatial})
+	c.Observe(&Record{Kind: EvHitBlockLayer, Class: EvHitTemporal, Evicted: items(40, 1)})
+	c.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Loaded: items(0, 8), Evicted: items(50, 2)})
+	c.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Loaded: items(8, 3)})
+	c.Observe(&Record{Kind: EvLayerResize, N: 5, Evicted: items(60, 2)})
+	c.Observe(&Record{Kind: EvMark, Item: 4})
+	for k, want := range map[Kind]int64{
+		EvHit: 1, EvHitItemLayer: 1, EvHitBlockLayer: 1, EvBlockLoad: 2,
+		EvHitTemporal: 2, EvHitSpatial: 1, EvMiss: 2,
+		EvLoad: 11, EvEvict: 5, EvLayerResize: 1, EvMark: 1, EvPhaseReset: 0,
+	} {
+		if got := c.Get(k); got != want {
+			t.Errorf("%v = %d, want %d", k, got, want)
+		}
 	}
 	if got := c.ItemsLoaded(); got != 11 {
 		t.Errorf("ItemsLoaded = %d, want 11", got)
 	}
-	snap := c.Snapshot()
-	if snap[EvHit] != 1 || snap[EvBlockLoad] != 2 {
+	if snap := c.Snapshot(); snap[EvHit] != 1 || snap[EvBlockLoad] != 2 {
 		t.Errorf("snapshot mismatch: %v", snap)
 	}
 }
@@ -61,36 +69,15 @@ func TestProbeCounters(t *testing.T) {
 func TestProbeWindowedAdvance(t *testing.T) {
 	w := NewWindowed(4, 2)
 	for i := 0; i < 8; i++ {
-		w.Observe(Event{Kind: EvHit})
+		w.Observe(&Record{Kind: EvHit, Class: EvHitTemporal})
+		w.Observe(&Record{Kind: EvMark, Item: model.Item(i)}) // lifecycle records do not tick
 	}
 	last, ok := w.Last()
-	if !ok || last[EvHit] != 4 {
-		t.Fatalf("Last = %v, %v; want 4 hits", last[EvHit], ok)
+	if !ok || last[EvHit] != 4 || last[EvHitTemporal] != 4 || last[EvMark] != 4 {
+		t.Fatalf("Last = hit %d, temporal %d, mark %d, %v; want 4 each", last[EvHit], last[EvHitTemporal], last[EvMark], ok)
 	}
 	if got := len(w.History()); got != 2 {
 		t.Errorf("History has %d windows, want 2", got)
-	}
-}
-
-// TestProbeWindowedBothViews proves the double-count fix: with policy
-// and recorder views both attached, windows advance on the recorder
-// clock only, so each access is counted once per window.
-func TestProbeWindowedBothViews(t *testing.T) {
-	w := NewWindowed(4, 4)
-	// One access = one policy-view hit + one recorder-view hit.
-	// First access arrives policy-first (advances once, before the
-	// recorder view is detected), after which only EvHitTemporal ticks.
-	for i := 0; i < 9; i++ {
-		w.Observe(Event{Kind: EvHit})
-		w.Observe(Event{Kind: EvHitTemporal})
-	}
-	last, ok := w.Last()
-	if !ok {
-		t.Fatal("no completed window")
-	}
-	// A full window spans 4 accesses, so it holds 4 events of each view.
-	if last[EvHit] != 4 || last[EvHitTemporal] != 4 {
-		t.Errorf("window counts hit=%d temporal=%d, want 4 and 4", last[EvHit], last[EvHitTemporal])
 	}
 }
 
@@ -121,15 +108,16 @@ func TestProbeHistogramPercentiles(t *testing.T) {
 
 func TestProbeEventLogRing(t *testing.T) {
 	l := NewEventLog(4)
-	for i := 1; i <= 6; i++ {
-		l.Observe(Event{Kind: EvLoad, Item: model.Item(100 + i)})
+	for i := 1; i <= 5; i++ {
+		l.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Item: model.Item(100 + i), Loaded: items(100, i)})
 	}
+	l.Observe(&Record{Kind: EvLayerResize, N: 7, Evicted: items(0, 3)})
 	if got := l.Seq(); got != 6 {
 		t.Fatalf("Seq = %d, want 6", got)
 	}
 	snap := l.Snapshot()
 	if len(snap) != 4 {
-		t.Fatalf("Snapshot has %d events, want 4", len(snap))
+		t.Fatalf("Snapshot has %d records, want 4", len(snap))
 	}
 	if snap[0].Seq != 3 || snap[3].Seq != 6 {
 		t.Errorf("ring kept seq %d..%d, want 3..6", snap[0].Seq, snap[3].Seq)
@@ -138,20 +126,25 @@ func TestProbeEventLogRing(t *testing.T) {
 	if _, err := l.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "seq=6 kind=load item=106 block=0 n=0") {
-		t.Errorf("WriteTo output unexpected:\n%s", sb.String())
+	for _, want := range []string{
+		"seq=5 kind=block-load class=miss item=105 loaded=5 evicted=0\n",
+		"seq=6 kind=layer-resize item=0 n=7 evicted=3\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("WriteTo output lacks %q:\n%s", want, sb.String())
+		}
 	}
 }
 
 func TestProbeMissCurve(t *testing.T) {
 	m := NewMissCurve(10, 8)
 	for i := 0; i < 100; i++ {
-		k := EvHitTemporal
+		r := Record{Kind: EvHit, Class: EvHitTemporal}
 		if i%4 == 0 {
-			k = EvMiss
+			r = Record{Kind: EvBlockLoad, Class: EvMiss}
 		}
-		m.Observe(Event{Kind: k})
-		m.Observe(Event{Kind: EvLoad}) // non-request events must not tick
+		m.Observe(&r)
+		m.Observe(&Record{Kind: EvPhaseReset}) // lifecycle records must not tick
 	}
 	pts := m.Points()
 	if len(pts) != 8 {
@@ -164,14 +157,15 @@ func TestProbeMissCurve(t *testing.T) {
 	}
 }
 
-// TestProbeReuseDistObserveMatchesNote: a recorder-view miss and a raw
+// TestProbeReuseDistObserveMatchesNote: an access record and a raw
 // Note are the same reference to the probe.
 func TestProbeReuseDistObserveMatchesNote(t *testing.T) {
 	seqs := []model.Item{1, 2, 1, 3, 2, 1, 1, 9, 3}
 	observed := NewReuseDist()
 	noted := NewReuseDist()
 	for _, it := range seqs {
-		observed.Observe(Event{Kind: EvMiss, Item: it})
+		observed.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Item: it})
+		observed.Observe(&Record{Kind: EvMark, Item: it}) // not a reference
 		noted.Note(it)
 	}
 	if o, n := observed.ColdCount(), noted.ColdCount(); o != n || o != 4 {
@@ -187,11 +181,10 @@ func TestProbeReuseDistObserveMatchesNote(t *testing.T) {
 
 func TestProbeResidency(t *testing.T) {
 	r := NewResidency()
-	r.Observe(Event{Kind: EvBlockLoad, Item: 1}) // request 1
-	r.Observe(Event{Kind: EvLoad, Item: 1})
-	r.Observe(Event{Kind: EvHit, Item: 1}) // request 2
-	r.Observe(Event{Kind: EvHit, Item: 1}) // request 3
-	r.Observe(Event{Kind: EvEvict, Item: 1})
+	r.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Item: 1, Loaded: items(1, 1)}) // request 1
+	r.Observe(&Record{Kind: EvHit, Class: EvHitTemporal, Item: 1})                     // request 2
+	r.Observe(&Record{Kind: EvHit, Class: EvHitTemporal, Item: 1})                     // request 3
+	r.Observe(&Record{Kind: EvLayerResize, Evicted: items(1, 1)})
 	if got := r.Hist().Count(); got != 1 {
 		t.Fatalf("got %d residency samples, want 1", got)
 	}
@@ -200,16 +193,16 @@ func TestProbeResidency(t *testing.T) {
 		t.Errorf("residency = %v requests, want 2", got)
 	}
 	// Evicting a never-loaded item must not record.
-	r.Observe(Event{Kind: EvEvict, Item: 9})
+	r.Observe(&Record{Kind: EvLayerResize, Evicted: items(9, 1)})
 	if got := r.Hist().Count(); got != 1 {
 		t.Errorf("phantom eviction recorded a sample")
 	}
 	// An item far past every ID seen so far grows the table instead of
 	// being dropped.
 	const far = model.Item(1 << 20)
-	r.Observe(Event{Kind: EvLoad, Item: far})
-	r.Observe(Event{Kind: EvHit, Item: far}) // request 4
-	r.Observe(Event{Kind: EvEvict, Item: far})
+	r.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Item: far, Loaded: items(far, 1)}) // request 4
+	r.Observe(&Record{Kind: EvHit, Class: EvHitTemporal, Item: far})                       // request 5
+	r.Observe(&Record{Kind: EvHit, Class: EvHitTemporal, Item: 2, Evicted: items(far, 1)}) // request 6
 	if got := r.Hist().Count(); got != 2 {
 		t.Errorf("item %d: got %d residency samples, want 2", far, got)
 	}
@@ -250,9 +243,8 @@ func TestProbeSuiteWriteTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Observe(Event{Kind: EvMiss, Item: 3})
-	s.Observe(Event{Kind: EvBlockLoad, Item: 3, N: 8})
-	s.Observe(Event{Kind: EvHitSpatial, Item: 4})
+	s.Observe(&Record{Kind: EvBlockLoad, Class: EvMiss, Item: 3, Loaded: items(0, 8)})
+	s.Observe(&Record{Kind: EvHit, Class: EvHitSpatial, Item: 4})
 	var sb strings.Builder
 	if _, err := s.WriteTo(&sb); err != nil {
 		t.Fatal(err)

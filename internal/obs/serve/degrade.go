@@ -7,21 +7,13 @@ import (
 	"gccache/internal/obs"
 )
 
-// fanEvent is one event as delivered to a stream subscriber, stamped
-// with the fan's global sequence number so consumers can detect gaps
-// left by shedding.
-type fanEvent struct {
-	Seq int64
-	obs.Event
-}
-
 // ctrlRingSize bounds the per-subscriber control-plane ring. Control
 // actions are rate-capped at the source (the autotune controller fires
 // at most one resize per window interval), so 64 slots cover minutes of
 // history; overwrites are counted, never silent.
 const ctrlRingSize = 64
 
-// isControlPlane reports whether k is a control-plane event: one that
+// isControlPlane reports whether k is a control-plane record: one that
 // records a management action on the cache rather than per-request data
 // traffic. These must reach the dashboard even under shedding — a
 // missed layer-resize makes the following miss-ratio shift look
@@ -32,7 +24,7 @@ func isControlPlane(k obs.Kind) bool { return k == obs.EvLayerResize }
 // events plus its personal shed count, and a tiny dedicated ring for
 // control-plane events so they are never displaced by data floods.
 type subscriber struct {
-	ch      chan fanEvent
+	ch      chan obs.LoggedEvent
 	closeCh sync.Once // the consumer's cancel and CloseAll may race to close ch
 	dropped atomic.Int64
 
@@ -42,7 +34,7 @@ type subscriber struct {
 
 	ctrlMu sync.Mutex
 	//gclint:guardedby ctrlMu
-	ctrl [ctrlRingSize]fanEvent
+	ctrl [ctrlRingSize]obs.LoggedEvent
 	//gclint:guardedby ctrlMu
 	ctrlStart int
 	//gclint:guardedby ctrlMu
@@ -51,7 +43,7 @@ type subscriber struct {
 
 // pushCtrl appends a control event to the ring, overwriting the oldest
 // entry when full, and reports whether an overwrite happened.
-func (s *subscriber) pushCtrl(fe fanEvent) (overwrote bool) {
+func (s *subscriber) pushCtrl(fe obs.LoggedEvent) (overwrote bool) {
 	s.ctrlMu.Lock()
 	if s.ctrlLen == ctrlRingSize {
 		s.ctrlStart = (s.ctrlStart + 1) % ctrlRingSize
@@ -69,11 +61,11 @@ func (s *subscriber) pushCtrl(fe fanEvent) (overwrote bool) {
 }
 
 // popCtrl removes and returns the oldest pending control event.
-func (s *subscriber) popCtrl() (fanEvent, bool) {
+func (s *subscriber) popCtrl() (obs.LoggedEvent, bool) {
 	s.ctrlMu.Lock()
 	defer s.ctrlMu.Unlock()
 	if s.ctrlLen == 0 {
-		return fanEvent{}, false
+		return obs.LoggedEvent{}, false
 	}
 	fe := s.ctrl[s.ctrlStart]
 	s.ctrlStart = (s.ctrlStart + 1) % ctrlRingSize
@@ -108,13 +100,16 @@ func newEventFan() *eventFan {
 	return &eventFan{subs: make(map[int]*subscriber)}
 }
 
-// Observe implements obs.Probe: non-blocking best-effort delivery.
-func (f *eventFan) Observe(e obs.Event) {
+// Observe implements obs.Probe: non-blocking best-effort delivery of r,
+// stamped with the fan's global sequence number so consumers can detect
+// gaps left by shedding.
+func (f *eventFan) Observe(r *obs.Record) {
 	if f.nsubs.Load() == 0 {
 		return
 	}
-	fe := fanEvent{Seq: f.seq.Add(1), Event: e}
-	ctrl := isControlPlane(e.Kind)
+	fe := obs.LoggedEvent{Seq: f.seq.Add(1), Kind: r.Kind, Class: r.Class, N: r.N, Item: r.Item,
+		Loaded: len(r.Loaded), Evicted: len(r.Evicted)}
+	ctrl := isControlPlane(r.Kind)
 	f.mu.Lock()
 	for _, s := range f.subs {
 		if ctrl {
@@ -140,7 +135,7 @@ func (f *eventFan) Subscribe(buf int) (*subscriber, func()) {
 	if buf < 1 {
 		buf = 1
 	}
-	s := &subscriber{ch: make(chan fanEvent, buf), notify: make(chan struct{}, 1)}
+	s := &subscriber{ch: make(chan obs.LoggedEvent, buf), notify: make(chan struct{}, 1)}
 	f.mu.Lock()
 	id := f.next
 	f.next++

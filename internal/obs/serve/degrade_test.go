@@ -18,7 +18,7 @@ func TestEventFanDeliversInOrder(t *testing.T) {
 	sub, cancel := f.Subscribe(16)
 	defer cancel()
 	for i := 0; i < 10; i++ {
-		f.Observe(obs.Event{Kind: obs.EvHit, Item: 1})
+		f.Observe(&obs.Record{Kind: obs.EvHit, Item: 1})
 	}
 	for i := 0; i < 10; i++ {
 		e := <-sub.ch
@@ -39,7 +39,7 @@ func TestEventFanShedsSlowConsumerWithoutBlocking(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ { // never read: must not block
-			f.Observe(obs.Event{Kind: obs.EvHit})
+			f.Observe(&obs.Record{Kind: obs.EvHit})
 		}
 	}()
 	select {
@@ -70,9 +70,9 @@ func TestEventFanNeverShedsControlPlane(t *testing.T) {
 	const resizes = 10
 	for i := 0; i < resizes; i++ {
 		for j := 0; j < 100; j++ { // unread: data floods and sheds
-			f.Observe(obs.Event{Kind: obs.EvHit})
+			f.Observe(&obs.Record{Kind: obs.EvHit})
 		}
-		f.Observe(obs.Event{Kind: obs.EvLayerResize, N: int32(i)})
+		f.Observe(&obs.Record{Kind: obs.EvLayerResize, N: int32(i)})
 	}
 	if f.Dropped() == 0 {
 		t.Fatal("setup failed to shed data events")
@@ -110,7 +110,7 @@ func TestEventFanControlRingOverwritesOldest(t *testing.T) {
 	defer cancel()
 	total := ctrlRingSize + 7
 	for i := 0; i < total; i++ {
-		f.Observe(obs.Event{Kind: obs.EvLayerResize, N: int32(i)})
+		f.Observe(&obs.Record{Kind: obs.EvLayerResize, N: int32(i)})
 	}
 	if got := f.CtrlOverwrites(); got != 7 {
 		t.Fatalf("CtrlOverwrites = %d, want 7", got)
@@ -164,9 +164,9 @@ func TestEventStreamDeliversResizesUnderFlood(t *testing.T) {
 	go func() {
 		for i := 0; i < resizes; i++ {
 			for j := 0; j < 5000; j++ {
-				s.fan.Observe(obs.Event{Kind: obs.EvHit})
+				s.fan.Observe(&obs.Record{Kind: obs.EvHit})
 			}
-			s.fan.Observe(obs.Event{Kind: obs.EvLayerResize, N: int32(100 + i)})
+			s.fan.Observe(&obs.Record{Kind: obs.EvLayerResize, N: int32(100 + i)})
 		}
 	}()
 
@@ -207,7 +207,7 @@ func TestEventFanUnsubscribeAndCloseAll(t *testing.T) {
 	if f.Subscribers() != 0 {
 		t.Fatalf("cancel after CloseAll: subscribers = %d", f.Subscribers())
 	}
-	f.Observe(obs.Event{}) // no subscribers: must be a no-op
+	f.Observe(&obs.Record{}) // no subscribers: must be a no-op
 }
 
 func TestHealthzDegradesOnShedding(t *testing.T) {
@@ -224,7 +224,7 @@ func TestHealthzDegradesOnShedding(t *testing.T) {
 	_, cancel := s.fan.Subscribe(1)
 	defer cancel()
 	for i := 0; i < 10; i++ {
-		s.fan.Observe(obs.Event{Kind: obs.EvHit})
+		s.fan.Observe(&obs.Record{Kind: obs.EvHit})
 	}
 	if s.fan.Dropped() == 0 {
 		t.Fatal("setup failed to shed events")

@@ -136,8 +136,9 @@ func New(cfg Config, tr trace.Trace) (*Server, error) {
 
 	if cfg.ClusterRing != "" {
 		// Cluster-node mode: no local replay — the traffic arrives over
-		// the wire. The node's cache carries the same probe suite, so
-		// the dashboard and event stream observe ring traffic live.
+		// the wire. The node's recorder and cache carry the same probe
+		// suite, so the dashboard and event stream observe ring traffic
+		// live.
 		if s.ringNodes, err = ring.LoadFile(cfg.ClusterRing); err != nil {
 			return nil, err
 		}
@@ -159,17 +160,12 @@ func New(cfg Config, tr trace.Trace) (*Server, error) {
 		}
 		s.node, err = cluster.NewNode(cluster.NodeConfig{
 			Addr: cfg.ClusterAddr, K: cfg.K, B: cfg.B,
-			NewCache: func() cachesim.Cache {
-				c := s.build(cfg.K)
-				if in, ok := c.(cachesim.Instrumented); ok {
-					in.SetProbe(probe)
-				}
-				return c
-			},
+			NewCache: func() cachesim.Cache { return s.build(cfg.K) },
 		})
 		if err != nil {
 			return nil, err
 		}
+		s.node.SetProbe(probe)
 		return s, nil
 	}
 
@@ -579,7 +575,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleEventStream streams live probe events, one line per event, in
+// handleEventStream streams live probe records, one line per record, in
 // the same format as /events. Each subscriber gets a bounded buffer;
 // when the client reads too slowly events are shed (never blocking the
 // replay) and the gap shows up as a jump in seq plus a drop count in
@@ -593,9 +589,8 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sub, cancel := s.fan.Subscribe(1024)
 	defer cancel()
-	writeEvent := func(e fanEvent) bool {
-		_, err := fmt.Fprintf(w, "seq=%d kind=%s item=%d block=%d n=%d\n",
-			e.Seq, e.Kind, e.Item, e.Block, e.N)
+	writeEvent := func(e obs.LoggedEvent) bool {
+		_, err := fmt.Fprintln(w, e)
 		return err == nil
 	}
 	for {

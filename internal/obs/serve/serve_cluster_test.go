@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"gccache/internal/cluster"
 	"gccache/internal/cluster/ring"
 	"gccache/internal/model"
+	"gccache/internal/obs"
 )
 
 // freeLoopbackAddr reserves an ephemeral port and releases it, so a
@@ -122,6 +124,62 @@ func TestClusterModeServesWireTraffic(t *testing.T) {
 	code, _ = get(t, ts.URL+"/healthz")
 	if code != http.StatusOK {
 		t.Errorf("/healthz on a draining node: %d, want 200 (liveness)", code)
+	}
+}
+
+// TestProbeServeClusterRecords drives a one-node iblp ring over the
+// wire with block scans: the node's recorder must feed the suite, so
+// the dashboard sees spatial hits, reuse distances, miss gaps and a
+// miss curve, and /metrics reports the classified hits.
+func TestProbeServeClusterRecords(t *testing.T) {
+	addr := freeLoopbackAddr(t)
+	s, err := New(Config{
+		Addr: "127.0.0.1:0", K: 128, B: 8, Policy: "iblp",
+		ClusterRing: writeRingFile(t, addr), ClusterAddr: addr,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	r, err := ring.New([]string{addr}, 64, s.cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.NewClient(r, cluster.ClientConfig{Timeout: 2 * time.Second})
+	defer c.Close()
+	const rounds, n = 8, 64
+	batch := make([]model.Item, n)
+	for round := range rounds {
+		for i := range batch {
+			batch[i] = model.Item((round%2)*n + i) // two passes over 16 blocks
+		}
+		if err := c.Do(batch); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+	}
+	suite, st := s.Suite(), s.Stats()
+	if st.Accesses != rounds*n || st.SpatialHits == 0 || st.ItemsLoaded == 0 {
+		t.Fatalf("node stats %+v: want %d accesses with spatial hits and loads", st, rounds*n)
+	}
+	if got := suite.Counters.Get(obs.EvHitSpatial); got != st.SpatialHits {
+		t.Errorf("suite counted %d hit-spatial, node recorded %d", got, st.SpatialHits)
+	}
+	if suite.Reuse.Hist().Count() == 0 || suite.Gaps.Hist().Count() == 0 || len(suite.Curve.Snapshot()) == 0 {
+		t.Errorf("reuse %d, gap %d and miss-curve %d samples: want all non-empty",
+			suite.Reuse.Hist().Count(), suite.Gaps.Hist().Count(), len(suite.Curve.Snapshot()))
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, body := get(t, ts.URL+"/metrics")
+	var m map[string]any
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &m) != nil {
+		t.Fatalf("/metrics: %d %q", code, body)
+	}
+	if m["spatial_hits"] != float64(st.SpatialHits) || m["items_loaded"] != float64(st.ItemsLoaded) {
+		t.Errorf("/metrics spatial_hits %v items_loaded %v, want %d and %d", m["spatial_hits"], m["items_loaded"], st.SpatialHits, st.ItemsLoaded)
 	}
 }
 

@@ -34,7 +34,7 @@ type Suite struct {
 	Residency *Residency
 	Curve     *MissCurve
 
-	probes []Probe
+	probes []Probe // the enabled members other than Counters
 }
 
 var _ Probe = (*Suite)(nil)
@@ -101,7 +101,6 @@ func NewSuite(spec string) (*Suite, error) {
 			return nil, fmt.Errorf("obs: unknown probe %q (want counters, window=W, events=N, reuse, gaps, residency, misscurve=W, or all)", key)
 		}
 	}
-	s.probes = append(s.probes, s.Counters)
 	if s.Windowed != nil {
 		s.probes = append(s.probes, s.Windowed)
 	}
@@ -126,10 +125,12 @@ func NewSuite(spec string) (*Suite, error) {
 // SpecHelp describes the -probe grammar for command --help output.
 const SpecHelp = `probe spec (comma separated): counters, window=W, events=N, reuse, gaps, residency, misscurve=W, all`
 
-// Observe implements Probe, fanning the event to every enabled member.
-func (s *Suite) Observe(e Event) {
+// Observe implements Probe, fanning the record to every enabled member:
+// the counters directly, the others through probes.
+func (s *Suite) Observe(r *Record) {
+	s.Counters.Observe(r)
 	for _, p := range s.probes {
-		p.Observe(e)
+		p.Observe(r)
 	}
 }
 

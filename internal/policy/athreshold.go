@@ -109,7 +109,7 @@ func (c *AThreshold) Access(it model.Item) cachesim.Access {
 	}
 	c.insert(it, blk) // requested item is MRU
 	c.evictOverflow(it)
-	return c.ch.Miss(nil, it)
+	return c.ch.Miss()
 }
 
 // insert puts it at the MRU position if absent and records the load.

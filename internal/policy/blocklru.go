@@ -8,7 +8,6 @@ import (
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
-	"gccache/internal/obs"
 )
 
 // BlockLRU is the paper's Block Cache baseline: it raises the cache's own
@@ -38,13 +37,9 @@ type BlockLRU struct {
 	want    []model.Item // scratch: the item set being admitted
 	trunc   []model.Item // scratch: truncated admission set (oversized blocks)
 	scratch []model.Item // scratch: victim-block enumeration
-	probe   obs.Probe
 }
 
-var (
-	_ cachesim.Cache        = (*BlockLRU)(nil)
-	_ cachesim.Instrumented = (*BlockLRU)(nil)
-)
+var _ cachesim.Cache = (*BlockLRU)(nil)
 
 // NewBlockLRU returns a Block Cache holding at most k items under g.
 // It panics if k < 1 or g is nil.
@@ -73,9 +68,6 @@ func (c *BlockLRU) Name() string { return "block-lru" }
 func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 	if c.present.Has(uint64(it)) {
 		c.order.MoveToFront(c.geo.BlockOf(it))
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHit, Item: it, Block: c.geo.BlockOf(it)})
-		}
 		return cachesim.Access{Hit: true}
 	}
 	blk := c.geo.BlockOf(it)
@@ -121,18 +113,14 @@ func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 			c.present.AddWord(id, m)
 			c.ch.LoadBits(id, m)
 		}
-		return c.ch.Miss(c.probe, it)
+		return c.ch.Miss()
 	}
 	for _, x := range want {
 		c.present.Add(uint64(x))
 		c.ch.Load(x)
 	}
-	return c.ch.Miss(c.probe, it)
+	return c.ch.Miss()
 }
-
-// SetProbe implements cachesim.Instrumented. A nil probe restores the
-// unobserved fast path.
-func (c *BlockLRU) SetProbe(p obs.Probe) { c.probe = p }
 
 // dropBlock evicts blk, deriving its resident set from the bitset:
 // blocks are disjoint, so exactly the set items of blk belong to it.

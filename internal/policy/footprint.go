@@ -110,7 +110,7 @@ func (c *Footprint) Access(it model.Item) cachesim.Access {
 	}
 	c.touched[blk] |= c.offsetOf(it, blk)
 	c.evictOverflow(it)
-	return c.ch.Miss(nil, it)
+	return c.ch.Miss()
 }
 
 func (c *Footprint) evictOverflow(protect model.Item) {

@@ -13,7 +13,6 @@ import (
 	"gccache/internal/cachesim"
 	"gccache/internal/lrulist"
 	"gccache/internal/model"
-	"gccache/internal/obs"
 )
 
 // ItemLRU is the paper's Item Cache baseline: a traditional LRU cache
@@ -24,13 +23,9 @@ type ItemLRU struct {
 	capacity int
 	order    *lrulist.Dense[model.Item]
 	net      cachesim.Net
-	probe    obs.Probe
 }
 
-var (
-	_ cachesim.Cache        = (*ItemLRU)(nil)
-	_ cachesim.Instrumented = (*ItemLRU)(nil)
-)
+var _ cachesim.Cache = (*ItemLRU)(nil)
 
 // NewItemLRU returns an Item Cache of capacity k items. Its recency
 // order is an lrulist.Dense that grows with the largest item ID seen.
@@ -50,9 +45,6 @@ func (c *ItemLRU) Name() string { return "item-lru" }
 //gclint:hotpath
 func (c *ItemLRU) Access(it model.Item) cachesim.Access {
 	if c.order.MoveToFront(it) {
-		if c.probe != nil {
-			c.probe.Observe(obs.Event{Kind: obs.EvHit, Item: it})
-		}
 		return cachesim.Access{Hit: true}
 	}
 	c.net.Reset()
@@ -62,20 +54,8 @@ func (c *ItemLRU) Access(it model.Item) cachesim.Access {
 	} else {
 		c.net.Evict(c.order.ReplaceBack(it))
 	}
-	a := c.net.Miss()
-	if c.probe != nil {
-		c.probe.Observe(obs.Event{Kind: obs.EvBlockLoad, Item: it, N: 1})
-		c.probe.Observe(obs.Event{Kind: obs.EvLoad, Item: it})
-		for _, x := range a.Evicted() {
-			c.probe.Observe(obs.Event{Kind: obs.EvEvict, Item: x})
-		}
-	}
-	return a
+	return c.net.Miss()
 }
-
-// SetProbe implements cachesim.Instrumented. A nil probe restores the
-// unobserved fast path.
-func (c *ItemLRU) SetProbe(p obs.Probe) { c.probe = p }
 
 // AppendRecency appends the cached items to dst in recency order, most
 // recently used first, and returns the extended slice. Cluster handoff
