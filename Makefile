@@ -129,17 +129,24 @@ bench-selftest:
 # 15–18% before. Net.Load and Net.Evict list each item ItemLRU, FIFO,
 # Clock, Marking and RandomEvict move on a miss. GCM's find, insert and
 # removeAt run for each item of its miss path, and randStream.Uint64
-# for each sibling-shuffle draw. IBLP finds each request's block with
-# its blockOf, calls Dense's Back and Contains on each block admission,
-# and PopBack for each item the resize path evicts; an item-layer
-# eviction on admission is one ReplaceBack, a direct call like
-# PushFront. Dense is generic, so its methods are compiled, and
-# reported, as the go.shape.uint64 instance in the packages that use it
-# (core here). Fails naming any helper the compiler will not inline.
-INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict' '(*Net).Load' '(*Net).Evict' '(*GCM).find' '(*GCM).insert' '(*GCM).removeAt' '(*randStream).Uint64' '(*IBLP).blockOf' \
+# for each sibling-shuffle draw. IBLP and BlockLRU find each request's
+# block, and GCM each missed item's, with model's BlockShift.BlockOf (a
+# shift under a power-of-two Fixed geometry). IBLP calls Dense's Back
+# and Contains on each block admission, and PopBack for each item the
+# resize path evicts; an item-layer eviction on admission is one
+# ReplaceBack, a direct call like PushFront. Dense is generic, so its
+# methods are compiled, and reported, as the go.shape.uint64 instance in
+# the packages that use it (core here). The Recorder's Serve records an
+# unprobed hit with its hit classifier (Set.Has and Set.Remove inside)
+# and counts a hit's evictions with countItems; both must inline, so
+# the hit path, which is nearly every request of sim-hits, calls only
+# the policy's Access. Fails naming any helper the compiler will not
+# inline.
+INLINE_FUNCS = 'Set.Has' '(*Set).Add' 'Set.Remove' 'Set.Word' 'Set.RemoveWord' '(*Changes).Load' '(*Changes).Evict' '(*Net).Load' '(*Net).Evict' '(*GCM).find' '(*GCM).insert' '(*GCM).removeAt' '(*randStream).Uint64' '(*BlockShift).BlockOf' \
+	'countItems' '(*Recorder).hit' \
 	'lrulist.(*Dense[go.shape.uint64]).Contains' 'lrulist.(*Dense[go.shape.uint64]).Back' 'lrulist.(*Dense[go.shape.uint64]).PopBack'
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/bitset ./internal/cachesim ./internal/core ./internal/lrulist 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m ./internal/bitset ./internal/cachesim ./internal/core ./internal/lrulist ./internal/model 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
 	can=$$(printf '%s\n' "$$out" | awk '$$2 == "can" && $$3 == "inline" { print $$4 }'); \
 	missing=0; for f in $(INLINE_FUNCS); do \
 		printf '%s\n' "$$can" | grep -qxF -- "$$f" || { echo "inline-check: $$f does not inline"; missing=1; }; \
@@ -170,7 +177,7 @@ repro-check:
 # fuzz smoke over every binary decoder a resumed run trusts (trace
 # files, checkpoint snapshots, workload specs).
 stress:
-	$(GO) test -race -run 'Sweep|Ctx|InjectedPanic|Checkpoint' \
+	$(GO) test -race -run 'Sweep|Ctx|ReplayCancels|ReplaySliceZeroAlloc|InjectedPanic|Checkpoint' \
 		./internal/cachesim/ ./internal/conformance/ ./internal/opt/
 	$(GO) test -race ./internal/faults/ ./internal/checkpoint/
 	$(GO) test ./internal/trace/ -run FuzzReadArbitraryBytes -fuzz FuzzReadArbitraryBytes -fuzztime 2s

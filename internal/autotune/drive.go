@@ -37,12 +37,12 @@ func Drive(c cachesim.Cache, t *Tuner, tr trace.Trace, applyEvery int) cachesim.
 	c.Reset()
 	rec := cachesim.NewRecorder(c.Name(), 0)
 	rec.SetProbe(t)
-	for i, it := range tr {
-		rec.Observe(it, c.Access(it))
-		if (i+1)%applyEvery == 0 {
-			t.Apply(rz)
-		}
+	for len(tr) >= applyEvery {
+		rec.Serve(c, tr[:applyEvery])
+		tr = tr[applyEvery:]
+		t.Apply(rz)
 	}
+	rec.Serve(c, tr)
 	return rec.Stats()
 }
 

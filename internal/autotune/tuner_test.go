@@ -223,10 +223,11 @@ func TestTunerApplyReentrancy(t *testing.T) {
 	rec := cachesim.NewRecorder(live.Name(), 0)
 	rec.SetProbe(tn)
 
-	for i := 0; i < 96*2; i++ {
-		it := model.Item(i % 48)
-		rec.Observe(it, live.Access(it))
+	tr := make([]model.Item, 96*2)
+	for i := range tr {
+		tr[i] = model.Item(i % 48)
 	}
+	rec.Serve(live, tr)
 	if p, ok := tn.Pending(); !ok || p != 64 {
 		t.Fatalf("pending=%d ok=%v, want 64", p, ok)
 	}
@@ -260,10 +261,11 @@ func TestTunerZeroAllocSteadyState(t *testing.T) {
 	defer live.SetProbe(nil)
 	rec := cachesim.NewRecorder(live.Name(), universe)
 	rec.SetProbe(tn)
-	for i := 0; i < universe*2; i++ {
-		it := model.Item(i % universe)
-		rec.Observe(it, live.Access(it))
+	tr := make([]model.Item, universe*2)
+	for i := range tr {
+		tr[i] = model.Item(i % universe)
 	}
+	rec.Serve(live, tr)
 	i := 0
 	// 2000 runs with Window=64 crosses ~60 window boundaries (plus
 	// history-ring wraps with History=32), incl. in the measured runs.

@@ -150,9 +150,9 @@ type Cache interface {
 
 // Instrumented is implemented by caches that can attach an obs.Probe:
 // policies with lifecycle records to report (marks, phase resets,
-// layer resizes), and caches that record their own accesses
-// (concurrent.Sharded). A policy never reports an access; the Recorder
-// does. SetProbe(nil) detaches; implementations must keep the nil fast
+// layer resizes), and caches that record their own accesses and report
+// their own Stats (concurrent.Sharded), whose recorders give the access
+// records. A policy never reports an access; a Recorder does. SetProbe(nil) detaches; implementations must keep the nil fast
 // path allocation-free (the zero-cost-when-nil rule, see internal/obs).
 type Instrumented interface {
 	SetProbe(p obs.Probe)
@@ -246,6 +246,9 @@ func (s Stats) String() string {
 // A Recorder with a probe attached is the only emitter of access
 // records: after each access it gives the probe one obs.Record.
 type Recorder struct {
+	// stats counts misses, spatial and temporal hits, items loaded and
+	// evictions; Stats derives Hits and Accesses from them, so a hit
+	// writes one counter.
 	stats Stats
 	// pristine holds the items loaded by a miss on a different item and
 	// not accessed since; a hit on a pristine item is a spatial hit. An
@@ -274,29 +277,56 @@ func NewRecorder(policy string, universe int) *Recorder {
 	}
 }
 
+// Serve serves items through c in order and records each access. With
+// no probe attached a hit is recorded in line, by the classifier
+// Observe shares; misses, and every access a probe watches, go through
+// Observe. It is the one loop that drives a cache and records it:
+// Replay feeds it chunks, concurrent.Sharded and a cluster node their
+// batches, autotune.Drive its apply strides.
+//
+//gclint:hotpath
+func (r *Recorder) Serve(c Cache, items []model.Item) {
+	probed := r.probe != nil
+	for _, it := range items {
+		a := c.Access(it)
+		if !a.Hit || probed {
+			r.Observe(it, a)
+			continue
+		}
+		r.hit(it)
+		if a.net != nil { // a hit that evicted, counted as Observe counts it
+			r.stats.Evictions += int64(countItems(a.net.evicted))
+		}
+	}
+}
+
+// hit classifies a hit on it as spatial or temporal (§2), counts it and
+// returns its class. make inline-check holds it inline, so Serve's hit
+// path makes no call besides the policy's Access.
+//
+//gclint:hotpath
+func (r *Recorder) hit(it model.Item) obs.Kind {
+	if r.pristine.Has(uint64(it)) {
+		r.pristine.Remove(uint64(it))
+		r.stats.SpatialHits++
+		return obs.EvHitSpatial
+	}
+	r.stats.TemporalHits++
+	return obs.EvHitTemporal
+}
+
 // Observe records the outcome of one request and reports it to the
 // attached probe.
 //
 //gclint:hotpath
 func (r *Recorder) Observe(it model.Item, a Access) {
-	r.stats.Accesses++
+	// A hit can evict too: an IBLP block-layer hit copies the item into
+	// a full item layer. Evictions count; no flag changes.
+	if n := a.net; n != nil {
+		r.stats.Evictions += int64(countItems(n.evicted))
+	}
 	if a.Hit {
-		r.stats.Hits++
-		class := obs.EvHitTemporal
-		if r.pristine.Has(uint64(it)) {
-			r.stats.SpatialHits++
-			r.pristine.Remove(uint64(it))
-			class = obs.EvHitSpatial
-		} else {
-			r.stats.TemporalHits++
-		}
-		// A hit can evict: an IBLP block-layer hit copies the item into
-		// a full item layer. Its evictions count; no flag changes, as on
-		// a miss.
-		if a.net != nil {
-			r.stats.Evictions += int64(countItems(a.net.evicted))
-		}
-		if r.probe != nil {
+		if class := r.hit(it); r.probe != nil {
 			r.report(it, a, class)
 		}
 		return
@@ -322,7 +352,6 @@ func (r *Recorder) Observe(it model.Item, a Access) {
 		}
 		r.pristine.AddWord(w, m)
 		r.stats.ItemsLoaded += int64(loaded)
-		r.stats.Evictions += int64(countItems(n.evicted))
 	}
 	// The requested item itself has now been accessed.
 	r.pristine.Remove(uint64(it))
@@ -345,8 +374,14 @@ func (r *Recorder) report(it model.Item, a Access, class obs.Kind) {
 	r.probe.Observe(rec)
 }
 
-// Stats returns the accumulated statistics.
-func (r *Recorder) Stats() Stats { return r.stats }
+// Stats returns the accumulated statistics, with Hits and Accesses
+// derived from the counts the Recorder keeps.
+func (r *Recorder) Stats() Stats {
+	st := r.stats
+	st.Hits = st.SpatialHits + st.TemporalHits
+	st.Accesses = st.Hits + st.Misses
+	return st
+}
 
 // Reset clears the Recorder for reuse under a (possibly new) policy name,
 // retaining allocated tracking state and any attached probe.

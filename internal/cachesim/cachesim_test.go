@@ -237,10 +237,10 @@ func (c *cancelAt) Access(it model.Item) Access {
 	return c.fakeDeterministic.Access(it)
 }
 
-// TestRunCtxCancelsMidTrace checks a context that ends mid-replay stops
-// Replay at the next poll, within one stride, with the partial
-// statistics and ctx's error — on both replay loops.
-func TestRunCtxCancelsMidTrace(t *testing.T) {
+// TestReplayCancelsMidTrace checks a context that ends mid-chunk stops
+// Replay at the next poll, before the next chunk, with the statistics
+// of exactly the chunks served and ctx's error — on both replay loops.
+func TestReplayCancelsMidTrace(t *testing.T) {
 	tr := make(trace.Trace, 3*cancelStride)
 	for i := range tr {
 		tr[i] = model.Item(i % 64)

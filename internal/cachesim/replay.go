@@ -25,17 +25,20 @@ type ReplayOptions struct {
 	// Probe, when non-nil, is attached to the Recorder, which gives it
 	// one record per access, and to the cache when it implements
 	// Instrumented, which reports its lifecycle records (marks, phase
-	// resets, layer resizes). It is detached from the cache before
-	// Replay returns. Probes observe, they never steer: statistics are
-	// identical with and without one.
+	// resets, layer resizes). A cache that also keeps its own Stats
+	// records its own accesses (concurrent.Sharded) and gives the
+	// records itself, so the Recorder then gets no probe. It is
+	// detached from the cache before Replay returns. Probes observe,
+	// they never steer: statistics are identical with and without one.
 	Probe obs.Probe
 }
 
 // cancelStride is how many requests Replay serves between context
-// polls. Polling ctx.Err() neither allocates nor locks, but once per
-// request would still put an interface call on the hot path; once per
-// stride keeps cancellation latency bounded (a few microseconds of
-// work) at zero per-request cost.
+// polls: it serves them as one chunk through Recorder.Serve and polls
+// before each chunk. Polling ctx.Err() neither allocates nor locks, but
+// once per request would still put an interface call on the hot path;
+// once per chunk keeps cancellation latency bounded (a few microseconds
+// of work) at zero per-request cost.
 const cancelStride = 4096
 
 // Replay drives every request of src through c from c's current state
@@ -55,15 +58,20 @@ func Replay(ctx context.Context, c Cache, src trace.Source, opt ReplayOptions) (
 		universe = MaxUniverse
 	}
 	if opt.Probe != nil {
-		if in, ok := c.(Instrumented); ok {
+		in, instrumented := c.(Instrumented)
+		if instrumented {
 			in.SetProbe(opt.Probe)
 			defer in.SetProbe(nil)
 		}
-		rec.SetProbe(opt.Probe)
+		// A cache that keeps its own Stats records its own accesses
+		// (concurrent.Sharded): with the probe attached it reports each
+		// one, so the replay's recorder must not report it again.
+		if _, records := c.(interface{ Stats() Stats }); !instrumented || !records {
+			rec.SetProbe(opt.Probe)
+		}
 	}
-	// The concrete slice source gets its own loop so the compiler can
-	// inline Next and Item; through the interface each request pays two
-	// dynamic calls.
+	// A slice source's unread items are served where they lie; any other
+	// source is read into a buffer a chunk at a time.
 	if s, ok := src.(*trace.SliceSource); ok {
 		return replaySlice(ctx, c, s, rec, universe)
 	}
@@ -71,43 +79,59 @@ func Replay(ctx context.Context, c Cache, src trace.Source, opt ReplayOptions) (
 }
 
 // replaySlice is Replay's loop over an in-memory trace. It must stay
-// allocation-free per request (the ZeroAlloc test pins it).
+// allocation-free per request (the ZeroAlloc tests pin it).
 //
 //gclint:hotpath
 func replaySlice(ctx context.Context, c Cache, src *trace.SliceSource, rec *Recorder, universe int) (Stats, error) {
-	for i := 0; src.Next(); i++ {
-		if i&(cancelStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return rec.Stats(), err
-			}
+	for chunk := src.Take(cancelStride); len(chunk) > 0; chunk = src.Take(cancelStride) {
+		if err := ctx.Err(); err != nil {
+			return rec.Stats(), err
 		}
-		it := src.Item()
-		if uint64(it) >= uint64(universe) {
-			return rec.Stats(), outsideUniverse(it, universe) //gclint:allowalloc cold error path, taken at most once per replay
+		if n := servePrefix(c, rec, chunk, universe); n < len(chunk) {
+			return rec.Stats(), outsideUniverse(chunk[n], universe) //gclint:allowalloc cold error path, taken at most once per replay
 		}
-		rec.Observe(it, c.Access(it))
 	}
 	return rec.Stats(), nil
 }
 
-// replaySource is replaySlice for any other Source; it also reports the
-// source's terminal error.
+// replaySource is replaySlice for any other Source, read a chunk at a
+// time into a buffer on the stack; it also reports the source's
+// terminal error.
 //
 //gclint:hotpath
 func replaySource(ctx context.Context, c Cache, src trace.Source, rec *Recorder, universe int) (Stats, error) {
-	for i := 0; src.Next(); i++ {
-		if i&(cancelStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return rec.Stats(), err
-			}
+	var buf [cancelStride]model.Item
+	for {
+		n := 0
+		for ; n < len(buf) && src.Next(); n++ {
+			buf[n] = src.Item()
 		}
-		it := src.Item()
-		if uint64(it) >= uint64(universe) {
-			return rec.Stats(), outsideUniverse(it, universe) //gclint:allowalloc cold error path, taken at most once per replay
+		if n == 0 {
+			return rec.Stats(), src.Err()
 		}
-		rec.Observe(it, c.Access(it))
+		if err := ctx.Err(); err != nil {
+			return rec.Stats(), err
+		}
+		if m := servePrefix(c, rec, buf[:n], universe); m < n {
+			return rec.Stats(), outsideUniverse(buf[m], universe) //gclint:allowalloc cold error path, taken at most once per replay
+		}
+		if n < len(buf) {
+			return rec.Stats(), src.Err()
+		}
 	}
-	return rec.Stats(), src.Err()
+}
+
+// servePrefix serves chunk through c into rec up to the first request
+// outside the universe, and returns how many requests it served.
+//
+//gclint:hotpath
+func servePrefix(c Cache, rec *Recorder, chunk []model.Item, universe int) int {
+	n := 0
+	for n < len(chunk) && uint64(chunk[n]) < uint64(universe) {
+		n++
+	}
+	rec.Serve(c, chunk[:n])
+	return n
 }
 
 // outsideUniverse builds the error for a request outside the replay's

@@ -58,13 +58,14 @@ func assertLoopZeroAlloc(t *testing.T, name string, rec *Recorder, n int, loop f
 	}
 }
 
-// TestRunCtxZeroAllocSteadyState pins the fault-tolerance contract that
-// cancellation support stays off the hot path of an in-memory trace
-// replay: Replay's *trace.SliceSource loop — source advance, universe
-// check, policy access, recorder classification, context poll
-// every cancelStride requests — must not allocate. A regression here
-// would show up as allocations proportional to trace length.
-func TestRunCtxZeroAllocSteadyState(t *testing.T) {
+// TestReplaySliceZeroAllocSteadyState pins the fault-tolerance contract
+// that cancellation support stays off the hot path of an in-memory
+// trace replay: Replay's *trace.SliceSource loop — chunks taken from the
+// source, universe check, policy access, recorder classification,
+// context poll before each cancelStride-request chunk — must not
+// allocate. A regression here would show up as allocations
+// proportional to trace length.
+func TestReplaySliceZeroAllocSteadyState(t *testing.T) {
 	tr, universe := zeroAllocTrace()
 	rec := NewRecorder("hit", universe)
 	ctx := context.Background()

@@ -296,15 +296,13 @@ func (n *Node) outsideUniverse(items []model.Item) error {
 func (n *Node) apply(seq uint64, batch []model.Item) accessResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	resp := accessResp{Seq: seq, Served: uint64(len(batch))}
-	for _, it := range batch {
-		a := n.cache.Access(it)
-		n.rec.Observe(it, a)
-		if a.Hit {
-			resp.Hits++
-		} else {
-			resp.Misses++
-		}
+	before := n.rec.Stats()
+	n.rec.Serve(n.cache, batch)
+	after := n.rec.Stats()
+	return accessResp{
+		Seq:    seq,
+		Served: uint64(len(batch)),
+		Hits:   uint64(after.Hits - before.Hits),
+		Misses: uint64(after.Misses - before.Misses),
 	}
-	return resp
 }

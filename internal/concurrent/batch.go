@@ -524,9 +524,6 @@ func (s *Sharded) accessBatch(idx int, b []model.Item) {
 		sh.mu.Lock()
 	}
 	sh.acquired.Add(1)
-	for _, it := range b {
-		a := sh.c.Access(it)
-		sh.rec.Observe(it, a)
-	}
+	sh.rec.Serve(sh.c, b)
 	sh.mu.Unlock()
 }

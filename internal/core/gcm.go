@@ -49,10 +49,11 @@ type GCM struct {
 	pos []int32
 
 	ch    cachesim.Changes
-	fixed model.Item   // B under *model.Fixed, else 0
-	sibs  []model.Item // scratch: shuffled sibling order
-	probe obs.Probe    // receives marks and phase resets
-	rec   obs.Record   // the record given to probe
+	fixed model.Item       // B under *model.Fixed, else 0
+	shift model.BlockShift // finds a missed item's block
+	sibs  []model.Item     // scratch: shuffled sibling order
+	probe obs.Probe        // receives marks and phase resets
+	rec   obs.Record       // the record given to probe
 	rng   randStream
 }
 
@@ -90,6 +91,7 @@ func newGCM(k int, g model.Geometry, seed int64, universe int) *GCM {
 		pos:      make([]int32, model.ItemUniverse(g, universe)),
 		ch:       cachesim.NewChanges(g),
 		fixed:    model.Item(model.FixedSize(g)),
+		shift:    model.NewBlockShift(g),
 	}
 	c.rng.Seed(seed)
 	return c
@@ -106,7 +108,7 @@ func (c *GCM) Access(it model.Item) cachesim.Access {
 		c.markPos(p, it)
 		return cachesim.Access{Hit: true}
 	}
-	blk := c.geo.BlockOf(it)
+	blk := c.shift.BlockOf(it)
 	// A random eviction may hit a sibling loaded earlier in this same
 	// access, or a resident sibling that is then reloaded; c.ch nets
 	// both as they happen.

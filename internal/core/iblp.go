@@ -36,8 +36,8 @@ type IBLP struct {
 	itemSize  int // i
 	blockSize int // b
 	geo       model.Geometry
-	fixed     int  // B under model.Fixed, else 0
-	shift     uint // log2 B under a model.Fixed whose B is a power of two, else 64
+	fixed     int              // B under model.Fixed, else 0
+	shift     model.BlockShift // finds a request's block
 
 	items *lrulist.Dense[model.Item] // item layer, MRU..LRU
 
@@ -89,16 +89,12 @@ func newIBLP(i, b int, g model.Geometry, universe int) *IBLP {
 		panic("core: IBLP nil geometry")
 	}
 	universe = model.ItemUniverse(g, universe)
-	fixed, shift := model.FixedSize(g), uint(64)
-	if fixed&(fixed-1) == 0 && fixed != 0 {
-		shift = uint(bits.TrailingZeros(uint(fixed)))
-	}
 	return &IBLP{
 		itemSize:  i,
 		blockSize: b,
 		geo:       g,
-		fixed:     fixed,
-		shift:     shift,
+		fixed:     model.FixedSize(g),
+		shift:     model.NewBlockShift(g),
 		items:     lrulist.NewDense[model.Item](universe),
 		blocks:    lrulist.NewDense[model.Block](model.BlockUniverse(g, universe)),
 		inBlock:   bitset.New(universe),
@@ -209,12 +205,12 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 		c.items.MoveToFront(it)
 		if c.promoteOnItemHit {
 			// MoveToFront on an absent block is a no-op.
-			c.blocks.MoveToFront(c.blockOf(it))
+			c.blocks.MoveToFront(c.shift.BlockOf(it))
 		}
 		return cachesim.Access{Hit: true, Served: obs.EvHitItemLayer}
 	}
 
-	blk := c.blockOf(it)
+	blk := c.shift.BlockOf(it)
 	if c.inBlock.Has(uint64(it)) {
 		// Block-layer hit: serve it, refresh the block's recency, and
 		// copy the item into the item layer (an internal move — free).
@@ -234,18 +230,6 @@ func (c *IBLP) Access(it model.Item) cachesim.Access {
 	c.admitItemLayer(it, true)
 	c.admitBlockLayer(blk, it)
 	return c.ch.Miss()
-}
-
-// blockOf returns the block holding it: a shift when the geometry is
-// Fixed with a power-of-two B, else the geometry's BlockOf, an
-// interface call that divides. make inline-check holds it inline.
-//
-//gclint:hotpath
-func (c *IBLP) blockOf(it model.Item) model.Block {
-	if c.shift < 64 {
-		return model.Block(uint64(it) >> c.shift)
-	}
-	return c.geo.BlockOf(it)
 }
 
 // present reports overall membership (either layer).

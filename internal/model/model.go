@@ -10,7 +10,10 @@
 // evictable; only the *load* happens at block granularity.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Item identifies a unit-size cacheable datum. The item universe is the
 // non-negative integers; adversaries allocate fresh items without bound.
@@ -132,6 +135,35 @@ func FixedSize(g Geometry) int {
 		return f.b
 	}
 	return 0
+}
+
+// BlockShift finds an item's block under a geometry: by a shift when
+// the geometry is a Fixed whose B is a power of two, else through the
+// geometry's BlockOf, an interface call that divides. IBLP, BlockLRU
+// and GCM find each request's block with one; make inline-check holds
+// its BlockOf inline.
+type BlockShift struct {
+	g     Geometry
+	shift uint // log2 B under a Fixed whose B is a power of two, else 64
+}
+
+// NewBlockShift returns the BlockShift of g.
+func NewBlockShift(g Geometry) BlockShift {
+	s := BlockShift{g: g, shift: 64}
+	if b := FixedSize(g); b != 0 && b&(b-1) == 0 {
+		s.shift = uint(bits.TrailingZeros(uint(b)))
+	}
+	return s
+}
+
+// BlockOf returns the block holding it.
+//
+//gclint:hotpath
+func (s *BlockShift) BlockOf(it Item) Block {
+	if s.shift < 64 {
+		return Block(uint64(it) >> s.shift)
+	}
+	return s.g.BlockOf(it)
 }
 
 // Table is an explicit geometry built from a list of blocks with possibly

@@ -19,6 +19,7 @@ import (
 	"gccache/internal/obs"
 	"gccache/internal/policy"
 	"gccache/internal/trace"
+	"gccache/internal/workload"
 )
 
 const diffOps = 20000
@@ -146,6 +147,36 @@ func TestProbeIdentitiesEveryPolicy(t *testing.T) {
 			checkIdentities(t, s.Name(), suite.Counters, st, s.Len())
 		}
 	}
+}
+
+// TestProbeReplayShardedRecordsOnce: a Replay through a Sharded cache
+// with a probe gives it one record per access. The shards' recorders
+// report each access, so the replay's own recorder must not report it
+// again; the counts then equal the replay's statistics.
+func TestProbeReplayShardedRecordsOnce(t *testing.T) {
+	const B = 8
+	g := model.NewFixed(B)
+	tr, err := workload.BlockRuns(workload.BlockRunsConfig{
+		NumBlocks: 64, BlockSize: B, MeanRunLength: 4, ZipfS: 1.2, Length: 1000, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := concurrent.NewSharded(2, 64, g, func(k int) cachesim.Cache { return core.NewIBLPEvenSplit(k, g) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c obs.Counters
+	st, err := cachesim.Replay(context.Background(), s, trace.NewSliceSource(tr), cachesim.ReplayOptions{Probe: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]int64{c.Get(obs.EvHitTemporal), c.Get(obs.EvHitSpatial), c.Get(obs.EvMiss), c.Get(obs.EvBlockLoad)}
+	want := [...]int64{st.TemporalHits, st.SpatialHits, st.Misses, st.Misses}
+	if got != want {
+		t.Errorf("probe counted %v temporal, spatial, miss and block-load records; Stats reads %v", got, want)
+	}
+	checkIdentities(t, s.Name(), &c, st, s.Len())
 }
 
 // TestProbeWindowHoldsWRequests: every completed window of a Windowed

@@ -24,7 +24,8 @@ import (
 type BlockLRU struct {
 	capacity int
 	geo      model.Geometry
-	fixed    int // B under model.Fixed, else 0
+	fixed    int              // B under model.Fixed, else 0
+	shift    model.BlockShift // finds a request's block
 	order    *lrulist.Dense[model.Block]
 	size     int // total items held
 
@@ -54,6 +55,7 @@ func NewBlockLRU(k int, g model.Geometry) *BlockLRU {
 		capacity: k,
 		geo:      g,
 		fixed:    model.FixedSize(g),
+		shift:    model.NewBlockShift(g),
 		order:    lrulist.NewDense[model.Block](0),
 		ch:       cachesim.NewChanges(g),
 	}
@@ -67,10 +69,10 @@ func (c *BlockLRU) Name() string { return "block-lru" }
 //gclint:hotpath
 func (c *BlockLRU) Access(it model.Item) cachesim.Access {
 	if c.present.Has(uint64(it)) {
-		c.order.MoveToFront(c.geo.BlockOf(it))
+		c.order.MoveToFront(c.shift.BlockOf(it))
 		return cachesim.Access{Hit: true}
 	}
-	blk := c.geo.BlockOf(it)
+	blk := c.shift.BlockOf(it)
 	c.ch.Begin(blk)
 
 	// If a truncated copy of the block is resident (possible only when a

@@ -271,9 +271,8 @@ func parseUint(b []byte) (uint64, bool) {
 // reference source the stream-vs-slice differential tests compare file
 // scanners against.
 type SliceSource struct {
-	t   Trace
-	i   int
-	cur model.Item
+	t Trace
+	i int // items yielded so far
 }
 
 var _ Source = (*SliceSource)(nil)
@@ -288,13 +287,21 @@ func (s *SliceSource) Next() bool {
 	if s.i >= len(s.t) {
 		return false
 	}
-	s.cur = s.t[s.i]
 	s.i++
 	return true
 }
 
 // Item implements Source.
-func (s *SliceSource) Item() model.Item { return s.cur }
+func (s *SliceSource) Item() model.Item { return s.t[s.i-1] }
+
+// Take yields the next min(n, remaining) items at once, as that many
+// calls to Next would, and returns them (n ≥ 0); the slice aliases the
+// trace. Replay serves a slice source in chunks taken this way.
+func (s *SliceSource) Take(n int) Trace {
+	chunk := s.t[s.i:min(s.i+n, len(s.t))]
+	s.i += len(chunk)
+	return chunk
+}
 
 // Err implements Source; a slice never fails.
 func (s *SliceSource) Err() error { return nil }
