@@ -46,8 +46,13 @@ race:
 # Load-generator smoke: gcload's selfcheck (open + batch modes, full
 # accounting verification) under the race detector — the fastest way to
 # catch a data race in the serving engine's producer/worker plumbing.
+# The selfcheck's open phase is unthrottled and reads a trace, so a
+# second run throttles four -scenario streams and cuts them off with
+# -duration: gcload's wait for a due time, its stop on the run's
+# context and the per-stream scenario copies then run under -race too.
 load-smoke:
 	$(GO) run -race ./cmd/gcload -selfcheck
+	$(GO) run -race ./cmd/gcload -scenario scenarios/hotcold.gcs -streams 4 -rate 20000 -ops 10000000 -duration 500ms
 
 # Scenario-corpus smoke: validate, compile, and fully replay every
 # scenarios/*.gcs under the race detector (universe bounds, exact

@@ -3,31 +3,19 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"os"
+	"slices"
 	"time"
 
 	"gccache/internal/cachesim"
 	"gccache/internal/cli"
 	"gccache/internal/cluster"
 	"gccache/internal/cluster/ring"
-	"gccache/internal/concurrent"
 	"gccache/internal/core"
 	"gccache/internal/model"
 	"gccache/internal/obs"
 	"gccache/internal/trace"
 )
-
-// clusterLoadConfig carries the flag values the -cluster path needs.
-type clusterLoadConfig struct {
-	ringPath    string
-	tr          trace.Trace
-	seed        int64
-	streams     int
-	ops         int64
-	batch, rate int
-	duration    time.Duration
-}
 
 // defaultClusterBatch is the wire batch size when -batch is unset: big
 // enough to amortize a round trip, small enough that a retry after a
@@ -35,21 +23,21 @@ type clusterLoadConfig struct {
 const defaultClusterBatch = 64
 
 // runClusterLoad drives a gcserve cache ring over the wire: the
-// workload trace is split across client streams, each stream routes its
-// accesses to their owning nodes in batches and issues one request per
-// (batch, owner) group. Latency is per-request wall time including any
-// retries and failovers. The run fails if the client-side accounting
-// identity breaks or any acked batch was not fully served.
-func runClusterLoad(c clusterLoadConfig) {
-	nodes, err := ring.LoadFile(c.ringPath)
+// workload trace is dealt across client streams, and drive hands each
+// stream's requests to the ring a wire batch at a time, routed to their
+// owning nodes with one request per (batch, owner) group. Latency is
+// per-request wall time including any retries and failovers. The run
+// fails if the client-side accounting identity breaks or any acked
+// batch was not fully served.
+func runClusterLoad(ctx context.Context, ringPath string, tr trace.Trace, seed int64, streams int, ops int64, batch, rate int) {
+	nodes, err := ring.LoadFile(ringPath)
 	if err != nil {
 		cli.Fatal("gcload", err)
 	}
-	r, err := ring.New(nodes, cluster.DefaultReplicas, c.seed)
+	r, err := ring.New(nodes, cluster.DefaultReplicas, seed)
 	if err != nil {
 		cli.Fatal("gcload", err)
 	}
-	batch := c.batch
 	if batch <= 0 {
 		batch = defaultClusterBatch
 	}
@@ -57,22 +45,19 @@ func runClusterLoad(c clusterLoadConfig) {
 	client := cluster.NewClient(r, cluster.ClientConfig{
 		Timeout: 2 * time.Second,
 		Retries: 2,
-		Seed:    c.seed,
+		Seed:    seed,
 	})
 	defer client.Close()
 
-	ctx := context.Background()
-	if c.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.duration)
-		defer cancel()
-	}
-
 	fmt.Printf("gcload: cluster of %d nodes (ring %s), %d streams, batch %d\n",
-		r.Len(), c.ringPath, c.streams, batch)
-	issued, hist, elapsed := driveCluster(ctx, client, r, c.tr, c.streams, c.ops, batch, c.rate)
-	printClusterReport(client, issued, hist, elapsed)
+		r.Len(), ringPath, streams, batch)
+	hist := obs.NewHistogram("request latency", "ns")
+	issued, elapsed := drive(ctx, deal(tr, streams), ops, batch, rate, wireSender(client, r.Len(), hist))
+	report{issued: issued, elapsed: elapsed, hist: hist}.printRate(os.Stdout, "accesses acked", " over the wire")
 	st := client.Stats()
+	ratio := float64(st.Misses) / float64(max(st.Hits+st.Misses, 1))
+	fmt.Printf("gcload: batches %d issued / %d first-try / %d retried-ok / %d rejected; %d failovers, %d breaker skips; miss ratio %.4f\n",
+		st.Issued, st.ServedFirstTry, st.RetriedOK, st.Rejected, st.Failovers, st.BreakerSkips, ratio)
 	if !st.Identity() {
 		cli.Fatalf("gcload", "accounting identity broken: issued %d != first-try %d + retried %d + rejected %d",
 			st.Issued, st.ServedFirstTry, st.RetriedOK, st.Rejected)
@@ -82,97 +67,31 @@ func runClusterLoad(c clusterLoadConfig) {
 	}
 }
 
-// driveCluster fans tr out over n client streams, each issuing routed
-// batches until its share of ops accesses is done (or ctx expires).
-// Returned issued counts accesses acked, not batches; hist records one
-// sample per wire request (scheduled-arrival latency when rate > 0, so
-// queueing under faults is charged to the ring, not absorbed).
-func driveCluster(ctx context.Context, client *cluster.Client, r *ring.Ring, tr trace.Trace, n int, ops int64, batch, rate int) (int64, *obs.Histogram, time.Duration) {
-	streams := concurrent.SplitStreams(tr, n)
-	hist := obs.NewHistogram("request latency", "ns")
-	var interval time.Duration
-	if rate > 0 {
-		interval = time.Duration(float64(len(streams)*batch) / float64(rate) * float64(time.Second))
-	}
-	var issued atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w, st := range streams {
-		quota := ops / int64(len(streams))
-		if int64(w) < ops%int64(len(streams)) {
-			quota++
-		}
-		if quota == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(st trace.Trace, quota int64) {
-			defer wg.Done()
-			items := make([]model.Item, 0, batch)
-			groups := make(map[int][]model.Item, r.Len())
-			base := time.Now()
-			var round int64
-			for sent := int64(0); sent < quota; round++ {
-				if ctx.Err() != nil {
-					return
-				}
-				items = items[:0]
-				for len(items) < batch && sent+int64(len(items)) < quota {
-					items = append(items, st[int((sent+int64(len(items)))%int64(len(st)))])
-				}
-				scheduled := time.Now()
-				if interval > 0 {
-					scheduled = base.Add(time.Duration(round) * interval)
-					if wait := time.Until(scheduled); wait > 0 {
-						time.Sleep(wait)
-					}
-				}
-				for k := range groups {
-					groups[k] = groups[k][:0]
-				}
-				client.Route(items, groups)
-				for node := 0; node < r.Len(); node++ {
-					g := groups[node]
-					if len(g) == 0 {
-						continue
-					}
-					if err := client.Do(g); err == nil {
-						issued.Add(int64(len(g)))
-					}
-					hist.Record(int64(time.Since(scheduled)))
-				}
-				sent += int64(len(items))
+// wireSender makes drive's per-stream senders for a ring of n nodes:
+// each routes its step to the owning nodes and sends one request per
+// owner, recording each request's latency from the step's due time
+// (so queueing under faults is charged to the ring, not absorbed), and
+// counts the accesses acked.
+func wireSender(client *cluster.Client, n int, hist *obs.Histogram) func() sender {
+	return func() sender {
+		groups := make(map[int][]model.Item, n)
+		return func(items []model.Item, due time.Time) int {
+			for k := range groups {
+				groups[k] = groups[k][:0]
 			}
-		}(st, quota)
+			client.Route(items, groups)
+			acked := 0
+			for node := 0; node < n; node++ {
+				if g := groups[node]; len(g) > 0 {
+					if client.Do(g) == nil {
+						acked += len(g)
+					}
+					hist.Record(int64(time.Since(due)))
+				}
+			}
+			return acked
+		}
 	}
-	wg.Wait()
-	return issued.Load(), hist, time.Since(start)
-}
-
-// printClusterReport is the cluster-mode analogue of report.print: wire
-// throughput, per-request latency, and the fault-handling counters.
-func printClusterReport(client *cluster.Client, issued int64, hist *obs.Histogram, elapsed time.Duration) {
-	secs := elapsed.Seconds()
-	if secs <= 0 {
-		secs = 1e-9
-	}
-	fmt.Printf("gcload: %d accesses acked in %v: %.0f ops/sec over the wire\n",
-		issued, elapsed.Round(time.Millisecond), float64(issued)/secs)
-	if hist.Count() > 0 {
-		fmt.Printf("gcload: request latency p50 %v  p95 %v  p99 %v  mean %v\n",
-			time.Duration(hist.Percentile(0.50)),
-			time.Duration(hist.Percentile(0.95)),
-			time.Duration(hist.Percentile(0.99)),
-			time.Duration(hist.Mean()))
-	}
-	st := client.Stats()
-	served := st.Hits + st.Misses
-	ratio := 0.0
-	if served > 0 {
-		ratio = float64(st.Misses) / float64(served)
-	}
-	fmt.Printf("gcload: batches %d issued / %d first-try / %d retried-ok / %d rejected; %d failovers, %d breaker skips; miss ratio %.4f\n",
-		st.Issued, st.ServedFirstTry, st.RetriedOK, st.Rejected, st.Failovers, st.BreakerSkips, ratio)
 }
 
 // runClusterSelfcheck stands up a three-node loopback ring in-process
@@ -193,16 +112,13 @@ func runClusterSelfcheck() error {
 	if err != nil {
 		return err
 	}
-	newNode := func() (*cluster.Node, error) {
-		return cluster.NewNode(cluster.NodeConfig{
-			Addr: "127.0.0.1:0", K: kk, B: bb, Universe: universe,
-			NewCache: func() cachesim.Cache { return build(kk) },
-		})
-	}
 	nodes := make([]*cluster.Node, 3)
 	addrs := make([]string, 3)
 	for i := range nodes {
-		n, err := newNode()
+		n, err := cluster.NewNode(cluster.NodeConfig{
+			Addr: "127.0.0.1:0", K: kk, B: bb, Universe: universe,
+			NewCache: func() cachesim.Cache { return build(kk) },
+		})
 		if err != nil {
 			return err
 		}
@@ -220,37 +136,15 @@ func runClusterSelfcheck() error {
 	client := cluster.NewClient(r, cluster.ClientConfig{Timeout: 2 * time.Second, Retries: 1, Seed: 1})
 	defer client.Close()
 
-	nodeByAddr := func(addr string) *cluster.Node {
-		for i, a := range addrs {
-			if a == addr {
-				return nodes[i]
-			}
-		}
-		return nil
+	// One client stream cycles through the universe, a wire batch a
+	// step; each load phase drive runs picks up where the last left off.
+	ids := make(trace.Trace, universe)
+	for i := range ids {
+		ids[i] = model.Item(i)
 	}
-	drive := func(from, to int) error {
-		items := make([]model.Item, 0, batch)
-		groups := make(map[int][]model.Item, len(nodes))
-		for round := from; round < to; round++ {
-			items = items[:0]
-			for i := 0; i < batch; i++ {
-				items = append(items, model.Item((round*batch+i)%universe))
-			}
-			for k := range groups {
-				groups[k] = groups[k][:0]
-			}
-			client.Route(items, groups)
-			for n := 0; n < r.Len(); n++ {
-				if len(groups[n]) == 0 {
-					continue
-				}
-				if err := client.Do(groups[n]); err != nil {
-					return fmt.Errorf("batch to node %d: %w", n, err)
-				}
-			}
-		}
-		return nil
-	}
+	srcs := deal(ids, 1)
+	send := wireSender(client, r.Len(), obs.NewHistogram("request latency", "ns"))
+	const sent = rounds * batch
 	sumAccesses := func() int64 {
 		var total int64
 		for _, n := range nodes {
@@ -262,11 +156,11 @@ func runClusterSelfcheck() error {
 	// Phase 1: a healthy ring. Every access must be applied exactly once
 	// (loopback, generous deadlines: no timeouts, so at-least-once
 	// degenerates to exactly-once) and acked on the first attempt.
-	if err := drive(0, rounds); err != nil {
-		return err
+	if acked, _ := drive(context.Background(), srcs, sent, batch, 0, send); acked != sent {
+		return fmt.Errorf("selfcheck: healthy ring acked %d of %d accesses", acked, sent)
 	}
-	if got := sumAccesses(); got != rounds*batch {
-		return fmt.Errorf("selfcheck: ring counted %d accesses, client sent %d", got, rounds*batch)
+	if got := sumAccesses(); got != sent {
+		return fmt.Errorf("selfcheck: ring counted %d accesses, client sent %d", got, sent)
 	}
 	st := client.Stats()
 	if !st.Identity() || st.RetriedOK != 0 || st.Rejected != 0 {
@@ -279,8 +173,8 @@ func runClusterSelfcheck() error {
 	victim := nodes[0]
 	victimBefore := victim.Stats().Accesses
 	victim.Drain()
-	if err := drive(rounds, 2*rounds); err != nil {
-		return err
+	if acked, _ := drive(context.Background(), srcs, sent, batch, 0, send); acked != sent {
+		return fmt.Errorf("selfcheck: drained ring acked %d of %d accesses", acked, sent)
 	}
 	st = client.Stats()
 	if !st.Identity() {
@@ -305,7 +199,7 @@ func runClusterSelfcheck() error {
 	if !ok {
 		return fmt.Errorf("selfcheck: no ring successor for %s", addrs[0])
 	}
-	succ := nodeByAddr(succAddr)
+	succ := nodes[slices.Index(addrs, succAddr)]
 	succBefore := succ.Stats().Accesses
 	if err := victim.HandoffTo(succAddr, 2*time.Second); err != nil {
 		return fmt.Errorf("selfcheck: handoff: %w", err)
@@ -315,6 +209,6 @@ func runClusterSelfcheck() error {
 	}
 
 	fmt.Printf("gcload: cluster selfcheck: %d accesses over 3 nodes, %d failovers during drain, handoff verified\n",
-		2*rounds*batch, st.Failovers)
+		2*sent, st.Failovers)
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"gccache"
 	"gccache/internal/cachesim"
@@ -82,6 +84,45 @@ func TestCommandSmoke(t *testing.T) {
 			}
 			if !strings.Contains(string(out), c.want) {
 				t.Fatalf("output missing %q:\n%s", c.want, out)
+			}
+		})
+	}
+}
+
+// TestGcloadDurationBoundsRate: -duration ends a -rate run on time, on
+// the trace path and on the -scenario path. At these rates a million
+// ops would take hours, so each run must stop at its 300 ms box; the
+// test reads the elapsed time gcload prints and fails above 2 s, the
+// mark of a stream that sleeps out its due time without watching the
+// run's context. Skipped under -short (it compiles gcload).
+func TestGcloadDurationBoundsRate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles gcload")
+	}
+	elapsed := regexp.MustCompile(`gcload: \d+ ops in (\S+): `)
+	for name, args := range map[string][]string{
+		"trace": {"-rate", "50", "-streams", "1", "-shards", "1", "-ops", "1000000",
+			"-duration", "300ms", "-workload", "cyclic:n=64,len=1000"},
+		"scenario": {"-scenario", "scenarios/hotcold.gcs", "-rate", "100", "-streams", "2",
+			"-shards", "1", "-ops", "1000000", "-duration", "300ms"},
+	} {
+		args := append([]string{"run", "./cmd/gcload"}, args...)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out, err := exec.Command("go", args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v: %v\n%s", args, err, out)
+			}
+			m := elapsed.FindSubmatch(out)
+			if m == nil {
+				t.Fatalf("no elapsed time in the output:\n%s", out)
+			}
+			d, err := time.ParseDuration(string(m[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d > 2*time.Second {
+				t.Errorf("a -duration 300ms run took %v:\n%s", d, out)
 			}
 		})
 	}
@@ -388,7 +429,7 @@ func TestCommandUsage(t *testing.T) {
 		"gcopt":       {"workload", "trace", "k", "B", "seed", "exact", "deadline", "checkpoint", "resume"},
 		"gcrepro":     {"out", "quick"},
 		"gcload": {"k", "B", "policy", "workload", "trace", "scenario", "seed", "shards", "streams",
-			"ops", "rate", "mode", "batch", "depth", "pin", "duration", "selfcheck", "cluster", "ring"},
+			"ops", "rate", "mode", "batch", "depth", "duration", "selfcheck", "cluster", "ring"},
 		"gcscn": {"fmt", "explain", "stats", "out", "seed", "B"},
 		"gcserve": {"addr", "k", "B", "policy", "workload", "trace", "seed",
 			"shards", "streams", "probe", "loop", "rate", "duration", "selfcheck", "drain",

@@ -376,8 +376,8 @@ func NewShardedCache(nShards, totalCapacity int, g Geometry,
 // SplitStreams deals a trace round-robin into n concurrent streams.
 func SplitStreams(tr Trace, n int) []Trace { return concurrent.SplitStreams(tr, n) }
 
-// BatchReplayConfig tunes the batched replay engine (batch size, queue
-// depth, worker pinning); the zero value selects defaults.
+// BatchReplayConfig tunes the batched replay engine (batch size and
+// queue depth); the zero value selects defaults.
 type BatchReplayConfig = concurrent.BatchConfig
 
 // ReplayEngine is the batched serving engine, the one concurrent replay

@@ -32,12 +32,9 @@ import (
 type Config struct {
 	// K is the live cache's total size (item layer + block layer).
 	K int
-	// B is the block size fed to the §5.3 formulas. It should match the
-	// geometry's block size for fixed geometries.
+	// B is the block size: the ghosts' fixed geometry and the §5.3
+	// formulas both use it.
 	B int
-	// Geometry maps items to blocks for the ghosts. Defaults to
-	// model.NewFixed(B).
-	Geometry model.Geometry
 	// Window is the decision interval in requests (default 4096): each
 	// window ends with one compare-and-maybe-propose step.
 	Window int
@@ -61,9 +58,6 @@ type Config struct {
 	// MinInterval is the resize-rate cap: at least this many windows
 	// must pass between applied resizes (default 4).
 	MinInterval int
-	// History is how many per-window samples State() retains for the
-	// dashboard (default 32).
-	History int
 }
 
 func (c *Config) setDefaults() error {
@@ -72,9 +66,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.B < 1 {
 		return fmt.Errorf("autotune: B=%d, need >= 1", c.B)
-	}
-	if c.Geometry == nil {
-		c.Geometry = model.NewFixed(c.B)
 	}
 	if c.Window <= 0 {
 		c.Window = 4096
@@ -96,9 +87,6 @@ func (c *Config) setDefaults() error {
 	if c.MinInterval <= 0 {
 		c.MinInterval = 4
 	}
-	if c.History <= 0 {
-		c.History = 32
-	}
 	return nil
 }
 
@@ -110,18 +98,6 @@ type CandidateState struct {
 	LastWindowMisses int64
 	Hits             int64 // lifetime
 	Misses           int64 // lifetime
-}
-
-// WindowSample is one completed decision window in a State snapshot.
-type WindowSample struct {
-	Window     int64 // 1-based window ordinal
-	WorkingSet int   // distinct in-universe items seen in the window
-	Formula    int   // §5.3 target from the working-set estimate
-	Winner     int   // empirical winner after the formula tiebreak
-	Live       int   // live target at window end (-1 if unknown)
-	// Misses holds each candidate's window miss count, index-aligned
-	// with State.Candidates.
-	Misses []int64
 }
 
 // State is a consistent snapshot of the controller for dashboards and
@@ -137,10 +113,8 @@ type State struct {
 	Winner     int   // last empirical winner
 	Streak     int   // consecutive windows the current challenger has won
 	Pending    int   // proposed target awaiting Apply (-1 if none)
-	SinceApply int   // windows since the last applied resize
 	Resizes    int64 // resizes applied through this tuner
 	Candidates []CandidateState
-	Samples    []WindowSample // oldest to newest, up to Config.History
 }
 
 // Tuner is the §5.3 closed-loop controller. Attached as an obs.Probe to
@@ -209,18 +183,6 @@ type Tuner struct {
 	lastWinner int
 	//gclint:guardedby mu
 	lastMiss []int64 // per-candidate misses of the last completed window
-
-	// History ring: hist holds the scalar sample fields, histMiss the
-	// per-candidate misses as a flat [History][len(candidates)] block so
-	// window rollover never allocates.
-	//gclint:guardedby mu
-	hist []WindowSample
-	//gclint:guardedby mu
-	histMiss []int64
-	//gclint:guardedby mu
-	histNext int
-	//gclint:guardedby mu
-	histLen int
 }
 
 // ghost is one candidate split and its misses: every ghost sees every
@@ -274,11 +236,10 @@ func New(cfg Config) (*Tuner, error) {
 		// is satisfied, so it starts with the interval already elapsed.
 		sinceApply: cfg.MinInterval,
 		lastMiss:   make([]int64, len(cands)),
-		hist:       make([]WindowSample, cfg.History),
-		histMiss:   make([]int64, cfg.History*len(cands)),
 	}
+	geo := model.NewFixed(cfg.B)
 	for _, i := range cands {
-		t.ghosts = append(t.ghosts, ghost{c: core.NewIBLP(i, cfg.K-i, cfg.Geometry)})
+		t.ghosts = append(t.ghosts, ghost{c: core.NewIBLP(i, cfg.K-i, geo)})
 	}
 	return t, nil
 }
@@ -452,25 +413,10 @@ func (t *Tuner) endWindow() {
 		t.pending = winner
 	}
 
-	// Record the window into the history ring and the last-window view,
-	// and restart each ghost's window count.
-	nc := len(t.candidates)
-	row := t.histMiss[t.histNext*nc : (t.histNext+1)*nc]
+	// Record the last-window view and restart each ghost's window count.
 	for idx := range t.ghosts {
 		g := &t.ghosts[idx]
-		row[idx], t.lastMiss[idx], g.window = g.window, g.window, 0
-	}
-	t.hist[t.histNext] = WindowSample{
-		Window:     t.windows,
-		WorkingSet: t.lastWS,
-		Formula:    formula,
-		Winner:     winner,
-		Live:       t.live,
-		Misses:     row,
-	}
-	t.histNext = (t.histNext + 1) % len(t.hist)
-	if t.histLen < len(t.hist) {
-		t.histLen++
+		t.lastMiss[idx], g.window = g.window, 0
 	}
 
 	// Roll the window.
@@ -516,13 +462,6 @@ func (t *Tuner) Apply(rz cachesim.LayerResizable) (int, bool) {
 	return target, true
 }
 
-// Resizes returns how many resizes this tuner has applied.
-func (t *Tuner) Resizes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.resizes
-}
-
 // State returns a consistent snapshot. It allocates; call it from paid
 // paths (dashboards, tests) only.
 func (t *Tuner) State() State {
@@ -539,7 +478,6 @@ func (t *Tuner) State() State {
 		Winner:     t.lastWinner,
 		Streak:     t.streak,
 		Pending:    t.pending,
-		SinceApply: t.sinceApply,
 		Resizes:    t.resizes,
 	}
 	for idx, g := range t.ghosts {
@@ -549,13 +487,6 @@ func (t *Tuner) State() State {
 			Hits:             t.requests - g.misses,
 			Misses:           g.misses,
 		})
-	}
-	nc := len(t.candidates)
-	for j := 0; j < t.histLen; j++ {
-		i := (t.histNext - t.histLen + j + len(t.hist)) % len(t.hist)
-		ws := t.hist[i]
-		ws.Misses = append([]int64(nil), t.histMiss[i*nc:(i+1)*nc]...)
-		s.Samples = append(s.Samples, ws)
 	}
 	return s
 }

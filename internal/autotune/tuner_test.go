@@ -81,7 +81,7 @@ func TestTunerProposesAfterPatience(t *testing.T) {
 	if _, again := tn.Apply(rz); again {
 		t.Fatal("second Apply re-fired a consumed proposal")
 	}
-	if got := tn.Resizes(); got != 1 {
+	if got := tn.State().Resizes; got != 1 {
 		t.Fatalf("Resizes=%d, want 1", got)
 	}
 	// The live target moved to the winner, so the same traffic must not
@@ -247,7 +247,7 @@ func TestTunerApplyReentrancy(t *testing.T) {
 // level: a live cache and its recorder with the tuner attached as their
 // probe must serve accesses at 0 allocs/op — including the accesses that cross
 // decision-window boundaries, so the whole endWindow step (formula,
-// comparison, history ring) is covered.
+// comparison, window roll) is covered.
 func TestTunerZeroAllocSteadyState(t *testing.T) {
 	const universe = 1 << 12
 	g := model.NewFixed(16)
@@ -267,8 +267,8 @@ func TestTunerZeroAllocSteadyState(t *testing.T) {
 	}
 	rec.Serve(live, tr)
 	i := 0
-	// 2000 runs with Window=64 crosses ~60 window boundaries (plus
-	// history-ring wraps with History=32), incl. in the measured runs.
+	// 2000 runs with Window=64 cross ~60 window boundaries, incl. in
+	// the measured runs.
 	if avg := testing.AllocsPerRun(2000, func() {
 		it := model.Item(i % universe)
 		rec.Observe(it, live.Access(it))
@@ -286,30 +286,14 @@ func TestTunerStateAndRendering(t *testing.T) {
 		tn.Observe(&obs.Record{Kind: obs.EvHit, Item: model.Item(rng.Intn(400))})
 	}
 	s := tn.State()
-	if s.Windows != 5 || len(s.Samples) != 5 {
-		t.Fatalf("windows=%d samples=%d, want 5/5", s.Windows, len(s.Samples))
+	if s.Windows != 5 {
+		t.Fatalf("windows=%d, want 5", s.Windows)
 	}
-	for _, smp := range s.Samples {
-		if len(smp.Misses) != len(s.Candidates) {
-			t.Fatalf("sample misses len %d, candidates %d", len(smp.Misses), len(s.Candidates))
-		}
-	}
-	// Each ghost's window misses restart every window while its lifetime
-	// counters run on: the five windows cover every request, so their
-	// misses sum to the lifetime misses.
-	for idx, c := range s.Candidates {
+	// Every ghost sees every request, so its lifetime hits and misses
+	// sum to the requests.
+	for _, c := range s.Candidates {
 		if c.Hits+c.Misses != s.Requests {
 			t.Errorf("i=%d: hits %d + misses %d != %d requests", c.Target, c.Hits, c.Misses, s.Requests)
-		}
-		var sum int64
-		for _, smp := range s.Samples {
-			sum += smp.Misses[idx]
-		}
-		if sum != c.Misses {
-			t.Errorf("i=%d: window misses sum to %d, lifetime misses %d", c.Target, sum, c.Misses)
-		}
-		if last := s.Samples[len(s.Samples)-1].Misses[idx]; c.LastWindowMisses != last {
-			t.Errorf("i=%d: LastWindowMisses %d, last sample %d", c.Target, c.LastWindowMisses, last)
 		}
 	}
 	var sb strings.Builder
@@ -340,8 +324,7 @@ func TestTunerConfigValidation(t *testing.T) {
 // TestNewLiveSeedsTheLiveTarget: NewLive starts the incumbent at the
 // live cache's split and refuses a cache that cannot be resized.
 func TestNewLiveSeedsTheLiveTarget(t *testing.T) {
-	geo := model.NewFixed(1)
-	tn, err := NewLive(Config{K: 64, B: 1, Geometry: geo}, core.NewIBLP(16, 48, geo))
+	tn, err := NewLive(Config{K: 64, B: 1}, core.NewIBLP(16, 48, model.NewFixed(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +359,7 @@ func TestApplyLoopAppliesUnderTheCallersLock(t *testing.T) {
 
 	feedRequests(tn, 96, 48) // one winning window: Patience 1 proposes i=64
 	deadline := time.Now().Add(10 * time.Second)
-	for tn.Resizes() < 1 {
+	for tn.State().Resizes < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no resize applied within 10s: %+v", tn.State())
 		}

@@ -49,13 +49,6 @@ type BatchConfig struct {
 	// memory at O(producers · shards · QueueDepth · BatchSize) regardless
 	// of trace length.
 	QueueDepth int
-	// PinWorkers locks each shard worker goroutine to its own OS thread
-	// (runtime.LockOSThread) for the engine's lifetime, preventing the
-	// scheduler from migrating workers between cores mid-replay and
-	// keeping each shard's cache state warm on one core. Off by default;
-	// it helps steady high-rate replays on multicore machines and is
-	// wasted overhead for short or low-rate runs.
-	PinWorkers bool
 }
 
 func (c BatchConfig) withDefaults() BatchConfig {
@@ -473,10 +466,6 @@ func (e *Engine) send(ctx context.Context, ln *lane, pushed *uint64, b []model.I
 // claimed batches.
 func (e *Engine) workerLoop(w int) {
 	defer e.wg.Done()
-	if e.cfg.PinWorkers {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	ws := &e.workers[w]
 	depth := e.cfg.QueueDepth
 	var idle spinWait

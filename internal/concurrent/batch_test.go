@@ -123,12 +123,12 @@ func TestReplayCtxDeterministicDifferential(t *testing.T) {
 	}
 }
 
-// TestReplayStreamCtxOrderPreservation checks the single-source batched
+// TestEngineReplayStreamOrderPreservation checks the single-source batched
 // path: one producer enqueues each shard's requests in trace order and
 // one worker per shard preserves it, so even the fully concurrent
 // replay is deterministic — byte-identical to a sequential replay of
 // the same trace through an identical Sharded.
-func TestReplayStreamCtxOrderPreservation(t *testing.T) {
+func TestEngineReplayStreamOrderPreservation(t *testing.T) {
 	tr := batchFixture(t, "blockruns:blocks=256,B=16,run=8,len=60000", 13)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -229,9 +229,9 @@ func TestReplayCtxBackpressureTinyQueues(t *testing.T) {
 	}
 }
 
-// TestReplayStreamCtxSourceError checks a mid-stream decode failure
+// TestEngineReplayStreamSourceError checks a mid-stream decode failure
 // surfaces after the requests before it were replayed.
-func TestReplayStreamCtxSourceError(t *testing.T) {
+func TestEngineReplayStreamSourceError(t *testing.T) {
 	tr := batchFixture(t, "blockruns:blocks=64,B=8,run=4,len=10000", 2)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {

@@ -239,24 +239,6 @@ func TestEngineCancelThenReuse(t *testing.T) {
 	}
 }
 
-// TestEnginePinWorkers runs the pinned-worker mode end to end; the
-// result must be indistinguishable from the unpinned engine.
-func TestEnginePinWorkers(t *testing.T) {
-	s := newIBLPSharded(t, 4, 512, 8)
-	tr := batchFixture(t, "blockruns:blocks=128,B=8,run=4,len=30000", 29)
-	st, err := replayOnce(context.Background(), s, SplitStreams(tr, 4),
-		BatchConfig{PinWorkers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Accesses != int64(len(tr)) {
-		t.Fatalf("accesses %d != %d", st.Accesses, len(tr))
-	}
-	if st.Hits+st.Misses != st.Accesses {
-		t.Fatalf("inconsistent stats %+v", st)
-	}
-}
-
 // TestEngineMisuse pins the guard rails: replay on a closed engine,
 // overlapping replays, and bad construction arguments all error
 // instead of corrupting state.

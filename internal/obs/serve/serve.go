@@ -130,7 +130,7 @@ func New(cfg Config, tr trace.Trace) (*Server, error) {
 	if s.suite, err = obs.NewSuite(cfg.Probe); err != nil {
 		return nil, err
 	}
-	tunerCfg := autotune.Config{K: cfg.K, B: cfg.B, Geometry: s.geo, Window: cfg.AutotuneWindow}
+	tunerCfg := autotune.Config{K: cfg.K, B: cfg.B, Window: cfg.AutotuneWindow}
 	s.fan = newEventFan()
 	probe := obs.Multi{s.suite, s.fan}
 

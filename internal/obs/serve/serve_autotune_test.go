@@ -72,7 +72,7 @@ func TestAutotuneOnMatchesDrive(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Wait() // non-looping replay runs to completion
-		got, gotResizes, gotLive := s.Stats(), s.Tuner().Resizes(), s.Tuner().State().Live
+		got, gotResizes, gotLive := s.Stats(), s.Tuner().State().Resizes, s.Tuner().State().Live
 		s.Stop()
 
 		tr := specTrace(t, tc.workload, seed)
@@ -81,7 +81,7 @@ func TestAutotuneOnMatchesDrive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn, err := autotune.New(autotune.Config{K: tc.k, B: tc.b, Geometry: geo, Window: tc.window})
+		tn, err := autotune.New(autotune.Config{K: tc.k, B: tc.b, Window: tc.window})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestAutotuneOnMatchesDrive(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: server stats diverge from Drive:\n got %+v\nwant %+v", name, got, want)
 		}
-		if wantResizes := tn.Resizes(); gotResizes != wantResizes {
+		if wantResizes := tn.State().Resizes; gotResizes != wantResizes {
 			t.Errorf("%s: server applied %d resizes, Drive %d", name, gotResizes, wantResizes)
 		}
 		if gotLive != wantLive || tn.State().Live != wantLive {
@@ -122,7 +122,7 @@ func TestAutotuneReplayResizes(t *testing.T) {
 	defer s.Stop()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Tuner().Resizes() < 1 {
+	for s.Tuner().State().Resizes < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no resize applied within 10s: %+v", s.Tuner().State())
 		}
@@ -166,7 +166,7 @@ func TestAutotuneResizesOnShortLoop(t *testing.T) {
 	defer s.Stop()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Tuner().Resizes() < 1 {
+	for s.Tuner().State().Resizes < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no resize applied within 10s: %+v", s.Tuner().State())
 		}
@@ -264,7 +264,7 @@ func TestAutotuneClusterKeepsAccountingDuringResize(t *testing.T) {
 		}
 	}
 
-	resized := func() bool { return s1.Tuner().Resizes()+s2.Tuner().Resizes() >= 1 }
+	resized := func() bool { return s1.Tuner().State().Resizes+s2.Tuner().State().Resizes >= 1 }
 	deadline := time.Now().Add(15 * time.Second)
 	for !resized() {
 		if time.Now().After(deadline) {
